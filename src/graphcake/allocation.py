@@ -30,6 +30,8 @@ class Allocation:
 
     @staticmethod
     def from_json(data: Iterable) -> "Allocation":
+        if not isinstance(data, (list, tuple)):
+            raise MalformedPiece("an allocation must be a list of pieces")
         return Allocation(tuple(Piece.from_json(p) for p in data))
 
 

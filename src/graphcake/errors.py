@@ -9,6 +9,10 @@ class GraphConstructionError(CakeError):
     """The graph violates a structural invariant (loop, duplicate id, disconnected)."""
 
 
+class MalformedInput(CakeError):
+    """A document or value is missing a field or has the wrong shape or type."""
+
+
 class MalformedPiece(CakeError):
     """A piece references an unknown edge or an interval outside [0, 1]."""
 

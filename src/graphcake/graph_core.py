@@ -10,12 +10,13 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     BudgetExceeded,
     DisconnectedPiece,
     GraphConstructionError,
+    MalformedInput,
     MalformedPiece,
     NotAlmostBridgeless,
 )
@@ -150,7 +151,10 @@ class CakeGraph:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CakeGraph":
-        return cls(data["vertices"], [tuple(e) for e in data["edges"]])
+        try:
+            return cls(data["vertices"], [tuple(e) for e in data["edges"]])
+        except (KeyError, TypeError):
+            raise MalformedInput('a graph needs "vertices" and "edges": [id, u, v] lists') from None
 
     def to_dot(self, dashed_edges: Iterable[str] = ()) -> str:
         dashed = set(dashed_edges)
@@ -290,7 +294,11 @@ class Piece:
 
     @staticmethod
     def from_json(data: Iterable) -> "Piece":
-        return Piece.of((e, parse_fraction(lo), parse_fraction(hi)) for e, lo, hi in data)
+        try:
+            triples = [(e, parse_fraction(lo), parse_fraction(hi)) for e, lo, hi in data]
+        except (TypeError, ValueError):
+            raise MalformedPiece("a piece must be a list of [edge, lo, hi] triples") from None
+        return Piece.of(triples)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Piece) and self.intervals == other.intervals
@@ -308,13 +316,14 @@ def _fmt(x: Fraction) -> str:
 
 
 def parse_fraction(text: str | int) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse an int, ``"p"`` or ``"p/q"``; anything else raises MalformedInput."""
+    try:
+        if isinstance(text, int):
+            return Fraction(text)
+        num, slash, den = text.strip().partition("/")
+        return Fraction(int(num), int(den) if slash else 1)
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise MalformedInput(f"{text!r} is not a rational number p/q") from None
 
 
 format_fraction = _fmt
@@ -335,10 +344,13 @@ class _UnionFind:
             a = self.parent[a]
         return a
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Join the two sets; False when they were already one."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
 
     def component_count(self, n: int) -> int:
         return len({self.find(i) for i in range(n)})
@@ -735,32 +747,49 @@ def find_bipolar_numbering(g: CakeGraph, budget: int = 10) -> BipolarSearchResul
 # ---------------------------------------------------------------------------
 
 
-def split_cycles_to_tree(g: CakeGraph) -> tuple[CakeGraph, dict[str, str]]:
-    """Detach one endpoint of a cycle edge until the graph is a tree.
+def _cycle_breaks(ends: Sequence[tuple[Hashable, Hashable]]) -> list[bool]:
+    """Which links to cut loose so that the others form a forest.
 
-    Edge ids and parametrizations are preserved, so pieces translate verbatim
-    between the tree and the original graph.  The returned map sends every
-    vertex of the tree to the original vertex it stands for.
+    Scans from the last link back and cuts a link loose when the links after
+    it already join its ends.  On a connected multigraph this cuts the same
+    edges as detaching the first cycle edge, recomputing the bridges and
+    repeating, in O(m·α(m)) rather than O(cycles·m).
+    """
+    index: dict[Hashable, int] = {}
+    for link in ends:
+        for end in link:
+            index.setdefault(end, len(index))
+    uf = _UnionFind(len(index))
+    loose = [False] * len(ends)
+    for i in range(len(ends) - 1, -1, -1):
+        a, b = ends[i]
+        loose[i] = not uf.union(index[a], index[b])
+    return loose
+
+
+def split_cycles_to_tree(g: CakeGraph) -> tuple[CakeGraph, dict[str, str]]:
+    """Detach the second endpoint of every cycle edge ``_cycle_breaks`` picks.
+
+    Each detached end becomes a fresh leaf ``<vertex>~<k>``.  Edge ids and
+    parametrizations are preserved, so pieces translate verbatim between the
+    tree and the original graph.  The returned map sends every vertex of the
+    tree to the original vertex it stands for.
     """
     vertices = list(g.vertices)
-    edges = [(e.id, e.u, e.v) for e in g.edges]
     origin = {v: v for v in vertices}
+    edges: list[tuple[str, str, str]] = []
     counter = 0
-    while True:
-        work = CakeGraph(vertices, edges)
-        bridges = find_bridges(work)
-        cycle_edge = next((e for e in work.edges if e.id not in bridges), None)
-        if cycle_edge is None:
-            return work, origin
-        clone = f"{cycle_edge.v}~{counter}"
-        while clone in origin:
+    for e, loose in zip(g.edges, _cycle_breaks([(e.u, e.v) for e in g.edges])):
+        end = e.v
+        if loose:
+            while f"{e.v}~{counter}" in origin:
+                counter += 1
+            end = f"{e.v}~{counter}"
             counter += 1
-            clone = f"{cycle_edge.v}~{counter}"
-        counter += 1
-        vertices.append(clone)
-        origin[clone] = origin[cycle_edge.v]
-        idx = next(i for i, (eid, _, _) in enumerate(edges) if eid == cycle_edge.id)
-        edges[idx] = (cycle_edge.id, cycle_edge.u, clone)
+            vertices.append(end)
+            origin[end] = e.v
+        edges.append((e.id, e.u, end))
+    return CakeGraph(vertices, edges), origin
 
 
 class SubcakeMap:

@@ -4,20 +4,31 @@ Every protocol returns an allocation plus a log of the evaluation and cut
 queries it issued, and comes with an exact guarantee that the verifier in
 :mod:`graphcake.allocation` can check with zero tolerance.
 
+Recursive protocols never build a new cake.  They recurse on a region, a
+connected piece of the original graph, and scale each agent's thresholds by
+her value of the region, which is what renormalizing the rest of the cake
+amounts to.  Every piece they hand out is already in the graph's coordinates.
+
 Deterministic tie-breaking throughout: when several agents qualify at the
-same knife point, the lowest agent index wins; when several edges or branches
-qualify, the one earliest in the graph's stored edge order wins.
+same knife point, the lowest agent index wins.  A region is walked as a tree
+rooted at the least-named graph vertex it reaches, or at the lower end of a
+region inside a single edge; when several branches of it qualify, the one
+earliest in piece order (edge id as a string, then position) wins.  Walks
+over the whole graph that are not extractions (the height-two sweep and the
+chore protocol's first split) take branches in the graph's stored edge order.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .allocation import Allocation, VerificationReport
 from .errors import (
     AlphaOutOfRange,
+    DisconnectedPiece,
     DomainError,
     InsufficientValue,
     NotAStar,
@@ -30,16 +41,17 @@ from .graph_core import (
     ONE,
     ZERO,
     CakeGraph,
-    Edge,
+    EdgePoint,
     Interval,
     OrientedLabeling,
     Piece,
-    SubcakeMap,
+    Point,
+    VertexPoint,
+    _cycle_breaks,
+    canonical_point,
     classify_almost_bridgeless,
     compute_contiguous_labeling,
-    induced_cake,
     is_contiguous,
-    split_cycles_to_tree,
 )
 from .valuation import (
     Instance,
@@ -51,27 +63,13 @@ from .valuation import (
     combine_valuations,
     cut_trajectory,
     latest_position_within,
-    restrict,
-    restrict_and_renormalize,
     trajectory_prefix_piece,
+    trajectory_value,
     value_of_piece,
 )
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
-
-Lift = Callable[[Piece], Piece]
-
-
-def _identity_lift(p: Piece) -> Piece:
-    return p
-
-
-def _compose_lift(outer: Lift, cmap: SubcakeMap) -> Lift:
-    def lifted(p: Piece) -> Piece:
-        return outer(cmap.piece_to_parent(p))
-
-    return lifted
 
 
 @dataclass(frozen=True)
@@ -98,72 +96,110 @@ def _require(inst: Instance, *, mode: str, n: Optional[int] = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rooted trees
+# Regions as rooted trees
 # ---------------------------------------------------------------------------
 
 
+def _node_key(p: Point) -> tuple:
+    """Graph vertices first, by name; then cut points, by edge id and position."""
+    if isinstance(p, VertexPoint):
+        return (0, p.vertex, ZERO)
+    return (1, p.edge, p.pos)
+
+
+def _span(leg: Leg) -> Interval:
+    return Interval(leg.edge, min(leg.start, leg.end), max(leg.start, leg.end))
+
+
 class _RootedTree:
-    """Rooted view of a tree graph; children are ordered by stored edge order."""
+    """A connected region of the cake as a rooted tree, in the graph's coordinates.
 
-    def __init__(self, tree: CakeGraph, root: str):
-        self.tree = tree
-        self.root = root
-        self.children: dict[str, list[tuple[Edge, str]]] = {v: [] for v in tree.vertices}
-        self.parent: dict[str, str] = {}
-        seen = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for e in tree.incident(v):
-                w = e.other(v)
-                if w not in seen:
-                    seen.add(w)
-                    self.children[v].append((e, w))
-                    self.parent[w] = v
-                    stack.append(w)
+    Nodes are the graph vertices the region reaches and its interior cut
+    points, as canonical points.  Each interval links the nodes at its two
+    ends; an interval that closes a cycle (see ``_cycle_breaks``) gets a leaf
+    of its own at its upper end.  Children follow the order of the intervals,
+    and each child carries the leg that sweeps its link towards the parent.
+    The root defaults to the least node by ``_node_key``.
+    """
 
-    def subtree_edges(self, v: str) -> list[Edge]:
-        out: list[Edge] = []
+    def __init__(self, g: CakeGraph, intervals: Sequence[Interval], root: Optional[Point] = None):
+        ends = [
+            (canonical_point(g, iv.edge, iv.lo), canonical_point(g, iv.edge, iv.hi))
+            for iv in intervals
+        ]
+        links: dict[Point, list[tuple[Leg, Point]]] = defaultdict(list)
+        for iv, (a, b), loose in zip(intervals, ends, _cycle_breaks(ends)):
+            if loose:
+                b = EdgePoint(iv.edge, iv.hi)  # a detached end no other interval reaches
+            links[a].append((Leg(iv.edge, iv.hi, iv.lo), b))
+            links[b].append((Leg(iv.edge, iv.lo, iv.hi), a))
+        self.root = min(links, key=_node_key) if root is None else root
+        self.children: dict[Point, list[tuple[Leg, Point]]] = {v: [] for v in links}
+        self.order = [self.root]  # every parent before its children
+        self.depth = {self.root: 0}
+        for v in self.order:
+            for leg, w in links[v]:
+                if w not in self.depth:
+                    self.depth[w] = self.depth[v] + 1
+                    self.children[v].append((leg, w))
+                    self.order.append(w)
+        if len(self.order) != len(links):
+            raise DisconnectedPiece("piece is not connected")
+
+    def lowest(self, crosses: Callable[[Point], bool]) -> Point:
+        """Step from the root to the first child that ``crosses`` until none does."""
+        v = self.root
+        while (nxt := next((w for _, w in self.children[v] if crosses(w)), None)) is not None:
+            v = nxt
+        return v
+
+    def subtree_piece(self, v: Point) -> Piece:
+        spans: list[Interval] = []
         stack = [v]
         while stack:
-            a = stack.pop()
-            for e, w in self.children[a]:
-                out.append(e)
+            for leg, w in self.children[stack.pop()]:
+                spans.append(_span(leg))
                 stack.append(w)
-        return out
+        return Piece.of(spans)
 
-    def subtree_piece(self, v: str) -> Piece:
-        return Piece.of(Interval(e.id, ZERO, ONE) for e in self.subtree_edges(v))
+    def branch_piece(self, leg: Leg, child: Point) -> Piece:
+        return self.subtree_piece(child).union(Piece.of([_span(leg)]))
 
-    def branch_piece(self, edge: Edge, child: str) -> Piece:
-        return self.subtree_piece(child).union(Piece.of([Interval(edge.id, ZERO, ONE)]))
-
-    def subtree_values(self, val: Valuation) -> dict[str, Fraction]:
-        """Value of the subtree strictly below each vertex, computed bottom-up."""
-        order: list[str] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for _, w in self.children[v]:
-                stack.append(w)
-        values: dict[str, Fraction] = {}
-        for v in reversed(order):
-            acc = ZERO
-            for e, w in self.children[v]:
-                acc += val.edge_value(e.id) + values[w]
-            values[v] = acc
+    def subtree_values(self, val: Valuation) -> dict[Point, Fraction]:
+        """Value of the subtree strictly below each node, computed bottom-up."""
+        values: dict[Point, Fraction] = {}
+        for v in reversed(self.order):
+            values[v] = sum(
+                (trajectory_value(val, (leg,)) + values[w] for leg, w in self.children[v]),
+                ZERO,
+            )
         return values
 
-    def depth_map(self) -> dict[str, int]:
-        depth = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for _, w in self.children[v]:
-                depth[w] = depth[v] + 1
-                stack.append(w)
-        return depth
+
+def _graph_tree(g: CakeGraph, root: Optional[str] = None) -> _RootedTree:
+    """The whole graph as a rooted tree, children in stored edge order."""
+    whole = [Interval(e.id, ZERO, ONE) for e in g.edges]
+    return _RootedTree(g, whole, None if root is None else VertexPoint(root))
+
+
+def _knife_race(
+    g: CakeGraph,
+    vals: Sequence[Valuation],
+    traj: Trajectory,
+    targets: Mapping[int, Fraction],
+    log: QueryLog,
+) -> tuple[int, TrajectoryCut]:
+    """Sweep one knife along ``traj``; each agent in ``targets`` calls stop where
+    the covered prefix first reaches her target.  The earliest call wins, the
+    lowest agent index on ties."""
+    best: Optional[tuple[int, TrajectoryCut]] = None
+    for a in sorted(targets):
+        cut = cut_trajectory(g, vals[a], traj, targets[a], log)
+        if best is None or cut.sweep_offset < best[1].sweep_offset:
+            best = (a, cut)
+    if best is None:
+        raise ProtocolInvariantError("no agent takes part in the knife race")
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -174,95 +210,76 @@ class _RootedTree:
 def _extract(
     g: CakeGraph,
     vals: Sequence[Valuation],
-    sub: Piece,
-    alpha: Fraction,
-    eligible: Sequence[int],
+    region: Piece,
+    need: Mapping[int, Fraction],
     log: QueryLog,
 ) -> tuple[Piece, int, Piece]:
-    """Split ``sub`` into two connected pieces; the winner values the first at
-    least ``alpha`` while every other eligible agent values it at most ``2*alpha``.
+    """Split a connected region into two connected pieces; the winner values the
+    first at least her ``need`` while every other agent in ``need`` values it at
+    most twice hers.
 
-    Route: induce the subcake, detach cycle edges into a tree, walk down to the
-    lowest vertex whose subtree still reaches ``alpha`` for someone, then either
-    sweep a knife along one branch (stopping at the earliest crossing) or
-    accumulate whole branches until the first crossing.
+    Route: view the region as a rooted tree, walk down to the lowest node whose
+    subtree still meets someone's need, then either sweep a knife along one
+    branch (stopping at the earliest crossing) or accumulate whole branches
+    until the first crossing.
     """
-    if alpha < 0:
-        raise DomainError(f"extraction threshold {alpha} is negative")
-    eligible = sorted(eligible)
+    if not need:
+        raise DomainError("extraction needs at least one eligible agent")
+    eligible = sorted(need)
     for a in eligible:
-        if value_of_piece(vals[a], sub, log) < alpha:
-            raise InsufficientValue(f"agent {a} values the piece below {alpha}")
-    if alpha == 0:
-        return Piece.empty(), eligible[0], sub
+        if need[a] < 0:
+            raise DomainError(f"extraction threshold {need[a]} is negative")
+        if value_of_piece(vals[a], region, log) < need[a]:
+            raise InsufficientValue(f"agent {a} values the piece below {need[a]}")
+    satisfied = [a for a in eligible if need[a] == 0]
+    if satisfied:
+        return Piece.empty(), satisfied[0], region
 
-    sub_graph, smap = induced_cake(g, sub)
-    rvals = {a: restrict(vals[a], smap) for a in eligible}
-    tree, _ = split_cycles_to_tree(sub_graph)
-    rt = _RootedTree(tree, min(tree.vertices))
-    stv = {a: rt.subtree_values(rvals[a]) for a in eligible}
-    log.eval_count += tree.m * len(eligible)
+    rt = _RootedTree(g, region.intervals)
+    stv = {a: rt.subtree_values(vals[a]) for a in eligible}
+    log.eval_count += len(region.intervals) * len(eligible)
 
-    v = rt.root
-    while True:
-        nxt = next(
-            (
-                child
-                for _, child in rt.children[v]
-                if any(stv[a][child] >= alpha for a in eligible)
-            ),
-            None,
-        )
-        if nxt is None:
-            break
-        v = nxt
+    def branch_value(a: int, leg: Leg, child: Point) -> Fraction:
+        return stv[a][child] + trajectory_value(vals[a], (leg,))
 
-    chosen: Optional[tuple[Edge, str, dict[int, Fraction]]] = None
-    for edge, child in rt.children[v]:
-        branch_vals = {
-            a: stv[a][child] + rvals[a].edge_value(edge.id) for a in eligible
-        }
-        if any(bv >= alpha for bv in branch_vals.values()):
-            chosen = (edge, child, branch_vals)
-            break
-
+    v = rt.lowest(lambda child: any(stv[a][child] >= need[a] for a in eligible))
+    chosen = next(
+        (
+            (leg, child)
+            for leg, child in rt.children[v]
+            if any(branch_value(a, leg, child) >= need[a] for a in eligible)
+        ),
+        None,
+    )
     if chosen is not None:
         # Case 1: sweep a knife from the child end of the branch towards v.
-        edge, w, branch_vals = chosen
-        leg = Leg(edge.id, edge.endpoint_position(w), edge.endpoint_position(v))
-        best: Optional[tuple[Fraction, int, TrajectoryCut]] = None
-        for a in eligible:
-            if branch_vals[a] < alpha:
-                continue
-            cut = cut_trajectory(tree, rvals[a], (leg,), alpha - stv[a][w], log)
-            if best is None or cut.sweep_offset < best[0]:
-                best = (cut.sweep_offset, a, cut)
-        assert best is not None
-        _, winner, cut = best
-        piece_tree = rt.subtree_piece(w).union(trajectory_prefix_piece((leg,), cut))
+        leg, w = chosen
+        targets = {
+            a: need[a] - stv[a][w] for a in eligible if branch_value(a, leg, w) >= need[a]
+        }
+        winner, cut = _knife_race(g, vals, (leg,), targets, log)
+        piece = rt.subtree_piece(w).union(trajectory_prefix_piece((leg,), cut))
     else:
-        # Case 2: accumulate whole branches until some agent first reaches alpha.
-        acc = Piece.empty()
+        # Case 2: accumulate whole branches until some agent first reaches her need.
+        piece = Piece.empty()
         acc_vals = {a: ZERO for a in eligible}
-        winner = None
-        for edge, child in rt.children[v]:
-            acc = acc.union(rt.branch_piece(edge, child))
+        crossers: list[int] = []
+        for leg, child in rt.children[v]:
+            piece = piece.union(rt.branch_piece(leg, child))
             for a in eligible:
-                acc_vals[a] += stv[a][child] + rvals[a].edge_value(edge.id)
-            crossers = [a for a in eligible if acc_vals[a] >= alpha]
+                acc_vals[a] += branch_value(a, leg, child)
+            crossers = [a for a in eligible if acc_vals[a] >= need[a]]
             if crossers:
-                winner = crossers[0]
                 break
-        if winner is None:
+        if not crossers:
             raise ProtocolInvariantError("branch accumulation never reached the threshold")
-        piece_tree = acc
+        winner = crossers[0]
+    return piece, winner, region.difference(piece)
 
-    remainder_tree = tree.whole_piece().difference(piece_tree)
-    return (
-        smap.piece_to_parent(piece_tree),
-        winner,
-        smap.piece_to_parent(remainder_tree),
-    )
+
+def _scaled(vals: Sequence[Valuation], agents: Iterable[int], region: Piece, share: Fraction):
+    """Each agent's ``share`` of her value of the region (not a logged query)."""
+    return {a: share * value_of_piece(vals[a], region) for a in agents}
 
 
 def extract_piece(
@@ -275,7 +292,7 @@ def extract_piece(
     """Public wrapper over the extraction routine, on an instance's own agents."""
     log = log if log is not None else QueryLog()
     who = sorted(eligible) if eligible is not None else list(range(inst.n))
-    return _extract(inst.graph, inst.agents, sub, alpha, who, log)
+    return _extract(inst.graph, inst.agents, sub, {a: alpha for a in who}, log)
 
 
 # ---------------------------------------------------------------------------
@@ -283,39 +300,38 @@ def extract_piece(
 # ---------------------------------------------------------------------------
 
 
-def _egal_rec(
+def _egalitarian(
     g: CakeGraph,
-    vals: list[Valuation],
-    idx: list[int],
-    lift: Lift,
+    vals: Sequence[Valuation],
+    agents: Sequence[int],
+    region: Piece,
     pieces: list[Piece],
     log: QueryLog,
 ) -> None:
-    k = len(idx)
-    if k == 1:
-        pieces[idx[0]] = lift(g.whole_piece())
-        return
-    alpha = Fraction(1, 2 * k - 1)
-    piece, w, rem = _extract(g, vals, g.whole_piece(), alpha, range(k), log)
-    pieces[idx[w]] = lift(piece)
-    sub_g, smap = induced_cake(g, rem)
-    new_vals = [restrict_and_renormalize(vals[a], smap) for a in range(k) if a != w]
-    new_idx = [idx[a] for a in range(k) if a != w]
-    _egal_rec(sub_g, new_vals, new_idx, _compose_lift(lift, smap), pieces, log)
+    """Give each of k agents a connected part of the region worth at least
+    1/(2k-1) of her value of the region."""
+    agents = list(agents)
+    while len(agents) > 1:
+        need = _scaled(vals, agents, region, Fraction(1, 2 * len(agents) - 1))
+        piece, winner, region = _extract(g, vals, region, need, log)
+        pieces[winner] = piece
+        agents.remove(winner)
+    pieces[agents[0]] = region
 
 
 def connected_egalitarian(inst: Instance) -> ProtocolResult:
     """Connected allocation giving every one of n agents at least 1/(2n-1).
 
-    Extract a piece for one agent at threshold 1/(2n-1), renormalize the rest,
-    and recurse on the remaining agents.
+    Extract a piece for one agent at threshold 1/(2n-1), then repeat on the
+    remainder with one agent fewer, each threshold scaled by the agent's value
+    of that remainder.
     """
     _require(inst, mode="cake")
+    if inst.n < 1:
+        raise DomainError("the egalitarian protocol needs at least one agent")
     log = QueryLog()
     pieces: list[Piece] = [Piece.empty()] * inst.n
-    _egal_rec(
-        inst.graph, list(inst.agents), list(range(inst.n)), _identity_lift, pieces, log
-    )
+    _egalitarian(inst.graph, inst.agents, range(inst.n), inst.graph.whole_piece(), pieces, log)
     return ProtocolResult(Allocation(tuple(pieces)), log)
 
 
@@ -333,110 +349,78 @@ def f_guarantee(n: int, k: int) -> Fraction:
     return Fraction(1, 2 * n - 1)
 
 
-def _path_trajectory(g: CakeGraph) -> Trajectory:
-    """End-to-end sweep of a path graph, starting from its first leaf."""
-    if g.m == 1:
-        e = g.edges[0]
-        return (Leg(e.id, ZERO, ONE),)
-    leaves = sorted(v for v in g.vertices if g.degree(v) == 1)
-    assert len(leaves) == 2, "graph is not a path"
+def _path_trajectory(g: CakeGraph, region: Piece, start: Optional[Point] = None) -> Trajectory:
+    """End-to-end sweep of a path region from ``start``, by default its least end."""
+    if start is None:
+        ends = Counter(
+            canonical_point(g, iv.edge, x) for iv in region.intervals for x in (iv.lo, iv.hi)
+        )
+        start = min((p for p, count in ends.items() if count == 1), key=_node_key)
+    rt = _RootedTree(g, region.intervals, start)
     legs: list[Leg] = []
-    at = leaves[0]
-    used: set[str] = set()
-    while True:
-        e = next((x for x in g.incident(at) if x.id not in used), None)
-        if e is None:
-            break
-        used.add(e.id)
-        legs.append(Leg(e.id, e.endpoint_position(at), e.endpoint_position(e.other(at))))
-        at = e.other(at)
+    v = rt.root
+    while rt.children[v]:
+        if len(rt.children[v]) > 1:
+            raise ProtocolInvariantError("region is not a path swept from one end")
+        leg, v = rt.children[v][0]
+        legs.append(Leg(leg.edge, leg.end, leg.start))
     return tuple(legs)
-
-
-def _traj_suffix(traj: Trajectory, cut: TrajectoryCut) -> Trajectory:
-    leg = traj[cut.leg_index]
-    rest = traj[cut.leg_index + 1 :]
-    if cut.position == leg.end:
-        return rest
-    return (Leg(leg.edge, cut.position, leg.end),) + rest
 
 
 def _path_proportional(
     g: CakeGraph,
-    vals: list[Valuation],
-    idx: list[int],
-    lift: Lift,
+    vals: Sequence[Valuation],
+    agents: Sequence[int],
+    region: Piece,
     pieces: list[Piece],
     log: QueryLog,
 ) -> None:
-    """Moving knife along a path: each agent stops at 1/n of her total."""
-    k = len(idx)
-    traj = _path_trajectory(g)
-    target = Fraction(1, k)
-    remaining = list(range(k))
-    for _ in range(k - 1):
-        best: Optional[tuple[Fraction, int, TrajectoryCut]] = None
-        for a in remaining:
-            try:
-                cut = cut_trajectory(g, vals[a], traj, target, log)
-            except InsufficientValue:  # pragma: no cover - ruled out by additivity
-                continue
-            if best is None or cut.sweep_offset < best[0]:
-                best = (cut.sweep_offset, a, cut)
-        assert best is not None
-        _, winner, cut = best
-        pieces[idx[winner]] = lift(trajectory_prefix_piece(traj, cut))
+    """Moving knife along a path region: each agent stops at 1/k of her value of it."""
+    share = _scaled(vals, agents, region, Fraction(1, len(agents)))
+    remaining = list(agents)
+    start: Optional[Point] = None
+    while len(remaining) > 1:
+        traj = _path_trajectory(g, region, start)
+        winner, cut = _knife_race(g, vals, traj, {a: share[a] for a in remaining}, log)
+        pieces[winner] = trajectory_prefix_piece(traj, cut)
+        region = region.difference(pieces[winner])
+        start = cut.point
         remaining.remove(winner)
-        traj = _traj_suffix(traj, cut)
-    last = remaining[0]
-    tail = Piece.of(
-        Interval(l.edge, min(l.start, l.end), max(l.start, l.end)) for l in traj
-    )
-    pieces[idx[last]] = lift(tail)
+    pieces[remaining[0]] = region
 
 
 def _star_rec(
     g: CakeGraph,
-    vals: list[Valuation],
-    idx: list[int],
+    vals: Sequence[Valuation],
+    agents: Sequence[int],
+    region: Piece,
     center: str,
-    lift: Lift,
     pieces: list[Piece],
     log: QueryLog,
 ) -> None:
-    k = len(idx)
+    k = len(agents)
     if k == 1:
-        pieces[idx[0]] = lift(g.whole_piece())
+        pieces[agents[0]] = region
         return
-    m = g.m
+    m = len(region.intervals)
     if m <= 2:
-        _path_proportional(g, vals, idx, lift, pieces, log)
+        _path_proportional(g, vals, agents, region, pieces, log)
         return
     if m >= 2 * k - 1:
-        _egal_rec(g, vals, idx, lift, pieces, log)
+        _egalitarian(g, vals, agents, region, pieces, log)
         return
-    share = f_guarantee(k, m)
-    log.eval_count += m
-    edge = next(e for e in g.edges if vals[0].edge_value(e.id) >= share)
-    outer = edge.other(center)
-    leg = Leg(edge.id, edge.endpoint_position(outer), edge.endpoint_position(center))
-    best: Optional[tuple[Fraction, int, TrajectoryCut]] = None
-    for a in range(k):
-        log.eval_count += 1
-        if vals[a].edge_value(edge.id) < share:
-            continue
-        cut = cut_trajectory(g, vals[a], (leg,), share, log)
-        if best is None or cut.sweep_offset < best[0]:
-            best = (cut.sweep_offset, a, cut)
-    assert best is not None
-    _, winner, cut = best
+    need = _scaled(vals, agents, region, f_guarantee(k, m))
+    # the first agent values every spoke, then every agent the chosen one
+    log.eval_count += m + k
+    first = agents[0]
+    spokes = _RootedTree(g, region.intervals, VertexPoint(center)).children[VertexPoint(center)]
+    leg = next(leg for leg, _ in spokes if trajectory_value(vals[first], (leg,)) >= need[first])
+    targets = {a: need[a] for a in agents if trajectory_value(vals[a], (leg,)) >= need[a]}
+    winner, cut = _knife_race(g, vals, (leg,), targets, log)
     piece = trajectory_prefix_piece((leg,), cut)
-    pieces[idx[winner]] = lift(piece)
-    rem = g.whole_piece().difference(piece)
-    sub_g, smap = induced_cake(g, rem)
-    new_vals = [restrict_and_renormalize(vals[a], smap) for a in range(k) if a != winner]
-    new_idx = [idx[a] for a in range(k) if a != winner]
-    _star_rec(sub_g, new_vals, new_idx, center, _compose_lift(lift, smap), pieces, log)
+    pieces[winner] = piece
+    rest = [a for a in agents if a != winner]
+    _star_rec(g, vals, rest, region.difference(piece), center, pieces, log)
 
 
 def star_egalitarian(inst: Instance) -> ProtocolResult:
@@ -455,13 +439,7 @@ def star_egalitarian(inst: Instance) -> ProtocolResult:
     log = QueryLog()
     pieces: list[Piece] = [Piece.empty()] * inst.n
     _star_rec(
-        inst.graph,
-        list(inst.agents),
-        list(range(inst.n)),
-        center,
-        _identity_lift,
-        pieces,
-        log,
+        inst.graph, inst.agents, range(inst.n), inst.graph.whole_piece(), center, pieces, log
     )
     return ProtocolResult(Allocation(tuple(pieces)), log)
 
@@ -490,12 +468,7 @@ def proportional_two_connected(inst: Instance, lab: OrientedLabeling) -> Protoco
         for e in lab.order
     )
     log = QueryLog()
-    best: Optional[tuple[Fraction, int, TrajectoryCut]] = None
-    for a in range(2):
-        cut = cut_trajectory(g, inst.agents[a], traj, HALF, log)
-        if best is None or cut.sweep_offset < best[0]:
-            best = (cut.sweep_offset, a, cut)
-    _, winner, cut = best  # type: ignore[misc]
+    winner, cut = _knife_race(g, inst.agents, traj, {0: HALF, 1: HALF}, log)
     prefix = trajectory_prefix_piece(traj, cut)
     suffix = g.whole_piece().difference(prefix)
     pieces = (prefix, suffix) if winner == 0 else (suffix, prefix)
@@ -503,11 +476,12 @@ def proportional_two_connected(inst: Instance, lab: OrientedLabeling) -> Protoco
 
 
 def _fixed_pair(
-    g: CakeGraph, first: Valuation, second: Valuation, log: QueryLog
+    g: CakeGraph, first: Valuation, second: Valuation, region: Piece, log: QueryLog
 ) -> tuple[Piece, Piece]:
-    """Cut-and-choose core: split so both parts are worth >= 1/3 to ``second``,
-    then ``first`` takes her preferred part."""
-    piece, _, rem = _extract(g, [second, second], g.whole_piece(), THIRD, [0, 1], log)
+    """Cut-and-choose core: split the region so both parts are worth at least a
+    third of it to ``second``, then ``first`` takes her preferred part."""
+    need = THIRD * value_of_piece(second, region)
+    piece, _, rem = _extract(g, [second, second], region, {0: need, 1: need}, log)
     if value_of_piece(first, piece, log) >= value_of_piece(first, rem, log):
         return piece, rem
     return rem, piece
@@ -517,7 +491,8 @@ def two_agent_fixed(inst: Instance) -> ProtocolResult:
     """Connected allocation giving agent 1 at least 1/2 and agent 2 at least 1/3."""
     _require(inst, mode="cake", n=2)
     log = QueryLog()
-    a1, a2 = _fixed_pair(inst.graph, inst.agents[0], inst.agents[1], log)
+    g = inst.graph
+    a1, a2 = _fixed_pair(g, inst.agents[0], inst.agents[1], g.whole_piece(), log)
     return ProtocolResult(Allocation((a1, a2)), log)
 
 
@@ -541,7 +516,7 @@ def two_agent_flexible(inst: Instance, alpha: Fraction) -> EntitlementResult:
         raise AlphaOutOfRange(f"alpha must satisfy 0 < alpha <= 1/4, got {alpha}")
     log = QueryLog()
     piece, winner, rem = _extract(
-        inst.graph, inst.agents, inst.graph.whole_piece(), alpha, [0, 1], log
+        inst.graph, inst.agents, inst.graph.whole_piece(), {0: alpha, 1: alpha}, log
     )
     other = 1 - winner
     pieces = (piece, rem) if winner == 0 else (rem, piece)
@@ -567,7 +542,7 @@ def multi_piece_two(inst: Instance, k: int) -> ProtocolResult:
     g = inst.graph
     f1, f2 = inst.agents
     log = QueryLog()
-    piece, _, rem = _extract(g, [f1, f1], g.whole_piece(), THIRD, [0, 1], log)
+    piece, _, rem = _extract(g, [f1, f1], g.whole_piece(), {0: THIRD, 1: THIRD}, log)
     parts: list[list[Piece]] = [[piece], [rem]]
     for _ in range(k - 1):
         totals = [
@@ -581,9 +556,8 @@ def multi_piece_two(inst: Instance, k: int) -> ProtocolResult:
         h_pos = max(
             range(len(rich)), key=lambda i: (value_of_piece(f1, rich[i], log), -i)
         )
-        chunk, _, h_rem = _extract(
-            g, [f1, f1], rich[h_pos], 2 * deficit / 3, [0, 1], log
-        )
+        target = 2 * deficit / 3
+        chunk, _, h_rem = _extract(g, [f1, f1], rich[h_pos], {0: target, 1: target}, log)
         if h_rem.is_empty():
             del rich[h_pos]
         else:
@@ -610,24 +584,17 @@ def height2_two_piece_proportional(inst: Instance, root: str) -> ProtocolResult:
     g = inst.graph
     if not g.is_tree() or root not in g.vertices:
         raise NotHeightTwoTree(f"graph is not a tree rooted at {root!r}")
-    rt = _RootedTree(g, root)
-    if any(d > 2 for d in rt.depth_map().values()):
+    rt = _graph_tree(g, root)
+    if any(d > 2 for d in rt.depth.values()):
         raise NotHeightTwoTree(f"tree has height greater than two from {root!r}")
     legs: list[Leg] = []
-    for e, child in rt.children[root]:
-        for e2, grandchild in rt.children[child]:
-            legs.append(
-                Leg(e2.id, e2.endpoint_position(child), e2.endpoint_position(grandchild))
-            )
-        legs.append(Leg(e.id, e.endpoint_position(child), e.endpoint_position(root)))
+    for leg, child in rt.children[rt.root]:
+        for down, _ in rt.children[child]:
+            legs.append(Leg(down.edge, down.end, down.start))
+        legs.append(leg)
     traj = tuple(legs)
     log = QueryLog()
-    best: Optional[tuple[Fraction, int, TrajectoryCut]] = None
-    for a in range(2):
-        cut = cut_trajectory(g, inst.agents[a], traj, HALF, log)
-        if best is None or cut.sweep_offset < best[0]:
-            best = (cut.sweep_offset, a, cut)
-    _, winner, cut = best  # type: ignore[misc]
+    winner, cut = _knife_race(g, inst.agents, traj, {0: HALF, 1: HALF}, log)
     covered = trajectory_prefix_piece(traj, cut)
     rest = g.whole_piece().difference(covered)
     pieces = (covered, rest) if winner == 0 else (rest, covered)
@@ -650,7 +617,7 @@ def equitable_two(inst: Instance) -> ProtocolResult:
     combined = combine_valuations(list(inst.agents), [HALF, HALF])
     log = QueryLog()
     piece, _, rem = _extract(
-        inst.graph, [combined, combined], inst.graph.whole_piece(), THIRD, [0, 1], log
+        inst.graph, [combined, combined], inst.graph.whole_piece(), {0: THIRD, 1: THIRD}, log
     )
     return ProtocolResult(Allocation((piece, rem)), log)
 
@@ -668,7 +635,8 @@ def chore_two(inst: Instance) -> ProtocolResult:
     """
     _require(inst, mode="chore", n=2)
     log = QueryLog()
-    first_part, second_part = _fixed_pair(inst.graph, inst.agents[0], inst.agents[1], log)
+    g = inst.graph
+    first_part, second_part = _fixed_pair(g, inst.agents[0], inst.agents[1], g.whole_piece(), log)
     return ProtocolResult(Allocation((second_part, first_part)), log)
 
 
@@ -682,7 +650,7 @@ def chore_three(inst: Instance) -> ProtocolResult:
     f1, f2, f3 = inst.agents
     g = inst.graph
     log = QueryLog()
-    part_one, part_two = _fixed_pair(g, f1, f2, log)
+    part_one, part_two = _fixed_pair(g, f1, f2, g.whole_piece(), log)
     a1 = part_two  # swap
     b = part_one
     cost3 = value_of_piece(f3, b, log)
@@ -691,12 +659,7 @@ def chore_three(inst: Instance) -> ProtocolResult:
         return ProtocolResult(Allocation((a1, Piece.empty(), b)), log)
     if cost2 == 0:  # pragma: no cover - the swap leaves agent 2 cost >= 1/3 here
         return ProtocolResult(Allocation((a1, b, Piece.empty())), log)
-    sub_g, smap = induced_cake(g, b)
-    r3 = restrict_and_renormalize(f3, smap)
-    r2 = restrict_and_renormalize(f2, smap)
-    inner_first, inner_second = _fixed_pair(sub_g, r3, r2, log)
-    a3 = smap.piece_to_parent(inner_second)  # swap again
-    a2 = smap.piece_to_parent(inner_first)
+    a2, a3 = _fixed_pair(g, f3, f2, b, log)  # swap again
     return ProtocolResult(Allocation((a1, a2, a3)), log)
 
 
@@ -715,106 +678,98 @@ def _cond2_holds(sorted_costs: Sequence[Fraction], k: int) -> bool:
     return head and sorted_costs[k - 1] > Fraction(k, k + 1)
 
 
-def _sorted_costs(
-    vals: Sequence[Valuation], piece: Piece, log: QueryLog
-) -> list[tuple[Fraction, int]]:
-    costs = [(value_of_piece(vals[a], piece, log), a) for a in range(len(vals))]
-    return sorted(costs)
-
-
 def _divide_group(
     g: CakeGraph,
-    vals: list[Valuation],
+    vals: Sequence[Valuation],
     piece: Piece,
     group: list[int],
-    idx: list[int],
-    lift: Lift,
     pieces: list[Piece],
     log: QueryLog,
 ) -> None:
     """Allocate a connected piece of chore entirely within a group of agents.
 
     A group member with zero cost absorbs the whole piece for free; otherwise
-    the piece becomes a renormalized sub-chore solved recursively.
+    the group divides the piece as a region of its own.
     """
     if piece.is_empty():
         for a in group:
-            pieces[idx[a]] = Piece.empty()
+            pieces[a] = Piece.empty()
         return
     costs = [(value_of_piece(vals[a], piece, log), a) for a in group]
     zero_agents = [a for c, a in costs if c == 0]
     if zero_agents:
         sink = min(zero_agents)
         for a in group:
-            pieces[idx[a]] = lift(piece) if a == sink else Piece.empty()
+            pieces[a] = piece if a == sink else Piece.empty()
         return
-    if len(group) == 1:
-        pieces[idx[group[0]]] = lift(piece)
-        return
-    sub_g, smap = induced_cake(g, piece)
-    new_vals = [restrict_and_renormalize(vals[a], smap) for a in group]
-    new_idx = [idx[a] for a in group]
-    _chore_rec(sub_g, new_vals, new_idx, _compose_lift(lift, smap), pieces, log)
+    _chore_rec(g, vals, group, piece, pieces, log)
 
 
 def _chore_rec(
     g: CakeGraph,
-    vals: list[Valuation],
-    idx: list[int],
-    lift: Lift,
+    vals: Sequence[Valuation],
+    agents: Sequence[int],
+    region: Piece,
     pieces: list[Piece],
     log: QueryLog,
+    rt: Optional[_RootedTree] = None,
 ) -> None:
-    k = len(idx)
+    """Divide a chore region among agents; ``rt`` walks the region, by default
+    in piece order."""
+    k = len(agents)
     if k == 1:
-        pieces[idx[0]] = lift(g.whole_piece())
+        pieces[agents[0]] = region
         return
     if k == 2:
-        first_part, second_part = _fixed_pair(g, vals[0], vals[1], log)
-        pieces[idx[0]] = lift(second_part)
-        pieces[idx[1]] = lift(first_part)
+        first_part, second_part = _fixed_pair(g, vals[agents[0]], vals[agents[1]], region, log)
+        pieces[agents[0]] = second_part
+        pieces[agents[1]] = first_part
         return
 
+    # Costs below are shares of each agent's cost of the region.
+    total = {a: value_of_piece(vals[a], region) for a in agents}
     thresholds = _cond1_thresholds(k)
-    tree, _ = split_cycles_to_tree(g)
-    rt = _RootedTree(tree, min(tree.vertices))
-    stv = {a: rt.subtree_values(vals[a]) for a in range(k)}
-    log.eval_count += tree.m * k
+    rt = rt if rt is not None else _RootedTree(g, region.intervals)
+    stv = {
+        a: {v: x / total[a] for v, x in rt.subtree_values(vals[a]).items()} for a in agents
+    }
+    log.eval_count += len(region.intervals) * k
 
-    def subtree_violates(vertex: str) -> bool:
-        costs = sorted(stv[a][vertex] for a in range(k))
+    def branch_cost(a: int, leg: Leg, child: Point) -> Fraction:
+        return stv[a][child] + trajectory_value(vals[a], (leg,)) / total[a]
+
+    def sorted_costs(piece: Piece) -> list[tuple[Fraction, int]]:
+        return sorted((value_of_piece(vals[a], piece, log) / total[a], a) for a in agents)
+
+    def subtree_violates(vertex: Point) -> bool:
+        costs = sorted(stv[a][vertex] for a in agents)
         return not _cond1_holds(costs, k)
 
-    v = rt.root
-    assert subtree_violates(v), "the whole chore always violates condition one"
-    while True:
-        nxt = next((c for _, c in rt.children[v] if subtree_violates(c)), None)
-        if nxt is None:
-            break
-        v = nxt
+    if not subtree_violates(rt.root):
+        raise ProtocolInvariantError("the whole chore meets condition one")
+    v = rt.lowest(subtree_violates)
 
-    violating_branch = None
-    for edge, child in rt.children[v]:
-        branch_costs = sorted(
-            stv[a][child] + vals[a].edge_value(edge.id) for a in range(k)
-        )
-        if not _cond1_holds(branch_costs, k):
-            violating_branch = (edge, child)
-            break
+    violating_branch = next(
+        (
+            (leg, child)
+            for leg, child in rt.children[v]
+            if not _cond1_holds(sorted(branch_cost(a, leg, child) for a in agents), k)
+        ),
+        None,
+    )
 
     if violating_branch is not None:
         # Case 1: sweep along the branch edge to the last point where the
         # first condition still holds; there some inequality is exactly tight.
-        edge, w = violating_branch
-        leg = Leg(edge.id, edge.endpoint_position(w), edge.endpoint_position(v))
+        leg, w = violating_branch
         leg_length = abs(leg.end - leg.start)
         direction = 1 if leg.end >= leg.start else -1
         BEFORE = Fraction(-1)
-        offsets: list[list[Fraction]] = []  # offsets[i][a] for condition index i+1
+        offsets: list[list[Fraction]] = []  # offsets[i][j] for condition index i+1
         for i in range(k):
             row = []
-            for a in range(k):
-                budget = thresholds[i] - stv[a][w]
+            for a in agents:
+                budget = (thresholds[i] - stv[a][w]) * total[a]
                 pos = latest_position_within(vals[a], leg, budget)
                 row.append(BEFORE if pos is None else abs(pos - leg.start))
             log.cut_count += k
@@ -822,10 +777,8 @@ def _chore_rec(
         stop = min(sorted(row, reverse=True)[i] for i, row in enumerate(offsets))
         if not (ZERO <= stop < leg_length):
             raise ProtocolInvariantError("condition-one tightness point out of range")
-        cut_pos = leg.start + direction * stop
-        lo, hi = min(leg.start, cut_pos), max(leg.start, cut_pos)
-        piece = rt.subtree_piece(w).union(Piece.of([Interval(edge.id, lo, hi)]))
-        ranked = _sorted_costs(vals, piece, log)
+        piece = rt.branch_piece(Leg(leg.edge, leg.start, leg.start + direction * stop), w)
+        ranked = sorted_costs(piece)
         if not _cond1_holds([c for c, _ in ranked], k):
             raise ProtocolInvariantError("condition one broken at the computed stop")
         tight = [
@@ -841,15 +794,15 @@ def _chore_rec(
         # Case 2: accumulate branches until condition one first fails.
         acc = Piece.empty()
         piece = None
-        for edge, child in rt.children[v]:
-            acc = acc.union(rt.branch_piece(edge, child))
-            costs = sorted(value_of_piece(vals[a], acc, log) for a in range(k))
+        for leg, child in rt.children[v]:
+            acc = acc.union(rt.branch_piece(leg, child))
+            costs = [c for c, _ in sorted_costs(acc)]
             if not _cond1_holds(costs, k):
                 piece = acc
                 break
         if piece is None:
             raise ProtocolInvariantError("branch accumulation never violated condition one")
-        ranked = _sorted_costs(vals, piece, log)
+        ranked = sorted_costs(piece)
         plain = [c for c, _ in ranked]
         if _cond2_holds(plain, k):
             raise ProtocolInvariantError("accumulated piece unexpectedly meets condition two")
@@ -873,9 +826,8 @@ def _chore_rec(
 
     group_a = [a for _, a in ranked[:group_a_size]]
     group_b = [a for _, a in ranked[group_a_size:]]
-    rest = g.whole_piece().difference(piece)
-    _divide_group(g, vals, piece, sorted(group_a), idx, lift, pieces, log)
-    _divide_group(g, vals, rest, sorted(group_b), idx, lift, pieces, log)
+    _divide_group(g, vals, piece, sorted(group_a), pieces, log)
+    _divide_group(g, vals, region.difference(piece), sorted(group_b), pieces, log)
 
 
 def chore_upto5(inst: Instance) -> ProtocolResult:
@@ -884,7 +836,7 @@ def chore_upto5(inst: Instance) -> ProtocolResult:
     For three to five agents: walk down the tree to a minimal subtree violating
     the cost condition, cut at the earliest tightness point (or accumulate
     branches), and split the agents into two groups that recurse on the two
-    sides with per-agent renormalization.
+    sides, each agent's costs scaled by her cost of her side.
     """
     _require(inst, mode="chore")
     if inst.n > 5:
@@ -895,9 +847,8 @@ def chore_upto5(inst: Instance) -> ProtocolResult:
         raise DomainError("need at least one agent")
     log = QueryLog()
     pieces: list[Piece] = [Piece.empty()] * inst.n
-    _chore_rec(
-        inst.graph, list(inst.agents), list(range(inst.n)), _identity_lift, pieces, log
-    )
+    g = inst.graph
+    _chore_rec(g, inst.agents, range(inst.n), g.whole_piece(), pieces, log, _graph_tree(g))
     return ProtocolResult(Allocation(tuple(pieces)), log)
 
 
@@ -925,7 +876,7 @@ def _auto_height2_root(inst: Instance) -> str:
     g = inst.graph
     if g.is_tree():
         for root in g.vertices:
-            if all(d <= 2 for d in _RootedTree(g, root).depth_map().values()):
+            if all(d <= 2 for d in _graph_tree(g, root).depth.values()):
                 return root
     raise NotHeightTwoTree("no root gives this graph height at most two")
 
@@ -1018,7 +969,8 @@ def guarantee_violations(
     elif name == "flex2":
         need(report.all_connected, "some piece is disconnected")
         alpha = Fraction(params["alpha"])
-        assert result is not None
+        if result is None:
+            raise DomainError("checking flex2 needs the protocol result")
         need(values[result.alpha_agent] >= alpha, "alpha guarantee failed")
         need(values[result.beta_agent] >= 1 - 2 * alpha, "1-2*alpha guarantee failed")
     elif name == "multi2":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InsufficientValue, UnknownEdge, ZeroValuePiece
+from .errors import InsufficientValue, MalformedInput, UnknownEdge, ZeroValuePiece
 from .graph_core import (
     ONE,
     ZERO,
@@ -124,8 +124,12 @@ class Valuation:
 
     @staticmethod
     def from_json(data: Mapping) -> "Valuation":
+        try:
+            per_edge = [(e, [(lo, d) for lo, d in pairs]) for e, pairs in data.items()]
+        except (AttributeError, TypeError, ValueError):
+            raise MalformedInput("a valuation maps edge ids to [start, density] pairs") from None
         densities = {}
-        for e, pairs in data.items():
+        for e, pairs in per_edge:
             los = [parse_fraction(lo) for lo, _ in pairs]
             ds = [parse_fraction(d) for _, d in pairs]
             if not los or los[0] != ZERO:
@@ -183,10 +187,14 @@ class Instance:
 
     @staticmethod
     def from_json(data: Mapping) -> "Instance":
+        try:
+            graph, agents, mode = data["graph"], list(data["agents"]), data.get("mode", "cake")
+        except (AttributeError, KeyError, TypeError):
+            raise MalformedInput('an instance needs "graph" and "agents" fields') from None
         return Instance(
-            CakeGraph.from_json(data["graph"]),
-            tuple(Valuation.from_json(a) for a in data["agents"]),
-            data.get("mode", "cake"),
+            CakeGraph.from_json(graph),
+            tuple(Valuation.from_json(a) for a in agents),
+            mode,
         )
 
 

@@ -175,3 +175,56 @@ def test_main_entry_in_process(capsys, star2_file):
     code = main(["classify", "--instance", star2_file])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["almost_bridgeless"] is False
+
+
+def _edge_instance(**overrides):
+    doc = {
+        "graph": {"vertices": ["a", "b"], "edges": [["e0", "a", "b"]]},
+        "mode": "cake",
+        "agents": [{"e0": [["0", "1"]]}],
+    }
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, instance, allocation",
+    [
+        ("solve", _edge_instance(agents=[{"e0": [["0", "1/0"]]}]), None),
+        ("solve", {"mode": "cake", "agents": []}, None),
+        ("solve", _edge_instance(graph={"vertices": ["a", "b"]}), None),
+        ("solve", _edge_instance(agents=[[["0", "1"]]]), None),
+        ("solve", [], None),
+        ("solve", _edge_instance(agents=[]), None),
+        ("verify", _edge_instance(), [5]),
+        ("verify", _edge_instance(), [[5]]),
+        ("verify", _edge_instance(), [["e0", 0.5, "1"]]),
+        ("verify", _edge_instance(), 5),
+    ],
+    ids=[
+        "zero-denominator",
+        "no-graph",
+        "no-edges",
+        "valuation-not-a-map",
+        "instance-not-a-map",
+        "no-agents",
+        "allocation-of-a-number",
+        "piece-of-a-number",
+        "float-position",
+        "allocation-not-a-list",
+    ],
+)
+def test_malformed_input_exits_one_without_traceback(tmp_path, capsys, command, instance, allocation):
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(instance))
+    argv = [command, "--instance", str(inst_path)]
+    if command == "solve":
+        argv += ["--protocol", "egal"]
+    else:
+        alloc_path = tmp_path / "allocation.json"
+        alloc_path.write_text(json.dumps(allocation))
+        argv += ["--allocation", str(alloc_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

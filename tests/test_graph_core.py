@@ -360,6 +360,44 @@ def test_split_preserves_piece_connectivity_to_original():
             assert piece_is_connected(g, p)
 
 
+def _split_by_repeated_bridge_search(g):
+    """Reference: detach the first cycle edge, recompute the bridges, repeat."""
+    vertices = list(g.vertices)
+    edges = [(e.id, e.u, e.v) for e in g.edges]
+    origin = {v: v for v in vertices}
+    counter = 0
+    while True:
+        work = CakeGraph(vertices, edges)
+        bridges = find_bridges(work)
+        cycle_edge = next((e for e in work.edges if e.id not in bridges), None)
+        if cycle_edge is None:
+            return work, origin
+        clone = f"{cycle_edge.v}~{counter}"
+        while clone in origin:
+            counter += 1
+            clone = f"{cycle_edge.v}~{counter}"
+        counter += 1
+        vertices.append(clone)
+        origin[clone] = origin[cycle_edge.v]
+        i = next(i for i, (eid, _, _) in enumerate(edges) if eid == cycle_edge.id)
+        edges[i] = (cycle_edge.id, cycle_edge.u, clone)
+
+
+def test_split_matches_repeated_bridge_search_on_random_multigraphs():
+    rng = random.Random(11)
+    for _ in range(300):
+        g = random_multigraph(rng, max_edges=9)
+        if rng.random() < 0.3:  # vertex names that collide with clone names
+            g = CakeGraph(
+                [f"v{i}" if i else "v1~0" for i in range(len(g.vertices))],
+                [(e.id, e.u if e.u != "v0" else "v1~0", e.v if e.v != "v0" else "v1~0") for e in g.edges],
+            )
+        tree, origin = split_cycles_to_tree(g)
+        ref_tree, ref_origin = _split_by_repeated_bridge_search(g)
+        assert tree.to_json() == ref_tree.to_json()
+        assert origin == ref_origin
+
+
 # -- induced subcakes ----------------------------------------------------------
 
 

@@ -6,11 +6,13 @@ import pytest
 from graphcake.allocation import verify_allocation
 from graphcake.errors import (
     AlphaOutOfRange,
+    DisconnectedPiece,
     DomainError,
     InsufficientValue,
     NotAStar,
     NotHeightTwoTree,
     LabelingNotContiguous,
+    ProtocolInvariantError,
     TooManyAgents,
 )
 from graphcake.fixtures import FixtureSpec, build_fixture, random_instance
@@ -23,6 +25,8 @@ from graphcake.graph_core import (
     piece_is_connected,
 )
 from graphcake.protocols import (
+    _knife_race,
+    _path_trajectory,
     chore_three,
     chore_two,
     chore_upto5,
@@ -30,6 +34,7 @@ from graphcake.protocols import (
     equitable_two,
     extract_piece,
     f_guarantee,
+    guarantee_violations,
     height2_two_piece_proportional,
     multi_piece_two,
     proportional_two_connected,
@@ -39,7 +44,7 @@ from graphcake.protocols import (
     two_agent_fixed,
     two_agent_flexible,
 )
-from graphcake.valuation import Instance, Valuation, value_of_piece
+from graphcake.valuation import Instance, QueryLog, Valuation, value_of_piece
 
 from conftest import edge_piece, single_edge_graph, star_graph, triangle, uniform_instance
 
@@ -97,15 +102,42 @@ def test_extract_postconditions_on_random_draws():
             edges=rng.randint(1, 8),
         )
         alpha = F(rng.randint(0, 4), 12)
-        piece, winner, rem = extract_piece(inst, inst.graph.whole_piece(), alpha)
-        g = inst.graph
-        assert piece_is_connected(g, piece)
-        assert piece_is_connected(g, rem)
-        assert piece.union(rem).intervals == g.whole_piece().intervals
-        assert value_of_piece(inst.agents[winner], piece) >= alpha
-        for a, val in enumerate(inst.agents):
-            if a != winner:
-                assert value_of_piece(val, piece) <= 2 * alpha
+        region = inst.graph.whole_piece()
+        piece, winner, rem = extract_piece(inst, region, alpha)
+        _check_extraction(inst, region, alpha, piece, winner, rem)
+        # the remainder is a region with a cut point (and cycles on the cycle families)
+        again = min(value_of_piece(val, rem) for val in inst.agents) * F(1 + trial % 3, 4)
+        piece2, winner2, rem2 = extract_piece(inst, rem, again)
+        _check_extraction(inst, rem, again, piece2, winner2, rem2)
+
+
+def _check_extraction(inst, region, alpha, piece, winner, rem):
+    g = inst.graph
+    assert piece_is_connected(g, piece)
+    assert piece_is_connected(g, rem)
+    assert piece.union(rem).intervals == region.intervals
+    assert piece.measure() + rem.measure() == region.measure()
+    assert value_of_piece(inst.agents[winner], piece) >= alpha
+    for a, val in enumerate(inst.agents):
+        if a != winner:
+            assert value_of_piece(val, piece) <= 2 * alpha
+
+
+def test_extract_rejects_disconnected_regions_and_no_agents():
+    inst = uniform_instance(single_edge_graph(), 2)
+    split = Piece.of([Interval("e0", F(0), F(1, 4)), Interval("e0", F(1, 2), F(1))])
+    with pytest.raises(DisconnectedPiece):
+        extract_piece(inst, split, F(1, 8))
+    with pytest.raises(DomainError, match="at least one eligible agent"):
+        extract_piece(inst, inst.graph.whole_piece(), F(1, 3), eligible=[])
+
+
+def test_internal_checks_raise_instead_of_asserting():
+    g = star_graph(3)
+    with pytest.raises(ProtocolInvariantError):
+        _path_trajectory(g, g.whole_piece())
+    with pytest.raises(ProtocolInvariantError):
+        _knife_race(g, [], (), {}, QueryLog())
 
 
 # -- connected egalitarian --------------------------------------------------------
@@ -116,6 +148,12 @@ def test_egal_one_agent_gets_everything():
     res = connected_egalitarian(inst)
     rep = verify_allocation(inst, res.allocation)
     assert rep.values == (F(1),)
+
+
+def test_egal_needs_an_agent():
+    inst = Instance(triangle(), ())
+    with pytest.raises(DomainError, match="at least one agent"):
+        connected_egalitarian(inst)
 
 
 def test_egal_single_edge_two_agents():
@@ -587,6 +625,15 @@ def test_run_protocol_dispatch_and_determinism():
         run_protocol("nope", inst)
     with pytest.raises(DomainError):
         run_protocol("flex2", inst)  # missing alpha
+
+
+def test_flex2_guarantee_check_needs_the_result():
+    inst = uniform_instance(single_edge_graph(), 2)
+    res = run_protocol("flex2", inst, {"alpha": "1/4"})
+    rep = verify_allocation(inst, res.allocation)
+    assert guarantee_violations("flex2", inst, rep, {"alpha": "1/4"}, res) == []
+    with pytest.raises(DomainError, match="needs the protocol result"):
+        guarantee_violations("flex2", inst, rep, {"alpha": "1/4"})
 
 
 def test_mode_checks():
