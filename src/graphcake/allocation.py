@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -81,17 +82,15 @@ class VerificationReport:
 
 def _edge_coverage(g: CakeGraph, pieces: Sequence[Piece]) -> tuple[bool, bool]:
     """(disjoint, complete): interiors never overlap across agents; every edge fully covered."""
+    spans: dict[str, list[tuple[Fraction, Fraction]]] = defaultdict(list)
+    for p in pieces:
+        for iv in p.intervals:
+            spans[iv.edge].append((iv.lo, iv.hi))
     disjoint = True
     complete = True
     for edge in g.edges:
-        spans: list[tuple[Fraction, Fraction]] = []
-        for p in pieces:
-            for iv in p.intervals:
-                if iv.edge == edge.id:
-                    spans.append((iv.lo, iv.hi))
-        spans.sort()
         cursor = ZERO
-        for lo, hi in spans:
+        for lo, hi in sorted(spans[edge.id]):
             if lo < cursor:
                 disjoint = False
             if lo > cursor:

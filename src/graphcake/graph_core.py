@@ -19,6 +19,7 @@ from .errors import (
     MalformedInput,
     MalformedPiece,
     NotAlmostBridgeless,
+    ProtocolInvariantError,
 )
 
 ZERO = Fraction(0)
@@ -517,39 +518,39 @@ class OrientedLabeling:
 
 
 def is_contiguous(g: CakeGraph, lab: OrientedLabeling) -> bool:
-    """Check both halves of the contiguity predicate for every label."""
-    m = g.m
-    if sorted(lab.order) != sorted(e.id for e in g.edges):
+    """Check both halves of the contiguity predicate for every label, in O(m).
+
+    The labeling must order every edge exactly once and give each edge a tail
+    among its endpoints.  Contiguity asks that the edges before each label
+    form a connected block touching that edge's tail, and that the edges after
+    it form a connected block touching its head.  It suffices to check the
+    anchors: every edge after the first has its tail among the vertices of the
+    edges before it, and every edge before the last has its head among the
+    vertices of the edges after it.  Connectivity then follows by induction,
+    since the first edge is connected and each later edge hangs on what is
+    already there (and the same from the end for suffixes).
+    """
+    if len(lab.order) != g.m or set(lab.order) != {e.id for e in g.edges}:
         return False
+    ends: list[tuple[str, str]] = []
     for e_id in lab.order:
         e = g.edge(e_id)
-        if lab.tails[e_id] not in (e.u, e.v):
+        tail = lab.tails.get(e_id)
+        if tail not in (e.u, e.v):
             return False
+        ends.append((tail, e.other(tail)))
 
-    def block_ok(edge_ids: Sequence[str], anchor: str) -> bool:
-        if not edge_ids:
-            return True
-        verts: dict[str, int] = {}
-        for e_id in edge_ids:
-            e = g.edge(e_id)
-            for v in (e.u, e.v):
-                if v not in verts:
-                    verts[v] = len(verts)
-        uf = _UnionFind(len(verts))
-        for e_id in edge_ids:
-            e = g.edge(e_id)
-            uf.union(verts[e.u], verts[e.v])
-        if uf.component_count(len(verts)) != 1:
-            return False
-        return anchor in verts
+    def anchored(steps: Iterable[tuple[str, str]]) -> bool:
+        """Every step after the first has its anchor among earlier steps' vertices."""
+        touched: set[str] = set()
+        for anchor, far in steps:
+            if touched and anchor not in touched:
+                return False
+            touched.add(anchor)
+            touched.add(far)
+        return True
 
-    for i in range(2, m + 1):
-        if not block_ok(lab.order[: i - 1], lab.tails[lab.order[i - 1]]):
-            return False
-    for i in range(1, m):
-        if not block_ok(lab.order[i:], lab.head(g, lab.order[i - 1])):
-            return False
-    return True
+    return anchored(ends) and anchored((head, tail) for tail, head in reversed(ends))
 
 
 def _search_path(
@@ -619,7 +620,10 @@ def compute_contiguous_labeling(g: CakeGraph) -> OrientedLabeling:
         x, z = ear[0][1], ear[-1][2]
         if x != u:
             fx = first_into(x)
-            assert fx is not None, "every used vertex other than the source has an incoming edge"
+            if fx is None:
+                raise ProtocolInvariantError(
+                    "every used vertex other than the source has an incoming edge"
+                )
             fz = first_into(z)
             if z == u or (fz is not None and fz < fx):
                 ear = [(e, h, t) for (e, t, h) in reversed(ear)]
@@ -672,7 +676,8 @@ def compute_contiguous_labeling(g: CakeGraph) -> OrientedLabeling:
         insert_ear(ear)
 
     lab = OrientedLabeling(tuple(e for e, _, _ in order), {e: t for e, t, _ in order})
-    assert is_contiguous(g, lab), "ear construction produced a non-contiguous labeling"
+    if not is_contiguous(g, lab):
+        raise ProtocolInvariantError("ear construction produced a non-contiguous labeling")
     return lab
 
 

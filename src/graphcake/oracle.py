@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .allocation import Allocation
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, ProtocolInvariantError
 from .graph_core import Interval, Piece
 from .valuation import Instance
 
@@ -354,6 +354,7 @@ def check_powers_of_three(
             if best_gap is None or gap < best_gap:
                 best_gap = gap
                 best_assignment = (exps, coefs)
-    assert best_gap is not None and best_assignment is not None
+    if best_gap is None or best_assignment is None:
+        raise ProtocolInvariantError("the enumeration visited no assignment")
     bound = Fraction(1, 2 * 3**t)
     return best_gap >= bound, best_assignment, best_gap

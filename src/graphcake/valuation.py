@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InsufficientValue, MalformedInput, UnknownEdge, ZeroValuePiece
+from .errors import (
+    InsufficientValue,
+    MalformedInput,
+    ProtocolInvariantError,
+    UnknownEdge,
+    ZeroValuePiece,
+)
 from .graph_core import (
     ONE,
     ZERO,
@@ -339,7 +345,7 @@ def latest_position_within(
         seg_value = density * length
         if acc + seg_value > budget:
             if density == 0:  # pragma: no cover - zero density adds no value
-                raise AssertionError
+                raise ProtocolInvariantError("a zero-density segment overran the budget")
             dist = (budget - acc) / density
             return pos + direction * dist
         acc += seg_value

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -49,3 +51,43 @@ def random_multigraph(rng: random.Random, max_edges=6):
             return CakeGraph(vertices, edges)
         except Exception:
             nv = max(2, nv - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def connected_multigraphs_up_to_iso(max_edges):
+    """Canonical representatives of connected loopless multigraphs, m <= max_edges.
+
+    Cached because the enumeration takes seconds and several tests share it.
+    """
+    graphs = []
+    for m in range(1, max_edges + 1):
+        for nv in range(2, m + 2):
+            pairs = list(itertools.combinations(range(nv), 2))
+            perms = list(itertools.permutations(range(nv)))
+            for combo in itertools.combinations_with_replacement(pairs, m):
+                touched = {v for p in combo for v in p}
+                if len(touched) != nv:
+                    continue
+                comp = {0}
+                frontier = [0]
+                while frontier:
+                    at = frontier.pop()
+                    for a, b in combo:
+                        if a == at and b not in comp:
+                            comp.add(b)
+                            frontier.append(b)
+                        elif b == at and a not in comp:
+                            comp.add(a)
+                            frontier.append(a)
+                if len(comp) != nv:
+                    continue
+                canon = min(
+                    tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in combo))
+                    for p in perms
+                )
+                if canon != combo:
+                    continue
+                vertices = [f"v{i}" for i in range(nv)]
+                edges = [(f"e{j}", f"v{a}", f"v{b}") for j, (a, b) in enumerate(combo)]
+                graphs.append(CakeGraph(vertices, edges))
+    return tuple(graphs)

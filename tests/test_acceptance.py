@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per criterion
 All comparisons are exact rational arithmetic; there are no tolerances anywhere.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -44,6 +43,8 @@ from graphcake.protocols import (
     two_agent_flexible,
 )
 from graphcake.valuation import Instance
+
+from conftest import connected_multigraphs_up_to_iso
 
 F = Fraction
 
@@ -144,42 +145,6 @@ def test_criterion_04_two_agent_dichotomy():
     print("criterion 04 PASS: 1/2 on almost-bridgeless graphs, 1/3 cap certified")
 
 
-def _connected_multigraphs_up_to_iso(max_edges):
-    """Canonical representatives of connected loopless multigraphs, m <= max_edges."""
-    graphs = []
-    for m in range(1, max_edges + 1):
-        for nv in range(2, m + 2):
-            pairs = list(itertools.combinations(range(nv), 2))
-            perms = list(itertools.permutations(range(nv)))
-            for combo in itertools.combinations_with_replacement(pairs, m):
-                touched = {v for p in combo for v in p}
-                if len(touched) != nv:
-                    continue
-                comp = {0}
-                frontier = [0]
-                while frontier:
-                    at = frontier.pop()
-                    for a, b in combo:
-                        if a == at and b not in comp:
-                            comp.add(b)
-                            frontier.append(b)
-                        elif b == at and a not in comp:
-                            comp.add(a)
-                            frontier.append(a)
-                if len(comp) != nv:
-                    continue
-                canon = min(
-                    tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in combo))
-                    for p in perms
-                )
-                if canon != combo:
-                    continue
-                vertices = [f"v{i}" for i in range(nv)]
-                edges = [(f"e{j}", f"v{a}", f"v{b}") for j, (a, b) in enumerate(combo)]
-                graphs.append(CakeGraph(vertices, edges))
-    return graphs
-
-
 def _exists_contiguous_labeling(g):
     m = g.m
     edges = list(g.edges)
@@ -210,7 +175,7 @@ def _exists_contiguous_labeling(g):
 
 
 def test_criterion_05_labeling_equivalence_exhaustive():
-    graphs = _connected_multigraphs_up_to_iso(5)
+    graphs = connected_multigraphs_up_to_iso(5)
     assert len(graphs) > 50
     for g in graphs:
         declared = classify_almost_bridgeless(g).is_almost_bridgeless

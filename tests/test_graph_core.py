@@ -1,16 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcake import graph_core
 from graphcake.errors import (
     BudgetExceeded,
     DisconnectedPiece,
     GraphConstructionError,
     MalformedPiece,
     NotAlmostBridgeless,
+    ProtocolInvariantError,
 )
 from graphcake.graph_core import (
     CakeGraph,
@@ -28,7 +31,15 @@ from graphcake.graph_core import (
     split_cycles_to_tree,
 )
 
-from conftest import edge_piece, path_graph, random_multigraph, single_edge_graph, star_graph, triangle
+from conftest import (
+    connected_multigraphs_up_to_iso,
+    edge_piece,
+    path_graph,
+    random_multigraph,
+    single_edge_graph,
+    star_graph,
+    triangle,
+)
 
 F = Fraction
 
@@ -267,6 +278,144 @@ def test_flower_graphs_admit_labelings():
     for side in ("left", "right"):
         g = build_fixture(FixtureSpec("fig1_flowers", {"side": side})).graph
         assert is_contiguous(g, compute_contiguous_labeling(g))
+
+
+def test_labeling_with_a_missing_tail_is_not_contiguous():
+    g = triangle()
+    assert not is_contiguous(g, OrientedLabeling(("e0", "e1", "e2"), {"e0": "a", "e1": "b"}))
+
+
+def test_labeling_must_list_each_edge_once():
+    g = triangle()
+    tails = {"e0": "a", "e1": "b", "e2": "c"}
+    assert not is_contiguous(g, OrientedLabeling(("e0", "e1", "e1"), tails))
+    assert not is_contiguous(g, OrientedLabeling(("e0", "e1", "e2", "e2"), tails))
+    assert not is_contiguous(g, OrientedLabeling(("e0", "e1"), tails))
+
+
+def test_single_edge_labelings():
+    g = single_edge_graph()
+    assert is_contiguous(g, OrientedLabeling(("e0",), {"e0": "a"}))
+    assert is_contiguous(g, OrientedLabeling(("e0",), {"e0": "b"}))
+    assert not is_contiguous(g, OrientedLabeling(("e0",), {"e0": "c"}))
+    assert not is_contiguous(g, OrientedLabeling((), {}))
+
+
+def _is_contiguous_by_blocks(g, lab):
+    """Reference: the contiguity predicate read literally, with one union-find per
+    prefix and per suffix, O(m^2)."""
+    if sorted(lab.order) != sorted(e.id for e in g.edges):
+        return False
+    if any(lab.tails[e_id] not in (g.edge(e_id).u, g.edge(e_id).v) for e_id in lab.order):
+        return False
+
+    def block_ok(edge_ids, anchor):
+        if not edge_ids:
+            return True
+        parent = {}
+
+        def find(v):
+            parent.setdefault(v, v)
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for e_id in edge_ids:
+            e = g.edge(e_id)
+            parent[find(e.u)] = find(e.v)
+        return len({find(v) for v in parent}) == 1 and anchor in parent
+
+    m = len(lab.order)
+    return all(
+        block_ok(lab.order[: i - 1], lab.tails[lab.order[i - 1]]) for i in range(2, m + 1)
+    ) and all(block_ok(lab.order[i:], lab.head(g, lab.order[i - 1])) for i in range(1, m))
+
+
+def _random_labeling(rng, g):
+    """Half the draws are arbitrary; the other half grow every prefix from its
+    anchor, so that a fair share of them are contiguous."""
+    if rng.random() < 0.5:
+        order = [e.id for e in g.edges]
+        rng.shuffle(order)
+        tails = {e_id: rng.choice((g.edge(e_id).u, g.edge(e_id).v)) for e_id in order}
+        return OrientedLabeling(tuple(order), tails)
+    left = list(g.edges)
+    touched, order, tails = set(), [], {}
+    while left:
+        e, tail = rng.choice([(e, t) for e in left for t in (e.u, e.v) if not touched or t in touched])
+        left.remove(e)
+        order.append(e.id)
+        tails[e.id] = tail
+        touched |= {e.u, e.v}
+    return OrientedLabeling(tuple(order), tails)
+
+
+def test_is_contiguous_matches_block_reference_on_small_multigraphs():
+    rng = random.Random(2024)
+    verdicts = Counter()
+    for g in connected_multigraphs_up_to_iso(5):
+        for _ in range(300):
+            lab = _random_labeling(rng, g)
+            expected = _is_contiguous_by_blocks(g, lab)
+            assert is_contiguous(g, lab) == expected, (g.to_json(), lab)
+            verdicts[expected] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+
+def _cycle_graph(m):
+    return CakeGraph([f"v{i}" for i in range(m)], [(f"e{i}", f"v{i}", f"v{(i + 1) % m}") for i in range(m)])
+
+
+def _ear_graph(rng, m):
+    """A short path with ears of length 1-6 hung between its vertices (almost bridgeless)."""
+    base = rng.randint(1, max(1, m // 8))
+    vertices = [f"v{i}" for i in range(base + 1)]
+    edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(base)]
+    while len(edges) < m:
+        length = rng.randint(1, min(6, m - len(edges)))
+        a, b = rng.choice(vertices), rng.choice(vertices)
+        while length == 1 and a == b:
+            b = rng.choice(vertices)
+        inner = [f"v{len(vertices) + i}" for i in range(length - 1)]
+        chain = [a, *inner, b]
+        for u, v in zip(chain, chain[1:]):
+            edges.append((f"e{len(edges)}", u, v))
+        vertices.extend(inner)
+    return CakeGraph(vertices, edges)
+
+
+def _perturbed(rng, g, lab):
+    """Swap two nearby labels or flip one tail."""
+    order, tails = list(lab.order), dict(lab.tails)
+    i = rng.randrange(len(order))
+    if rng.random() < 0.5:
+        j = min(len(order) - 1, i + rng.randint(1, 3))
+        order[i], order[j] = order[j], order[i]
+    else:
+        tails[order[i]] = g.edge(order[i]).other(tails[order[i]])
+    return OrientedLabeling(tuple(order), tails)
+
+
+def test_is_contiguous_matches_block_reference_on_perturbed_large_labelings():
+    rng = random.Random(7)
+    graphs = [_cycle_graph(800)] + [_ear_graph(rng, m) for m in (200, 400, 800)]
+    verdicts = Counter()
+    for g in graphs:
+        lab = compute_contiguous_labeling(g)
+        assert _is_contiguous_by_blocks(g, lab)
+        for _ in range(4):
+            variant = _perturbed(rng, g, lab)
+            expected = _is_contiguous_by_blocks(g, variant)
+            assert is_contiguous(g, variant) == expected
+            verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_labeling_self_check_raises_instead_of_asserting(monkeypatch):
+    monkeypatch.setattr(graph_core, "is_contiguous", lambda g, lab: False)
+    with pytest.raises(ProtocolInvariantError):
+        compute_contiguous_labeling(triangle())
 
 
 # -- bipolar numberings --------------------------------------------------------

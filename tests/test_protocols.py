@@ -286,9 +286,11 @@ def test_star_protocol_ignores_zero_value_edges():
 
 def test_prop2_rejects_bad_labeling():
     inst = uniform_instance(triangle(), 2)
-    bad = OrientedLabeling(("e0", "e1", "e2"), {"e0": "a", "e1": "c", "e2": "c"})
-    with pytest.raises(LabelingNotContiguous):
-        proportional_two_connected(inst, bad)
+    reversed_middle = OrientedLabeling(("e0", "e1", "e2"), {"e0": "a", "e1": "c", "e2": "c"})
+    missing_tail = OrientedLabeling(("e0", "e1", "e2"), {"e0": "a", "e1": "b"})
+    for bad in (reversed_middle, missing_tail):
+        with pytest.raises(LabelingNotContiguous):
+            proportional_two_connected(inst, bad)
 
 
 def test_best2_dispatch():
