@@ -165,15 +165,18 @@ class _RootedTree:
     def branch_piece(self, leg: Leg, child: Point) -> Piece:
         return self.subtree_piece(child).union(Piece.of([_span(leg)]))
 
-    def subtree_values(self, val: Valuation) -> dict[Point, Fraction]:
-        """Value of the subtree strictly below each node, computed bottom-up."""
-        values: dict[Point, Fraction] = {}
+    def subtree_values(
+        self, val: Valuation
+    ) -> tuple[dict[Point, Fraction], dict[Point, Fraction]]:
+        """Values computed bottom-up: of the subtree strictly below each node, and
+        of each child's branch (its leg plus the subtree below it)."""
+        below: dict[Point, Fraction] = {}
+        branch: dict[Point, Fraction] = {}
         for v in reversed(self.order):
-            values[v] = sum(
-                (trajectory_value(val, (leg,)) + values[w] for leg, w in self.children[v]),
-                ZERO,
-            )
-        return values
+            for leg, w in self.children[v]:
+                branch[w] = trajectory_value(val, (leg,)) + below[w]
+            below[v] = sum((branch[w] for _, w in self.children[v]), ZERO)
+        return below, branch
 
 
 def _graph_tree(g: CakeGraph, root: Optional[str] = None) -> _RootedTree:
@@ -236,18 +239,17 @@ def _extract(
         return Piece.empty(), satisfied[0], region
 
     rt = _RootedTree(g, region.intervals)
-    stv = {a: rt.subtree_values(vals[a]) for a in eligible}
+    stv, branch = {}, {}
+    for a in eligible:
+        stv[a], branch[a] = rt.subtree_values(vals[a])
     log.eval_count += len(region.intervals) * len(eligible)
-
-    def branch_value(a: int, leg: Leg, child: Point) -> Fraction:
-        return stv[a][child] + trajectory_value(vals[a], (leg,))
 
     v = rt.lowest(lambda child: any(stv[a][child] >= need[a] for a in eligible))
     chosen = next(
         (
             (leg, child)
             for leg, child in rt.children[v]
-            if any(branch_value(a, leg, child) >= need[a] for a in eligible)
+            if any(branch[a][child] >= need[a] for a in eligible)
         ),
         None,
     )
@@ -255,7 +257,7 @@ def _extract(
         # Case 1: sweep a knife from the child end of the branch towards v.
         leg, w = chosen
         targets = {
-            a: need[a] - stv[a][w] for a in eligible if branch_value(a, leg, w) >= need[a]
+            a: need[a] - stv[a][w] for a in eligible if branch[a][w] >= need[a]
         }
         winner, cut = _knife_race(g, vals, (leg,), targets, log)
         piece = rt.subtree_piece(w).union(trajectory_prefix_piece((leg,), cut))
@@ -267,7 +269,7 @@ def _extract(
         for leg, child in rt.children[v]:
             piece = piece.union(rt.branch_piece(leg, child))
             for a in eligible:
-                acc_vals[a] += branch_value(a, leg, child)
+                acc_vals[a] += branch[a][child]
             crossers = [a for a in eligible if acc_vals[a] >= need[a]]
             if crossers:
                 break
@@ -730,13 +732,11 @@ def _chore_rec(
     total = {a: value_of_piece(vals[a], region) for a in agents}
     thresholds = _cond1_thresholds(k)
     rt = rt if rt is not None else _RootedTree(g, region.intervals)
-    stv = {
-        a: {v: x / total[a] for v, x in rt.subtree_values(vals[a]).items()} for a in agents
-    }
+    stv, branch = {}, {}
+    for a in agents:
+        below, branch[a] = rt.subtree_values(vals[a])
+        stv[a] = {v: x / total[a] for v, x in below.items()}
     log.eval_count += len(region.intervals) * k
-
-    def branch_cost(a: int, leg: Leg, child: Point) -> Fraction:
-        return stv[a][child] + trajectory_value(vals[a], (leg,)) / total[a]
 
     def sorted_costs(piece: Piece) -> list[tuple[Fraction, int]]:
         return sorted((value_of_piece(vals[a], piece, log) / total[a], a) for a in agents)
@@ -753,7 +753,7 @@ def _chore_rec(
         (
             (leg, child)
             for leg, child in rt.children[v]
-            if not _cond1_holds(sorted(branch_cost(a, leg, child) for a in agents), k)
+            if not _cond1_holds(sorted(branch[a][child] / total[a] for a in agents), k)
         ),
         None,
     )

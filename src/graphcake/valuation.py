@@ -3,13 +3,15 @@
 Valuations double as cost functions in chore mode.  Protocols interact with
 them only through evaluation and cut queries, which keeps the interface
 measure-agnostic; the piecewise-constant representation is closed under every
-cut the protocols perform.
+cut the protocols perform.  Each valuation sums every edge's value once, when it
+is built, so a query for a whole edge reads a stored total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -33,7 +35,7 @@ from .graph_core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """Constant density over [lo, hi)."""
 
@@ -48,15 +50,15 @@ EdgeDensity = tuple[Segment, ...]
 def _normalize_segments(segments: Iterable[tuple]) -> EdgeDensity:
     segs = [Segment(Fraction(a), Fraction(b), Fraction(d)) for a, b, d in segments]
     if not segs or segs[0].lo != ZERO or segs[-1].hi != ONE:
-        raise ValueError("segments must partition [0, 1]")
+        raise MalformedInput("segments must partition [0, 1]")
     for prev, cur in zip(segs, segs[1:]):
         if prev.hi != cur.lo:
-            raise ValueError("segments must be contiguous")
+            raise MalformedInput("segments must be contiguous")
     for s in segs:
         if s.lo >= s.hi:
-            raise ValueError("segment breakpoints must be strictly increasing")
+            raise MalformedInput("segment breakpoints must be strictly increasing")
         if s.density < 0:
-            raise ValueError("densities must be nonnegative")
+            raise MalformedInput("densities must be nonnegative")
     return tuple(segs)
 
 
@@ -64,13 +66,19 @@ class Valuation:
     """Map from edge id to a piecewise-constant rational density.
 
     Edges absent from the map carry zero density.  A normalized valuation
-    integrates to exactly 1 over the whole cake.
+    integrates to exactly 1 over the whole cake.  Valuations are immutable:
+    ``densities`` is a read-only view of a private copy, so the edge totals
+    summed at construction never go stale.
     """
 
-    __slots__ = ("densities",)
+    __slots__ = ("densities", "_totals")
 
     def __init__(self, densities: Mapping[str, EdgeDensity]):
-        self.densities = dict(densities)
+        self.densities: Mapping[str, EdgeDensity] = MappingProxyType(dict(densities))
+        self._totals = {
+            e: sum((s.density * (s.hi - s.lo) for s in segs), ZERO)
+            for e, segs in self.densities.items()
+        }
 
     @staticmethod
     def from_segments(per_edge: Mapping[str, Sequence[tuple]]) -> "Valuation":
@@ -96,17 +104,17 @@ class Valuation:
         return self.densities.get(edge_id, (Segment(ZERO, ONE, ZERO),))
 
     def edge_value(self, edge_id: str) -> Fraction:
-        return sum(
-            (s.density * (s.hi - s.lo) for s in self.edge_segments(edge_id)), ZERO
-        )
+        return self._totals.get(edge_id, ZERO)
 
     def total(self) -> Fraction:
-        return sum((self.edge_value(e) for e in self.densities), ZERO)
+        return sum(self._totals.values(), ZERO)
 
     def is_normalized(self) -> bool:
         return self.total() == 1
 
     def interval_value(self, edge_id: str, lo: Fraction, hi: Fraction) -> Fraction:
+        if lo == 0 and hi == 1:
+            return self._totals.get(edge_id, ZERO)
         acc = ZERO
         for s in self.edge_segments(edge_id):
             a, b = max(s.lo, lo), min(s.hi, hi)
@@ -115,12 +123,17 @@ class Valuation:
         return acc
 
     def scaled(self, factor: Fraction) -> "Valuation":
-        return Valuation(
+        # Scaling every density scales each edge total by the same factor,
+        # exactly, so the totals are carried over instead of summed again.
+        out = Valuation.__new__(Valuation)
+        out.densities = MappingProxyType(
             {
                 e: tuple(Segment(s.lo, s.hi, s.density * factor) for s in segs)
                 for e, segs in self.densities.items()
             }
         )
+        out._totals = {e: x * factor for e, x in self._totals.items()}
+        return out
 
     def to_json(self) -> dict:
         out = {}
@@ -139,7 +152,7 @@ class Valuation:
             los = [parse_fraction(lo) for lo, _ in pairs]
             ds = [parse_fraction(d) for _, d in pairs]
             if not los or los[0] != ZERO:
-                raise ValueError(f"edge {e!r}: segment list must start at 0")
+                raise MalformedInput(f"edge {e!r}: segment list must start at 0")
             his = los[1:] + [ONE]
             densities[e] = _normalize_segments(zip(los, his, ds))
         return Valuation(densities)
@@ -150,14 +163,21 @@ def combine_valuations(vals: Sequence[Valuation], weights: Sequence[Fraction]) -
     edges = sorted({e for v in vals for e in v.densities})
     densities: dict[str, EdgeDensity] = {}
     for e in edges:
-        cuts = sorted({ZERO, ONE, *(s.lo for v in vals for s in v.edge_segments(e)),
-                       *(s.hi for v in vals for s in v.edge_segments(e))})
+        per_val = [v.edge_segments(e) for v in vals]
+        cuts = sorted({ZERO, ONE, *(x for segs in per_val for s in segs for x in (s.lo, s.hi))})
+        # Every density is constant between consecutive cuts, so one merge pass
+        # reads each valuation's density there; a cursor skips segments that end
+        # at or before the cut, and a gap between segments counts as zero.
+        cursors = [0] * len(per_val)
         segs = []
         for lo, hi in zip(cuts, cuts[1:]):
-            mid_value = sum(
-                (w * v.interval_value(e, lo, hi) for v, w in zip(vals, weights)), ZERO
-            )
-            segs.append(Segment(lo, hi, mid_value / (hi - lo)))
+            density = ZERO
+            for j, (vsegs, w) in enumerate(zip(per_val, weights)):
+                while cursors[j] < len(vsegs) and vsegs[cursors[j]].hi <= lo:
+                    cursors[j] += 1
+                if cursors[j] < len(vsegs) and vsegs[cursors[j]].lo <= lo:
+                    density += w * vsegs[cursors[j]].density
+            segs.append(Segment(lo, hi, density))
         densities[e] = tuple(segs)
     return Valuation(densities)
 
@@ -172,13 +192,13 @@ class Instance:
 
     def __post_init__(self):
         if self.mode not in ("cake", "chore"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise MalformedInput(f"unknown mode {self.mode!r}")
         for i, v in enumerate(self.agents):
             for e in v.densities:
                 if not self.graph.has_edge(e):
                     raise UnknownEdge(f"agent {i} values unknown edge {e!r}")
             if not v.is_normalized():
-                raise ValueError(f"agent {i} valuation integrates to {v.total()}, not 1")
+                raise MalformedInput(f"agent {i} valuation integrates to {v.total()}, not 1")
 
     @property
     def n(self) -> int:
@@ -289,6 +309,12 @@ def cut_trajectory(
     acc = ZERO
     offset = ZERO
     for i, leg in enumerate(t):
+        if (leg.start, leg.end) in ((0, 1), (1, 0)):
+            whole = v.edge_value(leg.edge)
+            if acc + whole < target:  # the stop lies beyond this leg
+                acc += whole
+                offset += 1
+                continue
         direction = 1 if leg.end >= leg.start else -1
         pos = leg.start
         for length, density in _leg_segments(v, leg):

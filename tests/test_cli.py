@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcake.cli import main
-from graphcake.fixtures import FixtureSpec, build_fixture
+from graphcake.fixtures import FAMILIES, FixtureSpec, build_fixture, random_instance
+from graphcake.protocols import PROTOCOL_NAMES
 
 F = Fraction
 
@@ -228,3 +233,73 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# -- corrupted documents -----------------------------------------------------------
+
+CORRUPTIONS = ["drop", "wrong-type", "bad-fraction", "negative-density", "unknown-edge"]
+WRONG_TYPES = [None, 7, -1, 1.5, True, "x", [], {}, [[]], {"k": 1}]
+BAD_FRACTIONS = ["1/0", "abc", "", "1//2", "1/2/3", "0.5", "-", "inf", " 1 / 2 "]
+
+
+def _positions(node, prefix=()):
+    """Every position below the root of a JSON document, as a key/index path."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _positions(child, prefix + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def corrupted_instances(draw):
+    """A seeded instance document (m <= 12) with one corruption."""
+    doc = random_instance(
+        draw(st.integers(0, 30)),
+        n=draw(st.integers(1, 3)),
+        family=draw(st.sampled_from(FAMILIES)),
+        edges=draw(st.integers(1, 12)),
+        mode=draw(st.sampled_from(["cake", "chore"])),
+    ).to_json()
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    fractions = [p for p in _positions(doc) if p[0] == "agents" and len(p) == 5]
+    if kind in ("drop", "wrong-type"):
+        path = draw(st.sampled_from(list(_positions(doc))))
+        if kind == "drop":
+            del _parent(doc, path)[path[-1]]
+        else:
+            _parent(doc, path)[path[-1]] = draw(st.sampled_from(WRONG_TYPES))
+    elif kind == "bad-fraction":
+        path = draw(st.sampled_from(fractions))
+        _parent(doc, path)[path[-1]] = draw(st.sampled_from(BAD_FRACTIONS))
+    elif kind == "negative-density":
+        path = draw(st.sampled_from([p for p in fractions if p[-1] == 1]))
+        _parent(doc, path)[path[-1]] = "-1/3"
+    else:
+        agent = draw(st.sampled_from(doc["agents"]))
+        agent["zz"] = agent.pop(draw(st.sampled_from(sorted(agent))))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_instances(), st.sampled_from(PROTOCOL_NAMES))
+def test_corrupted_instances_exit_zero_or_one(doc, protocol):
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    try:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["solve", "--instance", "-", "--protocol", protocol])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1)
+    assert (code == 1) == err.getvalue().startswith("error: ")

@@ -5,13 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcake.errors import InsufficientValue, UnknownEdge, ZeroValuePiece
-from graphcake.graph_core import EdgePoint, Interval, Piece, VertexPoint, induced_cake
+from graphcake.errors import InsufficientValue, MalformedInput, UnknownEdge, ZeroValuePiece
+from graphcake.graph_core import (
+    EdgePoint,
+    Interval,
+    Piece,
+    VertexPoint,
+    canonical_point,
+    induced_cake,
+)
 from graphcake.valuation import (
     Instance,
     Leg,
     QueryLog,
+    Segment,
+    TrajectoryCut,
     Valuation,
+    combine_valuations,
     cut_query,
     cut_trajectory,
     restrict,
@@ -20,7 +30,7 @@ from graphcake.valuation import (
     value_of_piece,
 )
 
-from conftest import single_edge_graph, star_graph
+from conftest import path_graph, single_edge_graph, star_graph
 
 F = Fraction
 
@@ -280,3 +290,203 @@ def test_instance_json_round_trip():
     assert back.to_json() == data
     assert back.mode == "chore"
     assert back.agents[0].total() == 1
+
+
+# -- reference definitions -------------------------------------------------------
+# The segment-by-segment definitions that the stored edge totals, the whole-leg
+# skip and the one-pass merge replace; kept here to check that they agree.
+
+
+def reference_interval_value(v, edge_id, lo, hi):
+    acc = F(0)
+    for s in v.edge_segments(edge_id):
+        a, b = max(s.lo, lo), min(s.hi, hi)
+        if a < b:
+            acc += s.density * (b - a)
+    return acc
+
+
+def reference_cut_trajectory(g, v, t, target):
+    if target < 0:
+        raise InsufficientValue(f"negative cut target {target}")
+    acc = F(0)
+    offset = F(0)
+    for i, leg in enumerate(t):
+        direction = 1 if leg.end >= leg.start else -1
+        lo, hi = min(leg.start, leg.end), max(leg.start, leg.end)
+        clipped = [
+            (max(s.lo, lo), min(s.hi, hi), s.density)
+            for s in v.edge_segments(leg.edge)
+            if max(s.lo, lo) < min(s.hi, hi)
+        ]
+        if leg.start > leg.end:
+            clipped.reverse()
+        pos = leg.start
+        for a, b, density in clipped:
+            length = b - a
+            if acc == target:
+                return TrajectoryCut(i, pos, offset, canonical_point(g, leg.edge, pos))
+            seg_value = density * length
+            if density > 0 and acc + seg_value >= target:
+                dist = (target - acc) / density
+                cut_pos = pos + direction * dist
+                point = canonical_point(g, leg.edge, cut_pos)
+                return TrajectoryCut(i, cut_pos, offset + dist, point)
+            acc += seg_value
+            pos += direction * length
+            offset += length
+        if acc == target:
+            return TrajectoryCut(i, pos, offset, canonical_point(g, leg.edge, pos))
+    raise InsufficientValue(f"trajectory is worth {acc}, less than the target {target}")
+
+
+def reference_combine(vals, weights):
+    densities = {}
+    for e in sorted({e for v in vals for e in v.densities}):
+        ends = {x for v in vals for s in v.edge_segments(e) for x in (s.lo, s.hi)}
+        cuts = sorted({F(0), F(1), *ends})
+        segs = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            value = sum(w * reference_interval_value(v, e, lo, hi) for v, w in zip(vals, weights))
+            segs.append(Segment(lo, hi, value / (hi - lo)))
+        densities[e] = tuple(segs)
+    return densities
+
+
+PATH = path_graph(4)
+EDGES = [e.id for e in PATH.edges]
+GRID = st.integers(0, 24).map(lambda k: F(k, 24))
+
+
+@st.composite
+def edge_densities(draw):
+    """1 to 4 segments on the twelfths, densities 0 to 4 (zero plateaus included)."""
+    k = draw(st.integers(1, 4))
+    inner = sorted(draw(st.sets(st.integers(1, 11), min_size=k - 1, max_size=k - 1)))
+    bounds = [F(0), *(F(c, 12) for c in inner), F(1)]
+    return tuple(
+        Segment(lo, hi, F(draw(st.integers(0, 4)), draw(st.integers(1, 3))))
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+
+
+@st.composite
+def valuations(draw):
+    """Densities on some of the path's edges; the others are absent (zero)."""
+    edges = draw(st.lists(st.sampled_from(EDGES), unique=True))
+    return Valuation({e: draw(edge_densities()) for e in edges})
+
+
+@st.composite
+def legs(draw):
+    edge = draw(st.sampled_from(EDGES))
+    start, end = (F(0), F(1)) if draw(st.booleans()) else (draw(GRID), draw(GRID))
+    return Leg(edge, end, start) if draw(st.booleans()) else Leg(edge, start, end)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valuations(), st.lists(st.tuples(GRID, GRID), max_size=4))
+def test_interval_value_matches_segment_loop(v, spans):
+    queries = [(F(0), F(1)), (F(1, 3), F(1, 3))] + [(min(a, b), max(a, b)) for a, b in spans]
+    for edge in EDGES + ["absent"]:
+        for lo, hi in queries:
+            assert v.interval_value(edge, lo, hi) == reference_interval_value(v, edge, lo, hi)
+        assert v.edge_value(edge) == reference_interval_value(v, edge, F(0), F(1))
+    assert v.total() == sum(reference_interval_value(v, e, F(0), F(1)) for e in EDGES)
+
+
+def _prefix_values(v, t):
+    """The covered value at every leg end and every segment breakpoint of the sweep."""
+    values, acc = [F(0)], F(0)
+    for leg in t:
+        lo, hi = min(leg.start, leg.end), max(leg.start, leg.end)
+        inner = {x for s in v.edge_segments(leg.edge) for x in (s.lo, s.hi) if lo < x < hi}
+        cuts = sorted({lo, hi, *inner})
+        if leg.start > leg.end:
+            cuts.reverse()
+        for a, b in zip(cuts, cuts[1:]):
+            values.append(acc + reference_interval_value(v, leg.edge, min(a, b), max(a, b)))
+        acc += reference_interval_value(v, leg.edge, lo, hi)
+        values.append(acc)
+    return values
+
+
+def _cut_or_shortfall(cut, *args):
+    try:
+        return cut(*args)
+    except InsufficientValue as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valuations(), st.lists(legs(), min_size=1, max_size=5), st.lists(GRID, max_size=3))
+def test_cut_trajectory_matches_the_full_sweep(v, t, extra):
+    t = tuple(t)
+    total = trajectory_value(v, t)
+    targets = _prefix_values(v, t) + [total * x for x in extra] + [total + F(1, 7), F(-1)]
+    for target in targets:
+        assert _cut_or_shortfall(cut_trajectory, PATH, v, t, target) == _cut_or_shortfall(
+            reference_cut_trajectory, PATH, v, t, target
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(valuations(), min_size=1, max_size=3), st.data())
+def test_combine_matches_the_midpoint_formula(vals, data):
+    weights = [F(data.draw(st.integers(0, 5)), data.draw(st.integers(1, 4))) for _ in vals]
+    assert dict(combine_valuations(vals, weights).densities) == reference_combine(vals, weights)
+
+
+def test_combine_reads_a_gap_between_segments_as_zero():
+    gappy = Valuation({"e0": (Segment(F(0), F(1, 4), F(2)), Segment(F(1, 2), F(1), F(1)))})
+    vals, weights = [gappy, Valuation.uniform(single_edge_graph())], [F(1, 2), F(1, 3)]
+    assert dict(combine_valuations(vals, weights).densities) == reference_combine(vals, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valuations(), st.integers(0, 5), st.integers(1, 7))
+def test_scaled_totals_match_the_scaled_segments(v, num, den):
+    scaled = v.scaled(F(num, den))
+    for edge in EDGES + ["absent"]:
+        assert scaled.edge_value(edge) == reference_interval_value(scaled, edge, F(0), F(1))
+
+
+def test_segments_have_no_instance_dict():
+    assert not hasattr(Segment(F(0), F(1), F(1)), "__dict__")
+
+
+def test_valuations_are_read_only():
+    source = {"e0": (Segment(F(0), F(1), F(1)),)}
+    v = Valuation(source)
+    with pytest.raises(TypeError):
+        v.densities["e0"] = (Segment(F(0), F(1), F(2)),)
+    source["e0"] = (Segment(F(0), F(1), F(2)),)
+    assert v.edge_value("e0") == 1 and v.interval_value("e0", F(0), F(1)) == 1
+
+
+HALF = F(1, 2)
+
+
+def edge_worth(value):
+    return Valuation.from_edge_values({"e0": value})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Valuation.from_segments({"e0": []}), "must partition"),
+        (lambda: Valuation.from_segments({"e0": [(0, HALF, 1), (F(3, 4), 1, 1)]}), "contiguous"),
+        (
+            lambda: Valuation.from_segments({"e0": [(0, HALF, 1), (HALF, HALF, 1), (HALF, 1, 1)]}),
+            "strictly increasing",
+        ),
+        (lambda: Valuation.from_segments({"e0": [(0, 1, -1)]}), "nonnegative"),
+        (lambda: Valuation.from_json({"e0": [["1/2", "1"]]}), "must start at 0"),
+        (lambda: Instance(single_edge_graph(), (edge_worth(1),), "pie"), "unknown mode"),
+        (lambda: Instance(single_edge_graph(), (edge_worth(2),)), "integrates to 2"),
+    ],
+    ids=["empty", "gap", "repeated-breakpoint", "negative", "start", "mode", "not-normalized"],
+)
+def test_malformed_valuations_raise_malformed_input(build, message):
+    with pytest.raises(MalformedInput, match=message):
+        build()
