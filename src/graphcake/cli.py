@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import fixtures as fixtures_mod
 from .allocation import Allocation, verify_allocation
-from .errors import CakeError
+from .errors import CakeError, MalformedInput
 from .graph_core import (
     CakeGraph,
     classify_almost_bridgeless,
@@ -165,7 +165,10 @@ def _cmd_gen(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = _load_instance(args.instance)
     if args.pair:
-        first, second = (parse_fraction(x) for x in args.pair.split(","))
+        thresholds = args.pair.split(",")
+        if len(thresholds) != 2:
+            raise MalformedInput("--pair needs two thresholds 'a,b'")
+        first, second = (parse_fraction(x) for x in thresholds)
         found, witness = pair_feasible(
             inst,
             args.grid,

@@ -5,11 +5,16 @@ cut points lie on that grid corresponds to an assignment of atoms to agents.
 For maximization objectives the grid optimum is a lower bound on the true
 supremum; on the bundled tight fixtures the optimum is attained at grid
 points, so equality is the test.
+
+The search runs in exact integers: each agent's atom values are multiplied by
+one common scale, the least common multiple of all their denominators, which
+keeps every sum, comparison and tie exact, and results are divided back.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -20,8 +25,6 @@ from .graph_core import Interval, Piece
 from .valuation import Instance
 
 OBJECTIVES = ("egal", "cost", "inequity")
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -40,9 +43,15 @@ class GridSearchConfig:
 
 
 class _AtomModel:
-    """Atoms of length 1/d per edge, with adjacency masks and per-agent values."""
+    """Atoms of length 1/d per edge, with adjacency masks and per-agent values.
+
+    ``values[a][i]`` is agent ``a``'s value of atom ``i`` times ``scale``, an
+    integer; ``scale`` is the least common multiple of all atom denominators.
+    """
 
     def __init__(self, inst: Instance, d: int):
+        if d < 1:
+            raise DomainError("grid denominator must be at least 1")
         self.inst = inst
         self.d = d
         g = inst.graph
@@ -64,13 +73,15 @@ class _AtomModel:
                     if a != b:
                         adj[a] |= 1 << b
         self.adj = adj
-        self.values = [
+        exact = [
             [
                 val.interval_value(e, Fraction(j, d), Fraction(j + 1, d))
                 for (e, j) in self.atoms
             ]
             for val in inst.agents
         ]
+        self.scale = math.lcm(*(v.denominator for row in exact for v in row))
+        self.values = [[v.numerator * (self.scale // v.denominator) for v in row] for row in exact]
         self.full_mask = (1 << len(self.atoms)) - 1
 
     def piece(self, mask: int) -> Piece:
@@ -80,8 +91,8 @@ class _AtomModel:
                 intervals.append(Interval(e, Fraction(j, self.d), Fraction(j + 1, self.d)))
         return Piece.of(intervals)
 
-    def value(self, agent: int, mask: int) -> Fraction:
-        acc = ZERO
+    def value(self, agent: int, mask: int) -> int:
+        acc = 0
         vals = self.values[agent]
         while mask:
             low = mask & -mask
@@ -89,21 +100,26 @@ class _AtomModel:
             mask ^= low
         return acc
 
+    def _component_of(self, seed: int, mask: int) -> int:
+        """The atoms of ``mask`` connected within ``mask`` to the atoms of ``seed``."""
+        adj = self.adj
+        comp = frontier = seed
+        while frontier:
+            grown = comp
+            m = frontier
+            while m:
+                low = m & -m
+                grown |= adj[low.bit_length() - 1] & mask
+                m ^= low
+            frontier = grown & ~comp
+            comp = grown
+        return comp
+
     def components(self, mask: int) -> list[int]:
         out = []
         rest = mask
         while rest:
-            comp = rest & -rest
-            frontier = comp
-            while frontier:
-                grown = comp
-                m = frontier
-                while m:
-                    low = m & -m
-                    grown |= self.adj[low.bit_length() - 1] & rest
-                    m ^= low
-                frontier = grown & ~comp
-                comp = grown
+            comp = self._component_of(rest & -rest, rest)
             rest &= ~comp
             out.append(comp)
         return out
@@ -111,8 +127,18 @@ class _AtomModel:
     def component_count(self, mask: int) -> int:
         return len(self.components(mask))
 
+    def has_more_components_than(self, mask: int, limit: int) -> bool:
+        """Whether ``mask`` has more than ``limit`` components; grows at most ``limit`` of them."""
+        count = 0
+        while mask:
+            count += 1
+            if count > limit:
+                return True
+            mask &= ~self._component_of(mask & -mask, mask)
+        return False
+
     def is_connected(self, mask: int) -> bool:
-        return mask == 0 or self.component_count(mask) == 1
+        return mask == 0 or self._component_of(mask & -mask, mask) == mask
 
 
 class _Budget:
@@ -128,7 +154,7 @@ class _Budget:
 
 def _connected_subsets(
     model: _AtomModel, universe: int, agent: int, budget: _Budget
-) -> Iterator[tuple[int, Fraction]]:
+) -> Iterator[tuple[int, int]]:
     """All nonempty connected subsets of ``universe`` with their value for ``agent``.
 
     Each subset appears exactly once: seeds are taken in increasing atom order
@@ -138,8 +164,8 @@ def _connected_subsets(
     vals = model.values[agent]
 
     def grow(
-        current: int, value: Fraction, frontier: int, banned: int, allowed: int
-    ) -> Iterator[tuple[int, Fraction]]:
+        current: int, value: int, frontier: int, banned: int, allowed: int
+    ) -> Iterator[tuple[int, int]]:
         budget.spend()
         yield current, value
         ext = frontier & allowed & ~banned
@@ -166,18 +192,18 @@ def _partitions(
     n: int,
     require_complete: bool,
     budget: _Budget,
-    prune: Optional[Callable[[Sequence[Fraction]], bool]] = None,
-) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
+    prune: Optional[Callable[[Sequence[int]], bool]] = None,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Tuples of pairwise-disjoint connected (possibly empty) atom sets with
     their per-agent values, covering all atoms when completeness is required."""
 
     def rec(
-        agent: int, remaining: int, masks: tuple[int, ...], values: tuple[Fraction, ...]
-    ) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
+        agent: int, remaining: int, masks: tuple[int, ...], values: tuple[int, ...]
+    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         if prune is not None and prune(values):
             return
         left = n - agent
-        if require_complete and model.component_count(remaining) > left:
+        if require_complete and model.has_more_components_than(remaining, left):
             return
         if agent == n - 1:
             if require_complete:
@@ -186,11 +212,11 @@ def _partitions(
                     yield masks + (remaining,), values + (model.value(agent, remaining),)
             else:
                 budget.spend()
-                yield masks + (0,), values + (ZERO,)
+                yield masks + (0,), values + (0,)
                 for s, v in _connected_subsets(model, remaining, agent, budget):
                     yield masks + (s,), values + (v,)
             return
-        yield from rec(agent + 1, remaining, masks + (0,), values + (ZERO,))
+        yield from rec(agent + 1, remaining, masks + (0,), values + (0,))
         for s, v in _connected_subsets(model, remaining, agent, budget):
             yield from rec(agent + 1, remaining & ~s, masks + (s,), values + (v,))
 
@@ -221,16 +247,16 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
     budget = _Budget(cfg.state_budget)
     maximize = cfg.objective == "egal"
 
-    def objective(values: Sequence[Fraction]) -> Fraction:
+    def objective(values: Sequence[int]) -> int:
         if cfg.objective == "egal":
             return min(values)
         if cfg.objective == "cost":
             return max(values)
         return max(values) - min(values)
 
-    best: Optional[tuple[Fraction, Optional[tuple[int, ...]], tuple[int, ...]]] = None
+    best: Optional[tuple[int, Optional[tuple[int, ...]], tuple[int, ...]]] = None
 
-    def consider(masks: tuple[int, ...], values: tuple[Fraction, ...]) -> None:
+    def consider(masks: tuple[int, ...], values: tuple[int, ...]) -> None:
         nonlocal best
         score = objective(values)
         if best is None or (score > best[0] if maximize else score < best[0]):
@@ -265,7 +291,7 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
         if cfg.objective == "cost":
             # costs only grow with atoms, so a prefix already above the
             # incumbent optimum cannot lead to an improvement
-            def prune(values: Sequence[Fraction]) -> bool:
+            def prune(values: Sequence[int]) -> bool:
                 return best is not None and any(v > best[0] for v in values)
 
         for masks, values in _partitions(model, n, cfg.require_complete, budget, prune):
@@ -273,7 +299,7 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
 
     if best is None:
         raise DomainError("search space is empty")
-    return best[0], Allocation(tuple(model.piece(m) for m in best[2]))
+    return Fraction(best[0], model.scale), Allocation(tuple(model.piece(m) for m in best[2]))
 
 
 def pair_feasible(
@@ -299,18 +325,24 @@ def pair_feasible(
     model = _AtomModel(inst, d)
     budget = _Budget(state_budget)
 
-    def meets(value: Fraction, threshold: Fraction, strict: bool) -> bool:
-        return value > threshold if strict else value >= threshold
+    def least_meeting(threshold: Fraction, strict: bool) -> int:
+        # the least scaled value v with v > threshold * scale (strict) or
+        # v >= threshold * scale (non-strict)
+        if strict:
+            return threshold.numerator * model.scale // threshold.denominator + 1
+        return -(-threshold.numerator * model.scale // threshold.denominator)
 
-    orders = [(first_threshold, first_strict, second_threshold, second_strict)]
+    first = least_meeting(first_threshold, first_strict)
+    second = least_meeting(second_threshold, second_strict)
+    orders = [(first, second)]
     if flexible:
-        orders.append((second_threshold, second_strict, first_threshold, first_strict))
-    for t0, s0, t1, s1 in orders:
+        orders.append((second, first))
+    for need0, need1 in orders:
         first_candidates = itertools.chain(
-            [(0, ZERO)], _connected_subsets(model, model.full_mask, 0, budget)
+            [(0, 0)], _connected_subsets(model, model.full_mask, 0, budget)
         )
         for s0_mask, v0 in first_candidates:
-            if not meets(v0, t0, s0):
+            if v0 < need0:
                 continue
             complement = model.full_mask & ~s0_mask
             if require_complete:
@@ -318,7 +350,7 @@ def pair_feasible(
             else:
                 options = [0] + model.components(complement)
             for s1_mask in options:
-                if meets(model.value(1, s1_mask), t1, s1):
+                if model.value(1, s1_mask) >= need1:
                     masks = (s0_mask, s1_mask)
                     return True, Allocation(tuple(model.piece(m) for m in masks))
     return False, None
@@ -339,22 +371,25 @@ def check_powers_of_three(
     if a_lo > a_hi or a_hi - a_lo + 1 > 10:
         raise DomainError("exponent window must be nonempty and at most 10 wide")
     exponents = range(a_lo, a_hi + 1)
+    # every quantity times 2 * 3^shift, so powers, the half and gaps are integers
+    shift = max(0, -a_lo)
+    scale = 2 * 3**shift
+    half = 3**shift
     count = 0
-    half = Fraction(1, 2)
-    best_gap: Optional[Fraction] = None
+    best_gap: Optional[int] = None
     best_assignment: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     for exps in itertools.combinations_with_replacement(exponents, t):
-        powers = [Fraction(3) ** a for a in exps]
+        powers = [2 * 3 ** (a + shift) for a in exps]
         for coefs in itertools.product((-2, -1, 1, 2), repeat=t):
             count += 1
             if count > state_budget:
                 raise BudgetExceeded(f"enumeration exceeded {state_budget} states")
-            total = sum((c * p for c, p in zip(coefs, powers)), ZERO)
+            total = sum(c * p for c, p in zip(coefs, powers))
             gap = abs(total - half)
             if best_gap is None or gap < best_gap:
                 best_gap = gap
                 best_assignment = (exps, coefs)
     if best_gap is None or best_assignment is None:
         raise ProtocolInvariantError("the enumeration visited no assignment")
-    bound = Fraction(1, 2 * 3**t)
-    return best_gap >= bound, best_assignment, best_gap
+    gap = Fraction(best_gap, scale)
+    return gap >= Fraction(1, 2 * 3**t), best_assignment, gap

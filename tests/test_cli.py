@@ -192,8 +192,12 @@ def _edge_instance(**overrides):
     return doc
 
 
+_STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
+
+
+# the third field is the allocation document for verify and the arguments for oracle
 @pytest.mark.parametrize(
-    "command, instance, allocation",
+    "command, instance, extra",
     [
         ("solve", _edge_instance(agents=[{"e0": [["0", "1/0"]]}]), None),
         ("solve", {"mode": "cake", "agents": []}, None),
@@ -205,6 +209,10 @@ def _edge_instance(**overrides):
         ("verify", _edge_instance(), [[5]]),
         ("verify", _edge_instance(), [["e0", 0.5, "1"]]),
         ("verify", _edge_instance(), 5),
+        ("oracle", _STAR2, ["--grid", "0", "--pair", "1/2,1/4"]),
+        ("oracle", _STAR2, ["--grid", "0"]),
+        ("oracle", _STAR2, ["--grid", "4", "--pair", "1/2"]),
+        ("oracle", _STAR2, ["--grid", "4", "--pair", "1/2,1/4,1/8"]),
     ],
     ids=[
         "zero-denominator",
@@ -217,22 +225,42 @@ def _edge_instance(**overrides):
         "piece-of-a-number",
         "float-position",
         "allocation-not-a-list",
+        "pair-search-on-grid-zero",
+        "grid-search-on-grid-zero",
+        "pair-of-one-threshold",
+        "pair-of-three-thresholds",
     ],
 )
-def test_malformed_input_exits_one_without_traceback(tmp_path, capsys, command, instance, allocation):
+def test_malformed_input_exits_one_without_traceback(tmp_path, capsys, command, instance, extra):
     inst_path = tmp_path / "instance.json"
     inst_path.write_text(json.dumps(instance))
     argv = [command, "--instance", str(inst_path)]
     if command == "solve":
         argv += ["--protocol", "egal"]
+    elif command == "oracle":
+        argv += extra
     else:
         alloc_path = tmp_path / "allocation.json"
-        alloc_path.write_text(json.dumps(allocation))
+        alloc_path.write_text(json.dumps(extra))
         argv += ["--allocation", str(alloc_path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--grid", "0", "--pair", "1/2,1/4"], "error: grid denominator must be at least 1"),
+        (["--grid", "4", "--pair", "1/2"], "error: --pair needs two thresholds 'a,b'"),
+        (["--grid", "4", "--pair", "1/2,1/4,1/8"], "error: --pair needs two thresholds 'a,b'"),
+    ],
+    ids=["grid-zero", "one-threshold", "three-thresholds"],
+)
+def test_oracle_argument_errors_name_the_problem(star2_file, capsys, args, message):
+    assert main(["oracle", "--instance", star2_file, *args]) == 1
+    assert capsys.readouterr().err == message + "\n"
 
 
 # -- corrupted documents -----------------------------------------------------------

@@ -1,10 +1,11 @@
 """Golden outputs: ``solve`` on every catalog fixture and a few seeded random
-instances, with each protocol that applies, must stay byte-identical.
+instances, with each protocol that applies, must stay byte-identical, and so
+must ``oracle`` and ``lemma`` on every certificate the test suite checks.
 
 A protocol applies when ``solve`` exits 0; the ones that refuse an instance
 are left out of the file, so a protocol that starts or stops accepting an
 instance shows up as well.  After a deliberate change of output, rewrite the
-file with ``PYTHONPATH=src python tests/test_golden.py`` and say in
+files with ``PYTHONPATH=src python tests/test_golden.py`` and say in
 CHANGES.md which outputs changed and why.
 """
 
@@ -19,6 +20,7 @@ from graphcake.fixtures import FixtureSpec, build_fixture, random_instance
 from graphcake.protocols import PROTOCOL_NAMES
 
 GOLDEN = Path(__file__).with_name("golden_solve.json")
+GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.json")
 
 FIXTURES = (
     ("star_tight", {"n": 2}),
@@ -55,6 +57,28 @@ RANDOM = (
 
 PARAMS = {"flex2": ["-p", "alpha=1/4"], "multi2": ["-p", "k=2"]}
 
+# (fixture, params, oracle arguments): the grid certificates and pair
+# searches of the test suite, plus a feasible pair search for its witness
+ORACLE = (
+    ("star_tight", {"n": 2}, ["--grid", "6"]),
+    ("star_tight", {"n": 2}, ["--grid", "6", "--pair", "1/2,1/2", "--strict-first"]),
+    ("star_tight", {"n": 2}, ["--grid", "6", "--pair", "1/3,1/3", "--complete"]),
+    ("star_fnk_tight", {"n": 2, "k": 3}, ["--grid", "6"]),
+    ("star_fnk_tight", {"n": 3, "k": 4}, ["--grid", "8", "--complete"]),
+    ("three_bridge", {}, ["--grid", "6"]),
+    ("equit_star3", {}, ["--grid", "6", "--objective", "inequity", "--complete"]),
+    ("ternary_tree", {"k": 1}, ["--grid", "3", "--pieces", "2", "--complete"]),
+    ("chore_star", {"n": 2}, ["--grid", "6", "--objective", "cost", "--complete"]),
+    ("chore_star", {"n": 3}, ["--grid", "8", "--objective", "cost", "--complete"]),
+    ("four_edge_star", {}, ["--grid", "8", "--pair", "1/2,1/4", "--strict-first", "--strict-second"]),
+    ("fig2", {}, ["--grid", "8", "--pair", "1/4,13/25", "--strict-second"]),
+    ("frontier_edge", {"alpha": "3/4"}, ["--grid", "8", "--pair", "7/8,1/8"]),
+    ("frontier_edge", {"alpha": "3/4"}, ["--grid", "8", "--pair", "7/8,1/8", "--ordered"]),
+)
+
+# (t, exponent window) for the powers-of-three lemma
+LEMMA = ((1, "-3:1"), (2, "-3:1"), (3, "-4:1"), (1, "-6:2"), (2, "-6:2"), (3, "-6:2"), (4, "-3:1"), (2, "0:3"))
+
 
 def _instances():
     for name, params in FIXTURES:
@@ -65,13 +89,13 @@ def _instances():
         yield f"random({seed},{n},{family},{edges},{mode})", inst
 
 
-def _solve(document: str, protocol: str) -> tuple[int, str]:
+def _run(argv: list[str], document: str = "") -> tuple[int, str]:
     out = io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(document)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["solve", "--instance", "-", "--protocol", protocol, *PARAMS.get(protocol, [])])
+            code = main(argv)
     finally:
         sys.stdin = saved
     return code, out.getvalue()
@@ -83,22 +107,46 @@ def solve_outputs() -> dict[str, str]:
     for label, inst in _instances():
         document = json.dumps(inst.to_json())
         for protocol in PROTOCOL_NAMES:
-            code, stdout = _solve(document, protocol)
+            code, stdout = _run(["solve", "--instance", "-", "--protocol", protocol, *PARAMS.get(protocol, [])], document)
             assert code in (0, 1), f"{protocol} on {label} exited {code}"
             if code == 0:
                 outputs[f"{label} {protocol}"] = stdout
     return outputs
 
 
-def test_solve_outputs_match_the_golden_file():
-    expected = json.loads(GOLDEN.read_text())
-    actual = solve_outputs()
+def oracle_outputs() -> dict[str, str]:
+    """``oracle`` stdout for every case of ORACLE and ``lemma`` stdout for every case of LEMMA."""
+    outputs = {}
+    for name, params, args in ORACLE:
+        label = ",".join(f"{k}={v}" for k, v in params.items())
+        document = json.dumps(build_fixture(FixtureSpec(name, params)).to_json())
+        code, stdout = _run(["oracle", "--instance", "-", *args], document)
+        assert code == 0, f"oracle {args} on {name}({label}) exited {code}"
+        outputs[f"{name}({label}) {' '.join(args)}"] = stdout
+    for t, window in LEMMA:
+        code, stdout = _run(["lemma", "powers3", "-t", str(t), f"--window={window}"])
+        assert code == 0, f"lemma t={t} on {window} exited {code}"
+        outputs[f"powers3 t={t} window={window}"] = stdout
+    return outputs
+
+
+def _assert_matches(golden: Path, actual: dict[str, str]) -> None:
+    expected = json.loads(golden.read_text())
     assert sorted(actual) == sorted(expected)
     changed = [case for case in expected if actual[case] != json.dumps(expected[case], sort_keys=True) + "\n"]
-    assert not changed, f"solve output changed for {changed}"
+    assert not changed, f"output changed for {changed}"
+
+
+def test_solve_outputs_match_the_golden_file():
+    _assert_matches(GOLDEN, solve_outputs())
+
+
+def test_oracle_outputs_match_the_golden_file():
+    _assert_matches(GOLDEN_ORACLE, oracle_outputs())
 
 
 if __name__ == "__main__":
-    golden = {case: json.loads(stdout) for case, stdout in solve_outputs().items()}
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(golden)} outputs to {GOLDEN}")
+    for path, outputs in ((GOLDEN, solve_outputs()), (GOLDEN_ORACLE, oracle_outputs())):
+        golden = {case: json.loads(stdout) for case, stdout in outputs.items()}
+        path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(golden)} outputs to {path}")

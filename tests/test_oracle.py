@@ -1,19 +1,27 @@
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphcake.allocation import verify_allocation
+from graphcake.allocation import Allocation, verify_allocation
 from graphcake.errors import BudgetExceeded, DomainError
 from graphcake.fixtures import FixtureSpec, build_fixture
+from graphcake.graph_core import CakeGraph, Interval, Piece
 from graphcake.oracle import (
+    OBJECTIVES,
     GridSearchConfig,
+    _AtomModel,
     check_powers_of_three,
     grid_search_best,
     pair_feasible,
 )
 from graphcake.protocols import chore_two, connected_egalitarian, equitable_two
+from graphcake.valuation import Instance, Segment, Valuation
 
-from conftest import single_edge_graph, uniform_instance
+from conftest import connected_multigraphs_up_to_iso, single_edge_graph, uniform_instance
 
 F = Fraction
 
@@ -177,3 +185,434 @@ def test_powers_of_three_domain():
         check_powers_of_three(2, -20, 1)
     with pytest.raises(BudgetExceeded):
         check_powers_of_three(4, -6, 2, state_budget=10)
+
+
+# -- the Fraction oracle, kept as a test-only reference ------------------------------
+#
+# The search below is the exact-Fraction oracle that the integer search
+# replaced, unchanged except that each entry point also returns how many
+# states it spent.  The integer search must return the same optimum, witness
+# and tie-break, and spend its budget at the same states.
+
+
+class _RefBudget:
+    def __init__(self, limit):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self, amount=1):
+        self.used += amount
+        if self.used > self.limit:
+            raise BudgetExceeded(f"search exceeded the state budget of {self.limit}")
+
+
+class _RefModel:
+    def __init__(self, inst, d):
+        self.d = d
+        g = inst.graph
+        self.atoms = [(e.id, j) for e in g.edges for j in range(d)]
+        index = {atom: i for i, atom in enumerate(self.atoms)}
+        adj = [0] * len(self.atoms)
+        for e in g.edges:
+            for j in range(d - 1):
+                a, b = index[(e.id, j)], index[(e.id, j + 1)]
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        at_vertex = {v: [] for v in g.vertices}
+        for e in g.edges:
+            at_vertex[e.u].append(index[(e.id, 0)])
+            at_vertex[e.v].append(index[(e.id, d - 1)])
+        for group in at_vertex.values():
+            for a in group:
+                for b in group:
+                    if a != b:
+                        adj[a] |= 1 << b
+        self.adj = adj
+        self.values = [
+            [val.interval_value(e, F(j, d), F(j + 1, d)) for (e, j) in self.atoms]
+            for val in inst.agents
+        ]
+        self.full_mask = (1 << len(self.atoms)) - 1
+
+    def piece(self, mask):
+        return Piece.of(
+            Interval(e, F(j, self.d), F(j + 1, self.d))
+            for i, (e, j) in enumerate(self.atoms)
+            if mask >> i & 1
+        )
+
+    def value(self, agent, mask):
+        acc = F(0)
+        vals = self.values[agent]
+        while mask:
+            low = mask & -mask
+            acc += vals[low.bit_length() - 1]
+            mask ^= low
+        return acc
+
+    def components(self, mask):
+        out = []
+        rest = mask
+        while rest:
+            comp = rest & -rest
+            frontier = comp
+            while frontier:
+                grown = comp
+                m = frontier
+                while m:
+                    low = m & -m
+                    grown |= self.adj[low.bit_length() - 1] & rest
+                    m ^= low
+                frontier = grown & ~comp
+                comp = grown
+            rest &= ~comp
+            out.append(comp)
+        return out
+
+    def component_count(self, mask):
+        return len(self.components(mask))
+
+    def is_connected(self, mask):
+        return mask == 0 or self.component_count(mask) == 1
+
+
+def _ref_connected_subsets(model, universe, agent, budget):
+    adj = model.adj
+    vals = model.values[agent]
+
+    def grow(current, value, frontier, banned, allowed):
+        budget.spend()
+        yield current, value
+        ext = frontier & allowed & ~banned
+        local_ban = banned
+        while ext:
+            pick = ext & -ext
+            ext ^= pick
+            bit = pick.bit_length() - 1
+            new_frontier = (frontier | adj[bit]) & ~(current | pick)
+            yield from grow(current | pick, value + vals[bit], new_frontier, local_ban, allowed)
+            local_ban |= pick
+
+    atoms = universe
+    while atoms:
+        seed = atoms & -atoms
+        atoms ^= seed
+        bit = seed.bit_length() - 1
+        allowed = universe & ~(seed - 1) & ~seed
+        yield from grow(seed, vals[bit], adj[bit] & ~seed, 0, allowed)
+
+
+def _ref_partitions(model, n, require_complete, budget, prune=None):
+    def rec(agent, remaining, masks, values):
+        if prune is not None and prune(values):
+            return
+        left = n - agent
+        if require_complete and model.component_count(remaining) > left:
+            return
+        if agent == n - 1:
+            if require_complete:
+                if model.is_connected(remaining):
+                    budget.spend()
+                    yield masks + (remaining,), values + (model.value(agent, remaining),)
+            else:
+                budget.spend()
+                yield masks + (0,), values + (F(0),)
+                for s, v in _ref_connected_subsets(model, remaining, agent, budget):
+                    yield masks + (s,), values + (v,)
+            return
+        yield from rec(agent + 1, remaining, masks + (0,), values + (F(0),))
+        for s, v in _ref_connected_subsets(model, remaining, agent, budget):
+            yield from rec(agent + 1, remaining & ~s, masks + (s,), values + (v,))
+
+    yield from rec(0, model.full_mask, (), ())
+
+
+def _ref_assignment_key(model, masks, n):
+    out = []
+    for i in range(len(model.atoms)):
+        owner = n
+        for a, mask in enumerate(masks):
+            if mask >> i & 1:
+                owner = a
+                break
+        out.append(owner)
+    return tuple(out)
+
+
+def ref_grid_search_best(inst, cfg):
+    """(optimum, witness, states spent) of the Fraction grid search."""
+    model = _RefModel(inst, cfg.denominator)
+    n = inst.n
+    budget = _RefBudget(cfg.state_budget)
+    maximize = cfg.objective == "egal"
+
+    def objective(values):
+        if cfg.objective == "egal":
+            return min(values)
+        if cfg.objective == "cost":
+            return max(values)
+        return max(values) - min(values)
+
+    best = None
+
+    def consider(masks, values):
+        nonlocal best
+        score = objective(values)
+        if best is None or (score > best[0] if maximize else score < best[0]):
+            best = (score, None, masks)
+            return
+        if score == best[0]:
+            key = _ref_assignment_key(model, masks, n)
+            incumbent = best[1] if best[1] is not None else _ref_assignment_key(model, best[2], n)
+            if key < incumbent:
+                best = (score, key, masks)
+            else:
+                best = (best[0], incumbent, best[2])
+
+    if cfg.piece_budget is not None:
+        choices = n if cfg.require_complete else n + 1
+        size = choices ** len(model.atoms)
+        if size > cfg.state_budget:
+            raise BudgetExceeded(f"{size} grid assignments exceed the state budget")
+        for assignment in itertools.product(range(choices), repeat=len(model.atoms)):
+            budget.spend()
+            masks = [0] * n
+            for i, owner in enumerate(assignment):
+                if owner < n:
+                    masks[owner] |= 1 << i
+            if sum(model.component_count(m) for m in masks) > cfg.piece_budget:
+                continue
+            consider(tuple(masks), tuple(model.value(a, m) for a, m in enumerate(masks)))
+    else:
+        prune = None
+        if cfg.objective == "cost":
+
+            def prune(values):
+                return best is not None and any(v > best[0] for v in values)
+
+        for masks, values in _ref_partitions(model, n, cfg.require_complete, budget, prune):
+            consider(masks, values)
+
+    if best is None:
+        raise DomainError("search space is empty")
+    return best[0], Allocation(tuple(model.piece(m) for m in best[2])), budget.used
+
+
+def ref_pair_feasible(
+    inst, d, first_threshold, second_threshold, first_strict=False, second_strict=False,
+    flexible=True, require_complete=False, state_budget=10_000_000,
+):
+    """(feasible, witness, states spent) of the Fraction pair search."""
+    model = _RefModel(inst, d)
+    budget = _RefBudget(state_budget)
+
+    def meets(value, threshold, strict):
+        return value > threshold if strict else value >= threshold
+
+    orders = [(first_threshold, first_strict, second_threshold, second_strict)]
+    if flexible:
+        orders.append((second_threshold, second_strict, first_threshold, first_strict))
+    for t0, s0, t1, s1 in orders:
+        first_candidates = itertools.chain(
+            [(0, F(0))], _ref_connected_subsets(model, model.full_mask, 0, budget)
+        )
+        for s0_mask, v0 in first_candidates:
+            if not meets(v0, t0, s0):
+                continue
+            complement = model.full_mask & ~s0_mask
+            if require_complete:
+                options = [complement] if model.is_connected(complement) else []
+            else:
+                options = [0] + model.components(complement)
+            for s1_mask in options:
+                if meets(model.value(1, s1_mask), t1, s1):
+                    masks = (s0_mask, s1_mask)
+                    return True, Allocation(tuple(model.piece(m) for m in masks)), budget.used
+    return False, None, budget.used
+
+
+def ref_check_powers_of_three(t, a_lo, a_hi):
+    """(holds, first minimizer, gap, states spent) of the Fraction lemma check."""
+    count = 0
+    half = F(1, 2)
+    best_gap = None
+    best_assignment = None
+    for exps in itertools.combinations_with_replacement(range(a_lo, a_hi + 1), t):
+        powers = [F(3) ** a for a in exps]
+        for coefs in itertools.product((-2, -1, 1, 2), repeat=t):
+            count += 1
+            total = sum((c * p for c, p in zip(coefs, powers)), F(0))
+            gap = abs(total - half)
+            if best_gap is None or gap < best_gap:
+                best_gap = gap
+                best_assignment = (exps, coefs)
+    return best_gap >= F(1, 2 * 3**t), best_assignment, best_gap, count
+
+
+# -- the integer oracle against the reference ----------------------------------------
+
+# small denominators make ties; large coprime ones make the common scale a
+# product of primes (lcm well above any single denominator)
+DENOMINATORS = (1, 2, 3, 4, 8, 97, 101, 1009, 7919)
+REFERENCE_BUDGET = 20_000
+
+
+def _fractions(lo, hi_per_denominator):
+    return st.sampled_from(DENOMINATORS).flatmap(
+        lambda d: st.integers(lo, max(lo, hi_per_denominator * d - 1)).map(lambda k: F(k, d))
+    )
+
+
+@st.composite
+def grid_instances(draw, max_edges=3):
+    """Two or three agents with 1-3 segments per edge on a connected multigraph."""
+    g = draw(st.sampled_from(connected_multigraphs_up_to_iso(max_edges)))
+    agents = []
+    for _ in range(draw(st.integers(2, 3))):
+        densities = {}
+        for e in g.edges:
+            cuts = sorted(set(draw(st.lists(_fractions(1, 1), max_size=2))) - {F(0)})
+            bounds = [F(0), *cuts, F(1)]
+            densities[e.id] = tuple(
+                Segment(lo, hi, draw(_fractions(0, 3))) for lo, hi in zip(bounds, bounds[1:])
+            )
+        v = Valuation(densities)
+        agents.append(Valuation.uniform(g) if v.total() == 0 else v.scaled(1 / v.total()))
+    return Instance(g, tuple(agents), "cake")
+
+
+def _outcome(call):
+    """A call's result as comparable JSON, or the name of the error it raised."""
+    try:
+        result = call()
+    except (BudgetExceeded, DomainError) as exc:
+        return type(exc).__name__
+    return [x.to_json() if isinstance(x, Allocation) else x for x in result]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    grid_instances(),
+    st.integers(1, 4),
+    st.sampled_from(OBJECTIVES),
+    st.booleans(),
+)
+def test_grid_search_matches_the_fraction_reference(inst, d, objective, complete):
+    cfg = GridSearchConfig(d, objective, require_complete=complete, state_budget=REFERENCE_BUDGET)
+    expected = _outcome(lambda: ref_grid_search_best(inst, cfg)[:2])
+    assert _outcome(lambda: grid_search_best(inst, cfg)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid_instances(max_edges=2),
+    st.integers(1, 4),
+    st.sampled_from(OBJECTIVES),
+    st.booleans(),
+    st.integers(1, 4),
+)
+def test_piece_budget_search_matches_the_fraction_reference(inst, d, objective, complete, pieces):
+    cfg = GridSearchConfig(
+        d, objective, piece_budget=pieces, require_complete=complete, state_budget=REFERENCE_BUDGET
+    )
+    expected = _outcome(lambda: ref_grid_search_best(inst, cfg)[:2])
+    assert _outcome(lambda: grid_search_best(inst, cfg)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_instances(), st.integers(1, 4), st.data())
+def test_pair_search_matches_the_fraction_reference(inst, d, data):
+    inst = Instance(inst.graph, inst.agents[:2], "cake")
+    model = _RefModel(inst, d)
+    budget = _RefBudget(REFERENCE_BUDGET)
+    # thresholds equal to a value some connected piece reaches, so that the
+    # strict and non-strict comparisons decide the answer, or just off it, so
+    # that the threshold times the scale is not an integer
+    reachable = [
+        [F(0)] + [v for _, v in _ref_connected_subsets(model, model.full_mask, a, budget)]
+        for a in (0, 1)
+    ]
+    first, second = (
+        data.draw(st.sampled_from(reachable[data.draw(st.integers(0, 1))]))
+        + data.draw(st.sampled_from((F(0), F(0), F(1, 10007), F(-1, 10007))))
+        for _ in range(2)
+    )
+    flags = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()))
+    args = (inst, d, first, second, *flags)
+    expected = _outcome(lambda: ref_pair_feasible(*args, state_budget=REFERENCE_BUDGET)[:2])
+    assert _outcome(lambda: pair_feasible(*args, state_budget=REFERENCE_BUDGET)) == expected
+
+
+# a_lo from -6 to 3 takes both lemma scales, 2 * 3^-a_lo and plain 2
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(-6, 3), st.data())
+def test_powers_of_three_matches_the_fraction_reference(t, a_lo, data):
+    width = data.draw(st.integers(1, {1: 10, 2: 10, 3: 6, 4: 4}[t]))
+    a_hi = a_lo + width - 1
+    assert check_powers_of_three(t, a_lo, a_hi) == ref_check_powers_of_three(t, a_lo, a_hi)[:3]
+
+
+def test_grid_search_with_large_coprime_denominators():
+    g = CakeGraph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c")])
+    first = Valuation.from_segments({"e0": [("0", "1/101", "5"), ("1/101", "1", "1/7919")], "e1": [("0", "1", "1/1009")]})
+    second = Valuation.from_segments({"e0": [("0", "1", "1/97")], "e1": [("0", "3/7", "2/3"), ("3/7", "1", "11/13")]})
+    inst = Instance(g, tuple(v.scaled(1 / v.total()) for v in (first, second)), "cake")
+    denominators = {v.denominator for row in _RefModel(inst, 4).values for v in row}
+    assert _AtomModel(inst, 4).scale > max(denominators)
+    for objective in OBJECTIVES:
+        cfg = GridSearchConfig(4, objective, require_complete=True)
+        optimum, witness, _ = ref_grid_search_best(inst, cfg)
+        assert _outcome(lambda: grid_search_best(inst, cfg)) == [optimum, witness.to_json()]
+
+
+# -- the state budget is spent at the same states -----------------------------------
+
+BUDGET_CASES = [
+    ("star_tight", {"n": 2}, GridSearchConfig(6)),
+    ("three_bridge", {}, GridSearchConfig(4)),
+    ("chore_star", {"n": 2}, GridSearchConfig(6, "cost", require_complete=True)),
+    ("equit_star3", {}, GridSearchConfig(6, "inequity", require_complete=True)),
+    ("star_fnk_tight", {"n": 3, "k": 4}, GridSearchConfig(4, require_complete=True)),
+    ("ternary_tree", {"k": 1}, GridSearchConfig(2, piece_budget=2, require_complete=True)),
+]
+
+
+@pytest.mark.parametrize("name, params, cfg", BUDGET_CASES, ids=[c[0] for c in BUDGET_CASES])
+def test_grid_search_spends_the_budget_like_the_reference(name, params, cfg):
+    inst = build_fixture(FixtureSpec(name, params))
+    optimum, witness, states = ref_grid_search_best(inst, cfg)
+    exact = dataclasses.replace(cfg, state_budget=states)
+    assert _outcome(lambda: grid_search_best(inst, exact)) == [optimum, witness.to_json()]
+    with pytest.raises(BudgetExceeded):
+        grid_search_best(inst, dataclasses.replace(cfg, state_budget=states - 1))
+
+
+PAIR_BUDGET_CASES = [
+    ("four_edge_star", {}, (8, F(1, 2), F(1, 4), True, True)),
+    ("fig2", {}, (8, F(1, 4), F(13, 25), False, True)),
+    ("frontier_edge", {"alpha": F(3, 4)}, (8, F(7, 8), F(1, 8))),
+]
+
+
+@pytest.mark.parametrize("name, params, args", PAIR_BUDGET_CASES, ids=[c[0] for c in PAIR_BUDGET_CASES])
+def test_pair_search_spends_the_budget_like_the_reference(name, params, args):
+    inst = build_fixture(FixtureSpec(name, params))
+    found, witness, states = ref_pair_feasible(inst, *args)
+    expected = [found, witness.to_json() if witness else None]
+    assert _outcome(lambda: pair_feasible(inst, *args, state_budget=states)) == expected
+    with pytest.raises(BudgetExceeded):
+        pair_feasible(inst, *args, state_budget=states - 1)
+
+
+def test_powers_of_three_spends_the_budget_like_the_reference():
+    *expected, states = ref_check_powers_of_three(3, -4, 1)
+    assert list(check_powers_of_three(3, -4, 1, state_budget=states)) == expected
+    with pytest.raises(BudgetExceeded):
+        check_powers_of_three(3, -4, 1, state_budget=states - 1)
+
+
+def test_pair_search_rejects_a_grid_below_one():
+    inst = build_fixture(FixtureSpec("star_tight", {"n": 2}))
+    for d in (0, -3):
+        with pytest.raises(DomainError, match="grid denominator must be at least 1"):
+            pair_feasible(inst, d, F(1, 2), F(1, 4))
