@@ -9,8 +9,10 @@ guarantee fails (a defect signal, never expected).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 
 from . import fixtures as fixtures_mod
@@ -48,7 +50,7 @@ def _read_json(path: str):
 
 def _load_graph(path: str) -> CakeGraph:
     data = _read_json(path)
-    if "graph" in data:
+    if isinstance(data, Mapping) and "graph" in data:
         data = data["graph"]
     return CakeGraph.from_json(data)
 
@@ -209,8 +211,11 @@ def _cmd_oracle(args) -> int:
 def _cmd_lemma(args) -> int:
     if args.which != "powers3":
         raise SystemExit(f"unknown lemma {args.which!r}")
-    lo_text, hi_text = args.window.split(":")
-    holds, (exps, coefs), gap = check_powers_of_three(args.t, int(lo_text), int(hi_text))
+    try:
+        lo, hi = (int(x) for x in args.window.split(":"))
+    except ValueError:
+        raise MalformedInput("--window needs 'lo:hi' integers") from None
+    holds, (exps, coefs), gap = check_powers_of_three(args.t, lo, hi)
     _emit(
         {
             "holds": holds,
@@ -305,9 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process.  Parsing leaves it unchanged: the ``append``
+    actions copy their shared ``[]`` default before appending to it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except CakeError as exc:

@@ -162,29 +162,33 @@ def _connected_subsets(
     """
     adj = model.adj
     vals = model.values[agent]
-
-    def grow(
-        current: int, value: int, frontier: int, banned: int, allowed: int
-    ) -> Iterator[tuple[int, int]]:
-        budget.spend()
-        yield current, value
-        ext = frontier & allowed & ~banned
-        local_ban = banned
-        while ext:
-            pick = ext & -ext
-            ext ^= pick
-            bit = pick.bit_length() - 1
-            new_frontier = (frontier | adj[bit]) & ~(current | pick)
-            yield from grow(current | pick, value + vals[bit], new_frontier, local_ban, allowed)
-            local_ban |= pick
-
     atoms = universe
     while atoms:
         seed = atoms & -atoms
         atoms ^= seed
         bit = seed.bit_length() - 1
         allowed = universe & ~(seed - 1) & ~seed
-        yield from grow(seed, vals[bit], adj[bit] & ~seed, 0, allowed)
+        budget.spend()
+        yield seed, vals[bit]
+        frontier = adj[bit] & ~seed
+        # Depth-first over the subsets grown from this seed.  A frame is a subset
+        # already yielded, its frontier, the extensions not yet branched on, and
+        # the ban its next child inherits: the extensions branched on before it.
+        stack = [(seed, vals[bit], frontier, frontier & allowed, 0)]
+        while stack:
+            current, value, frontier, ext, ban = stack[-1]
+            if not ext:
+                stack.pop()
+                continue
+            pick = ext & -ext
+            stack[-1] = (current, value, frontier, ext ^ pick, ban | pick)
+            bit = pick.bit_length() - 1
+            current |= pick
+            value += vals[bit]
+            frontier = (frontier | adj[bit]) & ~current
+            budget.spend()
+            yield current, value
+            stack.append((current, value, frontier, frontier & allowed & ~ban, ban))
 
 
 def _partitions(

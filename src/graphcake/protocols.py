@@ -9,6 +9,13 @@ connected piece of the original graph, and scale each agent's thresholds by
 her value of the region, which is what renormalizing the rest of the cake
 amounts to.  Every piece they hand out is already in the graph's coordinates.
 
+Extraction sums values in exact integers.  A region's subtree values are
+integers over one scale per valuation and region: the valuation's scale for
+its whole-edge totals, widened to cover the few partial legs next to cut
+points.  A need is met when a value reaches the least scaled integer at or
+above it, so every comparison, and every tie, is that of the rational values.
+Agents that share a valuation share one pass over the tree.
+
 Deterministic tie-breaking throughout: when several agents qualify at the
 same knife point, the lowest agent index wins.  A region is walked as a tree
 rooted at the least-named graph vertex it reaches, or at the lower end of a
@@ -20,6 +27,7 @@ chore protocol's first split) take branches in the graph's stored edge order.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,11 +123,13 @@ class _RootedTree:
     """A connected region of the cake as a rooted tree, in the graph's coordinates.
 
     Nodes are the graph vertices the region reaches and its interior cut
-    points, as canonical points.  Each interval links the nodes at its two
+    points, as canonical points, numbered so that every parent comes before
+    its children; node 0 is the root.  Each interval links the nodes at its two
     ends; an interval that closes a cycle (see ``_cycle_breaks``) gets a leaf
-    of its own at its upper end.  Children follow the order of the intervals,
-    and each child carries the leg that sweeps its link towards the parent.
-    The root defaults to the least node by ``_node_key``.
+    of its own at its upper end.  Children follow the order of the intervals;
+    ``spans[w]`` is the interval linking child ``w`` to its parent and
+    ``legs[w]`` sweeps it towards the parent.  The root defaults to the least
+    node by ``_node_key``.
     """
 
     def __init__(self, g: CakeGraph, intervals: Sequence[Interval], root: Optional[Point] = None):
@@ -127,56 +137,95 @@ class _RootedTree:
             (canonical_point(g, iv.edge, iv.lo), canonical_point(g, iv.edge, iv.hi))
             for iv in intervals
         ]
-        links: dict[Point, list[tuple[Leg, Point]]] = defaultdict(list)
+        links: dict[Point, list[tuple[Leg, Point, Interval]]] = defaultdict(list)
         for iv, (a, b), loose in zip(intervals, ends, _cycle_breaks(ends)):
             if loose:
                 b = EdgePoint(iv.edge, iv.hi)  # a detached end no other interval reaches
-            links[a].append((Leg(iv.edge, iv.hi, iv.lo), b))
-            links[b].append((Leg(iv.edge, iv.lo, iv.hi), a))
-        self.root = min(links, key=_node_key) if root is None else root
-        self.children: dict[Point, list[tuple[Leg, Point]]] = {v: [] for v in links}
-        self.order = [self.root]  # every parent before its children
-        self.depth = {self.root: 0}
-        for v in self.order:
-            for leg, w in links[v]:
-                if w not in self.depth:
-                    self.depth[w] = self.depth[v] + 1
-                    self.children[v].append((leg, w))
-                    self.order.append(w)
-        if len(self.order) != len(links):
+            links[a].append((Leg(iv.edge, iv.hi, iv.lo), b, iv))
+            links[b].append((Leg(iv.edge, iv.lo, iv.hi), a, iv))
+        start = min(links, key=_node_key) if root is None else root
+        index = {start: 0}
+        points = [start]
+        self.parent = [-1]
+        self.spans: list[Optional[Interval]] = [None]  # the root has no link
+        self.legs: list[Optional[Leg]] = [None]
+        self.children: list[list[int]] = [[]]
+        self.depth = [0]
+        # Whole legs are summed from each valuation's integer edge totals; the
+        # few partial ones (next to cut points) are integrated per valuation.
+        self._whole: list[tuple[int, str]] = []
+        self._partial: list[tuple[int, Interval]] = []
+        for v, p in enumerate(points):
+            for leg, w, iv in links[p]:
+                if w not in index:
+                    child = index[w] = len(points)
+                    points.append(w)
+                    self.parent.append(v)
+                    self.spans.append(iv)
+                    self.legs.append(leg)
+                    self.children.append([])
+                    self.depth.append(self.depth[v] + 1)
+                    self.children[v].append(child)
+                    if iv.lo == 0 and iv.hi == 1:
+                        self._whole.append((child, iv.edge))
+                    else:
+                        self._partial.append((child, iv))
+        if len(points) != len(links):
             raise DisconnectedPiece("piece is not connected")
 
-    def lowest(self, crosses: Callable[[Point], bool]) -> Point:
+    def lowest(self, crosses: Callable[[int], bool]) -> int:
         """Step from the root to the first child that ``crosses`` until none does."""
-        v = self.root
-        while (nxt := next((w for _, w in self.children[v] if crosses(w)), None)) is not None:
+        v = 0
+        while (nxt := next((w for w in self.children[v] if crosses(w)), None)) is not None:
             v = nxt
         return v
 
-    def subtree_piece(self, v: Point) -> Piece:
+    def subtree_piece(self, v: int) -> Piece:
         spans: list[Interval] = []
         stack = [v]
         while stack:
-            for leg, w in self.children[stack.pop()]:
-                spans.append(_span(leg))
+            for w in self.children[stack.pop()]:
+                spans.append(self.spans[w])
                 stack.append(w)
         return Piece.of(spans)
 
-    def branch_piece(self, leg: Leg, child: Point) -> Piece:
+    def branch_piece(self, leg: Leg, child: int) -> Piece:
         return self.subtree_piece(child).union(Piece.of([_span(leg)]))
 
-    def subtree_values(
-        self, val: Valuation
-    ) -> tuple[dict[Point, Fraction], dict[Point, Fraction]]:
-        """Values computed bottom-up: of the subtree strictly below each node, and
-        of each child's branch (its leg plus the subtree below it)."""
-        below: dict[Point, Fraction] = {}
-        branch: dict[Point, Fraction] = {}
-        for v in reversed(self.order):
-            for leg, w in self.children[v]:
-                branch[w] = trajectory_value(val, (leg,)) + below[w]
-            below[v] = sum((branch[w] for _, w in self.children[v]), ZERO)
-        return below, branch
+    def subtree_values(self, val: Valuation) -> tuple[list[int], list[int], int]:
+        """Values computed bottom-up as integers over one returned scale: of the
+        subtree strictly below each node, and of each child's branch (its leg
+        plus the subtree below it).
+
+        The scale is the least common multiple of the valuation's scale and the
+        denominators of the partial legs' values, so every sum is exact.
+        """
+        parts = [(w, val.interval_value(iv.edge, iv.lo, iv.hi)) for w, iv in self._partial]
+        scale = math.lcm(val.scale, *(x.denominator for _, x in parts))
+        lift = scale // val.scale
+        totals = val.int_totals
+        branch = [0] * len(self.legs)
+        for w, edge in self._whole:
+            branch[w] = totals.get(edge, 0) * lift
+        for w, x in parts:
+            branch[w] = x.numerator * (scale // x.denominator)
+        below = [0] * len(branch)
+        parent = self.parent
+        for w in range(len(branch) - 1, 0, -1):
+            branch[w] += below[w]
+            below[parent[w]] += branch[w]
+        return below, branch, scale
+
+    def values_by_agent(
+        self, vals: Sequence[Valuation], agents: Iterable[int]
+    ) -> dict[int, tuple[list[int], list[int], int]]:
+        """``subtree_values`` of each agent's valuation, computed once per
+        distinct valuation."""
+        done: dict[Valuation, tuple[list[int], list[int], int]] = {}
+        for a in agents:
+            if vals[a] not in done:
+                done[vals[a]] = self.subtree_values(vals[a])
+        return {a: done[vals[a]] for a in agents}
 
 
 def _graph_tree(g: CakeGraph, root: Optional[str] = None) -> _RootedTree:
@@ -239,38 +288,40 @@ def _extract(
         return Piece.empty(), satisfied[0], region
 
     rt = _RootedTree(g, region.intervals)
-    stv, branch = {}, {}
-    for a in eligible:
-        stv[a], branch[a] = rt.subtree_values(vals[a])
+    sums = rt.values_by_agent(vals, eligible)
     log.eval_count += len(region.intervals) * len(eligible)
+    stv, branch, scale, least = {}, {}, {}, {}
+    for a in eligible:
+        stv[a], branch[a], scale[a] = sums[a]
+        # an integer x meets the need when x >= need * scale, that is x >= least;
+        # Fraction() reads a float need by its exact binary value
+        least[a] = math.ceil(Fraction(need[a]) * scale[a])
 
-    v = rt.lowest(lambda child: any(stv[a][child] >= need[a] for a in eligible))
-    chosen = next(
-        (
-            (leg, child)
-            for leg, child in rt.children[v]
-            if any(branch[a][child] >= need[a] for a in eligible)
-        ),
+    v = rt.lowest(lambda child: any(stv[a][child] >= least[a] for a in eligible))
+    w = next(
+        (child for child in rt.children[v] if any(branch[a][child] >= least[a] for a in eligible)),
         None,
     )
-    if chosen is not None:
+    if w is not None:
         # Case 1: sweep a knife from the child end of the branch towards v.
-        leg, w = chosen
+        leg = rt.legs[w]
         targets = {
-            a: need[a] - stv[a][w] for a in eligible if branch[a][w] >= need[a]
+            a: need[a] - Fraction(stv[a][w], scale[a])
+            for a in eligible
+            if branch[a][w] >= least[a]
         }
         winner, cut = _knife_race(g, vals, (leg,), targets, log)
         piece = rt.subtree_piece(w).union(trajectory_prefix_piece((leg,), cut))
     else:
         # Case 2: accumulate whole branches until some agent first reaches her need.
         piece = Piece.empty()
-        acc_vals = {a: ZERO for a in eligible}
+        acc_vals = {a: 0 for a in eligible}
         crossers: list[int] = []
-        for leg, child in rt.children[v]:
-            piece = piece.union(rt.branch_piece(leg, child))
+        for child in rt.children[v]:
+            piece = piece.union(rt.branch_piece(rt.legs[child], child))
             for a in eligible:
                 acc_vals[a] += branch[a][child]
-            crossers = [a for a in eligible if acc_vals[a] >= need[a]]
+            crossers = [a for a in eligible if acc_vals[a] >= least[a]]
             if crossers:
                 break
         if not crossers:
@@ -360,11 +411,12 @@ def _path_trajectory(g: CakeGraph, region: Piece, start: Optional[Point] = None)
         start = min((p for p, count in ends.items() if count == 1), key=_node_key)
     rt = _RootedTree(g, region.intervals, start)
     legs: list[Leg] = []
-    v = rt.root
+    v = 0
     while rt.children[v]:
         if len(rt.children[v]) > 1:
             raise ProtocolInvariantError("region is not a path swept from one end")
-        leg, v = rt.children[v][0]
+        v = rt.children[v][0]
+        leg = rt.legs[v]
         legs.append(Leg(leg.edge, leg.end, leg.start))
     return tuple(legs)
 
@@ -415,8 +467,9 @@ def _star_rec(
     # the first agent values every spoke, then every agent the chosen one
     log.eval_count += m + k
     first = agents[0]
-    spokes = _RootedTree(g, region.intervals, VertexPoint(center)).children[VertexPoint(center)]
-    leg = next(leg for leg, _ in spokes if trajectory_value(vals[first], (leg,)) >= need[first])
+    rt = _RootedTree(g, region.intervals, VertexPoint(center))
+    spokes = [rt.legs[w] for w in rt.children[0]]
+    leg = next(leg for leg in spokes if trajectory_value(vals[first], (leg,)) >= need[first])
     targets = {a: need[a] for a in agents if trajectory_value(vals[a], (leg,)) >= need[a]}
     winner, cut = _knife_race(g, vals, (leg,), targets, log)
     piece = trajectory_prefix_piece((leg,), cut)
@@ -587,13 +640,14 @@ def height2_two_piece_proportional(inst: Instance, root: str) -> ProtocolResult:
     if not g.is_tree() or root not in g.vertices:
         raise NotHeightTwoTree(f"graph is not a tree rooted at {root!r}")
     rt = _graph_tree(g, root)
-    if any(d > 2 for d in rt.depth.values()):
+    if any(d > 2 for d in rt.depth):
         raise NotHeightTwoTree(f"tree has height greater than two from {root!r}")
     legs: list[Leg] = []
-    for leg, child in rt.children[rt.root]:
-        for down, _ in rt.children[child]:
+    for child in rt.children[0]:
+        for grandchild in rt.children[child]:
+            down = rt.legs[grandchild]
             legs.append(Leg(down.edge, down.end, down.start))
-        legs.append(leg)
+        legs.append(rt.legs[child])
     traj = tuple(legs)
     log = QueryLog()
     winner, cut = _knife_race(g, inst.agents, traj, {0: HALF, 1: HALF}, log)
@@ -728,40 +782,42 @@ def _chore_rec(
         pieces[agents[1]] = first_part
         return
 
-    # Costs below are shares of each agent's cost of the region.
-    total = {a: value_of_piece(vals[a], region) for a in agents}
     thresholds = _cond1_thresholds(k)
     rt = rt if rt is not None else _RootedTree(g, region.intervals)
-    stv, branch = {}, {}
-    for a in agents:
-        below, branch[a] = rt.subtree_values(vals[a])
-        stv[a] = {v: x / total[a] for v, x in below.items()}
+    below, branch, total = {}, {}, {}
+    for a, (below_a, branch_a, scale) in rt.values_by_agent(vals, agents).items():
+        below[a], branch[a] = below_a, branch_a
+        total[a] = Fraction(below_a[0], scale)
     log.eval_count += len(region.intervals) * k
+
+    def share(a: int, x: int) -> Fraction:
+        """A cost of agent ``a`` as a share of her cost of the region, the root's value."""
+        return Fraction(x, below[a][0])
 
     def sorted_costs(piece: Piece) -> list[tuple[Fraction, int]]:
         return sorted((value_of_piece(vals[a], piece, log) / total[a], a) for a in agents)
 
-    def subtree_violates(vertex: Point) -> bool:
-        costs = sorted(stv[a][vertex] for a in agents)
+    def subtree_violates(node: int) -> bool:
+        costs = sorted(share(a, below[a][node]) for a in agents)
         return not _cond1_holds(costs, k)
 
-    if not subtree_violates(rt.root):
+    if not subtree_violates(0):
         raise ProtocolInvariantError("the whole chore meets condition one")
     v = rt.lowest(subtree_violates)
 
-    violating_branch = next(
+    w = next(
         (
-            (leg, child)
-            for leg, child in rt.children[v]
-            if not _cond1_holds(sorted(branch[a][child] / total[a] for a in agents), k)
+            child
+            for child in rt.children[v]
+            if not _cond1_holds(sorted(share(a, branch[a][child]) for a in agents), k)
         ),
         None,
     )
 
-    if violating_branch is not None:
+    if w is not None:
         # Case 1: sweep along the branch edge to the last point where the
         # first condition still holds; there some inequality is exactly tight.
-        leg, w = violating_branch
+        leg = rt.legs[w]
         leg_length = abs(leg.end - leg.start)
         direction = 1 if leg.end >= leg.start else -1
         BEFORE = Fraction(-1)
@@ -769,7 +825,7 @@ def _chore_rec(
         for i in range(k):
             row = []
             for a in agents:
-                budget = (thresholds[i] - stv[a][w]) * total[a]
+                budget = (thresholds[i] - share(a, below[a][w])) * total[a]
                 pos = latest_position_within(vals[a], leg, budget)
                 row.append(BEFORE if pos is None else abs(pos - leg.start))
             log.cut_count += k
@@ -794,8 +850,8 @@ def _chore_rec(
         # Case 2: accumulate branches until condition one first fails.
         acc = Piece.empty()
         piece = None
-        for leg, child in rt.children[v]:
-            acc = acc.union(rt.branch_piece(leg, child))
+        for child in rt.children[v]:
+            acc = acc.union(rt.branch_piece(rt.legs[child], child))
             costs = [c for c, _ in sorted_costs(acc)]
             if not _cond1_holds(costs, k):
                 piece = acc
@@ -876,7 +932,7 @@ def _auto_height2_root(inst: Instance) -> str:
     g = inst.graph
     if g.is_tree():
         for root in g.vertices:
-            if all(d <= 2 for d in _graph_tree(g, root).depth.values()):
+            if all(d <= 2 for d in _graph_tree(g, root).depth):
                 return root
     raise NotHeightTwoTree("no root gives this graph height at most two")
 

@@ -4,11 +4,15 @@ Valuations double as cost functions in chore mode.  Protocols interact with
 them only through evaluation and cut queries, which keeps the interface
 measure-agnostic; the piecewise-constant representation is closed under every
 cut the protocols perform.  Each valuation sums every edge's value once, when it
-is built, so a query for a whole edge reads a stored total.
+is built, so a query for a whole edge reads a stored total.  The totals are also
+kept as integers over one scale, the least common multiple of their
+denominators, so sums of whole edges are exact integer sums; only partial
+intervals add fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -68,17 +72,28 @@ class Valuation:
     Edges absent from the map carry zero density.  A normalized valuation
     integrates to exactly 1 over the whole cake.  Valuations are immutable:
     ``densities`` is a read-only view of a private copy, so the edge totals
-    summed at construction never go stale.
+    summed at construction never go stale.  ``int_totals[e] / scale`` is edge
+    ``e``'s total, with ``scale`` the least common multiple of the totals'
+    denominators.
     """
 
-    __slots__ = ("densities", "_totals")
+    __slots__ = ("densities", "_totals", "scale", "int_totals")
 
     def __init__(self, densities: Mapping[str, EdgeDensity]):
         self.densities: Mapping[str, EdgeDensity] = MappingProxyType(dict(densities))
-        self._totals = {
-            e: sum((s.density * (s.hi - s.lo) for s in segs), ZERO)
-            for e, segs in self.densities.items()
-        }
+        self._keep_totals(
+            {
+                e: sum((s.density * (s.hi - s.lo) for s in segs), ZERO)
+                for e, segs in self.densities.items()
+            }
+        )
+
+    def _keep_totals(self, totals: dict[str, Fraction]) -> None:
+        self._totals = totals
+        self.scale = math.lcm(*(x.denominator for x in totals.values()))
+        self.int_totals: Mapping[str, int] = MappingProxyType(
+            {e: x.numerator * (self.scale // x.denominator) for e, x in totals.items()}
+        )
 
     @staticmethod
     def from_segments(per_edge: Mapping[str, Sequence[tuple]]) -> "Valuation":
@@ -107,10 +122,10 @@ class Valuation:
         return self._totals.get(edge_id, ZERO)
 
     def total(self) -> Fraction:
-        return sum(self._totals.values(), ZERO)
+        return Fraction(sum(self.int_totals.values()), self.scale)
 
     def is_normalized(self) -> bool:
-        return self.total() == 1
+        return sum(self.int_totals.values()) == self.scale
 
     def interval_value(self, edge_id: str, lo: Fraction, hi: Fraction) -> Fraction:
         if lo == 0 and hi == 1:
@@ -132,7 +147,7 @@ class Valuation:
                 for e, segs in self.densities.items()
             }
         )
-        out._totals = {e: x * factor for e, x in self._totals.items()}
+        out._keep_totals({e: x * factor for e, x in self._totals.items()})
         return out
 
     def to_json(self) -> dict:
@@ -260,7 +275,14 @@ def value_of_piece(v: Valuation, p: Piece, log: Optional[QueryLog] = None) -> Fr
     """Exact integral of the density over the piece (one evaluation query)."""
     if log is not None:
         log.eval_count += 1
-    return sum((v.interval_value(iv.edge, iv.lo, iv.hi) for iv in p.intervals), ZERO)
+    whole = 0  # over v.scale
+    part = ZERO
+    for iv in p.intervals:
+        if iv.lo == 0 and iv.hi == 1:
+            whole += v.int_totals.get(iv.edge, 0)
+        else:
+            part += v.interval_value(iv.edge, iv.lo, iv.hi)
+    return Fraction(whole, v.scale) + part
 
 
 def _leg_segments(v: Valuation, leg: Leg) -> list[tuple[Fraction, Fraction]]:

@@ -195,7 +195,8 @@ def _edge_instance(**overrides):
 _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
 
 
-# the third field is the allocation document for verify and the arguments for oracle
+# the third field is the allocation document for verify and the arguments for oracle;
+# classify, label and bipolar read a bare graph or an instance document
 @pytest.mark.parametrize(
     "command, instance, extra",
     [
@@ -213,6 +214,10 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
         ("oracle", _STAR2, ["--grid", "0"]),
         ("oracle", _STAR2, ["--grid", "4", "--pair", "1/2"]),
         ("oracle", _STAR2, ["--grid", "4", "--pair", "1/2,1/4,1/8"]),
+        ("classify", 7, None),
+        ("classify", None, None),
+        ("label", None, None),
+        ("bipolar", 7, None),
     ],
     ids=[
         "zero-denominator",
@@ -229,6 +234,10 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
         "grid-search-on-grid-zero",
         "pair-of-one-threshold",
         "pair-of-three-thresholds",
+        "classify-a-number",
+        "classify-null",
+        "label-null",
+        "bipolar-a-number",
     ],
 )
 def test_malformed_input_exits_one_without_traceback(tmp_path, capsys, command, instance, extra):
@@ -239,7 +248,7 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, capsys, command, 
         argv += ["--protocol", "egal"]
     elif command == "oracle":
         argv += extra
-    else:
+    elif command == "verify":
         alloc_path = tmp_path / "allocation.json"
         alloc_path.write_text(json.dumps(extra))
         argv += ["--allocation", str(alloc_path)]
@@ -261,6 +270,22 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, capsys, command, 
 def test_oracle_argument_errors_name_the_problem(star2_file, capsys, args, message):
     assert main(["oracle", "--instance", star2_file, *args]) == 1
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("window", ["3", "1:2:3", "a:b"])
+def test_lemma_window_errors_name_the_problem(capsys, window):
+    assert main(["lemma", "powers3", "-t", "2", f"--window={window}"]) == 1
+    assert capsys.readouterr().err == "error: --window needs 'lo:hi' integers\n"
+
+
+def test_param_lists_do_not_leak_between_main_calls(capsys):
+    # main reuses one parser, so each call must start from an empty -p list
+    assert main(["gen", "--seed", "1", "-p", "n=3", "-p", "edges=5"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(["gen", "--seed", "1"]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert (len(first["agents"]), len(first["graph"]["edges"])) == (3, 5)
+    assert (len(second["agents"]), len(second["graph"]["edges"])) == (2, 4)
 
 
 # -- corrupted documents -----------------------------------------------------------

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcake.allocation import verify_allocation
 from graphcake.errors import (
@@ -25,6 +27,8 @@ from graphcake.graph_core import (
     piece_is_connected,
 )
 from graphcake.protocols import (
+    _RootedTree,
+    _extract,
     _knife_race,
     _path_trajectory,
     chore_three,
@@ -44,9 +48,24 @@ from graphcake.protocols import (
     two_agent_fixed,
     two_agent_flexible,
 )
-from graphcake.valuation import Instance, QueryLog, Valuation, value_of_piece
+from graphcake.valuation import (
+    Instance,
+    QueryLog,
+    Valuation,
+    cut_trajectory,
+    trajectory_prefix_piece,
+    trajectory_value,
+    value_of_piece,
+)
 
-from conftest import edge_piece, single_edge_graph, star_graph, triangle, uniform_instance
+from conftest import (
+    edge_piece,
+    path_graph,
+    single_edge_graph,
+    star_graph,
+    triangle,
+    uniform_instance,
+)
 
 F = Fraction
 
@@ -138,6 +157,146 @@ def test_internal_checks_raise_instead_of_asserting():
         _path_trajectory(g, g.whole_piece())
     with pytest.raises(ProtocolInvariantError):
         _knife_race(g, [], (), {}, QueryLog())
+
+
+# -- integer extraction against the Fraction reference ----------------------------
+
+
+def reference_value_of_piece(v, p, log=None):
+    """The Fraction sum over the piece's intervals (test-only reference)."""
+    if log is not None:
+        log.eval_count += 1
+    return sum((v.interval_value(iv.edge, iv.lo, iv.hi) for iv in p.intervals), F(0))
+
+
+def reference_subtree_values(rt, val):
+    """The bottom-up pass in Fractions, one trajectory value per leg (test-only reference)."""
+    below, branch = [F(0)] * len(rt.legs), [F(0)] * len(rt.legs)
+    for v in reversed(range(len(rt.legs))):
+        for w in rt.children[v]:
+            branch[w] = trajectory_value(val, (rt.legs[w],)) + below[w]
+        below[v] = sum((branch[w] for w in rt.children[v]), F(0))
+    return below, branch
+
+
+def reference_extract(g, vals, region, need, log):
+    """The extraction in Fractions, with one tree pass per agent (test-only reference)."""
+    eligible = sorted(need)
+    for a in eligible:
+        if reference_value_of_piece(vals[a], region, log) < need[a]:
+            raise InsufficientValue(f"agent {a} values the piece below {need[a]}")
+    satisfied = [a for a in eligible if need[a] == 0]
+    if satisfied:
+        return Piece.empty(), satisfied[0], region
+    rt = _RootedTree(g, region.intervals)
+    stv, branch = {}, {}
+    for a in eligible:
+        stv[a], branch[a] = reference_subtree_values(rt, vals[a])
+    log.eval_count += len(region.intervals) * len(eligible)
+    v = rt.lowest(lambda child: any(stv[a][child] >= need[a] for a in eligible))
+    chosen = next(
+        (c for c in rt.children[v] if any(branch[a][c] >= need[a] for a in eligible)), None
+    )
+    if chosen is not None:
+        leg = rt.legs[chosen]
+        targets = {a: need[a] - stv[a][chosen] for a in eligible if branch[a][chosen] >= need[a]}
+        best = None
+        for a in sorted(targets):
+            cut = cut_trajectory(g, vals[a], (leg,), targets[a], log)
+            if best is None or cut.sweep_offset < best[1].sweep_offset:
+                best = (a, cut)
+        winner, cut = best
+        piece = rt.subtree_piece(chosen).union(trajectory_prefix_piece((leg,), cut))
+    else:
+        piece, acc = Piece.empty(), {a: F(0) for a in eligible}
+        crossers = []
+        for child in rt.children[v]:
+            piece = piece.union(rt.branch_piece(rt.legs[child], child))
+            for a in eligible:
+                acc[a] += branch[a][child]
+            crossers = [a for a in eligible if acc[a] >= need[a]]
+            if crossers:
+                break
+        winner = crossers[0]
+    return piece, winner, region.difference(piece)
+
+
+@st.composite
+def regions_with_cut_points(draw):
+    """Random tree or cycle-augmented instances with 1-4 segments per edge, their
+    valuations scaled off 1, and a region left by one to three extractions."""
+    inst = random_instance(
+        seed=draw(st.integers(0, 10**6)),
+        n=draw(st.integers(2, 3)),
+        family=draw(st.sampled_from(["tree", "cycle-augmented"])),
+        edges=draw(st.integers(1, 12)),
+        max_segments=4,
+    )
+    vals = [
+        v.scaled(F(draw(st.integers(1, 50)), draw(st.integers(1, 97)))) for v in inst.agents
+    ]
+    region = inst.graph.whole_piece()
+    for _ in range(draw(st.integers(1, 3))):
+        alpha = F(draw(st.integers(1, 11)), 12)
+        need = {a: alpha * value_of_piece(v, region) for a, v in enumerate(vals)}
+        piece, _, rem = _extract(inst.graph, vals, region, need, QueryLog())
+        nxt = piece if draw(st.booleans()) else rem
+        if nxt.is_empty():
+            break
+        region = nxt
+    return inst.graph, vals, region
+
+
+def _outcome(extract, g, vals, region, need):
+    log = QueryLog()
+    try:
+        piece, winner, rem = extract(g, vals, region, need, log)
+    except InsufficientValue as exc:
+        return str(exc), log.to_json()
+    return piece, winner, rem, log.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(regions_with_cut_points(), st.data())
+def test_integer_extraction_matches_the_fraction_reference(drawn, data):
+    g, vals, region = drawn
+    rt = _RootedTree(g, region.intervals)
+    ref = {}
+    for v in vals:
+        assert value_of_piece(v, region) == reference_value_of_piece(v, region)
+        below, branch, scale = rt.subtree_values(v)
+        ref[v] = reference_subtree_values(rt, v)
+        assert scale % v.scale == 0
+        assert [F(x, scale) for x in below] == ref[v][0]
+        assert [F(x, scale) for x in branch[1:]] == ref[v][1][1:]
+        assert F(below[0], scale) == value_of_piece(v, region)
+    # Needs at a share of the region, or exactly at the value of a node's first
+    # few branches together, where ties decide both the descent and the accumulation.
+    inner = [u for u, kids in enumerate(rt.children) if kids]
+    for shared in (False, True):
+        agents = [vals[0], vals[0]] if shared else vals[:2]
+        need = {}
+        for a, v in enumerate(agents):
+            if inner and data.draw(st.booleans()):
+                kids = rt.children[data.draw(st.sampled_from(inner))]
+                first = kids[: data.draw(st.integers(1, len(kids)))]
+                need[a] = sum((ref[v][1][c] for c in first), F(0))
+            else:
+                need[a] = F(data.draw(st.integers(1, 12)), 12) * ref[v][0][0]
+        assert _outcome(_extract, g, agents, region, need) == _outcome(
+            reference_extract, g, agents, region, need
+        )
+
+
+def test_extract_compares_a_float_need_by_its_exact_value():
+    # on the uniform path every edge is worth 1/10, just below the float 0.1
+    for inst in (random_instance(3, n=2, family="tree", edges=6), uniform_instance(path_graph(10), 2)):
+        region = inst.graph.whole_piece()
+        for alpha in (0.25, 0.1, 1 / 3, 0.3):
+            need = {0: alpha, 1: alpha}
+            assert _outcome(_extract, inst.graph, inst.agents, region, need) == _outcome(
+                reference_extract, inst.graph, inst.agents, region, need
+            )
 
 
 # -- connected egalitarian --------------------------------------------------------

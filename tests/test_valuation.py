@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -392,7 +393,9 @@ def test_interval_value_matches_segment_loop(v, spans):
         for lo, hi in queries:
             assert v.interval_value(edge, lo, hi) == reference_interval_value(v, edge, lo, hi)
         assert v.edge_value(edge) == reference_interval_value(v, edge, F(0), F(1))
+        assert F(v.int_totals.get(edge, 0), v.scale) == v.edge_value(edge)
     assert v.total() == sum(reference_interval_value(v, e, F(0), F(1)) for e in EDGES)
+    assert v.scale == math.lcm(*(v.edge_value(e).denominator for e in v.densities))
 
 
 def _prefix_values(v, t):
@@ -449,6 +452,8 @@ def test_scaled_totals_match_the_scaled_segments(v, num, den):
     scaled = v.scaled(F(num, den))
     for edge in EDGES + ["absent"]:
         assert scaled.edge_value(edge) == reference_interval_value(scaled, edge, F(0), F(1))
+        assert F(scaled.int_totals.get(edge, 0), scaled.scale) == scaled.edge_value(edge)
+    assert scaled.scale == math.lcm(*(scaled.edge_value(e).denominator for e in EDGES))
 
 
 def test_segments_have_no_instance_dict():
@@ -460,6 +465,8 @@ def test_valuations_are_read_only():
     v = Valuation(source)
     with pytest.raises(TypeError):
         v.densities["e0"] = (Segment(F(0), F(1), F(2)),)
+    with pytest.raises(TypeError):
+        v.int_totals["e0"] = 2
     source["e0"] = (Segment(F(0), F(1), F(2)),)
     assert v.edge_value("e0") == 1 and v.interval_value("e0", F(0), F(1)) == 1
 
