@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import fixtures as fixtures_mod
 from .allocation import Allocation, verify_allocation
-from .errors import CakeError, MalformedInput
+from .errors import BadParameters, CakeError, MalformedInput
 from .graph_core import (
     CakeGraph,
     classify_almost_bridgeless,
@@ -63,7 +63,7 @@ def _parse_params(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"parameter {pair!r} is not of the form key=value")
+            raise MalformedInput(f"parameter {pair!r} is not of the form key=value")
         key, value = pair.split("=", 1)
         out[key] = value
     return out
@@ -143,7 +143,7 @@ def _cmd_fixture(args) -> int:
         _emit({"fixtures": list(fixtures_mod.FIXTURE_NAMES)}, args.pretty)
         return 0
     if not args.name:
-        raise SystemExit("fixture build needs a name")
+        raise MalformedInput("fixture build needs a name")
     spec = fixtures_mod.FixtureSpec(args.name, _parse_params(args.param))
     inst = fixtures_mod.build_fixture(spec)
     _emit(inst.to_json(), args.pretty)
@@ -152,6 +152,9 @@ def _cmd_fixture(args) -> int:
 
 def _cmd_gen(args) -> int:
     params = _parse_params(args.param)
+    unknown = [key for key in params if key not in ("n", "family", "edges", "max_segments", "mode")]
+    if unknown:
+        raise BadParameters(f"gen got unknown parameters: {', '.join(unknown)}")
     inst = fixtures_mod.random_instance(
         seed=args.seed,
         n=int(params.get("n", 2)),

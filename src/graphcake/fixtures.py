@@ -200,10 +200,13 @@ def build_fixture(spec: FixtureSpec) -> Instance:
         raise BadParameters(f"fixture {spec.name!r} got unknown parameters: {', '.join(extra)}")
 
     def coerce(name: str, value):
-        if name in ("n", "k"):
-            return int(value)
-        if name in ("alpha", "eps"):
-            return Fraction(value)
+        try:
+            if name in ("n", "k"):
+                return int(value)
+            if name in ("alpha", "eps"):
+                return Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise BadParameters(f"fixture {spec.name!r} got {name}={value!r}, not a number") from None
         return value
 
     return builder(*(coerce(a, params[a]) for a in arg_names))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -96,11 +96,32 @@ class EntitlementResult:
     queries: QueryLog
 
 
-def _require(inst: Instance, *, mode: str, n: Optional[int] = None) -> None:
-    if inst.mode != mode:
-        raise DomainError(f"protocol requires {mode} mode, instance is {inst.mode}")
-    if n is not None and inst.n != n:
-        raise DomainError(f"protocol requires exactly {n} agents, instance has {inst.n}")
+@dataclass(frozen=True)
+class Setting:
+    """The instances a protocol is stated for: a mode, a range of agent counts
+    (no upper bound when ``max_agents`` is None) and optionally a graph class."""
+
+    mode: str
+    min_agents: int
+    max_agents: Optional[int] = None
+    graph: Optional[Callable[[CakeGraph], bool]] = None
+
+
+def _require(inst: Instance, setting: Setting) -> None:
+    """Reject an instance of the wrong mode or agent count.  The graph class is
+    enforced by the protocol itself, where it has the structure at hand."""
+    n, lo, hi = inst.n, setting.min_agents, setting.max_agents
+    if inst.mode != setting.mode:
+        raise DomainError(f"protocol requires {setting.mode} mode, instance is {inst.mode}")
+    if lo == hi != n:
+        raise DomainError(f"protocol requires exactly {lo} agents, instance has {n}")
+    if n < lo:
+        least = "one agent" if lo == 1 else f"{lo} agents"
+        raise DomainError(f"protocol requires at least {least}, instance has {n}")
+    if hi is not None and n > hi:
+        raise TooManyAgents(
+            f"the guarantee is only established for up to {hi} agents, instance has {n}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +393,9 @@ def _egalitarian(
     pieces[agents[0]] = region
 
 
+_EGAL = Setting("cake", 1)
+
+
 def connected_egalitarian(inst: Instance) -> ProtocolResult:
     """Connected allocation giving every one of n agents at least 1/(2n-1).
 
@@ -379,9 +403,7 @@ def connected_egalitarian(inst: Instance) -> ProtocolResult:
     remainder with one agent fewer, each threshold scaled by the agent's value
     of that remainder.
     """
-    _require(inst, mode="cake")
-    if inst.n < 1:
-        raise DomainError("the egalitarian protocol needs at least one agent")
+    _require(inst, _EGAL)
     log = QueryLog()
     pieces: list[Piece] = [Piece.empty()] * inst.n
     _egalitarian(inst.graph, inst.agents, range(inst.n), inst.graph.whole_piece(), pieces, log)
@@ -478,6 +500,13 @@ def _star_rec(
     _star_rec(g, vals, rest, region.difference(piece), center, pieces, log)
 
 
+def _is_wide_star(g: CakeGraph) -> bool:
+    return g.m >= 3 and g.star_center() is not None
+
+
+_STAR = Setting("cake", 2, graph=_is_wide_star)
+
+
 def star_egalitarian(inst: Instance) -> ProtocolResult:
     """Connected allocation on a star with k >= 3 edges achieving the star guarantee.
 
@@ -485,12 +514,10 @@ def star_egalitarian(inst: Instance) -> ProtocolResult:
     a knife from the outer endpoint of a valuable edge towards the center and
     recurse on one agent fewer.
     """
-    _require(inst, mode="cake")
-    if inst.n < 2:
-        raise DomainError("the star protocol needs at least two agents")
-    center = inst.graph.star_center()
-    if center is None or inst.graph.m < 3:
+    _require(inst, _STAR)
+    if not _is_wide_star(inst.graph):
         raise NotAStar("graph is not a star with at least three edges")
+    center = inst.graph.star_center()
     log = QueryLog()
     pieces: list[Piece] = [Piece.empty()] * inst.n
     _star_rec(
@@ -504,13 +531,21 @@ def star_egalitarian(inst: Instance) -> ProtocolResult:
 # ---------------------------------------------------------------------------
 
 
+def _almost_bridgeless(g: CakeGraph) -> bool:
+    return classify_almost_bridgeless(g).is_almost_bridgeless
+
+
+_TWO_CAKE = Setting("cake", 2, 2)
+_PROP2 = replace(_TWO_CAKE, graph=_almost_bridgeless)
+
+
 def proportional_two_connected(inst: Instance, lab: OrientedLabeling) -> ProtocolResult:
     """Proportional connected allocation for two agents via one knife sweep.
 
     The knife follows the contiguous labeling edge by edge; whoever first sees
     value 1/2 in the covered prefix takes it, the other agent takes the suffix.
     """
-    _require(inst, mode="cake", n=2)
+    _require(inst, _PROP2)
     if not is_contiguous(inst.graph, lab):
         raise LabelingNotContiguous("the supplied labeling fails the contiguity check")
     g = inst.graph
@@ -544,7 +579,7 @@ def _fixed_pair(
 
 def two_agent_fixed(inst: Instance) -> ProtocolResult:
     """Connected allocation giving agent 1 at least 1/2 and agent 2 at least 1/3."""
-    _require(inst, mode="cake", n=2)
+    _require(inst, _TWO_CAKE)
     log = QueryLog()
     g = inst.graph
     a1, a2 = _fixed_pair(g, inst.agents[0], inst.agents[1], g.whole_piece(), log)
@@ -554,9 +589,8 @@ def two_agent_fixed(inst: Instance) -> ProtocolResult:
 def two_agent_best(inst: Instance) -> ProtocolResult:
     """The optimal guarantee for the instance's graph: 1/2 on almost bridgeless
     graphs (proportional), otherwise 1/3 with agent 1 still receiving 1/2."""
-    _require(inst, mode="cake", n=2)
-    witness = classify_almost_bridgeless(inst.graph)
-    if witness.is_almost_bridgeless:
+    _require(inst, _TWO_CAKE)
+    if _almost_bridgeless(inst.graph):
         lab = compute_contiguous_labeling(inst.graph)
         return proportional_two_connected(inst, lab)
     return two_agent_fixed(inst)
@@ -565,7 +599,7 @@ def two_agent_best(inst: Instance) -> ProtocolResult:
 def two_agent_flexible(inst: Instance, alpha: Fraction) -> EntitlementResult:
     """Connected allocation where one agent gets >= alpha and the other >= 1-2*alpha,
     without fixing in advance which agent gets which share."""
-    _require(inst, mode="cake", n=2)
+    _require(inst, _TWO_CAKE)
     alpha = Fraction(alpha)
     if not 0 < alpha <= Fraction(1, 4):
         raise AlphaOutOfRange(f"alpha must satisfy 0 < alpha <= 1/4, got {alpha}")
@@ -591,7 +625,7 @@ def multi_piece_two(inst: Instance, k: int) -> ProtocolResult:
     richer part to the poorer one, shrinking the deficit by a factor of three
     per extra piece.  The second agent then picks her preferred part.
     """
-    _require(inst, mode="cake", n=2)
+    _require(inst, _TWO_CAKE)
     if k < 1:
         raise DomainError(f"piece budget k must be >= 1, got {k}")
     g = inst.graph
@@ -627,6 +661,23 @@ def multi_piece_two(inst: Instance, k: int) -> ProtocolResult:
     return ProtocolResult(alloc, log)
 
 
+def _height2_tree(g: CakeGraph, root: str) -> Optional[_RootedTree]:
+    """The graph as a tree rooted at ``root``, if it is one of height at most two."""
+    if g.is_tree() and root in g.vertices:
+        rt = _graph_tree(g, root)
+        if max(rt.depth) <= 2:
+            return rt
+    return None
+
+
+def _height2_root(g: CakeGraph) -> Optional[str]:
+    """The first vertex from which the graph is a tree of height at most two, if any."""
+    return next((root for root in g.vertices if _height2_tree(g, root) is not None), None)
+
+
+_HEIGHT2 = replace(_TWO_CAKE, graph=lambda g: _height2_root(g) is not None)
+
+
 def height2_two_piece_proportional(inst: Instance, root: str) -> ProtocolResult:
     """Proportional allocation with at most two connected pieces per agent on a
     tree of height at most two.
@@ -635,13 +686,11 @@ def height2_two_piece_proportional(inst: Instance, root: str) -> ProtocolResult:
     from the child, then up the child edge towards the root; it stops at the
     first point some agent values the covered part exactly 1/2.
     """
-    _require(inst, mode="cake", n=2)
+    _require(inst, _HEIGHT2)
     g = inst.graph
-    if not g.is_tree() or root not in g.vertices:
-        raise NotHeightTwoTree(f"graph is not a tree rooted at {root!r}")
-    rt = _graph_tree(g, root)
-    if any(d > 2 for d in rt.depth):
-        raise NotHeightTwoTree(f"tree has height greater than two from {root!r}")
+    rt = _height2_tree(g, root)
+    if rt is None:
+        raise NotHeightTwoTree(f"graph is not a tree of height at most two from {root!r}")
     legs: list[Leg] = []
     for child in rt.children[0]:
         for grandchild in rt.children[child]:
@@ -669,7 +718,7 @@ def equitable_two(inst: Instance) -> ProtocolResult:
     1/3; the extracted piece goes to agent 1, so f1(A1)+f2(A1) lands in
     [2/3, 4/3] and the value difference is at most 1/3.
     """
-    _require(inst, mode="cake", n=2)
+    _require(inst, _TWO_CAKE)
     combined = combine_valuations(list(inst.agents), [HALF, HALF])
     log = QueryLog()
     piece, _, rem = _extract(
@@ -683,13 +732,18 @@ def equitable_two(inst: Instance) -> ProtocolResult:
 # ---------------------------------------------------------------------------
 
 
+_CHORE2 = Setting("chore", 2, 2)
+_CHORE3 = Setting("chore", 3, 3)
+_CHORE5 = Setting("chore", 1, 5)
+
+
 def chore_two(inst: Instance) -> ProtocolResult:
     """Two-agent chore division: costs at most 1/2 for agent 1 and 2/3 for agent 2.
 
     Treat costs as cake values, run the cut-and-choose split, and let the
     agents swap their pieces.
     """
-    _require(inst, mode="chore", n=2)
+    _require(inst, _CHORE2)
     log = QueryLog()
     g = inst.graph
     first_part, second_part = _fixed_pair(g, inst.agents[0], inst.agents[1], g.whole_piece(), log)
@@ -702,7 +756,7 @@ def chore_three(inst: Instance) -> ProtocolResult:
     Split between agents 1 and 2 as in the two-agent protocol, then divide
     agent 2's piece again between agents 3 and 2.
     """
-    _require(inst, mode="chore", n=3)
+    _require(inst, _CHORE3)
     f1, f2, f3 = inst.agents
     g = inst.graph
     log = QueryLog()
@@ -894,13 +948,7 @@ def chore_upto5(inst: Instance) -> ProtocolResult:
     branches), and split the agents into two groups that recurse on the two
     sides, each agent's costs scaled by her cost of her side.
     """
-    _require(inst, mode="chore")
-    if inst.n > 5:
-        raise TooManyAgents(
-            "the 2/(n+1) guarantee is only established for up to five agents"
-        )
-    if inst.n < 1:
-        raise DomainError("need at least one agent")
+    _require(inst, _CHORE5)
     log = QueryLog()
     pieces: list[Piece] = [Piece.empty()] * inst.n
     g = inst.graph
@@ -912,148 +960,165 @@ def chore_upto5(inst: Instance) -> ProtocolResult:
 # Name registry (used by the CLI)
 # ---------------------------------------------------------------------------
 
-PROTOCOL_NAMES = (
-    "egal",
-    "star",
-    "prop2",
-    "best2",
-    "fixed2",
-    "flex2",
-    "multi2",
-    "height2",
-    "equit2",
-    "chore2",
-    "chore3",
-    "chore5",
-)
+
+@dataclass(frozen=True)
+class Param:
+    """A protocol parameter: how to read its value, and whether it must be given."""
+
+    convert: Callable[[object], object]
+    required: bool = True
 
 
-def _auto_height2_root(inst: Instance) -> str:
-    g = inst.graph
-    if g.is_tree():
-        for root in g.vertices:
-            if all(d <= 2 for d in _graph_tree(g, root).depth):
-                return root
-    raise NotHeightTwoTree("no root gives this graph height at most two")
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """One protocol: ``run(inst, **params)`` runs it on instances in ``setting``.
+
+    Its guarantee is a complete and disjoint allocation, with every piece
+    connected when ``connected`` is set, for which every (holds, message) pair
+    of ``bounds(report, inst, params, result)`` holds."""
+
+    run: Callable[..., object]
+    setting: Setting
+    bounds: Callable[..., list[tuple[bool, str]]]
+    connected: bool = True
+    params: Mapping[str, Param] = field(default_factory=dict)
 
 
-def run_protocol(name: str, inst: Instance, params: Optional[dict] = None):
+def _run_prop2(inst: Instance) -> ProtocolResult:
+    return proportional_two_connected(inst, compute_contiguous_labeling(inst.graph))
+
+
+def _run_height2(inst: Instance, root: Optional[str] = None) -> ProtocolResult:
+    root = root or _height2_root(inst.graph)
+    if root is None:
+        raise NotHeightTwoTree("no root gives this graph height at most two")
+    return height2_two_piece_proportional(inst, root)
+
+
+def _floor(value: Fraction, bound: Fraction, what: str) -> tuple[bool, str]:
+    return value >= bound, f"{what} below {bound}"
+
+
+def _ceiling(value: Fraction, bound: Fraction, what: str) -> tuple[bool, str]:
+    return value <= bound, f"{what} above {bound}"
+
+
+def _entitlement_bounds(
+    r: VerificationReport, inst: Instance, p: Mapping, result: Optional[EntitlementResult]
+) -> list[tuple[bool, str]]:
+    if result is None:
+        raise DomainError("checking an entitlement guarantee needs the protocol result")
+    return [
+        (r.values[result.alpha_agent] >= p["alpha"], "alpha guarantee failed"),
+        (r.values[result.beta_agent] >= 1 - 2 * p["alpha"], "1-2*alpha guarantee failed"),
+    ]
+
+
+PROTOCOLS: Mapping[str, ProtocolSpec] = {
+    "egal": ProtocolSpec(connected_egalitarian, _EGAL, lambda r, inst, p, res: [
+        _floor(r.egalitarian, Fraction(1, 2 * inst.n - 1), f"welfare {r.egalitarian}"),
+    ]),
+    "star": ProtocolSpec(star_egalitarian, _STAR, lambda r, inst, p, res: [
+        _floor(r.egalitarian, f_guarantee(inst.n, inst.graph.m), f"welfare {r.egalitarian}"),
+    ]),
+    "prop2": ProtocolSpec(_run_prop2, _PROP2, lambda r, inst, p, res: [
+        _floor(min(r.values), HALF, "welfare"),
+    ]),
+    "best2": ProtocolSpec(two_agent_best, _TWO_CAKE, lambda r, inst, p, res: [
+        _floor(min(r.values), HALF if _almost_bridgeless(inst.graph) else THIRD, "welfare"),
+        _floor(r.values[0], HALF, "agent 1"),
+    ]),
+    "fixed2": ProtocolSpec(two_agent_fixed, _TWO_CAKE, lambda r, inst, p, res: [
+        _floor(r.values[0], HALF, "agent 1"),
+        _floor(r.values[1], THIRD, "agent 2"),
+    ]),
+    "flex2": ProtocolSpec(
+        two_agent_flexible, _TWO_CAKE, _entitlement_bounds, params={"alpha": Param(Fraction)}
+    ),
+    "multi2": ProtocolSpec(multi_piece_two, _TWO_CAKE, lambda r, inst, p, res: [
+        _floor(min(r.values), HALF - Fraction(1, 2 * 3 ** p["k"]), "welfare"),
+        (r.total_pieces <= p["k"] + 1, f"more than {p['k'] + 1} pieces in total"),
+    ], connected=False, params={"k": Param(int)}),
+    "height2": ProtocolSpec(_run_height2, _HEIGHT2, lambda r, inst, p, res: [
+        _floor(min(r.values), HALF, "welfare"),
+        (all(a.piece_count <= 2 for a in r.agents), "an agent received more than two pieces"),
+    ], connected=False, params={"root": Param(str, required=False)}),
+    "equit2": ProtocolSpec(equitable_two, _TWO_CAKE, lambda r, inst, p, res: [
+        _ceiling(r.inequity, THIRD, f"inequity {r.inequity}"),
+    ]),
+    "chore2": ProtocolSpec(chore_two, _CHORE2, lambda r, inst, p, res: [
+        _ceiling(r.values[0], HALF, "agent 1"),
+        _ceiling(r.values[1], Fraction(2, 3), "agent 2"),
+    ]),
+    "chore3": ProtocolSpec(chore_three, _CHORE3, lambda r, inst, p, res: [
+        _ceiling(r.egalitarian, HALF, "egalitarian cost"),
+    ]),
+    "chore5": ProtocolSpec(chore_upto5, _CHORE5, lambda r, inst, p, res: [
+        _ceiling(r.egalitarian, Fraction(2, inst.n + 1), "egalitarian cost"),
+    ]),
+}
+
+PROTOCOL_NAMES = tuple(PROTOCOLS)
+
+
+def _spec(name: str) -> ProtocolSpec:
+    if name not in PROTOCOLS:
+        raise DomainError(f"unknown protocol {name!r}")
+    return PROTOCOLS[name]
+
+
+def _arguments(name: str, params: Optional[Mapping]) -> dict:
+    """``params`` checked against the protocol's parameters and converted."""
+    schema = _spec(name).params
+    params = params or {}
+    unknown = [str(key) for key in params if key not in schema]
+    if unknown:
+        raise DomainError(f"{name} got unknown parameters: {', '.join(unknown)}")
+    missing = [key for key, param in schema.items() if param.required and key not in params]
+    if missing:
+        raise DomainError(f"{name} needs parameters: {', '.join(missing)}")
+    args = {}
+    for key, value in params.items():
+        try:
+            args[key] = schema[key].convert(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise DomainError(f"{name} parameter {key}={value!r} is not a valid value") from None
+    return args
+
+
+def run_protocol(name: str, inst: Instance, params: Optional[Mapping] = None):
     """Run a protocol by its stable name; returns a ProtocolResult or
     EntitlementResult.  ``params`` supplies protocol-specific arguments
-    (``alpha`` for flex2, ``k`` for multi2, optional ``root`` for height2)."""
-    params = params or {}
-    if name == "egal":
-        return connected_egalitarian(inst)
-    if name == "star":
-        return star_egalitarian(inst)
-    if name == "prop2":
-        lab = compute_contiguous_labeling(inst.graph)
-        return proportional_two_connected(inst, lab)
-    if name == "best2":
-        return two_agent_best(inst)
-    if name == "fixed2":
-        return two_agent_fixed(inst)
-    if name == "flex2":
-        if "alpha" not in params:
-            raise DomainError("flex2 needs an alpha parameter")
-        return two_agent_flexible(inst, Fraction(params["alpha"]))
-    if name == "multi2":
-        if "k" not in params:
-            raise DomainError("multi2 needs a piece budget parameter k")
-        return multi_piece_two(inst, int(params["k"]))
-    if name == "height2":
-        root = params.get("root") or _auto_height2_root(inst)
-        return height2_two_piece_proportional(inst, root)
-    if name == "equit2":
-        return equitable_two(inst)
-    if name == "chore2":
-        return chore_two(inst)
-    if name == "chore3":
-        return chore_three(inst)
-    if name == "chore5":
-        return chore_upto5(inst)
-    raise DomainError(f"unknown protocol {name!r}")
+    (``alpha`` for flex2, ``k`` for multi2, optional ``root`` for height2);
+    any other key raises DomainError."""
+    args = _arguments(name, params)
+    return PROTOCOLS[name].run(inst, **args)
+
+
+def applies(name: str, inst: Instance) -> bool:
+    """Whether the instance lies in the protocol's setting: its mode, its agent
+    count and, for star, prop2 and height2, its graph class."""
+    setting = _spec(name).setting
+    try:
+        _require(inst, setting)
+    except (DomainError, TooManyAgents):
+        return False
+    return setting.graph is None or setting.graph(inst.graph)
 
 
 def guarantee_violations(
-    name: str,
-    inst: Instance,
-    report: VerificationReport,
-    params: Optional[dict] = None,
-    result=None,
+    name: str, inst: Instance, report: VerificationReport, params: Optional[Mapping] = None, result=None
 ) -> list[str]:
     """Check a verification report against the protocol's stated guarantee.
 
     Returns a list of human-readable violations (empty when the guarantee holds).
     """
-    params = params or {}
-    problems: list[str] = []
-    if not report.disjoint:
-        problems.append("pieces overlap")
-    if not report.complete:
-        problems.append("allocation is not complete")
-
-    def need(cond: bool, message: str) -> None:
-        if not cond:
-            problems.append(message)
-
-    values = report.values
-    n = inst.n
-    if name == "egal":
-        need(report.all_connected, "some piece is disconnected")
-        need(
-            report.egalitarian >= Fraction(1, 2 * n - 1),
-            f"welfare {report.egalitarian} below 1/{2 * n - 1}",
-        )
-    elif name == "star":
-        need(report.all_connected, "some piece is disconnected")
-        bound = f_guarantee(n, inst.graph.m)
-        need(report.egalitarian >= bound, f"welfare {report.egalitarian} below {bound}")
-    elif name in ("prop2",):
-        need(report.all_connected, "some piece is disconnected")
-        need(min(values) >= HALF, "welfare below 1/2")
-    elif name == "best2":
-        need(report.all_connected, "some piece is disconnected")
-        witness = classify_almost_bridgeless(inst.graph)
-        bound = HALF if witness.is_almost_bridgeless else THIRD
-        need(min(values) >= bound, f"welfare below {bound}")
-        need(values[0] >= HALF, "agent 1 below 1/2")
-    elif name == "fixed2":
-        need(report.all_connected, "some piece is disconnected")
-        need(values[0] >= HALF, "agent 1 below 1/2")
-        need(values[1] >= THIRD, "agent 2 below 1/3")
-    elif name == "flex2":
-        need(report.all_connected, "some piece is disconnected")
-        alpha = Fraction(params["alpha"])
-        if result is None:
-            raise DomainError("checking flex2 needs the protocol result")
-        need(values[result.alpha_agent] >= alpha, "alpha guarantee failed")
-        need(values[result.beta_agent] >= 1 - 2 * alpha, "1-2*alpha guarantee failed")
-    elif name == "multi2":
-        k = int(params["k"])
-        bound = HALF - Fraction(1, 2 * 3**k)
-        need(min(values) >= bound, f"welfare below {bound}")
-        need(report.total_pieces <= k + 1, f"more than {k + 1} pieces in total")
-    elif name == "height2":
-        need(min(values) >= HALF, "welfare below 1/2")
-        need(
-            all(a.piece_count <= 2 for a in report.agents),
-            "an agent received more than two pieces",
-        )
-    elif name == "equit2":
-        need(report.all_connected, "some piece is disconnected")
-        need(report.inequity <= THIRD, f"inequity {report.inequity} above 1/3")
-    elif name == "chore2":
-        need(report.all_connected, "some piece is disconnected")
-        need(values[0] <= HALF, "agent 1 above 1/2")
-        need(values[1] <= Fraction(2, 3), "agent 2 above 2/3")
-    elif name == "chore3":
-        need(report.all_connected, "some piece is disconnected")
-        need(report.egalitarian <= HALF, "egalitarian cost above 1/2")
-    elif name == "chore5":
-        need(report.all_connected, "some piece is disconnected")
-        bound = Fraction(2, n + 1)
-        need(report.egalitarian <= bound, f"egalitarian cost above {bound}")
-    else:
-        raise DomainError(f"unknown protocol {name!r}")
-    return problems
+    spec = _spec(name)
+    checks = [
+        (report.disjoint, "pieces overlap"),
+        (report.complete, "allocation is not complete"),
+    ]
+    if spec.connected:
+        checks.append((report.all_connected, "some piece is disconnected"))
+    checks += spec.bounds(report, inst, _arguments(name, params), result)
+    return [message for holds, message in checks if not holds]

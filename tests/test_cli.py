@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +16,18 @@ from graphcake.fixtures import FAMILIES, FixtureSpec, build_fixture, random_inst
 from graphcake.protocols import PROTOCOL_NAMES
 
 F = Fraction
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(args, stdin_text=None):
+    # the child imports graphcake from this checkout, installed or not
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "graphcake.cli", *args],
         input=stdin_text,
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 
@@ -170,10 +176,29 @@ def test_usage_errors_exit_one(star2_file, tmp_path):
     assert run_cli(["nope"]).returncode == 1
     missing = str(tmp_path / "missing.json")
     assert run_cli(["classify", "--instance", missing]).returncode == 1
-    # protocol precondition errors also exit 1
-    proc = run_cli(["solve", "--instance", star2_file, "--protocol", "chore2"])
-    assert proc.returncode == 1
-    assert "error" in proc.stderr
+    # protocol precondition errors, malformed -p values and a missing fixture
+    # name also exit 1, with an "error:" line rather than a traceback
+    for args in (
+        ["solve", "--instance", star2_file, "--protocol", "chore2"],
+        ["solve", "--instance", star2_file, "--protocol", "flex2", "-p", "alpha=1/0"],
+        ["solve", "--instance", star2_file, "--protocol", "flex2", "-p", "alpha"],
+        ["fixture", "build", "frontier_edge", "-p", "alpha=1/0"],
+        ["fixture", "build"],
+    ):
+        proc = run_cli(args)
+        assert proc.returncode == 1, args
+        assert proc.stderr.startswith("error: "), (args, proc.stderr)
+
+
+def test_solve_rejects_parameters_outside_the_protocols_schema(capsys, star2_file):
+    assert main(["solve", "--instance", star2_file, "--protocol", "egal", "-p", "bogus=1"]) == 1
+    assert capsys.readouterr().err == "error: egal got unknown parameters: bogus\n"
+    assert main(["solve", "--instance", star2_file, "--protocol", "height2", "-p", "root=c"]) == 0
+
+
+def test_gen_rejects_unknown_parameters(capsys):
+    assert main(["gen", "--seed", "1", "-p", "bogus=3"]) == 1
+    assert capsys.readouterr().err == "error: gen got unknown parameters: bogus\n"
 
 
 def test_main_entry_in_process(capsys, star2_file):

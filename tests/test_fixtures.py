@@ -96,6 +96,15 @@ def test_fixture_errors():
         build_fixture(FixtureSpec("fig2", {"alpha": F(1, 2), "eps": F(1, 100)}))
     with pytest.raises(BadParameters):
         build_fixture(FixtureSpec("frontier_edge", {"alpha": F(1, 4)}))
+    for params in ({"alpha": "1/0"}, {"alpha": "abc"}, {"alpha": None}):
+        with pytest.raises(BadParameters, match="not a number"):
+            build_fixture(FixtureSpec("frontier_edge", params))
+    with pytest.raises(BadParameters, match="not a number"):
+        build_fixture(FixtureSpec("star_tight", {"n": "two"}))
+    # what parsed before still parses: Fractions, ints, "p/q" and decimals
+    parsed = build_fixture(FixtureSpec("fig2", {"alpha": "1/4", "eps": "0.001"}))
+    exact = build_fixture(FixtureSpec("fig2", {"alpha": F(1, 4), "eps": F(1, 1000)}))
+    assert parsed.to_json() == exact.to_json()
 
 
 def test_random_instance_deterministic():

@@ -2,11 +2,11 @@
 instances, with each protocol that applies, must stay byte-identical, and so
 must ``oracle`` and ``lemma`` on every certificate the test suite checks.
 
-A protocol applies when ``solve`` exits 0; the ones that refuse an instance
-are left out of the file, so a protocol that starts or stops accepting an
-instance shows up as well.  After a deliberate change of output, rewrite the
-files with ``PYTHONPATH=src python tests/test_golden.py`` and say in
-CHANGES.md which outputs changed and why.
+``solve`` must exit 0 exactly when the protocol applies to the instance (see
+``graphcake.protocols.applies``) and 1 otherwise; only the outputs of the
+protocols that apply are in the file.  After a deliberate change of output,
+rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and say
+in CHANGES.md which outputs changed and why.
 """
 
 import contextlib
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from graphcake.cli import main
 from graphcake.fixtures import FixtureSpec, build_fixture, random_instance
-from graphcake.protocols import PROTOCOL_NAMES
+from graphcake.protocols import PROTOCOL_NAMES, applies
 
 GOLDEN = Path(__file__).with_name("golden_solve.json")
 GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.json")
@@ -102,13 +102,14 @@ def _run(argv: list[str], document: str = "") -> tuple[int, str]:
 
 
 def solve_outputs() -> dict[str, str]:
-    """``solve`` stdout for every (instance, protocol) pair that exits 0."""
+    """``solve`` stdout for every (instance, protocol) pair where the protocol applies."""
     outputs = {}
     for label, inst in _instances():
         document = json.dumps(inst.to_json())
         for protocol in PROTOCOL_NAMES:
             code, stdout = _run(["solve", "--instance", "-", "--protocol", protocol, *PARAMS.get(protocol, [])], document)
-            assert code in (0, 1), f"{protocol} on {label} exited {code}"
+            expected = 0 if applies(protocol, inst) else 1
+            assert code == expected, f"{protocol} on {label} exited {code}, expected {expected}"
             if code == 0:
                 outputs[f"{label} {protocol}"] = stdout
     return outputs

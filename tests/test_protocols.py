@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +29,13 @@ from graphcake.graph_core import (
     piece_is_connected,
 )
 from graphcake.protocols import (
+    PROTOCOL_NAMES,
+    PROTOCOLS,
     _RootedTree,
     _extract,
     _knife_race,
     _path_trajectory,
+    applies,
     chore_three,
     chore_two,
     chore_upto5,
@@ -771,6 +776,7 @@ def test_chore5_refuses_six_agents():
     inst = uniform_instance(star_graph(7), 6, mode="chore")
     with pytest.raises(TooManyAgents):
         chore_upto5(inst)
+    assert not applies("chore5", inst)
 
 
 # -- registry -----------------------------------------------------------------------
@@ -786,6 +792,22 @@ def test_run_protocol_dispatch_and_determinism():
         run_protocol("nope", inst)
     with pytest.raises(DomainError):
         run_protocol("flex2", inst)  # missing alpha
+    with pytest.raises(DomainError, match="unknown parameters: bogus"):
+        run_protocol("egal", inst, {"bogus": 1})
+    for alpha in ("1/0", "abc", None):
+        with pytest.raises(DomainError, match="not a valid value"):
+            run_protocol("flex2", inst, {"alpha": alpha})
+
+
+def test_readme_table_matches_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## What it computes", 1)[1].split("\n\n")[1]
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in table.splitlines()[2:]]
+    assert [name.strip("`") for name, *_ in rows] == list(PROTOCOL_NAMES)
+    for name, _, params, _ in rows:
+        schema = PROTOCOLS[name.strip("`")].params
+        assert re.findall(r"`(\w+)`", params) == list(schema), name
+        assert ("optional" in params) == any(not p.required for p in schema.values()), name
 
 
 def test_flex2_guarantee_check_needs_the_result():
