@@ -69,8 +69,8 @@ class UnknownFixture(CakeError):
     """No fixture with the requested name exists."""
 
 
-class BadParameters(CakeError):
-    """Fixture or generator parameters outside their valid ranges."""
+class BadParameters(DomainError):
+    """Fixture, generator or protocol parameters outside their valid ranges."""
 
 
 class ProtocolInvariantError(CakeError):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import BadParameters, UnknownFixture
-from .graph_core import CakeGraph, ONE, ZERO
+from .graph_core import CakeGraph, ONE, ZERO, exact_int
 from .valuation import Instance, Segment, Valuation
 
 F = Fraction
@@ -202,10 +202,10 @@ def build_fixture(spec: FixtureSpec) -> Instance:
     def coerce(name: str, value):
         try:
             if name in ("n", "k"):
-                return int(value)
+                return exact_int(value)
             if name in ("alpha", "eps"):
                 return Fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ArithmeticError):
             raise BadParameters(f"fixture {spec.name!r} got {name}={value!r}, not a number") from None
         return value
 

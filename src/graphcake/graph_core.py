@@ -327,6 +327,20 @@ def parse_fraction(text: str | int) -> Fraction:
         raise MalformedInput(f"{text!r} is not a rational number p/q") from None
 
 
+def exact_int(value: object) -> int:
+    """``value`` as an int: an int, a string of digits, or an integral number
+    such as ``Fraction(4, 2)``.  A bool or a number with a fractional part
+    raises ValueError, where ``int`` would read it as 0 or 1 or truncate it."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not an integer")
+    if isinstance(value, (int, str)):
+        return int(value)
+    number = Fraction(value)
+    if number.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer")
+    return number.numerator
+
+
 format_fraction = _fmt
 
 

@@ -9,12 +9,20 @@ points, so equality is the test.
 The search runs in exact integers: each agent's atom values are multiplied by
 one common scale, the least common multiple of all their denominators, which
 keeps every sum, comparison and tie exact, and results are divided back.
+
+The connected-piece searches are bounded by their incumbent: a piece, with
+every piece grown from it, or a prefix of pieces is dropped as soon as no
+allocation through it can score as well as the best one found so far.  Each
+such test is strict, so allocations that tie the optimum survive and the
+witness is the one the exhaustive search would return.  State budgets count
+the states visited after bounding.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -29,6 +37,12 @@ OBJECTIVES = ("egal", "cost", "inequity")
 
 @dataclass(frozen=True)
 class GridSearchConfig:
+    """What ``grid_search_best`` searches: the grid ``1/denominator``, the
+    objective, an optional total piece budget, whether the allocation must be
+    complete, and ``state_budget``, the most states the search may visit.
+    Without a piece budget that counts the states visited after bounding, so
+    pieces and prefixes dropped by the incumbent cost nothing."""
+
     denominator: int
     objective: str = "egal"  # egal: max welfare; cost: min egal cost; inequity: min
     piece_budget: Optional[int] = None
@@ -40,6 +54,14 @@ class GridSearchConfig:
             raise DomainError("grid denominator must be at least 1")
         if self.objective not in OBJECTIVES:
             raise DomainError(f"unknown objective {self.objective!r}")
+        if self.piece_budget is not None:
+            _require_nonnegative(self.piece_budget, "piece budget")
+        _require_nonnegative(self.state_budget, "state budget")
+
+
+def _require_nonnegative(value: int, what: str) -> None:
+    if value < 0:
+        raise DomainError(f"{what} must be nonnegative, got {value}")
 
 
 class _AtomModel:
@@ -82,6 +104,11 @@ class _AtomModel:
         ]
         self.scale = math.lcm(*(v.denominator for row in exact for v in row))
         self.values = [[v.numerator * (self.scale // v.denominator) for v in row] for row in exact]
+        # later[a][i]: the values of atom i for the agents after a, in order
+        self.later = [
+            [tuple(row[i] for row in self.values[a + 1 :]) for i in range(len(self.atoms))]
+            for a in range(len(self.values))
+        ]
         self.full_mask = (1 << len(self.atoms)) - 1
 
     def piece(self, mask: int) -> Piece:
@@ -141,6 +168,10 @@ class _AtomModel:
         return mask == 0 or self._component_of(mask & -mask, mask) == mask
 
 
+# cut(value, rests): whether to drop a subset and every subset grown from it
+Cut = Callable[[int, tuple[int, ...]], bool]
+
+
 class _Budget:
     def __init__(self, limit: int):
         self.limit = limit
@@ -153,42 +184,67 @@ class _Budget:
 
 
 def _connected_subsets(
-    model: _AtomModel, universe: int, agent: int, budget: _Budget
+    model: _AtomModel,
+    universe: int,
+    agent: int,
+    budget: _Budget,
+    cut: Optional[Cut] = None,
 ) -> Iterator[tuple[int, int]]:
-    """All nonempty connected subsets of ``universe`` with their value for ``agent``.
+    """The nonempty connected subsets of ``universe`` with their value for ``agent``.
 
     Each subset appears exactly once: seeds are taken in increasing atom order
     and extensions already branched on are banned for later branches.
+
+    ``cut(value, rests)`` sees a subset's value for ``agent`` and, for each
+    agent after ``agent``, the value of ``universe`` minus the subset.  A
+    subset it drops is not visited, and neither is any subset grown from it,
+    so it must also hold for those: along a branch the value only grows and
+    the rests only shrink, so a test that a larger value or smaller rests
+    cannot make false will do.
     """
     adj = model.adj
     vals = model.values[agent]
+    later = model.later[agent]
+    whole = ()
+    if cut is not None:
+        whole = tuple(model.value(b, universe) for b in range(agent + 1, len(model.values)))
     atoms = universe
     while atoms:
         seed = atoms & -atoms
         atoms ^= seed
         bit = seed.bit_length() - 1
+        rests = whole
+        if cut is not None:
+            rests = tuple(map(operator.sub, rests, later[bit]))
+            if cut(vals[bit], rests):
+                continue
         allowed = universe & ~(seed - 1) & ~seed
         budget.spend()
         yield seed, vals[bit]
         frontier = adj[bit] & ~seed
         # Depth-first over the subsets grown from this seed.  A frame is a subset
-        # already yielded, its frontier, the extensions not yet branched on, and
-        # the ban its next child inherits: the extensions branched on before it.
-        stack = [(seed, vals[bit], frontier, frontier & allowed, 0)]
+        # already yielded, its value and rests, its frontier, the extensions not
+        # yet branched on, and the ban its next child inherits: the extensions
+        # branched on before it.
+        stack = [(seed, vals[bit], rests, frontier, frontier & allowed, 0)]
         while stack:
-            current, value, frontier, ext, ban = stack[-1]
+            current, value, rests, frontier, ext, ban = stack[-1]
             if not ext:
                 stack.pop()
                 continue
             pick = ext & -ext
-            stack[-1] = (current, value, frontier, ext ^ pick, ban | pick)
+            stack[-1] = (current, value, rests, frontier, ext ^ pick, ban | pick)
             bit = pick.bit_length() - 1
-            current |= pick
             value += vals[bit]
+            if cut is not None:
+                rests = tuple(map(operator.sub, rests, later[bit]))
+                if cut(value, rests):
+                    continue
+            current |= pick
             frontier = (frontier | adj[bit]) & ~current
             budget.spend()
             yield current, value
-            stack.append((current, value, frontier, frontier & allowed & ~ban, ban))
+            stack.append((current, value, rests, frontier, frontier & allowed & ~ban, ban))
 
 
 def _partitions(
@@ -196,15 +252,21 @@ def _partitions(
     n: int,
     require_complete: bool,
     budget: _Budget,
-    prune: Optional[Callable[[Sequence[int]], bool]] = None,
+    prune: Callable[[Sequence[int]], bool],
+    bound: Callable[[Sequence[int]], Optional[Cut]],
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Tuples of pairwise-disjoint connected (possibly empty) atom sets with
-    their per-agent values, covering all atoms when completeness is required."""
+    their per-agent values, covering all atoms when completeness is required.
+
+    ``prune(values)`` drops a prefix of assigned values with every tuple that
+    extends it; ``bound(values)`` gives the cut on the next agent's pieces
+    after that prefix (see ``_connected_subsets``).
+    """
 
     def rec(
         agent: int, remaining: int, masks: tuple[int, ...], values: tuple[int, ...]
     ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        if prune is not None and prune(values):
+        if prune(values):
             return
         left = n - agent
         if require_complete and model.has_more_components_than(remaining, left):
@@ -217,11 +279,11 @@ def _partitions(
             else:
                 budget.spend()
                 yield masks + (0,), values + (0,)
-                for s, v in _connected_subsets(model, remaining, agent, budget):
+                for s, v in _connected_subsets(model, remaining, agent, budget, bound(values)):
                     yield masks + (s,), values + (v,)
             return
         yield from rec(agent + 1, remaining, masks + (0,), values + (0,))
-        for s, v in _connected_subsets(model, remaining, agent, budget):
+        for s, v in _connected_subsets(model, remaining, agent, budget, bound(values)):
             yield from rec(agent + 1, remaining & ~s, masks + (s,), values + (v,))
 
     yield from rec(0, model.full_mask, (), ())
@@ -260,6 +322,39 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
 
     best: Optional[tuple[int, Optional[tuple[int, ...]], tuple[int, ...]]] = None
 
+    # Branch and bound: drop a prefix of pieces, or a piece with every piece
+    # grown from it, when no allocation through it can score as well as the
+    # incumbent.  Each test is strict, so every tie, and with it the least
+    # witness, survives.
+    def prune(values: Sequence[int]) -> bool:
+        # serving more agents can only lower the least value and raise the
+        # largest, so the assigned values' score only gets worse
+        if best is None or not values:
+            return False
+        score = objective(values)
+        return score < best[0] if maximize else score > best[0]
+
+    def bound(values: Sequence[int]) -> Optional[Cut]:
+        """The cut on the next agent's pieces after the assigned ``values``.
+
+        The chooser's value only grows and a later agent gets at most its rest.
+        The assigned values alone never cut: ``prune`` passed them, and every
+        allocation found since extends them, so the incumbent scores no better
+        than they allow.
+        """
+        last = len(values) == n - 1
+        if cfg.objective == "cost":
+            return lambda value, rests: best is not None and value > best[0]
+        if cfg.objective == "egal":
+            return None if last else lambda value, rests: best is not None and min(rests) < best[0]
+        top = max(values, default=0)  # values are nonnegative
+        floor = min(values, default=math.inf)
+        if last:
+            return lambda value, rests: best is not None and value - floor > best[0]
+        return lambda value, rests: best is not None and (
+            max(top, value) - min(floor, *rests) > best[0]
+        )
+
     def consider(masks: tuple[int, ...], values: tuple[int, ...]) -> None:
         nonlocal best
         score = objective(values)
@@ -291,14 +386,7 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
                 continue
             consider(tuple(masks), tuple(model.value(a, m) for a, m in enumerate(masks)))
     else:
-        prune = None
-        if cfg.objective == "cost":
-            # costs only grow with atoms, so a prefix already above the
-            # incumbent optimum cannot lead to an improvement
-            def prune(values: Sequence[int]) -> bool:
-                return best is not None and any(v > best[0] for v in values)
-
-        for masks, values in _partitions(model, n, cfg.require_complete, budget, prune):
+        for masks, values in _partitions(model, n, cfg.require_complete, budget, prune, bound):
             consider(masks, values)
 
     if best is None:
@@ -326,6 +414,7 @@ def pair_feasible(
     """
     if inst.n != 2:
         raise DomainError("pair search is defined for two agents")
+    _require_nonnegative(state_budget, "state budget")
     model = _AtomModel(inst, d)
     budget = _Budget(state_budget)
 
@@ -342,8 +431,11 @@ def pair_feasible(
     if flexible:
         orders.append((second, first))
     for need0, need1 in orders:
+        # a first piece whose complement is worth less than need1 to the
+        # second agent leaves it nothing that meets need1, nor does any larger one
+        cut = lambda value, rests, need1=need1: rests[0] < need1
         first_candidates = itertools.chain(
-            [(0, 0)], _connected_subsets(model, model.full_mask, 0, budget)
+            [(0, 0)], _connected_subsets(model, model.full_mask, 0, budget, cut)
         )
         for s0_mask, v0 in first_candidates:
             if v0 < need0:
@@ -374,6 +466,7 @@ def check_powers_of_three(
         raise DomainError("t must be between 1 and 6")
     if a_lo > a_hi or a_hi - a_lo + 1 > 10:
         raise DomainError("exponent window must be nonempty and at most 10 wide")
+    _require_nonnegative(state_budget, "state budget")
     exponents = range(a_lo, a_hi + 1)
     # every quantity times 2 * 3^shift, so powers, the half and gaps are integers
     shift = max(0, -a_lo)

@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .allocation import Allocation, VerificationReport
 from .errors import (
     AlphaOutOfRange,
+    BadParameters,
     DisconnectedPiece,
     DomainError,
     InsufficientValue,
@@ -59,6 +60,7 @@ from .graph_core import (
     canonical_point,
     classify_almost_bridgeless,
     compute_contiguous_labeling,
+    exact_int,
     is_contiguous,
 )
 from .valuation import (
@@ -1038,7 +1040,7 @@ PROTOCOLS: Mapping[str, ProtocolSpec] = {
     "multi2": ProtocolSpec(multi_piece_two, _TWO_CAKE, lambda r, inst, p, res: [
         _floor(min(r.values), HALF - Fraction(1, 2 * 3 ** p["k"]), "welfare"),
         (r.total_pieces <= p["k"] + 1, f"more than {p['k'] + 1} pieces in total"),
-    ], connected=False, params={"k": Param(int)}),
+    ], connected=False, params={"k": Param(exact_int)}),
     "height2": ProtocolSpec(_run_height2, _HEIGHT2, lambda r, inst, p, res: [
         _floor(min(r.values), HALF, "welfare"),
         (all(a.piece_count <= 2 for a in r.agents), "an agent received more than two pieces"),
@@ -1081,8 +1083,8 @@ def _arguments(name: str, params: Optional[Mapping]) -> dict:
     for key, value in params.items():
         try:
             args[key] = schema[key].convert(value)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise DomainError(f"{name} parameter {key}={value!r} is not a valid value") from None
+        except (TypeError, ValueError, ArithmeticError):
+            raise BadParameters(f"{name} parameter {key}={value!r} is not a valid value") from None
     return args
 
 
@@ -1090,7 +1092,8 @@ def run_protocol(name: str, inst: Instance, params: Optional[Mapping] = None):
     """Run a protocol by its stable name; returns a ProtocolResult or
     EntitlementResult.  ``params`` supplies protocol-specific arguments
     (``alpha`` for flex2, ``k`` for multi2, optional ``root`` for height2);
-    any other key raises DomainError."""
+    any other key raises DomainError, and a value that does not convert, such
+    as ``k=2.5``, raises BadParameters, itself a DomainError."""
     args = _arguments(name, params)
     return PROTOCOLS[name].run(inst, **args)
 

@@ -123,7 +123,13 @@ def test_criterion_03_star_protocol_tightness():
     inst23 = build_fixture(FixtureSpec("star_fnk_tight", {"n": 2, "k": 3}))
     optimum, _ = grid_search_best(inst23, GridSearchConfig(denominator=6))
     assert optimum == F(1, 3) == f_guarantee(2, 3)
-    print("criterion 03 PASS: star protocol meets f(n,k); oracle certifies f(2,3)")
+    # the search is complete, which costs welfare nothing (see test_oracle)
+    for n, k, grid, bound in ((3, 4, 8, F(1, 4)), (4, 6, 3, F(1, 6))):
+        inst = build_fixture(FixtureSpec("star_fnk_tight", {"n": n, "k": k}))
+        cfg = GridSearchConfig(denominator=grid, require_complete=True)
+        optimum, _ = grid_search_best(inst, cfg)
+        assert optimum == bound == f_guarantee(n, k), (n, k)
+    print("criterion 03 PASS: star protocol meets f(n,k); oracle certifies f(2,3), f(3,4), f(4,6)")
 
 
 def test_criterion_04_two_agent_dichotomy():

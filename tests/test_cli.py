@@ -196,6 +196,20 @@ def test_solve_rejects_parameters_outside_the_protocols_schema(capsys, star2_fil
     assert main(["solve", "--instance", star2_file, "--protocol", "height2", "-p", "root=c"]) == 0
 
 
+def test_oracle_rejects_negative_budgets(capsys, star2_file):
+    oracle = ["oracle", "--instance", star2_file, "--grid", "2"]
+    for extra, message in (
+        (["--budget", "-5"], "state budget must be nonnegative, got -5"),
+        (["--pieces", "-1"], "piece budget must be nonnegative, got -1"),
+        (["--pair", "1/2,1/4", "--budget", "-5"], "state budget must be nonnegative, got -5"),
+    ):
+        assert main(oracle + extra) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # a budget of zero is a budget: the search stops at its first state
+    assert main(oracle + ["--budget", "0"]) == 1
+    assert capsys.readouterr().err == "error: search exceeded the state budget of 0\n"
+
+
 def test_gen_rejects_unknown_parameters(capsys):
     assert main(["gen", "--seed", "1", "-p", "bogus=3"]) == 1
     assert capsys.readouterr().err == "error: gen got unknown parameters: bogus\n"

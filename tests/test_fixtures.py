@@ -101,6 +101,13 @@ def test_fixture_errors():
             build_fixture(FixtureSpec("frontier_edge", params))
     with pytest.raises(BadParameters, match="not a number"):
         build_fixture(FixtureSpec("star_tight", {"n": "two"}))
+    # n and k take no fractional part and no bool, where int() would truncate
+    # 5/2 to 2 and read True as 1
+    for n in (Fraction(5, 2), 2.5, True, float("nan")):
+        with pytest.raises(BadParameters, match="not a number"):
+            build_fixture(FixtureSpec("star_tight", {"n": n}))
+    two = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
+    assert build_fixture(FixtureSpec("star_tight", {"n": Fraction(4, 2)})).to_json() == two
     # what parsed before still parses: Fractions, ints, "p/q" and decimals
     parsed = build_fixture(FixtureSpec("fig2", {"alpha": "1/4", "eps": "0.001"}))
     exact = build_fixture(FixtureSpec("fig2", {"alpha": F(1, 4), "eps": F(1, 1000)}))

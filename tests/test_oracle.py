@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphcake.allocation import Allocation, verify_allocation
@@ -158,6 +158,15 @@ def test_config_validation():
         GridSearchConfig(denominator=0)
     with pytest.raises(DomainError):
         GridSearchConfig(denominator=2, objective="nope")
+    with pytest.raises(DomainError, match="state budget must be nonnegative, got -5"):
+        GridSearchConfig(denominator=2, state_budget=-5)
+    with pytest.raises(DomainError, match="piece budget must be nonnegative, got -1"):
+        GridSearchConfig(denominator=2, piece_budget=-1)
+    inst = uniform_instance(single_edge_graph(), 2)
+    with pytest.raises(DomainError, match="state budget must be nonnegative, got -1"):
+        pair_feasible(inst, 2, F(1, 2), F(1, 2), state_budget=-1)
+    with pytest.raises(DomainError, match="state budget must be nonnegative, got -1"):
+        check_powers_of_three(1, -3, 1, state_budget=-1)
 
 
 def test_powers_of_three_base_case():
@@ -190,9 +199,12 @@ def test_powers_of_three_domain():
 # -- the Fraction oracle, kept as a test-only reference ------------------------------
 #
 # The search below is the exact-Fraction oracle that the integer search
-# replaced, unchanged except that each entry point also returns how many
-# states it spent.  The integer search must return the same optimum, witness
-# and tie-break, and spend its budget at the same states.
+# replaced, with the same branch and bound written directly from its rule
+# (the complements are summed afresh rather than kept per frame), and each
+# entry point also returns how many states it spent.  The integer search must
+# return the same optimum, witness and tie-break, and spend its budget at the
+# same states.  ``bounded=False`` turns the bound off, so that the bounded
+# and the exhaustive searches can be compared.
 
 
 class _RefBudget:
@@ -276,9 +288,14 @@ class _RefModel:
         return mask == 0 or self.component_count(mask) == 1
 
 
-def _ref_connected_subsets(model, universe, agent, budget):
+def _ref_connected_subsets(model, universe, agent, budget, cut=None):
     adj = model.adj
     vals = model.values[agent]
+    later = range(agent + 1, len(model.values))
+
+    def dropped(subset, value):
+        rests = tuple(model.value(b, universe & ~subset) for b in later)
+        return cut is not None and cut(value, rests)
 
     def grow(current, value, frontier, banned, allowed):
         budget.spend()
@@ -289,8 +306,9 @@ def _ref_connected_subsets(model, universe, agent, budget):
             pick = ext & -ext
             ext ^= pick
             bit = pick.bit_length() - 1
-            new_frontier = (frontier | adj[bit]) & ~(current | pick)
-            yield from grow(current | pick, value + vals[bit], new_frontier, local_ban, allowed)
+            if not dropped(current | pick, value + vals[bit]):
+                new_frontier = (frontier | adj[bit]) & ~(current | pick)
+                yield from grow(current | pick, value + vals[bit], new_frontier, local_ban, allowed)
             local_ban |= pick
 
     atoms = universe
@@ -299,12 +317,13 @@ def _ref_connected_subsets(model, universe, agent, budget):
         atoms ^= seed
         bit = seed.bit_length() - 1
         allowed = universe & ~(seed - 1) & ~seed
-        yield from grow(seed, vals[bit], adj[bit] & ~seed, 0, allowed)
+        if not dropped(seed, vals[bit]):
+            yield from grow(seed, vals[bit], adj[bit] & ~seed, 0, allowed)
 
 
-def _ref_partitions(model, n, require_complete, budget, prune=None):
+def _ref_partitions(model, n, require_complete, budget, prune, bound):
     def rec(agent, remaining, masks, values):
-        if prune is not None and prune(values):
+        if prune(values):
             return
         left = n - agent
         if require_complete and model.component_count(remaining) > left:
@@ -317,11 +336,11 @@ def _ref_partitions(model, n, require_complete, budget, prune=None):
             else:
                 budget.spend()
                 yield masks + (0,), values + (F(0),)
-                for s, v in _ref_connected_subsets(model, remaining, agent, budget):
+                for s, v in _ref_connected_subsets(model, remaining, agent, budget, bound(values)):
                     yield masks + (s,), values + (v,)
             return
         yield from rec(agent + 1, remaining, masks + (0,), values + (F(0),))
-        for s, v in _ref_connected_subsets(model, remaining, agent, budget):
+        for s, v in _ref_connected_subsets(model, remaining, agent, budget, bound(values)):
             yield from rec(agent + 1, remaining & ~s, masks + (s,), values + (v,))
 
     yield from rec(0, model.full_mask, (), ())
@@ -339,7 +358,7 @@ def _ref_assignment_key(model, masks, n):
     return tuple(out)
 
 
-def ref_grid_search_best(inst, cfg):
+def ref_grid_search_best(inst, cfg, bounded=True):
     """(optimum, witness, states spent) of the Fraction grid search."""
     model = _RefModel(inst, cfg.denominator)
     n = inst.n
@@ -369,6 +388,26 @@ def ref_grid_search_best(inst, cfg):
             else:
                 best = (best[0], incumbent, best[2])
 
+    def beaten(tops, bottoms):
+        """Whether a final tuple whose largest value is at least each of
+        ``tops`` and whose least value is at most each of ``bottoms`` must
+        score strictly worse than the incumbent."""
+        if not bounded or best is None:
+            return False
+        if cfg.objective == "egal":
+            return bool(bottoms) and min(bottoms) < best[0]
+        if cfg.objective == "cost":
+            return bool(tops) and max(tops) > best[0]
+        return bool(tops) and bool(bottoms) and max(tops) - min(bottoms) > best[0]
+
+    def prune(values):
+        return beaten(values, values)
+
+    def bound(values):
+        # the chooser's value only grows, and a later agent gets at most what
+        # the chooser leaves
+        return lambda value, rests: beaten(values + (value,), values + rests)
+
     if cfg.piece_budget is not None:
         choices = n if cfg.require_complete else n + 1
         size = choices ** len(model.atoms)
@@ -384,13 +423,7 @@ def ref_grid_search_best(inst, cfg):
                 continue
             consider(tuple(masks), tuple(model.value(a, m) for a, m in enumerate(masks)))
     else:
-        prune = None
-        if cfg.objective == "cost":
-
-            def prune(values):
-                return best is not None and any(v > best[0] for v in values)
-
-        for masks, values in _ref_partitions(model, n, cfg.require_complete, budget, prune):
+        for masks, values in _ref_partitions(model, n, cfg.require_complete, budget, prune, bound):
             consider(masks, values)
 
     if best is None:
@@ -400,7 +433,7 @@ def ref_grid_search_best(inst, cfg):
 
 def ref_pair_feasible(
     inst, d, first_threshold, second_threshold, first_strict=False, second_strict=False,
-    flexible=True, require_complete=False, state_budget=10_000_000,
+    flexible=True, require_complete=False, state_budget=10_000_000, bounded=True,
 ):
     """(feasible, witness, states spent) of the Fraction pair search."""
     model = _RefModel(inst, d)
@@ -413,8 +446,10 @@ def ref_pair_feasible(
     if flexible:
         orders.append((second_threshold, second_strict, first_threshold, first_strict))
     for t0, s0, t1, s1 in orders:
+        # the second agent's pieces lie in the first piece's complement
+        cut = (lambda value, rests: not meets(rests[0], t1, s1)) if bounded else None
         first_candidates = itertools.chain(
-            [(0, F(0))], _ref_connected_subsets(model, model.full_mask, 0, budget)
+            [(0, F(0))], _ref_connected_subsets(model, model.full_mask, 0, budget, cut)
         )
         for s0_mask, v0 in first_candidates:
             if not meets(v0, t0, s0):
@@ -490,6 +525,19 @@ def _outcome(call):
     return [x.to_json() if isinstance(x, Allocation) else x for x in result]
 
 
+def _spends_like_the_reference(expected, search):
+    """``search(budget)`` runs the integer search.  It must give the reference
+    outcome ``expected`` (answer, witness, states spent, or an error name) and
+    need exactly the states that the reference spent."""
+    if isinstance(expected, str):
+        assert _outcome(lambda: search(REFERENCE_BUDGET)) == expected
+        return
+    *answer, states = expected
+    assert _outcome(lambda: search(states)) == answer
+    if states:  # a pair search can succeed before it visits a state
+        assert _outcome(lambda: search(states - 1)) == "BudgetExceeded"
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     grid_instances(),
@@ -499,8 +547,10 @@ def _outcome(call):
 )
 def test_grid_search_matches_the_fraction_reference(inst, d, objective, complete):
     cfg = GridSearchConfig(d, objective, require_complete=complete, state_budget=REFERENCE_BUDGET)
-    expected = _outcome(lambda: ref_grid_search_best(inst, cfg)[:2])
-    assert _outcome(lambda: grid_search_best(inst, cfg)) == expected
+    _spends_like_the_reference(
+        _outcome(lambda: ref_grid_search_best(inst, cfg)),
+        lambda budget: grid_search_best(inst, dataclasses.replace(cfg, state_budget=budget)),
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -519,9 +569,8 @@ def test_piece_budget_search_matches_the_fraction_reference(inst, d, objective, 
     assert _outcome(lambda: grid_search_best(inst, cfg)) == expected
 
 
-@settings(max_examples=150, deadline=None)
-@given(grid_instances(), st.integers(1, 4), st.data())
-def test_pair_search_matches_the_fraction_reference(inst, d, data):
+def _pair_arguments(inst, d, data):
+    """A two-agent instance, grid and drawn thresholds and flags for the pair search."""
     inst = Instance(inst.graph, inst.agents[:2], "cake")
     model = _RefModel(inst, d)
     budget = _RefBudget(REFERENCE_BUDGET)
@@ -538,9 +587,54 @@ def test_pair_search_matches_the_fraction_reference(inst, d, data):
         for _ in range(2)
     )
     flags = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()))
-    args = (inst, d, first, second, *flags)
-    expected = _outcome(lambda: ref_pair_feasible(*args, state_budget=REFERENCE_BUDGET)[:2])
-    assert _outcome(lambda: pair_feasible(*args, state_budget=REFERENCE_BUDGET)) == expected
+    return (inst, d, first, second, *flags)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_instances(), st.integers(1, 4), st.data())
+def test_pair_search_matches_the_fraction_reference(inst, d, data):
+    args = _pair_arguments(inst, d, data)
+    _spends_like_the_reference(
+        _outcome(lambda: ref_pair_feasible(*args, state_budget=REFERENCE_BUDGET)),
+        lambda budget: pair_feasible(*args, state_budget=budget),
+    )
+
+
+# -- the bound keeps the optimum and the witness --------------------------------------
+
+
+def _same_answer_in_fewer_states(bounded, exhaustive):
+    """Reference outcomes (answer, witness, states) or error names: the bounded
+    search gives the exhaustive one's answer and witness, in no more states."""
+    if isinstance(exhaustive, str):
+        assert bounded == exhaustive
+    else:
+        assert bounded[:2] == exhaustive[:2]
+        assert bounded[2] <= exhaustive[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_instances(), st.integers(1, 4), st.sampled_from(OBJECTIVES), st.booleans())
+def test_bounded_grid_search_matches_the_exhaustive_one(inst, d, objective, complete):
+    # a smaller budget than the other reference tests: the exhaustive search
+    # spends all of it on the instances it cannot finish, which are skipped
+    cfg = GridSearchConfig(d, objective, require_complete=complete, state_budget=5_000)
+    exhaustive = _outcome(lambda: ref_grid_search_best(inst, cfg, bounded=False))
+    assume(exhaustive != "BudgetExceeded")
+    bounded = _outcome(lambda: ref_grid_search_best(inst, cfg))
+    _same_answer_in_fewer_states(bounded, exhaustive)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_instances(), st.integers(1, 4), st.data())
+def test_bounded_pair_search_matches_the_exhaustive_one(inst, d, data):
+    args = _pair_arguments(inst, d, data)
+    exhaustive = _outcome(
+        lambda: ref_pair_feasible(*args, state_budget=REFERENCE_BUDGET, bounded=False)
+    )
+    assume(exhaustive != "BudgetExceeded")
+    bounded = _outcome(lambda: ref_pair_feasible(*args, state_budget=REFERENCE_BUDGET))
+    _same_answer_in_fewer_states(bounded, exhaustive)
 
 
 # a_lo from -6 to 3 takes both lemma scales, 2 * 3^-a_lo and plain 2
