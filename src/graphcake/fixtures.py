@@ -9,7 +9,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import BadParameters, UnknownFixture
-from .graph_core import CakeGraph, ONE, ZERO, exact_int
+from .graph_core import CakeGraph, ONE, ZERO, Param, exact_int, read_params
+from .protocols import f_guarantee
 from .valuation import Instance, Segment, Valuation
 
 F = Fraction
@@ -41,8 +42,6 @@ def _star_tight(n: int) -> Instance:
 
 
 def _star_fnk_tight(n: int, k: int) -> Instance:
-    from .protocols import f_guarantee
-
     if n < 2 or k < 3:
         raise BadParameters("star_fnk_tight needs n >= 2 and k >= 3")
     g = _star(k)
@@ -83,7 +82,7 @@ def _four_edge_star() -> Instance:
     return _identical(g, 2, {e.id: F(1, 4) for e in g.edges}, "cake")
 
 
-def _fig2(alpha: Fraction, eps: Fraction) -> Instance:
+def _fig2(alpha: Fraction = F(1, 4), eps: Fraction = F(1, 100)) -> Instance:
     if not (0 < alpha <= F(1, 4)):
         raise BadParameters("fig2 needs 0 < alpha <= 1/4")
     if not (0 < eps < alpha):
@@ -109,7 +108,7 @@ def _fig2(alpha: Fraction, eps: Fraction) -> Instance:
     return _identical(g, 2, values, "cake")
 
 
-def _fig1_flowers(side: str) -> Instance:
+def _fig1_flowers(side: str = "left") -> Instance:
     if side == "left":
         # triangle with a two-edge cycle pendant hanging off each corner
         vertices = ["t0", "t1", "t2", "p0", "p1", "p2"]
@@ -168,48 +167,27 @@ def _chore_star(n: int) -> Instance:
 
 
 _CATALOG = {
-    "star_tight": (("n",), _star_tight),
-    "star_fnk_tight": (("n", "k"), _star_fnk_tight),
-    "three_bridge": ((), _three_bridge),
-    "frontier_edge": (("alpha",), _frontier_edge),
-    "four_edge_star": ((), _four_edge_star),
-    "fig2": (("alpha", "eps"), _fig2),
-    "fig1_flowers": (("side",), _fig1_flowers),
-    "ternary_tree": (("k",), _ternary_tree),
-    "equit_star3": ((), _equit_star3),
-    "chore_star": (("n",), _chore_star),
+    "star_tight": (_star_tight, {"n": Param(exact_int)}),
+    "star_fnk_tight": (_star_fnk_tight, {"n": Param(exact_int), "k": Param(exact_int)}),
+    "three_bridge": (_three_bridge, {}),
+    "frontier_edge": (_frontier_edge, {"alpha": Param(Fraction)}),
+    "four_edge_star": (_four_edge_star, {}),
+    "fig2": (_fig2, {"alpha": Param(Fraction, required=False), "eps": Param(Fraction, required=False)}),
+    "fig1_flowers": (_fig1_flowers, {"side": Param(str, required=False)}),
+    "ternary_tree": (_ternary_tree, {"k": Param(exact_int)}),
+    "equit_star3": (_equit_star3, {}),
+    "chore_star": (_chore_star, {"n": Param(exact_int)}),
 }
 
 FIXTURE_NAMES = tuple(sorted(_CATALOG))
-
-FIXTURE_DEFAULTS = {"fig2": {"alpha": F(1, 4), "eps": F(1, 100)}, "fig1_flowers": {"side": "left"}}
 
 
 def build_fixture(spec: FixtureSpec) -> Instance:
     """Build a catalog instance; parameters outside their ranges raise BadParameters."""
     if spec.name not in _CATALOG:
         raise UnknownFixture(f"unknown fixture {spec.name!r}; known: {', '.join(FIXTURE_NAMES)}")
-    arg_names, builder = _CATALOG[spec.name]
-    params = dict(FIXTURE_DEFAULTS.get(spec.name, {}))
-    params.update(spec.params)
-    missing = [a for a in arg_names if a not in params]
-    if missing:
-        raise BadParameters(f"fixture {spec.name!r} needs parameters: {', '.join(missing)}")
-    extra = [p for p in params if p not in arg_names]
-    if extra:
-        raise BadParameters(f"fixture {spec.name!r} got unknown parameters: {', '.join(extra)}")
-
-    def coerce(name: str, value):
-        try:
-            if name in ("n", "k"):
-                return exact_int(value)
-            if name in ("alpha", "eps"):
-                return Fraction(value)
-        except (TypeError, ValueError, ArithmeticError):
-            raise BadParameters(f"fixture {spec.name!r} got {name}={value!r}, not a number") from None
-        return value
-
-    return builder(*(coerce(a, params[a]) for a in arg_names))
+    builder, schema = _CATALOG[spec.name]
+    return builder(**read_params(f"fixture {spec.name!r}", schema, spec.params))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +274,17 @@ def random_valuations(
     return tuple(agents)
 
 
+# what ``random_instance`` takes by keyword; every key is optional, so its own
+# defaults apply
+RANDOM_PARAMS = {
+    "n": Param(exact_int, required=False),
+    "family": Param(str, required=False),
+    "edges": Param(exact_int, required=False),
+    "max_segments": Param(exact_int, required=False),
+    "mode": Param(str, required=False),
+}
+
+
 def random_instance(
     seed: int,
     n: int = 2,
@@ -304,7 +293,13 @@ def random_instance(
     max_segments: int = 4,
     mode: str = "cake",
 ) -> Instance:
-    """Deterministic random instance; identical arguments give identical output."""
+    """Deterministic random instance; identical arguments give identical output.
+    A count that is not a whole number, such as ``n=2.5`` or ``edges=True``,
+    raises BadParameters."""
+    counts = read_params(
+        "random_instance", RANDOM_PARAMS, {"n": n, "edges": edges, "max_segments": max_segments}
+    )
+    n, edges, max_segments = counts["n"], counts["edges"], counts["max_segments"]
     if not 1 <= n <= 8:
         raise BadParameters("n must be between 1 and 8")
     if not 1 <= edges <= 12:

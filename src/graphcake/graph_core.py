@@ -10,9 +10,10 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
+    BadParameters,
     BudgetExceeded,
     DisconnectedPiece,
     GraphConstructionError,
@@ -339,6 +340,34 @@ def exact_int(value: object) -> int:
     if number.denominator != 1:
         raise ValueError(f"{value!r} is not an integer")
     return number.numerator
+
+
+@dataclass(frozen=True)
+class Param:
+    """A ``key=value`` parameter: how to read its value, and whether it must be given."""
+
+    convert: Callable[[object], object]
+    required: bool = True
+
+
+def read_params(who: str, schema: Mapping[str, Param], params: Optional[Mapping]) -> dict:
+    """``params`` checked against ``schema`` and converted.  A key outside the
+    schema, a required key left out, or a value its ``convert`` rejects raises
+    BadParameters naming ``who``; keys not given are left out of the result."""
+    params = params or {}
+    unknown = [str(key) for key in params if key not in schema]
+    if unknown:
+        raise BadParameters(f"{who} got unknown parameters: {', '.join(unknown)}")
+    missing = [key for key, param in schema.items() if param.required and key not in params]
+    if missing:
+        raise BadParameters(f"{who} needs parameters: {', '.join(missing)}")
+    args = {}
+    for key, value in params.items():
+        try:
+            args[key] = schema[key].convert(value)
+        except (TypeError, ValueError, ArithmeticError):
+            raise BadParameters(f"{who} parameter {key}={value!r} is not a valid value") from None
+    return args
 
 
 format_fraction = _fmt

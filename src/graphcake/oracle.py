@@ -33,6 +33,7 @@ from .graph_core import Interval, Piece
 from .valuation import Instance
 
 OBJECTIVES = ("egal", "cost", "inequity")
+DEFAULT_STATE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,17 @@ class GridSearchConfig:
     objective, an optional total piece budget, whether the allocation must be
     complete, and ``state_budget``, the most states the search may visit.
     Without a piece budget that counts the states visited after bounding, so
-    pieces and prefixes dropped by the incumbent cost nothing."""
+    pieces and prefixes dropped by the incumbent cost nothing.
+
+    ``inequity`` without ``require_complete`` always has optimum 0: the
+    allocation that leaves every piece empty is allowed and has no inequity,
+    so the search only looks for the least allocation that ties it."""
 
     denominator: int
     objective: str = "egal"  # egal: max welfare; cost: min egal cost; inequity: min
     piece_budget: Optional[int] = None
     require_complete: bool = False
-    state_budget: int = 10_000_000
+    state_budget: int = DEFAULT_STATE_BUDGET
 
     def __post_init__(self):
         if self.denominator < 1:
@@ -74,7 +79,6 @@ class _AtomModel:
     def __init__(self, inst: Instance, d: int):
         if d < 1:
             raise DomainError("grid denominator must be at least 1")
-        self.inst = inst
         self.d = d
         g = inst.graph
         self.atoms: list[tuple[str, int]] = [(e.id, j) for e in g.edges for j in range(d)]
@@ -403,7 +407,7 @@ def pair_feasible(
     second_strict: bool = False,
     flexible: bool = True,
     require_complete: bool = False,
-    state_budget: int = 10_000_000,
+    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> tuple[bool, Optional[Allocation]]:
     """Is there a grid-cut connected allocation meeting both value thresholds?
 
@@ -453,7 +457,7 @@ def pair_feasible(
 
 
 def check_powers_of_three(
-    t: int, a_lo: int, a_hi: int, state_budget: int = 10_000_000
+    t: int, a_lo: int, a_hi: int, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
     """Exhaustively check that signed sums of t powers of three stay at least
     1/(2*3^t) away from one half.

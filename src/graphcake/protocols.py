@@ -36,7 +36,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .allocation import Allocation, VerificationReport
 from .errors import (
     AlphaOutOfRange,
-    BadParameters,
     DisconnectedPiece,
     DomainError,
     InsufficientValue,
@@ -53,6 +52,7 @@ from .graph_core import (
     EdgePoint,
     Interval,
     OrientedLabeling,
+    Param,
     Piece,
     Point,
     VertexPoint,
@@ -62,6 +62,7 @@ from .graph_core import (
     compute_contiguous_labeling,
     exact_int,
     is_contiguous,
+    read_params,
 )
 from .valuation import (
     Instance,
@@ -964,14 +965,6 @@ def chore_upto5(inst: Instance) -> ProtocolResult:
 
 
 @dataclass(frozen=True)
-class Param:
-    """A protocol parameter: how to read its value, and whether it must be given."""
-
-    convert: Callable[[object], object]
-    required: bool = True
-
-
-@dataclass(frozen=True)
 class ProtocolSpec:
     """One protocol: ``run(inst, **params)`` runs it on instances in ``setting``.
 
@@ -1069,33 +1062,14 @@ def _spec(name: str) -> ProtocolSpec:
     return PROTOCOLS[name]
 
 
-def _arguments(name: str, params: Optional[Mapping]) -> dict:
-    """``params`` checked against the protocol's parameters and converted."""
-    schema = _spec(name).params
-    params = params or {}
-    unknown = [str(key) for key in params if key not in schema]
-    if unknown:
-        raise DomainError(f"{name} got unknown parameters: {', '.join(unknown)}")
-    missing = [key for key, param in schema.items() if param.required and key not in params]
-    if missing:
-        raise DomainError(f"{name} needs parameters: {', '.join(missing)}")
-    args = {}
-    for key, value in params.items():
-        try:
-            args[key] = schema[key].convert(value)
-        except (TypeError, ValueError, ArithmeticError):
-            raise BadParameters(f"{name} parameter {key}={value!r} is not a valid value") from None
-    return args
-
-
 def run_protocol(name: str, inst: Instance, params: Optional[Mapping] = None):
     """Run a protocol by its stable name; returns a ProtocolResult or
     EntitlementResult.  ``params`` supplies protocol-specific arguments
     (``alpha`` for flex2, ``k`` for multi2, optional ``root`` for height2);
-    any other key raises DomainError, and a value that does not convert, such
-    as ``k=2.5``, raises BadParameters, itself a DomainError."""
-    args = _arguments(name, params)
-    return PROTOCOLS[name].run(inst, **args)
+    any other key, a missing one, or a value that does not convert, such as
+    ``k=2.5``, raises BadParameters, itself a DomainError."""
+    spec = _spec(name)
+    return spec.run(inst, **read_params(name, spec.params, params))
 
 
 def applies(name: str, inst: Instance) -> bool:
@@ -1123,5 +1097,5 @@ def guarantee_violations(
     ]
     if spec.connected:
         checks.append((report.all_connected, "some piece is disconnected"))
-    checks += spec.bounds(report, inst, _arguments(name, params), result)
+    checks += spec.bounds(report, inst, read_params(name, spec.params, params), result)
     return [message for holds, message in checks if not holds]

@@ -215,6 +215,23 @@ def test_gen_rejects_unknown_parameters(capsys):
     assert capsys.readouterr().err == "error: gen got unknown parameters: bogus\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--seed", "1", "-p", "n=2.5"], "gen parameter n='2.5' is not a valid value"),
+        (["gen", "--seed", "1", "-p", "edges=True"], "gen parameter edges='True' is not a valid value"),
+        (
+            ["fixture", "build", "star_tight", "-p", "n=2.5"],
+            "fixture 'star_tight' parameter n='2.5' is not a valid value",
+        ),
+    ],
+    ids=["gen-fractional-n", "gen-boolean-edges", "fixture-fractional-n"],
+)
+def test_parameter_errors_name_the_parameter(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_main_entry_in_process(capsys, star2_file):
     code = main(["classify", "--instance", star2_file])
     assert code == 0

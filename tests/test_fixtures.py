@@ -1,15 +1,19 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 
 from graphcake.errors import BadParameters, UnknownFixture
 from graphcake.fixtures import (
+    _CATALOG,
     FIXTURE_NAMES,
+    RANDOM_PARAMS,
     FixtureSpec,
     build_fixture,
     random_instance,
 )
 from graphcake.graph_core import classify_almost_bridgeless
+from graphcake.protocols import PROTOCOLS
 
 F = Fraction
 
@@ -97,14 +101,14 @@ def test_fixture_errors():
     with pytest.raises(BadParameters):
         build_fixture(FixtureSpec("frontier_edge", {"alpha": F(1, 4)}))
     for params in ({"alpha": "1/0"}, {"alpha": "abc"}, {"alpha": None}):
-        with pytest.raises(BadParameters, match="not a number"):
+        with pytest.raises(BadParameters, match="not a valid value"):
             build_fixture(FixtureSpec("frontier_edge", params))
-    with pytest.raises(BadParameters, match="not a number"):
+    with pytest.raises(BadParameters, match="not a valid value"):
         build_fixture(FixtureSpec("star_tight", {"n": "two"}))
     # n and k take no fractional part and no bool, where int() would truncate
     # 5/2 to 2 and read True as 1
     for n in (Fraction(5, 2), 2.5, True, float("nan")):
-        with pytest.raises(BadParameters, match="not a number"):
+        with pytest.raises(BadParameters, match="not a valid value"):
             build_fixture(FixtureSpec("star_tight", {"n": n}))
     two = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
     assert build_fixture(FixtureSpec("star_tight", {"n": Fraction(4, 2)})).to_json() == two
@@ -146,3 +150,29 @@ def test_random_instance_bad_parameters():
         random_instance(0, edges=13)
     with pytest.raises(BadParameters):
         random_instance(0, family="nope")
+    # counts are whole numbers, where int() would truncate 2.5 and read True as 1
+    for key, value in (("n", 2.5), ("edges", True), ("max_segments", 2.5)):
+        with pytest.raises(BadParameters, match=f"parameter {key}={value!r} is not a valid value"):
+            random_instance(0, **{key: value})
+
+
+# each table of key=value parameters, with the function it feeds and the
+# leading arguments that are not parameters
+_TABLES = [
+    pytest.param(builder, schema, (), id=f"fixture-{name}") for name, (builder, schema) in _CATALOG.items()
+]
+_TABLES += [
+    pytest.param(spec.run, spec.params, ("inst",), id=f"protocol-{name}") for name, spec in PROTOCOLS.items()
+]
+_TABLES += [pytest.param(random_instance, RANDOM_PARAMS, ("seed",), id="gen")]
+
+
+@pytest.mark.parametrize("function, schema, leading", _TABLES)
+def test_parameter_tables_match_their_functions(function, schema, leading):
+    # every parameter of the function is a key, and a key is required exactly
+    # when the function gives it no default
+    parameters = inspect.signature(function).parameters
+    assert list(parameters)[: len(leading)] == list(leading)
+    assert set(schema) == set(parameters) - set(leading)
+    for key, param in schema.items():
+        assert param.required == (parameters[key].default is inspect.Parameter.empty), key
