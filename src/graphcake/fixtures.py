@@ -33,12 +33,16 @@ def _identical(graph: CakeGraph, n: int, edge_values: Mapping[str, Fraction], mo
     return Instance(graph, tuple(v for _ in range(n)), mode)
 
 
+def _uniform_star(k: int, n: int = 2, mode: str = "cake") -> Instance:
+    """A star of ``k`` edges that each of ``n`` identical agents values at 1/k."""
+    g = _star(k)
+    return _identical(g, n, {e.id: F(1, k) for e in g.edges}, mode)
+
+
 def _star_tight(n: int) -> Instance:
     if n < 2:
         raise BadParameters("star_tight needs n >= 2")
-    k = 2 * n - 1
-    g = _star(k)
-    return _identical(g, n, {e.id: F(1, k) for e in g.edges}, "cake")
+    return _uniform_star(2 * n - 1, n)
 
 
 def _star_fnk_tight(n: int, k: int) -> Instance:
@@ -52,11 +56,6 @@ def _star_fnk_tight(n: int, k: int) -> Instance:
         values = {f"e{i}": share for i in range(k - 1)}
         values[f"e{k - 1}"] = 1 - (k - 1) * share
     return _identical(g, n, values, "cake")
-
-
-def _three_bridge() -> Instance:
-    g = _star(3)
-    return _identical(g, 2, {e.id: F(1, 3) for e in g.edges}, "cake")
 
 
 def _frontier_edge(alpha: Fraction) -> Instance:
@@ -75,11 +74,6 @@ def _frontier_edge(alpha: Fraction) -> Instance:
         }
     )
     return Instance(g, (v1, v2), "cake")
-
-
-def _four_edge_star() -> Instance:
-    g = _star(4)
-    return _identical(g, 2, {e.id: F(1, 4) for e in g.edges}, "cake")
 
 
 def _fig2(alpha: Fraction = F(1, 4), eps: Fraction = F(1, 100)) -> Instance:
@@ -154,28 +148,22 @@ def _ternary_tree(k: int) -> Instance:
     return _identical(g, 2, values, "cake")
 
 
-def _equit_star3() -> Instance:
-    g = _star(3)
-    return _identical(g, 2, {e.id: F(1, 3) for e in g.edges}, "cake")
-
-
 def _chore_star(n: int) -> Instance:
     if n < 1:
         raise BadParameters("chore_star needs n >= 1")
-    g = _star(n + 1)
-    return _identical(g, n, {e.id: F(1, n + 1) for e in g.edges}, "chore")
+    return _uniform_star(n + 1, n, "chore")
 
 
 _CATALOG = {
     "star_tight": (_star_tight, {"n": Param(exact_int)}),
     "star_fnk_tight": (_star_fnk_tight, {"n": Param(exact_int), "k": Param(exact_int)}),
-    "three_bridge": (_three_bridge, {}),
+    "three_bridge": (lambda: _uniform_star(3), {}),
     "frontier_edge": (_frontier_edge, {"alpha": Param(Fraction)}),
-    "four_edge_star": (_four_edge_star, {}),
+    "four_edge_star": (lambda: _uniform_star(4), {}),
     "fig2": (_fig2, {"alpha": Param(Fraction, required=False), "eps": Param(Fraction, required=False)}),
     "fig1_flowers": (_fig1_flowers, {"side": Param(str, required=False)}),
     "ternary_tree": (_ternary_tree, {"k": Param(exact_int)}),
-    "equit_star3": (_equit_star3, {}),
+    "equit_star3": (lambda: _uniform_star(3), {}),
     "chore_star": (_chore_star, {"n": Param(exact_int)}),
 }
 
@@ -312,7 +300,7 @@ def random_instance(
     if family == "tree":
         g = _random_tree(rng, edges)
     elif family == "star":
-        g = _star(max(2, edges))
+        g = _star(edges)
     elif family == "cycle-augmented":
         g = _random_cycle_augmented(rng, edges)
     else:

@@ -599,15 +599,15 @@ def is_contiguous(g: CakeGraph, lab: OrientedLabeling) -> bool:
 def _search_path(
     g: CakeGraph,
     start: str,
-    goal: Optional[str],
-    stop_at: Optional[set[str]] = None,
+    stop_at: set[str],
     banned_edge: Optional[str] = None,
     interior: Optional[set[str]] = None,
-) -> list[Edge]:
-    """BFS path (as a list of edges) from ``start`` to ``goal`` or to any vertex
-    in ``stop_at``; intermediate vertices are restricted to ``interior`` when given.
-    Neighbor expansion follows edge order, so the result is deterministic."""
-    parent: dict[str, tuple[str, Edge]] = {}
+) -> list[tuple[str, str, str]]:
+    """BFS path from ``start`` to any vertex in ``stop_at``, as (edge id, tail,
+    head) steps directed away from ``start``; intermediate vertices are
+    restricted to ``interior`` when given.  Neighbor expansion follows edge
+    order, so the result is deterministic."""
+    parent: dict[str, tuple[str, str]] = {}
     queue = deque([start])
     seen = {start}
     while queue:
@@ -618,15 +618,15 @@ def _search_path(
             b = e.other(a)
             if b in seen:
                 continue
-            parent[b] = (a, e)
-            if (goal is not None and b == goal) or (stop_at is not None and b in stop_at):
-                path: list[Edge] = []
+            parent[b] = (e.id, a)
+            if b in stop_at:
+                path: list[tuple[str, str, str]] = []
                 cur = b
                 while cur != start:
-                    prev, edge = parent[cur]
-                    path.append(edge)
+                    e_id, prev = parent[cur]
+                    path.append((e_id, prev, cur))
                     cur = prev
-                return list(reversed(path))
+                return path[::-1]
             if interior is None or b in interior:
                 seen.add(b)
                 queue.append(b)
@@ -678,26 +678,12 @@ def compute_contiguous_labeling(g: CakeGraph) -> OrientedLabeling:
             used_vertices.add(tail)
             used_vertices.add(head)
 
-    first = _search_path(g, u, v)
-    ear0: list[tuple[str, str, str]] = []
-    cur = u
-    for e in first:
-        ear0.append((e.id, cur, e.other(cur)))
-        cur = e.other(cur)
-    order.extend(ear0)
-    for e_id, tail, head in ear0:
-        used_edges.add(e_id)
-        used_vertices.add(tail)
-        used_vertices.add(head)
-
+    insert_ear(_search_path(g, u, {v}))
     while len(used_edges) < g.m:
-        chords = [
-            e
-            for e in g.edges
-            if e.id not in used_edges and e.u in used_vertices and e.v in used_vertices
-        ]
-        for e in chords:
-            insert_ear([(e.id, e.u, e.v)])
+        # a chord adds no vertex, so it can go in as soon as the scan reaches it
+        for e in g.edges:
+            if e.id not in used_edges and e.u in used_vertices and e.v in used_vertices:
+                insert_ear([(e.id, e.u, e.v)])
         if len(used_edges) == g.m:
             break
         frontier = next(
@@ -708,15 +694,8 @@ def compute_contiguous_labeling(g: CakeGraph) -> OrientedLabeling:
         x = frontier.u if frontier.u in used_vertices else frontier.v
         y = frontier.other(x)
         unused = set(g.vertices) - used_vertices
-        trail = _search_path(
-            g, y, goal=None, stop_at=used_vertices, banned_edge=frontier.id, interior=unused
-        )
-        ear: list[tuple[str, str, str]] = [(frontier.id, x, y)]
-        cur = y
-        for e in trail:
-            ear.append((e.id, cur, e.other(cur)))
-            cur = e.other(cur)
-        insert_ear(ear)
+        trail = _search_path(g, y, used_vertices, banned_edge=frontier.id, interior=unused)
+        insert_ear([(frontier.id, x, y), *trail])
 
     lab = OrientedLabeling(tuple(e for e, _, _ in order), {e: t for e, t, _ in order})
     if not is_contiguous(g, lab):

@@ -32,7 +32,14 @@ from .errors import BudgetExceeded, DomainError, ProtocolInvariantError
 from .graph_core import Interval, Piece
 from .valuation import Instance
 
-OBJECTIVES = ("egal", "cost", "inequity")
+# Each objective: the score of an allocation's per-agent values, and the strict
+# test ``beats(score, other)`` that one score is better than another.
+_OBJECTIVES: dict[str, tuple[Callable[[Sequence[int]], int], Callable[[int, int], bool]]] = {
+    "egal": (min, operator.gt),  # maximize the least value (egalitarian welfare)
+    "cost": (max, operator.lt),  # minimize the largest cost (egalitarian cost)
+    "inequity": (lambda values: max(values) - min(values), operator.lt),  # minimize the spread
+}
+OBJECTIVES = tuple(_OBJECTIVES)
 DEFAULT_STATE_BUDGET = 10_000_000
 
 
@@ -49,7 +56,7 @@ class GridSearchConfig:
     so the search only looks for the least allocation that ties it."""
 
     denominator: int
-    objective: str = "egal"  # egal: max welfare; cost: min egal cost; inequity: min
+    objective: str = "egal"
     piece_budget: Optional[int] = None
     require_complete: bool = False
     state_budget: int = DEFAULT_STATE_BUDGET
@@ -146,30 +153,26 @@ class _AtomModel:
             comp = grown
         return comp
 
-    def components(self, mask: int) -> list[int]:
+    def components(self, mask: int, limit: Optional[int] = None) -> list[int]:
+        """The components of ``mask``, lowest atom first.
+
+        With a ``limit`` the walk stops after ``limit`` components; any atoms
+        left over form one last entry, not grown into components.  So the
+        list holds more than ``limit`` entries exactly when ``mask`` has more
+        than ``limit`` components.
+        """
         out = []
-        rest = mask
-        while rest:
-            comp = self._component_of(rest & -rest, rest)
-            rest &= ~comp
+        while mask:
+            if len(out) == limit:
+                out.append(mask)
+                break
+            comp = self._component_of(mask & -mask, mask)
+            mask &= ~comp
             out.append(comp)
         return out
 
-    def component_count(self, mask: int) -> int:
-        return len(self.components(mask))
-
-    def has_more_components_than(self, mask: int, limit: int) -> bool:
-        """Whether ``mask`` has more than ``limit`` components; grows at most ``limit`` of them."""
-        count = 0
-        while mask:
-            count += 1
-            if count > limit:
-                return True
-            mask &= ~self._component_of(mask & -mask, mask)
-        return False
-
     def is_connected(self, mask: int) -> bool:
-        return mask == 0 or self._component_of(mask & -mask, mask) == mask
+        return len(self.components(mask, 1)) <= 1
 
 
 # cut(value, rests): whether to drop a subset and every subset grown from it
@@ -177,7 +180,11 @@ Cut = Callable[[int, tuple[int, ...]], bool]
 
 
 class _Budget:
+    """The state counter of every search: ``spend`` counts visited states and
+    raises ``BudgetExceeded`` once they pass ``limit``."""
+
     def __init__(self, limit: int):
+        _require_nonnegative(limit, "state budget")
         self.limit = limit
         self.used = 0
 
@@ -273,7 +280,7 @@ def _partitions(
         if prune(values):
             return
         left = n - agent
-        if require_complete and model.has_more_components_than(remaining, left):
+        if require_complete and len(model.components(remaining, left)) > left:
             return
         if agent == n - 1:
             if require_complete:
@@ -315,15 +322,7 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
     model = _AtomModel(inst, cfg.denominator)
     n = inst.n
     budget = _Budget(cfg.state_budget)
-    maximize = cfg.objective == "egal"
-
-    def objective(values: Sequence[int]) -> int:
-        if cfg.objective == "egal":
-            return min(values)
-        if cfg.objective == "cost":
-            return max(values)
-        return max(values) - min(values)
-
+    score_of, beats = _OBJECTIVES[cfg.objective]
     best: Optional[tuple[int, Optional[tuple[int, ...]], tuple[int, ...]]] = None
 
     # Branch and bound: drop a prefix of pieces, or a piece with every piece
@@ -333,10 +332,7 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
     def prune(values: Sequence[int]) -> bool:
         # serving more agents can only lower the least value and raise the
         # largest, so the assigned values' score only gets worse
-        if best is None or not values:
-            return False
-        score = objective(values)
-        return score < best[0] if maximize else score > best[0]
+        return best is not None and bool(values) and beats(best[0], score_of(values))
 
     def bound(values: Sequence[int]) -> Optional[Cut]:
         """The cut on the next agent's pieces after the assigned ``values``.
@@ -344,7 +340,9 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
         The chooser's value only grows and a later agent gets at most its rest.
         The assigned values alone never cut: ``prune`` passed them, and every
         allocation found since extends them, so the incumbent scores no better
-        than they allow.
+        than they allow.  Each objective has its own cut rather than a test
+        read from ``_OBJECTIVES``: a cut runs once per visited piece, against
+        the live incumbent, and must not build tuples there.
         """
         last = len(values) == n - 1
         if cfg.objective == "cost":
@@ -361,8 +359,8 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
 
     def consider(masks: tuple[int, ...], values: tuple[int, ...]) -> None:
         nonlocal best
-        score = objective(values)
-        if best is None or (score > best[0] if maximize else score < best[0]):
+        score = score_of(values)
+        if best is None or beats(score, best[0]):
             best = (score, None, masks)
             return
         if score == best[0]:
@@ -386,7 +384,7 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
             for i, owner in enumerate(assignment):
                 if owner < n:
                     masks[owner] |= 1 << i
-            if sum(model.component_count(m) for m in masks) > cfg.piece_budget:
+            if sum(len(model.components(m)) for m in masks) > cfg.piece_budget:
                 continue
             consider(tuple(masks), tuple(model.value(a, m) for a, m in enumerate(masks)))
     else:
@@ -418,9 +416,8 @@ def pair_feasible(
     """
     if inst.n != 2:
         raise DomainError("pair search is defined for two agents")
-    _require_nonnegative(state_budget, "state budget")
-    model = _AtomModel(inst, d)
     budget = _Budget(state_budget)
+    model = _AtomModel(inst, d)
 
     def least_meeting(threshold: Fraction, strict: bool) -> int:
         # the least scaled value v with v > threshold * scale (strict) or
@@ -470,21 +467,18 @@ def check_powers_of_three(
         raise DomainError("t must be between 1 and 6")
     if a_lo > a_hi or a_hi - a_lo + 1 > 10:
         raise DomainError("exponent window must be nonempty and at most 10 wide")
-    _require_nonnegative(state_budget, "state budget")
+    budget = _Budget(state_budget)
     exponents = range(a_lo, a_hi + 1)
     # every quantity times 2 * 3^shift, so powers, the half and gaps are integers
     shift = max(0, -a_lo)
     scale = 2 * 3**shift
     half = 3**shift
-    count = 0
     best_gap: Optional[int] = None
     best_assignment: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     for exps in itertools.combinations_with_replacement(exponents, t):
         powers = [2 * 3 ** (a + shift) for a in exps]
         for coefs in itertools.product((-2, -1, 1, 2), repeat=t):
-            count += 1
-            if count > state_budget:
-                raise BudgetExceeded(f"enumeration exceeded {state_budget} states")
+            budget.spend()
             total = sum(c * p for c, p in zip(coefs, powers))
             gap = abs(total - half)
             if best_gap is None or gap < best_gap:

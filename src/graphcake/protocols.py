@@ -335,7 +335,7 @@ def _extract(
             if branch[a][w] >= least[a]
         }
         winner, cut = _knife_race(g, vals, (leg,), targets, log)
-        piece = rt.subtree_piece(w).union(trajectory_prefix_piece((leg,), cut))
+        piece = rt.branch_piece(Leg(leg.edge, leg.start, cut.position), w)
     else:
         # Case 2: accumulate whole branches until some agent first reaches her need.
         piece = Piece.empty()
@@ -748,32 +748,25 @@ def chore_two(inst: Instance) -> ProtocolResult:
     """
     _require(inst, _CHORE2)
     log = QueryLog()
-    g = inst.graph
-    first_part, second_part = _fixed_pair(g, inst.agents[0], inst.agents[1], g.whole_piece(), log)
-    return ProtocolResult(Allocation((second_part, first_part)), log)
+    pieces = [Piece.empty()] * 2
+    _chore_rec(inst.graph, inst.agents, (0, 1), inst.graph.whole_piece(), pieces, log)
+    return ProtocolResult(Allocation(tuple(pieces)), log)
 
 
 def chore_three(inst: Instance) -> ProtocolResult:
     """Three-agent chore division with egalitarian cost at most 1/2.
 
     Split between agents 1 and 2 as in the two-agent protocol, then divide
-    agent 2's piece again between agents 3 and 2.
+    agent 2's piece again: agent 2 cuts it, agent 3 chooses, and the two swap,
+    unless it costs agent 3 nothing, when agent 3 takes it whole.
     """
     _require(inst, _CHORE3)
-    f1, f2, f3 = inst.agents
     g = inst.graph
     log = QueryLog()
-    part_one, part_two = _fixed_pair(g, f1, f2, g.whole_piece(), log)
-    a1 = part_two  # swap
-    b = part_one
-    cost3 = value_of_piece(f3, b, log)
-    cost2 = value_of_piece(f2, b, log)
-    if cost3 == 0:
-        return ProtocolResult(Allocation((a1, Piece.empty(), b)), log)
-    if cost2 == 0:  # pragma: no cover - the swap leaves agent 2 cost >= 1/3 here
-        return ProtocolResult(Allocation((a1, b, Piece.empty())), log)
-    a2, a3 = _fixed_pair(g, f3, f2, b, log)  # swap again
-    return ProtocolResult(Allocation((a1, a2, a3)), log)
+    pieces = [Piece.empty()] * 3
+    _chore_rec(g, inst.agents, (0, 1), g.whole_piece(), pieces, log)
+    _divide_group(g, inst.agents, pieces[1], [2, 1], pieces, log)
+    return ProtocolResult(Allocation(tuple(pieces)), log)
 
 
 def _cond1_thresholds(k: int) -> list[Fraction]:

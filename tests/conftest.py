@@ -28,6 +28,33 @@ def star_graph(k):
     return CakeGraph(vertices, [(f"e{i}", "c", f"l{i}") for i in range(k)])
 
 
+def cycle_graph(m):
+    return CakeGraph([f"v{i}" for i in range(m)], [(f"e{i}", f"v{i}", f"v{(i + 1) % m}") for i in range(m)])
+
+
+def ear_graph(rng: random.Random, m):
+    """A short path with ears of length 1-6 hung between its vertices.
+
+    Ears never create bridges outside the path, so the graph is almost
+    bridgeless, like a road network whose detours close into cycles.  The
+    same builder as the benchmark corpus's, so tests reach its sizes.
+    """
+    base = rng.randint(1, max(1, m // 8))
+    vertices = [f"v{i}" for i in range(base + 1)]
+    edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(base)]
+    while len(edges) < m:
+        length = rng.randint(1, min(6, m - len(edges)))
+        a, b = rng.choice(vertices), rng.choice(vertices)
+        while length == 1 and a == b:
+            b = rng.choice(vertices)
+        inner = [f"v{len(vertices) + i}" for i in range(length - 1)]
+        chain = [a, *inner, b]
+        for u, v in zip(chain, chain[1:]):
+            edges.append((f"e{len(edges)}", u, v))
+        vertices.extend(inner)
+    return CakeGraph(vertices, edges)
+
+
 def uniform_instance(g, n, mode="cake"):
     v = Valuation.uniform(g)
     return Instance(g, tuple(v for _ in range(n)), mode)

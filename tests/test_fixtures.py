@@ -1,8 +1,10 @@
 import inspect
+import json
 from fractions import Fraction
 
 import pytest
 
+from graphcake.cli import main
 from graphcake.errors import BadParameters, UnknownFixture
 from graphcake.fixtures import (
     _CATALOG,
@@ -134,6 +136,13 @@ def test_random_instance_families():
     assert star.graph.star_center() is not None
     tree = random_instance(3, n=2, family="tree", edges=5)
     assert tree.graph.is_tree()
+
+
+def test_random_star_has_the_edges_asked_for(capsys):
+    # one edge is a star too: the graph asked for, not a two-edge star
+    assert random_instance(1, family="star", edges=1).graph.m == 1
+    assert main(["gen", "--seed", "1", "-p", "family=star", "-p", "edges=1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["graph"]["edges"]) == 1
 
 
 def test_random_instance_normalized():

@@ -1,6 +1,7 @@
 """Golden outputs: ``solve`` on every catalog fixture and a few seeded random
 instances, with each protocol that applies, must stay byte-identical, and so
-must ``oracle`` and ``lemma`` on every certificate the test suite checks.
+must ``oracle`` and ``lemma`` on every certificate the test suite checks, and
+``label`` on seeded ear graphs and a long cycle, well past the desk sizes.
 
 ``solve`` must exit 0 exactly when the protocol applies to the instance (see
 ``graphcake.protocols.applies``) and 1 otherwise; only the outputs of the
@@ -12,15 +13,18 @@ in CHANGES.md which outputs changed and why.
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
+from conftest import cycle_graph, ear_graph
 from graphcake.cli import main
 from graphcake.fixtures import FixtureSpec, build_fixture, random_instance
 from graphcake.protocols import PROTOCOL_NAMES, applies
 
 GOLDEN = Path(__file__).with_name("golden_solve.json")
 GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.json")
+GOLDEN_LABEL = Path(__file__).with_name("golden_label.json")
 
 FIXTURES = (
     ("star_tight", {"n": 2}),
@@ -79,6 +83,10 @@ ORACLE = (
 # (t, exponent window) for the powers-of-three lemma
 LEMMA = ((1, "-3:1"), (2, "-3:1"), (3, "-4:1"), (1, "-6:2"), (2, "-6:2"), (3, "-6:2"), (4, "-3:1"), (2, "0:3"))
 
+# (seed, edges) of the ear graphs for ``label``, and the length of the cycle
+EAR_GRAPHS = ((1, 40), (2, 120), (3, 200))
+CYCLE = 800
+
 
 def _instances():
     for name, params in FIXTURES:
@@ -131,6 +139,18 @@ def oracle_outputs() -> dict[str, str]:
     return outputs
 
 
+def label_outputs() -> dict[str, str]:
+    """``label`` stdout for every ear graph of EAR_GRAPHS and the cycle of length CYCLE."""
+    graphs = {f"ear_graph(seed={seed},m={m})": ear_graph(random.Random(seed), m) for seed, m in EAR_GRAPHS}
+    graphs[f"cycle_graph(m={CYCLE})"] = cycle_graph(CYCLE)
+    outputs = {}
+    for label, g in graphs.items():
+        code, stdout = _run(["label", "--instance", "-"], json.dumps(g.to_json()))
+        assert code == 0 and json.loads(stdout)["labeling"] is not None, f"label on {label} failed"
+        outputs[label] = stdout
+    return outputs
+
+
 def _assert_matches(golden: Path, actual: dict[str, str]) -> None:
     expected = json.loads(golden.read_text())
     assert sorted(actual) == sorted(expected)
@@ -146,8 +166,17 @@ def test_oracle_outputs_match_the_golden_file():
     _assert_matches(GOLDEN_ORACLE, oracle_outputs())
 
 
+def test_label_outputs_match_the_golden_file():
+    _assert_matches(GOLDEN_LABEL, label_outputs())
+
+
 if __name__ == "__main__":
     for path, outputs in ((GOLDEN, solve_outputs()), (GOLDEN_ORACLE, oracle_outputs())):
         golden = {case: json.loads(stdout) for case, stdout in outputs.items()}
         path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(golden)} outputs to {path}")
+    # a labeling holds one [edge, tail, head] triple per edge: one line per graph
+    labels = label_outputs()
+    lines = [f" {json.dumps(case)}: {json.dumps(json.loads(labels[case]))}" for case in sorted(labels)]
+    GOLDEN_LABEL.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(labels)} outputs to {GOLDEN_LABEL}")

@@ -196,6 +196,13 @@ def test_powers_of_three_domain():
         check_powers_of_three(4, -6, 2, state_budget=10)
 
 
+def test_powers_of_three_budget_boundary():
+    # five exponents times four coefficients: twenty states
+    assert check_powers_of_three(1, -3, 1, state_budget=20)[0]
+    with pytest.raises(BudgetExceeded, match="state budget of 19"):
+        check_powers_of_three(1, -3, 1, state_budget=19)
+
+
 # -- the Fraction oracle, kept as a test-only reference ------------------------------
 #
 # The search below is the exact-Fraction oracle that the integer search
@@ -644,6 +651,18 @@ def test_powers_of_three_matches_the_fraction_reference(t, a_lo, data):
     width = data.draw(st.integers(1, {1: 10, 2: 10, 3: 6, 4: 4}[t]))
     a_hi = a_lo + width - 1
     assert check_powers_of_three(t, a_lo, a_hi) == ref_check_powers_of_three(t, a_lo, a_hi)[:3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(connected_multigraphs_up_to_iso(3)), st.integers(1, 3), st.integers(0, 4), st.data())
+def test_limited_component_walk_agrees_with_the_full_one(g, d, limit, data):
+    model = _AtomModel(uniform_instance(g, 2), d)
+    mask = data.draw(st.integers(0, model.full_mask))
+    full, limited = model.components(mask), model.components(mask, limit)
+    assert limited[:limit] == full[:limit]
+    assert (len(limited) > limit) == (len(full) > limit)
+    # the entries still split the mask: the last one holds every atom left over
+    assert sum(limited) == mask and not any(a & b for a, b in itertools.combinations(limited, 2))
 
 
 def test_grid_search_with_large_coprime_denominators():
