@@ -84,6 +84,7 @@ class CakeGraph:
         self._adj = adj
         if not self._is_connected():
             raise GraphConstructionError("graph is not connected")
+        self._whole: Optional[Piece] = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -129,7 +130,11 @@ class CakeGraph:
         return len(seen) == len(self.vertices)
 
     def whole_piece(self) -> "Piece":
-        return Piece.of(Interval(e.id, ZERO, ONE) for e in self.edges)
+        """The whole cake as a piece, built on the first call and shared after;
+        pieces are immutable, so sharing is safe."""
+        if self._whole is None:
+            self._whole = Piece.of(Interval(e.id, ZERO, ONE) for e in self.edges)
+        return self._whole
 
     def star_center(self) -> Optional[str]:
         """The center vertex if this graph is a star (a tree whose edges share one vertex)."""
@@ -204,7 +209,7 @@ def canonical_point(g: CakeGraph, edge_id: str, pos: Fraction) -> Point:
     return EdgePoint(edge_id, pos)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Interval:
     edge: str
     lo: Fraction
@@ -229,22 +234,35 @@ class Piece:
 
     @staticmethod
     def of(intervals: Iterable[Interval | tuple]) -> "Piece":
-        by_edge: dict[str, list[tuple[Fraction, Fraction]]] = defaultdict(list)
-        edge_order: list[str] = []
+        """The canonical piece covering the given intervals.  Every bound is
+        checked; intervals already in canonical order are kept as they are, and
+        only others are sorted and merged."""
+        ivs: list[Interval] = []
+        canonical = True
+        prev: Optional[Interval] = None
         for item in intervals:
             iv = item if isinstance(item, Interval) else Interval(item[0], Fraction(item[1]), Fraction(item[2]))
             if not (ZERO <= iv.lo <= iv.hi <= ONE):
                 raise MalformedPiece(f"interval [{iv.lo}, {iv.hi}] outside [0, 1] on edge {iv.edge!r}")
-            if iv.lo == iv.hi:
-                continue
-            if iv.edge not in by_edge:
-                edge_order.append(iv.edge)
-            by_edge[iv.edge].append((iv.lo, iv.hi))
+            if canonical and not (
+                iv.lo < iv.hi
+                and (prev is None or prev.edge < iv.edge or (prev.edge == iv.edge and prev.hi < iv.lo))
+            ):
+                canonical = False
+            ivs.append(iv)
+            prev = iv
+        return Piece(tuple(ivs)) if canonical else Piece._sorted_and_merged(ivs)
+
+    @staticmethod
+    def _sorted_and_merged(ivs: list[Interval]) -> "Piece":
+        by_edge: dict[str, list[tuple[Fraction, Fraction]]] = defaultdict(list)
+        for iv in ivs:
+            if iv.lo != iv.hi:
+                by_edge[iv.edge].append((iv.lo, iv.hi))
         out: list[Interval] = []
-        for edge in sorted(edge_order):
-            spans = sorted(by_edge[edge])
+        for edge in sorted(by_edge):
             merged: list[list[Fraction]] = []
-            for lo, hi in spans:
+            for lo, hi in sorted(by_edge[edge]):
                 if merged and lo <= merged[-1][1]:
                     merged[-1][1] = max(merged[-1][1], hi)
                 else:
@@ -269,15 +287,47 @@ class Piece:
         return sum((iv.length for iv in self.intervals), ZERO)
 
     def union(self, other: "Piece") -> "Piece":
-        return Piece.of(self.intervals + other.intervals)
+        """One merge of the two canonical interval lists by (edge, lo), joining
+        intervals that overlap or touch."""
+        a, b = self.intervals, other.intervals
+        if not b:
+            return self
+        if not a:
+            return other
+        out: list[Interval] = []
+        i = j = 0
+        while i < len(a) or j < len(b):
+            if j == len(b) or (
+                i < len(a)
+                and (a[i].edge < b[j].edge or (a[i].edge == b[j].edge and a[i].lo <= b[j].lo))
+            ):
+                iv = a[i]
+                i += 1
+            else:
+                iv = b[j]
+                j += 1
+            last = out[-1] if out else None
+            if last is not None and last.edge == iv.edge and iv.lo <= last.hi:
+                if iv.hi > last.hi:
+                    out[-1] = Interval(iv.edge, last.lo, iv.hi)
+            else:
+                out.append(iv)
+        return Piece(tuple(out))
 
     def difference(self, other: "Piece") -> "Piece":
-        """Set difference up to finitely many points (closed-interval convention)."""
+        """Set difference up to finitely many points (closed-interval convention).
+
+        The chunks come out canonical: each lies inside one interval of this
+        piece, in order, and two chunks of one interval are kept apart by an
+        interval of ``other``, which has positive length."""
         theirs = other.by_edge()
         out: list[Interval] = []
         for iv in self.intervals:
+            if iv.edge not in theirs:
+                out.append(iv)
+                continue
             chunks = [(iv.lo, iv.hi)]
-            for cut in theirs.get(iv.edge, ()):
+            for cut in theirs[iv.edge]:
                 nxt: list[tuple[Fraction, Fraction]] = []
                 for lo, hi in chunks:
                     if cut.hi <= lo or cut.lo >= hi:
@@ -289,7 +339,7 @@ class Piece:
                         nxt.append((cut.hi, hi))
                 chunks = nxt
             out.extend(Interval(iv.edge, lo, hi) for lo, hi in chunks)
-        return Piece.of(out)
+        return Piece(tuple(out))
 
     def to_json(self) -> list:
         return [[iv.edge, _fmt(iv.lo), _fmt(iv.hi)] for iv in self.intervals]
@@ -300,6 +350,9 @@ class Piece:
             triples = [(e, parse_fraction(lo), parse_fraction(hi)) for e, lo, hi in data]
         except (TypeError, ValueError):
             raise MalformedPiece("a piece must be a list of [edge, lo, hi] triples") from None
+        for e, _, _ in triples:
+            if not isinstance(e, str):
+                raise MalformedPiece(f"edge id {e!r} is not a string")
         return Piece.of(triples)
 
     def __eq__(self, other: object) -> bool:
@@ -318,8 +371,11 @@ def _fmt(x: Fraction) -> str:
 
 
 def parse_fraction(text: str | int) -> Fraction:
-    """Parse an int, ``"p"`` or ``"p/q"``; anything else raises MalformedInput."""
+    """Parse an int, ``"p"`` or ``"p/q"``; anything else, a bool included,
+    raises MalformedInput."""
     try:
+        if isinstance(text, bool):
+            raise ValueError("a bool is not a number")
         if isinstance(text, int):
             return Fraction(text)
         num, slash, den = text.strip().partition("/")

@@ -205,12 +205,16 @@ class _RootedTree:
         return v
 
     def subtree_piece(self, v: int) -> Piece:
+        return self.branches_piece(self.children[v])
+
+    def branches_piece(self, tops: Iterable[int]) -> Piece:
+        """The branches of the given nodes: each one's link and the subtree below it."""
         spans: list[Interval] = []
-        stack = [v]
+        stack = list(tops)
         while stack:
-            for w in self.children[stack.pop()]:
-                spans.append(self.spans[w])
-                stack.append(w)
+            w = stack.pop()
+            spans.append(self.spans[w])
+            stack.extend(self.children[w])
         return Piece.of(spans)
 
     def branch_piece(self, leg: Leg, child: int) -> Piece:
@@ -338,11 +342,11 @@ def _extract(
         piece = rt.branch_piece(Leg(leg.edge, leg.start, cut.position), w)
     else:
         # Case 2: accumulate whole branches until some agent first reaches her need.
-        piece = Piece.empty()
+        taken: list[int] = []
         acc_vals = {a: 0 for a in eligible}
         crossers: list[int] = []
         for child in rt.children[v]:
-            piece = piece.union(rt.branch_piece(rt.legs[child], child))
+            taken.append(child)
             for a in eligible:
                 acc_vals[a] += branch[a][child]
             crossers = [a for a in eligible if acc_vals[a] >= least[a]]
@@ -351,6 +355,7 @@ def _extract(
         if not crossers:
             raise ProtocolInvariantError("branch accumulation never reached the threshold")
         winner = crossers[0]
+        piece = rt.branches_piece(taken)
     return piece, winner, region.difference(piece)
 
 

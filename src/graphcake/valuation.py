@@ -173,12 +173,32 @@ class Valuation:
         return Valuation(densities)
 
 
-def combine_valuations(vals: Sequence[Valuation], weights: Sequence[Fraction]) -> Valuation:
-    """Weighted sum of valuations, merging density breakpoints exactly."""
-    edges = sorted({e for v in vals for e in v.densities})
-    densities: dict[str, EdgeDensity] = {}
-    for e in edges:
-        per_val = [v.edge_segments(e) for v in vals]
+class _MergedDensities(Mapping[str, EdgeDensity]):
+    """Read-only densities of a weighted sum of valuations.  Each edge's segments
+    are merged the first time it is read and kept for later reads."""
+
+    def __init__(self, vals: Sequence[Valuation], weights: Sequence[Fraction], edges: Sequence[str]):
+        self._vals = tuple(vals)
+        self._weights = tuple(weights)
+        self._merged: dict[str, Optional[EdgeDensity]] = dict.fromkeys(edges)
+
+    def __getitem__(self, edge: str) -> EdgeDensity:
+        segs = self._merged[edge]
+        if segs is None:
+            segs = self._merged[edge] = self._merge(edge)
+        return segs
+
+    def __iter__(self):
+        return iter(self._merged)
+
+    def __len__(self) -> int:
+        return len(self._merged)
+
+    def __contains__(self, edge: object) -> bool:
+        return edge in self._merged
+
+    def _merge(self, edge: str) -> EdgeDensity:
+        per_val = [v.edge_segments(edge) for v in self._vals]
         cuts = sorted({ZERO, ONE, *(x for segs in per_val for s in segs for x in (s.lo, s.hi))})
         # Every density is constant between consecutive cuts, so one merge pass
         # reads each valuation's density there; a cursor skips segments that end
@@ -187,14 +207,33 @@ def combine_valuations(vals: Sequence[Valuation], weights: Sequence[Fraction]) -
         segs = []
         for lo, hi in zip(cuts, cuts[1:]):
             density = ZERO
-            for j, (vsegs, w) in enumerate(zip(per_val, weights)):
+            for j, (vsegs, w) in enumerate(zip(per_val, self._weights)):
                 while cursors[j] < len(vsegs) and vsegs[cursors[j]].hi <= lo:
                     cursors[j] += 1
                 if cursors[j] < len(vsegs) and vsegs[cursors[j]].lo <= lo:
                     density += w * vsegs[cursors[j]].density
             segs.append(Segment(lo, hi, density))
-        densities[e] = tuple(segs)
-    return Valuation(densities)
+        return tuple(segs)
+
+
+def combine_valuations(vals: Sequence[Valuation], weights: Sequence[Fraction]) -> Valuation:
+    """Weighted sum of valuations.
+
+    Integration is linear, so each edge total is the weighted sum of the
+    agents' totals, summed exactly in integers over one denominator.  An edge's
+    density breakpoints are merged only when a caller first reads that edge.
+    """
+    weights = [Fraction(w) for w in weights]
+    den = math.lcm(*(w.denominator * v.scale for v, w in zip(vals, weights)))
+    sums: dict[str, int] = {}
+    for v, w in zip(vals, weights):
+        lift = w.numerator * (den // (w.denominator * v.scale))
+        for e, x in v.int_totals.items():
+            sums[e] = sums.get(e, 0) + x * lift
+    out = Valuation.__new__(Valuation)
+    out.densities = _MergedDensities(vals, weights, sorted(sums))
+    out._keep_totals({e: Fraction(sums[e], den) for e in out.densities})
+    return out
 
 
 @dataclass(frozen=True)

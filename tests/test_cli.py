@@ -264,7 +264,10 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
         ("solve", _edge_instance(agents=[]), None),
         ("verify", _edge_instance(), [5]),
         ("verify", _edge_instance(), [[5]]),
-        ("verify", _edge_instance(), [["e0", 0.5, "1"]]),
+        ("verify", _edge_instance(), [[["e0", 0.5, "1"]]]),
+        ("verify", _edge_instance(), [[["e0", True, "1"]]]),
+        ("verify", _edge_instance(), [[[1, "0", "1"], ["e0", "0", "1"]]]),
+        ("verify", _edge_instance(), [[[[1], "0", "1"]]]),
         ("verify", _edge_instance(), 5),
         ("oracle", _STAR2, ["--grid", "0", "--pair", "1/2,1/4"]),
         ("oracle", _STAR2, ["--grid", "0"]),
@@ -285,6 +288,9 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
         "allocation-of-a-number",
         "piece-of-a-number",
         "float-position",
+        "bool-position",
+        "edge-id-a-number",
+        "edge-id-a-list",
         "allocation-not-a-list",
         "pair-search-on-grid-zero",
         "grid-search-on-grid-zero",

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from graphcake.errors import (
     BudgetExceeded,
     DisconnectedPiece,
     GraphConstructionError,
+    MalformedInput,
     MalformedPiece,
     NotAlmostBridgeless,
     ProtocolInvariantError,
@@ -26,6 +28,7 @@ from graphcake.graph_core import (
     find_bridges,
     induced_cake,
     is_contiguous,
+    parse_fraction,
     piece_component_count,
     piece_is_connected,
     split_cycles_to_tree,
@@ -122,6 +125,160 @@ def test_piece_union_difference_partition_measure(raw):
     q = whole.difference(p)
     assert p.measure() + q.measure() == whole.measure()
     assert p.union(q).intervals == whole.intervals
+
+
+# Reference copies of the piece operations as they were before the linear
+# merges: sort and merge on every call, union as canonicalization of the
+# concatenation, difference as the chunk loop followed by canonicalization.
+
+
+def reference_of(intervals):
+    by_edge, edge_order = {}, []
+    for item in intervals:
+        iv = item if isinstance(item, Interval) else Interval(item[0], F(item[1]), F(item[2]))
+        if not (F(0) <= iv.lo <= iv.hi <= F(1)):
+            raise MalformedPiece(f"interval [{iv.lo}, {iv.hi}] outside [0, 1] on edge {iv.edge!r}")
+        if iv.lo == iv.hi:
+            continue
+        if iv.edge not in by_edge:
+            edge_order.append(iv.edge)
+            by_edge[iv.edge] = []
+        by_edge[iv.edge].append((iv.lo, iv.hi))
+    out = []
+    for edge in sorted(edge_order):
+        merged = []
+        for lo, hi in sorted(by_edge[edge]):
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        out.extend(Interval(edge, lo, hi) for lo, hi in merged)
+    return tuple(out)
+
+
+def reference_union(a, b):
+    return reference_of(a.intervals + b.intervals)
+
+
+def reference_difference(a, b):
+    out = []
+    for iv in a.intervals:
+        chunks = [(iv.lo, iv.hi)]
+        for cut in b.intervals:
+            if cut.edge != iv.edge:
+                continue
+            nxt = []
+            for lo, hi in chunks:
+                if cut.hi <= lo or cut.lo >= hi:
+                    nxt.append((lo, hi))
+                    continue
+                if cut.lo > lo:
+                    nxt.append((lo, cut.lo))
+                if cut.hi < hi:
+                    nxt.append((cut.hi, hi))
+            chunks = nxt
+        out.extend(Interval(iv.edge, lo, hi) for lo, hi in chunks)
+    return reference_of(out)
+
+
+PIECE_EDGES = ["e0", "e1", "e2"]
+WHOLE3 = Piece.of([Interval(e, F(0), F(1)) for e in PIECE_EDGES])
+
+
+@st.composite
+def canonical_pieces(draw):
+    """Canonical pieces over three edges: per edge, an even set of distinct
+    twelfths read off in pairs, so intervals have positive length and never touch."""
+    intervals = []
+    for edge in PIECE_EDGES:
+        points = sorted(draw(st.sets(st.integers(0, 12), max_size=6)))
+        points = points[: len(points) // 2 * 2]
+        intervals += [Interval(edge, F(lo, 12), F(hi, 12)) for lo, hi in zip(points[::2], points[1::2])]
+    piece = Piece.of(intervals)
+    assert piece.intervals == reference_of(intervals) == tuple(intervals)
+    return piece
+
+
+@st.composite
+def second_operands(draw, first):
+    kind = draw(st.sampled_from(["drawn", "empty", "identical", "touching"]))
+    if kind == "drawn":
+        return draw(canonical_pieces())
+    if kind == "empty":
+        return Piece.empty()
+    if kind == "identical":
+        return first
+    return Piece.of(reference_difference(WHOLE3, first))  # meets ``first`` only at its interval ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_piece_merges_match_the_sort_and_merge_reference(data):
+    a = data.draw(canonical_pieces())
+    b = data.draw(second_operands(a))
+    for x, y in ((a, b), (b, a)):
+        assert x.union(y).intervals == reference_union(x, y)
+        assert x.difference(y).intervals == reference_difference(x, y)
+
+
+TWELFTHS = st.integers(-1, 13).map(lambda k: F(k, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(PIECE_EDGES),
+            TWELFTHS,
+            TWELFTHS,
+            st.integers(0, 7).map(lambda k: k == 0),
+            st.booleans(),
+        ),
+        max_size=8,
+    )
+)
+def test_piece_of_matches_the_sort_and_merge_reference(raw):
+    # unsorted, overlapping, touching, zero-length and out-of-range intervals,
+    # some with lo > hi, given as Interval objects or as plain triples
+    items = []
+    for e, a, b, reversed_bounds, as_interval in raw:
+        lo, hi = (max(a, b), min(a, b)) if reversed_bounds else (min(a, b), max(a, b))
+        items.append(Interval(e, lo, hi) if as_interval else (e, lo, hi))
+    # in sorted order, touching and overlapping neighbours must still be merged
+    in_order = sorted(item if isinstance(item, Interval) else Interval(*item) for item in items)
+    for given_items in (items, in_order):
+        try:
+            expected = reference_of(given_items)
+        except MalformedPiece as exc:
+            with pytest.raises(MalformedPiece, match=re.escape(str(exc))):
+                Piece.of(given_items)
+        else:
+            assert Piece.of(given_items).intervals == expected
+
+
+def test_intervals_have_no_instance_dict():
+    # every graph keeps its whole piece, so intervals are kept small
+    assert not hasattr(Interval("e0", F(0), F(1)), "__dict__")
+
+
+def test_whole_piece_is_built_once_in_edge_id_order():
+    g = CakeGraph(["a", "b", "c"], [("e2", "a", "b"), ("e10", "b", "c")])
+    whole = g.whole_piece()
+    assert whole == Piece.of([Interval("e2", F(0), F(1)), Interval("e10", F(0), F(1))])
+    assert [iv.edge for iv in whole.intervals] == ["e10", "e2"]
+    assert g.whole_piece() is whole
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_fraction_rejects_bools(value):
+    with pytest.raises(MalformedInput, match="is not a rational number"):
+        parse_fraction(value)
+
+
+@pytest.mark.parametrize("edge", [1, ["e0"], None])
+def test_piece_from_json_rejects_edge_ids_that_are_not_strings(edge):
+    with pytest.raises(MalformedPiece, match="is not a string"):
+        Piece.from_json([[edge, "0", "1"], ["e0", "0", "1"]])
 
 
 # -- piece connectivity ------------------------------------------------------

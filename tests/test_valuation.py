@@ -440,6 +440,39 @@ def test_combine_matches_the_midpoint_formula(vals, data):
     assert dict(combine_valuations(vals, weights).densities) == reference_combine(vals, weights)
 
 
+def _assert_same_totals(combined, eager):
+    for edge in EDGES + ["absent"]:
+        assert combined.edge_value(edge) == eager.edge_value(edge)
+    assert combined.total() == eager.total()
+    assert combined.scale == eager.scale
+    assert dict(combined.int_totals) == dict(eager.int_totals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(valuations(), min_size=1, max_size=3), st.data())
+def test_combined_valuation_matches_the_eager_one_before_and_after_reads(vals, data):
+    weights = [F(data.draw(st.integers(0, 5)), data.draw(st.integers(1, 4))) for _ in vals]
+    factor = F(data.draw(st.integers(0, 5)), data.draw(st.integers(1, 7)))
+    eager = Valuation(reference_combine(vals, weights))
+    combined = combine_valuations(vals, weights)
+    _assert_same_totals(combined, eager)  # no density read yet
+    assert combined.edge_segments("absent") == (Segment(F(0), F(1), F(0)),)
+    first = data.draw(st.sampled_from(EDGES))
+    assert combined.edge_segments(first) == eager.edge_segments(first)
+    _assert_same_totals(combined, eager)  # one edge merged
+    assert combined.to_json() == eager.to_json()
+    assert dict(combined.densities) == dict(eager.densities)
+    _assert_same_totals(combined, eager)  # every edge merged
+    for scaled, eager_scaled in (
+        (combine_valuations(vals, weights).scaled(factor), eager.scaled(factor)),
+        (combined.scaled(factor), eager.scaled(factor)),
+    ):
+        assert dict(scaled.densities) == dict(eager_scaled.densities)
+        _assert_same_totals(scaled, eager_scaled)
+    with pytest.raises(TypeError):
+        combined.densities[first] = (Segment(F(0), F(1), F(2)),)
+
+
 def test_combine_reads_a_gap_between_segments_as_zero():
     gappy = Valuation({"e0": (Segment(F(0), F(1, 4), F(2)), Segment(F(1, 2), F(1), F(1)))})
     vals, weights = [gappy, Valuation.uniform(single_edge_graph())], [F(1, 2), F(1, 3)]
@@ -489,10 +522,20 @@ def edge_worth(value):
         ),
         (lambda: Valuation.from_segments({"e0": [(0, 1, -1)]}), "nonnegative"),
         (lambda: Valuation.from_json({"e0": [["1/2", "1"]]}), "must start at 0"),
+        (lambda: Valuation.from_json({"e0": [["0", True]]}), "is not a rational number"),
         (lambda: Instance(single_edge_graph(), (edge_worth(1),), "pie"), "unknown mode"),
         (lambda: Instance(single_edge_graph(), (edge_worth(2),)), "integrates to 2"),
     ],
-    ids=["empty", "gap", "repeated-breakpoint", "negative", "start", "mode", "not-normalized"],
+    ids=[
+        "empty",
+        "gap",
+        "repeated-breakpoint",
+        "negative",
+        "start",
+        "bool-density",
+        "mode",
+        "not-normalized",
+    ],
 )
 def test_malformed_valuations_raise_malformed_input(build, message):
     with pytest.raises(MalformedInput, match=message):
