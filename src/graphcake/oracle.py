@@ -14,8 +14,25 @@ The connected-piece searches are bounded by their incumbent: a piece, with
 every piece grown from it, or a prefix of pieces is dropped as soon as no
 allocation through it can score as well as the best one found so far.  Each
 such test is strict, so allocations that tie the optimum survive and the
-witness is the one the exhaustive search would return.  State budgets count
-the states visited after bounding.
+witness is the one the exhaustive search would return.
+
+Two more rules skip states that cannot change the answer or the witness:
+
+- Agent symmetry.  When the allocation must be complete and the agents from
+  some index on share one row of atom values, their pieces are searched in
+  one order only: each next piece holds the lowest atom still free, and no
+  piece is left empty while atoms remain.  Ordered that way, a complete
+  allocation's pieces give the least assignment key among the orders of
+  those agents, and every objective is symmetric, so neither the optimum
+  nor the least witness changes.
+- Pair-search stop.  Without completeness, ``pair_feasible`` stops growing
+  a first piece once it meets its threshold.  A larger piece leaves a
+  smaller complement, each of whose components lies inside a component of
+  this piece's complement, and values are nonnegative: so if this piece
+  fails, every piece grown from it fails too, and if it succeeds the search
+  ends.
+
+State budgets count the states visited after bounding and symmetry.
 """
 
 from __future__ import annotations
@@ -48,8 +65,9 @@ class GridSearchConfig:
     """What ``grid_search_best`` searches: the grid ``1/denominator``, the
     objective, an optional total piece budget, whether the allocation must be
     complete, and ``state_budget``, the most states the search may visit.
-    Without a piece budget that counts the states visited after bounding, so
-    pieces and prefixes dropped by the incumbent cost nothing.
+    Without a piece budget that counts the states visited after bounding and
+    symmetry, so pieces and prefixes dropped by the incumbent, and orders of
+    identical agents' pieces that are not searched, cost nothing.
 
     ``inequity`` without ``require_complete`` always has optimum 0: the
     allocation that leaves every piece empty is allowed and has no inequity,
@@ -180,8 +198,8 @@ Cut = Callable[[int, tuple[int, ...]], bool]
 
 
 class _Budget:
-    """The state counter of every search: ``spend`` counts visited states and
-    raises ``BudgetExceeded`` once they pass ``limit``."""
+    """The state counter of the grid and pair searches: ``spend`` counts
+    visited states and raises ``BudgetExceeded`` once they pass ``limit``."""
 
     def __init__(self, limit: int):
         _require_nonnegative(limit, "state budget")
@@ -200,11 +218,16 @@ def _connected_subsets(
     agent: int,
     budget: _Budget,
     cut: Optional[Cut] = None,
+    seeds: Optional[int] = None,
+    stop: Optional[Callable[[int], bool]] = None,
 ) -> Iterator[tuple[int, int]]:
     """The nonempty connected subsets of ``universe`` with their value for ``agent``.
 
     Each subset appears exactly once: seeds are taken in increasing atom order
-    and extensions already branched on are banned for later branches.
+    and extensions already branched on are banned for later branches.  A
+    subset's seed is its lowest atom, so ``seeds``, the atoms that may seed
+    (all of ``universe`` by default), keeps the subsets whose lowest atom is
+    among them, in the same order.
 
     ``cut(value, rests)`` sees a subset's value for ``agent`` and, for each
     agent after ``agent``, the value of ``universe`` minus the subset.  A
@@ -212,6 +235,8 @@ def _connected_subsets(
     so it must also hold for those: along a branch the value only grows and
     the rests only shrink, so a test that a larger value or smaller rests
     cannot make false will do.
+
+    ``stop(value)`` keeps a subset but grows nothing from it.
     """
     adj = model.adj
     vals = model.values[agent]
@@ -219,7 +244,7 @@ def _connected_subsets(
     whole = ()
     if cut is not None:
         whole = tuple(model.value(b, universe) for b in range(agent + 1, len(model.values)))
-    atoms = universe
+    atoms = universe if seeds is None else seeds
     while atoms:
         seed = atoms & -atoms
         atoms ^= seed
@@ -232,6 +257,8 @@ def _connected_subsets(
         allowed = universe & ~(seed - 1) & ~seed
         budget.spend()
         yield seed, vals[bit]
+        if stop is not None and stop(vals[bit]):
+            continue
         frontier = adj[bit] & ~seed
         # Depth-first over the subsets grown from this seed.  A frame is a subset
         # already yielded, its value and rests, its frontier, the extensions not
@@ -255,7 +282,8 @@ def _connected_subsets(
             frontier = (frontier | adj[bit]) & ~current
             budget.spend()
             yield current, value
-            stack.append((current, value, rests, frontier, frontier & allowed & ~ban, ban))
+            if stop is None or not stop(value):
+                stack.append((current, value, rests, frontier, frontier & allowed & ~ban, ban))
 
 
 def _partitions(
@@ -272,7 +300,16 @@ def _partitions(
     ``prune(values)`` drops a prefix of assigned values with every tuple that
     extends it; ``bound(values)`` gives the cut on the next agent's pieces
     after that prefix (see ``_connected_subsets``).
+
+    With completeness required, agents from ``symmetric`` on share one row of
+    atom values, so their pieces come in one order only: each holds the
+    lowest atom still free, and none is empty while atoms remain.
     """
+    symmetric = n
+    if require_complete:
+        symmetric = n - 1
+        while symmetric > 0 and model.values[symmetric - 1] == model.values[n - 1]:
+            symmetric -= 1
 
     def rec(
         agent: int, remaining: int, masks: tuple[int, ...], values: tuple[int, ...]
@@ -293,8 +330,12 @@ def _partitions(
                 for s, v in _connected_subsets(model, remaining, agent, budget, bound(values)):
                     yield masks + (s,), values + (v,)
             return
-        yield from rec(agent + 1, remaining, masks + (0,), values + (0,))
-        for s, v in _connected_subsets(model, remaining, agent, budget, bound(values)):
+        if agent >= symmetric and remaining:
+            seeds = remaining & -remaining  # the lowest free atom
+        else:
+            seeds = remaining
+            yield from rec(agent + 1, remaining, masks + (0,), values + (0,))
+        for s, v in _connected_subsets(model, remaining, agent, budget, bound(values), seeds):
             yield from rec(agent + 1, remaining & ~s, masks + (s,), values + (v,))
 
     yield from rec(0, model.full_mask, (), ())
@@ -413,6 +454,14 @@ def pair_feasible(
     Values are monotone in atoms, so for the second agent it suffices to test
     whole components of the complement (or the complement itself when the
     allocation must be complete).
+
+    Without ``require_complete`` a first piece that meets its threshold is
+    not grown further.  Every larger piece leaves a complement whose
+    components each lie inside a component of this piece's complement, so
+    if this piece fails, they all fail; if it succeeds, the search returns
+    it.  So the answer and the first witness are those of the full search.
+    With ``require_complete`` a larger piece can leave a connected
+    complement where this one does not, so every piece is grown.
     """
     if inst.n != 2:
         raise DomainError("pair search is defined for two agents")
@@ -435,8 +484,9 @@ def pair_feasible(
         # a first piece whose complement is worth less than need1 to the
         # second agent leaves it nothing that meets need1, nor does any larger one
         cut = lambda value, rests, need1=need1: rests[0] < need1
+        stop = None if require_complete else lambda value, need0=need0: value >= need0
         first_candidates = itertools.chain(
-            [(0, 0)], _connected_subsets(model, model.full_mask, 0, budget, cut)
+            [(0, 0)], _connected_subsets(model, model.full_mask, 0, budget, cut, stop=stop)
         )
         for s0_mask, v0 in first_candidates:
             if v0 < need0:
@@ -462,12 +512,19 @@ def check_powers_of_three(
     Enumerates every multiset of exponents in [a_lo, a_hi] and every
     coefficient vector over {-2, -1, 1, 2}; returns whether the bound holds,
     the first minimizing assignment (exponents, coefficients), and the gap.
+    When those assignments outnumber ``state_budget`` it raises
+    ``BudgetExceeded`` before it enumerates any.
     """
     if not 1 <= t <= 6:
         raise DomainError("t must be between 1 and 6")
-    if a_lo > a_hi or a_hi - a_lo + 1 > 10:
+    width = a_hi - a_lo + 1
+    if not 1 <= width <= 10:
         raise DomainError("exponent window must be nonempty and at most 10 wide")
-    budget = _Budget(state_budget)
+    _require_nonnegative(state_budget, "state budget")
+    # every multiset of t exponents, with each of the 4^t coefficient vectors
+    size = math.comb(width + t - 1, t) * 4**t
+    if size > state_budget:
+        raise BudgetExceeded(f"{size} assignments exceed the state budget of {state_budget}")
     exponents = range(a_lo, a_hi + 1)
     # every quantity times 2 * 3^shift, so powers, the half and gaps are integers
     shift = max(0, -a_lo)
@@ -478,7 +535,6 @@ def check_powers_of_three(
     for exps in itertools.combinations_with_replacement(exponents, t):
         powers = [2 * 3 ** (a + shift) for a in exps]
         for coefs in itertools.product((-2, -1, 1, 2), repeat=t):
-            budget.spend()
             total = sum(c * p for c, p in zip(coefs, powers))
             gap = abs(total - half)
             if best_gap is None or gap < best_gap:

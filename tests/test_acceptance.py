@@ -129,7 +129,19 @@ def test_criterion_03_star_protocol_tightness():
         cfg = GridSearchConfig(denominator=grid, require_complete=True)
         optimum, _ = grid_search_best(inst, cfg)
         assert optimum == bound == f_guarantee(n, k), (n, k)
-    print("criterion 03 PASS: star protocol meets f(n,k); oracle certifies f(2,3), f(3,4), f(4,6)")
+    # both kinds of f(n,k) up to n = 5: k >= 2n-1 for f(4,7) and f(5,9), k < 2n-1
+    # otherwise; identical agents are searched in one order, and the budget
+    # makes a search that loses that fail fast
+    certificates = ((4, 7, 3, F(1, 7)), (5, 6, 3, F(1, 7)), (5, 8, 2, F(1, 8)), (5, 9, 2, F(1, 9)))
+    for n, k, grid, bound in certificates:
+        inst = build_fixture(FixtureSpec("star_fnk_tight", {"n": n, "k": k}))
+        cfg = GridSearchConfig(denominator=grid, require_complete=True, state_budget=3_000_000)
+        optimum, _ = grid_search_best(inst, cfg)
+        assert optimum == bound == f_guarantee(n, k), (n, k)
+    print(
+        "criterion 03 PASS: star protocol meets f(n,k); oracle certifies "
+        "f(2,3), f(3,4), f(4,6), f(4,7), f(5,6), f(5,8), f(5,9)"
+    )
 
 
 def test_criterion_04_two_agent_dichotomy():

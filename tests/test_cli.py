@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -338,6 +339,16 @@ def test_oracle_argument_errors_name_the_problem(star2_file, capsys, args, messa
 def test_lemma_window_errors_name_the_problem(capsys, window):
     assert main(["lemma", "powers3", "-t", "2", f"--window={window}"]) == 1
     assert capsys.readouterr().err == "error: --window needs 'lo:hi' integers\n"
+
+
+def test_lemma_over_the_budget_fails_before_it_searches(capsys):
+    # C(15, 6) * 4^6 assignments, over the default budget of ten million
+    start = time.perf_counter()
+    assert main(["lemma", "powers3", "-t", "6", "--window=-5:4"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: 20500480 assignments exceed the state budget of 10000000\n"
+    )
 
 
 def test_param_lists_do_not_leak_between_main_calls(capsys):

@@ -153,6 +153,21 @@ def test_pair_feasibility_flexible_order():
     assert flexible and witness is not None
 
 
+def test_complete_pair_search_grows_a_first_piece_past_its_threshold():
+    # a path x-y-z-w whose middle edge comes first: the first piece {e0} meets
+    # its threshold but splits the rest, and only the larger {e0, e1} leaves
+    # the second agent a connected complement
+    g = CakeGraph(["x", "y", "z", "w"], [("e0", "y", "z"), ("e1", "x", "y"), ("e2", "z", "w")])
+    first = Valuation.from_edge_values({"e0": 1})
+    second = Valuation.from_edge_values({"e2": 1})
+    inst = Instance(g, (first, second), "cake")
+    found, witness = pair_feasible(inst, 1, F(1), F(1), flexible=False, require_complete=True)
+    assert found and [p.to_json() for p in witness.pieces] == [
+        [["e0", "0", "1"], ["e1", "0", "1"]],
+        [["e2", "0", "1"]],
+    ]
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         GridSearchConfig(denominator=0)
@@ -208,10 +223,13 @@ def test_powers_of_three_budget_boundary():
 # The search below is the exact-Fraction oracle that the integer search
 # replaced, with the same branch and bound written directly from its rule
 # (the complements are summed afresh rather than kept per frame), and each
-# entry point also returns how many states it spent.  The integer search must
+# entry point also returns how many states it spent.  The grid search also
+# orders the pieces of identical agents by lowest atom when the allocation
+# must be complete, and the pair search stops growing a first piece that
+# meets its threshold when it need not be complete.  The integer search must
 # return the same optimum, witness and tie-break, and spend its budget at the
-# same states.  ``bounded=False`` turns the bound off, so that the bounded
-# and the exhaustive searches can be compared.
+# same states.  ``bounded=False`` turns the bound and both rules off, so that
+# the bounded and the exhaustive searches can be compared.
 
 
 class _RefBudget:
@@ -295,7 +313,9 @@ class _RefModel:
         return mask == 0 or self.component_count(mask) == 1
 
 
-def _ref_connected_subsets(model, universe, agent, budget, cut=None):
+def _ref_connected_subsets(model, universe, agent, budget, cut=None, seeds=None, stop=None):
+    """Connected subsets grown from each atom of ``seeds`` (default ``universe``);
+    a subset that ``stop(value)`` accepts is kept but not grown."""
     adj = model.adj
     vals = model.values[agent]
     later = range(agent + 1, len(model.values))
@@ -307,6 +327,8 @@ def _ref_connected_subsets(model, universe, agent, budget, cut=None):
     def grow(current, value, frontier, banned, allowed):
         budget.spend()
         yield current, value
+        if stop is not None and stop(value):
+            return
         ext = frontier & allowed & ~banned
         local_ban = banned
         while ext:
@@ -318,7 +340,7 @@ def _ref_connected_subsets(model, universe, agent, budget, cut=None):
                 yield from grow(current | pick, value + vals[bit], new_frontier, local_ban, allowed)
             local_ban |= pick
 
-    atoms = universe
+    atoms = universe if seeds is None else seeds
     while atoms:
         seed = atoms & -atoms
         atoms ^= seed
@@ -328,7 +350,11 @@ def _ref_connected_subsets(model, universe, agent, budget, cut=None):
             yield from grow(seed, vals[bit], adj[bit] & ~seed, 0, allowed)
 
 
-def _ref_partitions(model, n, require_complete, budget, prune, bound):
+def _ref_partitions(model, n, require_complete, budget, prune, bound, symmetry):
+    def symmetric(agent):
+        # the agents from ``agent`` on share one row of atom values
+        return all(model.values[b] == model.values[agent] for b in range(agent, n))
+
     def rec(agent, remaining, masks, values):
         if prune(values):
             return
@@ -346,8 +372,14 @@ def _ref_partitions(model, n, require_complete, budget, prune, bound):
                 for s, v in _ref_connected_subsets(model, remaining, agent, budget, bound(values)):
                     yield masks + (s,), values + (v,)
             return
-        yield from rec(agent + 1, remaining, masks + (0,), values + (F(0),))
-        for s, v in _ref_connected_subsets(model, remaining, agent, budget, bound(values)):
+        if symmetry and require_complete and remaining and symmetric(agent):
+            # the next piece holds the lowest free atom, so it is not empty
+            lowest = remaining & -remaining
+            pieces = _ref_connected_subsets(model, remaining, agent, budget, bound(values), lowest)
+        else:
+            yield from rec(agent + 1, remaining, masks + (0,), values + (F(0),))
+            pieces = _ref_connected_subsets(model, remaining, agent, budget, bound(values))
+        for s, v in pieces:
             yield from rec(agent + 1, remaining & ~s, masks + (s,), values + (v,))
 
     yield from rec(0, model.full_mask, (), ())
@@ -430,7 +462,8 @@ def ref_grid_search_best(inst, cfg, bounded=True):
                 continue
             consider(tuple(masks), tuple(model.value(a, m) for a, m in enumerate(masks)))
     else:
-        for masks, values in _ref_partitions(model, n, cfg.require_complete, budget, prune, bound):
+        partitions = _ref_partitions(model, n, cfg.require_complete, budget, prune, bound, bounded)
+        for masks, values in partitions:
             consider(masks, values)
 
     if best is None:
@@ -455,8 +488,13 @@ def ref_pair_feasible(
     for t0, s0, t1, s1 in orders:
         # the second agent's pieces lie in the first piece's complement
         cut = (lambda value, rests: not meets(rests[0], t1, s1)) if bounded else None
+        # a larger first piece leaves the second agent only parts of what
+        # this one leaves it, unless it must take the whole complement
+        stop = None
+        if bounded and not require_complete:
+            stop = lambda value: meets(value, t0, s0)
         first_candidates = itertools.chain(
-            [(0, F(0))], _ref_connected_subsets(model, model.full_mask, 0, budget, cut)
+            [(0, F(0))], _ref_connected_subsets(model, model.full_mask, 0, budget, cut, stop=stop)
         )
         for s0_mask, v0 in first_candidates:
             if not meets(v0, t0, s0):
@@ -507,7 +545,10 @@ def _fractions(lo, hi_per_denominator):
 
 @st.composite
 def grid_instances(draw, max_edges=3):
-    """Two or three agents with 1-3 segments per edge on a connected multigraph."""
+    """Two or three agents with 1-3 segments per edge on a connected multigraph.
+
+    Sometimes one valuation goes to every agent, or to every agent after the
+    first, so that complete searches take the symmetric path."""
     g = draw(st.sampled_from(connected_multigraphs_up_to_iso(max_edges)))
     agents = []
     for _ in range(draw(st.integers(2, 3))):
@@ -520,6 +561,9 @@ def grid_instances(draw, max_edges=3):
             )
         v = Valuation(densities)
         agents.append(Valuation.uniform(g) if v.total() == 0 else v.scaled(1 / v.total()))
+    shared = draw(st.sampled_from((None, 0, 1)))
+    if shared is not None:
+        agents[shared:] = [agents[shared]] * (len(agents) - shared)
     return Instance(g, tuple(agents), "cake")
 
 
@@ -684,13 +728,22 @@ BUDGET_CASES = [
     ("star_tight", {"n": 2}, GridSearchConfig(6)),
     ("three_bridge", {}, GridSearchConfig(4)),
     ("chore_star", {"n": 2}, GridSearchConfig(6, "cost", require_complete=True)),
+    ("chore_star", {"n": 3}, GridSearchConfig(4, "cost", require_complete=True)),
     ("equit_star3", {}, GridSearchConfig(6, "inequity", require_complete=True)),
     ("star_fnk_tight", {"n": 3, "k": 4}, GridSearchConfig(4, require_complete=True)),
     ("ternary_tree", {"k": 1}, GridSearchConfig(2, piece_budget=2, require_complete=True)),
 ]
 
 
-@pytest.mark.parametrize("name, params, cfg", BUDGET_CASES, ids=[c[0] for c in BUDGET_CASES])
+# each case by its fixture name, and a repeated name with its parameter values too
+BUDGET_IDS = []
+for _name, _params, _ in BUDGET_CASES:
+    if _name in BUDGET_IDS:
+        _name = "-".join(map(str, [_name, *_params.values()]))
+    BUDGET_IDS.append(_name)
+
+
+@pytest.mark.parametrize("name, params, cfg", BUDGET_CASES, ids=BUDGET_IDS)
 def test_grid_search_spends_the_budget_like_the_reference(name, params, cfg):
     inst = build_fixture(FixtureSpec(name, params))
     optimum, witness, states = ref_grid_search_best(inst, cfg)
