@@ -14,6 +14,7 @@ from .graph_core import (
     CakeGraph,
     Piece,
     format_fraction,
+    is_whole,
     parse_fraction,
     piece_component_count,
 )
@@ -81,7 +82,8 @@ class VerificationReport:
 
 
 def _edge_coverage(g: CakeGraph, pieces: Sequence[Piece]) -> tuple[bool, bool]:
-    """(disjoint, complete): interiors never overlap across agents; every edge fully covered."""
+    """(disjoint, complete): interiors never overlap across agents; every edge fully covered.
+    An edge held whole by one agent alone satisfies both and is not sorted."""
     spans: dict[str, list[tuple[Fraction, Fraction]]] = defaultdict(list)
     for p in pieces:
         for iv in p.intervals:
@@ -89,8 +91,11 @@ def _edge_coverage(g: CakeGraph, pieces: Sequence[Piece]) -> tuple[bool, bool]:
     disjoint = True
     complete = True
     for edge in g.edges:
+        held = spans[edge.id]
+        if len(held) == 1 and is_whole(*held[0]):
+            continue
         cursor = ZERO
-        for lo, hi in sorted(spans[edge.id]):
+        for lo, hi in sorted(held):
             if lo < cursor:
                 disjoint = False
             if lo > cursor:

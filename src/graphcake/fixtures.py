@@ -236,6 +236,10 @@ def _random_arbitrary(rng: random.Random, m: int) -> CakeGraph:
     return CakeGraph(vertices, edges)
 
 
+# the breakpoints random valuations draw from, shared by all of them
+_EIGHTHS = tuple(F(i, 8) for i in range(1, 8))
+
+
 def random_valuations(
     rng: random.Random, g: CakeGraph, n: int, max_segments: int = 4
 ) -> tuple[Valuation, ...]:
@@ -245,7 +249,7 @@ def random_valuations(
         densities = {}
         for e in g.edges:
             segs = rng.randint(1, max_segments)
-            cuts = sorted(rng.sample([F(i, 8) for i in range(1, 8)], segs - 1))
+            cuts = sorted(rng.sample(_EIGHTHS, segs - 1))
             bounds = [ZERO] + cuts + [ONE]
             weights = [F(rng.randint(0, 9)) for _ in range(segs)]
             densities[e.id] = tuple(

@@ -3,6 +3,14 @@
 All positions are exact `fractions.Fraction` values; nothing in this module
 touches floating point.  Every edge carries an implicit parametrization of
 [0, 1] with position 0 at its first endpoint.
+
+Most intervals the library meets are whole edges, and ``is_whole`` is the one
+test for them.  A bound that is the shared ``ZERO`` or ``ONE`` passes by
+identity; any other is compared with the int 0 or 1, which is exact and takes
+``Fraction.__eq__``'s int fast path, where an order comparison of two
+``Fraction``s goes through the slower ``numbers.Rational`` check.  Checks that a
+whole edge meets trivially (bounds inside [0, 1] and in order) are skipped for
+it; every other interval gets them in full.
 """
 
 from __future__ import annotations
@@ -200,9 +208,9 @@ Point = Union[VertexPoint, EdgePoint]
 def canonical_point(g: CakeGraph, edge_id: str, pos: Fraction) -> Point:
     """Canonical form: positions 0 and 1 collapse to the corresponding vertex."""
     e = g.edge(edge_id)
-    if pos == ZERO:
+    if pos == 0:
         return VertexPoint(e.u)
-    if pos == ONE:
+    if pos == 1:
         return VertexPoint(e.v)
     if not ZERO < pos < ONE:
         raise MalformedPiece(f"position {pos} outside [0, 1] on edge {edge_id!r}")
@@ -220,6 +228,12 @@ class Interval:
         return self.hi - self.lo
 
 
+def is_whole(lo: Fraction, hi: Fraction) -> bool:
+    """True when [lo, hi] is a whole edge, [0, 1].  Most whole intervals carry the
+    shared ``ZERO`` and ``ONE``, which the identity tests catch without a call."""
+    return (lo is ZERO or lo == 0) and (hi is ONE or hi == 1)
+
+
 class Piece:
     """A finite union of closed subintervals of edges, kept in canonical form.
 
@@ -235,18 +249,21 @@ class Piece:
     @staticmethod
     def of(intervals: Iterable[Interval | tuple]) -> "Piece":
         """The canonical piece covering the given intervals.  Every bound is
-        checked; intervals already in canonical order are kept as they are, and
-        only others are sorted and merged."""
+        checked (a whole edge's hold by ``is_whole``); intervals already in
+        canonical order are kept as they are, and only others are sorted and
+        merged."""
         ivs: list[Interval] = []
         canonical = True
         prev: Optional[Interval] = None
         for item in intervals:
             iv = item if isinstance(item, Interval) else Interval(item[0], Fraction(item[1]), Fraction(item[2]))
-            if not (ZERO <= iv.lo <= iv.hi <= ONE):
-                raise MalformedPiece(f"interval [{iv.lo}, {iv.hi}] outside [0, 1] on edge {iv.edge!r}")
+            if not is_whole(iv.lo, iv.hi):
+                if not (ZERO <= iv.lo <= iv.hi <= ONE):
+                    raise MalformedPiece(f"interval [{iv.lo}, {iv.hi}] outside [0, 1] on edge {iv.edge!r}")
+                if canonical and iv.lo == iv.hi:
+                    canonical = False
             if canonical and not (
-                iv.lo < iv.hi
-                and (prev is None or prev.edge < iv.edge or (prev.edge == iv.edge and prev.hi < iv.lo))
+                prev is None or prev.edge < iv.edge or (prev.edge == iv.edge and prev.hi < iv.lo)
             ):
                 canonical = False
             ivs.append(iv)
@@ -328,6 +345,9 @@ class Piece:
                 continue
             chunks = [(iv.lo, iv.hi)]
             for cut in theirs[iv.edge]:
+                if is_whole(cut.lo, cut.hi):
+                    chunks = []
+                    break
                 nxt: list[tuple[Fraction, Fraction]] = []
                 for lo, hi in chunks:
                     if cut.hi <= lo or cut.lo >= hi:
@@ -465,9 +485,10 @@ def _interval_components(g: CakeGraph, p: Piece) -> int:
     touching: dict[str, list[int]] = defaultdict(list)
     for i, iv in enumerate(ivs):
         e = g.edge(iv.edge)
-        if iv.lo == ZERO:
+        whole = is_whole(iv.lo, iv.hi)
+        if whole or iv.lo == 0:
             touching[e.u].append(i)
-        if iv.hi == ONE:
+        if whole or iv.hi == 1:
             touching[e.v].append(i)
     for idxs in touching.values():
         for other in idxs[1:]:
@@ -934,7 +955,7 @@ def induced_cake(g: CakeGraph, p: Piece) -> tuple[CakeGraph, SubcakeMap]:
         e = g.edge(iv.edge)
         k = counters[iv.edge]
         counters[iv.edge] += 1
-        new_id = iv.edge if (iv.lo == ZERO and iv.hi == ONE) else f"{iv.edge}.{k}"
+        new_id = iv.edge if is_whole(iv.lo, iv.hi) else f"{iv.edge}.{k}"
         a = vertex_for(e, iv.lo)
         b = vertex_for(e, iv.hi)
         new_edges.append((new_id, a, b))

@@ -18,11 +18,13 @@ Agents that share a valuation share one pass over the tree.
 
 Deterministic tie-breaking throughout: when several agents qualify at the
 same knife point, the lowest agent index wins.  A region is walked as a tree
-rooted at the least-named graph vertex it reaches, or at the lower end of a
-region inside a single edge; when several branches of it qualify, the one
-earliest in piece order (edge id as a string, then position) wins.  Walks
-over the whole graph that are not extractions (the height-two sweep and the
-chore protocol's first split) take branches in the graph's stored edge order.
+whose nodes are the names of the graph vertices it reaches and the
+``EdgePoint``s of its interior cut points, rooted at the least-named vertex, or
+at the lower end of a region inside a single edge; when several branches of it
+qualify, the one earliest in piece order (edge id as a string, then position)
+wins.  Walks over the whole graph that are not extractions (the height-two
+sweep and the chore protocol's first split) take branches in the graph's stored
+edge order.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .graph_core import (
     compute_contiguous_labeling,
     exact_int,
     is_contiguous,
+    is_whole,
     read_params,
 )
 from .valuation import (
@@ -132,10 +135,26 @@ def _require(inst: Instance, setting: Setting) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _node_key(p: Point) -> tuple:
+Node = str | EdgePoint  # a graph vertex by name, or an interior cut point
+
+
+def _node(g: CakeGraph, edge_id: str, pos: Fraction) -> Node:
+    p = canonical_point(g, edge_id, pos)
+    return p.vertex if isinstance(p, VertexPoint) else p
+
+
+def _ends(g: CakeGraph, iv: Interval) -> tuple[Node, Node]:
+    """The nodes at an interval's two ends; a whole edge's are its endpoints."""
+    if is_whole(iv.lo, iv.hi):
+        e = g.edge(iv.edge)
+        return e.u, e.v
+    return _node(g, iv.edge, iv.lo), _node(g, iv.edge, iv.hi)
+
+
+def _node_key(p: Node) -> tuple:
     """Graph vertices first, by name; then cut points, by edge id and position."""
-    if isinstance(p, VertexPoint):
-        return (0, p.vertex, ZERO)
+    if isinstance(p, str):
+        return (0, p, ZERO)
     return (1, p.edge, p.pos)
 
 
@@ -146,30 +165,34 @@ def _span(leg: Leg) -> Interval:
 class _RootedTree:
     """A connected region of the cake as a rooted tree, in the graph's coordinates.
 
-    Nodes are the graph vertices the region reaches and its interior cut
-    points, as canonical points, numbered so that every parent comes before
-    its children; node 0 is the root.  Each interval links the nodes at its two
-    ends; an interval that closes a cycle (see ``_cycle_breaks``) gets a leaf
-    of its own at its upper end.  Children follow the order of the intervals;
-    ``spans[w]`` is the interval linking child ``w`` to its parent and
-    ``legs[w]`` sweeps it towards the parent.  The root defaults to the least
-    node by ``_node_key``.
+    Nodes are the names of the graph vertices the region reaches and the
+    ``EdgePoint``s of its interior cut points (``Node``), numbered so that
+    every parent comes before its children; node 0 is the root.  Each interval
+    links the nodes at its two ends; an interval that closes a cycle (see
+    ``_cycle_breaks``) gets a leaf of its own at its upper end.  Children follow
+    the order of the intervals; ``spans[w]`` is the interval linking child
+    ``w`` to its parent and ``legs[w]`` sweeps it towards the parent.  The root
+    defaults to the least node by ``_node_key``; a ``VertexPoint`` root stands
+    for its vertex's name.
     """
 
-    def __init__(self, g: CakeGraph, intervals: Sequence[Interval], root: Optional[Point] = None):
-        ends = [
-            (canonical_point(g, iv.edge, iv.lo), canonical_point(g, iv.edge, iv.hi))
-            for iv in intervals
-        ]
-        links: dict[Point, list[tuple[Leg, Point, Interval]]] = defaultdict(list)
+    def __init__(
+        self, g: CakeGraph, intervals: Sequence[Interval], root: Optional[Point | str] = None
+    ):
+        if isinstance(root, VertexPoint):
+            root = root.vertex
+        ends = [_ends(g, iv) for iv in intervals]
+        # (far end, interval, whether the far end is the interval's upper end)
+        links: dict[Node, list[tuple[Node, Interval, bool]]] = defaultdict(list)
         for iv, (a, b), loose in zip(intervals, ends, _cycle_breaks(ends)):
             if loose:
                 b = EdgePoint(iv.edge, iv.hi)  # a detached end no other interval reaches
-            links[a].append((Leg(iv.edge, iv.hi, iv.lo), b, iv))
-            links[b].append((Leg(iv.edge, iv.lo, iv.hi), a, iv))
-        start = min(links, key=_node_key) if root is None else root
-        index = {start: 0}
-        points = [start]
+            links[a].append((b, iv, True))
+            links[b].append((a, iv, False))
+        if root is None:
+            root = min(links, key=_node_key)
+        index = {root: 0}
+        points = [root]
         self.parent = [-1]
         self.spans: list[Optional[Interval]] = [None]  # the root has no link
         self.legs: list[Optional[Leg]] = [None]
@@ -180,17 +203,19 @@ class _RootedTree:
         self._whole: list[tuple[int, str]] = []
         self._partial: list[tuple[int, Interval]] = []
         for v, p in enumerate(points):
-            for leg, w, iv in links[p]:
+            for w, iv, upper in links[p]:
                 if w not in index:
                     child = index[w] = len(points)
                     points.append(w)
                     self.parent.append(v)
                     self.spans.append(iv)
-                    self.legs.append(leg)
+                    # the leg sweeps from the child's end towards the parent
+                    start, end = (iv.hi, iv.lo) if upper else (iv.lo, iv.hi)
+                    self.legs.append(Leg(iv.edge, start, end))
                     self.children.append([])
                     self.depth.append(self.depth[v] + 1)
                     self.children[v].append(child)
-                    if iv.lo == 0 and iv.hi == 1:
+                    if is_whole(iv.lo, iv.hi):
                         self._whole.append((child, iv.edge))
                     else:
                         self._partial.append((child, iv))
@@ -259,7 +284,7 @@ class _RootedTree:
 def _graph_tree(g: CakeGraph, root: Optional[str] = None) -> _RootedTree:
     """The whole graph as a rooted tree, children in stored edge order."""
     whole = [Interval(e.id, ZERO, ONE) for e in g.edges]
-    return _RootedTree(g, whole, None if root is None else VertexPoint(root))
+    return _RootedTree(g, whole, root)
 
 
 def _knife_race(
@@ -435,9 +460,7 @@ def f_guarantee(n: int, k: int) -> Fraction:
 def _path_trajectory(g: CakeGraph, region: Piece, start: Optional[Point] = None) -> Trajectory:
     """End-to-end sweep of a path region from ``start``, by default its least end."""
     if start is None:
-        ends = Counter(
-            canonical_point(g, iv.edge, x) for iv in region.intervals for x in (iv.lo, iv.hi)
-        )
+        ends = Counter(end for iv in region.intervals for end in _ends(g, iv))
         start = min((p for p, count in ends.items() if count == 1), key=_node_key)
     rt = _RootedTree(g, region.intervals, start)
     legs: list[Leg] = []
@@ -497,7 +520,7 @@ def _star_rec(
     # the first agent values every spoke, then every agent the chosen one
     log.eval_count += m + k
     first = agents[0]
-    rt = _RootedTree(g, region.intervals, VertexPoint(center))
+    rt = _RootedTree(g, region.intervals, center)
     spokes = [rt.legs[w] for w in rt.children[0]]
     leg = next(leg for leg in spokes if trajectory_value(vals[first], (leg,)) >= need[first])
     targets = {a: need[a] for a in agents if trajectory_value(vals[a], (leg,)) >= need[a]}

@@ -35,6 +35,7 @@ from .graph_core import (
     SubcakeMap,
     canonical_point,
     format_fraction,
+    is_whole,
     parse_fraction,
 )
 
@@ -128,7 +129,7 @@ class Valuation:
         return sum(self.int_totals.values()) == self.scale
 
     def interval_value(self, edge_id: str, lo: Fraction, hi: Fraction) -> Fraction:
-        if lo == 0 and hi == 1:
+        if is_whole(lo, hi):
             return self._totals.get(edge_id, ZERO)
         acc = ZERO
         for s in self.edge_segments(edge_id):
@@ -140,10 +141,16 @@ class Valuation:
     def scaled(self, factor: Fraction) -> "Valuation":
         # Scaling every density scales each edge total by the same factor,
         # exactly, so the totals are carried over instead of summed again.
+        # Densities repeat across edges, and equal ones share one product.
+        products: dict[Fraction, Fraction] = {}
+        for segs in self.densities.values():
+            for s in segs:
+                if s.density not in products:
+                    products[s.density] = s.density * factor
         out = Valuation.__new__(Valuation)
         out.densities = MappingProxyType(
             {
-                e: tuple(Segment(s.lo, s.hi, s.density * factor) for s in segs)
+                e: tuple(Segment(s.lo, s.hi, products[s.density]) for s in segs)
                 for e, segs in self.densities.items()
             }
         )
@@ -317,7 +324,7 @@ def value_of_piece(v: Valuation, p: Piece, log: Optional[QueryLog] = None) -> Fr
     whole = 0  # over v.scale
     part = ZERO
     for iv in p.intervals:
-        if iv.lo == 0 and iv.hi == 1:
+        if is_whole(iv.lo, iv.hi):
             whole += v.int_totals.get(iv.edge, 0)
         else:
             part += v.interval_value(iv.edge, iv.lo, iv.hi)
@@ -370,7 +377,7 @@ def cut_trajectory(
     acc = ZERO
     offset = ZERO
     for i, leg in enumerate(t):
-        if (leg.start, leg.end) in ((0, 1), (1, 0)):
+        if is_whole(leg.start, leg.end) or is_whole(leg.end, leg.start):
             whole = v.edge_value(leg.edge)
             if acc + whole < target:  # the stop lies beyond this leg
                 acc += whole

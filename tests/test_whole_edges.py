@@ -1,0 +1,214 @@
+"""Whole-edge intervals and region-tree nodes.
+
+A whole edge [0, 1] is recognised by ``graph_core.is_whole`` with no ``Fraction``
+order comparison, whatever form its bounds take, and region trees name graph
+vertices by their ``str`` and only interior cut points by ``EdgePoint``.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from graphcake import protocols
+from graphcake.allocation import Allocation, verify_allocation
+from graphcake.errors import DisconnectedPiece, MalformedPiece
+from graphcake.graph_core import (
+    ONE,
+    ZERO,
+    EdgePoint,
+    Interval,
+    Piece,
+    VertexPoint,
+    is_whole,
+    parse_fraction,
+)
+from graphcake.protocols import _ends, _path_trajectory, _RootedTree
+from graphcake.valuation import Instance, Leg, Valuation, value_of_piece
+
+from conftest import ear_graph, path_graph, star_graph, uniform_instance
+
+F = Fraction
+
+
+def _counter(monkeypatch, owner, name) -> list:
+    """Replace ``owner.name`` by a wrapper that records each call in the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.fixture
+def big_ear():
+    return ear_graph(random.Random(7), 400)
+
+
+# -- no Fraction comparisons on whole edges ---------------------------------------
+
+
+def test_a_whole_region_tree_makes_no_canonical_point_calls(monkeypatch, big_ear):
+    points = _counter(monkeypatch, protocols, "canonical_point")
+    compares = _counter(monkeypatch, Fraction, "_richcmp")
+    rt = _RootedTree(big_ear, big_ear.whole_piece().intervals)
+    assert len(rt.legs) > big_ear.m // 2
+    assert points == [] and compares == []
+
+
+def test_piece_of_a_whole_piece_makes_no_fraction_order_comparison(monkeypatch, big_ear):
+    ivs = big_ear.whole_piece().intervals
+    compares = _counter(monkeypatch, Fraction, "_richcmp")
+    assert Piece.of(ivs).intervals == ivs
+    assert Piece.of(list(reversed(ivs))).intervals == ivs  # sorted by edge id only
+    assert compares == []
+
+
+def test_verifying_whole_edges_compares_only_the_agents_values(monkeypatch, big_ear):
+    whole = big_ear.whole_piece()
+    alone = uniform_instance(big_ear, 1)
+    pair = uniform_instance(big_ear, 2)
+    split = Allocation((Piece(whole.intervals[::2]), Piece(whole.intervals[1::2])))
+    compares = _counter(monkeypatch, Fraction, "_richcmp")
+    report = verify_allocation(alone, Allocation((whole,)))
+    assert report.complete and report.disjoint and report.values == (1,)
+    assert compares == []
+    report = verify_allocation(pair, split)
+    assert report.complete and report.disjoint
+    # the only order comparisons are those of the two values: min for the
+    # egalitarian value, max and min for the inequity
+    assert len(compares) == 3
+
+
+# -- the forms a whole edge's bounds take -------------------------------------------
+
+BOUND_FORMS = {
+    "ints": (0, 1),
+    "constants": (ZERO, ONE),
+    "parsed": (parse_fraction("0"), parse_fraction("1")),
+}
+
+
+def test_parsed_bounds_are_fresh_objects():
+    lo, hi = BOUND_FORMS["parsed"]
+    assert lo is not ZERO and hi is not ONE
+
+
+@pytest.mark.parametrize("form", sorted(BOUND_FORMS))
+def test_whole_edge_bounds_in_any_form_give_the_same_results(form):
+    lo, hi = BOUND_FORMS[form]
+    assert is_whole(lo, hi)
+    assert not is_whole(hi, lo) and not is_whole(lo, F(1, 2)) and not is_whole(F(1, 2), hi)
+    g = star_graph(3)
+    inst = Instance(g, (Valuation.uniform(g), Valuation.from_edge_values({"e0": 1})), "cake")
+    pieces = [
+        Piece.of([Interval("e1", lo, hi), ("e0", lo, F(1, 2))]),
+        Piece.of([("e0", F(1, 2), hi), Interval("e2", lo, hi)]),
+    ]
+    expected = [
+        Piece((Interval("e0", ZERO, F(1, 2)), Interval("e1", ZERO, ONE))),
+        Piece((Interval("e0", F(1, 2), ONE), Interval("e2", ZERO, ONE))),
+    ]
+    assert pieces == expected
+    assert [value_of_piece(v, p) for v, p in zip(inst.agents, pieces)] == [F(1, 2), F(1, 2)]
+    assert value_of_piece(inst.agents[0], Piece((Interval("e2", lo, hi),))) == F(1, 3)
+    report = verify_allocation(inst, Allocation(tuple(pieces)))
+    assert report.to_json() == verify_allocation(inst, Allocation(tuple(expected))).to_json()
+    assert report.complete and report.disjoint and report.values == (F(1, 2), F(1, 2))
+
+
+@pytest.mark.parametrize("form", sorted(BOUND_FORMS))
+def test_two_agents_holding_one_whole_edge_are_not_disjoint(form):
+    lo, hi = BOUND_FORMS[form]
+    inst = uniform_instance(star_graph(3), 2)
+    both = Piece((Interval("e0", lo, hi), Interval("e1", lo, hi)))
+    other = Piece((Interval("e0", lo, hi), Interval("e2", lo, hi)))
+    report = verify_allocation(inst, Allocation((both, other)))
+    assert not report.disjoint and report.complete
+    report = verify_allocation(inst, Allocation((both, Piece.empty())))
+    assert report.disjoint and not report.complete
+
+
+@pytest.mark.parametrize("form", sorted(BOUND_FORMS))
+def test_only_whole_edges_skip_the_bound_checks(form):
+    lo, hi = BOUND_FORMS[form]
+    for bad in [(hi, lo), (lo, F(2)), (F(-1), hi), (F(-1), F(2))]:
+        with pytest.raises(MalformedPiece, match="outside"):
+            Piece.of([("e0", *bad)])
+    # a repeated whole edge is merged, not kept as given
+    assert Piece.of([("e0", lo, hi), ("e0", lo, hi)]).intervals == (Interval("e0", ZERO, ONE),)
+    assert Piece.of([("e0", lo, lo), ("e1", lo, hi)]).intervals == (Interval("e1", ZERO, ONE),)
+
+
+# -- region trees keyed by vertex name ------------------------------------------------
+
+
+def test_interval_ends_are_vertex_names_or_interior_cut_points():
+    g = path_graph(2)  # v0 -e0- v1 -e1- v2
+    for lo, hi in BOUND_FORMS.values():
+        assert _ends(g, Interval("e0", lo, hi)) == ("v0", "v1")
+        assert _ends(g, Interval("e0", F(1, 2), hi)) == (EdgePoint("e0", F(1, 2)), "v1")
+        assert _ends(g, Interval("e1", lo, F(1, 3))) == ("v1", EdgePoint("e1", F(1, 3)))
+    assert _ends(g, Interval("e1", F(1, 3), F(2, 3))) == (
+        EdgePoint("e1", F(1, 3)),
+        EdgePoint("e1", F(2, 3)),
+    )
+
+
+def test_partial_intervals_ending_at_a_vertex_join_its_node():
+    g = path_graph(2)
+    # both partial intervals end at v1, so the region is one tree of three nodes
+    rt = _RootedTree(g, [Interval("e0", F(1, 2), ONE), Interval("e1", ZERO, F(1, 2))])
+    assert rt.parent == [-1, 0, 0] and rt.children[0] == [1, 2]
+    assert rt.legs[1:] == [Leg("e0", F(1, 2), ONE), Leg("e1", F(1, 2), ZERO)]
+    # a whole edge and a partial one meet at v1 as well
+    rt = _RootedTree(g, [Interval("e0", ZERO, ONE), Interval("e1", parse_fraction("0"), F(1, 2))])
+    assert rt.parent == [-1, 0, 1] and rt.depth == [0, 1, 2]
+    with pytest.raises(DisconnectedPiece):
+        _RootedTree(g, [Interval("e0", ZERO, F(1, 2)), Interval("e1", F(1, 2), ONE)])
+
+
+def test_path_sweeps_from_cut_points_and_vertices():
+    g = path_graph(3)  # v0 -e0- v1 -e1- v2 -e2- v3
+    region = Piece.of(
+        [Interval("e0", F(1, 3), ONE), Interval("e1", ZERO, ONE), Interval("e2", ZERO, F(1, 2))]
+    )
+    forward = (Leg("e0", F(1, 3), ONE), Leg("e1", ZERO, ONE), Leg("e2", ZERO, F(1, 2)))
+    backward = (Leg("e2", F(1, 2), ZERO), Leg("e1", ONE, ZERO), Leg("e0", ONE, F(1, 3)))
+    assert _path_trajectory(g, region) == forward  # the least end
+    assert _path_trajectory(g, region, EdgePoint("e0", F(1, 3))) == forward
+    assert _path_trajectory(g, region, EdgePoint("e2", F(1, 2))) == backward
+    whole = g.whole_piece()
+    legs = (Leg("e0", ZERO, ONE), Leg("e1", ZERO, ONE), Leg("e2", ZERO, ONE))
+    assert _path_trajectory(g, whole) == legs
+    assert _path_trajectory(g, whole, VertexPoint("v0")) == legs
+    assert _path_trajectory(g, whole, VertexPoint("v3")) == tuple(
+        Leg(leg.edge, leg.end, leg.start) for leg in reversed(legs)
+    )
+    # a region with a vertex at one end and a cut point at the other starts at
+    # the vertex, since vertices come before cut points
+    tail = Piece.of([Interval("e1", ZERO, ONE), Interval("e2", ZERO, F(1, 2))])
+    from_vertex = (Leg("e1", ZERO, ONE), Leg("e2", ZERO, F(1, 2)))
+    assert _path_trajectory(g, tail) == from_vertex
+    assert _path_trajectory(g, tail, VertexPoint("v1")) == from_vertex
+    assert _path_trajectory(g, tail, EdgePoint("e2", F(1, 2))) == (
+        Leg("e2", F(1, 2), ZERO),
+        Leg("e1", ONE, ZERO),
+    )
+
+
+def test_a_star_region_rooted_at_its_center_keeps_piece_order():
+    g = star_graph(12)  # spokes e0..e11 from c, piece order e0, e1, e10, e11, e2, ...
+    region = g.whole_piece().difference(Piece.of([Interval("e1", F(1, 2), ONE)]))
+    order = ["e0", "e1", "e10", "e11", *(f"e{i}" for i in range(2, 10))]
+    for root in (VertexPoint("c"), "c", None):
+        rt = _RootedTree(g, region.intervals, root)
+        assert rt.children[0] == list(range(1, 13))
+        assert [rt.legs[w].edge for w in rt.children[0]] == order
+        assert rt.spans[1:] == list(region.intervals)
+        assert rt.legs[2] == Leg("e1", F(1, 2), ZERO)
+        assert all(rt.legs[w] == Leg(rt.legs[w].edge, ONE, ZERO) for w in rt.children[0] if w != 2)
