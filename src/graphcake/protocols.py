@@ -14,7 +14,9 @@ integers over one scale per valuation and region: the valuation's scale for
 its whole-edge totals, widened to cover the few partial legs next to cut
 points.  A need is met when a value reaches the least scaled integer at or
 above it, so every comparison, and every tie, is that of the rational values.
-Agents that share a valuation share one pass over the tree.
+A tree sums each distinct valuation once and keeps the sums while it lives:
+agents that share a valuation share one pass, and an agent's value of the
+region, the root sum, both sets her need and checks it, with no second pass.
 
 Deterministic tie-breaking throughout: when several agents qualify at the
 same knife point, the lowest agent index wins.  A region is walked as a tree
@@ -163,7 +165,7 @@ def _span(leg: Leg) -> Interval:
 
 
 class _RootedTree:
-    """A connected region of the cake as a rooted tree, in the graph's coordinates.
+    """A region of the cake as a rooted tree, in the graph's coordinates.
 
     Nodes are the names of the graph vertices the region reaches and the
     ``EdgePoint``s of its interior cut points (``Node``), numbered so that
@@ -174,10 +176,20 @@ class _RootedTree:
     ``w`` to its parent and ``legs[w]`` sweeps it towards the parent.  The root
     defaults to the least node by ``_node_key``; a ``VertexPoint`` root stands
     for its vertex's name.
+
+    A region that is not connected raises ``DisconnectedPiece``, unless
+    ``forest`` is set: then each further component, from its least node, hangs
+    off the root by a branch without a link (``spans`` and ``legs`` None), so
+    root sums still cover the whole region, and ``connected`` is False.  The
+    empty region is a lone root.
     """
 
     def __init__(
-        self, g: CakeGraph, intervals: Sequence[Interval], root: Optional[Point | str] = None
+        self,
+        g: CakeGraph,
+        intervals: Sequence[Interval],
+        root: Optional[Point | str] = None,
+        forest: bool = False,
     ):
         if isinstance(root, VertexPoint):
             root = root.vertex
@@ -190,7 +202,7 @@ class _RootedTree:
             links[a].append((b, iv, True))
             links[b].append((a, iv, False))
         if root is None:
-            root = min(links, key=_node_key)
+            root = min(links, key=_node_key, default=None)
         index = {root: 0}
         points = [root]
         self.parent = [-1]
@@ -198,12 +210,15 @@ class _RootedTree:
         self.legs: list[Optional[Leg]] = [None]
         self.children: list[list[int]] = [[]]
         self.depth = [0]
+        self.connected = True
         # Whole legs are summed from each valuation's integer edge totals; the
         # few partial ones (next to cut points) are integrated per valuation.
         self._whole: list[tuple[int, str]] = []
         self._partial: list[tuple[int, Interval]] = []
+        # subtree_values, kept per distinct valuation for the tree's lifetime
+        self._values: dict[Valuation, tuple[list[int], list[int], int]] = {}
         for v, p in enumerate(points):
-            for w, iv, upper in links[p]:
+            for w, iv, upper in links.get(p, ()):
                 if w not in index:
                     child = index[w] = len(points)
                     points.append(w)
@@ -219,8 +234,20 @@ class _RootedTree:
                         self._whole.append((child, iv.edge))
                     else:
                         self._partial.append((child, iv))
-        if len(points) != len(links):
-            raise DisconnectedPiece("piece is not connected")
+            if v == len(points) - 1 and len(points) < len(links):
+                # every node reached is walked, yet some component is not
+                if not forest:
+                    raise DisconnectedPiece("piece is not connected")
+                self.connected = False
+                top = min((q for q in links if q not in index), key=_node_key)
+                self.children[0].append(len(points))
+                index[top] = len(points)
+                points.append(top)
+                self.parent.append(0)
+                self.spans.append(None)
+                self.legs.append(None)
+                self.children.append([])
+                self.depth.append(1)
 
     def lowest(self, crosses: Callable[[int], bool]) -> int:
         """Step from the root to the first child that ``crosses`` until none does."""
@@ -251,8 +278,16 @@ class _RootedTree:
         plus the subtree below it).
 
         The scale is the least common multiple of the valuation's scale and the
-        denominators of the partial legs' values, so every sum is exact.
+        denominators of the partial legs' values, so every sum is exact.  The
+        root's entry, ``below[0]``, is the value of the whole region.  Each
+        distinct valuation is summed once; later calls return the same lists.
         """
+        done = self._values.get(val)
+        if done is None:
+            done = self._values[val] = self._sum(val)
+        return done
+
+    def _sum(self, val: Valuation) -> tuple[list[int], list[int], int]:
         parts = [(w, val.interval_value(iv.edge, iv.lo, iv.hi)) for w, iv in self._partial]
         scale = math.lcm(val.scale, *(x.denominator for _, x in parts))
         lift = scale // val.scale
@@ -269,16 +304,10 @@ class _RootedTree:
             below[parent[w]] += branch[w]
         return below, branch, scale
 
-    def values_by_agent(
-        self, vals: Sequence[Valuation], agents: Iterable[int]
-    ) -> dict[int, tuple[list[int], list[int], int]]:
-        """``subtree_values`` of each agent's valuation, computed once per
-        distinct valuation."""
-        done: dict[Valuation, tuple[list[int], list[int], int]] = {}
-        for a in agents:
-            if vals[a] not in done:
-                done[vals[a]] = self.subtree_values(vals[a])
-        return {a: done[vals[a]] for a in agents}
+    def value(self, val: Valuation) -> Fraction:
+        """The valuation's value of the whole region, its root sum."""
+        below, _, scale = self.subtree_values(val)
+        return Fraction(below[0], scale)
 
 
 def _graph_tree(g: CakeGraph, root: Optional[str] = None) -> _RootedTree:
@@ -318,6 +347,7 @@ def _extract(
     region: Piece,
     need: Mapping[int, Fraction],
     log: QueryLog,
+    rt: Optional[_RootedTree] = None,
 ) -> tuple[Piece, int, Piece]:
     """Split a connected region into two connected pieces; the winner values the
     first at least her ``need`` while every other agent in ``need`` values it at
@@ -326,29 +356,33 @@ def _extract(
     Route: view the region as a rooted tree, walk down to the lowest node whose
     subtree still meets someone's need, then either sweep a knife along one
     branch (stopping at the earliest crossing) or accumulate whole branches
-    until the first crossing.
+    until the first crossing.  ``rt`` is the region's tree when the caller has
+    built it (default root, children in piece order).  Each agent's value of
+    the region is her root sum there, one evaluation query each; it is checked
+    against her need before the region has to be connected.
     """
     if not need:
         raise DomainError("extraction needs at least one eligible agent")
     eligible = sorted(need)
+    if rt is None:
+        rt = _RootedTree(g, region.intervals, forest=True)
+    stv, branch, scale, least = {}, {}, {}, {}
     for a in eligible:
         if need[a] < 0:
             raise DomainError(f"extraction threshold {need[a]} is negative")
-        if value_of_piece(vals[a], region, log) < need[a]:
+        stv[a], branch[a], scale[a] = rt.subtree_values(vals[a])
+        # an integer x meets the need when x >= need * scale, that is x >= least;
+        # Fraction() reads a float need by its exact binary value
+        least[a] = math.ceil(Fraction(need[a]) * scale[a])
+        log.eval_count += 1
+        if stv[a][0] < least[a]:
             raise InsufficientValue(f"agent {a} values the piece below {need[a]}")
     satisfied = [a for a in eligible if need[a] == 0]
     if satisfied:
         return Piece.empty(), satisfied[0], region
-
-    rt = _RootedTree(g, region.intervals)
-    sums = rt.values_by_agent(vals, eligible)
+    if not rt.connected:
+        raise DisconnectedPiece("piece is not connected")
     log.eval_count += len(region.intervals) * len(eligible)
-    stv, branch, scale, least = {}, {}, {}, {}
-    for a in eligible:
-        stv[a], branch[a], scale[a] = sums[a]
-        # an integer x meets the need when x >= need * scale, that is x >= least;
-        # Fraction() reads a float need by its exact binary value
-        least[a] = math.ceil(Fraction(need[a]) * scale[a])
 
     v = rt.lowest(lambda child: any(stv[a][child] >= least[a] for a in eligible))
     w = next(
@@ -384,11 +418,6 @@ def _extract(
     return piece, winner, region.difference(piece)
 
 
-def _scaled(vals: Sequence[Valuation], agents: Iterable[int], region: Piece, share: Fraction):
-    """Each agent's ``share`` of her value of the region (not a logged query)."""
-    return {a: share * value_of_piece(vals[a], region) for a in agents}
-
-
 def extract_piece(
     inst: Instance,
     sub: Piece,
@@ -419,8 +448,10 @@ def _egalitarian(
     1/(2k-1) of her value of the region."""
     agents = list(agents)
     while len(agents) > 1:
-        need = _scaled(vals, agents, region, Fraction(1, 2 * len(agents) - 1))
-        piece, winner, region = _extract(g, vals, region, need, log)
+        rt = _RootedTree(g, region.intervals)
+        share = Fraction(1, 2 * len(agents) - 1)
+        need = {a: share * rt.value(vals[a]) for a in agents}
+        piece, winner, region = _extract(g, vals, region, need, log, rt)
         pieces[winner] = piece
         agents.remove(winner)
     pieces[agents[0]] = region
@@ -457,12 +488,16 @@ def f_guarantee(n: int, k: int) -> Fraction:
     return Fraction(1, 2 * n - 1)
 
 
-def _path_trajectory(g: CakeGraph, region: Piece, start: Optional[Point] = None) -> Trajectory:
-    """End-to-end sweep of a path region from ``start``, by default its least end."""
+def _path_tree(g: CakeGraph, region: Piece, start: Optional[Point] = None) -> _RootedTree:
+    """A path region as a tree rooted at ``start``, by default its least end."""
     if start is None:
         ends = Counter(end for iv in region.intervals for end in _ends(g, iv))
         start = min((p for p, count in ends.items() if count == 1), key=_node_key)
-    rt = _RootedTree(g, region.intervals, start)
+    return _RootedTree(g, region.intervals, start)
+
+
+def _sweep(rt: _RootedTree) -> Trajectory:
+    """The legs of a path's tree, swept from its root to its one leaf."""
     legs: list[Leg] = []
     v = 0
     while rt.children[v]:
@@ -474,6 +509,11 @@ def _path_trajectory(g: CakeGraph, region: Piece, start: Optional[Point] = None)
     return tuple(legs)
 
 
+def _path_trajectory(g: CakeGraph, region: Piece, start: Optional[Point] = None) -> Trajectory:
+    """End-to-end sweep of a path region from ``start``, by default its least end."""
+    return _sweep(_path_tree(g, region, start))
+
+
 def _path_proportional(
     g: CakeGraph,
     vals: Sequence[Valuation],
@@ -483,16 +523,18 @@ def _path_proportional(
     log: QueryLog,
 ) -> None:
     """Moving knife along a path region: each agent stops at 1/k of her value of it."""
-    share = _scaled(vals, agents, region, Fraction(1, len(agents)))
+    rt = _path_tree(g, region)
+    share = Fraction(1, len(agents))
+    need = {a: share * rt.value(vals[a]) for a in agents}
     remaining = list(agents)
-    start: Optional[Point] = None
     while len(remaining) > 1:
-        traj = _path_trajectory(g, region, start)
-        winner, cut = _knife_race(g, vals, traj, {a: share[a] for a in remaining}, log)
+        traj = _sweep(rt)
+        winner, cut = _knife_race(g, vals, traj, {a: need[a] for a in remaining}, log)
         pieces[winner] = trajectory_prefix_piece(traj, cut)
         region = region.difference(pieces[winner])
-        start = cut.point
         remaining.remove(winner)
+        if len(remaining) > 1:
+            rt = _path_tree(g, region, cut.point)
     pieces[remaining[0]] = region
 
 
@@ -516,11 +558,12 @@ def _star_rec(
     if m >= 2 * k - 1:
         _egalitarian(g, vals, agents, region, pieces, log)
         return
-    need = _scaled(vals, agents, region, f_guarantee(k, m))
+    rt = _RootedTree(g, region.intervals, center)
+    share = f_guarantee(k, m)
+    need = {a: share * rt.value(vals[a]) for a in agents}
     # the first agent values every spoke, then every agent the chosen one
     log.eval_count += m + k
     first = agents[0]
-    rt = _RootedTree(g, region.intervals, center)
     spokes = [rt.legs[w] for w in rt.children[0]]
     leg = next(leg for leg in spokes if trajectory_value(vals[first], (leg,)) >= need[first])
     targets = {a: need[a] for a in agents if trajectory_value(vals[a], (leg,)) >= need[a]}
@@ -597,12 +640,19 @@ def proportional_two_connected(inst: Instance, lab: OrientedLabeling) -> Protoco
 
 
 def _fixed_pair(
-    g: CakeGraph, first: Valuation, second: Valuation, region: Piece, log: QueryLog
+    g: CakeGraph,
+    first: Valuation,
+    second: Valuation,
+    region: Piece,
+    log: QueryLog,
+    rt: Optional[_RootedTree] = None,
 ) -> tuple[Piece, Piece]:
     """Cut-and-choose core: split the region so both parts are worth at least a
-    third of it to ``second``, then ``first`` takes her preferred part."""
-    need = THIRD * value_of_piece(second, region)
-    piece, _, rem = _extract(g, [second, second], region, {0: need, 1: need}, log)
+    third of it to ``second``, then ``first`` takes her preferred part.  ``rt``
+    is the region's tree in piece order when the caller has built it."""
+    rt = rt if rt is not None else _RootedTree(g, region.intervals)
+    need = THIRD * rt.value(second)
+    piece, _, rem = _extract(g, [second, second], region, {0: need, 1: need}, log, rt)
     if value_of_piece(first, piece, log) >= value_of_piece(first, rem, log):
         return piece, rem
     return rem, piece
@@ -829,14 +879,19 @@ def _divide_group(
         for a in group:
             pieces[a] = Piece.empty()
         return
-    costs = [(value_of_piece(vals[a], piece, log), a) for a in group]
-    zero_agents = [a for c, a in costs if c == 0]
+    # every member's cost of the piece is one evaluation query
+    log.eval_count += len(group)
+    if len(group) == 1:
+        pieces[group[0]] = piece
+        return
+    rt = _RootedTree(g, piece.intervals)
+    zero_agents = [a for a in group if rt.value(vals[a]) == 0]
     if zero_agents:
         sink = min(zero_agents)
         for a in group:
             pieces[a] = piece if a == sink else Piece.empty()
         return
-    _chore_rec(g, vals, group, piece, pieces, log)
+    _chore_rec(g, vals, group, piece, pieces, log, rt)
 
 
 def _chore_rec(
@@ -849,13 +904,15 @@ def _chore_rec(
     rt: Optional[_RootedTree] = None,
 ) -> None:
     """Divide a chore region among agents; ``rt`` walks the region, by default
-    in piece order."""
+    in piece order, which two agents' extraction needs."""
     k = len(agents)
     if k == 1:
         pieces[agents[0]] = region
         return
     if k == 2:
-        first_part, second_part = _fixed_pair(g, vals[agents[0]], vals[agents[1]], region, log)
+        first_part, second_part = _fixed_pair(
+            g, vals[agents[0]], vals[agents[1]], region, log, rt
+        )
         pieces[agents[0]] = second_part
         pieces[agents[1]] = first_part
         return
@@ -863,9 +920,9 @@ def _chore_rec(
     thresholds = _cond1_thresholds(k)
     rt = rt if rt is not None else _RootedTree(g, region.intervals)
     below, branch, total = {}, {}, {}
-    for a, (below_a, branch_a, scale) in rt.values_by_agent(vals, agents).items():
-        below[a], branch[a] = below_a, branch_a
-        total[a] = Fraction(below_a[0], scale)
+    for a in agents:
+        below[a], branch[a], scale = rt.subtree_values(vals[a])
+        total[a] = Fraction(below[a][0], scale)
     log.eval_count += len(region.intervals) * k
 
     def share(a: int, x: int) -> Fraction:
@@ -976,7 +1033,10 @@ def chore_upto5(inst: Instance) -> ProtocolResult:
     log = QueryLog()
     pieces: list[Piece] = [Piece.empty()] * inst.n
     g = inst.graph
-    _chore_rec(g, inst.agents, range(inst.n), g.whole_piece(), pieces, log, _graph_tree(g))
+    # three or more agents walk the graph in stored edge order; two agents'
+    # extraction walks it in piece order and builds that tree itself
+    rt = _graph_tree(g) if inst.n > 2 else None
+    _chore_rec(g, inst.agents, range(inst.n), g.whole_piece(), pieces, log, rt)
     return ProtocolResult(Allocation(tuple(pieces)), log)
 
 

@@ -374,15 +374,25 @@ def cut_trajectory(
         log.cut_count += 1
     if target < 0:
         raise InsufficientValue(f"negative cut target {target}")
+    # Whole legs that end before the stop are stepped over in integers:
+    # ``skipped`` of them, worth ``whole`` over v.scale, follow the value ``acc``
+    # and length ``offset`` swept so far.  Another whole leg worth x ends before
+    # the stop when whole + x < (target - acc) * scale, that is whole + x < room.
     acc = ZERO
     offset = ZERO
+    whole = skipped = 0
+    room = math.ceil(Fraction(target) * v.scale)
     for i, leg in enumerate(t):
         if is_whole(leg.start, leg.end) or is_whole(leg.end, leg.start):
-            whole = v.edge_value(leg.edge)
-            if acc + whole < target:  # the stop lies beyond this leg
-                acc += whole
-                offset += 1
+            x = v.int_totals.get(leg.edge, 0)
+            if whole + x < room:  # the stop lies beyond this leg
+                whole += x
+                skipped += 1
                 continue
+        if skipped:
+            acc += Fraction(whole, v.scale)
+            offset += skipped
+            whole = skipped = 0
         direction = 1 if leg.end >= leg.start else -1
         pos = leg.start
         for length, density in _leg_segments(v, leg):
@@ -400,6 +410,8 @@ def cut_trajectory(
             offset += length
         if acc == target:
             return TrajectoryCut(i, pos, offset, canonical_point(g, leg.edge, pos))
+        room = math.ceil((Fraction(target) - acc) * v.scale)
+    acc += Fraction(whole, v.scale)
     raise InsufficientValue(f"trajectory is worth {acc}, less than the target {target}")
 
 

@@ -688,6 +688,24 @@ def test_bounded_pair_search_matches_the_exhaustive_one(inst, d, data):
     _same_answer_in_fewer_states(bounded, exhaustive)
 
 
+def test_bounded_pair_search_keeps_growing_a_met_first_piece_when_complete():
+    # the path of test_complete_pair_search_grows_a_first_piece_past_its_threshold:
+    # stopping at the first piece {e0}, which meets its threshold, would miss
+    # the only answer, the larger {e0, e1}
+    g = CakeGraph(["x", "y", "z", "w"], [("e0", "y", "z"), ("e1", "x", "y"), ("e2", "z", "w")])
+    inst = Instance(
+        g, (Valuation.from_edge_values({"e0": 1}), Valuation.from_edge_values({"e2": 1})), "cake"
+    )
+    for flexible in (False, True):
+        args = (inst, 1, F(1), F(1), False, False, flexible, True)
+        exhaustive = _outcome(
+            lambda: ref_pair_feasible(*args, state_budget=REFERENCE_BUDGET, bounded=False)
+        )
+        bounded = _outcome(lambda: ref_pair_feasible(*args, state_budget=REFERENCE_BUDGET))
+        assert exhaustive[0]
+        _same_answer_in_fewer_states(bounded, exhaustive)
+
+
 # a_lo from -6 to 3 takes both lemma scales, 2 * 3^-a_lo and plain 2
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(-6, 3), st.data())

@@ -20,7 +20,14 @@ from graphcake.errors import (
     ProtocolInvariantError,
     TooManyAgents,
 )
-from graphcake.fixtures import FixtureSpec, build_fixture, random_instance
+from graphcake import protocols
+from graphcake.fixtures import (
+    FixtureSpec,
+    _random_tree,
+    build_fixture,
+    random_instance,
+    random_valuations,
+)
 from graphcake.graph_core import (
     CakeGraph,
     Interval,
@@ -155,6 +162,71 @@ def test_extract_rejects_disconnected_regions_and_no_agents():
         extract_piece(inst, split, F(1, 8))
     with pytest.raises(DomainError, match="at least one eligible agent"):
         extract_piece(inst, inst.graph.whole_piece(), F(1, 3), eligible=[])
+
+
+def _extraction_outcome(inst, region, alpha):
+    log = QueryLog()
+    try:
+        piece, winner, rem = extract_piece(inst, region, alpha, log=log)
+    except (DisconnectedPiece, InsufficientValue) as exc:
+        return type(exc).__name__, str(exc), log.to_json()
+    return piece, winner, rem, log.to_json()
+
+
+def test_extract_checks_values_before_connectivity():
+    # the values are checked, and a zero need met, before the region must be connected
+    inst = uniform_instance(path_graph(3), 2)
+    split = edge_piece("e0", "e2")
+    assert _extraction_outcome(inst, split, F(0)) == (
+        Piece.empty(), 0, split, {"eval": 2, "cut": 0}
+    )
+    assert _extraction_outcome(inst, split, F(9, 10)) == (
+        "InsufficientValue", "agent 0 values the piece below 9/10", {"eval": 1, "cut": 0}
+    )
+    assert _extraction_outcome(inst, split, F(1, 3)) == (
+        "DisconnectedPiece", "piece is not connected", {"eval": 2, "cut": 0}
+    )
+    empty = Piece.empty()
+    assert _extraction_outcome(inst, empty, F(0)) == (empty, 0, empty, {"eval": 2, "cut": 0})
+    assert _extraction_outcome(inst, empty, F(1, 3)) == (
+        "InsufficientValue", "agent 0 values the piece below 1/3", {"eval": 1, "cut": 0}
+    )
+
+
+def test_egalitarian_sums_each_region_once_per_distinct_valuation(monkeypatch):
+    rng = random.Random(14)
+    g = _random_tree(rng, 60)
+    vals = random_valuations(rng, g, 10)
+    inst = Instance(g, vals + vals[:6])  # sixteen agents, ten distinct valuations
+    reads, sums, levels = [], [], []
+    real_value_of_piece, real_sum, real_extract = (
+        protocols.value_of_piece, _RootedTree._sum, protocols._extract
+    )
+
+    def value_of_piece_read(*args, **kwargs):
+        reads.append(args)
+        return real_value_of_piece(*args, **kwargs)
+
+    def summed(rt, val):
+        sums.append((rt, val))
+        return real_sum(rt, val)
+
+    def extract_level(g, vals, region, need, log, rt=None):
+        levels.append((rt, {vals[a] for a in need}))
+        return real_extract(g, vals, region, need, log, rt)
+
+    monkeypatch.setattr(protocols, "value_of_piece", value_of_piece_read)
+    monkeypatch.setattr(_RootedTree, "_sum", summed)
+    monkeypatch.setattr(protocols, "_extract", extract_level)
+    res = connected_egalitarian(inst)
+    assert reads == []
+    assert len(levels) == 15 and all(rt is not None for rt, _ in levels)
+    assert len(sums) == sum(len(distinct) for _, distinct in levels)
+    for rt, distinct in levels:
+        summed_here = [val for tree, val in sums if tree is rt]
+        assert len(summed_here) == len(distinct) and set(summed_here) == distinct
+    # the query counts of the Fraction-valued extraction
+    assert res.queries.to_json() == {"eval": 6997, "cut": 22}
 
 
 def test_internal_checks_raise_instead_of_asserting():

@@ -341,6 +341,46 @@ def reference_cut_trajectory(g, v, t, target):
     raise InsufficientValue(f"trajectory is worth {acc}, less than the target {target}")
 
 
+def fraction_skip_cut_trajectory(g, v, t, target):
+    """The cut sweep that steps over whole legs by adding Fraction totals."""
+    if target < 0:
+        raise InsufficientValue(f"negative cut target {target}")
+    acc = F(0)
+    offset = F(0)
+    for i, leg in enumerate(t):
+        if {leg.start, leg.end} == {F(0), F(1)}:
+            whole = v.edge_value(leg.edge)
+            if acc + whole < target:
+                acc += whole
+                offset += 1
+                continue
+        direction = 1 if leg.end >= leg.start else -1
+        pos = leg.start
+        lo, hi = min(leg.start, leg.end), max(leg.start, leg.end)
+        clipped = [
+            (max(s.lo, lo), min(s.hi, hi), s.density)
+            for s in v.edge_segments(leg.edge)
+            if max(s.lo, lo) < min(s.hi, hi)
+        ]
+        if leg.start > leg.end:
+            clipped.reverse()
+        for a, b, density in clipped:
+            length = b - a
+            if acc == target:
+                return TrajectoryCut(i, pos, offset, canonical_point(g, leg.edge, pos))
+            seg_value = density * length
+            if density > 0 and acc + seg_value >= target:
+                dist = (target - acc) / density
+                cut_pos = pos + direction * dist
+                return TrajectoryCut(i, cut_pos, offset + dist, canonical_point(g, leg.edge, cut_pos))
+            acc += seg_value
+            pos += direction * length
+            offset += length
+        if acc == target:
+            return TrajectoryCut(i, pos, offset, canonical_point(g, leg.edge, pos))
+    raise InsufficientValue(f"trajectory is worth {acc}, less than the target {target}")
+
+
 def reference_combine(vals, weights):
     densities = {}
     for e in sorted({e for v in vals for e in v.densities}):
@@ -430,6 +470,46 @@ def test_cut_trajectory_matches_the_full_sweep(v, t, extra):
     for target in targets:
         assert _cut_or_shortfall(cut_trajectory, PATH, v, t, target) == _cut_or_shortfall(
             reference_cut_trajectory, PATH, v, t, target
+        )
+
+
+@st.composite
+def sweeps(draw):
+    """Up to eight legs, most of them whole edges in either direction."""
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        edge = draw(st.sampled_from(EDGES))
+        if draw(st.integers(0, 3)):
+            start, end = F(0), F(1)
+        else:
+            start, end = draw(GRID), draw(GRID)
+        out.append(Leg(edge, end, start) if draw(st.booleans()) else Leg(edge, start, end))
+    return tuple(out)
+
+
+def _cut_outcome(cut, *args):
+    try:
+        found = cut(*args)
+    except InsufficientValue as exc:
+        return str(exc)
+    return found, type(found.sweep_offset), type(found.position)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valuations(), st.integers(1, 97), sweeps(), st.data())
+def test_integer_whole_leg_skip_matches_the_fraction_one(v, den, t, data):
+    # scaled valuations widen v.scale past the twelfths of the drawn densities
+    v = v.scaled(F(data.draw(st.integers(1, 50)), den))
+    total = trajectory_value(v, t)
+    # exact stops at leg ends and breakpoints (plateaus start there), points just
+    # off them, shares of the whole, the whole and more, and floats read exactly
+    stops = _prefix_values(v, t)
+    targets = stops + [x + F(1, 10007) for x in stops] + [x - F(1, 10007) for x in stops]
+    targets += [total * F(data.draw(st.integers(0, 12)), 12), total + F(1, 7), F(-1)]
+    targets += [float(total) / 3, 0.1, 0.0]
+    for target in targets:
+        assert _cut_outcome(cut_trajectory, PATH, v, t, target) == _cut_outcome(
+            fraction_skip_cut_trajectory, PATH, v, t, target
         )
 
 
