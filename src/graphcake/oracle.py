@@ -321,9 +321,9 @@ def _partitions(
             return
         if agent == n - 1:
             if require_complete:
-                if model.is_connected(remaining):
-                    budget.spend()
-                    yield masks + (remaining,), values + (model.value(agent, remaining),)
+                # the component count above has ruled out a second component
+                budget.spend()
+                yield masks + (remaining,), values + (model.value(agent, remaining),)
             else:
                 budget.spend()
                 yield masks + (0,), values + (0,)

@@ -43,6 +43,7 @@ from .errors import (
     DisconnectedPiece,
     DomainError,
     InsufficientValue,
+    NotAlmostBridgeless,
     NotAStar,
     NotHeightTwoTree,
     LabelingNotContiguous,
@@ -80,7 +81,6 @@ from .valuation import (
     cut_trajectory,
     latest_position_within,
     trajectory_prefix_piece,
-    trajectory_value,
     value_of_piece,
 )
 
@@ -561,12 +561,19 @@ def _star_rec(
     rt = _RootedTree(g, region.intervals, center)
     share = f_guarantee(k, m)
     need = {a: share * rt.value(vals[a]) for a in agents}
-    # the first agent values every spoke, then every agent the chosen one
+    # Each spoke is a leaf of the center-rooted tree, so its branch entry is its
+    # value; it meets a need when it reaches the least integer that does.
+    # The first agent values every spoke, then every agent the chosen one.
     log.eval_count += m + k
+
+    def meets(a: int, w: int) -> bool:
+        _, branch, scale = rt.subtree_values(vals[a])
+        return branch[w] >= math.ceil(need[a] * scale)
+
     first = agents[0]
-    spokes = [rt.legs[w] for w in rt.children[0]]
-    leg = next(leg for leg in spokes if trajectory_value(vals[first], (leg,)) >= need[first])
-    targets = {a: need[a] for a in agents if trajectory_value(vals[a], (leg,)) >= need[a]}
+    w = next(w for w in rt.children[0] if meets(first, w))
+    leg = rt.legs[w]
+    targets = {a: need[a] for a in agents if meets(a, w)}
     winner, cut = _knife_race(g, vals, (leg,), targets, log)
     piece = trajectory_prefix_piece((leg,), cut)
     pieces[winner] = piece
@@ -671,10 +678,13 @@ def two_agent_best(inst: Instance) -> ProtocolResult:
     """The optimal guarantee for the instance's graph: 1/2 on almost bridgeless
     graphs (proportional), otherwise 1/3 with agent 1 still receiving 1/2."""
     _require(inst, _TWO_CAKE)
-    if _almost_bridgeless(inst.graph):
+    # the labeling classifies the graph itself; it exists exactly on almost
+    # bridgeless graphs
+    try:
         lab = compute_contiguous_labeling(inst.graph)
-        return proportional_two_connected(inst, lab)
-    return two_agent_fixed(inst)
+    except NotAlmostBridgeless:
+        return two_agent_fixed(inst)
+    return proportional_two_connected(inst, lab)
 
 
 def two_agent_flexible(inst: Instance, alpha: Fraction) -> EntitlementResult:

@@ -6,8 +6,10 @@ measure-agnostic; the piecewise-constant representation is closed under every
 cut the protocols perform.  Each valuation sums every edge's value once, when it
 is built, so a query for a whole edge reads a stored total.  The totals are also
 kept as integers over one scale, the least common multiple of their
-denominators, so sums of whole edges are exact integer sums; only partial
-intervals add fractions.
+denominators, so sums of whole edges are exact integer sums.  A partial
+interval is walked by ``_clip``, which yields its constant-density stretches as
+integer lengths; evaluation and cut queries sum and compare those in integers
+and build a ``Fraction`` only for the value or point they return.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import (
     InsufficientValue,
     MalformedInput,
-    ProtocolInvariantError,
     UnknownEdge,
     ZeroValuePiece,
 )
@@ -65,6 +66,31 @@ def _normalize_segments(segments: Iterable[tuple]) -> EdgeDensity:
         if s.density < 0:
             raise MalformedInput("densities must be nonnegative")
     return tuple(segs)
+
+
+def _clip(v: Valuation, edge: str, lo: Fraction, hi: Fraction) -> list[tuple[int, int, Fraction]]:
+    """The constant-density stretches of [lo, hi] on an edge, in ascending order,
+    as (length numerator, length denominator, density).
+
+    Bounds are compared by cross-multiplying their numerators and denominators,
+    so no Fraction is compared or built.  Segments are stored in ascending
+    order, so the walk stops at the first one that starts at or past ``hi``.
+    """
+    ln, ld = lo.as_integer_ratio()
+    hn, hd = hi.as_integer_ratio()
+    out = []
+    for s in v.edge_segments(edge):
+        an, ad = s.lo.as_integer_ratio()
+        if an * hd >= hn * ad:
+            break
+        bn, bd = s.hi.as_integer_ratio()
+        if an * ld < ln * ad:
+            an, ad = ln, ld
+        if hn * bd < bn * hd:
+            bn, bd = hn, hd
+        if an * bd < bn * ad:
+            out.append((bn * ad - an * bd, ad * bd, s.density))
+    return out
 
 
 class Valuation:
@@ -131,12 +157,12 @@ class Valuation:
     def interval_value(self, edge_id: str, lo: Fraction, hi: Fraction) -> Fraction:
         if is_whole(lo, hi):
             return self._totals.get(edge_id, ZERO)
-        acc = ZERO
-        for s in self.edge_segments(edge_id):
-            a, b = max(s.lo, lo), min(s.hi, hi)
-            if a < b:
-                acc += s.density * (b - a)
-        return acc
+        num, den = 0, 1
+        for n, d, density in _clip(self, edge_id, lo, hi):
+            p, q = density.as_integer_ratio()
+            if p:
+                num, den = num * d * q + n * p * den, den * d * q
+        return Fraction(num, den)
 
     def scaled(self, factor: Fraction) -> "Valuation":
         # Scaling every density scales each edge total by the same factor,
@@ -331,25 +357,26 @@ def value_of_piece(v: Valuation, p: Piece, log: Optional[QueryLog] = None) -> Fr
     return Fraction(whole, v.scale) + part
 
 
-def _leg_segments(v: Valuation, leg: Leg) -> list[tuple[Fraction, Fraction]]:
-    """Constant-density stretches of a leg as (sweep length, density), in sweep order."""
-    segs = v.edge_segments(leg.edge)
-    lo, hi = min(leg.start, leg.end), max(leg.start, leg.end)
-    clipped = []
-    for s in segs:
-        a, b = max(s.lo, lo), min(s.hi, hi)
-        if a < b:
-            clipped.append((a, b, s.density))
-    if leg.start > leg.end:
-        clipped = [(a, b, d) for a, b, d in reversed(clipped)]
-    return [(b - a, d) for a, b, d in clipped]
+def _leg_bounds(leg: Leg) -> tuple[Fraction, Fraction, bool]:
+    """The leg's lower and upper bound, and whether it sweeps backward (from
+    the upper to the lower), found by cross-multiplying."""
+    sn, sd = leg.start.as_integer_ratio()
+    en, ed = leg.end.as_integer_ratio()
+    if sn * ed > en * sd:
+        return leg.end, leg.start, True
+    return leg.start, leg.end, False
+
+
+def _position(leg: Leg, backward: bool, wn: int, wd: int) -> Fraction:
+    """The point ``wn / wd`` along the leg from its start; the start itself
+    when nothing has been swept."""
+    if not wn:
+        return leg.start
+    return leg.start - Fraction(wn, wd) if backward else leg.start + Fraction(wn, wd)
 
 
 def trajectory_value(v: Valuation, t: Trajectory) -> Fraction:
-    return sum(
-        (v.interval_value(leg.edge, min(leg.start, leg.end), max(leg.start, leg.end)) for leg in t),
-        ZERO,
-    )
+    return sum((v.interval_value(leg.edge, *_leg_bounds(leg)[:2]) for leg in t), ZERO)
 
 
 @dataclass(frozen=True)
@@ -374,14 +401,19 @@ def cut_trajectory(
         log.cut_count += 1
     if target < 0:
         raise InsufficientValue(f"negative cut target {target}")
-    # Whole legs that end before the stop are stepped over in integers:
-    # ``skipped`` of them, worth ``whole`` over v.scale, follow the value ``acc``
-    # and length ``offset`` swept so far.  Another whole leg worth x ends before
-    # the stop when whole + x < (target - acc) * scale, that is whole + x < room.
-    acc = ZERO
-    offset = ZERO
+    # The sweep runs in integers against the exact target tn / td (a float is
+    # read by its exact binary value).  ``acc`` = an / ad is the value swept so
+    # far and ``offset`` = on / od the length swept before the current leg.
+    # Whole legs that end before the stop are stepped over: ``skipped`` of
+    # them, worth ``whole`` over v.scale, follow acc and offset.  Another whole
+    # leg worth x ends before the stop when whole + x < (target - acc) * scale,
+    # that is whole + x < room.
+    tn, td = target.as_integer_ratio()
+    scale = v.scale
+    an, ad = 0, 1
+    on, od = 0, 1
     whole = skipped = 0
-    room = math.ceil(Fraction(target) * v.scale)
+    room = -(-tn * scale // td)
     for i, leg in enumerate(t):
         if is_whole(leg.start, leg.end) or is_whole(leg.end, leg.start):
             x = v.int_totals.get(leg.edge, 0)
@@ -390,28 +422,34 @@ def cut_trajectory(
                 skipped += 1
                 continue
         if skipped:
-            acc += Fraction(whole, v.scale)
-            offset += skipped
+            an, ad = an * scale + whole * ad, ad * scale
+            on += skipped * od
             whole = skipped = 0
-        direction = 1 if leg.end >= leg.start else -1
-        pos = leg.start
-        for length, density in _leg_segments(v, leg):
-            if acc == target:
-                return TrajectoryCut(i, pos, offset, canonical_point(g, leg.edge, pos))
-            seg_value = density * length
-            if density > 0 and acc + seg_value >= target:
-                dist = (target - acc) / density
-                cut_pos = pos + direction * dist
-                return TrajectoryCut(
-                    i, cut_pos, offset + dist, canonical_point(g, leg.edge, cut_pos)
-                )
-            acc += seg_value
-            pos += direction * length
-            offset += length
-        if acc == target:
+        lo, hi, backward = _leg_bounds(leg)
+        stretches = _clip(v, leg.edge, lo, hi)
+        wn, wd = 0, 1  # the length swept on this leg
+        for n, d, density in reversed(stretches) if backward else stretches:
+            if an * td == tn * ad:
+                break
+            p, q = density.as_integer_ratio()
+            if p:
+                # the value swept to the stretch's far end, sn / sd
+                sn, sd = an * d * q + n * p * ad, ad * d * q
+                if sn * td >= tn * sd:
+                    # the stop lies in this stretch; finish in the caller's type
+                    dist = (target - Fraction(an, ad)) / density
+                    cut_pos = _position(leg, backward, wn, wd) + (-dist if backward else dist)
+                    offset = Fraction(on * wd + wn * od, od * wd) + dist
+                    return TrajectoryCut(i, cut_pos, offset, canonical_point(g, leg.edge, cut_pos))
+                an, ad = sn, sd
+            wn, wd = wn * d + n * wd, wd * d
+        if an * td == tn * ad:
+            pos = _position(leg, backward, wn, wd)
+            offset = Fraction(on * wd + wn * od, od * wd)
             return TrajectoryCut(i, pos, offset, canonical_point(g, leg.edge, pos))
-        room = math.ceil((Fraction(target) - acc) * v.scale)
-    acc += Fraction(whole, v.scale)
+        on, od = on * wd + wn * od, od * wd
+        room = -(-(tn * ad - an * td) * scale // (td * ad))
+    acc = Fraction(an, ad) + Fraction(whole, scale)
     raise InsufficientValue(f"trajectory is worth {acc}, less than the target {target}")
 
 
@@ -444,18 +482,21 @@ def latest_position_within(
     """
     if budget < 0:
         return None
-    direction = 1 if leg.end >= leg.start else -1
-    pos = leg.start
-    acc = ZERO
-    for length, density in _leg_segments(v, leg):
-        seg_value = density * length
-        if acc + seg_value > budget:
-            if density == 0:  # pragma: no cover - zero density adds no value
-                raise ProtocolInvariantError("a zero-density segment overran the budget")
-            dist = (budget - acc) / density
-            return pos + direction * dist
-        acc += seg_value
-        pos += direction * length
+    # acc = an / ad is the value swept so far, against the exact budget bn / bd
+    bn, bd = budget.as_integer_ratio()
+    an, ad = 0, 1
+    lo, hi, backward = _leg_bounds(leg)
+    stretches = _clip(v, leg.edge, lo, hi)
+    wn, wd = 0, 1  # the length swept
+    for n, d, density in reversed(stretches) if backward else stretches:
+        p, q = density.as_integer_ratio()
+        if p:
+            sn, sd = an * d * q + n * p * ad, ad * d * q
+            if sn * bd > bn * sd:
+                dist = (budget - Fraction(an, ad)) / density
+                return _position(leg, backward, wn, wd) + (-dist if backward else dist)
+            an, ad = sn, sd
+        wn, wd = wn * d + n * wd, wd * d
     return leg.end
 
 

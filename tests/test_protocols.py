@@ -543,6 +543,19 @@ def test_best2_dispatch():
     assert rep.values == (F(1, 2), F(1, 2))
 
 
+def test_best2_searches_bridges_once(monkeypatch):
+    from graphcake import graph_core
+
+    calls = []
+    real = graph_core.find_bridges
+    monkeypatch.setattr(graph_core, "find_bridges", lambda g: calls.append(g) or real(g))
+    # almost bridgeless (the labeling is built) and not (cut and choose)
+    for g in (triangle(), star_graph(3)):
+        calls.clear()
+        two_agent_best(uniform_instance(g, 2))
+        assert calls == [g]
+
+
 # -- fixed and flexible entitlements --------------------------------------------------
 
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcake.errors import InsufficientValue, MalformedInput, UnknownEdge, ZeroValuePiece
+from graphcake.errors import (
+    InsufficientValue,
+    MalformedInput,
+    MalformedPiece,
+    UnknownEdge,
+    ZeroValuePiece,
+)
 from graphcake.graph_core import (
     EdgePoint,
     Interval,
@@ -25,6 +31,7 @@ from graphcake.valuation import (
     combine_valuations,
     cut_query,
     cut_trajectory,
+    latest_position_within,
     restrict,
     restrict_and_renormalize,
     trajectory_value,
@@ -341,6 +348,31 @@ def reference_cut_trajectory(g, v, t, target):
     raise InsufficientValue(f"trajectory is worth {acc}, less than the target {target}")
 
 
+def fraction_latest_position_within(v, leg, budget):
+    """latest_position_within as a Fraction segment loop."""
+    if budget < 0:
+        return None
+    direction = 1 if leg.end >= leg.start else -1
+    lo, hi = min(leg.start, leg.end), max(leg.start, leg.end)
+    clipped = [
+        (max(s.lo, lo), min(s.hi, hi), s.density)
+        for s in v.edge_segments(leg.edge)
+        if max(s.lo, lo) < min(s.hi, hi)
+    ]
+    if leg.start > leg.end:
+        clipped.reverse()
+    pos = leg.start
+    acc = F(0)
+    for a, b, density in clipped:
+        length = b - a
+        seg_value = density * length
+        if acc + seg_value > budget:
+            return pos + direction * ((budget - acc) / density)
+        acc += seg_value
+        pos += direction * length
+    return leg.end
+
+
 def fraction_skip_cut_trajectory(g, v, t, target):
     """The cut sweep that steps over whole legs by adding Fraction totals."""
     if target < 0:
@@ -511,6 +543,79 @@ def test_integer_whole_leg_skip_matches_the_fraction_one(v, den, t, data):
         assert _cut_outcome(cut_trajectory, PATH, v, t, target) == _cut_outcome(
             fraction_skip_cut_trajectory, PATH, v, t, target
         )
+
+
+@st.composite
+def walked_valuations(draw):
+    """A drawn valuation as it is, scaled, or combined with others."""
+    v = draw(valuations())
+    kind = draw(st.sampled_from(["plain", "scaled", "combined"]))
+    if kind == "scaled":
+        return v.scaled(F(draw(st.integers(1, 50)), draw(st.integers(1, 97))))
+    if kind == "combined":
+        vals = [v] + draw(st.lists(valuations(), min_size=1, max_size=2))
+        return combine_valuations(vals, [F(draw(st.integers(0, 5)), draw(st.integers(1, 4))) for _ in vals])
+    return v
+
+
+# breakpoints and the ends (the twelfths lie on the grid), and bounds off it
+BOUNDS = st.one_of(GRID, st.integers(0, 35).map(lambda k: F(k, 35)))
+
+
+def _typed(x):
+    return x, type(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walked_valuations(), st.lists(st.tuples(BOUNDS, BOUNDS), max_size=4))
+def test_integer_interval_walk_matches_the_fraction_loop(v, spans):
+    # lo == hi, whole edges, and spans that start or end on breakpoints or between them
+    queries = [(F(0), F(1)), (F(1, 3), F(1, 3)), (F(0), F(1, 2)), (F(7, 12), F(1))]
+    queries += [(min(a, b), max(a, b)) for a, b in spans]
+    for edge in EDGES + ["absent"]:
+        for lo, hi in queries:
+            assert _typed(v.interval_value(edge, lo, hi)) == _typed(
+                reference_interval_value(v, edge, lo, hi)
+            )
+            legs = (Leg(edge, lo, hi), Leg(edge, hi, lo))
+            assert trajectory_value(v, legs) == 2 * reference_interval_value(v, edge, lo, hi)
+
+
+def _outcome(sweep, *args):
+    """A result with its types, or the raised error's type and message.  A float
+    target or budget is finished in floats, which can step just past an edge
+    end; canonical_point then raises MalformedPiece, in both sweeps alike."""
+    try:
+        found = sweep(*args)
+    except (InsufficientValue, MalformedPiece) as exc:
+        return type(exc), str(exc)
+    if isinstance(found, TrajectoryCut):
+        return found, type(found.sweep_offset), type(found.position)
+    return _typed(found)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walked_valuations(), st.lists(legs(), min_size=1, max_size=3), st.data())
+def test_integer_sweeps_match_the_fraction_loops(v, t, data):
+    t = tuple(t)
+    total = trajectory_value(v, t)
+    # stops at breakpoints and leg ends (plateaus start there), points just off
+    # them, shares of the whole, more than the whole, negative, and floats
+    stops = _prefix_values(v, t)
+    exact = stops + [x + F(1, 10007) for x in stops] + [x - F(1, 10007) for x in stops]
+    exact += [total * F(data.draw(st.integers(0, 12)), 12), total + F(1, 7), F(-1)]
+    floats = [float(x) for x in stops] + [float(total) / 3, float(total) + 0.25, 0.1, 0.0, -0.5]
+    for target in exact + floats:
+        assert _outcome(cut_trajectory, PATH, v, t, target) == _outcome(
+            fraction_skip_cut_trajectory, PATH, v, t, target
+        )
+    for leg in t:
+        # the leg's own plateau ends, exact and as floats, and the targets above
+        ends = _prefix_values(v, (leg,))
+        for budget in exact + floats + ends + [float(x) for x in ends]:
+            assert _outcome(latest_position_within, v, leg, budget) == _outcome(
+                fraction_latest_position_within, v, leg, budget
+            )
 
 
 @settings(max_examples=150, deadline=None)
