@@ -80,9 +80,10 @@ def _parse_params(pairs: list[str]) -> dict:
 def _cmd_classify(args) -> int:
     g = _load_graph(args.instance)
     witness = classify_almost_bridgeless(g)
+    bridges = find_bridges(g)
     payload = {
         "almost_bridgeless": witness.is_almost_bridgeless,
-        "bridges": sorted(find_bridges(g)),
+        "bridges": sorted(bridges),
     }
     if witness.is_almost_bridgeless:
         payload["add_edge_between"] = list(witness.endpoints)
@@ -91,7 +92,7 @@ def _cmd_classify(args) -> int:
     _emit(payload, args.pretty)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(g.to_dot(dashed_edges=find_bridges(g)))
+            fh.write(g.to_dot(dashed_edges=bridges))
             fh.write("\n")
     return 0
 
@@ -228,10 +229,8 @@ def _cmd_lemma(args) -> int:
 
 def _cmd_bipolar(args) -> int:
     g = _load_graph(args.instance)
-    result = find_bipolar_numbering(g, budget=args.budget)
-    payload = {"exhaustive": result.exhaustive}
-    payload["numbering"] = dict(result.numbering.labels) if result.found else None
-    _emit(payload, args.pretty)
+    numbering = find_bipolar_numbering(g)
+    _emit({"numbering": None if numbering is None else dict(numbering.labels)}, args.pretty)
     return 0
 
 
@@ -259,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.set_defaults(func=_cmd_label)
 
-    p = sub.add_parser("bipolar", help="search for a bipolar vertex numbering")
+    p = sub.add_parser("bipolar", help="find a bipolar vertex numbering, or null when none exists")
     p.add_argument("--instance", required=True)
-    p.add_argument("--budget", type=int, default=10)
     p.set_defaults(func=_cmd_bipolar)
 
     p = sub.add_parser("solve", help="run a protocol and self-verify its guarantee")

@@ -15,14 +15,13 @@ it; every other interval gets them in full.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     BadParameters,
-    BudgetExceeded,
     DisconnectedPiece,
     GraphConstructionError,
     MalformedInput,
@@ -515,46 +514,52 @@ def piece_component_count(g: CakeGraph, p: Piece) -> int:
 # ---------------------------------------------------------------------------
 
 
-def find_bridges(g: CakeGraph) -> set[str]:
-    """Edge ids of all bridges (edges on no cycle).  Parallel edges are never bridges."""
+def _blocks(g: CakeGraph) -> list[list[Edge]]:
+    """The edges of each block: a maximal 2-connected subgraph, or a bridge on
+    its own.  One iterative lowpoint DFS with an edge stack (Hopcroft and
+    Tarjan 1973); a parallel copy of the edge a vertex was entered by is a
+    back edge, so parallel edges share a block."""
     index = {v: i for i, v in enumerate(g.vertices)}
-    disc = [0] * len(g.vertices)
+    disc = [0] * len(g.vertices)  # discovery times from 1; 0 is unvisited
     low = [0] * len(g.vertices)
-    visited = [False] * len(g.vertices)
-    bridges: set[str] = set()
-    counter = 1
-    root = index[g.vertices[0]]
-    # iterative DFS; entries are (vertex, incoming edge id, iterator over incident edges)
-    stack: list[tuple[int, Optional[str], Iterator[Edge]]] = []
-    visited[root] = True
-    disc[root] = low[root] = counter
-    counter += 1
-    stack.append((root, None, iter(g.incident(g.vertices[0]))))
+    blocks: list[list[Edge]] = []
+    pending: list[Edge] = []  # edges of the blocks not closed yet, in visit order
+    disc[0] = low[0] = counter = 1
+    # entries are (vertex, incoming edge id, iterator over incident edges, the
+    # length of ``pending`` before the incoming edge)
+    stack: list[tuple[int, Optional[str], Iterator[Edge], int]] = [(0, None, iter(g._adj[g.vertices[0]]), 0)]
     while stack:
-        v_i, in_edge, it = stack[-1]
-        advanced = False
+        v_i, in_edge, it, mark = stack[-1]
         for e in it:
-            w_i = index[e.other(g.vertices[v_i])]
             if e.id == in_edge:
                 # the tree edge we entered through; a parallel copy has a different id
                 continue
-            if visited[w_i]:
-                low[v_i] = min(low[v_i], disc[w_i])
-            else:
-                visited[w_i] = True
-                disc[w_i] = low[w_i] = counter
+            w_i = index[e.other(g.vertices[v_i])]
+            if not disc[w_i]:
                 counter += 1
-                stack.append((w_i, e.id, iter(g.incident(g.vertices[w_i]))))
-                advanced = True
+                disc[w_i] = low[w_i] = counter
+                stack.append((w_i, e.id, iter(g._adj[g.vertices[w_i]]), len(pending)))
+                pending.append(e)
                 break
-        if not advanced:
+            if disc[w_i] < disc[v_i]:
+                # a back edge up the tree; seen from its lower end it is already pending
+                pending.append(e)
+                low[v_i] = min(low[v_i], disc[w_i])
+        else:
             stack.pop()
             if stack:
                 p_i = stack[-1][0]
                 low[p_i] = min(low[p_i], low[v_i])
-                if low[v_i] > disc[p_i]:
-                    bridges.add(in_edge)  # type: ignore[arg-type]
-    return bridges
+                if low[v_i] >= disc[p_i]:
+                    blocks.append(pending[mark:])
+                    del pending[mark:]
+    return blocks
+
+
+def find_bridges(g: CakeGraph) -> set[str]:
+    """Edge ids of all bridges (edges on no cycle): the edges of the one-edge
+    blocks.  Parallel edges are never bridges."""
+    return {block[0].id for block in _blocks(g) if len(block) == 1}
 
 
 @dataclass(frozen=True)
@@ -790,60 +795,44 @@ class BipolarNumbering:
     labels: Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class BipolarSearchResult:
-    numbering: Optional[BipolarNumbering]
-    exhaustive: bool
+def find_bipolar_numbering(g: CakeGraph) -> Optional[BipolarNumbering]:
+    """A numbering of the vertices 1..k in which every vertex but the ends (1
+    and k) has a smaller- and a larger-numbered neighbor, or None when there
+    is none.
 
-    @property
-    def found(self) -> bool:
-        return self.numbering is not None
-
-
-def find_bipolar_numbering(g: CakeGraph, budget: int = 10) -> BipolarSearchResult:
-    """Exhaustive search for a vertex numbering where every non-extreme vertex
-    has both a smaller- and a larger-labeled neighbor.
-
-    Raises BudgetExceeded when the vertex count exceeds ``budget``; a ``found``
-    result or a ``None`` with ``exhaustive=True`` is otherwise definitive.
+    A numbering with ends s and t exists exactly when adding the edge st makes
+    the graph 2-connected (Lempel, Even and Cederbaum 1967): the blocks form a
+    path, and s and t are non-cut vertices of its two end blocks (of a single
+    block, its first two vertices).  The numbering starts as a path from s to
+    t; each ear after it, a path through unnumbered vertices between two
+    numbered ones, has its interior placed between its ends.
     """
-    k = len(g.vertices)
-    if k > budget:
-        raise BudgetExceeded(f"{k} vertices exceeds the search budget of {budget}")
-    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
-    verts = list(g.vertices)
-    placed: list[str] = []
-    placed_set: set[str] = set()
-
-    def up_condition_ok() -> bool:
-        rank = {v: i for i, v in enumerate(placed)}
-        return all(
-            any(rank[w] > rank[v] for w in nbrs[v]) for v in placed[:-1]
-        )
-
-    def backtrack() -> Optional[list[str]]:
-        if len(placed) == k:
-            return list(placed) if up_condition_ok() else None
-        for v in verts:
-            if v in placed_set:
-                continue
-            if placed and not (nbrs[v] & placed_set):
-                continue
-            placed.append(v)
-            placed_set.add(v)
-            result = backtrack()
-            placed.pop()
-            placed_set.remove(v)
-            if result is not None:
-                return result
+    blocks = [{v for e in block for v in (e.u, e.v)} for block in _blocks(g)]
+    count = Counter(v for block in blocks for v in block)
+    cut = {v for v, c in count.items() if c > 1}
+    if any(c > 2 for c in count.values()) or any(len(b & cut) > 2 for b in blocks):
         return None
-
-    found = backtrack()
-    if found is None:
-        return BipolarSearchResult(None, exhaustive=True)
-    return BipolarSearchResult(
-        BipolarNumbering({v: i + 1 for i, v in enumerate(found)}), exhaustive=True
-    )
+    if len(blocks) == 1:
+        s, t = g.vertices[:2]
+    else:
+        ends = [b - cut for b in blocks if len(b & cut) == 1]
+        s, t = (next(v for v in g.vertices if v in end) for end in ends)
+    order = [s] + [head for _, _, head in _search_path(g, s, {t})]
+    used = set(order)
+    while len(order) < len(g.vertices):
+        frontier = next(e for e in g.edges if (e.u in used) != (e.v in used))
+        x = frontier.u if frontier.u in used else frontier.v
+        y = frontier.other(x)
+        unused = set(g.vertices) - used
+        ear = [y] + [head for _, _, head in _search_path(g, y, used - {x}, interior=unused)]
+        z = ear.pop()
+        at, other = order.index(x), order.index(z)
+        if other < at:
+            at = other
+            ear.reverse()
+        order[at + 1 : at + 1] = ear
+        used.update(ear)
+    return BipolarNumbering({v: i + 1 for i, v in enumerate(order)})
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ from .valuation import (
     combine_valuations,
     cut_trajectory,
     latest_position_within,
+    require_exact,
     trajectory_prefix_piece,
     value_of_piece,
 )
@@ -368,12 +369,12 @@ def _extract(
         rt = _RootedTree(g, region.intervals, forest=True)
     stv, branch, scale, least = {}, {}, {}, {}
     for a in eligible:
+        require_exact(need[a], "extraction threshold")
         if need[a] < 0:
             raise DomainError(f"extraction threshold {need[a]} is negative")
         stv[a], branch[a], scale[a] = rt.subtree_values(vals[a])
-        # an integer x meets the need when x >= need * scale, that is x >= least;
-        # Fraction() reads a float need by its exact binary value
-        least[a] = math.ceil(Fraction(need[a]) * scale[a])
+        # an integer x meets the need when x >= need * scale, that is x >= least
+        least[a] = math.ceil(need[a] * scale[a])
         log.eval_count += 1
         if stv[a][0] < least[a]:
             raise InsufficientValue(f"agent {a} values the piece below {need[a]}")

@@ -21,6 +21,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
+    DomainError,
     InsufficientValue,
     MalformedInput,
     UnknownEdge,
@@ -357,6 +358,13 @@ def value_of_piece(v: Valuation, p: Piece, log: Optional[QueryLog] = None) -> Fr
     return Fraction(whole, v.scale) + part
 
 
+def require_exact(x: object, what: str) -> None:
+    """Raise DomainError unless ``x`` is a Fraction or an int.  A float or a
+    bool is refused, so every query is asked and answered in exact numbers."""
+    if not isinstance(x, (Fraction, int)) or isinstance(x, bool):
+        raise DomainError(f"{what} {x!r} is not exact: pass a Fraction or an int")
+
+
 def _leg_bounds(leg: Leg) -> tuple[Fraction, Fraction, bool]:
     """The leg's lower and upper bound, and whether it sweeps backward (from
     the upper to the lower), found by cross-multiplying."""
@@ -397,13 +405,14 @@ def cut_trajectory(
     Zero-density plateaus resolve to their first point.  Raises
     InsufficientValue when the whole trajectory is worth less than the target.
     """
+    require_exact(target, "cut target")
     if log is not None:
         log.cut_count += 1
     if target < 0:
         raise InsufficientValue(f"negative cut target {target}")
-    # The sweep runs in integers against the exact target tn / td (a float is
-    # read by its exact binary value).  ``acc`` = an / ad is the value swept so
-    # far and ``offset`` = on / od the length swept before the current leg.
+    # The sweep runs in integers against the target tn / td.  ``acc`` = an / ad
+    # is the value swept so far and ``offset`` = on / od the length swept
+    # before the current leg.
     # Whole legs that end before the stop are stepped over: ``skipped`` of
     # them, worth ``whole`` over v.scale, follow acc and offset.  Another whole
     # leg worth x ends before the stop when whole + x < (target - acc) * scale,
@@ -436,7 +445,7 @@ def cut_trajectory(
                 # the value swept to the stretch's far end, sn / sd
                 sn, sd = an * d * q + n * p * ad, ad * d * q
                 if sn * td >= tn * sd:
-                    # the stop lies in this stretch; finish in the caller's type
+                    # the stop lies in this stretch
                     dist = (target - Fraction(an, ad)) / density
                     cut_pos = _position(leg, backward, wn, wd) + (-dist if backward else dist)
                     offset = Fraction(on * wd + wn * od, od * wd) + dist
@@ -480,6 +489,7 @@ def latest_position_within(
     Returns None for a negative budget, the leg end when the whole leg fits,
     and otherwise the far end of the plateau where the prefix equals the budget.
     """
+    require_exact(budget, "budget")
     if budget < 0:
         return None
     # acc = an / ad is the value swept so far, against the exact budget bn / bd

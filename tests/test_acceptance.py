@@ -207,13 +207,25 @@ def test_criterion_05_labeling_equivalence_exhaustive():
     )
 
 
+def _flower(petals):
+    """A cycle with a pendant two-edge cycle at each of its vertices."""
+    vertices = [f"t{i}" for i in range(petals)] + [f"p{i}" for i in range(petals)]
+    edges = [(f"cyc{i}", f"t{i}", f"t{(i + 1) % petals}") for i in range(petals)]
+    for i in range(petals):
+        edges += [(f"pet{i}a", f"t{i}", f"p{i}"), (f"pet{i}b", f"t{i}", f"p{i}")]
+    return CakeGraph(vertices, edges)
+
+
 def test_criterion_06_flower_graphs():
-    for side in ("left", "right"):
-        g = build_fixture(FixtureSpec("fig1_flowers", {"side": side})).graph
+    flowers = [build_fixture(FixtureSpec("fig1_flowers", {"side": side})).graph for side in ("left", "right")]
+    flowers.append(_flower(50))
+    for g in flowers:
         assert classify_almost_bridgeless(g).is_almost_bridgeless
-        result = find_bipolar_numbering(g)
-        assert result.exhaustive and not result.found
-    print("criterion 06 PASS: flower graphs almost bridgeless yet never bipolar")
+        assert find_bipolar_numbering(g) is None
+    print(
+        "criterion 06 PASS: flower graphs almost bridgeless yet never bipolar, "
+        f"up to {len(flowers[-1].vertices)} vertices"
+    )
 
 
 def test_criterion_07_entitlement_frontiers():

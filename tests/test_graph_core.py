@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from graphcake import graph_core
 from graphcake.errors import (
-    BudgetExceeded,
     DisconnectedPiece,
     GraphConstructionError,
     MalformedInput,
@@ -36,6 +35,8 @@ from graphcake.graph_core import (
 
 from conftest import (
     connected_multigraphs_up_to_iso,
+    cycle_graph,
+    ear_graph,
     edge_piece,
     path_graph,
     random_multigraph,
@@ -520,28 +521,6 @@ def test_is_contiguous_matches_block_reference_on_small_multigraphs():
     assert verdicts[True] > 1000 and verdicts[False] > 1000
 
 
-def _cycle_graph(m):
-    return CakeGraph([f"v{i}" for i in range(m)], [(f"e{i}", f"v{i}", f"v{(i + 1) % m}") for i in range(m)])
-
-
-def _ear_graph(rng, m):
-    """A short path with ears of length 1-6 hung between its vertices (almost bridgeless)."""
-    base = rng.randint(1, max(1, m // 8))
-    vertices = [f"v{i}" for i in range(base + 1)]
-    edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(base)]
-    while len(edges) < m:
-        length = rng.randint(1, min(6, m - len(edges)))
-        a, b = rng.choice(vertices), rng.choice(vertices)
-        while length == 1 and a == b:
-            b = rng.choice(vertices)
-        inner = [f"v{len(vertices) + i}" for i in range(length - 1)]
-        chain = [a, *inner, b]
-        for u, v in zip(chain, chain[1:]):
-            edges.append((f"e{len(edges)}", u, v))
-        vertices.extend(inner)
-    return CakeGraph(vertices, edges)
-
-
 def _perturbed(rng, g, lab):
     """Swap two nearby labels or flip one tail."""
     order, tails = list(lab.order), dict(lab.tails)
@@ -556,7 +535,7 @@ def _perturbed(rng, g, lab):
 
 def test_is_contiguous_matches_block_reference_on_perturbed_large_labelings():
     rng = random.Random(7)
-    graphs = [_cycle_graph(800)] + [_ear_graph(rng, m) for m in (200, 400, 800)]
+    graphs = [cycle_graph(800)] + [ear_graph(rng, m) for m in (200, 400, 800)]
     verdicts = Counter()
     for g in graphs:
         lab = compute_contiguous_labeling(g)
@@ -578,32 +557,47 @@ def test_labeling_self_check_raises_instead_of_asserting(monkeypatch):
 # -- bipolar numberings --------------------------------------------------------
 
 
-def test_bipolar_single_edge():
-    res = find_bipolar_numbering(single_edge_graph())
-    assert res.found and res.numbering.labels == {"a": 1, "b": 2}
+def reference_bipolar_order(g):
+    """Exhaustive backtracking over vertex orders, the search the block test
+    replaced: the first order (vertex order breaks ties) in which every vertex
+    but the last has a later neighbor and every vertex but the first an
+    earlier one, or None.  Only orders whose prefixes are connected are
+    grown, and a prefix is dropped once a vertex before its newest one has
+    every neighbor placed and none after it."""
+    k = len(g.vertices)
+    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    placed: list = []
+    placed_set: set = set()
 
+    def stuck():
+        rank = {v: i for i, v in enumerate(placed)}
+        return any(
+            nbrs[u] <= placed_set and not any(rank[w] > rank[u] for w in nbrs[u])
+            for u in placed[:-1]
+        )
 
-def test_bipolar_triangle_exists():
-    assert find_bipolar_numbering(triangle()).found
+    def backtrack():
+        if len(placed) == k:
+            return list(placed)
+        for v in g.vertices:
+            if v in placed_set or (placed and not nbrs[v] & placed_set):
+                continue
+            placed.append(v)
+            placed_set.add(v)
+            result = None if stuck() else backtrack()
+            placed.pop()
+            placed_set.remove(v)
+            if result is not None:
+                return result
+        return None
 
-
-def test_bipolar_budget():
-    g = path_graph(11)
-    with pytest.raises(BudgetExceeded):
-        find_bipolar_numbering(g, budget=10)
-    assert find_bipolar_numbering(g, budget=12).found
-
-
-def test_bipolar_implies_almost_bridgeless_on_random_graphs():
-    rng = random.Random(4242)
-    for _ in range(60):
-        g = random_multigraph(rng, max_edges=6)
-        if find_bipolar_numbering(g).found:
-            assert classify_almost_bridgeless(g).is_almost_bridgeless
+    return backtrack()
 
 
 def _numbering_is_bipolar(g, labels):
     k = len(g.vertices)
+    if sorted(labels.values()) != list(range(1, k + 1)):
+        return False
     for v in g.vertices:
         nbr_labels = [labels[w] for w in g.neighbors(v)]
         if labels[v] > 1 and not any(x < labels[v] for x in nbr_labels):
@@ -613,13 +607,50 @@ def _numbering_is_bipolar(g, labels):
     return True
 
 
+def test_bipolar_single_edge():
+    assert find_bipolar_numbering(single_edge_graph()).labels == {"a": 1, "b": 2}
+
+
+def test_bipolar_triangle_exists():
+    assert find_bipolar_numbering(triangle()) is not None
+
+
+def test_bipolar_numberings_on_large_graphs():
+    # far past what the exhaustive search could settle
+    for g in (path_graph(200), ear_graph(random.Random(7), 400)):
+        numbering = find_bipolar_numbering(g)
+        assert numbering is not None and _numbering_is_bipolar(g, numbering.labels)
+
+
+def test_bipolar_implies_almost_bridgeless_on_random_graphs():
+    rng = random.Random(4242)
+    for _ in range(60):
+        g = random_multigraph(rng, max_edges=6)
+        if find_bipolar_numbering(g) is not None:
+            assert classify_almost_bridgeless(g).is_almost_bridgeless
+
+
 def test_found_numberings_are_valid():
     rng = random.Random(99)
     for _ in range(40):
         g = random_multigraph(rng, max_edges=6)
-        res = find_bipolar_numbering(g)
-        if res.found:
-            assert _numbering_is_bipolar(g, res.numbering.labels)
+        numbering = find_bipolar_numbering(g)
+        if numbering is not None:
+            assert _numbering_is_bipolar(g, numbering.labels)
+
+
+def test_bipolar_existence_matches_the_exhaustive_search():
+    rng = random.Random(16)
+    graphs = list(connected_multigraphs_up_to_iso(5))
+    graphs += [random_multigraph(rng, max_edges=9) for _ in range(1000)]
+    verdicts = Counter()
+    for g in graphs:
+        numbering = find_bipolar_numbering(g)
+        assert (numbering is None) == (reference_bipolar_order(g) is None), g.to_json()
+        if numbering is not None:
+            assert _numbering_is_bipolar(g, numbering.labels), g.to_json()
+        verdicts[numbering is not None] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 # -- cycle splitting -----------------------------------------------------------

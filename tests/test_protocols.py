@@ -366,11 +366,17 @@ def test_integer_extraction_matches_the_fraction_reference(drawn, data):
         )
 
 
-def test_extract_compares_a_float_need_by_its_exact_value():
-    # on the uniform path every edge is worth 1/10, just below the float 0.1
+def test_extract_refuses_a_float_need():
+    # on the uniform path every edge is worth 1/10, just below the float 0.1; a
+    # need is compared exactly, so only an exact need is taken
     for inst in (random_instance(3, n=2, family="tree", edges=6), uniform_instance(path_graph(10), 2)):
         region = inst.graph.whole_piece()
-        for alpha in (0.25, 0.1, 1 / 3, 0.3):
+        for alpha in (0.25, 0.1, 1 / 3, 0.3, True):
+            with pytest.raises(DomainError, match="is not exact"):
+                _extract(inst.graph, inst.agents, region, {0: F(1, 4), 1: alpha}, QueryLog())
+            with pytest.raises(DomainError, match="is not exact"):
+                extract_piece(inst, region, alpha)
+        for alpha in (F(1, 4), F(1, 10), F(1, 3), F(3, 10), 0, 1):
             need = {0: alpha, 1: alpha}
             assert _outcome(_extract, inst.graph, inst.agents, region, need) == _outcome(
                 reference_extract, inst.graph, inst.agents, region, need

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcake.errors import (
+    DomainError,
     InsufficientValue,
     MalformedInput,
-    MalformedPiece,
     UnknownEdge,
     ZeroValuePiece,
 )
@@ -534,15 +534,17 @@ def test_integer_whole_leg_skip_matches_the_fraction_one(v, den, t, data):
     v = v.scaled(F(data.draw(st.integers(1, 50)), den))
     total = trajectory_value(v, t)
     # exact stops at leg ends and breakpoints (plateaus start there), points just
-    # off them, shares of the whole, the whole and more, and floats read exactly
+    # off them, shares of the whole, the whole and more, and ints
     stops = _prefix_values(v, t)
     targets = stops + [x + F(1, 10007) for x in stops] + [x - F(1, 10007) for x in stops]
-    targets += [total * F(data.draw(st.integers(0, 12)), 12), total + F(1, 7), F(-1)]
-    targets += [float(total) / 3, 0.1, 0.0]
+    targets += [total * F(data.draw(st.integers(0, 12)), 12), total + F(1, 7), F(-1), 0, 1, -1]
     for target in targets:
         assert _cut_outcome(cut_trajectory, PATH, v, t, target) == _cut_outcome(
             fraction_skip_cut_trajectory, PATH, v, t, target
         )
+    for target in (float(total) / 3, 0.1, 0.0, True):
+        with pytest.raises(DomainError, match="is not exact"):
+            cut_trajectory(PATH, v, t, target)
 
 
 @st.composite
@@ -582,12 +584,10 @@ def test_integer_interval_walk_matches_the_fraction_loop(v, spans):
 
 
 def _outcome(sweep, *args):
-    """A result with its types, or the raised error's type and message.  A float
-    target or budget is finished in floats, which can step just past an edge
-    end; canonical_point then raises MalformedPiece, in both sweeps alike."""
+    """A result with its types, or the raised error's type and message."""
     try:
         found = sweep(*args)
-    except (InsufficientValue, MalformedPiece) as exc:
+    except InsufficientValue as exc:
         return type(exc), str(exc)
     if isinstance(found, TrajectoryCut):
         return found, type(found.sweep_offset), type(found.position)
@@ -600,22 +600,27 @@ def test_integer_sweeps_match_the_fraction_loops(v, t, data):
     t = tuple(t)
     total = trajectory_value(v, t)
     # stops at breakpoints and leg ends (plateaus start there), points just off
-    # them, shares of the whole, more than the whole, negative, and floats
+    # them, shares of the whole, more than the whole, negative, and ints
     stops = _prefix_values(v, t)
     exact = stops + [x + F(1, 10007) for x in stops] + [x - F(1, 10007) for x in stops]
-    exact += [total * F(data.draw(st.integers(0, 12)), 12), total + F(1, 7), F(-1)]
-    floats = [float(x) for x in stops] + [float(total) / 3, float(total) + 0.25, 0.1, 0.0, -0.5]
-    for target in exact + floats:
+    exact += [total * F(data.draw(st.integers(0, 12)), 12), total + F(1, 7), F(-1), 0, 1, -1]
+    floats = [float(x) for x in stops] + [float(total) / 3, 0.1, 0.0, -0.5, True]
+    for target in exact:
         assert _outcome(cut_trajectory, PATH, v, t, target) == _outcome(
             fraction_skip_cut_trajectory, PATH, v, t, target
         )
+    for target in floats:
+        with pytest.raises(DomainError, match="is not exact"):
+            cut_query(PATH, v, t, target)
     for leg in t:
-        # the leg's own plateau ends, exact and as floats, and the targets above
-        ends = _prefix_values(v, (leg,))
-        for budget in exact + floats + ends + [float(x) for x in ends]:
+        # the leg's own plateau ends and the targets above
+        for budget in exact + _prefix_values(v, (leg,)):
             assert _outcome(latest_position_within, v, leg, budget) == _outcome(
                 fraction_latest_position_within, v, leg, budget
             )
+        for budget in floats:
+            with pytest.raises(DomainError, match="is not exact"):
+                latest_position_within(v, leg, budget)
 
 
 @settings(max_examples=150, deadline=None)
