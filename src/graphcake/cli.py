@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import fixtures as fixtures_mod
 from .allocation import Allocation, verify_allocation
-from .errors import CakeError, MalformedInput
+from .errors import CakeError, MalformedInput, NotAlmostBridgeless
 from .graph_core import (
     CakeGraph,
     classify_almost_bridgeless,
@@ -99,18 +99,18 @@ def _cmd_classify(args) -> int:
 
 def _cmd_label(args) -> int:
     g = _load_graph(args.instance)
-    witness = classify_almost_bridgeless(g)
-    if not witness.is_almost_bridgeless:
+    try:
+        lab = compute_contiguous_labeling(g)
+    except NotAlmostBridgeless:
         _emit(
             {
                 "labeling": None,
                 "reason": "graph is not almost bridgeless",
-                "obstruction_bridges": list(witness.obstruction),
+                "obstruction_bridges": list(classify_almost_bridgeless(g).obstruction),
             },
             args.pretty,
         )
         return 0
-    lab = compute_contiguous_labeling(g)
     _emit({"labeling": lab.to_json(g)}, args.pretty)
     return 0
 

@@ -165,10 +165,17 @@ class CakeGraph:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CakeGraph":
+        shape = 'a graph needs "vertices" and "edges": [id, u, v] lists'
         try:
-            return cls(data["vertices"], [tuple(e) for e in data["edges"]])
+            vertices, edges = data["vertices"], data["edges"]
+            if not isinstance(vertices, list) or not all(isinstance(e, list) for e in edges):
+                raise MalformedInput(shape)
+            for x in (*vertices, *(x for e in edges for x in e)):
+                if not isinstance(x, str):
+                    raise MalformedInput(f"id {x!r} is not a string")
+            return cls(vertices, edges)
         except (KeyError, TypeError):
-            raise MalformedInput('a graph needs "vertices" and "edges": [id, u, v] lists') from None
+            raise MalformedInput(shape) from None
 
     def to_dot(self, dashed_edges: Iterable[str] = ()) -> str:
         dashed = set(dashed_edges)

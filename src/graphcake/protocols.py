@@ -940,9 +940,6 @@ def _chore_rec(
         """A cost of agent ``a`` as a share of her cost of the region, the root's value."""
         return Fraction(x, below[a][0])
 
-    def sorted_costs(piece: Piece) -> list[tuple[Fraction, int]]:
-        return sorted((value_of_piece(vals[a], piece, log) / total[a], a) for a in agents)
-
     def subtree_violates(node: int) -> bool:
         costs = sorted(share(a, below[a][node]) for a in agents)
         return not _cond1_holds(costs, k)
@@ -980,7 +977,7 @@ def _chore_rec(
         if not (ZERO <= stop < leg_length):
             raise ProtocolInvariantError("condition-one tightness point out of range")
         piece = rt.branch_piece(Leg(leg.edge, leg.start, leg.start + direction * stop), w)
-        ranked = sorted_costs(piece)
+        ranked = sorted((value_of_piece(vals[a], piece, log) / total[a], a) for a in agents)
         if not _cond1_holds([c for c, _ in ranked], k):
             raise ProtocolInvariantError("condition one broken at the computed stop")
         tight = [
@@ -993,19 +990,20 @@ def _chore_rec(
         i_star = tight[0]
         group_a_size = max(1, i_star - 1)
     else:
-        # Case 2: accumulate branches until condition one first fails.
-        acc = Piece.empty()
-        piece = None
-        for child in rt.children[v]:
-            acc = acc.union(rt.branch_piece(rt.legs[child], child))
-            costs = [c for c, _ in sorted_costs(acc)]
-            if not _cond1_holds(costs, k):
-                piece = acc
+        # Case 2: accumulate branches until condition one first fails.  Each
+        # step's ranking and the final one cost one evaluation query per agent.
+        acc = {a: 0 for a in agents}
+        for i, child in enumerate(rt.children[v]):
+            for a in agents:
+                acc[a] += branch[a][child]
+            ranked = sorted((share(a, acc[a]), a) for a in agents)
+            plain = [c for c, _ in ranked]
+            if not _cond1_holds(plain, k):
                 break
-        if piece is None:
+        else:
             raise ProtocolInvariantError("branch accumulation never violated condition one")
-        ranked = sorted_costs(piece)
-        plain = [c for c, _ in ranked]
+        log.eval_count += k * (i + 2)
+        piece = rt.branches_piece(rt.children[v][: i + 1])
         if _cond2_holds(plain, k):
             raise ProtocolInvariantError("accumulated piece unexpectedly meets condition two")
         fail1 = next(

@@ -4,12 +4,13 @@ Valuations double as cost functions in chore mode.  Protocols interact with
 them only through evaluation and cut queries, which keeps the interface
 measure-agnostic; the piecewise-constant representation is closed under every
 cut the protocols perform.  Each valuation sums every edge's value once, when it
-is built, so a query for a whole edge reads a stored total.  The totals are also
-kept as integers over one scale, the least common multiple of their
-denominators, so sums of whole edges are exact integer sums.  A partial
-interval is walked by ``_clip``, which yields its constant-density stretches as
-integer lengths; evaluation and cut queries sum and compare those in integers
-and build a ``Fraction`` only for the value or point they return.
+is built, and keeps the totals once, as integers over one scale, the least
+common multiple of their denominators; a query for a whole edge reads a stored
+total, and sums of whole edges are exact integer sums.  Every interval, whole
+edges at construction included, is walked by ``_clip``, which yields its
+constant-density stretches as integer lengths; evaluation and cut queries sum
+and compare those in integers and build a ``Fraction`` only for the value or
+point they return.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class Segment:
 EdgeDensity = tuple[Segment, ...]
 
 
-def _normalize_segments(segments: Iterable[tuple]) -> EdgeDensity:
-    segs = [Segment(Fraction(a), Fraction(b), Fraction(d)) for a, b, d in segments]
+def _normalize_segments(segments: Iterable[tuple[Fraction, Fraction, Fraction]]) -> EdgeDensity:
+    segs = [Segment(a, b, d) for a, b, d in segments]
     if not segs or segs[0].lo != ZERO or segs[-1].hi != ONE:
         raise MalformedInput("segments must partition [0, 1]")
     for prev, cur in zip(segs, segs[1:]):
@@ -94,48 +95,51 @@ def _clip(v: Valuation, edge: str, lo: Fraction, hi: Fraction) -> list[tuple[int
     return out
 
 
+def _integrate(stretches: Iterable[tuple[int, int, Fraction]]) -> tuple[int, int]:
+    """The value of ``_clip``'s stretches, as an unreduced numerator and denominator."""
+    num, den = 0, 1
+    for n, d, density in stretches:
+        p, q = density.as_integer_ratio()
+        if p:
+            num, den = num * d * q + n * p * den, den * d * q
+    return num, den
+
+
 class Valuation:
     """Map from edge id to a piecewise-constant rational density.
 
     Edges absent from the map carry zero density.  A normalized valuation
     integrates to exactly 1 over the whole cake.  Valuations are immutable:
     ``densities`` is a read-only view of a private copy, so the edge totals
-    summed at construction never go stale.  ``int_totals[e] / scale`` is edge
-    ``e``'s total, with ``scale`` the least common multiple of the totals'
-    denominators.
+    summed at construction never go stale.  The totals are kept once, as
+    integers over one scale: ``int_totals[e] / scale`` is edge ``e``'s total,
+    with ``scale`` the least common multiple of the totals' denominators.
     """
 
-    __slots__ = ("densities", "_totals", "scale", "int_totals")
+    __slots__ = ("densities", "scale", "int_totals")
 
     def __init__(self, densities: Mapping[str, EdgeDensity]):
         self.densities: Mapping[str, EdgeDensity] = MappingProxyType(dict(densities))
-        self._keep_totals(
-            {
-                e: sum((s.density * (s.hi - s.lo) for s in segs), ZERO)
-                for e, segs in self.densities.items()
-            }
-        )
+        sums = {e: _integrate(_clip(self, e, ZERO, ONE)) for e in self.densities}
+        den = math.lcm(*(d for _, d in sums.values()))
+        self._keep_totals({e: n * (den // d) for e, (n, d) in sums.items()}, den)
 
-    def _keep_totals(self, totals: dict[str, Fraction]) -> None:
-        self._totals = totals
-        self.scale = math.lcm(*(x.denominator for x in totals.values()))
-        self.int_totals: Mapping[str, int] = MappingProxyType(
-            {e: x.numerator * (self.scale // x.denominator) for e, x in totals.items()}
-        )
+    def _keep_totals(self, totals: dict[str, int], den: int) -> None:
+        """Keep edge totals given as integers over ``den``, at the least scale."""
+        common = math.gcd(den, *totals.values())
+        self.scale = den // common
+        self.int_totals = MappingProxyType({e: x // common for e, x in totals.items()})
 
     @staticmethod
     def from_segments(per_edge: Mapping[str, Sequence[tuple]]) -> "Valuation":
-        return Valuation({e: _normalize_segments(s) for e, s in per_edge.items()})
+        exact = {e: [tuple(map(Fraction, seg)) for seg in segs] for e, segs in per_edge.items()}
+        return Valuation({e: _normalize_segments(segs) for e, segs in exact.items()})
 
     @staticmethod
     def from_edge_values(values: Mapping[str, Fraction | int]) -> "Valuation":
         """Uniform density within each edge, integrating to the given edge values."""
         return Valuation(
-            {
-                e: (Segment(ZERO, ONE, Fraction(val)),)
-                for e, val in values.items()
-                if Fraction(val) != 0
-            }
+            {e: (Segment(ZERO, ONE, x),) for e, val in values.items() if (x := Fraction(val))}
         )
 
     @staticmethod
@@ -147,7 +151,7 @@ class Valuation:
         return self.densities.get(edge_id, (Segment(ZERO, ONE, ZERO),))
 
     def edge_value(self, edge_id: str) -> Fraction:
-        return self._totals.get(edge_id, ZERO)
+        return Fraction(self.int_totals.get(edge_id, 0), self.scale)
 
     def total(self) -> Fraction:
         return Fraction(sum(self.int_totals.values()), self.scale)
@@ -157,23 +161,14 @@ class Valuation:
 
     def interval_value(self, edge_id: str, lo: Fraction, hi: Fraction) -> Fraction:
         if is_whole(lo, hi):
-            return self._totals.get(edge_id, ZERO)
-        num, den = 0, 1
-        for n, d, density in _clip(self, edge_id, lo, hi):
-            p, q = density.as_integer_ratio()
-            if p:
-                num, den = num * d * q + n * p * den, den * d * q
-        return Fraction(num, den)
+            return self.edge_value(edge_id)
+        return Fraction(*_integrate(_clip(self, edge_id, lo, hi)))
 
     def scaled(self, factor: Fraction) -> "Valuation":
-        # Scaling every density scales each edge total by the same factor,
-        # exactly, so the totals are carried over instead of summed again.
-        # Densities repeat across edges, and equal ones share one product.
-        products: dict[Fraction, Fraction] = {}
-        for segs in self.densities.values():
-            for s in segs:
-                if s.density not in products:
-                    products[s.density] = s.density * factor
+        # Scaling every density scales each edge total exactly by the same
+        # factor, so the totals are carried over; equal densities share a product.
+        distinct = {s.density for segs in self.densities.values() for s in segs}
+        products = {d: d * factor for d in distinct}
         out = Valuation.__new__(Valuation)
         out.densities = MappingProxyType(
             {
@@ -181,7 +176,8 @@ class Valuation:
                 for e, segs in self.densities.items()
             }
         )
-        out._keep_totals({e: x * factor for e, x in self._totals.items()})
+        p, q = factor.as_integer_ratio()
+        out._keep_totals({e: x * p for e, x in self.int_totals.items()}, self.scale * q)
         return out
 
     def to_json(self) -> dict:
@@ -266,7 +262,7 @@ def combine_valuations(vals: Sequence[Valuation], weights: Sequence[Fraction]) -
             sums[e] = sums.get(e, 0) + x * lift
     out = Valuation.__new__(Valuation)
     out.densities = _MergedDensities(vals, weights, sorted(sums))
-    out._keep_totals({e: Fraction(sums[e], den) for e in out.densities})
+    out._keep_totals({e: sums[e] for e in out.densities}, den)
     return out
 
 
@@ -335,10 +331,6 @@ class QueryLog:
 
     eval_count: int = 0
     cut_count: int = 0
-
-    def merge(self, other: "QueryLog") -> None:
-        self.eval_count += other.eval_count
-        self.cut_count += other.cut_count
 
     def to_json(self) -> dict:
         return {"eval": self.eval_count, "cut": self.cut_count}

@@ -260,6 +260,24 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
         ("solve", _edge_instance(agents=[{"e0": [["0", "1/0"]]}]), None),
         ("solve", {"mode": "cake", "agents": []}, None),
         ("solve", _edge_instance(graph={"vertices": ["a", "b"]}), None),
+        (
+            "solve",
+            _edge_instance(
+                graph={"vertices": ["a", "b", "c"], "edges": [[0, "a", "b"], ["e1", "b", "c"]]},
+                agents=[{"e1": [["0", "1"]]}],
+            ),
+            None,
+        ),
+        (
+            "solve",
+            _edge_instance(
+                graph={"vertices": ["a", 1], "edges": [["e0", "a", 1]]},
+                agents=[{"e0": [["0", "1"]]}] * 2,
+            ),
+            None,
+        ),
+        ("solve", _edge_instance(graph={"vertices": "ab", "edges": [["e0", "a", "b"]]}), None),
+        ("solve", _edge_instance(graph={"vertices": ["a", "b"], "edges": ["e0ab"]}), None),
         ("solve", _edge_instance(agents=[[["0", "1"]]]), None),
         ("solve", [], None),
         ("solve", _edge_instance(agents=[]), None),
@@ -283,6 +301,10 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
         "zero-denominator",
         "no-graph",
         "no-edges",
+        "graph-edge-id-a-number",
+        "graph-vertex-id-a-number",
+        "graph-vertices-a-string",
+        "graph-edge-a-string",
         "valuation-not-a-map",
         "instance-not-a-map",
         "no-agents",
