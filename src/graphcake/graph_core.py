@@ -15,6 +15,7 @@ it; every other interval gets them in full.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -372,10 +373,13 @@ class Piece:
 
     @staticmethod
     def from_json(data: Iterable) -> "Piece":
+        shape = "a piece must be a list of [edge, lo, hi] triples"
         try:
+            if not all(isinstance(triple, list) for triple in data):
+                raise MalformedPiece(shape)
             triples = [(e, parse_fraction(lo), parse_fraction(hi)) for e, lo, hi in data]
         except (TypeError, ValueError):
-            raise MalformedPiece("a piece must be a list of [edge, lo, hi] triples") from None
+            raise MalformedPiece(shape) from None
         for e, _, _ in triples:
             if not isinstance(e, str):
                 raise MalformedPiece(f"edge id {e!r} is not a string")
@@ -579,55 +583,38 @@ class AlmostBridgelessWitness:
     obstruction: Optional[tuple[str, str, str]] = None
 
 
-def _two_edge_connected_components(g: CakeGraph, bridges: set[str]) -> dict[str, int]:
-    """Map each vertex to the index of its 2-edge-connected component."""
-    comp: dict[str, int] = {}
-    next_id = 0
-    for v in g.vertices:
-        if v in comp:
-            continue
-        comp[v] = next_id
-        queue = deque([v])
-        while queue:
-            a = queue.popleft()
-            for e in g.incident(a):
-                if e.id in bridges:
-                    continue
-                b = e.other(a)
-                if b not in comp:
-                    comp[b] = next_id
-                    queue.append(b)
-        next_id += 1
-    return comp
-
-
 def classify_almost_bridgeless(g: CakeGraph) -> AlmostBridgelessWitness:
     """Decide whether one added edge can make the graph bridgeless.
 
-    Contract the 2-edge-connected components into the bridge tree.  The graph
-    is almost bridgeless iff that tree is a path; the witness endpoints are
-    the first vertices of its two extreme components.  Otherwise a component
-    of bridge-degree >= 3 supplies three bridges no path can cover.
+    Contract the 2-edge-connected components into the bridge tree: the sets
+    of a union-find over the non-bridge edges, each named by its first
+    vertex.  The graph is almost bridgeless iff that tree is a path; the
+    witness endpoints, where ``compute_contiguous_labeling`` starts its ear
+    walk, name its two extreme components.  Otherwise the first component of
+    bridge-degree >= 3 supplies three bridges no path can cover.
     """
     bridges = find_bridges(g)
     if not bridges:
         e = g.edges[0]
         return AlmostBridgelessWitness(True, endpoints=(e.u, e.v))
-    comp = _two_edge_connected_components(g, bridges)
-    incident_bridges: dict[int, list[str]] = defaultdict(list)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    uf = _UnionFind(len(g.vertices))
+    for e in g.edges:
+        if e.id not in bridges:
+            uf.union(index[e.u], index[e.v])
+    first: dict[int, str] = {}
+    comp = {v: first.setdefault(uf.find(i), v) for i, v in enumerate(g.vertices)}
+    incident_bridges: dict[str, list[str]] = defaultdict(list)
     for e in g.edges:
         if e.id in bridges:
             incident_bridges[comp[e.u]].append(e.id)
             incident_bridges[comp[e.v]].append(e.id)
-    for c in sorted(incident_bridges):
+    for c in sorted(incident_bridges, key=index.get):
         if len(incident_bridges[c]) >= 3:
-            e1, e2, e3 = incident_bridges[c][:3]
-            return AlmostBridgelessWitness(False, obstruction=(e1, e2, e3))
+            return AlmostBridgelessWitness(False, obstruction=tuple(incident_bridges[c][:3]))
     # all bridge-tree degrees <= 2, so the bridge tree is a path
-    extremes = sorted(c for c, bs in incident_bridges.items() if len(bs) == 1)
-    first = next(v for v in g.vertices if comp[v] == extremes[0])
-    second = next(v for v in g.vertices if comp[v] == extremes[1])
-    return AlmostBridgelessWitness(True, endpoints=(first, second))
+    ends = sorted((c for c, bs in incident_bridges.items() if len(bs) == 1), key=index.get)
+    return AlmostBridgelessWitness(True, endpoints=(ends[0], ends[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -691,17 +678,20 @@ def _search_path(
     stop_at: set[str],
     banned_edge: Optional[str] = None,
     interior: Optional[set[str]] = None,
+    banned_vertex: Optional[str] = None,
 ) -> list[tuple[str, str, str]]:
     """BFS path from ``start`` to any vertex in ``stop_at``, as (edge id, tail,
     head) steps directed away from ``start``; intermediate vertices are
-    restricted to ``interior`` when given.  Neighbor expansion follows edge
-    order, so the result is deterministic."""
+    restricted to ``interior`` when given, and ``banned_vertex`` is never
+    entered.  Neighbor expansion follows edge order, so the result is
+    deterministic.  Callers search only graphs whose class promises a path,
+    so finding none is an invariant breach."""
     parent: dict[str, tuple[str, str]] = {}
     queue = deque([start])
-    seen = {start}
+    seen = {start, banned_vertex}
     while queue:
         a = queue.popleft()
-        for e in g.incident(a):
+        for e in g._adj[a]:
             if e.id == banned_edge:
                 continue
             b = e.other(a)
@@ -719,16 +709,62 @@ def _search_path(
             if interior is None or b in interior:
                 seen.add(b)
                 queue.append(b)
-    raise NotAlmostBridgeless("internal search failed; graph is not almost bridgeless")
+    raise ProtocolInvariantError(f"internal search failed: no path from {start!r} reaches the stop set")
+
+
+def _ears(g: CakeGraph, s: str, t: str, closed: bool) -> Iterator[list[tuple[str, str, str]]]:
+    """The ear walk behind the contiguous labeling and the bipolar numbering.
+
+    Yields ears as (edge id, tail, head) steps: first the BFS path from ``s``
+    to ``t``; after each ear, the chords it created, in edge order and each
+    from its first endpoint; then one ear along the lowest-index edge with
+    exactly one used end x, through unused vertices back to a used vertex.
+    That vertex may be x itself only when ``closed``, as 2-edge-connectivity
+    allows and 2-connectivity does not.  Edges that gain a used end go on a
+    heap of edge indices, so no ear rescans the graph.
+    """
+    index = {e.id: i for i, e in enumerate(g.edges)}
+    done: set[str] = set()  # ids of the edges yielded
+    used: set[str] = set()
+    unused = set(g.vertices)
+    reached: list[int] = []  # heap: indices of edges with one used end, and of done edges
+    ear = _search_path(g, s, {t})
+    while True:
+        yield ear
+        fresh = {v for _, tail, head in ear for v in (tail, head) if v in unused}
+        done.update(e_id for e_id, _, _ in ear)
+        used |= fresh
+        unused -= fresh
+        chords: set[int] = set()
+        for v in fresh:
+            for e in g._adj[v]:
+                if e.id not in done:
+                    if e.other(v) in used:
+                        chords.add(index[e.id])
+                    else:
+                        heapq.heappush(reached, index[e.id])
+        for i in sorted(chords):
+            e = g.edges[i]
+            done.add(e.id)
+            yield [(e.id, e.u, e.v)]
+        while reached and g.edges[reached[0]].id in done:
+            heapq.heappop(reached)
+        if not reached:
+            return
+        f = g.edges[reached[0]]
+        x, y = (f.u, f.v) if f.u in used else (f.v, f.u)
+        ear = [(f.id, x, y), *_search_path(g, y, used, f.id, unused, banned_vertex=None if closed else x)]
 
 
 def compute_contiguous_labeling(g: CakeGraph) -> OrientedLabeling:
-    """Construct a contiguous oriented labeling by iterative ear insertion.
+    """Construct a contiguous oriented labeling by ear insertion.
 
-    Requires the graph to be almost bridgeless.  The first ear is a path
-    between the witness endpoints; every later ear is inserted right after
-    the first edge directed into its start vertex (or at the front when the
-    start is the global source).
+    Requires the graph to be almost bridgeless.  It takes the ear walk
+    (``_ears``) from witness endpoint u to v with closed ears, which
+    2-edge-connectivity allows.  Each ear is oriented from the end entered
+    first (u before all) and inserted right after that end's first incoming
+    edge, or at the front from u; its last edge then becomes the first edge
+    into its other end, unless it closes where it started.
     """
     witness = classify_almost_bridgeless(g)
     if not witness.is_almost_bridgeless:
@@ -736,57 +772,21 @@ def compute_contiguous_labeling(g: CakeGraph) -> OrientedLabeling:
             f"no contiguous labeling exists; obstruction bridges {witness.obstruction}"
         )
     u, v = witness.endpoints  # type: ignore[misc]
-
-    # order entries are (edge id, tail vertex, head vertex)
-    order: list[tuple[str, str, str]] = []
-    used_edges: set[str] = set()
-    used_vertices: set[str] = set()
-
-    def first_into(x: str) -> Optional[int]:
-        for i, (_, _, head) in enumerate(order):
-            if head == x:
-                return i
-        return None
-
-    def insert_ear(ear: list[tuple[str, str, str]]) -> None:
+    order: list[str] = []  # edge ids in label order
+    tails: dict[str, str] = {}
+    first_in: dict[str, str] = {}  # each entered vertex's first incoming edge in ``order``
+    for ear in _ears(g, u, v, closed=True):
         x, z = ear[0][1], ear[-1][2]
-        if x != u:
-            fx = first_into(x)
-            if fx is None:
-                raise ProtocolInvariantError(
-                    "every used vertex other than the source has an incoming edge"
-                )
-            fz = first_into(z)
-            if z == u or (fz is not None and fz < fx):
-                ear = [(e, h, t) for (e, t, h) in reversed(ear)]
-                x, z = ear[0][1], ear[-1][2]
-        pos = 0 if x == u else first_into(x) + 1  # type: ignore[operator]
-        order[pos:pos] = ear
-        for e_id, tail, head in ear:
-            used_edges.add(e_id)
-            used_vertices.add(tail)
-            used_vertices.add(head)
-
-    insert_ear(_search_path(g, u, {v}))
-    while len(used_edges) < g.m:
-        # a chord adds no vertex, so it can go in as soon as the scan reaches it
-        for e in g.edges:
-            if e.id not in used_edges and e.u in used_vertices and e.v in used_vertices:
-                insert_ear([(e.id, e.u, e.v)])
-        if len(used_edges) == g.m:
-            break
-        frontier = next(
-            e
-            for e in g.edges
-            if e.id not in used_edges and (e.u in used_vertices) != (e.v in used_vertices)
-        )
-        x = frontier.u if frontier.u in used_vertices else frontier.v
-        y = frontier.other(x)
-        unused = set(g.vertices) - used_vertices
-        trail = _search_path(g, y, used_vertices, banned_edge=frontier.id, interior=unused)
-        insert_ear([(frontier.id, x, y), *trail])
-
-    lab = OrientedLabeling(tuple(e for e, _, _ in order), {e: t for e, t, _ in order})
+        if x != u and (z == u or order.index(first_in[z]) < order.index(first_in[x])):
+            ear = [(e, head, tail) for e, tail, head in reversed(ear)]
+            x, z = z, x
+        at = 0 if x == u else order.index(first_in[x]) + 1
+        order[at:at] = [e for e, _, _ in ear]
+        for e, tail, head in ear:
+            tails[e] = tail
+            if head != x:
+                first_in[head] = e
+    lab = OrientedLabeling(tuple(order), tails)
     if not is_contiguous(g, lab):
         raise ProtocolInvariantError("ear construction produced a non-contiguous labeling")
     return lab
@@ -810,9 +810,9 @@ def find_bipolar_numbering(g: CakeGraph) -> Optional[BipolarNumbering]:
     A numbering with ends s and t exists exactly when adding the edge st makes
     the graph 2-connected (Lempel, Even and Cederbaum 1967): the blocks form a
     path, and s and t are non-cut vertices of its two end blocks (of a single
-    block, its first two vertices).  The numbering starts as a path from s to
-    t; each ear after it, a path through unnumbered vertices between two
-    numbered ones, has its interior placed between its ends.
+    block, its first two vertices).  The numbering starts as s, t, takes the
+    labeling's ear walk (``_ears``) with open ears, which 2-connectivity
+    needs, and places each ear's interior (a chord has none) between its ends.
     """
     blocks = [{v for e in block for v in (e.u, e.v)} for block in _blocks(g)]
     count = Counter(v for block in blocks for v in block)
@@ -824,21 +824,15 @@ def find_bipolar_numbering(g: CakeGraph) -> Optional[BipolarNumbering]:
     else:
         ends = [b - cut for b in blocks if len(b & cut) == 1]
         s, t = (next(v for v in g.vertices if v in end) for end in ends)
-    order = [s] + [head for _, _, head in _search_path(g, s, {t})]
-    used = set(order)
-    while len(order) < len(g.vertices):
-        frontier = next(e for e in g.edges if (e.u in used) != (e.v in used))
-        x = frontier.u if frontier.u in used else frontier.v
-        y = frontier.other(x)
-        unused = set(g.vertices) - used
-        ear = [y] + [head for _, _, head in _search_path(g, y, used - {x}, interior=unused)]
-        z = ear.pop()
-        at, other = order.index(x), order.index(z)
-        if other < at:
-            at = other
-            ear.reverse()
-        order[at + 1 : at + 1] = ear
-        used.update(ear)
+    order = [s, t]
+    for ear in _ears(g, s, t, closed=False):
+        interior = [head for _, _, head in ear[:-1]]
+        if interior:
+            at, other = order.index(ear[0][1]), order.index(ear[-1][2])
+            if other < at:
+                at = other
+                interior.reverse()
+            order[at + 1 : at + 1] = interior
     return BipolarNumbering({v: i + 1 for i, v in enumerate(order)})
 
 

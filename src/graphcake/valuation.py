@@ -188,10 +188,13 @@ class Valuation:
 
     @staticmethod
     def from_json(data: Mapping) -> "Valuation":
+        shape = "a valuation maps edge ids to [start, density] pairs"
         try:
+            if not all(isinstance(pair, list) for pairs in data.values() for pair in pairs):
+                raise MalformedInput(shape)
             per_edge = [(e, [(lo, d) for lo, d in pairs]) for e, pairs in data.items()]
         except (AttributeError, TypeError, ValueError):
-            raise MalformedInput("a valuation maps edge ids to [start, density] pairs") from None
+            raise MalformedInput(shape) from None
         densities = {}
         for e, pairs in per_edge:
             los = [parse_fraction(lo) for lo, _ in pairs]

@@ -279,6 +279,7 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
         ("solve", _edge_instance(graph={"vertices": "ab", "edges": [["e0", "a", "b"]]}), None),
         ("solve", _edge_instance(graph={"vertices": ["a", "b"], "edges": ["e0ab"]}), None),
         ("solve", _edge_instance(agents=[[["0", "1"]]]), None),
+        ("solve", _edge_instance(agents=[{"e0": ["01"]}]), None),
         ("solve", [], None),
         ("solve", _edge_instance(agents=[]), None),
         ("verify", _edge_instance(), [5]),
@@ -288,6 +289,11 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
         ("verify", _edge_instance(), [[[1, "0", "1"], ["e0", "0", "1"]]]),
         ("verify", _edge_instance(), [[[[1], "0", "1"]]]),
         ("verify", _edge_instance(), 5),
+        (
+            "verify",
+            _edge_instance(graph={"vertices": ["a", "b"], "edges": [["e", "a", "b"]]}, agents=[{"e": [["0", "1"]]}]),
+            [["e01"]],
+        ),
         ("oracle", _STAR2, ["--grid", "0", "--pair", "1/2,1/4"]),
         ("oracle", _STAR2, ["--grid", "0"]),
         ("oracle", _STAR2, ["--grid", "4", "--pair", "1/2"]),
@@ -306,6 +312,7 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
         "graph-vertices-a-string",
         "graph-edge-a-string",
         "valuation-not-a-map",
+        "valuation-pair-a-string",
         "instance-not-a-map",
         "no-agents",
         "allocation-of-a-number",
@@ -315,6 +322,7 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
         "edge-id-a-number",
         "edge-id-a-list",
         "allocation-not-a-list",
+        "piece-triple-a-string",
         "pair-search-on-grid-zero",
         "grid-search-on-grid-zero",
         "pair-of-one-threshold",

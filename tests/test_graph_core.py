@@ -419,8 +419,8 @@ def test_triangle_labeling_reversed_middle_fails():
 def test_computed_labelings_pass_predicate():
     from graphcake.fixtures import random_instance
 
-    for seed in range(40):
-        g = random_instance(seed, n=1, family="cycle-augmented", edges=7).graph
+    graphs = [random_instance(seed, n=1, family="cycle-augmented", edges=7).graph for seed in range(40)]
+    for g in (*graphs, ear_graph(random.Random(7), 1600)):
         lab = compute_contiguous_labeling(g)
         assert is_contiguous(g, lab)
 
@@ -617,7 +617,7 @@ def test_bipolar_triangle_exists():
 
 def test_bipolar_numberings_on_large_graphs():
     # far past what the exhaustive search could settle
-    for g in (path_graph(200), ear_graph(random.Random(7), 400)):
+    for g in (path_graph(200), ear_graph(random.Random(7), 400), ear_graph(random.Random(7), 1600)):
         numbering = find_bipolar_numbering(g)
         assert numbering is not None and _numbering_is_bipolar(g, numbering.labels)
 
@@ -651,6 +651,176 @@ def test_bipolar_existence_matches_the_exhaustive_search():
             assert _numbering_is_bipolar(g, numbering.labels), g.to_json()
         verdicts[numbering is not None] += 1
     assert verdicts[True] and verdicts[False]
+
+
+# -- the ear walk against the scan-based loops it replaced ---------------------
+
+
+def _scan_search_path(g, start, stop_at, banned_edge=None, interior=None):
+    """BFS path from ``start`` to ``stop_at`` as (edge id, tail, head) steps,
+    through ``interior`` only when given; neighbors in edge order."""
+    parent = {}
+    queue = [start]
+    seen = {start}
+    for a in queue:
+        for e in g.incident(a):
+            if e.id == banned_edge:
+                continue
+            b = e.other(a)
+            if b in seen:
+                continue
+            parent[b] = (e.id, a)
+            if b in stop_at:
+                path = []
+                while b != start:
+                    e_id, prev = parent[b]
+                    path.append((e_id, prev, b))
+                    b = prev
+                return path[::-1]
+            if interior is None or b in interior:
+                seen.add(b)
+                queue.append(b)
+    raise AssertionError("no path")
+
+
+def _scan_classification(g):
+    """The bridge-tree classification with components numbered by a BFS from
+    each vertex not yet numbered, in vertex order."""
+    bridges = find_bridges(g)
+    if not bridges:
+        return graph_core.AlmostBridgelessWitness(True, endpoints=(g.edges[0].u, g.edges[0].v))
+    comp, next_id = {}, 0
+    for v in g.vertices:
+        if v in comp:
+            continue
+        comp[v] = next_id
+        next_id += 1
+        queue = [v]
+        for a in queue:
+            for e in g.incident(a):
+                if e.id not in bridges and e.other(a) not in comp:
+                    comp[e.other(a)] = comp[v]
+                    queue.append(e.other(a))
+    incident = {}
+    for e in g.edges:
+        if e.id in bridges:
+            incident.setdefault(comp[e.u], []).append(e.id)
+            incident.setdefault(comp[e.v], []).append(e.id)
+    for c in sorted(incident):
+        if len(incident[c]) >= 3:
+            return graph_core.AlmostBridgelessWitness(False, obstruction=tuple(incident[c][:3]))
+    extremes = sorted(c for c, bs in incident.items() if len(bs) == 1)
+    ends = tuple(next(v for v in g.vertices if comp[v] == c) for c in extremes)
+    return graph_core.AlmostBridgelessWitness(True, endpoints=ends)
+
+
+def _scan_labeling(g):
+    """Ear insertion that rescans the edges for chords and for the lowest
+    frontier edge each round, and scans the order for first incoming edges."""
+    witness = _scan_classification(g)
+    if not witness.is_almost_bridgeless:
+        return None
+    u, v = witness.endpoints
+    order, used_edges, used_vertices = [], set(), set()
+
+    def first_into(x):
+        return next((i for i, (_, _, head) in enumerate(order) if head == x), None)
+
+    def insert_ear(ear):
+        x, z = ear[0][1], ear[-1][2]
+        if x != u:
+            fx, fz = first_into(x), first_into(z)
+            if z == u or (fz is not None and fz < fx):
+                ear = [(e, h, t) for (e, t, h) in reversed(ear)]
+                x = ear[0][1]
+        pos = 0 if x == u else first_into(x) + 1
+        order[pos:pos] = ear
+        for e_id, tail, head in ear:
+            used_edges.add(e_id)
+            used_vertices.update((tail, head))
+
+    insert_ear(_scan_search_path(g, u, {v}))
+    while len(used_edges) < g.m:
+        for e in g.edges:
+            if e.id not in used_edges and e.u in used_vertices and e.v in used_vertices:
+                insert_ear([(e.id, e.u, e.v)])
+        if len(used_edges) == g.m:
+            break
+        frontier = next(
+            e for e in g.edges if e.id not in used_edges and (e.u in used_vertices) != (e.v in used_vertices)
+        )
+        x = frontier.u if frontier.u in used_vertices else frontier.v
+        y = frontier.other(x)
+        unused = set(g.vertices) - used_vertices
+        trail = _scan_search_path(g, y, used_vertices, banned_edge=frontier.id, interior=unused)
+        insert_ear([(frontier.id, x, y), *trail])
+    return OrientedLabeling(tuple(e for e, _, _ in order), {e: t for e, t, _ in order})
+
+
+def _scan_numbering(g):
+    """Open-ear numbering that rescans the edges for the lowest frontier edge
+    and rebuilds the unused vertices each round."""
+    blocks = [{v for e in block for v in (e.u, e.v)} for block in graph_core._blocks(g)]
+    count = Counter(v for block in blocks for v in block)
+    cut = {v for v, c in count.items() if c > 1}
+    if any(c > 2 for c in count.values()) or any(len(b & cut) > 2 for b in blocks):
+        return None
+    if len(blocks) == 1:
+        s, t = g.vertices[:2]
+    else:
+        ends = [b - cut for b in blocks if len(b & cut) == 1]
+        s, t = (next(v for v in g.vertices if v in end) for end in ends)
+    order = [s] + [head for _, _, head in _scan_search_path(g, s, {t})]
+    used = set(order)
+    while len(order) < len(g.vertices):
+        frontier = next(e for e in g.edges if (e.u in used) != (e.v in used))
+        x = frontier.u if frontier.u in used else frontier.v
+        y = frontier.other(x)
+        unused = set(g.vertices) - used
+        ear = [y] + [head for _, _, head in _scan_search_path(g, y, used - {x}, interior=unused)]
+        z = ear.pop()
+        at, other = order.index(x), order.index(z)
+        if other < at:
+            at = other
+            ear.reverse()
+        order[at + 1 : at + 1] = ear
+        used.update(ear)
+    return {v: i + 1 for i, v in enumerate(order)}
+
+
+def test_ear_walk_matches_the_scan_based_reference():
+    from graphcake.fixtures import FixtureSpec, build_fixture
+
+    rng = random.Random(18)
+    graphs = list(connected_multigraphs_up_to_iso(5))
+    graphs += [random_multigraph(rng, max_edges=9) for _ in range(1000)]
+    graphs += [ear_graph(random.Random(m), m) for m in range(10, 401, 30)]
+    graphs += [build_fixture(FixtureSpec("fig1_flowers", {"side": side})).graph for side in ("left", "right")]
+    labeled = numbered = 0
+    for g in graphs:
+        witness, expected = classify_almost_bridgeless(g), _scan_classification(g)
+        assert witness.is_almost_bridgeless == expected.is_almost_bridgeless, g.to_json()
+        assert witness.endpoints == expected.endpoints, g.to_json()
+        assert witness.obstruction == expected.obstruction, g.to_json()
+        reference = _scan_labeling(g)
+        if reference is None:
+            with pytest.raises(NotAlmostBridgeless):
+                compute_contiguous_labeling(g)
+        else:
+            lab = compute_contiguous_labeling(g)
+            assert lab.order == reference.order, g.to_json()
+            assert dict(lab.tails) == reference.tails, g.to_json()
+            labeled += 1
+        numbering = find_bipolar_numbering(g)
+        assert (numbering and dict(numbering.labels)) == _scan_numbering(g), g.to_json()
+        numbered += numbering is not None
+    assert labeled > 500 and numbered > 500
+
+
+def test_a_failed_ear_search_is_an_invariant_breach():
+    # the searches run only on graphs already classified, so no path is a fault
+    with pytest.raises(ProtocolInvariantError):
+        graph_core._search_path(triangle(), "a", set())
 
 
 # -- cycle splitting -----------------------------------------------------------
