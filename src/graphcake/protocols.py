@@ -17,6 +17,9 @@ above it, so every comparison, and every tie, is that of the rational values.
 A tree sums each distinct valuation once and keeps the sums while it lives:
 agents that share a valuation share one pass, and an agent's value of the
 region, the root sum, both sets her need and checks it, with no second pass.
+The egalitarian recursion keeps one tree throughout: after each extraction it
+prunes the branches taken, shortens the leg a knife cut, and subtracts their
+sums, so only the shortened leg is integrated again.
 
 Deterministic tie-breaking throughout: when several agents qualify at the
 same knife point, the lowest agent index wins.  A region is walked as a tree
@@ -35,7 +38,8 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from itertools import accumulate, compress, islice
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .allocation import Allocation, VerificationReport
 from .errors import (
@@ -170,19 +174,24 @@ class _RootedTree:
 
     Nodes are the names of the graph vertices the region reaches and the
     ``EdgePoint``s of its interior cut points (``Node``), numbered so that
-    every parent comes before its children; node 0 is the root.  Each interval
-    links the nodes at its two ends; an interval that closes a cycle (see
-    ``_cycle_breaks``) gets a leaf of its own at its upper end.  Children follow
-    the order of the intervals; ``spans[w]`` is the interval linking child
-    ``w`` to its parent and ``legs[w]`` sweeps it towards the parent.  The root
-    defaults to the least node by ``_node_key``; a ``VertexPoint`` root stands
-    for its vertex's name.
+    every parent comes before its children; node 0 is the root and
+    ``nodes[v]`` is node ``v``'s ``Node``.  Each interval links the nodes at its
+    two ends; an interval that closes a cycle (see ``_cycle_breaks``) is cut
+    loose and gets a leaf of its own at its upper end, and ``loose`` lists
+    those leaves in order.  Children follow the order of the intervals;
+    ``spans[w]`` is the interval linking child ``w`` to its parent and
+    ``legs[w]`` sweeps it towards the parent.  The root defaults to the least
+    node by ``_node_key``; a ``VertexPoint`` root stands for its vertex's name.
 
     A region that is not connected raises ``DisconnectedPiece``, unless
     ``forest`` is set: then each further component, from its least node, hangs
     off the root by a branch without a link (``spans`` and ``legs`` None), so
     root sums still cover the whole region, and ``connected`` is False.  The
     empty region is a lone root.
+
+    Subtree sums are kept per distinct valuation for the tree's lifetime, and
+    ``remainder`` carries them over when it prunes the tree to what an
+    extraction left.
     """
 
     def __init__(
@@ -195,31 +204,30 @@ class _RootedTree:
         if isinstance(root, VertexPoint):
             root = root.vertex
         ends = [_ends(g, iv) for iv in intervals]
-        # (far end, interval, whether the far end is the interval's upper end)
-        links: dict[Node, list[tuple[Node, Interval, bool]]] = defaultdict(list)
+        # (far end, interval, whether the far end is the interval's upper end, cut loose)
+        links: dict[Node, list[tuple[Node, Interval, bool, bool]]] = defaultdict(list)
         for iv, (a, b), loose in zip(intervals, ends, _cycle_breaks(ends)):
             if loose:
                 b = EdgePoint(iv.edge, iv.hi)  # a detached end no other interval reaches
-            links[a].append((b, iv, True))
-            links[b].append((a, iv, False))
+            links[a].append((b, iv, True, loose))
+            links[b].append((a, iv, False, loose))
         if root is None:
             root = min(links, key=_node_key, default=None)
         index = {root: 0}
-        points = [root]
+        points = self.nodes = [root]
         self.parent = [-1]
         self.spans: list[Optional[Interval]] = [None]  # the root has no link
         self.legs: list[Optional[Leg]] = [None]
         self.children: list[list[int]] = [[]]
         self.depth = [0]
+        self.loose: list[int] = []
         self.connected = True
-        # Whole legs are summed from each valuation's integer edge totals; the
-        # few partial ones (next to cut points) are integrated per valuation.
-        self._whole: list[tuple[int, str]] = []
-        self._partial: list[tuple[int, Interval]] = []
+        # the children with a whole leg, by edge id, and with a partial one, by span
+        self._kinds: Optional[tuple[list[tuple[int, str]], list[tuple[int, Interval]]]] = None
         # subtree_values, kept per distinct valuation for the tree's lifetime
         self._values: dict[Valuation, tuple[list[int], list[int], int]] = {}
         for v, p in enumerate(points):
-            for w, iv, upper in links.get(p, ()):
+            for w, iv, upper, loose in links.get(p, ()):
                 if w not in index:
                     child = index[w] = len(points)
                     points.append(w)
@@ -231,10 +239,8 @@ class _RootedTree:
                     self.children.append([])
                     self.depth.append(self.depth[v] + 1)
                     self.children[v].append(child)
-                    if is_whole(iv.lo, iv.hi):
-                        self._whole.append((child, iv.edge))
-                    else:
-                        self._partial.append((child, iv))
+                    if loose:
+                        self.loose.append(child)
             if v == len(points) - 1 and len(points) < len(links):
                 # every node reached is walked, yet some component is not
                 if not forest:
@@ -273,15 +279,25 @@ class _RootedTree:
     def branch_piece(self, leg: Leg, child: int) -> Piece:
         return self.subtree_piece(child).union(Piece.of([_span(leg)]))
 
+    def taken_piece(self, tops: Sequence[int], stop: Optional[Fraction]) -> Piece:
+        """The branches of ``tops``, or with ``stop`` the one top's subtree and
+        its leg swept from the child end to ``stop``."""
+        if stop is None:
+            return self.branches_piece(tops)
+        (w,) = tops
+        leg = self.legs[w]
+        return self.branch_piece(Leg(leg.edge, leg.start, stop), w)
+
     def subtree_values(self, val: Valuation) -> tuple[list[int], list[int], int]:
         """Values computed bottom-up as integers over one returned scale: of the
         subtree strictly below each node, and of each child's branch (its leg
         plus the subtree below it).
 
-        The scale is the least common multiple of the valuation's scale and the
-        denominators of the partial legs' values, so every sum is exact.  The
-        root's entry, ``below[0]``, is the value of the whole region.  Each
-        distinct valuation is summed once; later calls return the same lists.
+        The scale is a common multiple of the valuation's scale and the
+        denominators of the partial legs' values, so every sum is exact; a fresh
+        tree uses the least one.  The root's entry, ``below[0]``, is the value of
+        the whole region.  Each distinct valuation is summed once; later calls
+        return the same lists, kept up to date by ``remainder``.
         """
         done = self._values.get(val)
         if done is None:
@@ -289,12 +305,24 @@ class _RootedTree:
         return done
 
     def _sum(self, val: Valuation) -> tuple[list[int], list[int], int]:
-        parts = [(w, val.interval_value(iv.edge, iv.lo, iv.hi)) for w, iv in self._partial]
+        # Whole legs are summed from each valuation's integer edge totals; the
+        # few partial ones (next to cut points) are integrated per valuation.
+        if self._kinds is None:
+            whole, partial = [], []
+            for w, iv in enumerate(self.spans):
+                if iv is not None:
+                    if is_whole(iv.lo, iv.hi):
+                        whole.append((w, iv.edge))
+                    else:
+                        partial.append((w, iv))
+            self._kinds = whole, partial
+        whole, partial = self._kinds
+        parts = [(w, val.interval_value(iv.edge, iv.lo, iv.hi)) for w, iv in partial]
         scale = math.lcm(val.scale, *(x.denominator for _, x in parts))
         lift = scale // val.scale
         totals = val.int_totals
         branch = [0] * len(self.legs)
-        for w, edge in self._whole:
+        for w, edge in whole:
             branch[w] = totals.get(edge, 0) * lift
         for w, x in parts:
             branch[w] = x.numerator * (scale // x.denominator)
@@ -309,6 +337,101 @@ class _RootedTree:
         """The valuation's value of the whole region, its root sum."""
         below, _, scale = self.subtree_values(val)
         return Fraction(below[0], scale)
+
+    def remainder(
+        self,
+        g: CakeGraph,
+        tops: Sequence[int],
+        stop: Optional[Fraction],
+        rest: Piece,
+        needed: Collection[Valuation],
+    ) -> _RootedTree:
+        """The tree of ``rest``, the part of a connected region left when the
+        branches of ``tops``, children of one node, were taken, or with ``stop``
+        the part of the one top's branch that ``taken_piece`` gives.
+
+        This tree, which must have its default root, is pruned in place and
+        returned: the taken nodes are dropped, the leg cut at ``stop`` keeps its
+        part between ``stop`` and the parent, with a new leaf at ``stop``, and
+        the sums it holds for the ``needed`` valuations lose the taken value on
+        the path to the root; the others are dropped.  The shortened leg is the
+        only one integrated again.  The result equals
+        ``_RootedTree(g, rest.intervals)`` field by field, with equal sums,
+        though possibly over a larger scale.  Where pruning cannot give that
+        tree, a fresh build is returned: when nothing is left, so the root left
+        too, and when a loose link that stays would no longer be cut loose.
+        """
+        if not tops:
+            return self
+        if not rest.intervals:
+            return _RootedTree(g, rest.intervals)
+        w = tops[0]
+        v = self.parent[w]
+        leg = self.legs[w]
+        if stop == leg.end:
+            stop = None  # the knife took the whole leg
+        keep = [True] * len(self.parent)
+        stack = list(tops) if stop is None else list(self.children[w])
+        while stack:
+            x = stack.pop()
+            keep[x] = False
+            stack.extend(self.children[x])
+        loose = [x for x in self.loose if keep[x] and (stop is None or x != w)]
+        if loose:
+            # taking links away can only let a loose link join the tree, so
+            # the pruned tree is right iff every kept loose link stays loose
+            breaks = _cycle_breaks([_ends(g, iv) for iv in rest.intervals])
+            if {self.spans[x] for x in loose} != {
+                iv for iv, cut in zip(rest.intervals, breaks) if cut
+            }:
+                return _RootedTree(g, rest.intervals)
+
+        rank = list(accumulate(keep, initial=0))  # a kept node's new number
+        self.nodes = list(compress(self.nodes, keep))
+        kept_parents = islice(compress(self.parent, keep), 1, None)
+        self.parent = parent = [-1] + [rank[p] for p in kept_parents]
+        self.children = [
+            [rank[c] for c in kids if keep[c]] for kids in compress(self.children, keep)
+        ]
+        self.spans = list(compress(self.spans, keep))
+        self.legs = list(compress(self.legs, keep))
+        self.depth = list(compress(self.depth, keep))
+        self.loose = [rank[x] for x in loose]
+        self._kinds = None
+        if stop is not None:
+            span = Interval(leg.edge, min(stop, leg.end), max(stop, leg.end))
+            self.nodes[rank[w]] = EdgePoint(leg.edge, stop)
+            self.spans[rank[w]] = span
+            self.legs[rank[w]] = Leg(leg.edge, stop, leg.end)
+        values, self._values = self._values, {}
+        for val, (below, branch, scale) in values.items():
+            if val not in needed:
+                continue
+            lift = 1
+            if stop is None:
+                taken = sum(branch[t] for t in tops)
+            else:
+                x = val.interval_value(span.edge, span.lo, span.hi)
+                wide = math.lcm(scale, x.denominator)
+                lift, scale = wide // scale, wide
+                kept = x.numerator * (wide // x.denominator)
+                taken = branch[w] * lift - kept
+            if lift == 1:
+                below = list(compress(below, keep))
+                branch = list(compress(branch, keep))
+            else:
+                below = [y * lift for y in compress(below, keep)]
+                branch = [y * lift for y in compress(branch, keep)]
+            if stop is not None:
+                below[rank[w]], branch[rank[w]] = 0, kept
+            u = rank[v]
+            below[u] -= taken
+            while u:
+                branch[u] -= taken
+                u = parent[u]
+                below[u] -= taken
+            self._values[val] = below, branch, scale
+        return self
 
 
 def _graph_tree(g: CakeGraph, root: Optional[str] = None) -> _RootedTree:
@@ -352,21 +475,42 @@ def _extract(
 ) -> tuple[Piece, int, Piece]:
     """Split a connected region into two connected pieces; the winner values the
     first at least her ``need`` while every other agent in ``need`` values it at
-    most twice hers.
+    most twice hers.  Returns the first piece, the winner and the rest.
 
-    Route: view the region as a rooted tree, walk down to the lowest node whose
-    subtree still meets someone's need, then either sweep a knife along one
-    branch (stopping at the earliest crossing) or accumulate whole branches
-    until the first crossing.  ``rt`` is the region's tree when the caller has
-    built it (default root, children in piece order).  Each agent's value of
-    the region is her root sum there, one evaluation query each; it is checked
-    against her need before the region has to be connected.
+    ``rt`` is the region's tree when the caller has built it (default root,
+    children in piece order); ``_split`` decides where the tree is cut.
     """
     if not need:
         raise DomainError("extraction needs at least one eligible agent")
-    eligible = sorted(need)
     if rt is None:
         rt = _RootedTree(g, region.intervals, forest=True)
+    winner, tops, stop = _split(g, vals, region, need, log, rt)
+    if not tops:
+        return Piece.empty(), winner, region
+    piece = rt.taken_piece(tops, stop)
+    return piece, winner, region.difference(piece)
+
+
+def _split(
+    g: CakeGraph,
+    vals: Sequence[Valuation],
+    region: Piece,
+    need: Mapping[int, Fraction],
+    log: QueryLog,
+    rt: _RootedTree,
+) -> tuple[int, list[int], Optional[Fraction]]:
+    """Where an extraction cuts ``rt``, the tree of the region: the winner, the
+    branches she takes (children of one node), and where a knife stopped on the
+    one branch's leg, or None when she takes whole branches.  No branch is
+    taken when some need is zero.
+
+    Route: walk down to the lowest node whose subtree still meets someone's
+    need, then either sweep a knife along one branch (stopping at the earliest
+    crossing) or accumulate whole branches until the first crossing.  Each
+    agent's value of the region is her root sum, one evaluation query each; it
+    is checked against her need before the region has to be connected.
+    """
+    eligible = sorted(need)
     stv, branch, scale, least = {}, {}, {}, {}
     for a in eligible:
         require_exact(need[a], "extraction threshold")
@@ -380,7 +524,7 @@ def _extract(
             raise InsufficientValue(f"agent {a} values the piece below {need[a]}")
     satisfied = [a for a in eligible if need[a] == 0]
     if satisfied:
-        return Piece.empty(), satisfied[0], region
+        return satisfied[0], [], None
     if not rt.connected:
         raise DisconnectedPiece("piece is not connected")
     log.eval_count += len(region.intervals) * len(eligible)
@@ -392,31 +536,24 @@ def _extract(
     )
     if w is not None:
         # Case 1: sweep a knife from the child end of the branch towards v.
-        leg = rt.legs[w]
         targets = {
             a: need[a] - Fraction(stv[a][w], scale[a])
             for a in eligible
             if branch[a][w] >= least[a]
         }
-        winner, cut = _knife_race(g, vals, (leg,), targets, log)
-        piece = rt.branch_piece(Leg(leg.edge, leg.start, cut.position), w)
-    else:
-        # Case 2: accumulate whole branches until some agent first reaches her need.
-        taken: list[int] = []
-        acc_vals = {a: 0 for a in eligible}
-        crossers: list[int] = []
-        for child in rt.children[v]:
-            taken.append(child)
-            for a in eligible:
-                acc_vals[a] += branch[a][child]
-            crossers = [a for a in eligible if acc_vals[a] >= least[a]]
-            if crossers:
-                break
-        if not crossers:
-            raise ProtocolInvariantError("branch accumulation never reached the threshold")
-        winner = crossers[0]
-        piece = rt.branches_piece(taken)
-    return piece, winner, region.difference(piece)
+        winner, cut = _knife_race(g, vals, (rt.legs[w],), targets, log)
+        return winner, [w], cut.position
+    # Case 2: accumulate whole branches until some agent first reaches her need.
+    taken: list[int] = []
+    acc_vals = {a: 0 for a in eligible}
+    for child in rt.children[v]:
+        taken.append(child)
+        for a in eligible:
+            acc_vals[a] += branch[a][child]
+        crossers = [a for a in eligible if acc_vals[a] >= least[a]]
+        if crossers:
+            return crossers[0], taken, None
+    raise ProtocolInvariantError("branch accumulation never reached the threshold")
 
 
 def extract_piece(
@@ -426,9 +563,14 @@ def extract_piece(
     eligible: Optional[Iterable[int]] = None,
     log: Optional[QueryLog] = None,
 ) -> tuple[Piece, int, Piece]:
-    """Public wrapper over the extraction routine, on an instance's own agents."""
+    """Public wrapper over the extraction routine, on an instance's own agents.
+    An eligible agent that is not an index of one, such as -1, ``inst.n`` or
+    True, raises DomainError."""
     log = log if log is not None else QueryLog()
-    who = sorted(eligible) if eligible is not None else list(range(inst.n))
+    who = list(eligible) if eligible is not None else list(range(inst.n))
+    for a in who:
+        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < inst.n:
+            raise DomainError(f"eligible agent {a!r} is not one of the {inst.n} agents")
     return _extract(inst.graph, inst.agents, sub, {a: alpha for a in who}, log)
 
 
@@ -446,15 +588,23 @@ def _egalitarian(
     log: QueryLog,
 ) -> None:
     """Give each of k agents a connected part of the region worth at least
-    1/(2k-1) of her value of the region."""
+    1/(2k-1) of her value of the region.
+
+    The region's tree is built and summed at the first level only; each later
+    level prunes it to the remainder (``_RootedTree.remainder``), so each
+    agent's value of the remainder is read off the kept root sum."""
     agents = list(agents)
-    while len(agents) > 1:
+    if len(agents) > 1:
         rt = _RootedTree(g, region.intervals)
+    while len(agents) > 1:
         share = Fraction(1, 2 * len(agents) - 1)
         need = {a: share * rt.value(vals[a]) for a in agents}
-        piece, winner, region = _extract(g, vals, region, need, log, rt)
-        pieces[winner] = piece
+        winner, tops, stop = _split(g, vals, region, need, log, rt)
+        pieces[winner] = rt.taken_piece(tops, stop)
+        region = region.difference(pieces[winner])
         agents.remove(winner)
+        if len(agents) > 1:
+            rt = rt.remainder(g, tops, stop, region, {vals[a] for a in agents})
     pieces[agents[0]] = region
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcake.allocation import verify_allocation
+from graphcake.allocation import Allocation, verify_allocation
 from graphcake.errors import (
     AlphaOutOfRange,
     BadParameters,
@@ -23,6 +24,8 @@ from graphcake.errors import (
 from graphcake import protocols
 from graphcake.fixtures import (
     FixtureSpec,
+    _random_arbitrary,
+    _random_cycle_augmented,
     _random_tree,
     build_fixture,
     random_instance,
@@ -164,6 +167,17 @@ def test_extract_rejects_disconnected_regions_and_no_agents():
         extract_piece(inst, inst.graph.whole_piece(), F(1, 3), eligible=[])
 
 
+def test_extract_piece_rejects_agents_outside_the_instance():
+    # -1 would pick the last agent through negative indexing, and 5 would fail
+    # with an IndexError deep in the extraction
+    inst = random_instance(3, n=3)
+    region = inst.graph.whole_piece()
+    for eligible in ([-1], [5], [3], [0, 3], [True], [F(1)], [1.0], ["0"]):
+        with pytest.raises(DomainError, match="is not one of the 3 agents"):
+            extract_piece(inst, region, F(1, 5), eligible=eligible)
+    assert extract_piece(inst, region, F(1, 5), eligible=[2])[1] == 2
+
+
 def _extraction_outcome(inst, region, alpha):
     log = QueryLog()
     try:
@@ -198,9 +212,9 @@ def test_egalitarian_sums_each_region_once_per_distinct_valuation(monkeypatch):
     g = _random_tree(rng, 60)
     vals = random_valuations(rng, g, 10)
     inst = Instance(g, vals + vals[:6])  # sixteen agents, ten distinct valuations
-    reads, sums, levels = [], [], []
-    real_value_of_piece, real_sum, real_extract = (
-        protocols.value_of_piece, _RootedTree._sum, protocols._extract
+    reads, sums, levels, built = [], [], [], []
+    real_value_of_piece, real_sum, real_split, real_init = (
+        protocols.value_of_piece, _RootedTree._sum, protocols._split, _RootedTree.__init__
     )
 
     def value_of_piece_read(*args, **kwargs):
@@ -211,20 +225,28 @@ def test_egalitarian_sums_each_region_once_per_distinct_valuation(monkeypatch):
         sums.append((rt, val))
         return real_sum(rt, val)
 
-    def extract_level(g, vals, region, need, log, rt=None):
+    def split_level(g, vals, region, need, log, rt):
         levels.append((rt, {vals[a] for a in need}))
-        return real_extract(g, vals, region, need, log, rt)
+        return real_split(g, vals, region, need, log, rt)
+
+    def build(rt, *args, **kwargs):
+        built.append(rt)
+        real_init(rt, *args, **kwargs)
 
     monkeypatch.setattr(protocols, "value_of_piece", value_of_piece_read)
     monkeypatch.setattr(_RootedTree, "_sum", summed)
-    monkeypatch.setattr(protocols, "_extract", extract_level)
+    monkeypatch.setattr(protocols, "_split", split_level)
+    monkeypatch.setattr(_RootedTree, "__init__", build)
     res = connected_egalitarian(inst)
     assert reads == []
-    assert len(levels) == 15 and all(rt is not None for rt, _ in levels)
-    assert len(sums) == sum(len(distinct) for _, distinct in levels)
-    for rt, distinct in levels:
-        summed_here = [val for tree, val in sums if tree is rt]
-        assert len(summed_here) == len(distinct) and set(summed_here) == distinct
+    assert len(levels) == 15
+    # One tree serves the whole recursion: a tree region never needs a fresh
+    # build, so every later level works on the first level's tree, pruned.
+    first, distinct = levels[0]
+    assert built == [first] and all(rt is first for rt, _ in levels)
+    # each distinct valuation is summed once per recursion, at the first level
+    assert len(sums) == len(distinct) == 10
+    assert {val for _, val in sums} == distinct and all(rt is first for rt, _ in sums)
     # the query counts of the Fraction-valued extraction
     assert res.queries.to_json() == {"eval": 6997, "cut": 22}
 
@@ -424,6 +446,130 @@ def test_egal_contract_on_random_instances():
         assert rep.complete and rep.disjoint and rep.all_connected
         assert rep.egalitarian >= F(1, 2 * n - 1)
         assert res.queries.cut_count >= 0 and res.queries.eval_count > 0
+
+
+# -- one region tree per egalitarian recursion --------------------------------------
+
+
+def _tree_fields(rt, held):
+    """Everything a walk reads off a tree, with each held valuation's sums as
+    rationals."""
+    sums = []
+    for val in held:
+        below, branch, scale = rt.subtree_values(val)
+        sums.append(([F(x, scale) for x in below], [F(x, scale) for x in branch]))
+    return (
+        rt.nodes, rt.parent, rt.children, rt.spans, rt.legs, rt.depth, rt.connected,
+        rt.loose, sums,
+    )
+
+
+def _checking_remainder(monkeypatch):
+    """Make every pruned tree face a fresh build of its region; returns the
+    counts of pruned trees and of fresh builds the pruning fell back to."""
+    counts = {"pruned": 0, "fresh": 0}
+    real = _RootedTree.remainder
+
+    def remainder(rt, g, tops, stop, rest, needed):
+        held = [val for val in rt._values if val in needed]
+        out = real(rt, g, tops, stop, rest, needed)
+        assert all(val in held for val in out._values)
+        fresh = _RootedTree(g, rest.intervals)
+        assert _tree_fields(out, held) == _tree_fields(fresh, held)
+        for val in held:
+            # a kept scale may be larger than a fresh build's least one
+            assert out.subtree_values(val)[2] % fresh.subtree_values(val)[2] == 0
+        counts["pruned" if out is rt else "fresh"] += 1
+        return out
+
+    monkeypatch.setattr(_RootedTree, "remainder", remainder)
+    return counts
+
+
+def test_pruned_tree_equals_a_fresh_build(monkeypatch):
+    counts = _checking_remainder(monkeypatch)
+    larger = {
+        "tree": _random_tree,
+        "star": lambda rng, m: star_graph(m),
+        "cycle-augmented": _random_cycle_augmented,
+        "arbitrary": _random_arbitrary,
+    }
+    for family, build in larger.items():
+        for seed in range(40):
+            rng = random.Random(seed)
+            n, m = rng.randint(2, 8), rng.randint(1, 12)
+            inst = random_instance(seed, n=n, family=family, edges=m)
+            connected_egalitarian(inst)
+            if family == "star" and inst.graph.m >= 3:
+                star_egalitarian(inst)
+        for seed in range(4):
+            rng = random.Random(seed)
+            g = build(rng, 40)
+            connected_egalitarian(Instance(g, random_valuations(rng, g, 12)))
+        # Trees and stars always prune.  Cycles prune too, keeping their loose
+        # links, and fall back to a fresh build where a loose link would reattach.
+        assert counts["pruned"] > 0, family
+        assert (counts["fresh"] > 0) == (family in ("cycle-augmented", "arbitrary")), family
+        counts.update(pruned=0, fresh=0)
+    # uniform values, where a knife stops exactly at the node above its leg
+    for n in (2, 3, 4):
+        connected_egalitarian(build_fixture(FixtureSpec("star_tight", {"n": n})))
+        connected_egalitarian(uniform_instance(path_graph(5), n))
+    assert counts["pruned"] > 0 and counts["fresh"] == 0
+
+
+def reference_egalitarian(g, vals, agents, region, pieces, log):
+    """The egalitarian recursion with a fresh tree and fresh sums at every level
+    (test-only reference)."""
+    agents = list(agents)
+    while len(agents) > 1:
+        rt = _RootedTree(g, region.intervals)
+        share = F(1, 2 * len(agents) - 1)
+        need = {a: share * rt.value(vals[a]) for a in agents}
+        piece, winner, region = _extract(g, vals, region, need, log, rt)
+        pieces[winner] = piece
+        agents.remove(winner)
+    pieces[agents[0]] = region
+
+
+def test_egalitarian_matches_the_per_level_rebuild(monkeypatch):
+    rng = random.Random(19)
+    cases = [("egal", _random_tree(rng, m), n) for m, n in ((12, 4), (60, 9), (200, 16))]
+    for n in range(3, 7):
+        cases += [("star", star_graph(k), n) for k in (n + 1, 2 * n - 1, 2 * n + 3)]
+    for name, g, n in cases:
+        inst = Instance(g, random_valuations(rng, g, n))
+        runs = []
+        for egalitarian in (protocols._egalitarian, reference_egalitarian):
+            monkeypatch.setattr(protocols, "_egalitarian", egalitarian)
+            res = run_protocol(name, inst)
+            runs.append((json.dumps(res.allocation.to_json()), res.queries.to_json()))
+        assert runs[0] == runs[1], (name, g.m, n)
+        rep = verify_allocation(inst, Allocation.from_json(json.loads(runs[0][0])))
+        assert guarantee_violations(name, inst, rep) == [], (name, g.m, n)
+
+
+def test_egalitarian_leaves_shared_state_alone():
+    # pruning works on the recursion's own tree: a run after an unrelated
+    # extraction gives the same bytes, and the graph's whole piece and the
+    # valuations are as they were
+    rng = random.Random(23)
+    for g, n in ((star_graph(9), 4), (star_graph(5), 4), (_random_tree(rng, 30), 5)):
+        inst = Instance(g, random_valuations(rng, g, n))
+        whole = g.whole_piece()
+        before = (whole.to_json(), [v.to_json() for v in inst.agents])
+        protocols_run = [connected_egalitarian] + ([star_egalitarian] if g.star_center() else [])
+        runs = []
+        for extract_first in (False, True):
+            if extract_first:
+                extract_piece(inst, g.whole_piece(), F(1, 7))
+            runs.append([
+                json.dumps([res.allocation.to_json(), res.queries.to_json()])
+                for res in (run(inst) for run in protocols_run)
+            ])
+        assert runs[0] == runs[1]
+        assert g.whole_piece() is whole
+        assert (whole.to_json(), [v.to_json() for v in inst.agents]) == before
 
 
 # -- stars -------------------------------------------------------------------------
