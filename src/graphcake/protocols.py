@@ -63,7 +63,6 @@ from .graph_core import (
     OrientedLabeling,
     Param,
     Piece,
-    Point,
     VertexPoint,
     _cycle_breaks,
     canonical_point,
@@ -165,10 +164,6 @@ def _node_key(p: Node) -> tuple:
     return (1, p.edge, p.pos)
 
 
-def _span(leg: Leg) -> Interval:
-    return Interval(leg.edge, min(leg.start, leg.end), max(leg.start, leg.end))
-
-
 class _RootedTree:
     """A region of the cake as a rooted tree, in the graph's coordinates.
 
@@ -180,8 +175,8 @@ class _RootedTree:
     loose and gets a leaf of its own at its upper end, and ``loose`` lists
     those leaves in order.  Children follow the order of the intervals;
     ``spans[w]`` is the interval linking child ``w`` to its parent and
-    ``legs[w]`` sweeps it towards the parent.  The root defaults to the least
-    node by ``_node_key``; a ``VertexPoint`` root stands for its vertex's name.
+    ``legs[w]`` sweeps it towards the parent.  The root is a given ``Node``,
+    by default the least node by ``_node_key``.
 
     A region that is not connected raises ``DisconnectedPiece``, unless
     ``forest`` is set: then each further component, from its least node, hangs
@@ -198,11 +193,9 @@ class _RootedTree:
         self,
         g: CakeGraph,
         intervals: Sequence[Interval],
-        root: Optional[Point | str] = None,
+        root: Optional[Node] = None,
         forest: bool = False,
     ):
-        if isinstance(root, VertexPoint):
-            root = root.vertex
         ends = [_ends(g, iv) for iv in intervals]
         # (far end, interval, whether the far end is the interval's upper end, cut loose)
         links: dict[Node, list[tuple[Node, Interval, bool, bool]]] = defaultdict(list)
@@ -263,9 +256,6 @@ class _RootedTree:
             v = nxt
         return v
 
-    def subtree_piece(self, v: int) -> Piece:
-        return self.branches_piece(self.children[v])
-
     def branches_piece(self, tops: Iterable[int]) -> Piece:
         """The branches of the given nodes: each one's link and the subtree below it."""
         spans: list[Interval] = []
@@ -276,9 +266,6 @@ class _RootedTree:
             stack.extend(self.children[w])
         return Piece.of(spans)
 
-    def branch_piece(self, leg: Leg, child: int) -> Piece:
-        return self.subtree_piece(child).union(Piece.of([_span(leg)]))
-
     def taken_piece(self, tops: Sequence[int], stop: Optional[Fraction]) -> Piece:
         """The branches of ``tops``, or with ``stop`` the one top's subtree and
         its leg swept from the child end to ``stop``."""
@@ -286,7 +273,8 @@ class _RootedTree:
             return self.branches_piece(tops)
         (w,) = tops
         leg = self.legs[w]
-        return self.branch_piece(Leg(leg.edge, leg.start, stop), w)
+        swept = Interval(leg.edge, min(leg.start, stop), max(leg.start, stop))
+        return self.branches_piece(self.children[w]).union(Piece.of([swept]))
 
     def subtree_values(self, val: Valuation) -> tuple[list[int], list[int], int]:
         """Values computed bottom-up as integers over one returned scale: of the
@@ -639,11 +627,10 @@ def f_guarantee(n: int, k: int) -> Fraction:
     return Fraction(1, 2 * n - 1)
 
 
-def _path_tree(g: CakeGraph, region: Piece, start: Optional[Point] = None) -> _RootedTree:
-    """A path region as a tree rooted at ``start``, by default its least end."""
-    if start is None:
-        ends = Counter(end for iv in region.intervals for end in _ends(g, iv))
-        start = min((p for p, count in ends.items() if count == 1), key=_node_key)
+def _path_tree(g: CakeGraph, region: Piece) -> _RootedTree:
+    """A path region as a tree rooted at its least end."""
+    ends = Counter(end for iv in region.intervals for end in _ends(g, iv))
+    start = min((p for p, count in ends.items() if count == 1), key=_node_key)
     return _RootedTree(g, region.intervals, start)
 
 
@@ -660,9 +647,9 @@ def _sweep(rt: _RootedTree) -> Trajectory:
     return tuple(legs)
 
 
-def _path_trajectory(g: CakeGraph, region: Piece, start: Optional[Point] = None) -> Trajectory:
-    """End-to-end sweep of a path region from ``start``, by default its least end."""
-    return _sweep(_path_tree(g, region, start))
+def _path_trajectory(g: CakeGraph, region: Piece) -> Trajectory:
+    """End-to-end sweep of a path region from its least end."""
+    return _sweep(_path_tree(g, region))
 
 
 def _path_proportional(
@@ -673,19 +660,23 @@ def _path_proportional(
     pieces: list[Piece],
     log: QueryLog,
 ) -> None:
-    """Moving knife along a path region: each agent stops at 1/k of her value of it."""
+    """Moving knife along a path region: each agent stops at 1/k of her value of
+    it.  One trajectory serves every race: each later knife sweeps on from
+    where the last one stopped."""
     rt = _path_tree(g, region)
     share = Fraction(1, len(agents))
     need = {a: share * rt.value(vals[a]) for a in agents}
+    traj = _sweep(rt)
     remaining = list(agents)
     while len(remaining) > 1:
-        traj = _sweep(rt)
         winner, cut = _knife_race(g, vals, traj, {a: need[a] for a in remaining}, log)
         pieces[winner] = trajectory_prefix_piece(traj, cut)
         region = region.difference(pieces[winner])
         remaining.remove(winner)
-        if len(remaining) > 1:
-            rt = _path_tree(g, region, cut.point)
+        leg = traj[cut.leg_index]
+        traj = traj[cut.leg_index + 1 :]
+        if cut.position != leg.end:
+            traj = (Leg(leg.edge, cut.position, leg.end), *traj)
     pieces[remaining[0]] = region
 
 
@@ -723,11 +714,9 @@ def _star_rec(
 
     first = agents[0]
     w = next(w for w in rt.children[0] if meets(first, w))
-    leg = rt.legs[w]
     targets = {a: need[a] for a in agents if meets(a, w)}
-    winner, cut = _knife_race(g, vals, (leg,), targets, log)
-    piece = trajectory_prefix_piece((leg,), cut)
-    pieces[winner] = piece
+    winner, cut = _knife_race(g, vals, (rt.legs[w],), targets, log)
+    piece = pieces[winner] = rt.taken_piece([w], cut.position)
     rest = [a for a in agents if a != winner]
     _star_rec(g, vals, rest, region.difference(piece), center, pieces, log)
 
@@ -789,11 +778,17 @@ def proportional_two_connected(inst: Instance, lab: OrientedLabeling) -> Protoco
         )
         for e in lab.order
     )
+    return _halve(g, inst.agents, traj)
+
+
+def _halve(g: CakeGraph, vals: Sequence[Valuation], traj: Trajectory) -> ProtocolResult:
+    """Two agents race one knife along ``traj`` to half their value: the first
+    to call stop takes the covered prefix, the other the rest of the graph."""
     log = QueryLog()
-    winner, cut = _knife_race(g, inst.agents, traj, {0: HALF, 1: HALF}, log)
-    prefix = trajectory_prefix_piece(traj, cut)
-    suffix = g.whole_piece().difference(prefix)
-    pieces = (prefix, suffix) if winner == 0 else (suffix, prefix)
+    winner, cut = _knife_race(g, vals, traj, {0: HALF, 1: HALF}, log)
+    covered = trajectory_prefix_piece(traj, cut)
+    rest = g.whole_piece().difference(covered)
+    pieces = (covered, rest) if winner == 0 else (rest, covered)
     return ProtocolResult(Allocation(pieces), log)
 
 
@@ -939,13 +934,7 @@ def height2_two_piece_proportional(inst: Instance, root: str) -> ProtocolResult:
             down = rt.legs[grandchild]
             legs.append(Leg(down.edge, down.end, down.start))
         legs.append(rt.legs[child])
-    traj = tuple(legs)
-    log = QueryLog()
-    winner, cut = _knife_race(g, inst.agents, traj, {0: HALF, 1: HALF}, log)
-    covered = trajectory_prefix_piece(traj, cut)
-    rest = g.whole_piece().difference(covered)
-    pieces = (covered, rest) if winner == 0 else (rest, covered)
-    return ProtocolResult(Allocation(pieces), log)
+    return _halve(g, inst.agents, tuple(legs))
 
 
 # ---------------------------------------------------------------------------
@@ -1126,7 +1115,7 @@ def _chore_rec(
         stop = min(sorted(row, reverse=True)[i] for i, row in enumerate(offsets))
         if not (ZERO <= stop < leg_length):
             raise ProtocolInvariantError("condition-one tightness point out of range")
-        piece = rt.branch_piece(Leg(leg.edge, leg.start, leg.start + direction * stop), w)
+        piece = rt.taken_piece([w], leg.start + direction * stop)
         ranked = sorted((value_of_piece(vals[a], piece, log) / total[a], a) for a in agents)
         if not _cond1_holds([c for c, _ in ranked], k):
             raise ProtocolInvariantError("condition one broken at the computed stop")

@@ -10,7 +10,9 @@ total, and sums of whole edges are exact integer sums.  Every interval, whole
 edges at construction included, is walked by ``_clip``, which yields its
 constant-density stretches as integer lengths; evaluation and cut queries sum
 and compare those in integers and build a ``Fraction`` only for the value or
-point they return.
+point they return.  One walk, ``_walk``, finds where every knife stops:
+``cut_trajectory`` runs it forward, and ``latest_position_within`` runs it
+backward from a leg's end, to where the value beyond the budget is covered.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     DomainError,
     InsufficientValue,
     MalformedInput,
+    MalformedPiece,
     UnknownEdge,
     ZeroValuePiece,
 )
@@ -362,9 +365,12 @@ def require_exact(x: object, what: str) -> None:
 
 def _leg_bounds(leg: Leg) -> tuple[Fraction, Fraction, bool]:
     """The leg's lower and upper bound, and whether it sweeps backward (from
-    the upper to the lower), found by cross-multiplying."""
+    the upper to the lower), found by cross-multiplying.  Raises MalformedPiece
+    unless both bounds lie in [0, 1]."""
     sn, sd = leg.start.as_integer_ratio()
     en, ed = leg.end.as_integer_ratio()
+    if not (0 <= sn <= sd and 0 <= en <= ed):
+        raise MalformedPiece(f"leg [{leg.start}, {leg.end}] outside [0, 1] on edge {leg.edge!r}")
     if sn * ed > en * sd:
         return leg.end, leg.start, True
     return leg.start, leg.end, False
@@ -398,13 +404,24 @@ def cut_trajectory(
     """Earliest point along the trajectory whose prefix has exactly the target value.
 
     Zero-density plateaus resolve to their first point.  Raises
-    InsufficientValue when the whole trajectory is worth less than the target.
+    InsufficientValue when the whole trajectory is worth less than the target,
+    DomainError for an empty trajectory, and MalformedPiece for a leg the knife
+    reaches whose bounds do not lie in [0, 1].
     """
     require_exact(target, "cut target")
+    if not t:
+        raise DomainError("a cut query needs a trajectory of at least one leg")
     if log is not None:
         log.cut_count += 1
     if target < 0:
         raise InsufficientValue(f"negative cut target {target}")
+    i, pos, offset = _walk(v, t, target)
+    return TrajectoryCut(i, pos, offset, canonical_point(g, t[i].edge, pos))
+
+
+def _walk(v: Valuation, t: Trajectory, target: Fraction) -> tuple[int, Fraction, Fraction]:
+    """Where a knife sweeping ``t`` first covers the nonnegative ``target``: the
+    leg index, the position on that leg's edge, and the length swept before it."""
     # The sweep runs in integers against the target tn / td.  ``acc`` = an / ad
     # is the value swept so far and ``offset`` = on / od the length swept
     # before the current leg.
@@ -442,15 +459,12 @@ def cut_trajectory(
                 if sn * td >= tn * sd:
                     # the stop lies in this stretch
                     dist = (target - Fraction(an, ad)) / density
-                    cut_pos = _position(leg, backward, wn, wd) + (-dist if backward else dist)
-                    offset = Fraction(on * wd + wn * od, od * wd) + dist
-                    return TrajectoryCut(i, cut_pos, offset, canonical_point(g, leg.edge, cut_pos))
+                    pos = _position(leg, backward, wn, wd) + (-dist if backward else dist)
+                    return i, pos, Fraction(on * wd + wn * od, od * wd) + dist
                 an, ad = sn, sd
             wn, wd = wn * d + n * wd, wd * d
         if an * td == tn * ad:
-            pos = _position(leg, backward, wn, wd)
-            offset = Fraction(on * wd + wn * od, od * wd)
-            return TrajectoryCut(i, pos, offset, canonical_point(g, leg.edge, pos))
+            return i, _position(leg, backward, wn, wd), Fraction(on * wd + wn * od, od * wd)
         on, od = on * wd + wn * od, od * wd
         room = -(-(tn * ad - an * td) * scale // (td * ad))
     acc = Fraction(an, ad) + Fraction(whole, scale)
@@ -483,26 +497,17 @@ def latest_position_within(
 
     Returns None for a negative budget, the leg end when the whole leg fits,
     and otherwise the far end of the plateau where the prefix equals the budget.
+    That is where a knife swept back from the leg end first covers the value
+    beyond the budget, so the cut walk finds it on the reversed leg.
     """
     require_exact(budget, "budget")
+    lo, hi, _ = _leg_bounds(leg)
     if budget < 0:
         return None
-    # acc = an / ad is the value swept so far, against the exact budget bn / bd
-    bn, bd = budget.as_integer_ratio()
-    an, ad = 0, 1
-    lo, hi, backward = _leg_bounds(leg)
-    stretches = _clip(v, leg.edge, lo, hi)
-    wn, wd = 0, 1  # the length swept
-    for n, d, density in reversed(stretches) if backward else stretches:
-        p, q = density.as_integer_ratio()
-        if p:
-            sn, sd = an * d * q + n * p * ad, ad * d * q
-            if sn * bd > bn * sd:
-                dist = (budget - Fraction(an, ad)) / density
-                return _position(leg, backward, wn, wd) + (-dist if backward else dist)
-            an, ad = sn, sd
-        wn, wd = wn * d + n * wd, wd * d
-    return leg.end
+    beyond = v.interval_value(leg.edge, lo, hi) - budget
+    if beyond <= 0:
+        return leg.end
+    return _walk(v, (Leg(leg.edge, leg.end, leg.start),), beyond)[1]
 
 
 # ---------------------------------------------------------------------------

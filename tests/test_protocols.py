@@ -27,6 +27,7 @@ from graphcake.fixtures import (
     _random_arbitrary,
     _random_cycle_augmented,
     _random_tree,
+    _uniform_star,
     build_fixture,
     random_instance,
     random_valuations,
@@ -36,6 +37,7 @@ from graphcake.graph_core import (
     Interval,
     OrientedLabeling,
     Piece,
+    VertexPoint,
     compute_contiguous_labeling,
     piece_is_connected,
 )
@@ -45,7 +47,9 @@ from graphcake.protocols import (
     _RootedTree,
     _extract,
     _knife_race,
+    _path_tree,
     _path_trajectory,
+    _sweep,
     applies,
     chore_three,
     chore_two,
@@ -306,12 +310,12 @@ def reference_extract(g, vals, region, need, log):
             if best is None or cut.sweep_offset < best[1].sweep_offset:
                 best = (a, cut)
         winner, cut = best
-        piece = rt.subtree_piece(chosen).union(trajectory_prefix_piece((leg,), cut))
+        piece = rt.branches_piece(rt.children[chosen]).union(trajectory_prefix_piece((leg,), cut))
     else:
         piece, acc = Piece.empty(), {a: F(0) for a in eligible}
         crossers = []
         for child in rt.children[v]:
-            piece = piece.union(rt.branch_piece(rt.legs[child], child))
+            piece = piece.union(rt.branches_piece([child]))
             for a in eligible:
                 acc[a] += branch[a][child]
             crossers = [a for a in eligible if acc[a] >= need[a]]
@@ -570,6 +574,53 @@ def test_egalitarian_leaves_shared_state_alone():
         assert runs[0] == runs[1]
         assert g.whole_piece() is whole
         assert (whole.to_json(), [v.to_json() for v in inst.agents]) == before
+
+
+def reference_path_proportional(g, vals, agents, region, pieces, log):
+    """The path stage that rebuilds the path's tree from each cut point and
+    sweeps it afresh (test-only reference)."""
+    rt = _path_tree(g, region)
+    share = F(1, len(agents))
+    need = {a: share * rt.value(vals[a]) for a in agents}
+    remaining = list(agents)
+    while len(remaining) > 1:
+        traj = _sweep(rt)
+        winner, cut = _knife_race(g, vals, traj, {a: need[a] for a in remaining}, log)
+        pieces[winner] = trajectory_prefix_piece(traj, cut)
+        region = region.difference(pieces[winner])
+        remaining.remove(winner)
+        if len(remaining) > 1:
+            root = cut.point.vertex if isinstance(cut.point, VertexPoint) else cut.point
+            rt = _RootedTree(g, region.intervals, root)
+    pieces[remaining[0]] = region
+
+
+def test_path_stage_matches_the_per_level_rebuild(monkeypatch):
+    # star_fnk_tight at these (n, k) and the uniform 3-spoke star with 5 agents
+    # reach the path stage with 3 to 5 agents, so later knives sweep on from a cut
+    cases = [
+        build_fixture(FixtureSpec("star_fnk_tight", {"n": n, "k": k}))
+        for n, k in ((4, 3), (5, 3), (5, 4), (6, 3), (6, 4))
+    ]
+    cases.append(_uniform_star(3, 5))
+    real = protocols._path_proportional
+    reached = []
+
+    def counted(g, vals, agents, region, pieces, log):
+        reached.append(len(agents))
+        real(g, vals, agents, region, pieces, log)
+
+    for inst in cases:
+        reached.clear()
+        runs = []
+        for path_stage in (counted, reference_path_proportional):
+            monkeypatch.setattr(protocols, "_path_proportional", path_stage)
+            res = star_egalitarian(inst)
+            runs.append((json.dumps(res.allocation.to_json()), res.queries.to_json()))
+        assert runs[0] == runs[1], (inst.n, inst.graph.m)
+        assert reached and 3 <= reached[0] <= 5, (inst.n, inst.graph.m, reached)
+        rep = verify_allocation(inst, Allocation.from_json(json.loads(runs[0][0])))
+        assert guarantee_violations("star", inst, rep) == [], (inst.n, inst.graph.m)
 
 
 # -- stars -------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from graphcake.errors import (
     DomainError,
     InsufficientValue,
     MalformedInput,
+    MalformedPiece,
     UnknownEdge,
     ZeroValuePiece,
 )
@@ -539,6 +540,11 @@ def test_integer_whole_leg_skip_matches_the_fraction_one(v, den, t, data):
     targets = stops + [x + F(1, 10007) for x in stops] + [x - F(1, 10007) for x in stops]
     targets += [total * F(data.draw(st.integers(0, 12)), 12), total + F(1, 7), F(-1), 0, 1, -1]
     for target in targets:
+        if not t:
+            # an empty trajectory is refused, whatever the target
+            with pytest.raises(DomainError, match="at least one leg"):
+                cut_trajectory(PATH, v, t, target)
+            continue
         assert _cut_outcome(cut_trajectory, PATH, v, t, target) == _cut_outcome(
             fraction_skip_cut_trajectory, PATH, v, t, target
         )
@@ -621,6 +627,69 @@ def test_integer_sweeps_match_the_fraction_loops(v, t, data):
         for budget in floats:
             with pytest.raises(DomainError, match="is not exact"):
                 latest_position_within(v, leg, budget)
+
+
+def test_latest_position_within_on_pinned_cases():
+    # e0: a leading zero plateau, density 2, an interior plateau, density 2;
+    # e1 is its mirror image, so a backward leg on e1 meets the same stretches
+    twos = [(0, F(1, 4), 0), (F(1, 4), F(1, 2), 2), (F(1, 2), F(3, 4), 0), (F(3, 4), 1, 2)]
+    v = Valuation.from_segments(
+        {"e0": twos, "e1": [(1 - hi, 1 - lo, d) for lo, hi, d in reversed(twos)]}
+    )
+    forward, backward = Leg("e0", F(0), F(1)), Leg("e1", F(1), F(0))
+    cases = [
+        # zero-length legs: the end, whatever the budget
+        (Leg("e0", F(1, 3), F(1, 3)), F(0), F(1, 3)),
+        (Leg("e1", F(1, 3), F(1, 3)), F(1), F(1, 3)),
+        # a budget equal to the leg's value: the end, past a trailing plateau
+        (forward, F(1), F(1)),
+        (backward, F(1), F(0)),
+        (Leg("e0", F(0), F(3, 4)), F(1, 2), F(3, 4)),
+        (Leg("e1", F(1), F(1, 4)), F(1, 2), F(1, 4)),
+        # budget 0: the far end of the leading zero plateau
+        (forward, F(0), F(1, 4)),
+        (backward, F(0), F(3, 4)),
+        # a budget that ends on the interior plateau: its far end
+        (forward, F(1, 2), F(3, 4)),
+        (backward, F(1, 2), F(1, 4)),
+        # a budget inside a stretch, and more than the leg is worth
+        (forward, F(1, 4), F(3, 8)),
+        (backward, F(1, 4), F(5, 8)),
+        (forward, F(2), F(1)),
+        (backward, F(2), F(0)),
+    ]
+    for leg, budget, expected in cases:
+        assert latest_position_within(v, leg, budget) == expected
+        assert fraction_latest_position_within(v, leg, budget) == expected
+    assert latest_position_within(v, forward, F(-1, 8)) is None
+    assert latest_position_within(v, backward, -1) is None
+
+
+def test_malformed_legs_are_refused():
+    g = single_edge_graph()
+    v = Valuation.uniform(g)
+    for leg in (Leg("e0", F(-1), F(1)), Leg("e0", F(0), F(3)), Leg("e0", F(3, 2), F(1, 2))):
+        for budget in (F(1, 4), F(2), F(-1)):
+            with pytest.raises(MalformedPiece, match="outside"):
+                latest_position_within(v, leg, budget)
+        with pytest.raises(MalformedPiece, match="outside"):
+            trajectory_value(v, (leg,))
+    with pytest.raises(MalformedPiece, match="outside"):
+        cut_query(g, v, (Leg("e0", F(0), F(2)),), F(1, 2))
+    with pytest.raises(MalformedPiece, match="outside"):
+        cut_query(g, v, (Leg("e0", F(0), F(1, 2)), Leg("e0", F(-1, 2), F(0))), F(3, 4))
+
+
+def test_an_empty_trajectory_is_refused():
+    g = single_edge_graph()
+    v = Valuation.uniform(g)
+    log = QueryLog()
+    for target in (F(0), F(1, 2), 0, F(-1)):
+        with pytest.raises(DomainError, match="at least one leg"):
+            cut_query(g, v, (), target)
+        with pytest.raises(DomainError, match="at least one leg"):
+            cut_trajectory(g, v, (), target, log)
+    assert log.to_json() == {"eval": 0, "cut": 0}
 
 
 @settings(max_examples=150, deadline=None)

@@ -19,7 +19,6 @@ from graphcake.graph_core import (
     EdgePoint,
     Interval,
     Piece,
-    VertexPoint,
     is_whole,
     parse_fraction,
 )
@@ -178,34 +177,22 @@ def test_path_sweeps_from_cut_points_and_vertices():
         [Interval("e0", F(1, 3), ONE), Interval("e1", ZERO, ONE), Interval("e2", ZERO, F(1, 2))]
     )
     forward = (Leg("e0", F(1, 3), ONE), Leg("e1", ZERO, ONE), Leg("e2", ZERO, F(1, 2)))
-    backward = (Leg("e2", F(1, 2), ZERO), Leg("e1", ONE, ZERO), Leg("e0", ONE, F(1, 3)))
     assert _path_trajectory(g, region) == forward  # the least end
-    assert _path_trajectory(g, region, EdgePoint("e0", F(1, 3))) == forward
-    assert _path_trajectory(g, region, EdgePoint("e2", F(1, 2))) == backward
     whole = g.whole_piece()
     legs = (Leg("e0", ZERO, ONE), Leg("e1", ZERO, ONE), Leg("e2", ZERO, ONE))
     assert _path_trajectory(g, whole) == legs
-    assert _path_trajectory(g, whole, VertexPoint("v0")) == legs
-    assert _path_trajectory(g, whole, VertexPoint("v3")) == tuple(
-        Leg(leg.edge, leg.end, leg.start) for leg in reversed(legs)
-    )
     # a region with a vertex at one end and a cut point at the other starts at
     # the vertex, since vertices come before cut points
     tail = Piece.of([Interval("e1", ZERO, ONE), Interval("e2", ZERO, F(1, 2))])
     from_vertex = (Leg("e1", ZERO, ONE), Leg("e2", ZERO, F(1, 2)))
     assert _path_trajectory(g, tail) == from_vertex
-    assert _path_trajectory(g, tail, VertexPoint("v1")) == from_vertex
-    assert _path_trajectory(g, tail, EdgePoint("e2", F(1, 2))) == (
-        Leg("e2", F(1, 2), ZERO),
-        Leg("e1", ONE, ZERO),
-    )
 
 
 def test_a_star_region_rooted_at_its_center_keeps_piece_order():
     g = star_graph(12)  # spokes e0..e11 from c, piece order e0, e1, e10, e11, e2, ...
     region = g.whole_piece().difference(Piece.of([Interval("e1", F(1, 2), ONE)]))
     order = ["e0", "e1", "e10", "e11", *(f"e{i}" for i in range(2, 10))]
-    for root in (VertexPoint("c"), "c", None):
+    for root in ("c", None):
         rt = _RootedTree(g, region.intervals, root)
         assert rt.children[0] == list(range(1, 13))
         assert [rt.legs[w].edge for w in rt.children[0]] == order
