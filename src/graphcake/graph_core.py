@@ -16,6 +16,7 @@ it; every other interval gets them in full.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -400,18 +401,36 @@ def _fmt(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _read_ratio(text: str | int) -> tuple[int, int]:
+    """An int, ``"p"`` or ``"p/q"`` as a reduced pair (numerator, positive
+    denominator).  Each part is read by ``int``, so signs and surrounding
+    spaces are accepted, and a negative denominator moves its sign to the
+    numerator.  Anything else, a bool, a float or a zero denominator
+    included, raises MalformedInput."""
+    try:
+        if not isinstance(text, str):
+            if isinstance(text, int) and not isinstance(text, bool):
+                return text, 1
+            raise ValueError(f"{text!r} is not an int or a string")
+        num, slash, den = text.strip().partition("/")
+        p = int(num)
+        if not slash:
+            return p, 1
+        q = int(den)
+    except (AttributeError, ValueError):
+        raise MalformedInput(f"{text!r} is not a rational number p/q") from None
+    if not q:
+        raise MalformedInput(f"{text!r} is not a rational number p/q")
+    if q < 0:
+        p, q = -p, -q
+    common = math.gcd(p, q)
+    return p // common, q // common
+
+
 def parse_fraction(text: str | int) -> Fraction:
     """Parse an int, ``"p"`` or ``"p/q"``; anything else, a bool included,
     raises MalformedInput."""
-    try:
-        if isinstance(text, bool):
-            raise ValueError("a bool is not a number")
-        if isinstance(text, int):
-            return Fraction(text)
-        num, slash, den = text.strip().partition("/")
-        return Fraction(int(num), int(den) if slash else 1)
-    except (AttributeError, ValueError, ZeroDivisionError):
-        raise MalformedInput(f"{text!r} is not a rational number p/q") from None
+    return Fraction(*_read_ratio(text))
 
 
 def exact_int(value: object) -> int:

@@ -3,16 +3,20 @@
 Valuations double as cost functions in chore mode.  Protocols interact with
 them only through evaluation and cut queries, which keeps the interface
 measure-agnostic; the piecewise-constant representation is closed under every
-cut the protocols perform.  Each valuation sums every edge's value once, when it
-is built, and keeps the totals once, as integers over one scale, the least
+cut the protocols perform.  A valuation document is read in integers: each
+distinct number text is read once per document, into a reduced integer pair
+and one shared ``Fraction``, and segment order and density signs are checked
+by cross-multiplying those pairs.  Each valuation sums every edge's value once,
+when it is built, as the sum of (hi - lo) * density over its segments' integer
+ratios, and keeps the totals once, as integers over one scale, the least
 common multiple of their denominators; a query for a whole edge reads a stored
-total, and sums of whole edges are exact integer sums.  Every interval, whole
-edges at construction included, is walked by ``_clip``, which yields its
-constant-density stretches as integer lengths; evaluation and cut queries sum
-and compare those in integers and build a ``Fraction`` only for the value or
-point they return.  One walk, ``_walk``, finds where every knife stops:
-``cut_trajectory`` runs it forward, and ``latest_position_within`` runs it
-backward from a leg's end, to where the value beyond the budget is covered.
+total, and sums of whole edges are exact integer sums.  Every interval a query
+asks about is walked by ``_clip``, which yields its constant-density stretches
+as integer lengths; evaluation and cut queries sum and compare those in
+integers and build a ``Fraction`` only for the value or point they return.
+One walk, ``_walk``, finds where every knife stops: ``cut_trajectory`` runs it
+forward, and ``latest_position_within`` runs it backward from a leg's end, to
+where the value beyond the budget is covered.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from .graph_core import (
     Piece,
     Point,
     SubcakeMap,
+    _read_ratio,
     canonical_point,
     format_fraction,
     is_whole,
-    parse_fraction,
 )
 
 
@@ -58,19 +62,38 @@ class Segment:
 EdgeDensity = tuple[Segment, ...]
 
 
-def _normalize_segments(segments: Iterable[tuple[Fraction, Fraction, Fraction]]) -> EdgeDensity:
-    segs = [Segment(a, b, d) for a, b, d in segments]
-    if not segs or segs[0].lo != ZERO or segs[-1].hi != ONE:
+# A number as read: its reduced numerator, its positive denominator, and the
+# same value as a Fraction.
+_Number = tuple[int, int, Fraction]
+
+_ONE_READ: _Number = (1, 1, ONE)
+
+
+def _read_number(x: object) -> _Number:
+    """A Fraction, an int, ``"p"`` or ``"p/q"`` as a read number; anything
+    else, a bool or a float included, raises MalformedInput."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator, x
+    p, q = _read_ratio(x)
+    return p, q, Fraction(p, q)
+
+
+def _normalize_segments(segments: Sequence[tuple[_Number, _Number, _Number]]) -> EdgeDensity:
+    """Segments from (start, end, density) triples of read numbers, checked by
+    cross-multiplying: they must partition [0, 1] in strictly increasing
+    order, with nonnegative densities."""
+    # Read numbers are reduced, so two are equal exactly when their tuples are.
+    if not segments or segments[0][0][0] or segments[-1][1] != _ONE_READ:
         raise MalformedInput("segments must partition [0, 1]")
-    for prev, cur in zip(segs, segs[1:]):
-        if prev.hi != cur.lo:
+    for prev, cur in zip(segments, segments[1:]):
+        if prev[1] != cur[0]:
             raise MalformedInput("segments must be contiguous")
-    for s in segs:
-        if s.lo >= s.hi:
+    for (an, ad, _), (bn, bd, _), (p, _, _) in segments:
+        if an * bd >= bn * ad:
             raise MalformedInput("segment breakpoints must be strictly increasing")
-        if s.density < 0:
+        if p < 0:
             raise MalformedInput("densities must be nonnegative")
-    return tuple(segs)
+    return tuple(Segment(a[2], b[2], d[2]) for a, b, d in segments)
 
 
 def _clip(v: Valuation, edge: str, lo: Fraction, hi: Fraction) -> list[tuple[int, int, Fraction]]:
@@ -98,6 +121,20 @@ def _clip(v: Valuation, edge: str, lo: Fraction, hi: Fraction) -> list[tuple[int
     return out
 
 
+def _edge_total(segs: EdgeDensity) -> tuple[int, int]:
+    """An edge's value, the sum of (hi - lo) * density over its segments, as
+    an unreduced numerator and denominator."""
+    num, den = 0, 1
+    for s in segs:
+        p, q = s.density.as_integer_ratio()
+        if p:
+            an, ad = s.lo.as_integer_ratio()
+            bn, bd = s.hi.as_integer_ratio()
+            d = ad * bd * q
+            num, den = num * d + (bn * ad - an * bd) * p * den, den * d
+    return num, den
+
+
 def _integrate(stretches: Iterable[tuple[int, int, Fraction]]) -> tuple[int, int]:
     """The value of ``_clip``'s stretches, as an unreduced numerator and denominator."""
     num, den = 0, 1
@@ -123,7 +160,7 @@ class Valuation:
 
     def __init__(self, densities: Mapping[str, EdgeDensity]):
         self.densities: Mapping[str, EdgeDensity] = MappingProxyType(dict(densities))
-        sums = {e: _integrate(_clip(self, e, ZERO, ONE)) for e in self.densities}
+        sums = {e: _edge_total(segs) for e, segs in self.densities.items()}
         den = math.lcm(*(d for _, d in sums.values()))
         self._keep_totals({e: n * (den // d) for e, (n, d) in sums.items()}, den)
 
@@ -135,7 +172,9 @@ class Valuation:
 
     @staticmethod
     def from_segments(per_edge: Mapping[str, Sequence[tuple]]) -> "Valuation":
-        exact = {e: [tuple(map(Fraction, seg)) for seg in segs] for e, segs in per_edge.items()}
+        """Segments given as (start, end, density) triples of Fractions, ints,
+        or ``"p"`` / ``"p/q"`` strings."""
+        exact = {e: [tuple(map(_read_number, seg)) for seg in segs] for e, segs in per_edge.items()}
         return Valuation({e: _normalize_segments(segs) for e, segs in exact.items()})
 
     @staticmethod
@@ -198,14 +237,25 @@ class Valuation:
             per_edge = [(e, [(lo, d) for lo, d in pairs]) for e, pairs in data.items()]
         except (AttributeError, TypeError, ValueError):
             raise MalformedInput(shape) from None
+        # Documents repeat numbers, so each distinct text is read once per call.
+        # Only strings are looked up: True == 1 == 1.0, so a bool or a float
+        # must not find the entry of an int.
+        read: dict[object, _Number] = {}
+
+        def number(text: object) -> _Number:
+            got = read.get(text) if type(text) is str else None
+            if got is None:
+                p, q = _read_ratio(text)
+                got = read[text] = (p, q, Fraction(p, q))
+            return got
+
         densities = {}
         for e, pairs in per_edge:
-            los = [parse_fraction(lo) for lo, _ in pairs]
-            ds = [parse_fraction(d) for _, d in pairs]
-            if not los or los[0] != ZERO:
+            los = [number(lo) for lo, _ in pairs]
+            ds = [number(d) for _, d in pairs]
+            if not los or los[0][0]:
                 raise MalformedInput(f"edge {e!r}: segment list must start at 0")
-            his = los[1:] + [ONE]
-            densities[e] = _normalize_segments(zip(los, his, ds))
+            densities[e] = _normalize_segments(list(zip(los, los[1:] + [_ONE_READ], ds)))
         return Valuation(densities)
 
 
@@ -405,12 +455,15 @@ def cut_trajectory(
 
     Zero-density plateaus resolve to their first point.  Raises
     InsufficientValue when the whole trajectory is worth less than the target,
-    DomainError for an empty trajectory, and MalformedPiece for a leg the knife
-    reaches whose bounds do not lie in [0, 1].
+    DomainError for an empty trajectory, and MalformedPiece for any leg whose
+    bounds do not lie in [0, 1].
     """
     require_exact(target, "cut target")
     if not t:
         raise DomainError("a cut query needs a trajectory of at least one leg")
+    for leg in t:
+        if not (is_whole(leg.start, leg.end) or is_whole(leg.end, leg.start)):
+            _leg_bounds(leg)
     if log is not None:
         log.cut_count += 1
     if target < 0:

@@ -7,14 +7,17 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcake.cli import main
+from graphcake.errors import CakeError, MalformedInput
 from graphcake.fixtures import FAMILIES, FixtureSpec, build_fixture, random_instance
 from graphcake.protocols import PROTOCOL_NAMES
+from graphcake.valuation import Instance, Segment, Valuation
 
 F = Fraction
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -459,3 +462,126 @@ def test_corrupted_instances_exit_zero_or_one(doc, protocol):
         sys.stdin = stdin
     assert code in (0, 1)
     assert (code == 1) == err.getvalue().startswith("error: ")
+
+
+# -- the integer document reader against the Fraction one ---------------------------
+
+
+def reference_parse_fraction(text):
+    """The Fraction number reader the document path used before it read integer pairs."""
+    try:
+        if isinstance(text, bool):
+            raise ValueError("a bool is not a number")
+        if isinstance(text, int):
+            return Fraction(text)
+        num, slash, den = text.strip().partition("/")
+        return Fraction(int(num), int(den) if slash else 1)
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise MalformedInput(f"{text!r} is not a rational number p/q") from None
+
+
+def reference_normalize_segments(segments):
+    segs = [Segment(a, b, d) for a, b, d in segments]
+    if not segs or segs[0].lo != 0 or segs[-1].hi != 1:
+        raise MalformedInput("segments must partition [0, 1]")
+    for prev, cur in zip(segs, segs[1:]):
+        if prev.hi != cur.lo:
+            raise MalformedInput("segments must be contiguous")
+    for seg in segs:
+        if seg.lo >= seg.hi:
+            raise MalformedInput("segment breakpoints must be strictly increasing")
+        if seg.density < 0:
+            raise MalformedInput("densities must be nonnegative")
+    return tuple(segs)
+
+
+def reference_valuation_from_json(data):
+    """``Valuation.from_json`` as it was when it parsed and checked Fractions."""
+    shape = "a valuation maps edge ids to [start, density] pairs"
+    try:
+        if not all(isinstance(pair, list) for pairs in data.values() for pair in pairs):
+            raise MalformedInput(shape)
+        per_edge = [(e, [(lo, d) for lo, d in pairs]) for e, pairs in data.items()]
+    except (AttributeError, TypeError, ValueError):
+        raise MalformedInput(shape) from None
+    densities = {}
+    for e, pairs in per_edge:
+        los = [reference_parse_fraction(lo) for lo, _ in pairs]
+        ds = [reference_parse_fraction(d) for _, d in pairs]
+        if not los or los[0] != 0:
+            raise MalformedInput(f"edge {e!r}: segment list must start at 0")
+        densities[e] = reference_normalize_segments(zip(los, los[1:] + [Fraction(1)], ds))
+    return Valuation(densities)
+
+
+def _read_outcome(read, doc):
+    """What reading a document gives: each valuation's densities and totals, or
+    the error's class and message."""
+    try:
+        got = read(doc)
+    except CakeError as exc:
+        return type(exc), str(exc)
+    vals = got.agents if isinstance(got, Instance) else (got,)
+    return [(dict(v.densities), v.scale, dict(v.int_totals)) for v in vals]
+
+
+def _assert_both_readers_agree(read, doc):
+    integer = _read_outcome(read, doc)
+    with mock.patch.object(Valuation, "from_json", staticmethod(reference_valuation_from_json)):
+        assert _read_outcome(read, doc) == integer
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 8),
+    st.sampled_from(FAMILIES),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.sampled_from(["cake", "chore"]),
+)
+def test_instance_documents_read_as_the_fraction_reader_reads_them(
+    seed, n, family, edges, segments, mode
+):
+    doc = random_instance(seed, n, family, edges, segments, mode).to_json()
+    _assert_both_readers_agree(Instance.from_json, doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted_instances())
+def test_corrupted_documents_fail_as_under_the_fraction_reader(doc):
+    _assert_both_readers_agree(Instance.from_json, doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"e0": [["0", "2/4"], ["1/2", "3/2"]]},
+        {"e0": [["0", "1/-2"]]},
+        {"e0": [["0", "1"], ["1/2", "1/-2"]]},
+        {"e0": [["-0", "1"]]},
+        {"e0": [["0", "1/2"], [" 1 / 2 ", "3/2"]]},
+        {"e0": [["0", " -3 / -2 "], ["2/3", "0"]]},
+        {"e0": [[0, 1]]},
+        {"e0": [[0, "1"], ["1/2", 1]]},
+        {"e0": [["0", "1"], ["3/2", "1"]]},
+        {"e0": [["0", "1"], ["2", "0"], ["3", "1"]]},
+        {"e0": [["0", "1"], ["1/2", "1"], ["1/2", "1"]]},
+        {"e0": [["0", "1"], ["1/2", "1"], ["1/2", "-1"]]},
+        {"e0": [["0", "1"], ["1/2", "-1"], ["1/2", "1"]]},
+        {"e0": [["1/2", "x"]]},
+        {"e0": [["0", "1"]], "e1": [["0", True]]},
+        {"e0": [[0, 1]], "e1": [["0", True]]},
+        {"e0": [["0", 1.0]]},
+        {"e0": [[Fraction(0), "1"]]},
+        {"e0": [["0", "1/0"]]},
+        {"e0": [["0", []]]},
+        {"e0": [["0", "x"], [None, "1"]]},
+        {"e0": [["1/2", "-1"]]},
+        {"e0": []},
+        {"e0": [["0"]]},
+    ],
+)
+def test_named_numbers_read_as_the_fraction_reader_reads_them(doc):
+    # looked up at each call, so that the reference reader can stand in
+    _assert_both_readers_agree(lambda d: Valuation.from_json(d), doc)

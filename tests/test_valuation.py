@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphcake.errors import (
@@ -29,6 +29,8 @@ from graphcake.valuation import (
     Segment,
     TrajectoryCut,
     Valuation,
+    _clip,
+    _integrate,
     combine_valuations,
     cut_query,
     cut_trajectory,
@@ -680,6 +682,19 @@ def test_malformed_legs_are_refused():
         cut_query(g, v, (Leg("e0", F(0), F(1, 2)), Leg("e0", F(-1, 2), F(0))), F(3, 4))
 
 
+def test_every_leg_is_checked_before_the_knife_walks():
+    g = single_edge_graph()
+    v = Valuation.uniform(g)
+    log = QueryLog()
+    late = (Leg("e0", F(0), F(1, 2)), Leg("e0", F(-1, 2), F(0)))
+    for target in (F(1, 4), F(0), F(-1)):
+        with pytest.raises(MalformedPiece, match="outside"):
+            cut_query(g, v, late, target)
+        with pytest.raises(MalformedPiece, match="outside"):
+            cut_trajectory(g, v, (Leg("e0", F(0), F(1)), Leg("e0", F(1), F(2))), target, log)
+    assert log.to_json() == {"eval": 0, "cut": 0}
+
+
 def test_an_empty_trajectory_is_refused():
     g = single_edge_graph()
     v = Valuation.uniform(g)
@@ -732,9 +747,13 @@ def test_combined_valuation_matches_the_eager_one_before_and_after_reads(vals, d
         combined.densities[first] = (Segment(F(0), F(1), F(2)),)
 
 
+def gappy_valuation():
+    """Density 2 on [0, 1/4] and 1 on [1/2, 1], with no segment in between."""
+    return Valuation({"e0": (Segment(F(0), F(1, 4), F(2)), Segment(F(1, 2), F(1), F(1)))})
+
+
 def test_combine_reads_a_gap_between_segments_as_zero():
-    gappy = Valuation({"e0": (Segment(F(0), F(1, 4), F(2)), Segment(F(1, 2), F(1), F(1)))})
-    vals, weights = [gappy, Valuation.uniform(single_edge_graph())], [F(1, 2), F(1, 3)]
+    vals, weights = [gappy_valuation(), Valuation.uniform(single_edge_graph())], [F(1, 2), F(1, 3)]
     assert dict(combine_valuations(vals, weights).densities) == reference_combine(vals, weights)
 
 
@@ -746,6 +765,15 @@ def test_scaled_totals_match_the_scaled_segments(v, num, den):
         assert scaled.edge_value(edge) == reference_interval_value(scaled, edge, F(0), F(1))
         assert F(scaled.int_totals.get(edge, 0), scaled.scale) == scaled.edge_value(edge)
     assert scaled.scale == math.lcm(*(scaled.edge_value(e).denominator for e in EDGES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(valuations())
+@example(gappy_valuation())
+def test_summed_totals_match_the_clipped_walk(v):
+    walked = {e: F(*_integrate(_clip(v, e, F(0), F(1)))) for e in v.densities}
+    assert {e: F(x, v.scale) for e, x in v.int_totals.items()} == walked
+    assert v.scale == math.lcm(*(x.denominator for x in walked.values()))
 
 
 def test_segments_have_no_instance_dict():
@@ -799,3 +827,17 @@ def edge_worth(value):
 def test_malformed_valuations_raise_malformed_input(build, message):
     with pytest.raises(MalformedInput, match=message):
         build()
+
+
+def test_segment_numbers_are_read_exactly():
+    read = Valuation.from_segments({"e0": [("0", " 2/4 ", "-1/-5"), (HALF, 1, F(9, 5))]})
+    assert read.densities["e0"] == (Segment(F(0), HALF, F(1, 5)), Segment(HALF, F(1), F(9, 5)))
+    assert read.is_normalized()
+
+
+@pytest.mark.parametrize(
+    "segment", [(0, 0.5, 1), (0, 1, 1.0), (0, 1, True), (False, 1, 1), ("0", "1", "0.5"), (0, 1, None)]
+)
+def test_segment_numbers_that_are_not_exact_are_refused(segment):
+    with pytest.raises(MalformedInput, match="is not a rational number p/q"):
+        Valuation.from_segments({"e0": [segment]})
