@@ -20,7 +20,8 @@ import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     BadParameters,
@@ -236,6 +237,9 @@ class Interval:
         return self.hi - self.lo
 
 
+_EDGE_LO_HI = attrgetter("edge", "lo", "hi")
+
+
 def is_whole(lo: Fraction, hi: Fraction) -> bool:
     """True when [lo, hi] is a whole edge, [0, 1].  Most whole intervals carry the
     shared ``ZERO`` and ``ONE``, which the identity tests catch without a call."""
@@ -280,19 +284,16 @@ class Piece:
 
     @staticmethod
     def _sorted_and_merged(ivs: list[Interval]) -> "Piece":
-        by_edge: dict[str, list[tuple[Fraction, Fraction]]] = defaultdict(list)
-        for iv in ivs:
-            if iv.lo != iv.hi:
-                by_edge[iv.edge].append((iv.lo, iv.hi))
+        """One sort by (edge, lo, hi) and one merge pass.  An interval that
+        overlaps or touches the one before it on its edge extends it; every
+        other interval is kept as it is, unless it has zero length."""
         out: list[Interval] = []
-        for edge in sorted(by_edge):
-            merged: list[list[Fraction]] = []
-            for lo, hi in sorted(by_edge[edge]):
-                if merged and lo <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], hi)
-                else:
-                    merged.append([lo, hi])
-            out.extend(Interval(edge, lo, hi) for lo, hi in merged)
+        for iv in sorted(ivs, key=_EDGE_LO_HI):
+            if out and (last := out[-1]).edge == iv.edge and iv.lo <= last.hi:
+                if iv.hi > last.hi:
+                    out[-1] = Interval(iv.edge, last.lo, iv.hi)
+            elif iv.lo != iv.hi:
+                out.append(iv)
         return Piece(tuple(out))
 
     @staticmethod
@@ -494,35 +495,35 @@ class _UnionFind:
         return a
 
     def union(self, a: int, b: int) -> bool:
-        """Join the two sets; False when they were already one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        """Join the two sets; False when they were already one.  Both finds are
+        written out, as the two calls would cost more than the walks."""
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             return False
-        self.parent[rb] = ra
+        parent[b] = a
         return True
-
-    def component_count(self, n: int) -> int:
-        return len({self.find(i) for i in range(n)})
 
 
 def _interval_components(g: CakeGraph, p: Piece) -> int:
-    """Number of connected components of a canonical piece (0 for the empty piece)."""
+    """Number of connected components of a canonical piece (0 for the empty
+    piece): its intervals less the unions that join two of them, each interval
+    joined to the first one that reaches each of its vertices."""
     ivs = p.intervals
-    if not ivs:
-        return 0
     uf = _UnionFind(len(ivs))
-    touching: dict[str, list[int]] = defaultdict(list)
+    first: dict[str, int] = {}  # each vertex reached, to the first interval reaching it
+    joins = 0
     for i, iv in enumerate(ivs):
         e = g.edge(iv.edge)
         whole = is_whole(iv.lo, iv.hi)
         if whole or iv.lo == 0:
-            touching[e.u].append(i)
+            joins += uf.union(first.setdefault(e.u, i), i)
         if whole or iv.hi == 1:
-            touching[e.v].append(i)
-    for idxs in touching.values():
-        for other in idxs[1:]:
-            uf.union(idxs[0], other)
-    return uf.component_count(len(ivs))
+            joins += uf.union(first.setdefault(e.v, i), i)
+    return len(ivs) - joins
 
 
 def piece_is_connected(g: CakeGraph, p: Piece) -> bool:
@@ -860,23 +861,20 @@ def find_bipolar_numbering(g: CakeGraph) -> Optional[BipolarNumbering]:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_breaks(ends: Sequence[tuple[Hashable, Hashable]]) -> list[bool]:
+def _cycle_breaks(ends: Sequence[tuple[int, int]], n: int) -> list[bool]:
     """Which links to cut loose so that the others form a forest.
 
-    Scans from the last link back and cuts a link loose when the links after
-    it already join its ends.  On a connected multigraph this cuts the same
-    edges as detaching the first cycle edge, recomputing the bridges and
-    repeating, in O(m·α(m)) rather than O(cycles·m).
+    Each link joins two of ``n`` nodes, numbered from 0; the caller numbers
+    them, and the links cut loose do not depend on how.  Scans from the last
+    link back and cuts a link loose when the links after it already join its
+    ends.  On a connected multigraph this cuts the same edges as detaching the
+    first cycle edge, recomputing the bridges and repeating, in O(m·α(m))
+    rather than O(cycles·m).
     """
-    index: dict[Hashable, int] = {}
-    for link in ends:
-        for end in link:
-            index.setdefault(end, len(index))
-    uf = _UnionFind(len(index))
+    union = _UnionFind(n).union
     loose = [False] * len(ends)
     for i in range(len(ends) - 1, -1, -1):
-        a, b = ends[i]
-        loose[i] = not uf.union(index[a], index[b])
+        loose[i] = not union(*ends[i])
     return loose
 
 
@@ -890,9 +888,11 @@ def split_cycles_to_tree(g: CakeGraph) -> tuple[CakeGraph, dict[str, str]]:
     """
     vertices = list(g.vertices)
     origin = {v: v for v in vertices}
+    index = {v: i for i, v in enumerate(vertices)}
+    breaks = _cycle_breaks([(index[e.u], index[e.v]) for e in g.edges], len(vertices))
     edges: list[tuple[str, str, str]] = []
     counter = 0
-    for e, loose in zip(g.edges, _cycle_breaks([(e.u, e.v) for e in g.edges])):
+    for e, loose in zip(g.edges, breaks):
         end = e.v
         if loose:
             while f"{e.v}~{counter}" in origin:

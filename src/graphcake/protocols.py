@@ -35,7 +35,7 @@ edge order.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, compress, islice
@@ -157,6 +157,19 @@ def _ends(g: CakeGraph, iv: Interval) -> tuple[Node, Node]:
     return _node(g, iv.edge, iv.lo), _node(g, iv.edge, iv.hi)
 
 
+def _numbered_ends(
+    g: CakeGraph, intervals: Iterable[Interval]
+) -> tuple[list[tuple[int, int]], dict[Node, int]]:
+    """Each interval's two end nodes by id, and each node's id: the nodes are
+    numbered from 0 in order of first appearance."""
+    ids: dict[Node, int] = {}
+    ends = []
+    for iv in intervals:
+        a, b = _ends(g, iv)
+        ends.append((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))))
+    return ends, ids
+
+
 def _node_key(p: Node) -> tuple:
     """Graph vertices first, by name; then cut points, by edge id and position."""
     if isinstance(p, str):
@@ -173,7 +186,10 @@ class _RootedTree:
     ``nodes[v]`` is node ``v``'s ``Node``.  Each interval links the nodes at its
     two ends; an interval that closes a cycle (see ``_cycle_breaks``) is cut
     loose and gets a leaf of its own at its upper end, and ``loose`` lists
-    those leaves in order.  Children follow the order of the intervals;
+    those leaves in order.  The build gives the nodes integer ids in order of
+    first appearance (``_numbered_ends``) and keeps the links in lists by id;
+    the ids do not outlive the build, and every order and tie-break goes by
+    the ``Node``s.  Children follow the order of the intervals;
     ``spans[w]`` is the interval linking child ``w`` to its parent and
     ``legs[w]`` sweeps it towards the parent.  The root is a given ``Node``,
     by default the least node by ``_node_key``.
@@ -196,58 +212,72 @@ class _RootedTree:
         root: Optional[Node] = None,
         forest: bool = False,
     ):
-        ends = [_ends(g, iv) for iv in intervals]
-        # (far end, interval, whether the far end is the interval's upper end, cut loose)
-        links: dict[Node, list[tuple[Node, Interval, bool, bool]]] = defaultdict(list)
-        for iv, (a, b), loose in zip(intervals, ends, _cycle_breaks(ends)):
+        ends, ids = _numbered_ends(g, intervals)
+        # by node id: (far end, interval, whether the far end is the interval's
+        # upper end, cut loose)
+        links: list[list[tuple[int, Interval, bool, bool]]] = [[] for _ in ids]
+        for iv, (a, b), loose in zip(intervals, ends, _cycle_breaks(ends, len(ids))):
             if loose:
-                b = EdgePoint(iv.edge, iv.hi)  # a detached end no other interval reaches
+                # a detached end no other interval reaches
+                b = ids[EdgePoint(iv.edge, iv.hi)] = len(ids)
+                links.append([])
             links[a].append((b, iv, True, loose))
             links[b].append((a, iv, False, loose))
+        names = list(ids)
         if root is None:
-            root = min(links, key=_node_key, default=None)
-        index = {root: 0}
-        points = self.nodes = [root]
-        self.parent = [-1]
-        self.spans: list[Optional[Interval]] = [None]  # the root has no link
-        self.legs: list[Optional[Leg]] = [None]
-        self.children: list[list[int]] = [[]]
-        self.depth = [0]
+            root = min(names, key=_node_key, default=None)
+        if root not in ids:
+            # a root no interval reaches (the empty region's None) is a lone node
+            ids[root] = len(names)
+            names.append(root)
+            links.append([])
+        # by node id: the node's number in the tree, -1 until the walk reaches it
+        number = [-1] * len(names)
+        number[ids[root]] = 0
+        order = [ids[root]]  # node ids by number
+        parent = [-1]
+        spans: list[Optional[Interval]] = [None]  # the root has no link
+        legs: list[Optional[Leg]] = [None]
+        children: list[list[int]] = [[]]
+        depth = [0]
         self.loose: list[int] = []
         self.connected = True
         # the children with a whole leg, by edge id, and with a partial one, by span
         self._kinds: Optional[tuple[list[tuple[int, str]], list[tuple[int, Interval]]]] = None
         # subtree_values, kept per distinct valuation for the tree's lifetime
         self._values: dict[Valuation, tuple[list[int], list[int], int]] = {}
-        for v, p in enumerate(points):
-            for w, iv, upper, loose in links.get(p, ()):
-                if w not in index:
-                    child = index[w] = len(points)
-                    points.append(w)
-                    self.parent.append(v)
-                    self.spans.append(iv)
+        for v, x in enumerate(order):
+            kids = children[v]
+            for y, iv, upper, loose in links[x]:
+                if number[y] < 0:
+                    child = number[y] = len(order)
+                    order.append(y)
+                    parent.append(v)
+                    spans.append(iv)
                     # the leg sweeps from the child's end towards the parent
                     start, end = (iv.hi, iv.lo) if upper else (iv.lo, iv.hi)
-                    self.legs.append(Leg(iv.edge, start, end))
-                    self.children.append([])
-                    self.depth.append(self.depth[v] + 1)
-                    self.children[v].append(child)
+                    legs.append(Leg(iv.edge, start, end))
+                    children.append([])
+                    depth.append(depth[v] + 1)
+                    kids.append(child)
                     if loose:
                         self.loose.append(child)
-            if v == len(points) - 1 and len(points) < len(links):
+            if v == len(order) - 1 and len(order) < len(names):
                 # every node reached is walked, yet some component is not
                 if not forest:
                     raise DisconnectedPiece("piece is not connected")
                 self.connected = False
-                top = min((q for q in links if q not in index), key=_node_key)
-                self.children[0].append(len(points))
-                index[top] = len(points)
-                points.append(top)
-                self.parent.append(0)
-                self.spans.append(None)
-                self.legs.append(None)
-                self.children.append([])
-                self.depth.append(1)
+                top = min((y for y, at in enumerate(number) if at < 0), key=lambda y: _node_key(names[y]))
+                children[0].append(len(order))
+                number[top] = len(order)
+                order.append(top)
+                parent.append(0)
+                spans.append(None)
+                legs.append(None)
+                children.append([])
+                depth.append(1)
+        self.nodes = [names[x] for x in order]
+        self.parent, self.spans, self.legs, self.children, self.depth = parent, spans, legs, children, depth
 
     def lowest(self, crosses: Callable[[int], bool]) -> int:
         """Step from the root to the first child that ``crosses`` until none does."""
@@ -368,7 +398,8 @@ class _RootedTree:
         if loose:
             # taking links away can only let a loose link join the tree, so
             # the pruned tree is right iff every kept loose link stays loose
-            breaks = _cycle_breaks([_ends(g, iv) for iv in rest.intervals])
+            ends, ids = _numbered_ends(g, rest.intervals)
+            breaks = _cycle_breaks(ends, len(ids))
             if {self.spans[x] for x in loose} != {
                 iv for iv, cut in zip(rest.intervals, breaks) if cut
             }:

@@ -55,6 +55,27 @@ def ear_graph(rng: random.Random, m):
     return CakeGraph(vertices, edges)
 
 
+def tree_graph(rng: random.Random, m):
+    """Random recursive tree: vertex i hangs off a uniformly chosen earlier
+    vertex.  The benchmark corpus's tree builder."""
+    vertices = [f"v{i}" for i in range(m + 1)]
+    edges = [(f"e{i - 1}", f"v{rng.randrange(i)}", f"v{i}") for i in range(1, m + 1)]
+    return CakeGraph(vertices, edges)
+
+
+def mixed_graph(rng: random.Random, m):
+    """A random tree on half to all of the edges plus random chords; usually
+    bridged.  The benchmark corpus's builder for arbitrary graphs."""
+    t = rng.randint(m // 2, m)
+    vertices = [f"v{i}" for i in range(t + 1)]
+    edges = [(f"e{i - 1}", f"v{rng.randrange(i)}", f"v{i}") for i in range(1, t + 1)]
+    for j in range(t, m):
+        u = rng.choice(vertices)
+        v = rng.choice([w for w in vertices if w != u])
+        edges.append((f"e{j}", u, v))
+    return CakeGraph(vertices, edges)
+
+
 def uniform_instance(g, n, mode="cake"):
     v = Valuation.uniform(g)
     return Instance(g, tuple(v for _ in range(n)), mode)

@@ -2,25 +2,31 @@
 instances, with each protocol that applies, must stay byte-identical, and so
 must ``oracle`` and ``lemma`` on every certificate the test suite checks, and
 ``label`` on seeded ear graphs and a long cycle, well past the desk sizes.
+The two-agent protocols on one seeded 200-edge graph per family of the
+road-network benchmark keep the sha256 of their ``solve`` output
+(``NETWORK_DIGESTS``) rather than the outputs themselves, about 80 KB.
 
 ``solve`` must exit 0 exactly when the protocol applies to the instance (see
 ``graphcake.protocols.applies``) and 1 otherwise; only the outputs of the
 protocols that apply are in the file.  After a deliberate change of output,
-rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and say
-in CHANGES.md which outputs changed and why.
+rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``, which
+also prints fresh network digests, and say in CHANGES.md which outputs changed
+and why.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
 import sys
 from pathlib import Path
 
-from conftest import cycle_graph, ear_graph
+from conftest import cycle_graph, ear_graph, mixed_graph, tree_graph
 from graphcake.cli import main
-from graphcake.fixtures import FixtureSpec, build_fixture, random_instance
+from graphcake.fixtures import FixtureSpec, build_fixture, random_instance, random_valuations
 from graphcake.protocols import PROTOCOL_NAMES, applies
+from graphcake.valuation import Instance
 
 GOLDEN = Path(__file__).with_name("golden_solve.json")
 GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.json")
@@ -87,6 +93,36 @@ LEMMA = ((1, "-3:1"), (2, "-3:1"), (3, "-4:1"), (1, "-6:2"), (2, "-6:2"), (3, "-
 EAR_GRAPHS = ((1, 40), (2, 120), (3, 200))
 CYCLE = 800
 
+# one seeded 200-edge graph per family of the road-network benchmark, and the
+# two-agent protocols run on it (prop2 where the graph is almost bridgeless)
+NETWORK_GRAPHS = (("cycle-augmented", ear_graph), ("arbitrary", mixed_graph), ("tree", tree_graph))
+NETWORK_EDGES = 200
+TWO_AGENT = ("best2", "prop2", "fixed2", "flex2", "equit2", "multi2", "chore2")
+NETWORK_PARAMS = {"flex2": ["-p", "alpha=1/4"], "multi2": ["-p", "k=3"]}
+
+# sha256 of each ``solve`` stdout on the network graphs
+NETWORK_DIGESTS = {
+    "cycle-augmented best2": "e9dd84e5e1ab559b267e7d47a8c723ec60150acc7cf7cf4700e80ec5ee9e4613",
+    "cycle-augmented prop2": "ccb35d76b47ff5ff914e0ac3e5ebe987c875a12dbe5b57087759e6abcfdaa1c4",
+    "cycle-augmented fixed2": "76decb388f4a3b3aff50784eaadeb8da1dd47c8ef7f17f123161122c8143a64b",
+    "cycle-augmented flex2": "af161afbbe061f7c424c0238f8641efc37a820f13b5b95968762a2e087c53eb1",
+    "cycle-augmented equit2": "fef6a4afb73a5d245fb1cd9e8f5a4b40596d70e3e834df64dd2d8d124ff8afcd",
+    "cycle-augmented multi2": "b20a6ba7e103171f8fee8eb3ee3193b1e5e065e0f39594643cad1e4e7f1ae2ad",
+    "cycle-augmented chore2": "46875efd94c3150598132abcf0994a67efa28770231ba44e0e816719ce1c336b",
+    "arbitrary best2": "d64409fd9351be7797420f91162de7bbe37cffd859dbdfdc09c38ce72556fc02",
+    "arbitrary fixed2": "8c43fe5b6dbb5f0a50493467f8cf50287f61871034e9f07d2e86e79e0b576dd5",
+    "arbitrary flex2": "202b570de5319b5df125e35ca628865e2b7df86da938330aa41b4dc8f933d99e",
+    "arbitrary equit2": "fe44bf3044e90f1e0220d1a1c2fa335846c1590f02b62292408dc18509754081",
+    "arbitrary multi2": "65799cc3b5b587699689c794082fde004ca64c2781a9c837a5ad7d94932603b4",
+    "arbitrary chore2": "8a51a63406affc47ff4534337ac4a79f0b62bff4e205a430409a34869eeeb0f6",
+    "tree best2": "68d62f2e304e1f027339d6414c26af053f91e59b483c65a28ea918679cbd9c5b",
+    "tree fixed2": "b8f672c5cecf9a6d484b0071df90cb233a7bd2f85c1a98a1c883191cb9b1cb20",
+    "tree flex2": "a9091dc5ff317842094e21a3fe79c8cc2cd916e81bdd230020a0bc18feda5d3a",
+    "tree equit2": "b23a1ec77c06c43d4fa38d86816bc2927220fdbb567392060150d76c154ae86e",
+    "tree multi2": "bae490ac6aa68ed043205e8b0df7058fcd2c3dceefcf5b54bc777e4a06b0032c",
+    "tree chore2": "24a53e7d8fdf1552327f058c6a1043e2bc3307a742e675ec248cccf7513f18a4",
+}
+
 
 def _instances():
     for name, params in FIXTURES:
@@ -151,6 +187,29 @@ def label_outputs() -> dict[str, str]:
     return outputs
 
 
+def network_solve_outputs() -> dict[str, str]:
+    """``solve`` stdout for every two-agent protocol that applies to the
+    network graphs, on seeded cake and chore valuations."""
+    outputs = {}
+    for family, build in NETWORK_GRAPHS:
+        g = build(random.Random(f"network/{family}"), NETWORK_EDGES)
+        rng = random.Random(f"network/{family}/valuations")
+        for mode in ("cake", "chore"):
+            inst = Instance(g, random_valuations(rng, g, 2), mode)
+            document = json.dumps(inst.to_json())
+            for protocol in TWO_AGENT:
+                if applies(protocol, inst):
+                    argv = ["solve", "--instance", "-", "--protocol", protocol, *NETWORK_PARAMS.get(protocol, [])]
+                    code, stdout = _run(argv, document)
+                    assert code == 0, f"{protocol} on {family} exited {code}"
+                    outputs[f"{family} {protocol}"] = stdout
+    return outputs
+
+
+def network_digests() -> dict[str, str]:
+    return {case: hashlib.sha256(stdout.encode()).hexdigest() for case, stdout in network_solve_outputs().items()}
+
+
 def _assert_matches(golden: Path, actual: dict[str, str]) -> None:
     expected = json.loads(golden.read_text())
     assert sorted(actual) == sorted(expected)
@@ -170,6 +229,10 @@ def test_label_outputs_match_the_golden_file():
     _assert_matches(GOLDEN_LABEL, label_outputs())
 
 
+def test_solve_outputs_on_200_edge_graphs_keep_their_digests():
+    assert network_digests() == NETWORK_DIGESTS
+
+
 if __name__ == "__main__":
     for path, outputs in ((GOLDEN, solve_outputs()), (GOLDEN_ORACLE, oracle_outputs())):
         golden = {case: json.loads(stdout) for case, stdout in outputs.items()}
@@ -180,3 +243,4 @@ if __name__ == "__main__":
     lines = [f" {json.dumps(case)}: {json.dumps(json.loads(labels[case]))}" for case in sorted(labels)]
     GOLDEN_LABEL.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {len(labels)} outputs to {GOLDEN_LABEL}")
+    print("NETWORK_DIGESTS = " + json.dumps(network_digests(), indent=4))

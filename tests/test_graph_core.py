@@ -254,7 +254,18 @@ def test_piece_of_matches_the_sort_and_merge_reference(raw):
             with pytest.raises(MalformedPiece, match=re.escape(str(exc))):
                 Piece.of(given_items)
         else:
-            assert Piece.of(given_items).intervals == expected
+            merged = Piece.of(given_items).intervals
+            assert merged == expected
+            # an Interval that meets no other one of positive length on its
+            # edge is kept as the very object given
+            triples = [(x.edge, x.lo, x.hi) if isinstance(x, Interval) else x for x in given_items]
+            for iv in merged:
+                meets = [
+                    item for item, (e, lo, hi) in zip(given_items, triples)
+                    if e == iv.edge and lo < hi and lo <= iv.hi and iv.lo <= hi
+                ]
+                if len(meets) == 1 and isinstance(meets[0], Interval):
+                    assert iv is meets[0]
 
 
 def test_intervals_have_no_instance_dict():
@@ -306,6 +317,64 @@ def test_triangle_minus_interior_interval_connected():
 
 def test_empty_piece_connected():
     assert piece_is_connected(single_edge_graph(), Piece.empty())
+
+
+def reference_component_count(g, p):
+    """Components of a canonical piece by a BFS over its intervals, two of
+    them joined when both reach one graph vertex (test-only reference)."""
+    reach = []
+    for iv in p.intervals:
+        e = g.edge(iv.edge)
+        reach.append({v for v, at_end in ((e.u, iv.lo == 0), (e.v, iv.hi == 1)) if at_end})
+    seen, count = set(), 0
+    for start in range(len(reach)):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in range(len(reach)):
+                if j not in seen and reach[i] & reach[j]:
+                    seen.add(j)
+                    queue.append(j)
+    return count
+
+
+QUARTERS = st.integers(0, 4).map(lambda k: F(k, 4))
+
+
+@st.composite
+def multigraph_pieces(draw):
+    """A small connected multigraph, parallel edges allowed, and a piece of it
+    with several intervals to an edge, partial ones ending at 0 or 1, or none."""
+    nv = draw(st.integers(2, 5))
+    # a spanning tree first, so the graph is connected, then any further edges
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    ends = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)).filter(lambda t: t[0] != t[1])
+    pairs += draw(st.lists(ends, max_size=5))
+    edges = [(f"e{j}", f"v{a}", f"v{b}") for j, (a, b) in enumerate(pairs)]
+    g = CakeGraph([f"v{i}" for i in range(nv)], edges)
+    raw = draw(st.lists(st.tuples(st.sampled_from(g.edges), QUARTERS, QUARTERS), max_size=10))
+    return g, Piece.of((e.id, min(a, b), max(a, b)) for e, a, b in raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraph_pieces())
+def test_piece_component_count_matches_a_bfs_over_intervals(case):
+    g, p = case
+    count = reference_component_count(g, p)
+    assert piece_component_count(g, p) == count
+    assert piece_is_connected(g, p) == (count <= 1)
+
+
+@pytest.mark.parametrize("check", [piece_is_connected, piece_component_count])
+def test_piece_connectivity_rejects_an_unknown_edge(check):
+    g = triangle()
+    for p in (Piece.of([("e9", F(0), F(1))]), Piece.of([("e0", F(0), F(1)), ("e9", F(1, 2), F(1))])):
+        with pytest.raises(MalformedPiece, match="unknown edge 'e9'"):
+            check(g, p)
 
 
 # -- bridges -----------------------------------------------------------------

@@ -6,6 +6,7 @@ vertices by their ``str`` and only interior cut points by ``EdgePoint``.
 """
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,15 @@ from graphcake.graph_core import (
 from graphcake.protocols import _ends, _path_trajectory, _RootedTree
 from graphcake.valuation import Instance, Leg, Valuation, value_of_piece
 
-from conftest import ear_graph, path_graph, star_graph, uniform_instance
+from conftest import (
+    cycle_graph,
+    ear_graph,
+    mixed_graph,
+    path_graph,
+    star_graph,
+    tree_graph,
+    uniform_instance,
+)
 
 F = Fraction
 
@@ -199,3 +208,149 @@ def test_a_star_region_rooted_at_its_center_keeps_piece_order():
         assert rt.spans[1:] == list(region.intervals)
         assert rt.legs[2] == Leg("e1", F(1, 2), ZERO)
         assert all(rt.legs[w] == Leg(rt.legs[w].edge, ONE, ZERO) for w in rt.children[0] if w != 2)
+
+
+# -- region tree builds against a reference -------------------------------------------
+
+
+def reference_cycle_breaks(ends):
+    """Links cut loose, scanned from the last back, over nodes keyed by name
+    (test-only reference)."""
+    index = {}
+    for link in ends:
+        for end in link:
+            index.setdefault(end, len(index))
+    parent = list(range(len(index)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    loose = [False] * len(ends)
+    for i in range(len(ends) - 1, -1, -1):
+        ra, rb = find(index[ends[i][0]]), find(index[ends[i][1]])
+        loose[i] = ra == rb
+        parent[rb] = ra
+    return loose
+
+
+def reference_tree_fields(g, intervals, root=None, forest=False):
+    """A region tree's fields from a build over a dict of links keyed by
+    ``Node`` and a BFS over an index dict (test-only reference)."""
+    ends = [_ends(g, iv) for iv in intervals]
+    links = defaultdict(list)
+    for iv, (a, b), loose in zip(intervals, ends, reference_cycle_breaks(ends)):
+        if loose:
+            b = EdgePoint(iv.edge, iv.hi)
+        links[a].append((b, iv, True, loose))
+        links[b].append((a, iv, False, loose))
+    if root is None:
+        root = min(links, key=protocols._node_key, default=None)
+    index = {root: 0}
+    nodes, parent, spans, legs, children, depth = [root], [-1], [None], [None], [[]], [0]
+    loose_leaves, connected = [], True
+    for v, p in enumerate(nodes):
+        for w, iv, upper, loose in links.get(p, ()):
+            if w not in index:
+                child = index[w] = len(nodes)
+                nodes.append(w)
+                parent.append(v)
+                spans.append(iv)
+                start, end = (iv.hi, iv.lo) if upper else (iv.lo, iv.hi)
+                legs.append(Leg(iv.edge, start, end))
+                children.append([])
+                depth.append(depth[v] + 1)
+                children[v].append(child)
+                if loose:
+                    loose_leaves.append(child)
+        if v == len(nodes) - 1 and len(nodes) < len(links):
+            if not forest:
+                raise DisconnectedPiece("piece is not connected")
+            connected = False
+            top = min((q for q in links if q not in index), key=protocols._node_key)
+            children[0].append(len(nodes))
+            index[top] = len(nodes)
+            nodes.append(top)
+            parent.append(0)
+            spans.append(None)
+            legs.append(None)
+            children.append([])
+            depth.append(1)
+    return nodes, parent, children, spans, legs, depth, loose_leaves, connected
+
+
+def _fields(rt):
+    return rt.nodes, rt.parent, rt.children, rt.spans, rt.legs, rt.depth, rt.loose, rt.connected
+
+
+def _assert_builds_alike(g, intervals, root=None, forest=False):
+    try:
+        expected = reference_tree_fields(g, intervals, root, forest)
+    except DisconnectedPiece:
+        with pytest.raises(DisconnectedPiece):
+            _RootedTree(g, intervals, root, forest)
+        return False
+    assert _fields(_RootedTree(g, intervals, root, forest)) == expected
+    return True
+
+
+def _cut_region(rng, g, cuts):
+    """The whole graph less ``cuts`` random partial intervals, some ending at a vertex."""
+    taken = []
+    for _ in range(cuts):
+        e = rng.choice(g.edges).id
+        lo, hi = sorted(rng.sample([ZERO, F(1, 4), F(1, 3), F(1, 2), F(3, 4), ONE], 2))
+        taken.append(Interval(e, lo, hi))
+    return g.whole_piece().difference(Piece.of(taken))
+
+
+def test_tree_builds_of_whole_200_edge_graphs_match_the_reference():
+    rng = random.Random(31)
+    graphs = [
+        ear_graph(rng, 200),
+        tree_graph(rng, 200),
+        mixed_graph(rng, 200),
+        cycle_graph(200),
+        path_graph(200),
+        star_graph(200),
+    ]
+    for g in graphs:
+        whole = g.whole_piece().intervals
+        assert _assert_builds_alike(g, whole)
+        # in stored edge order, as the whole-graph sweeps build them
+        assert _assert_builds_alike(g, [Interval(e.id, ZERO, ONE) for e in g.edges])
+        assert _assert_builds_alike(g, whole, g.vertices[-1])
+
+
+def test_tree_builds_of_cut_regions_match_the_reference():
+    rng = random.Random(37)
+    built = split = 0
+    for trial in range(60):
+        g = (ear_graph, tree_graph, mixed_graph)[trial % 3](rng, rng.randint(2, 40))
+        region = _cut_region(rng, g, rng.randint(1, 6)).intervals
+        for forest in (False, True):
+            if _assert_builds_alike(g, region, forest=forest):
+                built += 1
+            else:
+                split += 1
+        # rooted at a given vertex, or at an interior cut point of the region
+        nodes = reference_tree_fields(g, region, forest=True)[0]
+        for root in (rng.choice(nodes), next((p for p in nodes if isinstance(p, EdgePoint)), None)):
+            if root is not None:
+                _assert_builds_alike(g, region, root, forest=True)
+    # both connected and disconnected regions were met
+    assert built > 60 and split > 0
+
+
+def test_tree_builds_of_disconnected_and_empty_regions_match_the_reference():
+    g = path_graph(4)  # v0 -e0- v1 -e1- v2 -e2- v3 -e3- v4
+    apart = Piece.of(
+        [Interval("e0", ZERO, F(1, 2)), Interval("e2", F(1, 3), ONE), Interval("e3", ZERO, ONE)]
+    ).intervals
+    assert not _assert_builds_alike(g, apart)
+    assert _assert_builds_alike(g, apart, forest=True)
+    assert reference_tree_fields(g, apart, forest=True)[-1] is False
+    for forest in (False, True):
+        assert _assert_builds_alike(g, [], forest=forest)
+    assert _fields(_RootedTree(g, [])) == ([None], [-1], [[]], [None], [None], [0], [], True)
