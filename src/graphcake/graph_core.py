@@ -246,6 +246,16 @@ def is_whole(lo: Fraction, hi: Fraction) -> bool:
     return (lo is ZERO or lo == 0) and (hi is ONE or hi == 1)
 
 
+def _bound(x: object) -> Fraction:
+    """A Fraction as it is, or an int that is not a bool as a Fraction;
+    anything else raises MalformedPiece."""
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise MalformedPiece(f"interval bound {x!r} is not a Fraction or an int")
+
+
 class Piece:
     """A finite union of closed subintervals of edges, kept in canonical form.
 
@@ -261,16 +271,17 @@ class Piece:
     @staticmethod
     def of(intervals: Iterable[Interval | tuple]) -> "Piece":
         """The canonical piece covering the given intervals.  Every bound is
-        checked (a whole edge's hold by ``is_whole``); intervals already in
-        canonical order are kept as they are, and only others are sorted and
-        merged."""
+        checked (a whole edge's by ``is_whole`` alone): a Fraction or an int in
+        [0, 1], else MalformedPiece; intervals already in canonical order are
+        kept as they are, and only others are sorted and merged."""
         ivs: list[Interval] = []
         canonical = True
         prev: Optional[Interval] = None
         for item in intervals:
-            iv = item if isinstance(item, Interval) else Interval(item[0], Fraction(item[1]), Fraction(item[2]))
+            iv = item if isinstance(item, Interval) else Interval(item[0], _bound(item[1]), _bound(item[2]))
             if not is_whole(iv.lo, iv.hi):
-                if not (ZERO <= iv.lo <= iv.hi <= ONE):
+                lo, hi = _bound(iv.lo), _bound(iv.hi)
+                if not (ZERO <= lo <= hi <= ONE):
                     raise MalformedPiece(f"interval [{iv.lo}, {iv.hi}] outside [0, 1] on edge {iv.edge!r}")
                 if canonical and iv.lo == iv.hi:
                     canonical = False

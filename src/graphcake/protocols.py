@@ -23,13 +23,13 @@ sums, so only the shortened leg is integrated again.
 
 Deterministic tie-breaking throughout: when several agents qualify at the
 same knife point, the lowest agent index wins.  A region is walked as a tree
-whose nodes are the names of the graph vertices it reaches and the
-``EdgePoint``s of its interior cut points, rooted at the least-named vertex, or
-at the lower end of a region inside a single edge; when several branches of it
+over the graph vertices it reaches and its interior cut points, rooted at the
+least-named vertex, or at the lower end of a region inside a single edge; a
+walk reads parents, children and each link's interval.  When several branches
 qualify, the one earliest in piece order (edge id as a string, then position)
 wins.  Walks over the whole graph that are not extractions (the height-two
-sweep and the chore protocol's first split) take branches in the graph's stored
-edge order.
+sweep and the chore protocol's first split) take branches in the graph's
+stored edge order.
 """
 
 from __future__ import annotations
@@ -180,25 +180,24 @@ def _node_key(p: Node) -> tuple:
 class _RootedTree:
     """A region of the cake as a rooted tree, in the graph's coordinates.
 
-    Nodes are the names of the graph vertices the region reaches and the
-    ``EdgePoint``s of its interior cut points (``Node``), numbered so that
-    every parent comes before its children; node 0 is the root and
-    ``nodes[v]`` is node ``v``'s ``Node``.  Each interval links the nodes at its
-    two ends; an interval that closes a cycle (see ``_cycle_breaks``) is cut
-    loose and gets a leaf of its own at its upper end, and ``loose`` lists
-    those leaves in order.  The build gives the nodes integer ids in order of
-    first appearance (``_numbered_ends``) and keeps the links in lists by id;
-    the ids do not outlive the build, and every order and tie-break goes by
-    the ``Node``s.  Children follow the order of the intervals;
-    ``spans[w]`` is the interval linking child ``w`` to its parent and
-    ``legs[w]`` sweeps it towards the parent.  The root is a given ``Node``,
-    by default the least node by ``_node_key``.
+    The nodes are the graph vertices the region reaches and its interior cut
+    points (``Node``s), numbered so that every parent comes before its
+    children; node 0 is the root.  Each interval links the nodes at its two
+    ends; an interval that closes a cycle (see ``_cycle_breaks``) is cut loose
+    and gets a leaf of its own at its upper end, and ``loose`` lists those
+    leaves in order.  A link is kept once, at its child ``w``: ``parent[w]``,
+    the interval ``spans[w]`` and ``upper[w]``, whether the child sits at the
+    span's upper end; ``leg(w)`` sweeps the span towards the parent.  Children
+    follow the order of the intervals.  The build gives the nodes integer ids
+    in order of first appearance (``_numbered_ends``); the ids do not outlive
+    the build, and every order and tie-break goes by the ``Node``s.  The root
+    is a given ``Node``, by default the least node by ``_node_key``.
 
     A region that is not connected raises ``DisconnectedPiece``, unless
     ``forest`` is set: then each further component, from its least node, hangs
-    off the root by a branch without a link (``spans`` and ``legs`` None), so
-    root sums still cover the whole region, and ``connected`` is False.  The
-    empty region is a lone root.
+    off the root by a branch without a link (``spans`` None), so root sums
+    still cover the whole region, and ``connected`` is False.  The empty
+    region is a lone root.
 
     Subtree sums are kept per distinct valuation for the tree's lifetime, and
     ``remainder`` carries them over when it prunes the tree to what an
@@ -237,9 +236,8 @@ class _RootedTree:
         order = [ids[root]]  # node ids by number
         parent = [-1]
         spans: list[Optional[Interval]] = [None]  # the root has no link
-        legs: list[Optional[Leg]] = [None]
+        upper = [False]
         children: list[list[int]] = [[]]
-        depth = [0]
         self.loose: list[int] = []
         self.connected = True
         # the children with a whole leg, by edge id, and with a partial one, by span
@@ -248,17 +246,14 @@ class _RootedTree:
         self._values: dict[Valuation, tuple[list[int], list[int], int]] = {}
         for v, x in enumerate(order):
             kids = children[v]
-            for y, iv, upper, loose in links[x]:
+            for y, iv, at_hi, loose in links[x]:
                 if number[y] < 0:
                     child = number[y] = len(order)
                     order.append(y)
                     parent.append(v)
                     spans.append(iv)
-                    # the leg sweeps from the child's end towards the parent
-                    start, end = (iv.hi, iv.lo) if upper else (iv.lo, iv.hi)
-                    legs.append(Leg(iv.edge, start, end))
+                    upper.append(at_hi)
                     children.append([])
-                    depth.append(depth[v] + 1)
                     kids.append(child)
                     if loose:
                         self.loose.append(child)
@@ -273,11 +268,14 @@ class _RootedTree:
                 order.append(top)
                 parent.append(0)
                 spans.append(None)
-                legs.append(None)
+                upper.append(False)
                 children.append([])
-                depth.append(1)
-        self.nodes = [names[x] for x in order]
-        self.parent, self.spans, self.legs, self.children, self.depth = parent, spans, legs, children, depth
+        self.parent, self.children, self.spans, self.upper = parent, children, spans, upper
+
+    def leg(self, w: int) -> Leg:
+        """Child ``w``'s span swept from the child's end towards its parent."""
+        iv = self.spans[w]
+        return Leg(iv.edge, iv.hi, iv.lo) if self.upper[w] else Leg(iv.edge, iv.lo, iv.hi)
 
     def lowest(self, crosses: Callable[[int], bool]) -> int:
         """Step from the root to the first child that ``crosses`` until none does."""
@@ -302,7 +300,7 @@ class _RootedTree:
         if stop is None:
             return self.branches_piece(tops)
         (w,) = tops
-        leg = self.legs[w]
+        leg = self.leg(w)
         swept = Interval(leg.edge, min(leg.start, stop), max(leg.start, stop))
         return self.branches_piece(self.children[w]).union(Piece.of([swept]))
 
@@ -339,7 +337,7 @@ class _RootedTree:
         scale = math.lcm(val.scale, *(x.denominator for _, x in parts))
         lift = scale // val.scale
         totals = val.int_totals
-        branch = [0] * len(self.legs)
+        branch = [0] * len(self.spans)
         for w, edge in whole:
             branch[w] = totals.get(edge, 0) * lift
         for w, x in parts:
@@ -373,11 +371,11 @@ class _RootedTree:
         part between ``stop`` and the parent, with a new leaf at ``stop``, and
         the sums it holds for the ``needed`` valuations lose the taken value on
         the path to the root; the others are dropped.  The shortened leg is the
-        only one integrated again.  The result equals
-        ``_RootedTree(g, rest.intervals)`` field by field, with equal sums,
-        though possibly over a larger scale.  Where pruning cannot give that
-        tree, a fresh build is returned: when nothing is left, so the root left
-        too, and when a loose link that stays would no longer be cut loose.
+        only one integrated again.  The result has the links, loose leaves and
+        sums of ``_RootedTree(g, rest.intervals)``, the sums possibly over a
+        larger scale.  Where pruning cannot give that tree, a fresh build is
+        returned: when nothing is left, so the root left too, and when a loose
+        link that stays would no longer be cut loose.
         """
         if not tops:
             return self
@@ -385,7 +383,7 @@ class _RootedTree:
             return _RootedTree(g, rest.intervals)
         w = tops[0]
         v = self.parent[w]
-        leg = self.legs[w]
+        leg = self.leg(w)
         if stop == leg.end:
             stop = None  # the knife took the whole leg
         keep = [True] * len(self.parent)
@@ -406,22 +404,18 @@ class _RootedTree:
                 return _RootedTree(g, rest.intervals)
 
         rank = list(accumulate(keep, initial=0))  # a kept node's new number
-        self.nodes = list(compress(self.nodes, keep))
         kept_parents = islice(compress(self.parent, keep), 1, None)
         self.parent = parent = [-1] + [rank[p] for p in kept_parents]
         self.children = [
             [rank[c] for c in kids if keep[c]] for kids in compress(self.children, keep)
         ]
         self.spans = list(compress(self.spans, keep))
-        self.legs = list(compress(self.legs, keep))
-        self.depth = list(compress(self.depth, keep))
+        self.upper = list(compress(self.upper, keep))
         self.loose = [rank[x] for x in loose]
         self._kinds = None
         if stop is not None:
-            span = Interval(leg.edge, min(stop, leg.end), max(stop, leg.end))
-            self.nodes[rank[w]] = EdgePoint(leg.edge, stop)
-            self.spans[rank[w]] = span
-            self.legs[rank[w]] = Leg(leg.edge, stop, leg.end)
+            # the child's end moves to ``stop``, on the same side of its span
+            self.spans[rank[w]] = span = Interval(leg.edge, min(stop, leg.end), max(stop, leg.end))
         values, self._values = self._values, {}
         for val, (below, branch, scale) in values.items():
             if val not in needed:
@@ -560,7 +554,7 @@ def _split(
             for a in eligible
             if branch[a][w] >= least[a]
         }
-        winner, cut = _knife_race(g, vals, (rt.legs[w],), targets, log)
+        winner, cut = _knife_race(g, vals, (rt.leg(w),), targets, log)
         return winner, [w], cut.position
     # Case 2: accumulate whole branches until some agent first reaches her need.
     taken: list[int] = []
@@ -673,14 +667,9 @@ def _sweep(rt: _RootedTree) -> Trajectory:
         if len(rt.children[v]) > 1:
             raise ProtocolInvariantError("region is not a path swept from one end")
         v = rt.children[v][0]
-        leg = rt.legs[v]
+        leg = rt.leg(v)
         legs.append(Leg(leg.edge, leg.end, leg.start))
     return tuple(legs)
-
-
-def _path_trajectory(g: CakeGraph, region: Piece) -> Trajectory:
-    """End-to-end sweep of a path region from its least end."""
-    return _sweep(_path_tree(g, region))
 
 
 def _path_proportional(
@@ -746,7 +735,7 @@ def _star_rec(
     first = agents[0]
     w = next(w for w in rt.children[0] if meets(first, w))
     targets = {a: need[a] for a in agents if meets(a, w)}
-    winner, cut = _knife_race(g, vals, (rt.legs[w],), targets, log)
+    winner, cut = _knife_race(g, vals, (rt.leg(w),), targets, log)
     piece = pieces[winner] = rt.taken_piece([w], cut.position)
     rest = [a for a in agents if a != winner]
     _star_rec(g, vals, rest, region.difference(piece), center, pieces, log)
@@ -933,7 +922,8 @@ def _height2_tree(g: CakeGraph, root: str) -> Optional[_RootedTree]:
     """The graph as a tree rooted at ``root``, if it is one of height at most two."""
     if g.is_tree() and root in g.vertices:
         rt = _graph_tree(g, root)
-        if max(rt.depth) <= 2:
+        # height at most two: no grandchild of the root has children
+        if not any(rt.children[x] for child in rt.children[0] for x in rt.children[child]):
             return rt
     return None
 
@@ -962,9 +952,9 @@ def height2_two_piece_proportional(inst: Instance, root: str) -> ProtocolResult:
     legs: list[Leg] = []
     for child in rt.children[0]:
         for grandchild in rt.children[child]:
-            down = rt.legs[grandchild]
+            down = rt.leg(grandchild)
             legs.append(Leg(down.edge, down.end, down.start))
-        legs.append(rt.legs[child])
+        legs.append(rt.leg(child))
     return _halve(g, inst.agents, tuple(legs))
 
 
@@ -1130,7 +1120,7 @@ def _chore_rec(
     if w is not None:
         # Case 1: sweep along the branch edge to the last point where the
         # first condition still holds; there some inequality is exactly tight.
-        leg = rt.legs[w]
+        leg = rt.leg(w)
         leg_length = abs(leg.end - leg.start)
         direction = 1 if leg.end >= leg.start else -1
         BEFORE = Fraction(-1)

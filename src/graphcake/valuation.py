@@ -178,11 +178,14 @@ class Valuation:
         return Valuation({e: _normalize_segments(segs) for e, segs in exact.items()})
 
     @staticmethod
-    def from_edge_values(values: Mapping[str, Fraction | int]) -> "Valuation":
-        """Uniform density within each edge, integrating to the given edge values."""
-        return Valuation(
-            {e: (Segment(ZERO, ONE, x),) for e, val in values.items() if (x := Fraction(val))}
-        )
+    def from_edge_values(values: Mapping[str, Fraction | int | str]) -> "Valuation":
+        """Uniform density within each edge, integrating to the given edge values:
+        Fractions, ints, or ``"p"`` / ``"p/q"`` strings.  Edges valued zero are
+        left out; a negative value raises MalformedInput."""
+        read = [(e, _read_number(x)) for e, x in values.items()]
+        if any(p < 0 for _, (p, _, _) in read):
+            raise MalformedInput("densities must be nonnegative")
+        return Valuation({e: (Segment(ZERO, ONE, x),) for e, (p, _, x) in read if p})
 
     @staticmethod
     def uniform(g: CakeGraph) -> "Valuation":
@@ -432,10 +435,6 @@ def _position(leg: Leg, backward: bool, wn: int, wd: int) -> Fraction:
     if not wn:
         return leg.start
     return leg.start - Fraction(wn, wd) if backward else leg.start + Fraction(wn, wd)
-
-
-def trajectory_value(v: Valuation, t: Trajectory) -> Fraction:
-    return sum((v.interval_value(leg.edge, *_leg_bounds(leg)[:2]) for leg in t), ZERO)
 
 
 @dataclass(frozen=True)

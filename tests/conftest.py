@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from graphcake.graph_core import CakeGraph, Interval, Piece
+from graphcake.protocols import _path_tree, _sweep
 from graphcake.valuation import Instance, Valuation
 
 F = Fraction
@@ -139,3 +140,36 @@ def connected_multigraphs_up_to_iso(max_edges):
                 edges = [(f"e{j}", f"v{a}", f"v{b}") for j, (a, b) in enumerate(combo)]
                 graphs.append(CakeGraph(vertices, edges))
     return tuple(graphs)
+
+
+def trajectory_value(v, t):
+    """The value of the intervals a trajectory sweeps, one interval value per
+    leg (test-only reference)."""
+    return sum(
+        (v.interval_value(leg.edge, min(leg.start, leg.end), max(leg.start, leg.end)) for leg in t),
+        F(0),
+    )
+
+
+def path_trajectory(g, region):
+    """A path region's sweep from its least end (test-only reference)."""
+    return _sweep(_path_tree(g, region))
+
+
+def tree_fields(rt, held=()):
+    """Everything a walk reads off a region tree: its links, each child's leg
+    (None for a branch without a link), its loose leaves, whether it is
+    connected, and each held valuation's sums as rationals."""
+    sums = []
+    for val in held:
+        below, branch, scale = rt.subtree_values(val)
+        sums.append(([F(x, scale) for x in below], [F(x, scale) for x in branch]))
+    return {
+        "parent": rt.parent,
+        "children": rt.children,
+        "spans": rt.spans,
+        "legs": [None if rt.spans[w] is None else rt.leg(w) for w in range(1, len(rt.spans))],
+        "loose": rt.loose,
+        "connected": rt.connected,
+        "sums": sums,
+    }

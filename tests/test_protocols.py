@@ -48,7 +48,6 @@ from graphcake.protocols import (
     _extract,
     _knife_race,
     _path_tree,
-    _path_trajectory,
     _sweep,
     applies,
     chore_three,
@@ -74,7 +73,6 @@ from graphcake.valuation import (
     Valuation,
     cut_trajectory,
     trajectory_prefix_piece,
-    trajectory_value,
     value_of_piece,
 )
 
@@ -83,6 +81,8 @@ from conftest import (
     path_graph,
     single_edge_graph,
     star_graph,
+    trajectory_value,
+    tree_fields,
     triangle,
     uniform_instance,
 )
@@ -258,7 +258,7 @@ def test_egalitarian_sums_each_region_once_per_distinct_valuation(monkeypatch):
 def test_internal_checks_raise_instead_of_asserting():
     g = star_graph(3)
     with pytest.raises(ProtocolInvariantError):
-        _path_trajectory(g, g.whole_piece())
+        _sweep(_path_tree(g, g.whole_piece()))
     with pytest.raises(ProtocolInvariantError):
         _knife_race(g, [], (), {}, QueryLog())
 
@@ -275,10 +275,10 @@ def reference_value_of_piece(v, p, log=None):
 
 def reference_subtree_values(rt, val):
     """The bottom-up pass in Fractions, one trajectory value per leg (test-only reference)."""
-    below, branch = [F(0)] * len(rt.legs), [F(0)] * len(rt.legs)
-    for v in reversed(range(len(rt.legs))):
+    below, branch = [F(0)] * len(rt.spans), [F(0)] * len(rt.spans)
+    for v in reversed(range(len(rt.spans))):
         for w in rt.children[v]:
-            branch[w] = trajectory_value(val, (rt.legs[w],)) + below[w]
+            branch[w] = trajectory_value(val, (rt.leg(w),)) + below[w]
         below[v] = sum((branch[w] for w in rt.children[v]), F(0))
     return below, branch
 
@@ -302,7 +302,7 @@ def reference_extract(g, vals, region, need, log):
         (c for c in rt.children[v] if any(branch[a][c] >= need[a] for a in eligible)), None
     )
     if chosen is not None:
-        leg = rt.legs[chosen]
+        leg = rt.leg(chosen)
         targets = {a: need[a] - stv[a][chosen] for a in eligible if branch[a][chosen] >= need[a]}
         best = None
         for a in sorted(targets):
@@ -455,19 +455,6 @@ def test_egal_contract_on_random_instances():
 # -- one region tree per egalitarian recursion --------------------------------------
 
 
-def _tree_fields(rt, held):
-    """Everything a walk reads off a tree, with each held valuation's sums as
-    rationals."""
-    sums = []
-    for val in held:
-        below, branch, scale = rt.subtree_values(val)
-        sums.append(([F(x, scale) for x in below], [F(x, scale) for x in branch]))
-    return (
-        rt.nodes, rt.parent, rt.children, rt.spans, rt.legs, rt.depth, rt.connected,
-        rt.loose, sums,
-    )
-
-
 def _checking_remainder(monkeypatch):
     """Make every pruned tree face a fresh build of its region; returns the
     counts of pruned trees and of fresh builds the pruning fell back to."""
@@ -479,7 +466,7 @@ def _checking_remainder(monkeypatch):
         out = real(rt, g, tops, stop, rest, needed)
         assert all(val in held for val in out._values)
         fresh = _RootedTree(g, rest.intervals)
-        assert _tree_fields(out, held) == _tree_fields(fresh, held)
+        assert tree_fields(out, held) == tree_fields(fresh, held)
         for val in held:
             # a kept scale may be larger than a fresh build's least one
             assert out.subtree_values(val)[2] % fresh.subtree_values(val)[2] == 0
@@ -933,6 +920,62 @@ def test_height2_rejects_tall_trees():
     # rooted at a middle vertex the same path has height two
     res = height2_two_piece_proportional(inst, "b")
     assert min(verify_allocation(inst, res.allocation).values) >= F(1, 2)
+
+
+def reference_distances(g, root):
+    """BFS distances from ``root`` to every vertex it reaches (test-only reference)."""
+    dist = {root: 0}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for e in g.edges:
+                for a, b in ((e.u, e.v), (e.v, e.u)):
+                    if a == x and b not in dist:
+                        dist[b] = dist[x] + 1
+                        nxt.append(b)
+        frontier = nxt
+    return dist
+
+
+@st.composite
+def small_trees_and_others(draw):
+    """Random trees of 1-12 edges, stars, and the random trees with one more
+    edge, a chord or a parallel edge, so not trees; vertex order, edge order and
+    edge directions are shuffled."""
+    kind = draw(st.sampled_from(["tree", "star", "extra edge"]))
+    if kind == "star":
+        return star_graph(draw(st.integers(1, 12)))
+    m = draw(st.integers(1, 12))
+    names = draw(st.permutations([f"v{i}" for i in range(m + 1)]))
+    edges = [(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, m + 1)]
+    if kind == "extra edge":
+        ends = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True)
+        edges.append(tuple(draw(ends)))
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in draw(st.permutations(edges))]
+    return CakeGraph(names, [(f"e{j}", a, b) for j, (a, b) in enumerate(edges)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_trees_and_others())
+def test_height2_trees_and_roots_match_bfs_eccentricities(g):
+    eccentricity = {}
+    for r in g.vertices:
+        dist = reference_distances(g, r)
+        assert len(dist) == len(g.vertices)  # every drawn graph is connected
+        eccentricity[r] = max(dist.values())
+    is_tree = g.m == len(g.vertices) - 1
+    low = [r for r in g.vertices if is_tree and eccentricity[r] <= 2]
+    for r in g.vertices:
+        rt = protocols._height2_tree(g, r)
+        assert (rt is not None) == (r in low)
+        if rt is not None:
+            depth = [0] * len(rt.parent)
+            for w in range(1, len(rt.parent)):
+                depth[w] = depth[rt.parent[w]] + 1
+            assert max(depth) == eccentricity[r] and len(rt.parent) == len(g.vertices)
+    assert protocols._height2_root(g) == (low[0] if low else None)
+    assert protocols._height2_tree(g, "not a vertex") is None
 
 
 # -- equitability ---------------------------------------------------------------------

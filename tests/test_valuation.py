@@ -37,11 +37,10 @@ from graphcake.valuation import (
     latest_position_within,
     restrict,
     restrict_and_renormalize,
-    trajectory_value,
     value_of_piece,
 )
 
-from conftest import path_graph, single_edge_graph, star_graph
+from conftest import path_graph, single_edge_graph, star_graph, trajectory_value
 
 F = Fraction
 
@@ -674,8 +673,6 @@ def test_malformed_legs_are_refused():
         for budget in (F(1, 4), F(2), F(-1)):
             with pytest.raises(MalformedPiece, match="outside"):
                 latest_position_within(v, leg, budget)
-        with pytest.raises(MalformedPiece, match="outside"):
-            trajectory_value(v, (leg,))
     with pytest.raises(MalformedPiece, match="outside"):
         cut_query(g, v, (Leg("e0", F(0), F(2)),), F(1, 2))
     with pytest.raises(MalformedPiece, match="outside"):
@@ -808,6 +805,11 @@ def edge_worth(value):
             "strictly increasing",
         ),
         (lambda: Valuation.from_segments({"e0": [(0, 1, -1)]}), "nonnegative"),
+        (lambda: Valuation.from_edge_values({"e0": -1, "e1": 2}), "nonnegative"),
+        (lambda: Valuation.from_edge_values({"e0": F(-1, 2), "e1": 0}), "nonnegative"),
+        (lambda: Valuation.from_edge_values({"e0": 0.1, "e1": F(9, 10)}), "is not a rational number"),
+        (lambda: Valuation.from_edge_values({"e0": True}), "is not a rational number"),
+        (lambda: Valuation.from_edge_values({"e0": None}), "is not a rational number"),
         (lambda: Valuation.from_json({"e0": [["1/2", "1"]]}), "must start at 0"),
         (lambda: Valuation.from_json({"e0": [["0", True]]}), "is not a rational number"),
         (lambda: Instance(single_edge_graph(), (edge_worth(1),), "pie"), "unknown mode"),
@@ -818,6 +820,11 @@ def edge_worth(value):
         "gap",
         "repeated-breakpoint",
         "negative",
+        "negative-edge-value",
+        "negative-fraction-edge-value",
+        "float-edge-value",
+        "bool-edge-value",
+        "none-edge-value",
         "start",
         "bool-density",
         "mode",

@@ -23,7 +23,7 @@ from graphcake.graph_core import (
     is_whole,
     parse_fraction,
 )
-from graphcake.protocols import _ends, _path_trajectory, _RootedTree
+from graphcake.protocols import _ends, _RootedTree
 from graphcake.valuation import Instance, Leg, Valuation, value_of_piece
 
 from conftest import (
@@ -31,7 +31,9 @@ from conftest import (
     ear_graph,
     mixed_graph,
     path_graph,
+    path_trajectory,
     star_graph,
+    tree_fields,
     tree_graph,
     uniform_instance,
 )
@@ -63,9 +65,14 @@ def big_ear():
 def test_a_whole_region_tree_makes_no_canonical_point_calls(monkeypatch, big_ear):
     points = _counter(monkeypatch, protocols, "canonical_point")
     compares = _counter(monkeypatch, Fraction, "_richcmp")
+    legs = _counter(monkeypatch, Leg, "__init__")
     rt = _RootedTree(big_ear, big_ear.whole_piece().intervals)
-    assert len(rt.legs) > big_ear.m // 2
+    assert len(rt.spans) > big_ear.m // 2
     assert points == [] and compares == []
+    # no leg is built until a walk asks for one
+    assert legs == []
+    rt.leg(1)
+    assert len(legs) == 1
 
 
 def test_piece_of_a_whole_piece_makes_no_fraction_order_comparison(monkeypatch, big_ear):
@@ -147,6 +154,14 @@ def test_only_whole_edges_skip_the_bound_checks(form):
     for bad in [(hi, lo), (lo, F(2)), (F(-1), hi), (F(-1), F(2))]:
         with pytest.raises(MalformedPiece, match="outside"):
             Piece.of([("e0", *bad)])
+    # a bound is a Fraction or an int: a bool, a float or a string is refused,
+    # in a tuple and in an Interval that is not a whole edge
+    for bad in [(True, hi), (lo, True), (0.1, hi), (lo, 0.5), ("x", hi), (lo, "1"), (None, hi)]:
+        with pytest.raises(MalformedPiece, match="is not a Fraction or an int"):
+            Piece.of([("e0", *bad)])
+    for bad in [(0.1, hi), (lo, 0.5), (True, F(1, 2)), (F(1, 2), True), (F(1, 4), "1/2")]:
+        with pytest.raises(MalformedPiece, match="is not a Fraction or an int"):
+            Piece.of([Interval("e0", *bad)])
     # a repeated whole edge is merged, not kept as given
     assert Piece.of([("e0", lo, hi), ("e0", lo, hi)]).intervals == (Interval("e0", ZERO, ONE),)
     assert Piece.of([("e0", lo, lo), ("e1", lo, hi)]).intervals == (Interval("e1", ZERO, ONE),)
@@ -172,10 +187,12 @@ def test_partial_intervals_ending_at_a_vertex_join_its_node():
     # both partial intervals end at v1, so the region is one tree of three nodes
     rt = _RootedTree(g, [Interval("e0", F(1, 2), ONE), Interval("e1", ZERO, F(1, 2))])
     assert rt.parent == [-1, 0, 0] and rt.children[0] == [1, 2]
-    assert rt.legs[1:] == [Leg("e0", F(1, 2), ONE), Leg("e1", F(1, 2), ZERO)]
+    assert [rt.leg(1), rt.leg(2)] == [Leg("e0", F(1, 2), ONE), Leg("e1", F(1, 2), ZERO)]
+    assert rt.upper == [False, False, True]
     # a whole edge and a partial one meet at v1 as well
     rt = _RootedTree(g, [Interval("e0", ZERO, ONE), Interval("e1", parse_fraction("0"), F(1, 2))])
-    assert rt.parent == [-1, 0, 1] and rt.depth == [0, 1, 2]
+    assert rt.parent == [-1, 0, 1] and rt.children == [[1], [2], []]
+    assert [rt.leg(1), rt.leg(2)] == [Leg("e0", ONE, ZERO), Leg("e1", F(1, 2), ZERO)]
     with pytest.raises(DisconnectedPiece):
         _RootedTree(g, [Interval("e0", ZERO, F(1, 2)), Interval("e1", F(1, 2), ONE)])
 
@@ -186,15 +203,15 @@ def test_path_sweeps_from_cut_points_and_vertices():
         [Interval("e0", F(1, 3), ONE), Interval("e1", ZERO, ONE), Interval("e2", ZERO, F(1, 2))]
     )
     forward = (Leg("e0", F(1, 3), ONE), Leg("e1", ZERO, ONE), Leg("e2", ZERO, F(1, 2)))
-    assert _path_trajectory(g, region) == forward  # the least end
+    assert path_trajectory(g, region) == forward  # the least end
     whole = g.whole_piece()
     legs = (Leg("e0", ZERO, ONE), Leg("e1", ZERO, ONE), Leg("e2", ZERO, ONE))
-    assert _path_trajectory(g, whole) == legs
+    assert path_trajectory(g, whole) == legs
     # a region with a vertex at one end and a cut point at the other starts at
     # the vertex, since vertices come before cut points
     tail = Piece.of([Interval("e1", ZERO, ONE), Interval("e2", ZERO, F(1, 2))])
     from_vertex = (Leg("e1", ZERO, ONE), Leg("e2", ZERO, F(1, 2)))
-    assert _path_trajectory(g, tail) == from_vertex
+    assert path_trajectory(g, tail) == from_vertex
 
 
 def test_a_star_region_rooted_at_its_center_keeps_piece_order():
@@ -204,10 +221,10 @@ def test_a_star_region_rooted_at_its_center_keeps_piece_order():
     for root in ("c", None):
         rt = _RootedTree(g, region.intervals, root)
         assert rt.children[0] == list(range(1, 13))
-        assert [rt.legs[w].edge for w in rt.children[0]] == order
+        assert [rt.spans[w].edge for w in rt.children[0]] == order
         assert rt.spans[1:] == list(region.intervals)
-        assert rt.legs[2] == Leg("e1", F(1, 2), ZERO)
-        assert all(rt.legs[w] == Leg(rt.legs[w].edge, ONE, ZERO) for w in rt.children[0] if w != 2)
+        assert rt.leg(2) == Leg("e1", F(1, 2), ZERO)
+        assert all(rt.leg(w) == Leg(rt.spans[w].edge, ONE, ZERO) for w in rt.children[0] if w != 2)
 
 
 # -- region tree builds against a reference -------------------------------------------
@@ -236,8 +253,9 @@ def reference_cycle_breaks(ends):
 
 
 def reference_tree_fields(g, intervals, root=None, forest=False):
-    """A region tree's fields from a build over a dict of links keyed by
-    ``Node`` and a BFS over an index dict (test-only reference)."""
+    """A region tree's nodes and the fields ``tree_fields`` reads, from a build
+    over a dict of links keyed by ``Node`` and a BFS over an index dict that
+    builds every leg (test-only reference)."""
     ends = [_ends(g, iv) for iv in intervals]
     links = defaultdict(list)
     for iv, (a, b), loose in zip(intervals, ends, reference_cycle_breaks(ends)):
@@ -248,7 +266,7 @@ def reference_tree_fields(g, intervals, root=None, forest=False):
     if root is None:
         root = min(links, key=protocols._node_key, default=None)
     index = {root: 0}
-    nodes, parent, spans, legs, children, depth = [root], [-1], [None], [None], [[]], [0]
+    nodes, parent, spans, legs, children = [root], [-1], [None], [None], [[]]
     loose_leaves, connected = [], True
     for v, p in enumerate(nodes):
         for w, iv, upper, loose in links.get(p, ()):
@@ -260,7 +278,6 @@ def reference_tree_fields(g, intervals, root=None, forest=False):
                 start, end = (iv.hi, iv.lo) if upper else (iv.lo, iv.hi)
                 legs.append(Leg(iv.edge, start, end))
                 children.append([])
-                depth.append(depth[v] + 1)
                 children[v].append(child)
                 if loose:
                     loose_leaves.append(child)
@@ -276,12 +293,16 @@ def reference_tree_fields(g, intervals, root=None, forest=False):
             spans.append(None)
             legs.append(None)
             children.append([])
-            depth.append(1)
-    return nodes, parent, children, spans, legs, depth, loose_leaves, connected
-
-
-def _fields(rt):
-    return rt.nodes, rt.parent, rt.children, rt.spans, rt.legs, rt.depth, rt.loose, rt.connected
+    fields = {
+        "parent": parent,
+        "children": children,
+        "spans": spans,
+        "legs": legs[1:],
+        "loose": loose_leaves,
+        "connected": connected,
+        "sums": [],
+    }
+    return nodes, fields
 
 
 def _assert_builds_alike(g, intervals, root=None, forest=False):
@@ -291,7 +312,7 @@ def _assert_builds_alike(g, intervals, root=None, forest=False):
         with pytest.raises(DisconnectedPiece):
             _RootedTree(g, intervals, root, forest)
         return False
-    assert _fields(_RootedTree(g, intervals, root, forest)) == expected
+    assert tree_fields(_RootedTree(g, intervals, root, forest)) == expected[1]
     return True
 
 
@@ -350,7 +371,16 @@ def test_tree_builds_of_disconnected_and_empty_regions_match_the_reference():
     ).intervals
     assert not _assert_builds_alike(g, apart)
     assert _assert_builds_alike(g, apart, forest=True)
-    assert reference_tree_fields(g, apart, forest=True)[-1] is False
+    assert reference_tree_fields(g, apart, forest=True)[1]["connected"] is False
     for forest in (False, True):
         assert _assert_builds_alike(g, [], forest=forest)
-    assert _fields(_RootedTree(g, [])) == ([None], [-1], [[]], [None], [None], [0], [], True)
+    assert reference_tree_fields(g, [])[0] == [None]
+    assert tree_fields(_RootedTree(g, [])) == {
+        "parent": [-1],
+        "children": [[]],
+        "spans": [None],
+        "legs": [],
+        "loose": [],
+        "connected": True,
+        "sums": [],
+    }
