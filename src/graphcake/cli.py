@@ -295,7 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--pieces", type=int, help="total connected piece budget")
     p.add_argument("--complete", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_STATE_BUDGET,
+        help="most search states to visit: pieces or, with --pieces, assignments, "
+        "counted after bounding and symmetry",
+    )
     p.add_argument("--pair", help="two thresholds 'a,b' for pair feasibility")
     p.add_argument("--strict-first", action="store_true")
     p.add_argument("--strict-second", action="store_true")

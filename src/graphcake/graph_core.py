@@ -271,20 +271,24 @@ class Piece:
     @staticmethod
     def of(intervals: Iterable[Interval | tuple]) -> "Piece":
         """The canonical piece covering the given intervals.  Every bound is
-        checked (a whole edge's by ``is_whole`` alone): a Fraction or an int in
-        [0, 1], else MalformedPiece; intervals already in canonical order are
-        kept as they are, and only others are sorted and merged."""
+        checked: a Fraction or an int in [0, 1], else MalformedPiece.  The
+        shared ``ZERO`` and ``ONE`` pass by identity, and any other whole edge
+        skips the range test; intervals already in canonical order are kept
+        as they are, and only others are sorted and merged."""
         ivs: list[Interval] = []
         canonical = True
         prev: Optional[Interval] = None
         for item in intervals:
             iv = item if isinstance(item, Interval) else Interval(item[0], _bound(item[1]), _bound(item[2]))
-            if not is_whole(iv.lo, iv.hi):
-                lo, hi = _bound(iv.lo), _bound(iv.hi)
-                if not (ZERO <= lo <= hi <= ONE):
-                    raise MalformedPiece(f"interval [{iv.lo}, {iv.hi}] outside [0, 1] on edge {iv.edge!r}")
-                if canonical and iv.lo == iv.hi:
-                    canonical = False
+            lo, hi = iv.lo, iv.hi
+            if lo is not ZERO or hi is not ONE:
+                if type(lo) is not Fraction or type(hi) is not Fraction:
+                    lo, hi = _bound(lo), _bound(hi)
+                if not is_whole(lo, hi):
+                    if not (ZERO <= lo <= hi <= ONE):
+                        raise MalformedPiece(f"interval [{lo}, {hi}] outside [0, 1] on edge {iv.edge!r}")
+                    if canonical and lo == hi:
+                        canonical = False
             if canonical and not (
                 prev is None or prev.edge < iv.edge or (prev.edge == iv.edge and prev.hi < iv.lo)
             ):

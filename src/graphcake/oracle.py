@@ -16,15 +16,28 @@ allocation through it can score as well as the best one found so far.  Each
 such test is strict, so allocations that tie the optimum survive and the
 witness is the one the exhaustive search would return.
 
-Two more rules skip states that cannot change the answer or the witness:
+More rules skip states that cannot change the answer or the witness.  The
+witness is the least optimal assignment key, where an atom's key entry is
+its owner and an unallocated atom sorts after every agent; each rule keeps
+only allocations that some change preserving the score, or raising it, can
+turn into one with a smaller key, and so keeps that witness.
 
-- Agent symmetry.  When the allocation must be complete and the agents from
-  some index on share one row of atom values, their pieces are searched in
-  one order only: each next piece holds the lowest atom still free, and no
-  piece is left empty while atoms remain.  Ordered that way, a complete
-  allocation's pieces give the least assignment key among the orders of
-  those agents, and every objective is symmetric, so neither the optimum
-  nor the least witness changes.
+- Agent symmetry, in every search.  The agents from some index on may share
+  one row of atom values; swapping two of their pieces keeps every
+  objective's score, and the key is least when the lower-indexed agent
+  holds the lower atom.  So their pieces are searched in one order only.
+  In the connected-piece searches their nonempty pieces come in increasing
+  order of lowest atom, with the empty ones last; when the allocation must
+  be complete, each next piece holds the lowest atom still free.  The
+  piece-budget search keeps only assignments in which those agents first
+  appear in index order, with agents that never appear last.  A pair search
+  whose two agents share one row tries the thresholds in one order only,
+  since the swapped order is the same search with the roles exchanged.
+- Whole last piece.  In an egalitarian search without completeness the
+  last agent's piece is a whole component of the atoms left, or empty only
+  when none are left.  With n agents, growing the last piece to its
+  component never lowers the least value, and the atoms it adds change
+  their key entry from n, unallocated, to n - 1.
 - Pair-search stop.  Without completeness, ``pair_feasible`` stops growing
   a first piece once it meets its threshold.  A larger piece leaves a
   smaller complement, each of whose components lies inside a component of
@@ -32,7 +45,7 @@ Two more rules skip states that cannot change the answer or the witness:
   fails, every piece grown from it fails too, and if it succeeds the search
   ends.
 
-State budgets count the states visited after bounding and symmetry.
+State budgets count the states visited after bounding and these rules.
 """
 
 from __future__ import annotations
@@ -65,9 +78,12 @@ class GridSearchConfig:
     """What ``grid_search_best`` searches: the grid ``1/denominator``, the
     objective, an optional total piece budget, whether the allocation must be
     complete, and ``state_budget``, the most states the search may visit.
-    Without a piece budget that counts the states visited after bounding and
-    symmetry, so pieces and prefixes dropped by the incumbent, and orders of
-    identical agents' pieces that are not searched, cost nothing.
+    That counts the states visited after bounding and the rules of the
+    module docstring: pieces and prefixes dropped by the incumbent, orders
+    of identical agents' pieces that are not searched, and egalitarian last
+    pieces smaller than their component cost nothing.  With a piece budget
+    a state is one assignment of atoms to agents, and assignments that list
+    identical agents out of order cost nothing either.
 
     ``inequity`` without ``require_complete`` always has optimum 0: the
     allocation that leaves every piece empty is allowed and has no inequity,
@@ -192,6 +208,16 @@ class _AtomModel:
     def is_connected(self, mask: int) -> bool:
         return len(self.components(mask, 1)) <= 1
 
+    def symmetric_from(self) -> int:
+        """The first of the agents, counted back from the last, that share the
+        last agent's row of atom values; the last agent's own index when no
+        other agent shares it."""
+        last = len(self.values) - 1
+        first = last
+        while first > 0 and self.values[first - 1] == self.values[last]:
+            first -= 1
+        return first
+
 
 # cut(value, rests): whether to drop a subset and every subset grown from it
 Cut = Callable[[int, tuple[int, ...]], bool]
@@ -220,6 +246,7 @@ def _connected_subsets(
     cut: Optional[Cut] = None,
     seeds: Optional[int] = None,
     stop: Optional[Callable[[int], bool]] = None,
+    reads_rests: bool = True,
 ) -> Iterator[tuple[int, int]]:
     """The nonempty connected subsets of ``universe`` with their value for ``agent``.
 
@@ -234,15 +261,18 @@ def _connected_subsets(
     subset it drops is not visited, and neither is any subset grown from it,
     so it must also hold for those: along a branch the value only grows and
     the rests only shrink, so a test that a larger value or smaller rests
-    cannot make false will do.
+    cannot make false will do.  A cut that reads only the value is passed
+    with ``reads_rests=False``; it sees an empty tuple, and no rests are
+    kept.
 
     ``stop(value)`` keeps a subset but grows nothing from it.
     """
     adj = model.adj
     vals = model.values[agent]
     later = model.later[agent]
+    track = cut is not None and reads_rests
     whole = ()
-    if cut is not None:
+    if track:
         whole = tuple(model.value(b, universe) for b in range(agent + 1, len(model.values)))
     atoms = universe if seeds is None else seeds
     while atoms:
@@ -251,7 +281,8 @@ def _connected_subsets(
         bit = seed.bit_length() - 1
         rests = whole
         if cut is not None:
-            rests = tuple(map(operator.sub, rests, later[bit]))
+            if track:
+                rests = tuple(map(operator.sub, rests, later[bit]))
             if cut(vals[bit], rests):
                 continue
         allowed = universe & ~(seed - 1) & ~seed
@@ -275,7 +306,8 @@ def _connected_subsets(
             bit = pick.bit_length() - 1
             value += vals[bit]
             if cut is not None:
-                rests = tuple(map(operator.sub, rests, later[bit]))
+                if track:
+                    rests = tuple(map(operator.sub, rests, later[bit]))
                 if cut(value, rests):
                     continue
             current |= pick
@@ -286,30 +318,38 @@ def _connected_subsets(
                 stack.append((current, value, rests, frontier, frontier & allowed & ~ban, ban))
 
 
+def _above_lowest(mask: int) -> int:
+    """Every atom above the lowest atom of ``mask``; none when it is empty."""
+    return -((mask & -mask) << 1)
+
+
 def _partitions(
     model: _AtomModel,
-    n: int,
-    require_complete: bool,
+    cfg: GridSearchConfig,
     budget: _Budget,
     prune: Callable[[Sequence[int]], bool],
     bound: Callable[[Sequence[int]], Optional[Cut]],
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Tuples of pairwise-disjoint connected (possibly empty) atom sets with
-    their per-agent values, covering all atoms when completeness is required.
+    their per-agent values, covering all atoms when ``cfg`` requires
+    completeness.
 
     ``prune(values)`` drops a prefix of assigned values with every tuple that
     extends it; ``bound(values)`` gives the cut on the next agent's pieces
     after that prefix (see ``_connected_subsets``).
 
-    With completeness required, agents from ``symmetric`` on share one row of
-    atom values, so their pieces come in one order only: each holds the
-    lowest atom still free, and none is empty while atoms remain.
+    The agents from ``symmetric`` on share one row of atom values, so their
+    pieces come in one order only: with completeness each holds the lowest
+    atom still free and none is empty while atoms remain; without it the
+    nonempty ones come in increasing order of lowest atom, and the empty ones
+    last.  An egalitarian search without completeness gives the last agent a
+    whole component of the atoms left, or nothing only when none are left.
     """
-    symmetric = n
-    if require_complete:
-        symmetric = n - 1
-        while symmetric > 0 and model.values[symmetric - 1] == model.values[n - 1]:
-            symmetric -= 1
+    n = len(model.values)
+    complete = cfg.require_complete
+    whole_last = cfg.objective == "egal" and not complete
+    reads_rests = cfg.objective != "cost"  # the cost cut reads the chooser's value only
+    symmetric = model.symmetric_from()
 
     def rec(
         agent: int, remaining: int, masks: tuple[int, ...], values: tuple[int, ...]
@@ -317,28 +357,91 @@ def _partitions(
         if prune(values):
             return
         left = n - agent
-        if require_complete and len(model.components(remaining, left)) > left:
+        if complete and len(model.components(remaining, left)) > left:
             return
-        if agent == n - 1:
-            if require_complete:
-                # the component count above has ruled out a second component
-                budget.spend()
-                yield masks + (remaining,), values + (model.value(agent, remaining),)
-            else:
-                budget.spend()
-                yield masks + (0,), values + (0,)
-                for s, v in _connected_subsets(model, remaining, agent, budget, bound(values)):
-                    yield masks + (s,), values + (v,)
+        if complete and agent == n - 1:
+            # the component count above has ruled out a second component
+            budget.spend()
+            yield masks + (remaining,), values + (model.value(agent, remaining),)
             return
-        if agent >= symmetric and remaining:
-            seeds = remaining & -remaining  # the lowest free atom
+        # the atoms that may be this piece's lowest, and whether it may be empty
+        seeds, empty = remaining, True
+        if complete and agent >= symmetric and remaining:
+            seeds, empty = remaining & -remaining, False  # the lowest free atom
+        elif not complete and agent > symmetric:
+            seeds &= _above_lowest(masks[-1])
+        pieces = _connected_subsets(
+            model, remaining, agent, budget, bound(values), seeds, reads_rests=reads_rests
+        )
+        if agent < n - 1:
+            if empty:
+                yield from rec(agent + 1, remaining, masks + (0,), values + (0,))
+            for s, v in pieces:
+                yield from rec(agent + 1, remaining & ~s, masks + (s,), values + (v,))
+        elif whole_last and remaining:
+            for c in model.components(remaining):
+                if c & -c & seeds:
+                    budget.spend()
+                    yield masks + (c,), values + (model.value(agent, c),)
         else:
-            seeds = remaining
-            yield from rec(agent + 1, remaining, masks + (0,), values + (0,))
-        for s, v in _connected_subsets(model, remaining, agent, budget, bound(values), seeds):
-            yield from rec(agent + 1, remaining & ~s, masks + (s,), values + (v,))
+            budget.spend()
+            yield masks + (0,), values + (0,)
+            for s, v in pieces:
+                yield masks + (s,), values + (v,)
 
     yield from rec(0, model.full_mask, (), ())
+
+
+def _assignments(model: _AtomModel, complete: bool) -> Iterator[tuple[int, ...]]:
+    """Every assignment of atoms to agents, as one atom set per agent,
+    covering all atoms when ``complete``.
+
+    The agents from ``symmetric`` on share one row of atom values, so only
+    the assignments in which they first appear in index order, with the
+    agents that never appear last, are listed: each of their sets lies above
+    the lowest atom of the set before, and after an empty one all are empty.
+    """
+    n = len(model.values)
+    symmetric = model.symmetric_from()
+
+    def rec(agent: int, remaining: int, masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        allowed = remaining
+        if agent > symmetric:
+            allowed &= _above_lowest(masks[-1])
+        if complete and agent == n - 1:
+            if allowed == remaining:
+                yield masks + (remaining,)
+            return
+        subset = allowed
+        while True:  # every subset of allowed, the largest first
+            if agent == n - 1:
+                yield masks + (subset,)
+            else:
+                yield from rec(agent + 1, remaining & ~subset, masks + (subset,))
+            if not subset:
+                return
+            subset = (subset - 1) & allowed
+
+    yield from rec(0, model.full_mask, ())
+
+
+def _assignment_count(model: _AtomModel, complete: bool) -> int:
+    """How many assignments ``_assignments`` lists, counted without listing them.
+
+    Each atom goes to an agent before the identical ones, to no one when
+    that is allowed, or to an identical agent.  With exactly the first j
+    identical agents appearing, the assignments onto those j, counted by
+    inclusion and exclusion, come j! to each order of first appearance.
+    Without identical agents this is ``choices ** atoms``.
+    """
+    atoms = len(model.atoms)
+    symmetric = model.symmetric_from()
+    free = symmetric if complete else symmetric + 1
+    total = 0
+    for j in range(len(model.values) - symmetric + 1):
+        onto = sum((-1) ** i * math.comb(j, i) * (free + j - i) ** atoms for i in range(j + 1))
+        total += onto // math.factorial(j)
+    return total
 
 
 def _assignment_key(model: _AtomModel, masks: Sequence[int], n: int) -> tuple[int, ...]:
@@ -360,8 +463,10 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
     only the total number of connected pieces is bounded.  The witness is the
     lexicographically least optimal assignment of atoms to agents.
     """
-    model = _AtomModel(inst, cfg.denominator)
     n = inst.n
+    if n < 1:
+        raise DomainError("grid search needs at least one agent")
+    model = _AtomModel(inst, cfg.denominator)
     budget = _Budget(cfg.state_budget)
     score_of, beats = _OBJECTIVES[cfg.objective]
     best: Optional[tuple[int, Optional[tuple[int, ...]], tuple[int, ...]]] = None
@@ -413,23 +518,22 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
                 best = (best[0], incumbent, best[2])
 
     if cfg.piece_budget is not None:
-        choices = n if cfg.require_complete else n + 1
-        size = choices ** len(model.atoms)
+        size = _assignment_count(model, cfg.require_complete)
         if size > cfg.state_budget:
             raise BudgetExceeded(
                 f"{size} grid assignments exceed the state budget of {cfg.state_budget}"
             )
-        for assignment in itertools.product(range(choices), repeat=len(model.atoms)):
+        for masks in _assignments(model, cfg.require_complete):
             budget.spend()
-            masks = [0] * n
-            for i, owner in enumerate(assignment):
-                if owner < n:
-                    masks[owner] |= 1 << i
-            if sum(len(model.components(m)) for m in masks) > cfg.piece_budget:
-                continue
-            consider(tuple(masks), tuple(model.value(a, m) for a, m in enumerate(masks)))
+            left = cfg.piece_budget
+            for m in masks:
+                left -= len(model.components(m, left))
+                if left < 0:
+                    break
+            else:
+                consider(masks, tuple(model.value(a, m) for a, m in enumerate(masks)))
     else:
-        for masks, values in _partitions(model, n, cfg.require_complete, budget, prune, bound):
+        for masks, values in _partitions(model, cfg, budget, prune, bound):
             consider(masks, values)
 
     if best is None:
@@ -450,10 +554,13 @@ def pair_feasible(
 ) -> tuple[bool, Optional[Allocation]]:
     """Is there a grid-cut connected allocation meeting both value thresholds?
 
-    With ``flexible`` the two thresholds may go to the agents in either order.
-    Values are monotone in atoms, so for the second agent it suffices to test
-    whole components of the complement (or the complement itself when the
-    allocation must be complete).
+    With ``flexible`` the two thresholds may go to the agents in either order;
+    when both agents share one row of atom values only the given order is
+    searched, since the swapped one is the same search with the roles
+    exchanged and finds nothing it misses.  Values are monotone in atoms, so
+    for the second agent it suffices to test whole components of the
+    complement (or the complement itself when the allocation must be
+    complete).
 
     Without ``require_complete`` a first piece that meets its threshold is
     not grown further.  Every larger piece leaves a complement whose
@@ -478,7 +585,7 @@ def pair_feasible(
     first = least_meeting(first_threshold, first_strict)
     second = least_meeting(second_threshold, second_strict)
     orders = [(first, second)]
-    if flexible:
+    if flexible and model.symmetric_from() > 0:  # the agents' rows differ
         orders.append((second, first))
     for need0, need1 in orders:
         # a first piece whose complement is worth less than need1 to the

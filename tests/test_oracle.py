@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from graphcake.graph_core import CakeGraph, Interval, Piece
 from graphcake.oracle import (
     OBJECTIVES,
     GridSearchConfig,
+    _assignment_count,
+    _assignments,
     _AtomModel,
     check_powers_of_three,
     grid_search_best,
@@ -223,13 +226,21 @@ def test_powers_of_three_budget_boundary():
 # The search below is the exact-Fraction oracle that the integer search
 # replaced, with the same branch and bound written directly from its rule
 # (the complements are summed afresh rather than kept per frame), and each
-# entry point also returns how many states it spent.  The grid search also
-# orders the pieces of identical agents by lowest atom when the allocation
-# must be complete, and the pair search stops growing a first piece that
-# meets its threshold when it need not be complete.  The integer search must
-# return the same optimum, witness and tie-break, and spend its budget at the
-# same states.  ``bounded=False`` turns the bound and both rules off, so that
-# the bounded and the exhaustive searches can be compared.
+# entry point also returns how many states it spent.  It applies the same
+# rules as the integer search, each written from its statement:
+# - identical agents' pieces in one order: by lowest atom, the empty ones
+#   last, or holding the lowest free atom when the allocation must be
+#   complete; in the piece-budget search, identical agents first appear in
+#   index order, and the absent ones last;
+# - the last piece of an egalitarian search without completeness is a whole
+#   component of what is left, or empty when nothing is;
+# - the pair search tries one order of thresholds when both agents share one
+#   row, and stops growing a first piece that meets its threshold when the
+#   allocation need not be complete.
+# The integer search must return the same optimum, witness and tie-break, and
+# spend its budget at the same states.  ``bounded=False`` turns the bound and
+# every rule off, so that the bounded and the exhaustive searches can be
+# compared.
 
 
 class _RefBudget:
@@ -350,10 +361,15 @@ def _ref_connected_subsets(model, universe, agent, budget, cut=None, seeds=None,
             yield from grow(seed, vals[bit], adj[bit] & ~seed, 0, allowed)
 
 
-def _ref_partitions(model, n, require_complete, budget, prune, bound, symmetry):
-    def symmetric(agent):
-        # the agents from ``agent`` on share one row of atom values
-        return all(model.values[b] == model.values[agent] for b in range(agent, n))
+def _ref_partitions(model, n, require_complete, budget, prune, bound, symmetry, whole_last):
+    twins = _ref_twins(model, n) if symmetry else []
+
+    def above(remaining, piece):
+        # the atoms of ``remaining`` above the lowest atom of ``piece``, none if it is empty
+        if not piece:
+            return 0
+        lowest = min(i for i in range(len(model.atoms)) if piece >> i & 1)
+        return sum(1 << i for i in range(lowest + 1, len(model.atoms)) if remaining >> i & 1)
 
     def rec(agent, remaining, masks, values):
         if prune(values):
@@ -361,28 +377,70 @@ def _ref_partitions(model, n, require_complete, budget, prune, bound, symmetry):
         left = n - agent
         if require_complete and model.component_count(remaining) > left:
             return
-        if agent == n - 1:
-            if require_complete:
-                if model.is_connected(remaining):
-                    budget.spend()
-                    yield masks + (remaining,), values + (model.value(agent, remaining),)
-            else:
+        last = agent == n - 1
+        if last and require_complete:
+            if model.is_connected(remaining):
                 budget.spend()
-                yield masks + (0,), values + (F(0),)
-                for s, v in _ref_connected_subsets(model, remaining, agent, budget, bound(values)):
-                    yield masks + (s,), values + (v,)
+                yield masks + (remaining,), values + (model.value(agent, remaining),)
             return
-        if symmetry and require_complete and remaining and symmetric(agent):
+        # an identical agent after the first takes a piece whose lowest atom is
+        # above that of the piece before, and nothing after an empty piece
+        follows = not require_complete and agent - 1 in twins
+        seeds = above(remaining, masks[-1]) if follows else remaining
+        if last and whole_last and remaining:
+            # a whole component of what is left
+            for comp in model.components(remaining):
+                if comp | seeds == seeds:
+                    budget.spend()
+                    yield masks + (comp,), values + (model.value(agent, comp),)
+            return
+        if require_complete and remaining and agent in twins:
             # the next piece holds the lowest free atom, so it is not empty
             lowest = remaining & -remaining
             pieces = _ref_connected_subsets(model, remaining, agent, budget, bound(values), lowest)
         else:
-            yield from rec(agent + 1, remaining, masks + (0,), values + (F(0),))
-            pieces = _ref_connected_subsets(model, remaining, agent, budget, bound(values))
+            if last:
+                budget.spend()
+                yield masks + (0,), values + (F(0),)
+            else:
+                yield from rec(agent + 1, remaining, masks + (0,), values + (F(0),))
+            pieces = _ref_connected_subsets(model, remaining, agent, budget, bound(values), seeds)
         for s, v in pieces:
-            yield from rec(agent + 1, remaining & ~s, masks + (s,), values + (v,))
+            if last:
+                yield masks + (s,), values + (v,)
+            else:
+                yield from rec(agent + 1, remaining & ~s, masks + (s,), values + (v,))
 
     yield from rec(0, model.full_mask, (), ())
+
+
+def _ref_twins(model, n):
+    """The agents from the first one on with whom every later agent shares a
+    row of atom values, when there are at least two of them."""
+    twins = [a for a in range(n) if all(model.values[b] == model.values[a] for b in range(a, n))]
+    return twins if len(twins) > 1 else []
+
+
+def _ref_in_order(assignment, twins):
+    """Whether the ``twins`` first appear in ``assignment`` in index order,
+    with those that never appear last."""
+    order = [a for a in dict.fromkeys(assignment) if a in twins]
+    return order == twins[: len(order)]
+
+
+def _ref_ordered_count(atoms, free, twins):
+    """How many assignments of ``atoms`` atoms to ``free`` owners and to
+    ``twins`` identical agents list the identical agents in order: the atoms
+    they get, split into at most ``twins`` nonempty blocks (Stirling numbers of
+    the second kind), one block per agent in order of lowest atom."""
+    stirling = [[1]]  # stirling[m][j]
+    for m in range(1, atoms + 1):
+        row = stirling[-1]
+        stirling.append([0] + [j * (row[j] if j < len(row) else 0) + row[j - 1] for j in range(1, m + 1)])
+    return sum(
+        math.comb(atoms, m) * free ** (atoms - m) * sum(stirling[m][: twins + 1])
+        for m in range(atoms + 1)
+    )
 
 
 def _ref_assignment_key(model, masks, n):
@@ -449,10 +507,13 @@ def ref_grid_search_best(inst, cfg, bounded=True):
 
     if cfg.piece_budget is not None:
         choices = n if cfg.require_complete else n + 1
-        size = choices ** len(model.atoms)
+        twins = _ref_twins(model, n) if bounded else []
+        size = _ref_ordered_count(len(model.atoms), choices - len(twins), len(twins))
         if size > cfg.state_budget:
             raise BudgetExceeded(f"{size} grid assignments exceed the state budget")
         for assignment in itertools.product(range(choices), repeat=len(model.atoms)):
+            if not _ref_in_order(assignment, twins):
+                continue
             budget.spend()
             masks = [0] * n
             for i, owner in enumerate(assignment):
@@ -462,7 +523,10 @@ def ref_grid_search_best(inst, cfg, bounded=True):
                 continue
             consider(tuple(masks), tuple(model.value(a, m) for a, m in enumerate(masks)))
     else:
-        partitions = _ref_partitions(model, n, cfg.require_complete, budget, prune, bound, bounded)
+        whole_last = bounded and cfg.objective == "egal" and not cfg.require_complete
+        partitions = _ref_partitions(
+            model, n, cfg.require_complete, budget, prune, bound, bounded, whole_last
+        )
         for masks, values in partitions:
             consider(masks, values)
 
@@ -483,7 +547,8 @@ def ref_pair_feasible(
         return value > threshold if strict else value >= threshold
 
     orders = [(first_threshold, first_strict, second_threshold, second_strict)]
-    if flexible:
+    # agents that share one row search the swapped order as the same search
+    if flexible and not (bounded and model.values[0] == model.values[1]):
         orders.append((second_threshold, second_strict, first_threshold, first_strict))
     for t0, s0, t1, s1 in orders:
         # the second agent's pieces lie in the first piece's complement
@@ -544,11 +609,12 @@ def _fractions(lo, hi_per_denominator):
 
 
 @st.composite
-def grid_instances(draw, max_edges=3):
+def grid_instances(draw, max_edges=3, sharing=(None, 0, 1)):
     """Two or three agents with 1-3 segments per edge on a connected multigraph.
 
     Sometimes one valuation goes to every agent, or to every agent after the
-    first, so that complete searches take the symmetric path."""
+    first, so that the searches take their symmetric paths: ``sharing`` lists
+    the choices of the first agent that gets it, None for no sharing."""
     g = draw(st.sampled_from(connected_multigraphs_up_to_iso(max_edges)))
     agents = []
     for _ in range(draw(st.integers(2, 3))):
@@ -561,7 +627,7 @@ def grid_instances(draw, max_edges=3):
             )
         v = Valuation(densities)
         agents.append(Valuation.uniform(g) if v.total() == 0 else v.scaled(1 / v.total()))
-    shared = draw(st.sampled_from((None, 0, 1)))
+    shared = draw(st.sampled_from(sharing))
     if shared is not None:
         agents[shared:] = [agents[shared]] * (len(agents) - shared)
     return Instance(g, tuple(agents), "cake")
@@ -677,6 +743,50 @@ def test_bounded_grid_search_matches_the_exhaustive_one(inst, d, objective, comp
 
 
 @settings(max_examples=60, deadline=None)
+@given(
+    grid_instances(max_edges=2, sharing=(0, 1)),
+    st.integers(1, 3),
+    st.sampled_from(OBJECTIVES),
+    st.booleans(),
+    st.integers(1, 4),
+)
+def test_piece_budget_search_of_identical_agents_matches_the_exhaustive_one(
+    inst, d, objective, complete, pieces
+):
+    # identical agents listed in one order only: the exhaustive answer and
+    # witness, and the integer search spends what the reference does
+    cfg = GridSearchConfig(
+        d, objective, piece_budget=pieces, require_complete=complete, state_budget=5_000
+    )
+    exhaustive = _outcome(lambda: ref_grid_search_best(inst, cfg, bounded=False))
+    assume(exhaustive != "BudgetExceeded")
+    bounded = _outcome(lambda: ref_grid_search_best(inst, cfg))
+    _same_answer_in_fewer_states(bounded, exhaustive)
+    _spends_like_the_reference(
+        bounded,
+        lambda budget: grid_search_best(inst, dataclasses.replace(cfg, state_budget=budget)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_instances(max_edges=2), st.integers(1, 3), st.booleans())
+def test_assignment_count_is_the_number_of_ordered_assignments(inst, d, complete):
+    model = _AtomModel(inst, d)
+    listed = list(_assignments(model, complete))
+    assert len(set(listed)) == len(listed) == _assignment_count(model, complete)
+    n = inst.n
+    twins = _ref_twins(_RefModel(inst, d), n)
+    owners = range(n if complete else n + 1)
+    ordered = [
+        assignment
+        for assignment in itertools.product(owners, repeat=len(model.atoms))
+        if _ref_in_order(assignment, twins)
+    ]
+    masks = {tuple(sum(1 << i for i, o in enumerate(a) if o == b) for b in range(n)) for a in ordered}
+    assert masks == set(listed)
+
+
+@settings(max_examples=60, deadline=None)
 @given(grid_instances(), st.integers(1, 4), st.data())
 def test_bounded_pair_search_matches_the_exhaustive_one(inst, d, data):
     args = _pair_arguments(inst, d, data)
@@ -750,6 +860,9 @@ BUDGET_CASES = [
     ("equit_star3", {}, GridSearchConfig(6, "inequity", require_complete=True)),
     ("star_fnk_tight", {"n": 3, "k": 4}, GridSearchConfig(4, require_complete=True)),
     ("ternary_tree", {"k": 1}, GridSearchConfig(2, piece_budget=2, require_complete=True)),
+    # the benchmark's own identical-agent certificates
+    ("star_fnk_tight", {"n": 2, "k": 3}, GridSearchConfig(6)),
+    ("ternary_tree", {"k": 1}, GridSearchConfig(3, piece_budget=2, require_complete=True)),
 ]
 
 

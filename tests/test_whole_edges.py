@@ -162,6 +162,13 @@ def test_only_whole_edges_skip_the_bound_checks(form):
     for bad in [(0.1, hi), (lo, 0.5), (True, F(1, 2)), (F(1, 2), True), (F(1, 4), "1/2")]:
         with pytest.raises(MalformedPiece, match="is not a Fraction or an int"):
             Piece.of([Interval("e0", *bad)])
+    # a whole edge skips only the range test: a float or a bool equal to 0 or
+    # 1 is refused too, in an Interval as in a tuple
+    for bad in [(0.0, hi), (lo, 1.0), (False, hi), (lo, True), (0.0, 1.0), (False, True)]:
+        with pytest.raises(MalformedPiece, match="is not a Fraction or an int"):
+            Piece.of([Interval("e0", *bad)])
+        with pytest.raises(MalformedPiece, match="is not a Fraction or an int"):
+            Piece.of([("e0", *bad)])
     # a repeated whole edge is merged, not kept as given
     assert Piece.of([("e0", lo, hi), ("e0", lo, hi)]).intervals == (Interval("e0", ZERO, ONE),)
     assert Piece.of([("e0", lo, lo), ("e1", lo, hi)]).intervals == (Interval("e1", ZERO, ONE),)
