@@ -11,6 +11,11 @@ identity; any other is compared with the int 0 or 1, which is exact and takes
 ``Fraction``s goes through the slower ``numbers.Rational`` check.  Checks that a
 whole edge meets trivially (bounds inside [0, 1] and in order) are skipped for
 it; every other interval gets them in full.
+
+A ``CakeGraph`` is immutable, so each analysis of the graph alone runs once
+per graph object and is kept on it (see its docstring); later calls, such as
+the classification, bridge search and bipolar numbering after a labeling,
+read what it keeps.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -69,6 +75,13 @@ class CakeGraph:
 
     Vertices and edges keep their construction order; every deterministic
     tie-break in the library uses that order.
+
+    A graph is immutable: its vertices and edges never change after
+    construction.  It keeps what is computed from it alone, each on first
+    use: the whole piece (``whole_piece``), its blocks (``_blocks``), its
+    almost-bridgeless witness (``classify_almost_bridgeless``) and its
+    contiguous labeling (``compute_contiguous_labeling``).  What it keeps is
+    read-only and is freed with the graph.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
@@ -95,6 +108,9 @@ class CakeGraph:
         if not self._is_connected():
             raise GraphConstructionError("graph is not connected")
         self._whole: Optional[Piece] = None
+        self._kept_blocks: Optional[tuple[tuple[Edge, ...], ...]] = None
+        self._kept_witness: Optional[AlmostBridgelessWitness] = None
+        self._kept_labeling: Optional[OrientedLabeling] = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -560,7 +576,7 @@ def piece_component_count(g: CakeGraph, p: Piece) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(g: CakeGraph) -> list[list[Edge]]:
+def _blocks(g: CakeGraph) -> list[tuple[Edge, ...]]:
     """The edges of each block: a maximal 2-connected subgraph, or a bridge on
     its own.  One iterative lowpoint DFS with an edge stack (Hopcroft and
     Tarjan 1973); a parallel copy of the edge a vertex was entered by is a
@@ -568,7 +584,7 @@ def _blocks(g: CakeGraph) -> list[list[Edge]]:
     index = {v: i for i, v in enumerate(g.vertices)}
     disc = [0] * len(g.vertices)  # discovery times from 1; 0 is unvisited
     low = [0] * len(g.vertices)
-    blocks: list[list[Edge]] = []
+    blocks: list[tuple[Edge, ...]] = []
     pending: list[Edge] = []  # edges of the blocks not closed yet, in visit order
     disc[0] = low[0] = counter = 1
     # entries are (vertex, incoming edge id, iterator over incident edges, the
@@ -597,15 +613,22 @@ def _blocks(g: CakeGraph) -> list[list[Edge]]:
                 p_i = stack[-1][0]
                 low[p_i] = min(low[p_i], low[v_i])
                 if low[v_i] >= disc[p_i]:
-                    blocks.append(pending[mark:])
+                    blocks.append(tuple(pending[mark:]))
                     del pending[mark:]
     return blocks
 
 
+def _graph_blocks(g: CakeGraph) -> tuple[tuple[Edge, ...], ...]:
+    """The graph's blocks, found by ``_blocks`` on the first call and kept on the graph."""
+    if g._kept_blocks is None:
+        g._kept_blocks = tuple(_blocks(g))
+    return g._kept_blocks
+
+
 def find_bridges(g: CakeGraph) -> set[str]:
     """Edge ids of all bridges (edges on no cycle): the edges of the one-edge
-    blocks.  Parallel edges are never bridges."""
-    return {block[0].id for block in _blocks(g) if len(block) == 1}
+    blocks, as a new set on every call.  Parallel edges are never bridges."""
+    return {block[0].id for block in _graph_blocks(g) if len(block) == 1}
 
 
 @dataclass(frozen=True)
@@ -626,8 +649,15 @@ def classify_almost_bridgeless(g: CakeGraph) -> AlmostBridgelessWitness:
     vertex.  The graph is almost bridgeless iff that tree is a path; the
     witness endpoints, where ``compute_contiguous_labeling`` starts its ear
     walk, name its two extreme components.  Otherwise the first component of
-    bridge-degree >= 3 supplies three bridges no path can cover.
+    bridge-degree >= 3 supplies three bridges no path can cover.  The witness
+    is found on the first call and kept on the graph.
     """
+    if g._kept_witness is None:
+        g._kept_witness = _classify(g)
+    return g._kept_witness
+
+
+def _classify(g: CakeGraph) -> AlmostBridgelessWitness:
     bridges = find_bridges(g)
     if not bridges:
         e = g.edges[0]
@@ -800,7 +830,16 @@ def compute_contiguous_labeling(g: CakeGraph) -> OrientedLabeling:
     first (u before all) and inserted right after that end's first incoming
     edge, or at the front from u; its last edge then becomes the first edge
     into its other end, unless it closes where it started.
+
+    The labeling is built on the first call and kept on the graph once it
+    passes ``is_contiguous``; its ``tails`` is a read-only mapping.
     """
+    if g._kept_labeling is None:
+        g._kept_labeling = _ear_labeling(g)
+    return g._kept_labeling
+
+
+def _ear_labeling(g: CakeGraph) -> OrientedLabeling:
     witness = classify_almost_bridgeless(g)
     if not witness.is_almost_bridgeless:
         raise NotAlmostBridgeless(
@@ -821,7 +860,7 @@ def compute_contiguous_labeling(g: CakeGraph) -> OrientedLabeling:
             tails[e] = tail
             if head != x:
                 first_in[head] = e
-    lab = OrientedLabeling(tuple(order), tails)
+    lab = OrientedLabeling(tuple(order), MappingProxyType(tails))
     if not is_contiguous(g, lab):
         raise ProtocolInvariantError("ear construction produced a non-contiguous labeling")
     return lab
@@ -849,7 +888,7 @@ def find_bipolar_numbering(g: CakeGraph) -> Optional[BipolarNumbering]:
     labeling's ear walk (``_ears``) with open ears, which 2-connectivity
     needs, and places each ear's interior (a chord has none) between its ends.
     """
-    blocks = [{v for e in block for v in (e.u, e.v)} for block in _blocks(g)]
+    blocks = [{v for e in block for v in (e.u, e.v)} for block in _graph_blocks(g)]
     count = Counter(v for block in blocks for v in block)
     cut = {v for v, c in count.items() if c > 1}
     if any(c > 2 for c in count.values()) or any(len(b & cut) > 2 for b in blocks):

@@ -928,9 +928,33 @@ def _height2_tree(g: CakeGraph, root: str) -> Optional[_RootedTree]:
     return None
 
 
+def _distances(g: CakeGraph, source: str) -> dict[str, int]:
+    """Each vertex's distance in edges from ``source``, by breadth-first search."""
+    dist = {source: 0}
+    queue = [source]
+    for v in queue:  # the list grows while it is read, as a queue
+        for e in g.incident(v):
+            w = e.other(v)
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
 def _height2_root(g: CakeGraph) -> Optional[str]:
-    """The first vertex from which the graph is a tree of height at most two, if any."""
-    return next((root for root in g.vertices if _height2_tree(g, root) is not None), None)
+    """The first vertex from which the graph is a tree of height at most two, if any.
+
+    A root's height is its eccentricity, and in a tree a vertex's eccentricity
+    is its larger distance to the two ends of a diameter: a vertex ``a``
+    farthest from any vertex, and a vertex ``b`` farthest from ``a``.  So three
+    breadth-first searches, O(m) in all, find every vertex of eccentricity at
+    most two."""
+    if not g.is_tree():
+        return None
+    start = _distances(g, g.vertices[0])
+    to_a = _distances(g, max(start, key=start.__getitem__))
+    to_b = _distances(g, max(to_a, key=to_a.__getitem__))
+    return next((v for v in g.vertices if to_a[v] <= 2 and to_b[v] <= 2), None)
 
 
 _HEIGHT2 = replace(_TWO_CAKE, graph=lambda g: _height2_root(g) is not None)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from collections import Counter
@@ -38,10 +39,12 @@ from conftest import (
     cycle_graph,
     ear_graph,
     edge_piece,
+    mixed_graph,
     path_graph,
     random_multigraph,
     single_edge_graph,
     star_graph,
+    tree_graph,
     triangle,
 )
 
@@ -618,9 +621,65 @@ def test_is_contiguous_matches_block_reference_on_perturbed_large_labelings():
 
 
 def test_labeling_self_check_raises_instead_of_asserting(monkeypatch):
-    monkeypatch.setattr(graph_core, "is_contiguous", lambda g, lab: False)
-    with pytest.raises(ProtocolInvariantError):
-        compute_contiguous_labeling(triangle())
+    # a fresh graph: one analysed before the patch would answer from what it keeps
+    g = triangle()
+    with monkeypatch.context() as patched:
+        patched.setattr(graph_core, "is_contiguous", lambda g, lab: False)
+        with pytest.raises(ProtocolInvariantError):
+            compute_contiguous_labeling(g)
+        with pytest.raises(ProtocolInvariantError):
+            compute_contiguous_labeling(g)
+    # a failed self-check keeps nothing, so the same graph builds it again
+    assert is_contiguous(g, compute_contiguous_labeling(g))
+
+
+# -- what a graph keeps ----------------------------------------------------------
+
+
+def test_kept_labeling_is_read_only_and_bridge_sets_are_fresh():
+    g = CakeGraph(["a", "b", "c", "d"], [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "a"), ("e3", "c", "d")])
+    lab = compute_contiguous_labeling(g)
+    with pytest.raises(TypeError):
+        lab.tails["e0"] = "b"
+    assert compute_contiguous_labeling(g) is lab
+    bridges = find_bridges(g)
+    assert bridges == {"e3"}
+    bridges.add("e0")
+    bridges.discard("e3")
+    assert find_bridges(g) == {"e3"}
+    assert find_bridges(g) is not find_bridges(g)
+    assert classify_almost_bridgeless(g) is classify_almost_bridgeless(g)
+
+
+def _labeling_or_none(g):
+    try:
+        return compute_contiguous_labeling(g)
+    except NotAlmostBridgeless:
+        return None
+
+
+ANALYSES = {
+    "classify": classify_almost_bridgeless,
+    "bridges": find_bridges,
+    "labeling": _labeling_or_none,
+    "bipolar": find_bipolar_numbering,
+}
+
+
+def test_analyses_do_not_depend_on_call_order():
+    rng = random.Random(25)
+    graphs = [tree_graph(rng, 200), cycle_graph(200), ear_graph(rng, 200), mixed_graph(rng, 200)]
+    graphs += connected_multigraphs_up_to_iso(5)
+    orders = list(itertools.permutations(ANALYSES))
+    for g in graphs:
+        doc = g.to_json()
+        # each analysis on a copy of its own, so nothing it reads was kept before
+        expected = {name: run(CakeGraph.from_json(doc)) for name, run in ANALYSES.items()}
+        for order in orders:
+            copy = CakeGraph.from_json(doc)
+            first = {name: ANALYSES[name](copy) for name in order}
+            again = {name: run(copy) for name, run in ANALYSES.items()}
+            assert first == again == expected, (doc, order)
 
 
 # -- bipolar numberings --------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,12 +78,14 @@ from graphcake.valuation import (
 )
 
 from conftest import (
+    ear_graph,
     edge_piece,
     path_graph,
     single_edge_graph,
     star_graph,
     trajectory_value,
     tree_fields,
+    tree_graph,
     triangle,
     uniform_instance,
 )
@@ -733,6 +736,34 @@ def test_best2_dispatch():
     assert rep.values == (F(1, 2), F(1, 2))
 
 
+def test_a_graph_is_analysed_once_across_solves(monkeypatch):
+    from graphcake import graph_core
+
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(graph_core, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("_blocks", "_ears"):
+        monkeypatch.setattr(graph_core, name, counting(name))
+    # a fresh graph, almost bridgeless, so best2 builds the labeling
+    rng = random.Random(25)
+    g = ear_graph(rng, 200)
+    inst = Instance(g, random_valuations(rng, g, 2), "cake")
+    for expected in (Counter(_blocks=1, _ears=1), Counter()):
+        calls.clear()
+        result = run_protocol("best2", inst)
+        report = verify_allocation(inst, result.allocation)
+        assert guarantee_violations("best2", inst, report, {}, result) == []
+        assert calls == expected
+
+
 def test_best2_searches_bridges_once(monkeypatch):
     from graphcake import graph_core
 
@@ -976,6 +1007,26 @@ def test_height2_trees_and_roots_match_bfs_eccentricities(g):
             assert max(depth) == eccentricity[r] and len(rt.parent) == len(g.vertices)
     assert protocols._height2_root(g) == (low[0] if low else None)
     assert protocols._height2_tree(g, "not a vertex") is None
+
+
+def test_height2_on_400_edges_builds_at_most_one_region_tree(monkeypatch):
+    builds = []
+    real = _RootedTree.__init__
+    monkeypatch.setattr(_RootedTree, "__init__", lambda self, *a, **k: builds.append(1) or real(self, *a, **k))
+    rng = random.Random(25)
+    deep = tree_graph(rng, 400)
+    assert protocols._height2_root(deep) is None
+    assert not applies("height2", uniform_instance(deep, 2))
+    assert builds == []
+    # 20 children of the root with 19 leaves each, the root placed after the children
+    kids = [f"k{i}" for i in range(20)]
+    leaves = [f"l{i}_{j}" for i in range(20) for j in range(19)]
+    edges = [(k, "root") for k in kids] + [(f"k{i}", f"l{i}_{j}") for i in range(20) for j in range(19)]
+    wide = CakeGraph(kids + ["root"] + leaves, [(f"e{j}", a, b) for j, (a, b) in enumerate(edges)])
+    inst = Instance(wide, random_valuations(rng, wide, 2), "cake")
+    result = run_protocol("height2", inst)
+    assert len(builds) == 1
+    assert result == run_protocol("height2", inst, {"root": "root"})
 
 
 # -- equitability ---------------------------------------------------------------------
