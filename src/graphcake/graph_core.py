@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     BadParameters,
@@ -79,9 +79,11 @@ class CakeGraph:
     A graph is immutable: its vertices and edges never change after
     construction.  It keeps what is computed from it alone, each on first
     use: the whole piece (``whole_piece``), its blocks (``_blocks``), its
-    almost-bridgeless witness (``classify_almost_bridgeless``) and its
-    contiguous labeling (``compute_contiguous_labeling``).  What it keeps is
-    read-only and is freed with the graph.
+    almost-bridgeless witness (``classify_almost_bridgeless``), its
+    contiguous labeling (``compute_contiguous_labeling``) and, in
+    ``_kept_trees``, the region trees of the whole graph that protocols walk,
+    one per root and child order (``protocols._kept_tree``), without any
+    valuation's sums.  What it keeps is read-only and is freed with the graph.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
@@ -111,6 +113,8 @@ class CakeGraph:
         self._kept_blocks: Optional[tuple[tuple[Edge, ...], ...]] = None
         self._kept_witness: Optional[AlmostBridgelessWitness] = None
         self._kept_labeling: Optional[OrientedLabeling] = None
+        # whole-graph region trees by (root, stored edge order), filled by protocols
+        self._kept_trees: dict[tuple[str, bool], Any] = {}
 
     # -- basic accessors ----------------------------------------------------
 

@@ -17,6 +17,9 @@ above it, so every comparison, and every tie, is that of the rational values.
 A tree sums each distinct valuation once and keeps the sums while it lives:
 agents that share a valuation share one pass, and an agent's value of the
 region, the root sum, both sets her need and checks it, with no second pass.
+The tree of the whole graph is built once per graph, root and child order
+and kept on the graph without sums; each solve walks a handle on it that
+holds the solve's own sums.
 The egalitarian recursion keeps one tree throughout: after each extraction it
 prunes the branches taken, shortens the leg a knife cut, and subtracts their
 sums, so only the shortened leg is integrated again.
@@ -34,11 +37,13 @@ stored edge order.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, compress, islice
+from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .allocation import Allocation, VerificationReport
@@ -201,7 +206,11 @@ class _RootedTree:
 
     Subtree sums are kept per distinct valuation for the tree's lifetime, and
     ``remainder`` carries them over when it prunes the tree to what an
-    extraction left.
+    extraction left.  The sums belong to one solve: a whole-graph tree that a
+    graph keeps (``_kept_tree``) has read-only links and no sums, and each
+    solve gets a ``handle`` on it, which shares its links and sums on its own.
+    ``remainder`` rebinds every list it changes, so a handle never writes into
+    the kept links.
     """
 
     def __init__(
@@ -240,8 +249,8 @@ class _RootedTree:
         children: list[list[int]] = [[]]
         self.loose: list[int] = []
         self.connected = True
-        # the children with a whole leg, by edge id, and with a partial one, by span
-        self._kinds: Optional[tuple[list[tuple[int, str]], list[tuple[int, Interval]]]] = None
+        # _link_kinds, kept until the links change
+        self._kinds: Optional[tuple[Sequence[Optional[str]], Sequence[tuple[int, Interval]]]] = None
         # subtree_values, kept per distinct valuation for the tree's lifetime
         self._values: dict[Valuation, tuple[list[int], list[int], int]] = {}
         for v, x in enumerate(order):
@@ -271,6 +280,24 @@ class _RootedTree:
                 upper.append(False)
                 children.append([])
         self.parent, self.children, self.spans, self.upper = parent, children, spans, upper
+
+    def freeze(self) -> _RootedTree:
+        """Make this tree's links, and its split into whole and partial links,
+        read-only tuples, and give it no sums; returns the tree."""
+        self.parent, self.spans, self.upper, self.loose = (
+            tuple(self.parent), tuple(self.spans), tuple(self.upper), tuple(self.loose)
+        )
+        self.children = tuple(map(tuple, self.children))
+        whole, partial = self._link_kinds()
+        self._kinds = tuple(whole), tuple(partial)
+        self._values = MappingProxyType({})
+        return self
+
+    def handle(self) -> _RootedTree:
+        """A tree for one solve: this tree's links, shared, and sums of its own."""
+        rt = copy.copy(self)
+        rt._values = {}
+        return rt
 
     def leg(self, w: int) -> Leg:
         """Child ``w``'s span swept from the child's end towards its parent."""
@@ -320,26 +347,34 @@ class _RootedTree:
             done = self._values[val] = self._sum(val)
         return done
 
+    def _link_kinds(self) -> tuple[Sequence[Optional[str]], Sequence[tuple[int, Interval]]]:
+        """Each node's edge id when its leg is a whole edge, else None; and the
+        children with a partial leg, by span."""
+        if self._kinds is None:
+            whole: list[Optional[str]] = []
+            partial = []
+            for w, iv in enumerate(self.spans):
+                if iv is not None and is_whole(iv.lo, iv.hi):
+                    whole.append(iv.edge)
+                else:
+                    whole.append(None)
+                    if iv is not None:
+                        partial.append((w, iv))
+            self._kinds = whole, partial
+        return self._kinds
+
     def _sum(self, val: Valuation) -> tuple[list[int], list[int], int]:
         # Whole legs are summed from each valuation's integer edge totals; the
         # few partial ones (next to cut points) are integrated per valuation.
-        if self._kinds is None:
-            whole, partial = [], []
-            for w, iv in enumerate(self.spans):
-                if iv is not None:
-                    if is_whole(iv.lo, iv.hi):
-                        whole.append((w, iv.edge))
-                    else:
-                        partial.append((w, iv))
-            self._kinds = whole, partial
-        whole, partial = self._kinds
+        whole, partial = self._link_kinds()
         parts = [(w, val.interval_value(iv.edge, iv.lo, iv.hi)) for w, iv in partial]
         scale = math.lcm(val.scale, *(x.denominator for _, x in parts))
         lift = scale // val.scale
         totals = val.int_totals
         branch = [0] * len(self.spans)
-        for w, edge in whole:
-            branch[w] = totals.get(edge, 0) * lift
+        for w, edge in enumerate(whole):
+            if edge is not None:
+                branch[w] = totals.get(edge, 0) * lift
         for w, x in parts:
             branch[w] = x.numerator * (scale // x.denominator)
         below = [0] * len(branch)
@@ -447,10 +482,34 @@ class _RootedTree:
         return self
 
 
+def _kept_tree(g: CakeGraph, root: Optional[str], stored: bool) -> _RootedTree:
+    """A handle on the whole graph's tree that ``g`` keeps, rooted at ``root``,
+    by default the least vertex, with children in stored edge order or, without
+    ``stored``, in piece order.  The kept tree is built and frozen on the first
+    call for its root and order."""
+    key = (min(g.vertices) if root is None else root, stored)
+    kept = g._kept_trees.get(key)
+    if kept is None:
+        whole = g.whole_piece().intervals
+        if stored:
+            whole = [Interval(e.id, ZERO, ONE) for e in g.edges]
+        kept = g._kept_trees[key] = _RootedTree(g, whole, root).freeze()
+    return kept.handle()
+
+
 def _graph_tree(g: CakeGraph, root: Optional[str] = None) -> _RootedTree:
     """The whole graph as a rooted tree, children in stored edge order."""
-    whole = [Interval(e.id, ZERO, ONE) for e in g.edges]
-    return _RootedTree(g, whole, root)
+    return _kept_tree(g, root, stored=True)
+
+
+def _region_tree(
+    g: CakeGraph, region: Piece, root: Optional[Node] = None, forest: bool = False
+) -> _RootedTree:
+    """``_RootedTree(g, region.intervals, root, forest)``; for the whole graph's
+    piece, a handle on the tree the graph keeps."""
+    if region is g.whole_piece():
+        return _kept_tree(g, root, stored=False)
+    return _RootedTree(g, region.intervals, root, forest)
 
 
 def _knife_race(
@@ -496,7 +555,7 @@ def _extract(
     if not need:
         raise DomainError("extraction needs at least one eligible agent")
     if rt is None:
-        rt = _RootedTree(g, region.intervals, forest=True)
+        rt = _region_tree(g, region, forest=True)
     winner, tops, stop = _split(g, vals, region, need, log, rt)
     if not tops:
         return Piece.empty(), winner, region
@@ -608,7 +667,7 @@ def _egalitarian(
     agent's value of the remainder is read off the kept root sum."""
     agents = list(agents)
     if len(agents) > 1:
-        rt = _RootedTree(g, region.intervals)
+        rt = _region_tree(g, region)
     while len(agents) > 1:
         share = Fraction(1, 2 * len(agents) - 1)
         need = {a: share * rt.value(vals[a]) for a in agents}
@@ -720,7 +779,7 @@ def _star_rec(
     if m >= 2 * k - 1:
         _egalitarian(g, vals, agents, region, pieces, log)
         return
-    rt = _RootedTree(g, region.intervals, center)
+    rt = _region_tree(g, region, center)
     share = f_guarantee(k, m)
     need = {a: share * rt.value(vals[a]) for a in agents}
     # Each spoke is a leaf of the center-rooted tree, so its branch entry is its
@@ -790,12 +849,9 @@ def proportional_two_connected(inst: Instance, lab: OrientedLabeling) -> Protoco
     if not is_contiguous(inst.graph, lab):
         raise LabelingNotContiguous("the supplied labeling fails the contiguity check")
     g = inst.graph
+    # the contiguity check put every tail at one end of its edge
     traj = tuple(
-        Leg(
-            e,
-            g.edge(e).endpoint_position(lab.tails[e]),
-            g.edge(e).endpoint_position(lab.head(g, e)),
-        )
+        Leg(e, ZERO, ONE) if lab.tails[e] == g.edge(e).u else Leg(e, ONE, ZERO)
         for e in lab.order
     )
     return _halve(g, inst.agents, traj)
@@ -823,7 +879,7 @@ def _fixed_pair(
     """Cut-and-choose core: split the region so both parts are worth at least a
     third of it to ``second``, then ``first`` takes her preferred part.  ``rt``
     is the region's tree in piece order when the caller has built it."""
-    rt = rt if rt is not None else _RootedTree(g, region.intervals)
+    rt = rt if rt is not None else _region_tree(g, region)
     need = THIRD * rt.value(second)
     piece, _, rem = _extract(g, [second, second], region, {0: need, 1: need}, log, rt)
     if value_of_piece(first, piece, log) >= value_of_piece(first, rem, log):
@@ -1258,9 +1314,10 @@ def _run_prop2(inst: Instance) -> ProtocolResult:
 
 
 def _run_height2(inst: Instance, root: Optional[str] = None) -> ProtocolResult:
-    root = root or _height2_root(inst.graph)
     if root is None:
-        raise NotHeightTwoTree("no root gives this graph height at most two")
+        root = _height2_root(inst.graph)
+        if root is None:
+            raise NotHeightTwoTree("no root gives this graph height at most two")
     return height2_two_piece_proportional(inst, root)
 
 

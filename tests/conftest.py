@@ -159,17 +159,18 @@ def path_trajectory(g, region):
 def tree_fields(rt, held=()):
     """Everything a walk reads off a region tree: its links, each child's leg
     (None for a branch without a link), its loose leaves, whether it is
-    connected, and each held valuation's sums as rationals."""
+    connected, and each held valuation's sums as rationals.  Links are read
+    as lists, so a kept tree's tuples compare equal to a fresh build's lists."""
     sums = []
     for val in held:
         below, branch, scale = rt.subtree_values(val)
         sums.append(([F(x, scale) for x in below], [F(x, scale) for x in branch]))
     return {
-        "parent": rt.parent,
-        "children": rt.children,
-        "spans": rt.spans,
+        "parent": list(rt.parent),
+        "children": [list(kids) for kids in rt.children],
+        "spans": list(rt.spans),
         "legs": [None if rt.spans[w] is None else rt.leg(w) for w in range(1, len(rt.spans))],
-        "loose": rt.loose,
+        "loose": list(rt.loose),
         "connected": rt.connected,
         "sums": sums,
     }

@@ -200,6 +200,12 @@ def test_solve_rejects_parameters_outside_the_protocols_schema(capsys, star2_fil
     assert main(["solve", "--instance", star2_file, "--protocol", "height2", "-p", "root=c"]) == 0
 
 
+def test_solve_reads_an_empty_height2_root_as_a_vertex_name(capsys, star2_file):
+    # the star has no vertex named "", so that root is refused, not replaced
+    assert main(["solve", "--instance", star2_file, "--protocol", "height2", "-p", "root="]) == 1
+    assert capsys.readouterr().err == "error: graph is not a tree of height at most two from ''\n"
+
+
 def test_oracle_rejects_negative_budgets(capsys, star2_file):
     oracle = ["oracle", "--instance", star2_file, "--grid", "2"]
     for extra, message in (

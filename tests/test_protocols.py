@@ -34,12 +34,16 @@ from graphcake.fixtures import (
     random_valuations,
 )
 from graphcake.graph_core import (
+    ONE,
+    ZERO,
     CakeGraph,
     Interval,
     OrientedLabeling,
     Piece,
     VertexPoint,
     compute_contiguous_labeling,
+    is_contiguous,
+    is_whole,
     piece_is_connected,
 )
 from graphcake.protocols import (
@@ -70,6 +74,7 @@ from graphcake.protocols import (
 )
 from graphcake.valuation import (
     Instance,
+    Leg,
     QueryLog,
     Valuation,
     cut_trajectory,
@@ -78,8 +83,10 @@ from graphcake.valuation import (
 )
 
 from conftest import (
+    cycle_graph,
     ear_graph,
     edge_piece,
+    mixed_graph,
     path_graph,
     single_edge_graph,
     star_graph,
@@ -249,8 +256,10 @@ def test_egalitarian_sums_each_region_once_per_distinct_valuation(monkeypatch):
     assert len(levels) == 15
     # One tree serves the whole recursion: a tree region never needs a fresh
     # build, so every later level works on the first level's tree, pruned.
+    # That tree is the solve's handle on the one build, the tree the graph keeps.
     first, distinct = levels[0]
-    assert built == [first] and all(rt is first for rt, _ in levels)
+    assert len(built) == 1 and first is not built[0]
+    assert all(rt is first for rt, _ in levels)
     # each distinct valuation is summed once per recursion, at the first level
     assert len(sums) == len(distinct) == 10
     assert {val for _, val in sums} == distinct and all(rt is first for rt, _ in sums)
@@ -613,6 +622,107 @@ def test_path_stage_matches_the_per_level_rebuild(monkeypatch):
         assert guarantee_violations("star", inst, rep) == [], (inst.n, inst.graph.m)
 
 
+# -- whole-graph trees kept on the graph ---------------------------------------------
+
+
+_PARAMS = {"flex2": {"alpha": F(1, 4)}, "multi2": {"k": 3}}
+
+
+def _solve_all(inst):
+    """Each protocol that applies to the instance, by name: its allocation and
+    query counts as JSON."""
+    return {
+        name: json.dumps([res.allocation.to_json(), res.queries.to_json()])
+        for name in PROTOCOL_NAMES
+        if applies(name, inst)
+        for res in [run_protocol(name, inst, _PARAMS.get(name))]
+    }
+
+
+def _settings(rng, g):
+    """Instances on ``g`` that reach every protocol: cakes for two and three
+    agents, chores for two to four."""
+    for mode, n in (("cake", 2), ("cake", 3), ("chore", 2), ("chore", 3), ("chore", 4)):
+        yield Instance(g, random_valuations(rng, g, n), mode)
+
+
+def test_kept_trees_match_fresh_builds_after_every_protocol():
+    rng = random.Random(26)
+    for g in (star_graph(5), ear_graph(rng, 30), mixed_graph(rng, 30), tree_graph(rng, 30)):
+        for inst in _settings(rng, g):
+            _solve_all(inst)
+        # piece order for extractions, stored order for chore5's walk
+        assert {stored for _, stored in g._kept_trees} == {False, True}
+        for (root, stored), kept in g._kept_trees.items():
+            whole = g.whole_piece().intervals
+            if stored:
+                whole = [Interval(e.id, ZERO, ONE) for e in g.edges]
+            fresh = _RootedTree(g, whole, root)
+            assert tree_fields(kept) == tree_fields(fresh)
+            assert kept._kinds == tuple(tuple(kinds) for kinds in fresh._link_kinds())
+            assert len(kept._values) == 0
+
+
+def test_kept_tree_links_are_read_only():
+    # a triangle, so one loose link, with a pendant path c-d-e
+    g = CakeGraph(
+        ["a", "b", "c", "d", "e"],
+        [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "a"), ("e3", "c", "d"), ("e4", "d", "e")],
+    )
+    inst = uniform_instance(g, 2)
+    two_agent_fixed(inst)
+    (kept,) = g._kept_trees.values()
+    for links in (kept.parent, kept.children, kept.children[0], kept.spans, kept.upper, kept.loose):
+        with pytest.raises(TypeError):
+            links[0] = links[0]
+    with pytest.raises(TypeError):
+        kept.subtree_values(inst.agents[0])
+    # each handle sums on its own, and pruning one rebinds its links
+    rt = protocols._kept_tree(g, None, stored=False)
+    assert rt.parent is kept.parent and rt.value(inst.agents[0]) == 1
+    tops = [w for w in range(1, len(rt.spans)) if rt.spans[w].edge == "e4"]
+    rest = g.whole_piece().difference(rt.branches_piece(tops))
+    assert rt.remainder(g, tops, None, rest, set(inst.agents)) is rt
+    assert rt.parent is not kept.parent and len(rt.parent) < len(kept.parent)
+    assert tree_fields(kept) == tree_fields(_RootedTree(g, g.whole_piece().intervals))
+    assert len(kept._values) == 0 and protocols._kept_tree(g, None, stored=False)._values == {}
+
+
+def test_a_second_solve_builds_no_whole_graph_tree(monkeypatch):
+    whole_builds = []
+    real = _RootedTree.__init__
+
+    def build(rt, g, intervals, *args, **kwargs):
+        if len(intervals) == g.m and all(is_whole(iv.lo, iv.hi) for iv in intervals):
+            whole_builds.append(intervals)
+        real(rt, g, intervals, *args, **kwargs)
+
+    monkeypatch.setattr(_RootedTree, "__init__", build)
+    rng = random.Random(27)
+    for g in (star_graph(5), ear_graph(rng, 30), mixed_graph(rng, 30)):
+        whole_builds.clear()
+        for inst in _settings(rng, g):
+            _solve_all(inst)
+        assert len(whole_builds) == len(g._kept_trees)
+        whole_builds.clear()
+        for inst in _settings(rng, g):
+            _solve_all(inst)
+        assert whole_builds == []
+
+
+def test_instances_sharing_a_graph_match_separately_parsed_copies():
+    rng = random.Random(28)
+    for g in (star_graph(5), ear_graph(rng, 30), mixed_graph(rng, 30)):
+        for mode, n in (("cake", 2), ("cake", 3), ("chore", 3)):
+            first, second = random_valuations(rng, g, n), random_valuations(rng, g, n)
+            shared = [_solve_all(Instance(g, vals, mode)) for vals in (first, second, first)]
+            apart = [
+                _solve_all(Instance(CakeGraph.from_json(g.to_json()), vals, mode))
+                for vals in (first, second)
+            ]
+            assert shared == [*apart, apart[0]]
+
+
 # -- stars -------------------------------------------------------------------------
 
 
@@ -721,6 +831,31 @@ def test_prop2_rejects_bad_labeling():
     for bad in (reversed_middle, missing_tail):
         with pytest.raises(LabelingNotContiguous):
             proportional_two_connected(inst, bad)
+
+
+def test_prop2_sweeps_each_edge_from_its_tail(monkeypatch):
+    swept = []
+    real = protocols._halve
+    monkeypatch.setattr(
+        protocols, "_halve", lambda g, vals, traj: swept.append(traj) or real(g, vals, traj)
+    )
+    rng = random.Random(26)
+    for g in (single_edge_graph(), triangle(), cycle_graph(5), ear_graph(rng, 12)):
+        lab = compute_contiguous_labeling(g)
+        flipped = OrientedLabeling(lab.order[::-1], {e: lab.head(g, e) for e in lab.order})
+        assert is_contiguous(g, flipped)
+        for labeling in (lab, flipped):
+            swept.clear()
+            proportional_two_connected(Instance(g, random_valuations(rng, g, 2)), labeling)
+            # the legs the endpoint lookups give
+            assert swept == [tuple(
+                Leg(
+                    e,
+                    g.edge(e).endpoint_position(labeling.tails[e]),
+                    g.edge(e).endpoint_position(labeling.head(g, e)),
+                )
+                for e in labeling.order
+            )]
 
 
 def test_best2_dispatch():
@@ -938,6 +1073,17 @@ def test_height2_two_layer_tree():
     rep = verify_allocation(inst, res.allocation)
     assert rep.complete and min(rep.values) >= F(1, 2)
     assert all(a.piece_count <= 2 for a in rep.agents)
+
+
+def test_height2_reads_an_empty_root_as_a_vertex_name():
+    g = CakeGraph(["b", "a", "", "c"], [("e0", "a", ""), ("e1", "", "b"), ("e2", "b", "c")])
+    inst = Instance(g, random_valuations(random.Random(0), g, 2), "cake")
+    at_empty = height2_two_piece_proportional(inst, "")
+    assert run_protocol("height2", inst, {"root": ""}) == at_empty
+    # without a root the first vertex of height at most two is "b"
+    assert run_protocol("height2", inst) == height2_two_piece_proportional(inst, "b") != at_empty
+    with pytest.raises(NotHeightTwoTree):
+        run_protocol("height2", uniform_instance(star_graph(3), 2), {"root": ""})
 
 
 def test_height2_rejects_tall_trees():
