@@ -82,28 +82,39 @@ class VerificationReport:
 
 
 def _edge_coverage(g: CakeGraph, pieces: Sequence[Piece]) -> tuple[bool, bool]:
-    """(disjoint, complete): interiors never overlap across agents; every edge fully covered.
-    An edge held whole by one agent alone satisfies both and is not sorted."""
-    spans: dict[str, list[tuple[Fraction, Fraction]]] = defaultdict(list)
+    """(disjoint, complete): interiors never overlap across agents; every edge
+    fully covered.  The pieces are canonical, so every interval has positive
+    length.  An edge held whole twice, or whole and in part, breaks
+    disjointness; only edges held in part alone are sorted and swept.  The
+    allocation is complete when the edges held whole and the partial edges
+    swept without a gap number ``g.m``."""
+    whole: set[str] = set()
+    partial: dict[str, list[tuple[Fraction, Fraction]]] = defaultdict(list)
+    disjoint = True
     for p in pieces:
         for iv in p.intervals:
-            spans[iv.edge].append((iv.lo, iv.hi))
-    disjoint = True
-    complete = True
-    for edge in g.edges:
-        held = spans[edge.id]
-        if len(held) == 1 and is_whole(*held[0]):
+            if is_whole(iv.lo, iv.hi):
+                if iv.edge in whole:
+                    disjoint = False
+                whole.add(iv.edge)
+            else:
+                partial[iv.edge].append((iv.lo, iv.hi))
+    covered = len(whole)
+    for edge, held in partial.items():
+        if edge in whole:
+            disjoint = False
             continue
         cursor = ZERO
+        gap = False
         for lo, hi in sorted(held):
             if lo < cursor:
                 disjoint = False
             if lo > cursor:
-                complete = False
+                gap = True
             cursor = max(cursor, hi)
-        if cursor < ONE:
-            complete = False
-    return disjoint, complete
+        if not gap and cursor == ONE:
+            covered += 1
+    return disjoint, covered == g.m
 
 
 def verify_allocation(inst: Instance, alloc: Allocation) -> VerificationReport:

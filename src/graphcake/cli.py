@@ -89,11 +89,12 @@ def _cmd_classify(args) -> int:
         payload["add_edge_between"] = list(witness.endpoints)
     else:
         payload["obstruction_bridges"] = list(witness.obstruction)
-    _emit(payload, args.pretty)
+    # the DOT file first, so a path that cannot be written leaves stdout empty
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(g.to_dot(dashed_edges=bridges))
             fh.write("\n")
+    _emit(payload, args.pretty)
     return 0
 
 

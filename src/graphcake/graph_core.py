@@ -78,7 +78,8 @@ class CakeGraph:
 
     A graph is immutable: its vertices and edges never change after
     construction.  It keeps what is computed from it alone, each on first
-    use: the whole piece (``whole_piece``), its blocks (``_blocks``), its
+    use: the whole piece (``whole_piece``), the numbers of each edge's two
+    ends in ``vertices`` (``_edge_ends``), its blocks (``_blocks``), its
     almost-bridgeless witness (``classify_almost_bridgeless``), its
     contiguous labeling (``compute_contiguous_labeling``) and, in
     ``_kept_trees``, the region trees of the whole graph that protocols walk,
@@ -110,6 +111,7 @@ class CakeGraph:
         if not self._is_connected():
             raise GraphConstructionError("graph is not connected")
         self._whole: Optional[Piece] = None
+        self._kept_ends: Optional[Mapping[str, tuple[int, int]]] = None
         self._kept_blocks: Optional[tuple[tuple[Edge, ...], ...]] = None
         self._kept_witness: Optional[AlmostBridgelessWitness] = None
         self._kept_labeling: Optional[OrientedLabeling] = None
@@ -276,6 +278,11 @@ def _bound(x: object) -> Fraction:
     raise MalformedPiece(f"interval bound {x!r} is not a Fraction or an int")
 
 
+def _edge_of(item: Interval | tuple) -> str:
+    """The edge id of an ``Interval`` or of an (edge, lo, hi) tuple."""
+    return item.edge if isinstance(item, Interval) else item[0]
+
+
 class Piece:
     """A finite union of closed subintervals of edges, kept in canonical form.
 
@@ -293,22 +300,32 @@ class Piece:
         """The canonical piece covering the given intervals.  Every bound is
         checked: a Fraction or an int in [0, 1], else MalformedPiece.  The
         shared ``ZERO`` and ``ONE`` pass by identity, and any other whole edge
-        skips the range test; intervals already in canonical order are kept
-        as they are, and only others are sorted and merged."""
+        skips the range test.  An ``Interval`` with Fraction bounds is kept
+        as the object given; a tuple, or an ``Interval`` with an int bound, is
+        stored with Fraction bounds, a whole edge's the shared ``ZERO`` and
+        ``ONE``.  Intervals already in canonical order are kept as they are,
+        and only others are sorted and merged."""
         ivs: list[Interval] = []
         canonical = True
         prev: Optional[Interval] = None
         for item in intervals:
-            iv = item if isinstance(item, Interval) else Interval(item[0], _bound(item[1]), _bound(item[2]))
-            lo, hi = iv.lo, iv.hi
+            if isinstance(item, Interval):
+                iv, lo, hi = item, item.lo, item.hi
+            else:
+                iv, lo, hi = None, item[1], item[2]
             if lo is not ZERO or hi is not ONE:
                 if type(lo) is not Fraction or type(hi) is not Fraction:
-                    lo, hi = _bound(lo), _bound(hi)
-                if not is_whole(lo, hi):
+                    lo, hi, iv = _bound(lo), _bound(hi), None
+                if is_whole(lo, hi):
+                    if iv is None:
+                        lo, hi = ZERO, ONE
+                else:
                     if not (ZERO <= lo <= hi <= ONE):
-                        raise MalformedPiece(f"interval [{lo}, {hi}] outside [0, 1] on edge {iv.edge!r}")
+                        raise MalformedPiece(f"interval [{lo}, {hi}] outside [0, 1] on edge {_edge_of(item)!r}")
                     if canonical and lo == hi:
                         canonical = False
+            if iv is None:
+                iv = Interval(_edge_of(item), lo, hi)
             if canonical and not (
                 prev is None or prev.edge < iv.edge or (prev.edge == iv.edge and prev.hi < iv.lo)
             ):
@@ -543,22 +560,40 @@ class _UnionFind:
         return True
 
 
+def _edge_ends(g: CakeGraph) -> Mapping[str, tuple[int, int]]:
+    """Each edge id to the numbers of its two ends, ``u`` then ``v``, in
+    ``g.vertices``; built on the first call and kept on the graph, read-only."""
+    if g._kept_ends is None:
+        index = {v: i for i, v in enumerate(g.vertices)}
+        g._kept_ends = MappingProxyType({e.id: (index[e.u], index[e.v]) for e in g.edges})
+    return g._kept_ends
+
+
 def _interval_components(g: CakeGraph, p: Piece) -> int:
     """Number of connected components of a canonical piece (0 for the empty
-    piece): its intervals less the unions that join two of them, each interval
-    joined to the first one that reaches each of its vertices."""
-    ivs = p.intervals
-    uf = _UnionFind(len(ivs))
-    first: dict[str, int] = {}  # each vertex reached, to the first interval reaching it
-    joins = 0
-    for i, iv in enumerate(ivs):
-        e = g.edge(iv.edge)
-        whole = is_whole(iv.lo, iv.hi)
-        if whole or iv.lo == 0:
-            joins += uf.union(first.setdefault(e.u, i), i)
-        if whole or iv.hi == 1:
-            joins += uf.union(first.setdefault(e.v, i), i)
-    return len(ivs) - joins
+    piece).  Intervals meet only at graph vertices, so the count is the
+    intervals that reach no vertex, plus the classes of the vertices reached,
+    where a whole edge joins its two ends in a union-find over vertex numbers."""
+    ends = _edge_ends(g)
+    union = _UnionFind(len(g.vertices)).union
+    reached: set[int] = set()
+    loose = joins = 0
+    for iv in p.intervals:
+        try:
+            a, b = ends[iv.edge]
+        except KeyError:
+            raise MalformedPiece(f"unknown edge {iv.edge!r}") from None
+        lo, hi = iv.lo, iv.hi
+        if lo is ZERO or lo == 0:
+            reached.add(a)
+            if hi is ONE or hi == 1:
+                reached.add(b)
+                joins += union(a, b)
+        elif hi is ONE or hi == 1:
+            reached.add(b)
+        else:
+            loose += 1
+    return loose + len(reached) - joins
 
 
 def piece_is_connected(g: CakeGraph, p: Piece) -> bool:

@@ -844,9 +844,12 @@ def proportional_two_connected(inst: Instance, lab: OrientedLabeling) -> Protoco
 
     The knife follows the contiguous labeling edge by edge; whoever first sees
     value 1/2 in the covered prefix takes it, the other agent takes the suffix.
+    Every labeling is checked with ``is_contiguous`` except the one the graph
+    keeps (the very object ``compute_contiguous_labeling`` returns), which was
+    checked before it was kept and cannot change; an equal copy is checked.
     """
     _require(inst, _PROP2)
-    if not is_contiguous(inst.graph, lab):
+    if lab is not inst.graph._kept_labeling and not is_contiguous(inst.graph, lab):
         raise LabelingNotContiguous("the supplied labeling fails the contiguity check")
     g = inst.graph
     # the contiguity check put every tail at one end of its edge

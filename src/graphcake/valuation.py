@@ -530,12 +530,15 @@ def cut_query(
 
 
 def trajectory_prefix_piece(t: Trajectory, cut: TrajectoryCut) -> Piece:
-    """The piece covered by the knife up to the given cut."""
+    """The piece covered by the knife up to the given cut.  A whole leg, in
+    either direction, is the edge's shared ``[ZERO, ONE]``."""
     intervals = []
     for leg in t[: cut.leg_index]:
-        intervals.append(
-            Interval(leg.edge, min(leg.start, leg.end), max(leg.start, leg.end))
-        )
+        start, end = leg.start, leg.end
+        if is_whole(start, end) or is_whole(end, start):
+            intervals.append(Interval(leg.edge, ZERO, ONE))
+        else:
+            intervals.append(Interval(leg.edge, min(start, end), max(start, end)))
     leg = t[cut.leg_index]
     lo, hi = min(leg.start, cut.position), max(leg.start, cut.position)
     intervals.append(Interval(leg.edge, lo, hi))

@@ -1,12 +1,35 @@
+import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphcake.allocation import Allocation, verify_allocation
+from graphcake.allocation import Allocation, _edge_coverage, verify_allocation
 from graphcake.errors import MalformedPiece
-from graphcake.graph_core import Interval, Piece
+from graphcake.fixtures import random_valuations
+from graphcake.graph_core import (
+    ONE,
+    ZERO,
+    Interval,
+    Piece,
+    _UnionFind,
+    is_whole,
+    piece_component_count,
+)
+from graphcake.protocols import run_protocol
+from graphcake.valuation import Instance
 
-from conftest import edge_piece, single_edge_graph, star_graph, uniform_instance
+from conftest import (
+    connected_multigraphs_up_to_iso,
+    ear_graph,
+    edge_piece,
+    mixed_graph,
+    single_edge_graph,
+    star_graph,
+    uniform_instance,
+)
 
 F = Fraction
 
@@ -66,6 +89,13 @@ def test_touching_endpoints_are_disjoint():
     assert verify_allocation(inst, alloc).disjoint
 
 
+def test_an_edge_held_whole_and_in_part_overlaps():
+    inst = uniform_instance(star_graph(2), 2)
+    alloc = Allocation((edge_piece("e0", "e1"), Piece.of([Interval("e1", F(1, 4), F(1, 2))])))
+    rep = verify_allocation(inst, alloc)
+    assert not rep.disjoint and rep.complete
+
+
 def test_chore_mode_reports_max_cost():
     inst = uniform_instance(star_graph(3), 2, mode="chore")
     alloc = Allocation((edge_piece("e0"), edge_piece("e1", "e2")))
@@ -109,3 +139,105 @@ def test_allocation_json_round_trip():
         )
     )
     assert Allocation.from_json(alloc.to_json()).to_json() == alloc.to_json()
+
+
+# -- the verifier against its earlier per-interval forms --------------------------
+
+
+def interval_union_find_count(g, p):
+    """Components of a canonical piece by a union-find over its intervals, each
+    joined to the first interval that reaches each of its vertices (test-only
+    copy of the count that numbered intervals instead of vertices)."""
+    ivs = p.intervals
+    uf = _UnionFind(len(ivs))
+    first = {}
+    joins = 0
+    for i, iv in enumerate(ivs):
+        e = g.edge(iv.edge)
+        whole = is_whole(iv.lo, iv.hi)
+        if whole or iv.lo == 0:
+            joins += uf.union(first.setdefault(e.u, i), i)
+        if whole or iv.hi == 1:
+            joins += uf.union(first.setdefault(e.v, i), i)
+    return len(ivs) - joins
+
+
+def per_edge_sort_coverage(g, pieces):
+    """(disjoint, complete) by sorting and sweeping the spans of every edge of
+    the graph (test-only copy of the coverage before whole edges were set apart)."""
+    spans = defaultdict(list)
+    for p in pieces:
+        for iv in p.intervals:
+            spans[iv.edge].append((iv.lo, iv.hi))
+    disjoint = complete = True
+    for edge in g.edges:
+        cursor = ZERO
+        for lo, hi in sorted(spans[edge.id]):
+            disjoint &= not lo < cursor
+            complete &= not lo > cursor
+            cursor = max(cursor, hi)
+        complete &= cursor == ONE
+    return disjoint, complete
+
+
+QUARTERS = (F(1, 4), F(1, 2), F(3, 4))
+
+
+def random_allocation(rng, g, n, exact):
+    """Canonical pieces for ``n`` agents: every edge cut at up to two quarter
+    points and each stretch given to one agent.  Unless ``exact``, a quarter of
+    the stretches go to none or two agents, and up to three stray intervals
+    are added."""
+    raw = [[] for _ in range(n)]
+    for e in g.edges:
+        cuts = sorted(rng.sample(QUARTERS, rng.randint(0, 2)))
+        bounds = [ZERO, *cuts, ONE]
+        for lo, hi in zip(bounds, bounds[1:]):
+            owners = [rng.randrange(n)]
+            if not exact and rng.random() < 0.25:
+                owners = rng.sample(range(n), min(n, rng.choice((0, 2))))
+            for k in owners:
+                raw[k].append((e.id, lo, hi))
+    if not exact:
+        for _ in range(rng.randint(0, 3)):
+            lo, hi = sorted(rng.choices((ZERO, *QUARTERS, ONE), k=2))
+            raw[rng.randrange(n)].append((rng.choice(g.edges).id, lo, hi))
+    return [Piece.of(r) for r in raw]
+
+
+def assert_verifier_matches_its_earlier_forms(g, pieces):
+    for p in pieces:
+        assert piece_component_count(g, p) == interval_union_find_count(g, p)
+    assert _edge_coverage(g, pieces) == per_edge_sort_coverage(g, pieces)
+    # whole edges held with fresh 0 and 1 bounds, not the shared ones, read the same
+    fresh = [Piece(tuple(Interval(iv.edge, F(iv.lo), F(iv.hi)) for iv in p.intervals)) for p in pieces]
+    assert _edge_coverage(g, fresh) == per_edge_sort_coverage(g, pieces)
+
+
+@st.composite
+def small_allocations(draw):
+    """A connected multigraph with at most 5 edges, parallel edges included,
+    and pieces for one to three agents, an exact split of it or not."""
+    g = draw(st.sampled_from(connected_multigraphs_up_to_iso(5)))
+    exact = draw(st.booleans())
+    pieces = random_allocation(draw(st.randoms(use_true_random=False)), g, draw(st.integers(1, 3)), exact)
+    return g, pieces, exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_allocations())
+def test_verifier_matches_its_earlier_forms_on_small_multigraphs(case):
+    g, pieces, exact = case
+    assert_verifier_matches_its_earlier_forms(g, pieces)
+    if exact:
+        assert _edge_coverage(g, pieces) == (True, True)
+
+
+def test_verifier_matches_its_earlier_forms_on_200_edge_graphs():
+    rng = random.Random(27)
+    for g in (ear_graph(rng, 200), mixed_graph(rng, 200)):
+        for n, exact in ((2, True), (3, True), (2, False), (3, False)):
+            assert_verifier_matches_its_earlier_forms(g, random_allocation(rng, g, n, exact))
+        inst = Instance(g, random_valuations(rng, g, 2))
+        for name in ("best2", "fixed2", "equit2"):
+            assert_verifier_matches_its_earlier_forms(g, run_protocol(name, inst).allocation.pieces)

@@ -103,6 +103,15 @@ def test_classify_and_dot(star2_file, tmp_path):
     assert "style=dashed" in text and '"c" -- "l0"' in text
 
 
+def test_classify_writes_no_json_when_the_dot_path_cannot_be_opened(capsys, star2_file, tmp_path):
+    dot_path = tmp_path / "missing" / "g.dot"
+    assert main(["classify", "--instance", star2_file, "--dot", str(dot_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not dot_path.parent.exists()
+
+
 def test_label_refusal_is_structured(star2_file):
     proc = run_cli(["label", "--instance", star2_file])
     assert proc.returncode == 0

@@ -651,6 +651,29 @@ def test_kept_labeling_is_read_only_and_bridge_sets_are_fresh():
     assert classify_almost_bridgeless(g) is classify_almost_bridgeless(g)
 
 
+def test_kept_edge_ends_are_read_only_and_built_once():
+    # parallel edges a-b, given in both directions, and a pendant edge b-c
+    g = CakeGraph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "a"), ("e2", "b", "c")])
+    compute_contiguous_labeling(g)
+    find_bridges(g)
+    # only the component count reads the index, so the graph analyses build none
+    assert g._kept_ends is None
+    assert piece_component_count(g, edge_piece("e0")) == 1
+    ends = g._kept_ends
+    assert dict(ends) == {"e0": (0, 1), "e1": (1, 0), "e2": (1, 2)}
+    with pytest.raises(TypeError):
+        ends["e0"] = (1, 0)
+    with pytest.raises(TypeError):
+        ends["e9"] = (0, 2)
+    pieces = [g.whole_piece(), edge_piece("e0", "e2"), Piece.of([("e1", F(1, 2), F(1)), ("e2", F(0), F(1, 4))])]
+    assert [piece_component_count(g, p) for p in pieces] == [1, 1, 2]
+    assert [piece_is_connected(g, p) for p in pieces] == [True, True, False]
+    assert g._kept_ends is ends and graph_core._edge_ends(g) is ends
+    # an equal graph keeps an index of its own
+    twin = CakeGraph.from_json(g.to_json())
+    assert graph_core._edge_ends(twin) == ends and graph_core._edge_ends(twin) is not ends
+
+
 def _labeling_or_none(g):
     try:
         return compute_contiguous_labeling(g)

@@ -833,6 +833,27 @@ def test_prop2_rejects_bad_labeling():
             proportional_two_connected(inst, bad)
 
 
+def test_prop2_checks_every_labeling_but_the_one_the_graph_keeps(monkeypatch):
+    checked = []
+    real = protocols.is_contiguous
+    monkeypatch.setattr(protocols, "is_contiguous", lambda g, lab: checked.append(lab) or real(g, lab))
+    rng = random.Random(27)
+    g = ear_graph(rng, 40)
+    inst = Instance(g, random_valuations(rng, g, 2))
+    kept = compute_contiguous_labeling(g)
+    expected = proportional_two_connected(inst, kept).allocation.to_json()
+    assert run_protocol("prop2", inst).allocation.to_json() == expected
+    assert checked == []
+    # an equal labeling built apart, and the kept labeling of an equal graph
+    copy = OrientedLabeling(tuple(kept.order), dict(kept.tails))
+    twin = compute_contiguous_labeling(CakeGraph.from_json(g.to_json()))
+    for other in (copy, twin):
+        assert other == kept and other is not kept
+        assert proportional_two_connected(inst, other).allocation.to_json() == expected
+        assert checked[-1] is other
+    assert len(checked) == 2
+
+
 def test_prop2_sweeps_each_edge_from_its_tail(monkeypatch):
     swept = []
     real = protocols._halve

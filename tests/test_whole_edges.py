@@ -24,7 +24,14 @@ from graphcake.graph_core import (
     parse_fraction,
 )
 from graphcake.protocols import _ends, _RootedTree
-from graphcake.valuation import Instance, Leg, Valuation, value_of_piece
+from graphcake.valuation import (
+    Instance,
+    Leg,
+    TrajectoryCut,
+    Valuation,
+    trajectory_prefix_piece,
+    value_of_piece,
+)
 
 from conftest import (
     cycle_graph,
@@ -172,6 +179,45 @@ def test_only_whole_edges_skip_the_bound_checks(form):
     # a repeated whole edge is merged, not kept as given
     assert Piece.of([("e0", lo, hi), ("e0", lo, hi)]).intervals == (Interval("e0", ZERO, ONE),)
     assert Piece.of([("e0", lo, lo), ("e1", lo, hi)]).intervals == (Interval("e1", ZERO, ONE),)
+
+
+@pytest.mark.parametrize("form", sorted(BOUND_FORMS))
+def test_piece_of_stores_fractions_and_shared_whole_edge_bounds(form):
+    lo, hi = BOUND_FORMS[form]
+    given = Interval("e0", lo, hi)
+    # in canonical order, and out of it, so that the sort-and-merge pass runs too
+    for ordered in (True, False):
+        items = [given, ("e1", lo, hi), Interval("e2", lo, F(1, 2)), ("e2", F(3, 4), hi)]
+        piece = Piece.of(items if ordered else items[::-1])
+        assert piece.intervals == (
+            Interval("e0", ZERO, ONE),
+            Interval("e1", ZERO, ONE),
+            Interval("e2", ZERO, F(1, 2)),
+            Interval("e2", F(3, 4), ONE),
+        )
+        for iv in piece.intervals:
+            assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+        # a whole edge built here takes the shared bounds; an Interval given
+        # with Fraction bounds is kept as it is
+        assert piece.intervals[1].lo is ZERO and piece.intervals[1].hi is ONE
+        if form == "ints":
+            assert piece.intervals[0].lo is ZERO and piece.intervals[0].hi is ONE
+        else:
+            assert piece.intervals[0] is given
+
+
+@pytest.mark.parametrize("form", sorted(BOUND_FORMS))
+def test_whole_legs_in_any_form_give_the_same_prefix_piece(form):
+    lo, hi = BOUND_FORMS[form]
+    for end, expected_last in ((hi, Interval("e2", ZERO, F(1, 3))), (lo, Interval("e2", F(1, 3), ONE))):
+        start = lo if end is hi else hi
+        cut = TrajectoryCut(2, F(1, 3), F(2), EdgePoint("e2", F(1, 3)))
+        legs = (Leg("e0", lo, hi), Leg("e1", hi, lo), Leg("e2", start, end), Leg("e3", lo, hi))
+        piece = trajectory_prefix_piece(legs, cut)
+        shared = (Leg("e0", ZERO, ONE), Leg("e1", ONE, ZERO), legs[2], legs[3])
+        assert piece == trajectory_prefix_piece(shared, cut)
+        assert piece.intervals == (Interval("e0", ZERO, ONE), Interval("e1", ZERO, ONE), expected_last)
+        assert all(iv.lo is ZERO and iv.hi is ONE for iv in piece.intervals[:2])
 
 
 # -- region trees keyed by vertex name ------------------------------------------------
