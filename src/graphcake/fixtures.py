@@ -3,6 +3,7 @@ seeded random-instance generator."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -11,7 +12,7 @@ from typing import Mapping
 from .errors import BadParameters, UnknownFixture
 from .graph_core import CakeGraph, ONE, ZERO, Param, exact_int, read_params
 from .protocols import f_guarantee
-from .valuation import Instance, Segment, Valuation
+from .valuation import Instance, Segment, Valuation, _segment
 
 F = Fraction
 
@@ -236,8 +237,8 @@ def _random_arbitrary(rng: random.Random, m: int) -> CakeGraph:
     return CakeGraph(vertices, edges)
 
 
-# the breakpoints random valuations draw from, shared by all of them
-_EIGHTHS = tuple(F(i, 8) for i in range(1, 8))
+# the breakpoints random valuations draw from, i/8 for i in 0..8 as reduced pairs
+_EIGHTHS = tuple((i // math.gcd(i, 8), 8 // math.gcd(i, 8)) for i in range(9))
 
 
 def random_valuations(
@@ -249,17 +250,17 @@ def random_valuations(
         densities = {}
         for e in g.edges:
             segs = rng.randint(1, max_segments)
-            cuts = sorted(rng.sample(_EIGHTHS, segs - 1))
-            bounds = [ZERO] + cuts + [ONE]
-            weights = [F(rng.randint(0, 9)) for _ in range(segs)]
+            cuts = sorted(rng.sample(range(1, 8), segs - 1))
+            ends = [_EIGHTHS[i] for i in (0, *cuts, 8)]
+            weights = [rng.randint(0, 9) for _ in range(segs)]
             densities[e.id] = tuple(
-                Segment(lo, hi, w) for lo, hi, w in zip(bounds, bounds[1:], weights)
+                _segment((*lo, *hi, w, 1)) for lo, hi, w in zip(ends, ends[1:], weights)
             )
         v = Valuation(densities)
         total = v.total()
         if total == 0:
             edge = rng.choice(g.edges)
-            densities[edge.id] = (Segment(ZERO, ONE, F(1)),)
+            densities[edge.id] = (_segment((0, 1, 1, 1, 1, 1)),)
             v = Valuation(densities)
             total = v.total()
         agents.append(v.scaled(1 / total))

@@ -450,8 +450,13 @@ class Piece:
         return f"Piece({parts})"
 
 
+def _format_ratio(n: int, d: int) -> str:
+    """The text of the reduced number n / d, with d > 0: ``"p"`` or ``"p/q"``."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _fmt(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return _format_ratio(x.numerator, x.denominator)
 
 
 def _read_ratio(text: str | int) -> tuple[int, int]:
@@ -582,7 +587,7 @@ def _interval_components(g: CakeGraph, p: Piece) -> int:
         try:
             a, b = ends[iv.edge]
         except KeyError:
-            raise MalformedPiece(f"unknown edge {iv.edge!r}") from None
+            raise MalformedPiece(f"piece references unknown edge {iv.edge!r}") from None
         lo, hi = iv.lo, iv.hi
         if lo is ZERO or lo == 0:
             reached.add(a)

@@ -933,8 +933,30 @@ def two_agent_flexible(inst: Instance, alpha: Fraction) -> EntitlementResult:
 # ---------------------------------------------------------------------------
 
 
+# The largest piece budget multi2 takes.  Each round triples the denominators
+# of the exact values, so a solve's cost grows about as k**3.  Solve, verify
+# and guarantee check on one core (Python 3.11): a uniform 3-edge cycle takes
+# 0.07 s at k = 100, 0.35 s at 200 and 1.05 s at 400, and 200-400-edge road
+# graphs take 0.12-0.17 s at k = 100.  At k = 100 the guarantee
+# 1/2 - 1/(2*3^k) is already within 10**-47 of 1/2.
+MULTI2_MAX_K = 100
+
+
+def _piece_budget(k: int) -> int:
+    """``k`` when 1 <= k <= MULTI2_MAX_K; DomainError otherwise, before any
+    power of three is formed."""
+    if k < 1:
+        raise DomainError(f"piece budget k must be >= 1, got {k}")
+    if k > MULTI2_MAX_K:
+        raise DomainError(
+            f"piece budget k must be at most {MULTI2_MAX_K}: each extra piece triples the exact denominators"
+        )
+    return k
+
+
 def multi_piece_two(inst: Instance, k: int) -> ProtocolResult:
-    """Two agents, at most k+1 connected pieces in total, welfare >= 1/2 - 1/(2*3^k).
+    """Two agents, at most k+1 connected pieces in total, welfare >= 1/2 - 1/(2*3^k),
+    for 1 <= k <= MULTI2_MAX_K.
 
     Repeatedly rebalance the first agent's split of the cake: move a small
     connected chunk (one third to two thirds of twice the deficit) from the
@@ -942,8 +964,7 @@ def multi_piece_two(inst: Instance, k: int) -> ProtocolResult:
     per extra piece.  The second agent then picks her preferred part.
     """
     _require(inst, _TWO_CAKE)
-    if k < 1:
-        raise DomainError(f"piece budget k must be >= 1, got {k}")
+    _piece_budget(k)
     g = inst.graph
     f1, f2 = inst.agents
     log = QueryLog()
@@ -1365,7 +1386,7 @@ PROTOCOLS: Mapping[str, ProtocolSpec] = {
         two_agent_flexible, _TWO_CAKE, _entitlement_bounds, params={"alpha": Param(Fraction)}
     ),
     "multi2": ProtocolSpec(multi_piece_two, _TWO_CAKE, lambda r, inst, p, res: [
-        _floor(min(r.values), HALF - Fraction(1, 2 * 3 ** p["k"]), "welfare"),
+        _floor(min(r.values), HALF - Fraction(1, 2 * 3 ** _piece_budget(p["k"])), "welfare"),
         (r.total_pieces <= p["k"] + 1, f"more than {p['k'] + 1} pieces in total"),
     ], connected=False, params={"k": Param(exact_int)}),
     "height2": ProtocolSpec(_run_height2, _HEIGHT2, lambda r, inst, p, res: [

@@ -3,20 +3,22 @@
 Valuations double as cost functions in chore mode.  Protocols interact with
 them only through evaluation and cut queries, which keeps the interface
 measure-agnostic; the piecewise-constant representation is closed under every
-cut the protocols perform.  A valuation document is read in integers: each
-distinct number text is read once per document, into a reduced integer pair
-and one shared ``Fraction``, and segment order and density signs are checked
-by cross-multiplying those pairs.  Each valuation sums every edge's value once,
-when it is built, as the sum of (hi - lo) * density over its segments' integer
-ratios, and keeps the totals once, as integers over one scale, the least
-common multiple of their denominators; a query for a whole edge reads a stored
-total, and sums of whole edges are exact integer sums.  Every interval a query
-asks about is walked by ``_clip``, which yields its constant-density stretches
-as integer lengths; evaluation and cut queries sum and compare those in
-integers and build a ``Fraction`` only for the value or point they return.
-One walk, ``_walk``, finds where every knife stops: ``cut_trajectory`` runs it
-forward, and ``latest_position_within`` runs it backward from a leg's end, to
-where the value beyond the budget is covered.
+cut the protocols perform.  A segment holds its bounds and its density as
+reduced integer pairs, six integers in a tuple, and the document reader and
+every query work on those integers: neither builds a ``Fraction`` per segment.
+A valuation document is read in one pass per edge: each distinct number text
+is read once per document into a reduced integer pair, and one loop checks
+segment order and density signs by cross-multiplying, builds the segments and
+sums the edge's value.  Each valuation keeps its edge totals once, as integers
+over one scale, the least common multiple of their denominators; a query for a
+whole edge reads a stored total, and sums of whole edges are exact integer
+sums.  Every interval a query asks about is walked by ``_clip``, which yields
+its constant-density stretches as integer lengths and densities; evaluation
+and cut queries sum and compare those in integers and build a ``Fraction``
+only for the value or point they return.  One walk, ``_walk``, finds where
+every knife stops: ``cut_trajectory`` runs it forward, and
+``latest_position_within`` runs it backward from a leg's end, to where the
+value beyond the budget is covered.
 """
 
 from __future__ import annotations
@@ -43,62 +45,92 @@ from .graph_core import (
     Piece,
     Point,
     SubcakeMap,
+    _format_ratio,
     _read_ratio,
     canonical_point,
-    format_fraction,
     is_whole,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """Constant density over [lo, hi)."""
+def _ratio(x: object) -> tuple[int, int]:
+    """A Fraction, an int, ``"p"`` or ``"p/q"`` as a reduced pair (numerator,
+    positive denominator); anything else, a bool or a float included, raises
+    MalformedInput."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return _read_ratio(x)
 
-    lo: Fraction
-    hi: Fraction
-    density: Fraction
+
+class Segment(tuple):
+    """Constant density over [lo, hi), held as six integers
+    ``(lo_n, lo_d, hi_n, hi_d, p, q)``: lo = lo_n / lo_d, hi = hi_n / hi_d and
+    density = p / q, each pair reduced with a positive denominator.  Equality
+    and hashing are those of the six integers, so they agree with the
+    ``Fraction`` values.  ``Segment(lo, hi, density)`` reads Fractions, ints
+    or ``"p/q"`` strings, and checks neither order nor sign; readers build
+    segments from reduced pairs directly, with ``_segment``."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: object, hi: object, density: object) -> "Segment":
+        return tuple.__new__(cls, (*_ratio(lo), *_ratio(hi), *_ratio(density)))
+
+    def __getnewargs__(self) -> tuple[Fraction, Fraction, Fraction]:
+        return self.lo, self.hi, self.density
+
+    def __repr__(self) -> str:
+        return f"Segment({self.lo!r}, {self.hi!r}, {self.density!r})"
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self[0], self[1])
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self[2], self[3])
+
+    @property
+    def density(self) -> Fraction:
+        return Fraction(self[4], self[5])
+
+
+def _segment(ints: tuple[int, int, int, int, int, int]) -> Segment:
+    """A segment from six integers that already form reduced pairs."""
+    return tuple.__new__(Segment, ints)
 
 
 EdgeDensity = tuple[Segment, ...]
 
-
-# A number as read: its reduced numerator, its positive denominator, and the
-# same value as a Fraction.
-_Number = tuple[int, int, Fraction]
-
-_ONE_READ: _Number = (1, 1, ONE)
+_ZERO_EDGE: EdgeDensity = (_segment((0, 1, 1, 1, 0, 1)),)
 
 
-def _read_number(x: object) -> _Number:
-    """A Fraction, an int, ``"p"`` or ``"p/q"`` as a read number; anything
-    else, a bool or a float included, raises MalformedInput."""
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator, x
-    p, q = _read_ratio(x)
-    return p, q, Fraction(p, q)
-
-
-def _normalize_segments(segments: Sequence[tuple[_Number, _Number, _Number]]) -> EdgeDensity:
-    """Segments from (start, end, density) triples of read numbers, checked by
-    cross-multiplying: they must partition [0, 1] in strictly increasing
-    order, with nonnegative densities."""
-    # Read numbers are reduced, so two are equal exactly when their tuples are.
-    if not segments or segments[0][0][0] or segments[-1][1] != _ONE_READ:
-        raise MalformedInput("segments must partition [0, 1]")
-    for prev, cur in zip(segments, segments[1:]):
-        if prev[1] != cur[0]:
-            raise MalformedInput("segments must be contiguous")
-    for (an, ad, _), (bn, bd, _), (p, _, _) in segments:
+def _checked_edge(
+    ends: Sequence[tuple[int, int]], densities: Sequence[tuple[int, int]]
+) -> tuple[EdgeDensity, tuple[int, int]]:
+    """The segments between consecutive ends, from 0 to the last end, with the
+    given reduced densities, and the edge's value as an unreduced numerator
+    and denominator, in one pass that checks by cross-multiplying that the
+    ends strictly increase and the densities are nonnegative."""
+    segs = []
+    num, den = 0, 1
+    an, ad = 0, 1
+    for (bn, bd), (p, q) in zip(ends, densities):
         if an * bd >= bn * ad:
             raise MalformedInput("segment breakpoints must be strictly increasing")
         if p < 0:
             raise MalformedInput("densities must be nonnegative")
-    return tuple(Segment(a[2], b[2], d[2]) for a, b, d in segments)
+        segs.append(_segment((an, ad, bn, bd, p, q)))
+        if p:
+            d = ad * bd * q
+            num, den = num * d + (bn * ad - an * bd) * p * den, den * d
+        an, ad = bn, bd
+    return tuple(segs), (num, den)
 
 
-def _clip(v: Valuation, edge: str, lo: Fraction, hi: Fraction) -> list[tuple[int, int, Fraction]]:
+def _clip(v: Valuation, edge: str, lo: Fraction, hi: Fraction) -> list[tuple[int, int, int, int]]:
     """The constant-density stretches of [lo, hi] on an edge, in ascending order,
-    as (length numerator, length denominator, density).
+    as (length numerator, length denominator, density numerator, density
+    denominator).
 
     Bounds are compared by cross-multiplying their numerators and denominators,
     so no Fraction is compared or built.  Segments are stored in ascending
@@ -107,17 +139,15 @@ def _clip(v: Valuation, edge: str, lo: Fraction, hi: Fraction) -> list[tuple[int
     ln, ld = lo.as_integer_ratio()
     hn, hd = hi.as_integer_ratio()
     out = []
-    for s in v.edge_segments(edge):
-        an, ad = s.lo.as_integer_ratio()
+    for an, ad, bn, bd, p, q in v.edge_segments(edge):
         if an * hd >= hn * ad:
             break
-        bn, bd = s.hi.as_integer_ratio()
         if an * ld < ln * ad:
             an, ad = ln, ld
         if hn * bd < bn * hd:
             bn, bd = hn, hd
         if an * bd < bn * ad:
-            out.append((bn * ad - an * bd, ad * bd, s.density))
+            out.append((bn * ad - an * bd, ad * bd, p, q))
     return out
 
 
@@ -125,21 +155,17 @@ def _edge_total(segs: EdgeDensity) -> tuple[int, int]:
     """An edge's value, the sum of (hi - lo) * density over its segments, as
     an unreduced numerator and denominator."""
     num, den = 0, 1
-    for s in segs:
-        p, q = s.density.as_integer_ratio()
+    for an, ad, bn, bd, p, q in segs:
         if p:
-            an, ad = s.lo.as_integer_ratio()
-            bn, bd = s.hi.as_integer_ratio()
             d = ad * bd * q
             num, den = num * d + (bn * ad - an * bd) * p * den, den * d
     return num, den
 
 
-def _integrate(stretches: Iterable[tuple[int, int, Fraction]]) -> tuple[int, int]:
+def _integrate(stretches: Iterable[tuple[int, int, int, int]]) -> tuple[int, int]:
     """The value of ``_clip``'s stretches, as an unreduced numerator and denominator."""
     num, den = 0, 1
-    for n, d, density in stretches:
-        p, q = density.as_integer_ratio()
+    for n, d, p, q in stretches:
         if p:
             num, den = num * d * q + n * p * den, den * d * q
     return num, den
@@ -159,8 +185,19 @@ class Valuation:
     __slots__ = ("densities", "scale", "int_totals")
 
     def __init__(self, densities: Mapping[str, EdgeDensity]):
-        self.densities: Mapping[str, EdgeDensity] = MappingProxyType(dict(densities))
-        sums = {e: _edge_total(segs) for e, segs in self.densities.items()}
+        densities = dict(densities)
+        self._keep(densities, {e: _edge_total(segs) for e, segs in densities.items()})
+
+    @staticmethod
+    def _summed(densities: dict[str, EdgeDensity], sums: Mapping[str, tuple[int, int]]) -> "Valuation":
+        """A valuation of a private densities dict whose edge totals are
+        already summed, as (numerator, positive denominator) pairs."""
+        v = Valuation.__new__(Valuation)
+        v._keep(densities, sums)
+        return v
+
+    def _keep(self, densities: dict[str, EdgeDensity], sums: Mapping[str, tuple[int, int]]) -> None:
+        self.densities: Mapping[str, EdgeDensity] = MappingProxyType(densities)
         den = math.lcm(*(d for _, d in sums.values()))
         self._keep_totals({e: n * (den // d) for e, (n, d) in sums.items()}, den)
 
@@ -173,19 +210,29 @@ class Valuation:
     @staticmethod
     def from_segments(per_edge: Mapping[str, Sequence[tuple]]) -> "Valuation":
         """Segments given as (start, end, density) triples of Fractions, ints,
-        or ``"p"`` / ``"p/q"`` strings."""
-        exact = {e: [tuple(map(_read_number, seg)) for seg in segs] for e, segs in per_edge.items()}
-        return Valuation({e: _normalize_segments(segs) for e, segs in exact.items()})
+        or ``"p"`` / ``"p/q"`` strings.  They must partition [0, 1] in strictly
+        increasing order, with nonnegative densities."""
+        exact = {e: [tuple(map(_ratio, seg)) for seg in segs] for e, segs in per_edge.items()}
+        densities, sums = {}, {}
+        for e, segs in exact.items():
+            if not segs or segs[0][0][0] or segs[-1][1] != (1, 1):
+                raise MalformedInput("segments must partition [0, 1]")
+            for prev, cur in zip(segs, segs[1:]):
+                if prev[1] != cur[0]:
+                    raise MalformedInput("segments must be contiguous")
+            densities[e], sums[e] = _checked_edge([b for _, b, _ in segs], [d for _, _, d in segs])
+        return Valuation._summed(densities, sums)
 
     @staticmethod
     def from_edge_values(values: Mapping[str, Fraction | int | str]) -> "Valuation":
         """Uniform density within each edge, integrating to the given edge values:
         Fractions, ints, or ``"p"`` / ``"p/q"`` strings.  Edges valued zero are
         left out; a negative value raises MalformedInput."""
-        read = [(e, _read_number(x)) for e, x in values.items()]
-        if any(p < 0 for _, (p, _, _) in read):
+        read = {e: _ratio(x) for e, x in values.items()}
+        if any(p < 0 for p, _ in read.values()):
             raise MalformedInput("densities must be nonnegative")
-        return Valuation({e: (Segment(ZERO, ONE, x),) for e, (p, _, x) in read if p})
+        kept = {e: pq for e, pq in read.items() if pq[0]}
+        return Valuation._summed({e: (_segment((0, 1, 1, 1, *pq)),) for e, pq in kept.items()}, kept)
 
     @staticmethod
     def uniform(g: CakeGraph) -> "Valuation":
@@ -193,7 +240,7 @@ class Valuation:
         return Valuation.from_edge_values({e.id: share for e in g.edges})
 
     def edge_segments(self, edge_id: str) -> EdgeDensity:
-        return self.densities.get(edge_id, (Segment(ZERO, ONE, ZERO),))
+        return self.densities.get(edge_id, _ZERO_EDGE)
 
     def edge_value(self, edge_id: str) -> Fraction:
         return Fraction(self.int_totals.get(edge_id, 0), self.scale)
@@ -211,25 +258,29 @@ class Valuation:
 
     def scaled(self, factor: Fraction) -> "Valuation":
         # Scaling every density scales each edge total exactly by the same
-        # factor, so the totals are carried over; equal densities share a product.
-        distinct = {s.density for segs in self.densities.values() for s in segs}
-        products = {d: d * factor for d in distinct}
+        # factor, so the totals are carried over.  Each distinct segment is
+        # scaled once, its density multiplied and reduced by the two cross
+        # gcds, and equal segments share the scaled one.
+        fp, fq = factor.as_integer_ratio()
+        scaled = {}
+        for segs in self.densities.values():
+            for s in segs:
+                if s not in scaled:
+                    an, ad, bn, bd, p, q = s
+                    a, b = math.gcd(p, fq), math.gcd(fp, q)
+                    scaled[s] = _segment((an, ad, bn, bd, (p // a) * (fp // b), (q // b) * (fq // a)))
         out = Valuation.__new__(Valuation)
         out.densities = MappingProxyType(
-            {
-                e: tuple(Segment(s.lo, s.hi, products[s.density]) for s in segs)
-                for e, segs in self.densities.items()
-            }
+            {e: tuple(map(scaled.__getitem__, segs)) for e, segs in self.densities.items()}
         )
-        p, q = factor.as_integer_ratio()
-        out._keep_totals({e: x * p for e, x in self.int_totals.items()}, self.scale * q)
+        out._keep_totals({e: x * fp for e, x in self.int_totals.items()}, self.scale * fq)
         return out
 
     def to_json(self) -> dict:
-        out = {}
-        for e, segs in sorted(self.densities.items()):
-            out[e] = [[format_fraction(s.lo), format_fraction(s.density)] for s in segs]
-        return out
+        return {
+            e: [[_format_ratio(s[0], s[1]), _format_ratio(s[4], s[5])] for s in segs]
+            for e, segs in sorted(self.densities.items())
+        }
 
     @staticmethod
     def from_json(data: Mapping) -> "Valuation":
@@ -243,23 +294,23 @@ class Valuation:
         # Documents repeat numbers, so each distinct text is read once per call.
         # Only strings are looked up: True == 1 == 1.0, so a bool or a float
         # must not find the entry of an int.
-        read: dict[object, _Number] = {}
+        read: dict[object, tuple[int, int]] = {}
 
-        def number(text: object) -> _Number:
+        def number(text: object) -> tuple[int, int]:
             got = read.get(text) if type(text) is str else None
             if got is None:
-                p, q = _read_ratio(text)
-                got = read[text] = (p, q, Fraction(p, q))
+                got = read[text] = _read_ratio(text)
             return got
 
-        densities = {}
+        densities, sums = {}, {}
         for e, pairs in per_edge:
             los = [number(lo) for lo, _ in pairs]
             ds = [number(d) for _, d in pairs]
             if not los or los[0][0]:
                 raise MalformedInput(f"edge {e!r}: segment list must start at 0")
-            densities[e] = _normalize_segments(list(zip(los, los[1:] + [_ONE_READ], ds)))
-        return Valuation(densities)
+            los.append((1, 1))
+            densities[e], sums[e] = _checked_edge(los[1:], ds)
+        return Valuation._summed(densities, sums)
 
 
 class _MergedDensities(Mapping[str, EdgeDensity]):
@@ -268,7 +319,7 @@ class _MergedDensities(Mapping[str, EdgeDensity]):
 
     def __init__(self, vals: Sequence[Valuation], weights: Sequence[Fraction], edges: Sequence[str]):
         self._vals = tuple(vals)
-        self._weights = tuple(weights)
+        self._weights = tuple(w.as_integer_ratio() for w in weights)
         self._merged: dict[str, Optional[EdgeDensity]] = dict.fromkeys(edges)
 
     def __getitem__(self, edge: str) -> EdgeDensity:
@@ -288,20 +339,33 @@ class _MergedDensities(Mapping[str, EdgeDensity]):
 
     def _merge(self, edge: str) -> EdgeDensity:
         per_val = [v.edge_segments(edge) for v in self._vals]
-        cuts = sorted({ZERO, ONE, *(x for segs in per_val for s in segs for x in (s.lo, s.hi))})
+        points = {(0, 1), (1, 1)}
+        for segs in per_val:
+            for an, ad, bn, bd, _, _ in segs:
+                points.add((an, ad))
+                points.add((bn, bd))
+        # The points are reduced pairs, so the set holds each once; over their
+        # common denominator they sort as their numerators do.
+        common = math.lcm(*(d for _, d in points))
+        cuts = sorted(points, key=lambda x: x[0] * (common // x[1]))
         # Every density is constant between consecutive cuts, so one merge pass
         # reads each valuation's density there; a cursor skips segments that end
         # at or before the cut, and a gap between segments counts as zero.
+        # Bounds are compared by cross-multiplying.
         cursors = [0] * len(per_val)
         segs = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            density = ZERO
-            for j, (vsegs, w) in enumerate(zip(per_val, self._weights)):
-                while cursors[j] < len(vsegs) and vsegs[cursors[j]].hi <= lo:
-                    cursors[j] += 1
-                if cursors[j] < len(vsegs) and vsegs[cursors[j]].lo <= lo:
-                    density += w * vsegs[cursors[j]].density
-            segs.append(Segment(lo, hi, density))
+        for (ln, ld), (hn, hd) in zip(cuts, cuts[1:]):
+            num, den = 0, 1
+            for j, (vsegs, (wn, wd)) in enumerate(zip(per_val, self._weights)):
+                c = cursors[j]
+                while c < len(vsegs) and vsegs[c][2] * ld <= ln * vsegs[c][3]:
+                    c += 1
+                cursors[j] = c
+                if c < len(vsegs) and vsegs[c][0] * ld <= ln * vsegs[c][1]:
+                    p, q = vsegs[c][4], vsegs[c][5]
+                    num, den = num * q * wd + wn * p * den, den * q * wd
+            g = math.gcd(num, den)
+            segs.append(_segment((ln, ld, hn, hd, num // g, den // g)))
         return tuple(segs)
 
 
@@ -501,16 +565,15 @@ def _walk(v: Valuation, t: Trajectory, target: Fraction) -> tuple[int, Fraction,
         lo, hi, backward = _leg_bounds(leg)
         stretches = _clip(v, leg.edge, lo, hi)
         wn, wd = 0, 1  # the length swept on this leg
-        for n, d, density in reversed(stretches) if backward else stretches:
+        for n, d, p, q in reversed(stretches) if backward else stretches:
             if an * td == tn * ad:
                 break
-            p, q = density.as_integer_ratio()
             if p:
                 # the value swept to the stretch's far end, sn / sd
                 sn, sd = an * d * q + n * p * ad, ad * d * q
                 if sn * td >= tn * sd:
-                    # the stop lies in this stretch
-                    dist = (target - Fraction(an, ad)) / density
+                    # the stop lies in this stretch, (target - acc) / density into it
+                    dist = Fraction((tn * ad - an * td) * q, td * ad * p)
                     pos = _position(leg, backward, wn, wd) + (-dist if backward else dist)
                     return i, pos, Fraction(on * wd + wn * od, od * wd) + dist
                 an, ad = sn, sd

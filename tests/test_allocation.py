@@ -109,6 +109,18 @@ def test_unknown_edge_rejected():
         verify_allocation(inst, Allocation((Piece(tuple([Interval("nope", F(0), F(1))])),)))
 
 
+def test_unknown_edge_is_reported_at_the_first_piece_that_has_one():
+    # pieces are read in agent order, each in canonical order: "x1" of the
+    # first piece is reported, not "a0" of the second, which sorts earlier
+    inst = uniform_instance(star_graph(3), 2)
+    first = Piece.of([("e0", F(0), F(1, 2)), ("x9", F(0), F(1)), ("x1", F(1, 2), F(1))])
+    second = Piece.of([("a0", F(0), F(1)), ("e1", F(0), F(1))])
+    with pytest.raises(MalformedPiece, match=r"^piece references unknown edge 'x1'$"):
+        verify_allocation(inst, Allocation((first, second)))
+    with pytest.raises(MalformedPiece, match=r"^piece references unknown edge 'a0'$"):
+        verify_allocation(inst, Allocation((edge_piece("e0"), second)))
+
+
 def test_wrong_piece_count_rejected():
     inst = uniform_instance(single_edge_graph(), 2)
     with pytest.raises(MalformedPiece):

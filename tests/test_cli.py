@@ -399,6 +399,19 @@ def test_lemma_over_the_budget_fails_before_it_searches(capsys):
     )
 
 
+def test_multi2_over_its_piece_budget_bound_fails_at_once(star2_file, capsys):
+    # each round triples the denominators, so this k would run for hours
+    start = time.perf_counter()
+    argv = ["solve", "--instance", star2_file, "--protocol", "multi2", "-p", "k=99999999999999999999"]
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: piece budget k must be at most 100: each extra piece triples the exact denominators\n"
+    )
+
+
 def test_param_lists_do_not_leak_between_main_calls(capsys):
     # main reuses one parser, so each call must start from an empty -p list
     assert main(["gen", "--seed", "1", "-p", "n=3", "-p", "edges=5"]) == 0
@@ -560,6 +573,36 @@ def test_instance_documents_read_as_the_fraction_reader_reads_them(
 ):
     doc = random_instance(seed, n, family, edges, segments, mode).to_json()
     _assert_both_readers_agree(Instance.from_json, doc)
+
+
+def _assert_handed_totals_are_summed_afresh(inst):
+    for v in inst.agents:
+        fresh = Valuation(v.densities)
+        assert (fresh.scale, dict(fresh.int_totals)) == (v.scale, dict(v.int_totals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 8),
+    st.sampled_from(FAMILIES),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.sampled_from(["cake", "chore"]),
+)
+def test_read_totals_equal_totals_summed_afresh(seed, n, family, edges, segments, mode):
+    doc = random_instance(seed, n, family, edges, segments, mode).to_json()
+    _assert_handed_totals_are_summed_afresh(Instance.from_json(doc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted_instances())
+def test_read_totals_of_corrupted_documents_equal_totals_summed_afresh(doc):
+    try:
+        inst = Instance.from_json(doc)
+    except CakeError:
+        return
+    _assert_handed_totals_are_summed_afresh(inst)
 
 
 @settings(max_examples=100, deadline=None)

@@ -47,6 +47,7 @@ from graphcake.graph_core import (
     piece_is_connected,
 )
 from graphcake.protocols import (
+    MULTI2_MAX_K,
     PROTOCOL_NAMES,
     PROTOCOLS,
     _RootedTree,
@@ -1050,6 +1051,22 @@ def test_multi2_rejects_bad_budget():
     inst = uniform_instance(single_edge_graph(), 2)
     with pytest.raises(DomainError):
         multi_piece_two(inst, 0)
+
+
+def test_multi2_refuses_a_budget_above_its_bound_before_any_power_of_three():
+    inst = uniform_instance(single_edge_graph(), 2)
+    message = f"piece budget k must be at most {MULTI2_MAX_K}"
+    for k in (MULTI2_MAX_K + 1, 10**20):
+        with pytest.raises(DomainError, match=message):
+            multi_piece_two(inst, k)
+        with pytest.raises(DomainError, match=message):
+            run_protocol("multi2", inst, {"k": k})
+    # the guarantee check refuses too, rather than forming 3 ** k
+    res = multi_piece_two(inst, MULTI2_MAX_K)
+    rep = verify_allocation(inst, res.allocation)
+    assert guarantee_violations("multi2", inst, rep, {"k": MULTI2_MAX_K}, res) == []
+    with pytest.raises(DomainError, match=message):
+        guarantee_violations("multi2", inst, rep, {"k": 10**20}, res)
 
 
 # -- height-2 trees -----------------------------------------------------------------

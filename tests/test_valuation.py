@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from graphcake.graph_core import (
     Piece,
     VertexPoint,
     canonical_point,
+    format_fraction,
     induced_cake,
 )
 from graphcake.valuation import (
@@ -775,6 +778,51 @@ def test_summed_totals_match_the_clipped_walk(v):
 
 def test_segments_have_no_instance_dict():
     assert not hasattr(Segment(F(0), F(1), F(1)), "__dict__")
+
+
+@settings(max_examples=150, deadline=None)
+@given(valuations(), st.integers(0, 10**30), st.integers(1, 10**30))
+@example(gappy_valuation(), 1, 3**60)
+def test_scaled_integer_segments_match_the_fraction_products(v, num, den):
+    factor = F(num, den)
+    scaled = v.scaled(factor)
+    for e, segs in v.densities.items():
+        assert scaled.densities[e] == tuple(Segment(s.lo, s.hi, s.density * factor) for s in segs)
+    assert scaled.to_json() == {
+        e: [[format_fraction(s.lo), format_fraction(s.density * factor)] for s in segs]
+        for e, segs in sorted(v.densities.items())
+    }
+
+
+def _number_forms(x):
+    """The same number as a Fraction, a reduced and an unreduced ``"p/q"``
+    string, and an int when it is one."""
+    forms = [x, f"{x.numerator}/{x.denominator}", f"{-3 * x.numerator}/{-3 * x.denominator}"]
+    return forms + [x.numerator] if x.denominator == 1 else forms
+
+
+@settings(max_examples=100, deadline=None)
+@given(valuations(), st.integers(1, 10**12))
+def test_segments_built_from_any_number_form_equal_the_readers(v, den):
+    read = Valuation.from_json(v.scaled(F(1, den)).to_json())
+    for segs in read.densities.values():
+        for s in segs:
+            assert type(s) is Segment and len(s) == 6
+            assert all(type(x) is int for x in s)
+            for lo, hi, density in zip(*map(_number_forms, (s.lo, s.hi, s.density))):
+                built = Segment(lo, hi, density)
+                assert built == s and hash(built) == hash(s)
+                assert (built.lo, built.hi, built.density) == (s.lo, s.hi, s.density)
+
+
+def test_segments_copy_and_print_as_their_fractions():
+    s = Segment(F(1, 4), "3/4", 2)
+    assert tuple(s) == (1, 4, 3, 4, 2, 1)
+    assert copy.copy(s) == pickle.loads(pickle.dumps(s)) == s
+    assert repr(s) == "Segment(Fraction(1, 4), Fraction(3, 4), Fraction(2, 1))"
+    for bad in (0.25, True, None):
+        with pytest.raises(MalformedInput):
+            Segment(bad, 1, 1)
 
 
 def test_valuations_are_read_only():
