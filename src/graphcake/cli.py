@@ -30,6 +30,7 @@ from .graph_core import (
 )
 from .oracle import (
     DEFAULT_STATE_BUDGET,
+    MAX_ATOMS,
     OBJECTIVES,
     GridSearchConfig,
     check_powers_of_three,
@@ -50,10 +51,14 @@ def _emit(payload, pretty: bool = False) -> None:
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except RecursionError:
+        source = "stdin" if path == "-" else path
+        raise MalformedInput(f"{source}: JSON nested too deeply to read") from None
 
 
 def _load_graph(path: str) -> CakeGraph:
@@ -287,7 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive grid search")
     p.add_argument("--instance", required=True)
-    p.add_argument("--grid", type=int, required=True)
+    p.add_argument(
+        "--grid",
+        type=int,
+        required=True,
+        help=f"grid denominator d: each edge is cut into d atoms, at most {MAX_ATOMS} atoms in all",
+    )
     p.add_argument(
         "--objective",
         choices=OBJECTIVES,

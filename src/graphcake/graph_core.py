@@ -108,7 +108,7 @@ class CakeGraph:
             adj[e.u].append(e)
             adj[e.v].append(e)
         self._adj = adj
-        if not self._is_connected():
+        if len(_distances(self, self.vertices[0])) != len(self.vertices):
             raise GraphConstructionError("graph is not connected")
         self._whole: Optional[Piece] = None
         self._kept_ends: Optional[Mapping[str, tuple[int, int]]] = None
@@ -146,20 +146,6 @@ class CakeGraph:
             if w not in seen:
                 seen.append(w)
         return tuple(seen)
-
-    def _is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for e in self._adj[v]:
-                w = e.other(v)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self.vertices)
 
     def whole_piece(self) -> "Piece":
         """The whole cake as a piece, built on the first call and shared after;
@@ -215,6 +201,20 @@ class CakeGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CakeGraph({len(self.vertices)} vertices, {self.m} edges)"
+
+
+def _distances(g: CakeGraph, source: str) -> dict[str, int]:
+    """Each vertex reachable from ``source`` to its distance in edges, by
+    breadth-first search."""
+    dist = {source: 0}
+    queue = [source]
+    for v in queue:  # the list grows while it is read, as a queue
+        for e in g._adj[v]:
+            w = e.other(v)
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -365,32 +365,8 @@ class Piece:
         return sum((iv.length for iv in self.intervals), ZERO)
 
     def union(self, other: "Piece") -> "Piece":
-        """One merge of the two canonical interval lists by (edge, lo), joining
-        intervals that overlap or touch."""
-        a, b = self.intervals, other.intervals
-        if not b:
-            return self
-        if not a:
-            return other
-        out: list[Interval] = []
-        i = j = 0
-        while i < len(a) or j < len(b):
-            if j == len(b) or (
-                i < len(a)
-                and (a[i].edge < b[j].edge or (a[i].edge == b[j].edge and a[i].lo <= b[j].lo))
-            ):
-                iv = a[i]
-                i += 1
-            else:
-                iv = b[j]
-                j += 1
-            last = out[-1] if out else None
-            if last is not None and last.edge == iv.edge and iv.lo <= last.hi:
-                if iv.hi > last.hi:
-                    out[-1] = Interval(iv.edge, last.lo, iv.hi)
-            else:
-                out.append(iv)
-        return Piece(tuple(out))
+        """The canonical piece covering both pieces."""
+        return Piece.of(self.intervals + other.intervals)
 
     def difference(self, other: "Piece") -> "Piece":
         """Set difference up to finitely many points (closed-interval convention).
@@ -423,7 +399,7 @@ class Piece:
         return Piece(tuple(out))
 
     def to_json(self) -> list:
-        return [[iv.edge, _fmt(iv.lo), _fmt(iv.hi)] for iv in self.intervals]
+        return [[iv.edge, format_fraction(iv.lo), format_fraction(iv.hi)] for iv in self.intervals]
 
     @staticmethod
     def from_json(data: Iterable) -> "Piece":
@@ -455,7 +431,7 @@ def _format_ratio(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _fmt(x: Fraction) -> str:
+def format_fraction(x: Fraction) -> str:
     return _format_ratio(x.numerator, x.denominator)
 
 
@@ -533,9 +509,6 @@ def read_params(who: str, schema: Mapping[str, Param], params: Optional[Mapping]
     return args
 
 
-format_fraction = _fmt
-
-
 # ---------------------------------------------------------------------------
 # Piece connectivity
 # ---------------------------------------------------------------------------
@@ -574,7 +547,7 @@ def _edge_ends(g: CakeGraph) -> Mapping[str, tuple[int, int]]:
     return g._kept_ends
 
 
-def _interval_components(g: CakeGraph, p: Piece) -> int:
+def piece_component_count(g: CakeGraph, p: Piece) -> int:
     """Number of connected components of a canonical piece (0 for the empty
     piece).  Intervals meet only at graph vertices, so the count is the
     intervals that reach no vertex, plus the classes of the vertices reached,
@@ -608,11 +581,7 @@ def piece_is_connected(g: CakeGraph, p: Piece) -> bool:
     connectivity reduces to the interval/vertex incidence structure.  The
     empty piece counts as connected.
     """
-    return _interval_components(g, p) <= 1
-
-
-def piece_component_count(g: CakeGraph, p: Piece) -> int:
-    return _interval_components(g, p)
+    return piece_component_count(g, p) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ from .graph_core import (
     Piece,
     VertexPoint,
     _cycle_breaks,
+    _distances,
     canonical_point,
     classify_almost_bridgeless,
     compute_contiguous_labeling,
@@ -311,9 +312,10 @@ class _RootedTree:
             v = nxt
         return v
 
-    def branches_piece(self, tops: Iterable[int]) -> Piece:
-        """The branches of the given nodes: each one's link and the subtree below it."""
-        spans: list[Interval] = []
+    def branches_piece(self, tops: Iterable[int], *extra: Interval) -> Piece:
+        """The branches of the given nodes, each one's link and the subtree
+        below it, with the ``extra`` intervals."""
+        spans = list(extra)
         stack = list(tops)
         while stack:
             w = stack.pop()
@@ -329,7 +331,7 @@ class _RootedTree:
         (w,) = tops
         leg = self.leg(w)
         swept = Interval(leg.edge, min(leg.start, stop), max(leg.start, stop))
-        return self.branches_piece(self.children[w]).union(Piece.of([swept]))
+        return self.branches_piece(self.children[w], swept)
 
     def subtree_values(self, val: Valuation) -> tuple[list[int], list[int], int]:
         """Values computed bottom-up as integers over one returned scale: of the
@@ -497,11 +499,6 @@ def _kept_tree(g: CakeGraph, root: Optional[str], stored: bool) -> _RootedTree:
     return kept.handle()
 
 
-def _graph_tree(g: CakeGraph, root: Optional[str] = None) -> _RootedTree:
-    """The whole graph as a rooted tree, children in stored edge order."""
-    return _kept_tree(g, root, stored=True)
-
-
 def _region_tree(
     g: CakeGraph, region: Piece, root: Optional[Node] = None, forest: bool = False
 ) -> _RootedTree:
@@ -513,7 +510,6 @@ def _region_tree(
 
 
 def _knife_race(
-    g: CakeGraph,
     vals: Sequence[Valuation],
     traj: Trajectory,
     targets: Mapping[int, Fraction],
@@ -524,7 +520,7 @@ def _knife_race(
     lowest agent index on ties."""
     best: Optional[tuple[int, TrajectoryCut]] = None
     for a in sorted(targets):
-        cut = cut_trajectory(g, vals[a], traj, targets[a], log)
+        cut = cut_trajectory(vals[a], traj, targets[a], log)
         if best is None or cut.sweep_offset < best[1].sweep_offset:
             best = (a, cut)
     if best is None:
@@ -613,7 +609,7 @@ def _split(
             for a in eligible
             if branch[a][w] >= least[a]
         }
-        winner, cut = _knife_race(g, vals, (rt.leg(w),), targets, log)
+        winner, cut = _knife_race(vals, (rt.leg(w),), targets, log)
         return winner, [w], cut.position
     # Case 2: accumulate whole branches until some agent first reaches her need.
     taken: list[int] = []
@@ -748,7 +744,7 @@ def _path_proportional(
     traj = _sweep(rt)
     remaining = list(agents)
     while len(remaining) > 1:
-        winner, cut = _knife_race(g, vals, traj, {a: need[a] for a in remaining}, log)
+        winner, cut = _knife_race(vals, traj, {a: need[a] for a in remaining}, log)
         pieces[winner] = trajectory_prefix_piece(traj, cut)
         region = region.difference(pieces[winner])
         remaining.remove(winner)
@@ -794,7 +790,7 @@ def _star_rec(
     first = agents[0]
     w = next(w for w in rt.children[0] if meets(first, w))
     targets = {a: need[a] for a in agents if meets(a, w)}
-    winner, cut = _knife_race(g, vals, (rt.leg(w),), targets, log)
+    winner, cut = _knife_race(vals, (rt.leg(w),), targets, log)
     piece = pieces[winner] = rt.taken_piece([w], cut.position)
     rest = [a for a in agents if a != winner]
     _star_rec(g, vals, rest, region.difference(piece), center, pieces, log)
@@ -864,7 +860,7 @@ def _halve(g: CakeGraph, vals: Sequence[Valuation], traj: Trajectory) -> Protoco
     """Two agents race one knife along ``traj`` to half their value: the first
     to call stop takes the covered prefix, the other the rest of the graph."""
     log = QueryLog()
-    winner, cut = _knife_race(g, vals, traj, {0: HALF, 1: HALF}, log)
+    winner, cut = _knife_race(vals, traj, {0: HALF, 1: HALF}, log)
     covered = trajectory_prefix_piece(traj, cut)
     rest = g.whole_piece().difference(covered)
     pieces = (covered, rest) if winner == 0 else (rest, covered)
@@ -1001,24 +997,11 @@ def multi_piece_two(inst: Instance, k: int) -> ProtocolResult:
 def _height2_tree(g: CakeGraph, root: str) -> Optional[_RootedTree]:
     """The graph as a tree rooted at ``root``, if it is one of height at most two."""
     if g.is_tree() and root in g.vertices:
-        rt = _graph_tree(g, root)
+        rt = _kept_tree(g, root, stored=True)
         # height at most two: no grandchild of the root has children
         if not any(rt.children[x] for child in rt.children[0] for x in rt.children[child]):
             return rt
     return None
-
-
-def _distances(g: CakeGraph, source: str) -> dict[str, int]:
-    """Each vertex's distance in edges from ``source``, by breadth-first search."""
-    dist = {source: 0}
-    queue = [source]
-    for v in queue:  # the list grows while it is read, as a queue
-        for e in g.incident(v):
-            w = e.other(v)
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
 
 
 def _height2_root(g: CakeGraph) -> Optional[str]:
@@ -1308,7 +1291,7 @@ def chore_upto5(inst: Instance) -> ProtocolResult:
     g = inst.graph
     # three or more agents walk the graph in stored edge order; two agents'
     # extraction walks it in piece order and builds that tree itself
-    rt = _graph_tree(g) if inst.n > 2 else None
+    rt = _kept_tree(g, None, stored=True) if inst.n > 2 else None
     _chore_rec(g, inst.agents, range(inst.n), g.whole_piece(), pieces, log, rt)
     return ProtocolResult(Allocation(tuple(pieces)), log)
 

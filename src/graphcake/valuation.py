@@ -400,7 +400,13 @@ class Instance:
     def __post_init__(self):
         if self.mode not in ("cake", "chore"):
             raise MalformedInput(f"unknown mode {self.mode!r}")
+        # agents may share one valuation object; each is checked once, under
+        # the first agent that holds it
+        checked: set[int] = set()
         for i, v in enumerate(self.agents):
+            if id(v) in checked:
+                continue
+            checked.add(id(v))
             for e in v.densities:
                 if not self.graph.has_edge(e):
                     raise UnknownEdge(f"agent {i} values unknown edge {e!r}")
@@ -503,16 +509,17 @@ def _position(leg: Leg, backward: bool, wn: int, wd: int) -> Fraction:
 
 @dataclass(frozen=True)
 class TrajectoryCut:
-    """A cut point expressed both as a trajectory offset and a cake point."""
+    """Where a knife stopped on a trajectory: the leg it stopped on, its
+    position on that leg's edge, and the length swept before it.  The cake
+    point there is ``cut_query``'s answer."""
 
     leg_index: int
     position: Fraction  # parametric position on the leg's edge
     sweep_offset: Fraction  # total length swept before the cut
-    point: Point
 
 
 def cut_trajectory(
-    g: CakeGraph, v: Valuation, t: Trajectory, target: Fraction, log: Optional[QueryLog] = None
+    v: Valuation, t: Trajectory, target: Fraction, log: Optional[QueryLog] = None
 ) -> TrajectoryCut:
     """Earliest point along the trajectory whose prefix has exactly the target value.
 
@@ -531,8 +538,7 @@ def cut_trajectory(
         log.cut_count += 1
     if target < 0:
         raise InsufficientValue(f"negative cut target {target}")
-    i, pos, offset = _walk(v, t, target)
-    return TrajectoryCut(i, pos, offset, canonical_point(g, t[i].edge, pos))
+    return TrajectoryCut(*_walk(v, t, target))
 
 
 def _walk(v: Valuation, t: Trajectory, target: Fraction) -> tuple[int, Fraction, Fraction]:
@@ -589,7 +595,10 @@ def _walk(v: Valuation, t: Trajectory, target: Fraction) -> tuple[int, Fraction,
 def cut_query(
     g: CakeGraph, v: Valuation, t: Trajectory, target: Fraction, log: Optional[QueryLog] = None
 ) -> Point:
-    return cut_trajectory(g, v, t, target, log).point
+    """The cake point where ``cut_trajectory`` stops, positions 0 and 1 as
+    the edge's end vertices."""
+    cut = cut_trajectory(v, t, target, log)
+    return canonical_point(g, t[cut.leg_index].edge, cut.position)
 
 
 def trajectory_prefix_piece(t: Trajectory, cut: TrajectoryCut) -> Piece:

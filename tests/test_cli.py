@@ -270,6 +270,14 @@ def _edge_instance(**overrides):
 _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
 
 
+class _Raw(str):
+    """A document written as it is, not through ``json.dumps``."""
+
+
+# deeper than the JSON decoder's recursion limit; json.dumps cannot build it
+_DEEP = _Raw("[" * 100_000 + "]" * 100_000)
+
+
 # the third field is the allocation document for verify and the arguments for oracle;
 # classify, label and bipolar read a bare graph or an instance document
 @pytest.mark.parametrize(
@@ -316,6 +324,8 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
         ("oracle", _STAR2, ["--grid", "0"]),
         ("oracle", _STAR2, ["--grid", "4", "--pair", "1/2"]),
         ("oracle", _STAR2, ["--grid", "4", "--pair", "1/2,1/4,1/8"]),
+        ("solve", _DEEP, None),
+        ("verify", _edge_instance(), _DEEP),
         ("classify", 7, None),
         ("classify", None, None),
         ("label", None, None),
@@ -345,6 +355,8 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
         "grid-search-on-grid-zero",
         "pair-of-one-threshold",
         "pair-of-three-thresholds",
+        "instance-nested-too-deeply",
+        "allocation-nested-too-deeply",
         "classify-a-number",
         "classify-null",
         "label-null",
@@ -353,7 +365,7 @@ _STAR2 = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()
 )
 def test_malformed_input_exits_one_without_traceback(tmp_path, capsys, command, instance, extra):
     inst_path = tmp_path / "instance.json"
-    inst_path.write_text(json.dumps(instance))
+    inst_path.write_text(instance if isinstance(instance, _Raw) else json.dumps(instance))
     argv = [command, "--instance", str(inst_path)]
     if command == "solve":
         argv += ["--protocol", "egal"]
@@ -361,7 +373,7 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, capsys, command, 
         argv += extra
     elif command == "verify":
         alloc_path = tmp_path / "allocation.json"
-        alloc_path.write_text(json.dumps(extra))
+        alloc_path.write_text(extra if isinstance(extra, _Raw) else json.dumps(extra))
         argv += ["--allocation", str(alloc_path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -410,6 +422,15 @@ def test_multi2_over_its_piece_budget_bound_fails_at_once(star2_file, capsys):
     assert err == (
         "error: piece budget k must be at most 100: each extra piece triples the exact denominators\n"
     )
+
+
+def test_oracle_over_its_atom_cap_fails_at_once(star2_file, capsys):
+    start = time.perf_counter()
+    assert main(["oracle", "--instance", star2_file, "--grid", "1000000"]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: a grid of 1000000 on 3 edges has 3000000 atoms; the oracle takes at most 4096")
 
 
 def test_param_lists_do_not_leak_between_main_calls(capsys):
@@ -490,6 +511,12 @@ def test_corrupted_instances_exit_zero_or_one(doc, protocol):
         sys.stdin = stdin
     assert code in (0, 1)
     assert (code == 1) == err.getvalue().startswith("error: ")
+
+
+def test_a_deeply_nested_document_on_stdin_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_DEEP))
+    assert main(["solve", "--instance", "-", "--protocol", "egal"]) == 1
+    assert capsys.readouterr().err == "error: stdin: JSON nested too deeply to read\n"
 
 
 # -- the integer document reader against the Fraction one ---------------------------

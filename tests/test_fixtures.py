@@ -1,5 +1,6 @@
 import inspect
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from graphcake.fixtures import (
     _CATALOG,
     FIXTURE_NAMES,
     RANDOM_PARAMS,
+    TERNARY_MAX_K,
     FixtureSpec,
     build_fixture,
     random_instance,
@@ -74,6 +76,20 @@ def test_ternary_tree_shape():
     leaf_edges = [e for e in g.edges if e.u in leaves or e.v in leaves]
     for e in leaf_edges:
         assert inst.agents[0].edge_value(e.id) == F(1, 9)
+
+
+def test_ternary_tree_over_its_level_cap_fails_at_once(capsys):
+    # each level triples the edges, so k = 10**6 could never be built
+    start = time.perf_counter()
+    for k in (TERNARY_MAX_K + 1, 10**6):
+        with pytest.raises(BadParameters, match=f"needs 1 <= k <= {TERNARY_MAX_K}"):
+            build_fixture(FixtureSpec("ternary_tree", {"k": k}))
+    assert main(["fixture", "build", "ternary_tree", "-p", "k=1000000"]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ternary_tree needs 1 <= k <= 8: each level triples the edges\n"
+    assert build_fixture(FixtureSpec("ternary_tree", {"k": TERNARY_MAX_K})).graph.m == 9841
 
 
 def test_chore_star_shape():

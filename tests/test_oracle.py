@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from graphcake.errors import BudgetExceeded, DomainError
 from graphcake.fixtures import FixtureSpec, build_fixture
 from graphcake.graph_core import CakeGraph, Interval, Piece
 from graphcake.oracle import (
+    MAX_ATOMS,
     OBJECTIVES,
     GridSearchConfig,
     _assignment_count,
@@ -913,3 +915,21 @@ def test_pair_search_rejects_a_grid_below_one():
     for d in (0, -3):
         with pytest.raises(DomainError, match="grid denominator must be at least 1"):
             pair_feasible(inst, d, F(1, 2), F(1, 4))
+
+
+def test_a_grid_over_the_atom_cap_is_refused_before_the_model_is_built():
+    # three edges at grid 10**6 would need adjacency masks of 3 million bits each
+    inst = build_fixture(FixtureSpec("three_bridge", {}))
+    start = time.perf_counter()
+    for d in (MAX_ATOMS // 3 + 1, 10**6):
+        message = f"a grid of {d} on 3 edges has {3 * d} atoms; the oracle takes at most {MAX_ATOMS}"
+        with pytest.raises(DomainError, match=message):
+            grid_search_best(inst, GridSearchConfig(d, state_budget=0))
+        with pytest.raises(DomainError, match=message):
+            pair_feasible(inst, d, Fraction(1, 2), Fraction(1, 2), state_budget=0)
+    assert time.perf_counter() - start < 1
+    # exactly at the cap the model is built
+    four = build_fixture(FixtureSpec("four_edge_star", {}))
+    assert len(_AtomModel(four, MAX_ATOMS // 4).atoms) == MAX_ATOMS
+    with pytest.raises(DomainError, match="atoms"):
+        _AtomModel(four, MAX_ATOMS // 4 + 1)

@@ -41,6 +41,7 @@ from graphcake.graph_core import (
     OrientedLabeling,
     Piece,
     VertexPoint,
+    canonical_point,
     compute_contiguous_labeling,
     is_contiguous,
     is_whole,
@@ -273,7 +274,7 @@ def test_internal_checks_raise_instead_of_asserting():
     with pytest.raises(ProtocolInvariantError):
         _sweep(_path_tree(g, g.whole_piece()))
     with pytest.raises(ProtocolInvariantError):
-        _knife_race(g, [], (), {}, QueryLog())
+        _knife_race([], (), {}, QueryLog())
 
 
 # -- integer extraction against the Fraction reference ----------------------------
@@ -319,7 +320,7 @@ def reference_extract(g, vals, region, need, log):
         targets = {a: need[a] - stv[a][chosen] for a in eligible if branch[a][chosen] >= need[a]}
         best = None
         for a in sorted(targets):
-            cut = cut_trajectory(g, vals[a], (leg,), targets[a], log)
+            cut = cut_trajectory(vals[a], (leg,), targets[a], log)
             if best is None or cut.sweep_offset < best[1].sweep_offset:
                 best = (a, cut)
         winner, cut = best
@@ -585,12 +586,13 @@ def reference_path_proportional(g, vals, agents, region, pieces, log):
     remaining = list(agents)
     while len(remaining) > 1:
         traj = _sweep(rt)
-        winner, cut = _knife_race(g, vals, traj, {a: need[a] for a in remaining}, log)
+        winner, cut = _knife_race(vals, traj, {a: need[a] for a in remaining}, log)
         pieces[winner] = trajectory_prefix_piece(traj, cut)
         region = region.difference(pieces[winner])
         remaining.remove(winner)
         if len(remaining) > 1:
-            root = cut.point.vertex if isinstance(cut.point, VertexPoint) else cut.point
+            point = canonical_point(g, traj[cut.leg_index].edge, cut.position)
+            root = point.vertex if isinstance(point, VertexPoint) else point
             rt = _RootedTree(g, region.intervals, root)
     pieces[remaining[0]] = region
 

@@ -85,6 +85,27 @@ def test_unknown_edge_rejected_by_instance():
         Instance(g, (v,), "cake")
 
 
+def test_a_shared_valuation_is_checked_once(monkeypatch):
+    checked = []
+    is_normalized = Valuation.is_normalized
+    monkeypatch.setattr(Valuation, "is_normalized", lambda v: checked.append(v) or is_normalized(v))
+    g = star_graph(4)
+    shared = Valuation.uniform(g)
+    inst = Instance(g, (shared,) * 1000)
+    assert inst.n == 1000 and checked == [shared]
+    # equal but distinct objects are each checked
+    checked.clear()
+    Instance(g, (shared, Valuation.uniform(g), shared))
+    assert len(checked) == 2
+    # a shared faulty valuation is reported under the first agent that holds it
+    heavy = Valuation.from_edge_values({e.id: F(1) for e in g.edges})
+    with pytest.raises(MalformedInput, match="^agent 1 valuation integrates to 4, not 1$"):
+        Instance(g, (shared, heavy, shared, heavy))
+    stray = Valuation.from_edge_values({"zzz": F(1)})
+    with pytest.raises(UnknownEdge, match="^agent 2 values unknown edge 'zzz'$"):
+        Instance(g, (shared, shared, stray, stray))
+
+
 def test_empty_piece_is_worthless():
     v = stepped_valuation()
     assert value_of_piece(v, Piece.empty()) == 0
@@ -170,9 +191,10 @@ def test_cut_round_trip(w1, w2, w3, num):
     target = F(num, 24)
     if target > trajectory_value(v, traj):
         return
-    cut = cut_trajectory(g, v, traj, target)
+    cut = cut_trajectory(v, traj, target)
     prefix = Piece.of([Interval("e0", F(0), cut.position)])
     assert value_of_piece(v, prefix) == target
+    assert cut_query(g, v, traj, target) == canonical_point(g, "e0", cut.position)
 
 
 def test_cut_round_trip_multi_leg():
@@ -190,10 +212,12 @@ def test_cut_round_trip_multi_leg():
         target = F(rng.randint(0, 24), 24)
         if target > trajectory_value(v, traj):
             continue
-        cut = cut_trajectory(g, v, traj, target)
+        cut = cut_trajectory(v, traj, target)
         from graphcake.valuation import trajectory_prefix_piece
 
         assert value_of_piece(v, trajectory_prefix_piece(traj, cut)) == target
+        point = canonical_point(g, traj[cut.leg_index].edge, cut.position)
+        assert cut_query(g, v, traj, target) == point
 
 
 def test_prefix_value_monotone_along_trajectory():
@@ -319,6 +343,15 @@ def reference_interval_value(v, edge_id, lo, hi):
     return acc
 
 
+def _cut_and_point(g, i, pos, offset, edge):
+    return TrajectoryCut(i, pos, offset), canonical_point(g, edge, pos)
+
+
+def cut_with_point(g, v, t, target):
+    """``cut_trajectory``'s cut and ``cut_query``'s point, as the references give them."""
+    return cut_trajectory(v, t, target), cut_query(g, v, t, target)
+
+
 def reference_cut_trajectory(g, v, t, target):
     if target < 0:
         raise InsufficientValue(f"negative cut target {target}")
@@ -338,18 +371,17 @@ def reference_cut_trajectory(g, v, t, target):
         for a, b, density in clipped:
             length = b - a
             if acc == target:
-                return TrajectoryCut(i, pos, offset, canonical_point(g, leg.edge, pos))
+                return _cut_and_point(g, i, pos, offset, leg.edge)
             seg_value = density * length
             if density > 0 and acc + seg_value >= target:
                 dist = (target - acc) / density
                 cut_pos = pos + direction * dist
-                point = canonical_point(g, leg.edge, cut_pos)
-                return TrajectoryCut(i, cut_pos, offset + dist, point)
+                return _cut_and_point(g, i, cut_pos, offset + dist, leg.edge)
             acc += seg_value
             pos += direction * length
             offset += length
         if acc == target:
-            return TrajectoryCut(i, pos, offset, canonical_point(g, leg.edge, pos))
+            return _cut_and_point(g, i, pos, offset, leg.edge)
     raise InsufficientValue(f"trajectory is worth {acc}, less than the target {target}")
 
 
@@ -404,17 +436,17 @@ def fraction_skip_cut_trajectory(g, v, t, target):
         for a, b, density in clipped:
             length = b - a
             if acc == target:
-                return TrajectoryCut(i, pos, offset, canonical_point(g, leg.edge, pos))
+                return _cut_and_point(g, i, pos, offset, leg.edge)
             seg_value = density * length
             if density > 0 and acc + seg_value >= target:
                 dist = (target - acc) / density
                 cut_pos = pos + direction * dist
-                return TrajectoryCut(i, cut_pos, offset + dist, canonical_point(g, leg.edge, cut_pos))
+                return _cut_and_point(g, i, cut_pos, offset + dist, leg.edge)
             acc += seg_value
             pos += direction * length
             offset += length
         if acc == target:
-            return TrajectoryCut(i, pos, offset, canonical_point(g, leg.edge, pos))
+            return _cut_and_point(g, i, pos, offset, leg.edge)
     raise InsufficientValue(f"trajectory is worth {acc}, less than the target {target}")
 
 
@@ -505,7 +537,7 @@ def test_cut_trajectory_matches_the_full_sweep(v, t, extra):
     total = trajectory_value(v, t)
     targets = _prefix_values(v, t) + [total * x for x in extra] + [total + F(1, 7), F(-1)]
     for target in targets:
-        assert _cut_or_shortfall(cut_trajectory, PATH, v, t, target) == _cut_or_shortfall(
+        assert _cut_or_shortfall(cut_with_point, PATH, v, t, target) == _cut_or_shortfall(
             reference_cut_trajectory, PATH, v, t, target
         )
 
@@ -529,7 +561,8 @@ def _cut_outcome(cut, *args):
         found = cut(*args)
     except InsufficientValue as exc:
         return str(exc)
-    return found, type(found.sweep_offset), type(found.position)
+    at, _ = found
+    return found, type(at.sweep_offset), type(at.position)
 
 
 @settings(max_examples=300, deadline=None)
@@ -547,14 +580,14 @@ def test_integer_whole_leg_skip_matches_the_fraction_one(v, den, t, data):
         if not t:
             # an empty trajectory is refused, whatever the target
             with pytest.raises(DomainError, match="at least one leg"):
-                cut_trajectory(PATH, v, t, target)
+                cut_trajectory(v, t, target)
             continue
-        assert _cut_outcome(cut_trajectory, PATH, v, t, target) == _cut_outcome(
+        assert _cut_outcome(cut_with_point, PATH, v, t, target) == _cut_outcome(
             fraction_skip_cut_trajectory, PATH, v, t, target
         )
     for target in (float(total) / 3, 0.1, 0.0, True):
         with pytest.raises(DomainError, match="is not exact"):
-            cut_trajectory(PATH, v, t, target)
+            cut_trajectory(v, t, target)
 
 
 @st.composite
@@ -599,8 +632,9 @@ def _outcome(sweep, *args):
         found = sweep(*args)
     except InsufficientValue as exc:
         return type(exc), str(exc)
-    if isinstance(found, TrajectoryCut):
-        return found, type(found.sweep_offset), type(found.position)
+    if isinstance(found, tuple):
+        at, _ = found
+        return found, type(at.sweep_offset), type(at.position)
     return _typed(found)
 
 
@@ -616,7 +650,7 @@ def test_integer_sweeps_match_the_fraction_loops(v, t, data):
     exact += [total * F(data.draw(st.integers(0, 12)), 12), total + F(1, 7), F(-1), 0, 1, -1]
     floats = [float(x) for x in stops] + [float(total) / 3, 0.1, 0.0, -0.5, True]
     for target in exact:
-        assert _outcome(cut_trajectory, PATH, v, t, target) == _outcome(
+        assert _outcome(cut_with_point, PATH, v, t, target) == _outcome(
             fraction_skip_cut_trajectory, PATH, v, t, target
         )
     for target in floats:
@@ -691,7 +725,7 @@ def test_every_leg_is_checked_before_the_knife_walks():
         with pytest.raises(MalformedPiece, match="outside"):
             cut_query(g, v, late, target)
         with pytest.raises(MalformedPiece, match="outside"):
-            cut_trajectory(g, v, (Leg("e0", F(0), F(1)), Leg("e0", F(1), F(2))), target, log)
+            cut_trajectory(v, (Leg("e0", F(0), F(1)), Leg("e0", F(1), F(2))), target, log)
     assert log.to_json() == {"eval": 0, "cut": 0}
 
 
@@ -703,7 +737,7 @@ def test_an_empty_trajectory_is_refused():
         with pytest.raises(DomainError, match="at least one leg"):
             cut_query(g, v, (), target)
         with pytest.raises(DomainError, match="at least one leg"):
-            cut_trajectory(g, v, (), target, log)
+            cut_trajectory(v, (), target, log)
     assert log.to_json() == {"eval": 0, "cut": 0}
 
 

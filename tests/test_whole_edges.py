@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphcake import protocols
+from graphcake import protocols, valuation
 from graphcake.allocation import Allocation, verify_allocation
 from graphcake.errors import DisconnectedPiece, MalformedPiece
 from graphcake.graph_core import (
@@ -29,6 +29,7 @@ from graphcake.valuation import (
     Leg,
     TrajectoryCut,
     Valuation,
+    cut_query,
     trajectory_prefix_piece,
     value_of_piece,
 )
@@ -80,6 +81,19 @@ def test_a_whole_region_tree_makes_no_canonical_point_calls(monkeypatch, big_ear
     assert legs == []
     rt.leg(1)
     assert len(legs) == 1
+
+
+def test_knife_races_build_no_cake_point(monkeypatch):
+    # cut_query alone turns a stop into a cake point; the protocols' races read
+    # only the leg index, position and sweep offset
+    points = _counter(monkeypatch, valuation, "canonical_point")
+    rng = random.Random(3)
+    for g, n, name in ((tree_graph(rng, 7), 3, "egal"), (path_graph(4), 3, "egal"), (cycle_graph(9), 2, "prop2")):
+        res = protocols.run_protocol(name, uniform_instance(g, n))
+        assert res.queries.cut_count > 0
+    assert points == []
+    cut_query(g, Valuation.uniform(g), (Leg(g.edges[0].id, ZERO, ONE),), F(1, 18))
+    assert len(points) == 1
 
 
 def test_piece_of_a_whole_piece_makes_no_fraction_order_comparison(monkeypatch, big_ear):
@@ -211,7 +225,7 @@ def test_whole_legs_in_any_form_give_the_same_prefix_piece(form):
     lo, hi = BOUND_FORMS[form]
     for end, expected_last in ((hi, Interval("e2", ZERO, F(1, 3))), (lo, Interval("e2", F(1, 3), ONE))):
         start = lo if end is hi else hi
-        cut = TrajectoryCut(2, F(1, 3), F(2), EdgePoint("e2", F(1, 3)))
+        cut = TrajectoryCut(2, F(1, 3), F(2))
         legs = (Leg("e0", lo, hi), Leg("e1", hi, lo), Leg("e2", start, end), Leg("e3", lo, hi))
         piece = trajectory_prefix_piece(legs, cut)
         shared = (Leg("e0", ZERO, ONE), Leg("e1", ONE, ZERO), legs[2], legs[3])
