@@ -728,21 +728,18 @@ def _sweep(rt: _RootedTree) -> Trajectory:
 
 
 def _path_proportional(
-    g: CakeGraph,
     vals: Sequence[Valuation],
-    agents: Sequence[int],
+    traj: Trajectory,
+    need: Mapping[int, Fraction],
     region: Piece,
     pieces: list[Piece],
     log: QueryLog,
 ) -> None:
-    """Moving knife along a path region: each agent stops at 1/k of her value of
-    it.  One trajectory serves every race: each later knife sweeps on from
-    where the last one stopped."""
-    rt = _path_tree(g, region)
-    share = Fraction(1, len(agents))
-    need = {a: share * rt.value(vals[a]) for a in agents}
-    traj = _sweep(rt)
-    remaining = list(agents)
+    """Moving knife along a trajectory that sweeps the region: the agents in
+    ``need`` race one knife to their needs, the winner takes the covered prefix,
+    and the others race on from where it stopped.  The last agent takes the rest
+    of the region."""
+    remaining = list(need)
     while len(remaining) > 1:
         winner, cut = _knife_race(vals, traj, {a: need[a] for a in remaining}, log)
         pieces[winner] = trajectory_prefix_piece(traj, cut)
@@ -770,7 +767,10 @@ def _star_rec(
         return
     m = len(region.intervals)
     if m <= 2:
-        _path_proportional(g, vals, agents, region, pieces, log)
+        rt = _path_tree(g, region)
+        share = Fraction(1, k)
+        need = {a: share * rt.value(vals[a]) for a in agents}
+        _path_proportional(vals, _sweep(rt), need, region, pieces, log)
         return
     if m >= 2 * k - 1:
         _egalitarian(g, vals, agents, region, pieces, log)
@@ -860,11 +860,9 @@ def _halve(g: CakeGraph, vals: Sequence[Valuation], traj: Trajectory) -> Protoco
     """Two agents race one knife along ``traj`` to half their value: the first
     to call stop takes the covered prefix, the other the rest of the graph."""
     log = QueryLog()
-    winner, cut = _knife_race(vals, traj, {0: HALF, 1: HALF}, log)
-    covered = trajectory_prefix_piece(traj, cut)
-    rest = g.whole_piece().difference(covered)
-    pieces = (covered, rest) if winner == 0 else (rest, covered)
-    return ProtocolResult(Allocation(pieces), log)
+    pieces = [Piece.empty()] * 2
+    _path_proportional(vals, traj, {0: HALF, 1: HALF}, g.whole_piece(), pieces, log)
+    return ProtocolResult(Allocation(tuple(pieces)), log)
 
 
 def _fixed_pair(

@@ -6,19 +6,23 @@ measure-agnostic; the piecewise-constant representation is closed under every
 cut the protocols perform.  A segment holds its bounds and its density as
 reduced integer pairs, six integers in a tuple, and the document reader and
 every query work on those integers: neither builds a ``Fraction`` per segment.
-A valuation document is read in one pass per edge: each distinct number text
-is read once per document into a reduced integer pair, and one loop checks
-segment order and density signs by cross-multiplying, builds the segments and
-sums the edge's value.  Each valuation keeps its edge totals once, as integers
-over one scale, the least common multiple of their denominators; a query for a
-whole edge reads a stored total, and sums of whole edges are exact integer
-sums.  Every interval a query asks about is walked by ``_clip``, which yields
-its constant-density stretches as integer lengths and densities; evaluation
-and cut queries sum and compare those in integers and build a ``Fraction``
-only for the value or point they return.  One walk, ``_walk``, finds where
-every knife stops: ``cut_trajectory`` runs it forward, and
-``latest_position_within`` runs it backward from a leg's end, to where the
-value beyond the budget is covered.
+
+Every valued edge's segments partition [0, 1] in strictly increasing order,
+with densities >= 0.  ``Valuation(...)`` refuses anything else: its checker,
+``_checked``, passes once over an edge's segments, comparing by
+cross-multiplying, and sums the edge's value.  Every reader builds segments
+and calls the constructor; ``scaled`` and ``combine_valuations`` refuse a
+negative factor or weight.
+
+Each valuation keeps its edge totals once, as integers over one scale, the
+least common multiple of their denominators; a query for a whole edge reads a
+stored total, and sums of whole edges are exact integer sums.  Every interval
+a query asks about is walked by ``_clip``, which yields its constant-density
+stretches as integer lengths and densities; evaluation and cut queries sum and
+compare those in integers and build a ``Fraction`` only for the value or point
+they return.  One walk, ``_walk``, finds where every knife stops:
+``cut_trajectory`` runs it forward, and ``latest_position_within`` runs it
+backward from a leg's end, to where the value beyond the budget is covered.
 """
 
 from __future__ import annotations
@@ -67,8 +71,9 @@ class Segment(tuple):
     density = p / q, each pair reduced with a positive denominator.  Equality
     and hashing are those of the six integers, so they agree with the
     ``Fraction`` values.  ``Segment(lo, hi, density)`` reads Fractions, ints
-    or ``"p/q"`` strings, and checks neither order nor sign; readers build
-    segments from reduced pairs directly, with ``_segment``."""
+    or ``"p/q"`` strings, and checks neither order nor sign: ``Valuation``
+    checks its segments.  Readers build segments from reduced pairs directly,
+    with ``_segment``."""
 
     __slots__ = ()
 
@@ -104,27 +109,28 @@ EdgeDensity = tuple[Segment, ...]
 _ZERO_EDGE: EdgeDensity = (_segment((0, 1, 1, 1, 0, 1)),)
 
 
-def _checked_edge(
-    ends: Sequence[tuple[int, int]], densities: Sequence[tuple[int, int]]
-) -> tuple[EdgeDensity, tuple[int, int]]:
-    """The segments between consecutive ends, from 0 to the last end, with the
-    given reduced densities, and the edge's value as an unreduced numerator
-    and denominator, in one pass that checks by cross-multiplying that the
-    ends strictly increase and the densities are nonnegative."""
-    segs = []
+def _checked(segs: EdgeDensity) -> tuple[int, int]:
+    """An edge's value, the sum of (hi - lo) * density over its segments, as an
+    unreduced numerator and denominator.  The same pass checks, by
+    cross-multiplying, that the segments partition [0, 1]: they start at 0,
+    each starts where the last one ended and ends past its start, and the last
+    ends at 1.  It also checks that the densities are nonnegative."""
+    if not segs or segs[0][0] or segs[-1][2] != segs[-1][3]:
+        raise MalformedInput("segments must partition [0, 1]")
     num, den = 0, 1
-    an, ad = 0, 1
-    for (bn, bd), (p, q) in zip(ends, densities):
+    en, ed = 0, 1  # where the previous segment ended
+    for an, ad, bn, bd, p, q in segs:
+        if an * ed != en * ad:
+            raise MalformedInput("segments must be contiguous")
         if an * bd >= bn * ad:
             raise MalformedInput("segment breakpoints must be strictly increasing")
         if p < 0:
             raise MalformedInput("densities must be nonnegative")
-        segs.append(_segment((an, ad, bn, bd, p, q)))
         if p:
             d = ad * bd * q
             num, den = num * d + (bn * ad - an * bd) * p * den, den * d
-        an, ad = bn, bd
-    return tuple(segs), (num, den)
+        en, ed = bn, bd
+    return num, den
 
 
 def _clip(v: Valuation, edge: str, lo: Fraction, hi: Fraction) -> list[tuple[int, int, int, int]]:
@@ -151,17 +157,6 @@ def _clip(v: Valuation, edge: str, lo: Fraction, hi: Fraction) -> list[tuple[int
     return out
 
 
-def _edge_total(segs: EdgeDensity) -> tuple[int, int]:
-    """An edge's value, the sum of (hi - lo) * density over its segments, as
-    an unreduced numerator and denominator."""
-    num, den = 0, 1
-    for an, ad, bn, bd, p, q in segs:
-        if p:
-            d = ad * bd * q
-            num, den = num * d + (bn * ad - an * bd) * p * den, den * d
-    return num, den
-
-
 def _integrate(stretches: Iterable[tuple[int, int, int, int]]) -> tuple[int, int]:
     """The value of ``_clip``'s stretches, as an unreduced numerator and denominator."""
     num, den = 0, 1
@@ -185,18 +180,8 @@ class Valuation:
     __slots__ = ("densities", "scale", "int_totals")
 
     def __init__(self, densities: Mapping[str, EdgeDensity]):
-        densities = dict(densities)
-        self._keep(densities, {e: _edge_total(segs) for e, segs in densities.items()})
-
-    @staticmethod
-    def _summed(densities: dict[str, EdgeDensity], sums: Mapping[str, tuple[int, int]]) -> "Valuation":
-        """A valuation of a private densities dict whose edge totals are
-        already summed, as (numerator, positive denominator) pairs."""
-        v = Valuation.__new__(Valuation)
-        v._keep(densities, sums)
-        return v
-
-    def _keep(self, densities: dict[str, EdgeDensity], sums: Mapping[str, tuple[int, int]]) -> None:
+        densities = {e: tuple(segs) for e, segs in densities.items()}
+        sums = {e: _checked(segs) for e, segs in densities.items()}
         self.densities: Mapping[str, EdgeDensity] = MappingProxyType(densities)
         den = math.lcm(*(d for _, d in sums.values()))
         self._keep_totals({e: n * (den // d) for e, (n, d) in sums.items()}, den)
@@ -210,29 +195,16 @@ class Valuation:
     @staticmethod
     def from_segments(per_edge: Mapping[str, Sequence[tuple]]) -> "Valuation":
         """Segments given as (start, end, density) triples of Fractions, ints,
-        or ``"p"`` / ``"p/q"`` strings.  They must partition [0, 1] in strictly
-        increasing order, with nonnegative densities."""
-        exact = {e: [tuple(map(_ratio, seg)) for seg in segs] for e, segs in per_edge.items()}
-        densities, sums = {}, {}
-        for e, segs in exact.items():
-            if not segs or segs[0][0][0] or segs[-1][1] != (1, 1):
-                raise MalformedInput("segments must partition [0, 1]")
-            for prev, cur in zip(segs, segs[1:]):
-                if prev[1] != cur[0]:
-                    raise MalformedInput("segments must be contiguous")
-            densities[e], sums[e] = _checked_edge([b for _, b, _ in segs], [d for _, _, d in segs])
-        return Valuation._summed(densities, sums)
+        or ``"p"`` / ``"p/q"`` strings."""
+        return Valuation({e: tuple(Segment(*seg) for seg in segs) for e, segs in per_edge.items()})
 
     @staticmethod
     def from_edge_values(values: Mapping[str, Fraction | int | str]) -> "Valuation":
         """Uniform density within each edge, integrating to the given edge values:
         Fractions, ints, or ``"p"`` / ``"p/q"`` strings.  Edges valued zero are
-        left out; a negative value raises MalformedInput."""
+        left out."""
         read = {e: _ratio(x) for e, x in values.items()}
-        if any(p < 0 for p, _ in read.values()):
-            raise MalformedInput("densities must be nonnegative")
-        kept = {e: pq for e, pq in read.items() if pq[0]}
-        return Valuation._summed({e: (_segment((0, 1, 1, 1, *pq)),) for e, pq in kept.items()}, kept)
+        return Valuation({e: (_segment((0, 1, 1, 1, *pq)),) for e, pq in read.items() if pq[0]})
 
     @staticmethod
     def uniform(g: CakeGraph) -> "Valuation":
@@ -260,7 +232,11 @@ class Valuation:
         # Scaling every density scales each edge total exactly by the same
         # factor, so the totals are carried over.  Each distinct segment is
         # scaled once, its density multiplied and reduced by the two cross
-        # gcds, and equal segments share the scaled one.
+        # gcds, and equal segments share the scaled one.  A negative factor
+        # would make negative densities, so it is refused.
+        require_exact(factor, "scale factor")
+        if factor < 0:
+            raise DomainError(f"scale factor {factor} is negative")
         fp, fq = factor.as_integer_ratio()
         scaled = {}
         for segs in self.densities.values():
@@ -302,15 +278,15 @@ class Valuation:
                 got = read[text] = _read_ratio(text)
             return got
 
-        densities, sums = {}, {}
+        densities = {}
         for e, pairs in per_edge:
             los = [number(lo) for lo, _ in pairs]
             ds = [number(d) for _, d in pairs]
             if not los or los[0][0]:
                 raise MalformedInput(f"edge {e!r}: segment list must start at 0")
-            los.append((1, 1))
-            densities[e], sums[e] = _checked_edge(los[1:], ds)
-        return Valuation._summed(densities, sums)
+            his = los[1:] + [(1, 1)]
+            densities[e] = tuple(_segment((*a, *b, *d)) for a, b, d in zip(los, his, ds))
+        return Valuation(densities)
 
 
 class _MergedDensities(Mapping[str, EdgeDensity]):
@@ -350,32 +326,43 @@ class _MergedDensities(Mapping[str, EdgeDensity]):
         cuts = sorted(points, key=lambda x: x[0] * (common // x[1]))
         # Every density is constant between consecutive cuts, so one merge pass
         # reads each valuation's density there; a cursor skips segments that end
-        # at or before the cut, and a gap between segments counts as zero.
-        # Bounds are compared by cross-multiplying.
+        # at or before the cut, comparing by cross-multiplying.  Each edge's
+        # segments partition [0, 1], so the segment it reaches holds the cut.
         cursors = [0] * len(per_val)
         segs = []
         for (ln, ld), (hn, hd) in zip(cuts, cuts[1:]):
             num, den = 0, 1
             for j, (vsegs, (wn, wd)) in enumerate(zip(per_val, self._weights)):
                 c = cursors[j]
-                while c < len(vsegs) and vsegs[c][2] * ld <= ln * vsegs[c][3]:
+                while vsegs[c][2] * ld <= ln * vsegs[c][3]:
                     c += 1
                 cursors[j] = c
-                if c < len(vsegs) and vsegs[c][0] * ld <= ln * vsegs[c][1]:
-                    p, q = vsegs[c][4], vsegs[c][5]
-                    num, den = num * q * wd + wn * p * den, den * q * wd
+                p, q = vsegs[c][4], vsegs[c][5]
+                num, den = num * q * wd + wn * p * den, den * q * wd
             g = math.gcd(num, den)
             segs.append(_segment((ln, ld, hn, hd, num // g, den // g)))
         return tuple(segs)
 
 
 def combine_valuations(vals: Sequence[Valuation], weights: Sequence[Fraction]) -> Valuation:
-    """Weighted sum of valuations.
+    """Weighted sum of valuations, one exact nonnegative weight each.
 
     Integration is linear, so each edge total is the weighted sum of the
     agents' totals, summed exactly in integers over one denominator.  An edge's
     density breakpoints are merged only when a caller first reads that edge.
+    Raises DomainError for no valuations, a weight count that differs from the
+    valuation count, or a weight that is inexact or negative.
     """
+    if not vals:
+        raise DomainError("a weighted sum needs at least one valuation")
+    if len(weights) != len(vals):
+        raise DomainError(
+            f"a weighted sum needs one weight per valuation, got {len(weights)} for {len(vals)}"
+        )
+    for w in weights:
+        require_exact(w, "weight")
+        if w < 0:
+            raise DomainError(f"weight {w} is negative")
     weights = [Fraction(w) for w in weights]
     den = math.lcm(*(w.denominator * v.scale for v, w in zip(vals, weights)))
     sums: dict[str, int] = {}

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from graphcake.fixtures import _random_tree, _star
 from graphcake.graph_core import CakeGraph, Interval, Piece
 from graphcake.protocols import _path_tree, _sweep
 from graphcake.valuation import Instance, Valuation
@@ -24,9 +25,11 @@ def path_graph(m):
     return CakeGraph(vertices, edges)
 
 
-def star_graph(k):
-    vertices = ["c"] + [f"l{i}" for i in range(k)]
-    return CakeGraph(vertices, [(f"e{i}", "c", f"l{i}") for i in range(k)])
+# A star of k edges ``e{i}`` from centre "c" to leaf "l{i}", and a random
+# recursive tree (vertex i hangs off a uniformly chosen earlier vertex), as
+# random instances and the benchmark corpus build them.
+star_graph = _star
+tree_graph = _random_tree
 
 
 def cycle_graph(m):
@@ -53,14 +56,6 @@ def ear_graph(rng: random.Random, m):
         for u, v in zip(chain, chain[1:]):
             edges.append((f"e{len(edges)}", u, v))
         vertices.extend(inner)
-    return CakeGraph(vertices, edges)
-
-
-def tree_graph(rng: random.Random, m):
-    """Random recursive tree: vertex i hangs off a uniformly chosen earlier
-    vertex.  The benchmark corpus's tree builder."""
-    vertices = [f"v{i}" for i in range(m + 1)]
-    edges = [(f"e{i - 1}", f"v{rng.randrange(i)}", f"v{i}") for i in range(1, m + 1)]
     return CakeGraph(vertices, edges)
 
 

@@ -622,7 +622,7 @@ def grid_instances(draw, max_edges=3, sharing=(None, 0, 1)):
     for _ in range(draw(st.integers(2, 3))):
         densities = {}
         for e in g.edges:
-            cuts = sorted(set(draw(st.lists(_fractions(1, 1), max_size=2))) - {F(0)})
+            cuts = sorted(set(draw(st.lists(_fractions(1, 1), max_size=2))) - {F(0), F(1)})
             bounds = [F(0), *cuts, F(1)]
             densities[e.id] = tuple(
                 Segment(lo, hi, draw(_fractions(0, 3))) for lo, hi in zip(bounds, bounds[1:])

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import re
@@ -577,13 +578,13 @@ def test_egalitarian_leaves_shared_state_alone():
         assert (whole.to_json(), [v.to_json() for v in inst.agents]) == before
 
 
-def reference_path_proportional(g, vals, agents, region, pieces, log):
+def reference_path_proportional(g, vals, traj, need, region, pieces, log):
     """The path stage that rebuilds the path's tree from each cut point and
     sweeps it afresh (test-only reference)."""
     rt = _path_tree(g, region)
-    share = F(1, len(agents))
-    need = {a: share * rt.value(vals[a]) for a in agents}
-    remaining = list(agents)
+    assert traj == _sweep(rt)
+    assert need == {a: F(1, len(need)) * rt.value(vals[a]) for a in need}
+    remaining = list(need)
     while len(remaining) > 1:
         traj = _sweep(rt)
         winner, cut = _knife_race(vals, traj, {a: need[a] for a in remaining}, log)
@@ -608,14 +609,14 @@ def test_path_stage_matches_the_per_level_rebuild(monkeypatch):
     real = protocols._path_proportional
     reached = []
 
-    def counted(g, vals, agents, region, pieces, log):
-        reached.append(len(agents))
-        real(g, vals, agents, region, pieces, log)
+    def counted(vals, traj, need, region, pieces, log):
+        reached.append(len(need))
+        real(vals, traj, need, region, pieces, log)
 
     for inst in cases:
         reached.clear()
         runs = []
-        for path_stage in (counted, reference_path_proportional):
+        for path_stage in (counted, functools.partial(reference_path_proportional, inst.graph)):
             monkeypatch.setattr(protocols, "_path_proportional", path_stage)
             res = star_egalitarian(inst)
             runs.append((json.dumps(res.allocation.to_json()), res.queries.to_json()))

@@ -5,16 +5,20 @@ agents, reversing the order of the vertex names, reversing the order of the
 edge ids, and flipping every edge with its densities mirrored.  Each one
 leaves the grid oracle's optimum and pair answers unchanged, maps every
 allocation to one the verifier reports the same way, and keeps every
-applicable protocol's guarantee.
+applicable protocol's guarantee.  Six fixed instances check every relabelling;
+bounded hypothesis draws add grid optima on 3-4 edges and protocol runs on
+4-12 edges with up to four agents.
 """
 
 import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphcake.allocation import Allocation, verify_allocation
-from graphcake.fixtures import random_instance
+from graphcake.fixtures import FAMILIES, random_instance
 from graphcake.graph_core import CakeGraph, Interval, Piece
 from graphcake.oracle import OBJECTIVES, GridSearchConfig, grid_search_best, pair_feasible
 from graphcake.protocols import PROTOCOL_NAMES, applies, guarantee_violations, run_protocol
@@ -104,9 +108,7 @@ def test_each_relabelling_changes_the_labels():
         assert relabel(moved, kind)[0].to_json() == inst.to_json()
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
-def test_grid_optimum_is_unchanged(inst, kind):
+def _assert_grid_optimum_agrees(inst, kind):
     moved, _, _ = relabel(inst, kind)
     configs = [(False, None), (True, None)]
     if inst.n * inst.graph.m <= 9:
@@ -116,6 +118,27 @@ def test_grid_optimum_is_unchanged(inst, kind):
         for complete, budget in configs:
             cfg = GridSearchConfig(2, objective=objective, piece_budget=budget, require_complete=complete)
             assert grid_search_best(moved, cfg)[0] == grid_search_best(inst, cfg)[0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+def test_grid_optimum_is_unchanged(inst, kind):
+    _assert_grid_optimum_agrees(inst, kind)
+
+
+# 3-4-edge instances with two or three agents of up to two segments
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(2, 3),
+    st.sampled_from(FAMILIES),
+    st.integers(3, 4),
+    st.sampled_from(["cake", "chore"]),
+    st.sampled_from(KINDS),
+)
+def test_grid_optimum_of_drawn_instances_is_unchanged(seed, n, family, edges, mode, kind):
+    inst = random_instance(seed, n=n, family=family, edges=edges, max_segments=2, mode=mode)
+    _assert_grid_optimum_agrees(inst, kind)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -143,9 +166,9 @@ def test_pair_answer_is_unchanged(kind):
     assert answers == {(True, True), (True, False), (False, False)}
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
-def test_protocols_verify_and_keep_their_guarantees(inst, kind):
+def _assert_protocols_agree(inst, kind):
+    """Every applicable protocol's allocation maps to one the verifier reports
+    the same way, and each keeps its guarantee on the relabelled instance."""
     moved, move_alloc, move_report = relabel(inst, kind)
     ran = 0
     for name in PROTOCOL_NAMES:
@@ -160,3 +183,25 @@ def test_protocols_verify_and_keep_their_guarantees(inst, kind):
         assert guarantee_violations(name, moved, report, params, result) == []
         ran += 1
     assert ran
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+def test_protocols_verify_and_keep_their_guarantees(inst, kind):
+    _assert_protocols_agree(inst, kind)
+
+
+# 4-12-edge instances with up to four agents
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(2, 4),
+    st.sampled_from(FAMILIES),
+    st.integers(4, 12),
+    st.sampled_from(["cake", "chore"]),
+    st.sampled_from(KINDS),
+)
+@example(7, 4, "tree", 12, "cake", "flip")
+@example(8, 4, "arbitrary", 12, "chore", "edges")
+def test_drawn_instances_verify_and_keep_their_guarantees(seed, n, family, edges, mode, kind):
+    _assert_protocols_agree(random_instance(seed, n=n, family=family, edges=edges, mode=mode), kind)

@@ -46,6 +46,7 @@ from graphcake.valuation import (
 from conftest import path_graph, single_edge_graph, star_graph, trajectory_value
 
 F = Fraction
+HALF = F(1, 2)
 
 
 def stepped_valuation():
@@ -781,14 +782,14 @@ def test_combined_valuation_matches_the_eager_one_before_and_after_reads(vals, d
         combined.densities[first] = (Segment(F(0), F(1), F(2)),)
 
 
-def gappy_valuation():
-    """Density 2 on [0, 1/4] and 1 on [1/2, 1], with no segment in between."""
-    return Valuation({"e0": (Segment(F(0), F(1, 4), F(2)), Segment(F(1, 2), F(1), F(1)))})
+def plateau_valuation():
+    """Density 2 on [0, 1/4], 0 on [1/4, 1/2] and 1 on [1/2, 1]."""
+    return Valuation.from_segments({"e0": [(0, F(1, 4), 2), (F(1, 4), HALF, 0), (HALF, 1, 1)]})
 
 
-def test_combine_reads_a_gap_between_segments_as_zero():
-    vals, weights = [gappy_valuation(), Valuation.uniform(single_edge_graph())], [F(1, 2), F(1, 3)]
-    assert dict(combine_valuations(vals, weights).densities) == reference_combine(vals, weights)
+def test_valuation_refuses_a_gap_between_segments():
+    with pytest.raises(MalformedInput, match="contiguous"):
+        Valuation({"e0": (Segment(F(0), F(1, 4), F(2)), Segment(F(1, 2), F(1), F(1)))})
 
 
 @settings(max_examples=100, deadline=None)
@@ -803,7 +804,7 @@ def test_scaled_totals_match_the_scaled_segments(v, num, den):
 
 @settings(max_examples=150, deadline=None)
 @given(valuations())
-@example(gappy_valuation())
+@example(plateau_valuation())
 def test_summed_totals_match_the_clipped_walk(v):
     walked = {e: F(*_integrate(_clip(v, e, F(0), F(1)))) for e in v.densities}
     assert {e: F(x, v.scale) for e, x in v.int_totals.items()} == walked
@@ -816,7 +817,7 @@ def test_segments_have_no_instance_dict():
 
 @settings(max_examples=150, deadline=None)
 @given(valuations(), st.integers(0, 10**30), st.integers(1, 10**30))
-@example(gappy_valuation(), 1, 3**60)
+@example(plateau_valuation(), 1, 3**60)
 def test_scaled_integer_segments_match_the_fraction_products(v, num, den):
     factor = F(num, den)
     scaled = v.scaled(factor)
@@ -870,8 +871,6 @@ def test_valuations_are_read_only():
     assert v.edge_value("e0") == 1 and v.interval_value("e0", F(0), F(1)) == 1
 
 
-HALF = F(1, 2)
-
 
 def edge_worth(value):
     return Valuation.from_edge_values({"e0": value})
@@ -896,6 +895,28 @@ def edge_worth(value):
         (lambda: Valuation.from_json({"e0": [["0", True]]}), "is not a rational number"),
         (lambda: Instance(single_edge_graph(), (edge_worth(1),), "pie"), "unknown mode"),
         (lambda: Instance(single_edge_graph(), (edge_worth(2),)), "integrates to 2"),
+        (lambda: Valuation({"e0": ()}), "must partition"),
+        (lambda: Valuation({"e0": (Segment(F(1, 4), 1, 1),)}), "must partition"),
+        (lambda: Valuation({"e0": (Segment(0, F(3, 4), 1),)}), "must partition"),
+        (lambda: Valuation({"e0": (Segment(0, HALF, 1), Segment(F(3, 4), 1, 1))}), "contiguous"),
+        (lambda: Valuation({"e0": (Segment(0, HALF, 1), Segment(F(1, 4), 1, 1))}), "contiguous"),
+        (
+            lambda: Valuation({"e0": (Segment(0, HALF, 1), Segment(HALF, HALF, 1), Segment(HALF, 1, 1))}),
+            "strictly increasing",
+        ),
+        (
+            lambda: Valuation({"e0": (Segment(0, HALF, 1), Segment(HALF, F(1, 4), 1), Segment(F(1, 4), 1, 1))}),
+            "strictly increasing",
+        ),
+        (lambda: Valuation({"e0": (Segment(0, 1, -1),)}), "nonnegative"),
+        (
+            # integrates to 1, so only the sign check stands between it and an instance
+            lambda: Valuation({"e0": (Segment(0, HALF, 3), Segment(HALF, 1, -1)), "e1": (Segment(0, 1, 0),)}),
+            "nonnegative",
+        ),
+        (lambda: Valuation.from_json({"e0": [["0", "1"], ["1/2", "1"], ["1/4", "1"]]}), "strictly increasing"),
+        (lambda: Valuation.from_json({"e0": [["0", "1"], ["1", "1"]]}), "strictly increasing"),
+        (lambda: Valuation.from_json({"e0": [["0", "-1/3"]]}), "nonnegative"),
     ],
     ids=[
         "empty",
@@ -911,11 +932,68 @@ def edge_worth(value):
         "bool-density",
         "mode",
         "not-normalized",
+        "constructor-empty",
+        "constructor-start",
+        "constructor-end",
+        "constructor-gap",
+        "constructor-overlap",
+        "constructor-zero-length",
+        "constructor-backward",
+        "constructor-negative",
+        "constructor-negative-normalized",
+        "json-backward",
+        "json-start-at-1",
+        "json-negative",
     ],
 )
 def test_malformed_valuations_raise_malformed_input(build, message):
     with pytest.raises(MalformedInput, match=message):
         build()
+
+
+def _two_halves():
+    """Uniform density 2 on one half of ``e0`` each."""
+    return (
+        Valuation.from_segments({"e0": [(0, HALF, 2), (HALF, 1, 0)]}),
+        Valuation.from_segments({"e0": [(0, HALF, 0), (HALF, 1, 2)]}),
+    )
+
+
+def test_negative_factors_and_weights_are_refused():
+    u, w = _two_halves()
+    for factor in (F(-1, 2), -1):
+        with pytest.raises(DomainError, match="negative"):
+            u.scaled(factor)
+    with pytest.raises(DomainError, match="is not exact"):
+        u.scaled(0.5)
+    # a weighted sum that would integrate to 1 with a negative density on [1/2, 1]
+    for weights in ([2, -1], [F(3, 2), F(-1, 2)]):
+        with pytest.raises(DomainError, match="negative"):
+            combine_valuations([u, w], weights)
+
+
+@pytest.mark.parametrize(
+    "count, weights, message",
+    [
+        (2, [HALF], "one weight per valuation, got 1 for 2"),
+        (1, [HALF, HALF], "one weight per valuation, got 2 for 1"),
+        (0, [], "at least one valuation"),
+        (2, [0.5, 0.5], "is not exact"),
+        (2, [True, 1], "is not exact"),
+        (2, ["1/2", "1/2"], "is not exact"),
+    ],
+    ids=["short", "long", "empty", "float", "bool", "string"],
+)
+def test_combine_refuses_a_weight_list_that_does_not_fit(count, weights, message):
+    with pytest.raises(DomainError, match=message):
+        combine_valuations(list(_two_halves())[:count], weights)
+
+
+def test_exact_nonnegative_weights_and_factors_are_taken():
+    u, w = _two_halves()
+    assert combine_valuations([u, w], [HALF, 1]).total() == F(3, 2)
+    assert combine_valuations([u, w], [0, F(1, 3)]).edge_value("e0") == F(1, 3)
+    assert u.scaled(0).total() == 0 and u.scaled(3).total() == 3
 
 
 def test_segment_numbers_are_read_exactly():
