@@ -8,7 +8,16 @@ points, so equality is the test.
 
 The search runs in exact integers: each agent's atom values are multiplied by
 one common scale, the least common multiple of all their denominators, which
-keeps every sum, comparison and tie exact, and results are divided back.
+keeps every sum, comparison and tie exact, and results are divided back.  The
+atom values come from one pass over each edge's integer segments.
+
+An atom set is a bit mask in which each edge owns a field of d bits.  Its
+components are counted field by field, as ``graph_core.piece_component_count``
+counts a piece's: a whole edge joins its two ends, a run of atoms at an end
+reaches that vertex, and any other run stands alone.  Only the searches that
+need the components themselves walk the atoms' adjacency masks.  A search
+reads a piece's value, and the value of what it leaves to each later agent,
+from the sums it keeps while it grows the piece.
 
 The connected-piece searches are bounded by their incumbent: a piece, with
 every piece grown from it, or a prefix of pieces is dropped as soon as no
@@ -72,8 +81,8 @@ _OBJECTIVES: dict[str, tuple[Callable[[Sequence[int]], int], Callable[[int, int]
 OBJECTIVES = tuple(_OBJECTIVES)
 DEFAULT_STATE_BUDGET = 10_000_000
 # Most atoms (edges times grid denominator) a search or pair search may have.
-# On one core (Python 3.11), building the atom model of a 3-edge star took 0.06 s at 4,095 atoms, 0.22 s
-# and 11 MB more peak memory at 12,000, and 0.46 s and 44 MB at 24,000.
+# On one core (Python 3.11), building the atom model of a 3-edge star took 0.014 s at 4,095 atoms,
+# 0.03 s and 10 MB more peak memory (tracemalloc) at 12,000, and 0.08 s and 41 MB at 24,000.
 MAX_ATOMS = 4096
 
 
@@ -114,11 +123,47 @@ def _require_nonnegative(value: int, what: str) -> None:
         raise DomainError(f"{what} must be nonnegative, got {value}")
 
 
+def _atom_values(segs: Sequence[tuple[int, int, int, int, int, int]], d: int) -> list[tuple[int, int]]:
+    """The values of an edge's d atoms, each a reduced pair (numerator,
+    positive denominator), from one pass over the edge's integer segments.
+
+    An atom that lies inside one segment is worth its density over d.  Only
+    the first and the last atom a segment meets can hold a breakpoint; each of
+    them adds the length of its overlap times the density.
+    """
+    out = [(0, 1)] * d
+    for an, ad, bn, bd, p, q in segs:
+        if not p:
+            continue
+        first, last = an * d // ad, (bn * d - 1) // bd  # the atoms the segment meets
+        if last - first > 1:
+            g = math.gcd(p, q * d)
+            out[first + 1 : last] = [(p // g, q * d // g)] * (last - first - 1)
+        for j in (first, last) if last != first else (first,):
+            ln, ld = (an, ad) if an * d > j * ad else (j, d)
+            hn, hd = (bn, bd) if bn * d < (j + 1) * bd else (j + 1, d)
+            x, y = (hn * ld - ln * hd) * p, hd * ld * q  # the overlap times the density
+            num, den = out[j]
+            num, den = num * y + x * den, den * y
+            g = math.gcd(num, den)
+            out[j] = (num // g, den // g)
+    return out
+
+
 class _AtomModel:
     """Atoms of length 1/d per edge, with adjacency masks and per-agent values.
 
-    ``values[a][i]`` is agent ``a``'s value of atom ``i`` times ``scale``, an
-    integer; ``scale`` is the least common multiple of all atom denominators.
+    Atom ``k * d + j`` is the ``j``-th of edge ``k`` counted from its ``u``
+    end, so each edge owns one d-bit field of a mask.  ``values[a][i]`` is
+    agent ``a``'s value of atom ``i`` times ``scale``, an integer; ``scale``
+    is the least common multiple of all atom denominators.
+
+    ``component_count`` counts a mask's components field by field, by the
+    rule of ``graph_core.piece_component_count``: a whole edge joins its two
+    ends in a union-find over vertex numbers, a run of atoms that touches an
+    end reaches that vertex, and every other run is a component of its own.
+    ``components`` walks the adjacency masks, for the searches that need the
+    components themselves.
     """
 
     def __init__(self, inst: Instance, d: int):
@@ -149,15 +194,15 @@ class _AtomModel:
                     if a != b:
                         adj[a] |= 1 << b
         self.adj = adj
+        number = {v: i for i, v in enumerate(g.vertices)}
+        self._ends = [(number[e.u], number[e.v]) for e in g.edges]
+        self._vertex_count = len(g.vertices)
         exact = [
-            [
-                val.interval_value(e, Fraction(j, d), Fraction(j + 1, d))
-                for (e, j) in self.atoms
-            ]
+            [pq for e in g.edges for pq in _atom_values(val.edge_segments(e.id), d)]
             for val in inst.agents
         ]
-        self.scale = math.lcm(*(v.denominator for row in exact for v in row))
-        self.values = [[v.numerator * (self.scale // v.denominator) for v in row] for row in exact]
+        self.scale = math.lcm(*(q for row in exact for _, q in row))
+        self.values = [[p * (self.scale // q) for p, q in row] for row in exact]
         # later[a][i]: the values of atom i for the agents after a, in order
         self.later = [
             [tuple(row[i] for row in self.values[a + 1 :]) for i in range(len(self.atoms))]
@@ -181,6 +226,42 @@ class _AtomModel:
             mask ^= low
         return acc
 
+    def component_count(self, mask: int) -> int:
+        """How many components ``mask`` has: 0 for the empty mask."""
+        d = self.d
+        field = (1 << d) - 1
+        top = 1 << (d - 1)
+        loose = reached = joins = 0
+        # The union-find is written out: through ``graph_core._UnionFind`` the
+        # 16,498 counts of a seed-1 oracle-certify pass took 21 ms, not 17
+        # (Python 3.11, one core).
+        parent: Optional[list[int]] = None
+        for a, b in self._ends:
+            if not mask:
+                break
+            f = mask & field
+            mask >>= d
+            if f == field:
+                reached |= 1 << a | 1 << b
+                if parent is None:
+                    parent = list(range(self._vertex_count))
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a != b:
+                    parent[b] = a
+                    joins += 1
+            elif f:
+                loose += (f & ~(f << 1)).bit_count()  # the runs of this edge
+                if f & 1:
+                    reached |= 1 << a
+                    loose -= 1
+                if f & top:
+                    reached |= 1 << b
+                    loose -= 1
+        return loose + reached.bit_count() - joins
+
     def _component_of(self, seed: int, mask: int) -> int:
         """The atoms of ``mask`` connected within ``mask`` to the atoms of ``seed``."""
         adj = self.adj
@@ -196,26 +277,14 @@ class _AtomModel:
             comp = grown
         return comp
 
-    def components(self, mask: int, limit: Optional[int] = None) -> list[int]:
-        """The components of ``mask``, lowest atom first.
-
-        With a ``limit`` the walk stops after ``limit`` components; any atoms
-        left over form one last entry, not grown into components.  So the
-        list holds more than ``limit`` entries exactly when ``mask`` has more
-        than ``limit`` components.
-        """
+    def components(self, mask: int) -> list[int]:
+        """The components of ``mask``, lowest atom first."""
         out = []
         while mask:
-            if len(out) == limit:
-                out.append(mask)
-                break
             comp = self._component_of(mask & -mask, mask)
             mask &= ~comp
             out.append(comp)
         return out
-
-    def is_connected(self, mask: int) -> bool:
-        return len(self.components(mask, 1)) <= 1
 
     def symmetric_from(self) -> int:
         """The first of the agents, counted back from the last, that share the
@@ -256,8 +325,9 @@ def _connected_subsets(
     seeds: Optional[int] = None,
     stop: Optional[Callable[[int], bool]] = None,
     reads_rests: bool = True,
-) -> Iterator[tuple[int, int]]:
-    """The nonempty connected subsets of ``universe`` with their value for ``agent``.
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The nonempty connected subsets of ``universe``, each with its value for
+    ``agent`` and its rests.
 
     Each subset appears exactly once: seeds are taken in increasing atom order
     and extensions already branched on are banned for later branches.  A
@@ -265,14 +335,14 @@ def _connected_subsets(
     (all of ``universe`` by default), keeps the subsets whose lowest atom is
     among them, in the same order.
 
-    ``cut(value, rests)`` sees a subset's value for ``agent`` and, for each
-    agent after ``agent``, the value of ``universe`` minus the subset.  A
-    subset it drops is not visited, and neither is any subset grown from it,
+    The rests are, for each agent after ``agent``, the value of ``universe``
+    minus the subset.  ``cut(value, rests)`` sees a subset's value and rests.
+    A subset it drops is not visited, and neither is any subset grown from it,
     so it must also hold for those: along a branch the value only grows and
     the rests only shrink, so a test that a larger value or smaller rests
     cannot make false will do.  A cut that reads only the value is passed
-    with ``reads_rests=False``; it sees an empty tuple, and no rests are
-    kept.
+    with ``reads_rests=False``.  Without a cut, or with such a one, no rests
+    are kept, and every subset comes with an empty tuple.
 
     ``stop(value)`` keeps a subset but grows nothing from it.
     """
@@ -296,7 +366,7 @@ def _connected_subsets(
                 continue
         allowed = universe & ~(seed - 1) & ~seed
         budget.spend()
-        yield seed, vals[bit]
+        yield seed, vals[bit], rests
         if stop is not None and stop(vals[bit]):
             continue
         frontier = adj[bit] & ~seed
@@ -322,7 +392,7 @@ def _connected_subsets(
             current |= pick
             frontier = (frontier | adj[bit]) & ~current
             budget.spend()
-            yield current, value
+            yield current, value, rests
             if stop is None or not stop(value):
                 stack.append((current, value, rests, frontier, frontier & allowed & ~ban, ban))
 
@@ -353,6 +423,11 @@ def _partitions(
     nonempty ones come in increasing order of lowest atom, and the empty ones
     last.  An egalitarian search without completeness gives the last agent a
     whole component of the atoms left, or nothing only when none are left.
+
+    With completeness the last piece is the rest, so the agent before the last
+    finishes each allocation itself: it takes the steps the last agent would
+    take, prune, the rest's component count and one state, and reads the
+    last agent's value from the rests its pieces come with.
     """
     n = len(model.values)
     complete = cfg.require_complete
@@ -366,7 +441,7 @@ def _partitions(
         if prune(values):
             return
         left = n - agent
-        if complete and len(model.components(remaining, left)) > left:
+        if complete and model.component_count(remaining) > left:
             return
         if complete and agent == n - 1:
             # the component count above has ruled out a second component
@@ -385,8 +460,20 @@ def _partitions(
         if agent < n - 1:
             if empty:
                 yield from rec(agent + 1, remaining, masks + (0,), values + (0,))
-            for s, v in pieces:
-                yield from rec(agent + 1, remaining & ~s, masks + (s,), values + (v,))
+            if not complete or agent < n - 2:
+                for s, v, _ in pieces:
+                    yield from rec(agent + 1, remaining & ~s, masks + (s,), values + (v,))
+                return
+            for s, v, rests in pieces:  # the last piece is the rest
+                head = values + (v,)
+                if prune(head):
+                    continue
+                rest = remaining & ~s
+                if model.component_count(rest) > 1:
+                    continue
+                budget.spend()
+                # the cost cut keeps no rests
+                yield masks + (s, rest), head + (rests[0] if rests else model.value(n - 1, rest),)
         elif whole_last and remaining:
             for c in model.components(remaining):
                 if c & -c & seeds:
@@ -395,7 +482,7 @@ def _partitions(
         else:
             budget.spend()
             yield masks + (0,), values + (0,)
-            for s, v in pieces:
+            for s, v, _ in pieces:
                 yield masks + (s,), values + (v,)
 
     yield from rec(0, model.full_mask, (), ())
@@ -536,7 +623,7 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
             budget.spend()
             left = cfg.piece_budget
             for m in masks:
-                left -= len(model.components(m, left))
+                left -= model.component_count(m)
                 if left < 0:
                     break
             else:
@@ -596,24 +683,29 @@ def pair_feasible(
     orders = [(first, second)]
     if flexible and model.symmetric_from() > 0:  # the agents' rows differ
         orders.append((second, first))
+    whole = model.value(1, model.full_mask)
     for need0, need1 in orders:
         # a first piece whose complement is worth less than need1 to the
         # second agent leaves it nothing that meets need1, nor does any larger one
         cut = lambda value, rests, need1=need1: rests[0] < need1
         stop = None if require_complete else lambda value, need0=need0: value >= need0
         first_candidates = itertools.chain(
-            [(0, 0)], _connected_subsets(model, model.full_mask, 0, budget, cut, stop=stop)
+            [(0, 0, (whole,))], _connected_subsets(model, model.full_mask, 0, budget, cut, stop=stop)
         )
-        for s0_mask, v0 in first_candidates:
+        for s0_mask, v0, (rest,) in first_candidates:
             if v0 < need0:
                 continue
             complement = model.full_mask & ~s0_mask
-            if require_complete:
-                options = [complement] if model.is_connected(complement) else []
-            else:
-                options = [0] + model.components(complement)
-            for s1_mask in options:
-                if model.value(1, s1_mask) >= need1:
+            # the second piece with its value: with completeness the complement,
+            # which must be connected; without, nothing or a component of the
+            # complement.  A connected complement is worth ``rest``.
+            options = [] if require_complete else [(0, 0)]
+            if model.component_count(complement) <= 1:
+                options.append((complement, rest))
+            elif not require_complete:
+                options += [(c, model.value(1, c)) for c in model.components(complement)]
+            for s1_mask, v1 in options:
+                if v1 >= need1:
                     masks = (s0_mask, s1_mask)
                     return True, Allocation(tuple(model.piece(m) for m in masks))
     return False, None
@@ -646,16 +738,23 @@ def check_powers_of_three(
     shift = max(0, -a_lo)
     scale = 2 * 3**shift
     half = 3**shift
+    choices = (-2, -1, 1, 2)
+    vectors = list(itertools.product(choices, repeat=t))
     best_gap: Optional[int] = None
     best_assignment: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     for exps in itertools.combinations_with_replacement(exponents, t):
-        powers = [2 * 3 ** (a + shift) for a in exps]
-        for coefs in itertools.product((-2, -1, 1, 2), repeat=t):
-            total = sum(c * p for c, p in zip(coefs, powers))
-            gap = abs(total - half)
-            if best_gap is None or gap < best_gap:
-                best_gap = gap
-                best_assignment = (exps, coefs)
+        # every vector's total minus the half, in the order of ``vectors``:
+        # the last coefficient varies fastest
+        totals = [-half]
+        for a in exps:
+            power = 2 * 3 ** (a + shift)
+            steps = [c * power for c in choices]
+            totals = [x + step for x in totals for step in steps]
+        gaps = list(map(abs, totals))
+        gap = min(gaps)
+        if best_gap is None or gap < best_gap:
+            best_gap = gap
+            best_assignment = (exps, vectors[gaps.index(gap)])
     if best_gap is None or best_assignment is None:
         raise ProtocolInvariantError("the enumeration visited no assignment")
     gap = Fraction(best_gap, scale)

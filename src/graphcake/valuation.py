@@ -114,22 +114,26 @@ def _checked(segs: EdgeDensity) -> tuple[int, int]:
     unreduced numerator and denominator.  The same pass checks, by
     cross-multiplying, that the segments partition [0, 1]: they start at 0,
     each starts where the last one ended and ends past its start, and the last
-    ends at 1.  It also checks that the densities are nonnegative."""
-    if not segs or segs[0][0] or segs[-1][2] != segs[-1][3]:
-        raise MalformedInput("segments must partition [0, 1]")
-    num, den = 0, 1
-    en, ed = 0, 1  # where the previous segment ended
-    for an, ad, bn, bd, p, q in segs:
-        if an * ed != en * ad:
-            raise MalformedInput("segments must be contiguous")
-        if an * bd >= bn * ad:
-            raise MalformedInput("segment breakpoints must be strictly increasing")
-        if p < 0:
-            raise MalformedInput("densities must be nonnegative")
-        if p:
-            d = ad * bd * q
-            num, den = num * d + (bn * ad - an * bd) * p * den, den * d
-        en, ed = bn, bd
+    ends at 1.  It also checks that the densities are nonnegative.  A segment
+    that is not six integers fails to unpack, and raises MalformedInput."""
+    try:
+        if not segs or segs[0][0] or segs[-1][2] != segs[-1][3]:
+            raise MalformedInput("segments must partition [0, 1]")
+        num, den = 0, 1
+        en, ed = 0, 1  # where the previous segment ended
+        for an, ad, bn, bd, p, q in segs:
+            if an * ed != en * ad:
+                raise MalformedInput("segments must be contiguous")
+            if an * bd >= bn * ad:
+                raise MalformedInput("segment breakpoints must be strictly increasing")
+            if p < 0:
+                raise MalformedInput("densities must be nonnegative")
+            if p:
+                d = ad * bd * q
+                num, den = num * d + (bn * ad - an * bd) * p * den, den * d
+            en, ed = bn, bd
+    except (IndexError, TypeError, ValueError):
+        raise MalformedInput("a segment is a Segment: six integers") from None
     return num, den
 
 
@@ -196,7 +200,11 @@ class Valuation:
     def from_segments(per_edge: Mapping[str, Sequence[tuple]]) -> "Valuation":
         """Segments given as (start, end, density) triples of Fractions, ints,
         or ``"p"`` / ``"p/q"`` strings."""
-        return Valuation({e: tuple(Segment(*seg) for seg in segs) for e, segs in per_edge.items()})
+        try:
+            densities = {e: tuple(Segment(*seg) for seg in segs) for e, segs in per_edge.items()}
+        except TypeError:
+            raise MalformedInput("a segment is a (start, end, density) triple") from None
+        return Valuation(densities)
 
     @staticmethod
     def from_edge_values(values: Mapping[str, Fraction | int | str]) -> "Valuation":

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -827,16 +828,77 @@ def test_powers_of_three_matches_the_fraction_reference(t, a_lo, data):
     assert check_powers_of_three(t, a_lo, a_hi) == ref_check_powers_of_three(t, a_lo, a_hi)[:3]
 
 
+def test_component_count_is_the_number_of_components():
+    # every mask of every multigraph with at most three edges, parallel ones included
+    graphs = connected_multigraphs_up_to_iso(3)
+    assert any(len({(e.u, e.v) for e in g.edges}) < g.m for g in graphs)
+    for g in graphs:
+        for d in (1, 2, 3):
+            model = _AtomModel(uniform_instance(g, 2), d)
+            for mask in range(model.full_mask + 1):
+                assert model.component_count(mask) == len(model.components(mask))
+
+
+def _fraction_atom_values(inst, d):
+    """(values, scale) of the atom model built as one ``Fraction`` per atom."""
+    exact = [
+        [val.interval_value(e.id, F(j, d), F(j + 1, d)) for e in inst.graph.edges for j in range(d)]
+        for val in inst.agents
+    ]
+    scale = math.lcm(*(v.denominator for row in exact for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in exact], scale
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(connected_multigraphs_up_to_iso(3)), st.integers(1, 3), st.integers(0, 4), st.data())
-def test_limited_component_walk_agrees_with_the_full_one(g, d, limit, data):
-    model = _AtomModel(uniform_instance(g, 2), d)
-    mask = data.draw(st.integers(0, model.full_mask))
-    full, limited = model.components(mask), model.components(mask, limit)
-    assert limited[:limit] == full[:limit]
-    assert (len(limited) > limit) == (len(full) > limit)
-    # the entries still split the mask: the last one holds every atom left over
-    assert sum(limited) == mask and not any(a & b for a, b in itertools.combinations(limited, 2))
+@given(grid_instances(), st.integers(1, 7))
+def test_atom_values_match_one_fraction_per_atom(inst, d):
+    model = _AtomModel(inst, d)
+    assert (model.values, model.scale) == _fraction_atom_values(inst, d)
+
+
+def test_atom_values_with_breakpoints_on_and_between_grid_points():
+    g = CakeGraph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "a", "b")])
+    agents = [
+        Valuation.from_segments(
+            {
+                # 1/2 is a grid point at d = 2, 4, 6, 1/3 at d = 3, 6 and 3/7 at
+                # d = 7; 96/97 lies between grid points at every d here
+                "e0": [(0, "1/2", 3), ("1/2", 1, "2/5")],
+                "e1": [(0, "1/3", "7/3"), ("1/3", "3/7", 0), ("3/7", "96/97", 5), ("96/97", 1, "1/1009")],
+                "e2": [(0, 1, "1/7919")],
+            }
+        ),
+        Valuation.from_segments({"e1": [(0, "1/6", 0), ("1/6", "5/6", 11), ("5/6", 1, 0)]}),
+    ]
+    inst = Instance(g, tuple(v.scaled(1 / v.total()) for v in agents), "cake")
+    for d in range(1, 8):
+        model = _AtomModel(inst, d)
+        assert (model.values, model.scale) == _fraction_atom_values(inst, d)
+
+
+def test_complete_searches_on_four_edges_match_the_fraction_reference():
+    # the shapes of the benchmark's two-agent searches, which the drawn
+    # instances above do not reach: four edges at grid 4, complete
+    rng = random.Random(4)
+    for i, g in enumerate(g for g in connected_multigraphs_up_to_iso(4) if g.m == 4):
+        agents = []
+        for _ in range(2):
+            v = Valuation(
+                {
+                    e.id: (Segment(0, F(1, 3), rng.randint(0, 3)), Segment(F(1, 3), 1, rng.randint(1, 3)))
+                    for e in g.edges
+                }
+            )
+            agents.append(v.scaled(1 / v.total()))
+        if i % 3 == 0:  # one valuation for both agents: the symmetric search
+            agents[1] = agents[0]
+        inst = Instance(g, tuple(agents), "cake")
+        for objective in ("egal", "inequity"):
+            cfg = GridSearchConfig(4, objective, require_complete=True, state_budget=REFERENCE_BUDGET)
+            _spends_like_the_reference(
+                _outcome(lambda: ref_grid_search_best(inst, cfg)),
+                lambda budget: grid_search_best(inst, dataclasses.replace(cfg, state_budget=budget)),
+            )
 
 
 def test_grid_search_with_large_coprime_denominators():

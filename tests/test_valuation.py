@@ -1008,3 +1008,20 @@ def test_segment_numbers_are_read_exactly():
 def test_segment_numbers_that_are_not_exact_are_refused(segment):
     with pytest.raises(MalformedInput, match="is not a rational number p/q"):
         Valuation.from_segments({"e0": [segment]})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Valuation({"e0": [(0, 1, 1)]}), "a segment is a Segment: six integers"),
+        (lambda: Valuation({"e0": [(0, 1, 1, 1, 1, 1, 1)]}), "a segment is a Segment: six integers"),
+        (lambda: Valuation({"e0": [5]}), "a segment is a Segment: six integers"),
+        (lambda: Valuation.from_segments({"e0": [(0, 1)]}), r"a segment is a \(start, end, density\) triple"),
+        (lambda: Valuation.from_segments({"e0": [(0, 1, 1, 1)]}), r"\(start, end, density\) triple"),
+        (lambda: Valuation.from_segments({"e0": [5]}), r"\(start, end, density\) triple"),
+    ],
+    ids=["triple", "seven", "int", "pair", "quadruple", "int-triple"],
+)
+def test_a_segment_of_the_wrong_shape_raises_malformed_input(build, message):
+    with pytest.raises(MalformedInput, match=message):
+        build()
