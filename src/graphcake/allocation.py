@@ -15,7 +15,6 @@ from .graph_core import (
     Piece,
     format_fraction,
     is_whole,
-    parse_fraction,
     piece_component_count,
 )
 from .valuation import Instance, value_of_piece

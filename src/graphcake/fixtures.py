@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import BadParameters, UnknownFixture
-from .graph_core import CakeGraph, ONE, ZERO, Param, exact_int, read_params
+from .graph_core import CakeGraph, ONE, ZERO, Param, exact_fraction, exact_int, read_params
 from .protocols import f_guarantee
 from .valuation import Instance, Segment, Valuation, _segment
 
@@ -167,9 +167,12 @@ _CATALOG = {
     "star_tight": (_star_tight, {"n": Param(exact_int)}),
     "star_fnk_tight": (_star_fnk_tight, {"n": Param(exact_int), "k": Param(exact_int)}),
     "three_bridge": (lambda: _uniform_star(3), {}),
-    "frontier_edge": (_frontier_edge, {"alpha": Param(Fraction)}),
+    "frontier_edge": (_frontier_edge, {"alpha": Param(exact_fraction)}),
     "four_edge_star": (lambda: _uniform_star(4), {}),
-    "fig2": (_fig2, {"alpha": Param(Fraction, required=False), "eps": Param(Fraction, required=False)}),
+    "fig2": (
+        _fig2,
+        {"alpha": Param(exact_fraction, required=False), "eps": Param(exact_fraction, required=False)},
+    ),
     "fig1_flowers": (_fig1_flowers, {"side": Param(str, required=False)}),
     "ternary_tree": (_ternary_tree, {"k": Param(exact_int)}),
     "equit_star3": (lambda: _uniform_star(3), {}),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     BadParameters,
@@ -59,14 +59,6 @@ class Edge:
             return self.v
         if vertex == self.v:
             return self.u
-        raise ValueError(f"vertex {vertex!r} is not an endpoint of edge {self.id!r}")
-
-    def endpoint_position(self, vertex: str) -> Fraction:
-        """Parametric position (0 or 1) of the given endpoint."""
-        if vertex == self.u:
-            return ZERO
-        if vertex == self.v:
-            return ONE
         raise ValueError(f"vertex {vertex!r} is not an endpoint of edge {self.id!r}")
 
 
@@ -223,26 +215,21 @@ def _distances(g: CakeGraph, source: str) -> dict[str, int]:
 
 
 @dataclass(frozen=True)
-class VertexPoint:
-    vertex: str
-
-
-@dataclass(frozen=True)
 class EdgePoint:
     edge: str
     pos: Fraction
 
 
-Point = Union[VertexPoint, EdgePoint]
+Point = str | EdgePoint  # a graph vertex by name, or a point inside an edge
 
 
 def canonical_point(g: CakeGraph, edge_id: str, pos: Fraction) -> Point:
-    """Canonical form: positions 0 and 1 collapse to the corresponding vertex."""
+    """Canonical form: positions 0 and 1 collapse to the name of that end vertex."""
     e = g.edge(edge_id)
     if pos == 0:
-        return VertexPoint(e.u)
+        return e.u
     if pos == 1:
-        return VertexPoint(e.v)
+        return e.v
     if not ZERO < pos < ONE:
         raise MalformedPiece(f"position {pos} outside [0, 1] on edge {edge_id!r}")
     return EdgePoint(edge_id, pos)
@@ -479,6 +466,15 @@ def exact_int(value: object) -> int:
     if number.denominator != 1:
         raise ValueError(f"{value!r} is not an integer")
     return number.numerator
+
+
+def exact_fraction(value: object) -> Fraction:
+    """``value`` as a Fraction: an int, a Fraction, or a string such as
+    ``"1/4"`` or ``"0.25"``.  A float or a bool raises ValueError, where
+    ``Fraction`` would read 0.2 as its binary approximation and True as 1."""
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"{value!r} is not exact")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ one common scale, the least common multiple of all their denominators, which
 keeps every sum, comparison and tie exact, and results are divided back.  The
 atom values come from one pass over each edge's integer segments.
 
-An atom set is a bit mask in which each edge owns a field of d bits.  Its
-components are counted field by field, as ``graph_core.piece_component_count``
-counts a piece's: a whole edge joins its two ends, a run of atoms at an end
-reaches that vertex, and any other run stands alone.  Only the searches that
-need the components themselves walk the atoms' adjacency masks.  A search
-reads a piece's value, and the value of what it leaves to each later agent,
-from the sums it keeps while it grows the piece.
+Atom ``k * d + j`` is the ``j``-th of edge ``k``, so an atom set is a bit
+mask in which each edge owns a field of d bits.  Its components are counted
+field by field, as ``graph_core.piece_component_count`` counts a piece's: a
+whole edge joins its two ends, a run of atoms at an end reaches that vertex,
+and any other run stands alone.  Only the searches that need the components
+themselves walk the atoms' adjacency masks, built from one mask per vertex
+of the atoms at it.  A search reads a piece's value, and the value of what it
+leaves to each later agent, from the sums it keeps while it grows the piece.
 
 The connected-piece searches are bounded by their incumbent: a piece, with
 every piece grown from it, or a prefix of pieces is dropped as soon as no
@@ -26,15 +27,16 @@ such test is strict, so allocations that tie the optimum survive and the
 witness is the one the exhaustive search would return.
 
 More rules skip states that cannot change the answer or the witness.  The
-witness is the least optimal assignment key, where an atom's key entry is
-its owner and an unallocated atom sorts after every agent; each rule keeps
-only allocations that some change preserving the score, or raising it, can
-turn into one with a smaller key, and so keeps that witness.
+witness is the least optimal assignment of atoms to owners.  Of two
+assignments the lesser gives the lowest atom they assign differently to the
+lower-indexed agent, and an unallocated atom sorts after every agent.  Each
+rule keeps only allocations that some change preserving the score, or
+raising it, can turn into a lesser one, and so keeps that witness.
 
 - Agent symmetry, in every search.  The agents from some index on may share
   one row of atom values; swapping two of their pieces keeps every
-  objective's score, and the key is least when the lower-indexed agent
-  holds the lower atom.  So their pieces are searched in one order only.
+  objective's score, and the assignment is least when the lower-indexed
+  agent holds the lower atom.  So their pieces are searched in one order only.
   In the connected-piece searches their nonempty pieces come in increasing
   order of lowest atom, with the empty ones last; when the allocation must
   be complete, each next piece holds the lowest atom still free.  The
@@ -45,8 +47,8 @@ turn into one with a smaller key, and so keeps that witness.
 - Whole last piece.  In an egalitarian search without completeness the
   last agent's piece is a whole component of the atoms left, or empty only
   when none are left.  With n agents, growing the last piece to its
-  component never lowers the least value, and the atoms it adds change
-  their key entry from n, unallocated, to n - 1.
+  component never lowers the least value, and the atoms it adds pass from
+  no owner, which sorts after every agent, to agent n - 1.
 - Pair-search stop.  Without completeness, ``pair_feasible`` stops growing
   a first piece once it meets its threshold.  A larger piece leaves a
   smaller complement, each of whose components lies inside a component of
@@ -68,8 +70,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .allocation import Allocation
 from .errors import BudgetExceeded, DomainError, ProtocolInvariantError
-from .graph_core import Interval, Piece
-from .valuation import Instance
+from .graph_core import Interval, Piece, _edge_ends
+from .valuation import Instance, require_exact
 
 # Each objective: the score of an allocation's per-agent values, and the strict
 # test ``beats(score, other)`` that one score is better than another.
@@ -81,8 +83,9 @@ _OBJECTIVES: dict[str, tuple[Callable[[Sequence[int]], int], Callable[[int, int]
 OBJECTIVES = tuple(_OBJECTIVES)
 DEFAULT_STATE_BUDGET = 10_000_000
 # Most atoms (edges times grid denominator) a search or pair search may have.
-# On one core (Python 3.11), building the atom model of a 3-edge star took 0.014 s at 4,095 atoms,
-# 0.03 s and 10 MB more peak memory (tracemalloc) at 12,000, and 0.08 s and 41 MB at 24,000.
+# On one core (Python 3.11), building the atom model of a 3-edge star took 0.008-0.014 s at 4,095
+# atoms (median of 7 builds, in 5 runs), 0.06 s and 11 MB peak memory (tracemalloc) at 12,000, and
+# 0.13 s and 40 MB at 24,000.
 MAX_ATOMS = 4096
 
 
@@ -154,9 +157,11 @@ class _AtomModel:
     """Atoms of length 1/d per edge, with adjacency masks and per-agent values.
 
     Atom ``k * d + j`` is the ``j``-th of edge ``k`` counted from its ``u``
-    end, so each edge owns one d-bit field of a mask.  ``values[a][i]`` is
-    agent ``a``'s value of atom ``i`` times ``scale``, an integer; ``scale``
-    is the least common multiple of all atom denominators.
+    end, so each edge owns one d-bit field of a mask.  ``adj[i]`` masks atom
+    ``i``'s neighbours in its edge and, at an end of the edge, the other atoms
+    at that vertex, read from one mask per vertex.  ``values[a][i]`` is agent
+    ``a``'s value of atom ``i`` times ``scale``, an integer; ``scale`` is the
+    least common multiple of all atom denominators.
 
     ``component_count`` counts a mask's components field by field, by the
     rule of ``graph_core.piece_component_count``: a whole edge joins its two
@@ -176,27 +181,20 @@ class _AtomModel:
                 f"{MAX_ATOMS}: its adjacency masks grow with the square of the atom count"
             )
         self.d = d
-        self.atoms: list[tuple[str, int]] = [(e.id, j) for e in g.edges for j in range(d)]
-        index = {atom: i for i, atom in enumerate(self.atoms)}
-        adj = [0] * len(self.atoms)
-        for e in g.edges:
-            for j in range(d - 1):
-                a, b = index[(e.id, j)], index[(e.id, j + 1)]
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-        at_vertex: dict[str, list[int]] = {v: [] for v in g.vertices}
-        for e in g.edges:
-            at_vertex[e.u].append(index[(e.id, 0)])
-            at_vertex[e.v].append(index[(e.id, d - 1)])
-        for group in at_vertex.values():
-            for a in group:
-                for b in group:
-                    if a != b:
-                        adj[a] |= 1 << b
-        self.adj = adj
-        number = {v: i for i, v in enumerate(g.vertices)}
-        self._ends = [(number[e.u], number[e.v]) for e in g.edges]
+        self._edges = g.edges
+        self._ends = tuple(_edge_ends(g).values())  # in edge order
         self._vertex_count = len(g.vertices)
+        at_vertex = [0] * len(g.vertices)  # each vertex's mask of the atoms at it
+        for k, (a, b) in enumerate(self._ends):
+            at_vertex[a] |= 1 << k * d
+            at_vertex[b] |= 1 << (k + 1) * d - 1
+        self.adj = adj = []
+        for k, (a, b) in enumerate(self._ends):
+            first, last = k * d, (k + 1) * d - 1
+            for i in range(first, last + 1):
+                down = 1 << i - 1 if i > first else at_vertex[a]
+                up = 1 << i + 1 if i < last else at_vertex[b]
+                adj.append((down | up) & ~(1 << i))
         exact = [
             [pq for e in g.edges for pq in _atom_values(val.edge_segments(e.id), d)]
             for val in inst.agents
@@ -205,17 +203,17 @@ class _AtomModel:
         self.values = [[p * (self.scale // q) for p, q in row] for row in exact]
         # later[a][i]: the values of atom i for the agents after a, in order
         self.later = [
-            [tuple(row[i] for row in self.values[a + 1 :]) for i in range(len(self.atoms))]
+            [tuple(row[i] for row in self.values[a + 1 :]) for i in range(len(adj))]
             for a in range(len(self.values))
         ]
-        self.full_mask = (1 << len(self.atoms)) - 1
+        self.full_mask = (1 << len(adj)) - 1
 
     def piece(self, mask: int) -> Piece:
-        intervals = []
-        for i, (e, j) in enumerate(self.atoms):
-            if mask >> i & 1:
-                intervals.append(Interval(e, Fraction(j, self.d), Fraction(j + 1, self.d)))
-        return Piece.of(intervals)
+        d = self.d
+        atoms = (divmod(i, d) for i in range(mask.bit_length()) if mask >> i & 1)
+        return Piece.of(
+            Interval(self._edges[k].id, Fraction(j, d), Fraction(j + 1, d)) for k, j in atoms
+        )
 
     def value(self, agent: int, mask: int) -> int:
         acc = 0
@@ -310,8 +308,8 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
+    def spend(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceeded(f"search exceeded the state budget of {self.limit}")
 
@@ -530,7 +528,7 @@ def _assignment_count(model: _AtomModel, complete: bool) -> int:
     inclusion and exclusion, come j! to each order of first appearance.
     Without identical agents this is ``choices ** atoms``.
     """
-    atoms = len(model.atoms)
+    atoms = len(model.adj)
     symmetric = model.symmetric_from()
     free = symmetric if complete else symmetric + 1
     total = 0
@@ -540,16 +538,18 @@ def _assignment_count(model: _AtomModel, complete: bool) -> int:
     return total
 
 
-def _assignment_key(model: _AtomModel, masks: Sequence[int], n: int) -> tuple[int, ...]:
-    out = []
-    for i in range(len(model.atoms)):
-        owner = n  # unallocated sorts after every agent
-        for a, mask in enumerate(masks):
-            if mask >> i & 1:
-                owner = a
-                break
-        out.append(owner)
-    return tuple(out)
+def _assigns_first(masks: Sequence[int], other: Sequence[int]) -> bool:
+    """Whether the assignment ``masks``, disjoint atom sets one per agent, is
+    less than ``other``: whether it gives the lowest atom the two assign
+    differently to the lower-indexed agent, no agent sorting after them all."""
+    differ = 0
+    for m, o in zip(masks, other):
+        differ |= m ^ o
+    low = differ & -differ
+    for m, o in zip(masks, other):
+        if (m | o) & low:
+            return bool(m & low)
+    return False
 
 
 def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, Allocation]:
@@ -565,7 +565,7 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
     model = _AtomModel(inst, cfg.denominator)
     budget = _Budget(cfg.state_budget)
     score_of, beats = _OBJECTIVES[cfg.objective]
-    best: Optional[tuple[int, Optional[tuple[int, ...]], tuple[int, ...]]] = None
+    best: Optional[tuple[int, tuple[int, ...]]] = None
 
     # Branch and bound: drop a prefix of pieces, or a piece with every piece
     # grown from it, when no allocation through it can score as well as the
@@ -602,16 +602,10 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
     def consider(masks: tuple[int, ...], values: tuple[int, ...]) -> None:
         nonlocal best
         score = score_of(values)
-        if best is None or beats(score, best[0]):
-            best = (score, None, masks)
-            return
-        if score == best[0]:
-            key = _assignment_key(model, masks, n)
-            incumbent = best[1] if best[1] is not None else _assignment_key(model, best[2], n)
-            if key < incumbent:
-                best = (score, key, masks)
-            else:
-                best = (best[0], incumbent, best[2])
+        if best is None or beats(score, best[0]) or (
+            score == best[0] and _assigns_first(masks, best[1])
+        ):
+            best = (score, masks)
 
     if cfg.piece_budget is not None:
         size = _assignment_count(model, cfg.require_complete)
@@ -634,7 +628,7 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
 
     if best is None:
         raise DomainError("search space is empty")
-    return Fraction(best[0], model.scale), Allocation(tuple(model.piece(m) for m in best[2]))
+    return Fraction(best[0], model.scale), Allocation(tuple(model.piece(m) for m in best[1]))
 
 
 def pair_feasible(
@@ -668,6 +662,8 @@ def pair_feasible(
     """
     if inst.n != 2:
         raise DomainError("pair search is defined for two agents")
+    require_exact(first_threshold, "first threshold")
+    require_exact(second_threshold, "second threshold")
     budget = _Budget(state_budget)
     model = _AtomModel(inst, d)
 

@@ -68,12 +68,13 @@ from .graph_core import (
     OrientedLabeling,
     Param,
     Piece,
-    VertexPoint,
+    Point,
     _cycle_breaks,
     _distances,
     canonical_point,
     classify_almost_bridgeless,
     compute_contiguous_labeling,
+    exact_fraction,
     exact_int,
     is_contiguous,
     is_whole,
@@ -147,28 +148,20 @@ def _require(inst: Instance, setting: Setting) -> None:
 # ---------------------------------------------------------------------------
 
 
-Node = str | EdgePoint  # a graph vertex by name, or an interior cut point
-
-
-def _node(g: CakeGraph, edge_id: str, pos: Fraction) -> Node:
-    p = canonical_point(g, edge_id, pos)
-    return p.vertex if isinstance(p, VertexPoint) else p
-
-
-def _ends(g: CakeGraph, iv: Interval) -> tuple[Node, Node]:
-    """The nodes at an interval's two ends; a whole edge's are its endpoints."""
+def _ends(g: CakeGraph, iv: Interval) -> tuple[Point, Point]:
+    """The points at an interval's two ends; a whole edge's are its endpoints."""
     if is_whole(iv.lo, iv.hi):
         e = g.edge(iv.edge)
         return e.u, e.v
-    return _node(g, iv.edge, iv.lo), _node(g, iv.edge, iv.hi)
+    return canonical_point(g, iv.edge, iv.lo), canonical_point(g, iv.edge, iv.hi)
 
 
 def _numbered_ends(
     g: CakeGraph, intervals: Iterable[Interval]
-) -> tuple[list[tuple[int, int]], dict[Node, int]]:
+) -> tuple[list[tuple[int, int]], dict[Point, int]]:
     """Each interval's two end nodes by id, and each node's id: the nodes are
     numbered from 0 in order of first appearance."""
-    ids: dict[Node, int] = {}
+    ids: dict[Point, int] = {}
     ends = []
     for iv in intervals:
         a, b = _ends(g, iv)
@@ -176,7 +169,7 @@ def _numbered_ends(
     return ends, ids
 
 
-def _node_key(p: Node) -> tuple:
+def _node_key(p: Point) -> tuple:
     """Graph vertices first, by name; then cut points, by edge id and position."""
     if isinstance(p, str):
         return (0, p, ZERO)
@@ -187,7 +180,7 @@ class _RootedTree:
     """A region of the cake as a rooted tree, in the graph's coordinates.
 
     The nodes are the graph vertices the region reaches and its interior cut
-    points (``Node``s), numbered so that every parent comes before its
+    points (``Point``s), numbered so that every parent comes before its
     children; node 0 is the root.  Each interval links the nodes at its two
     ends; an interval that closes a cycle (see ``_cycle_breaks``) is cut loose
     and gets a leaf of its own at its upper end, and ``loose`` lists those
@@ -196,8 +189,8 @@ class _RootedTree:
     span's upper end; ``leg(w)`` sweeps the span towards the parent.  Children
     follow the order of the intervals.  The build gives the nodes integer ids
     in order of first appearance (``_numbered_ends``); the ids do not outlive
-    the build, and every order and tie-break goes by the ``Node``s.  The root
-    is a given ``Node``, by default the least node by ``_node_key``.
+    the build, and every order and tie-break goes by the ``Point``s.  The root
+    is a given ``Point``, by default the least node by ``_node_key``.
 
     A region that is not connected raises ``DisconnectedPiece``, unless
     ``forest`` is set: then each further component, from its least node, hangs
@@ -218,7 +211,7 @@ class _RootedTree:
         self,
         g: CakeGraph,
         intervals: Sequence[Interval],
-        root: Optional[Node] = None,
+        root: Optional[Point] = None,
         forest: bool = False,
     ):
         ends, ids = _numbered_ends(g, intervals)
@@ -500,7 +493,7 @@ def _kept_tree(g: CakeGraph, root: Optional[str], stored: bool) -> _RootedTree:
 
 
 def _region_tree(
-    g: CakeGraph, region: Piece, root: Optional[Node] = None, forest: bool = False
+    g: CakeGraph, region: Piece, root: Optional[Point] = None, forest: bool = False
 ) -> _RootedTree:
     """``_RootedTree(g, region.intervals, root, forest)``; for the whole graph's
     piece, a handle on the tree the graph keeps."""
@@ -910,7 +903,7 @@ def two_agent_flexible(inst: Instance, alpha: Fraction) -> EntitlementResult:
     """Connected allocation where one agent gets >= alpha and the other >= 1-2*alpha,
     without fixing in advance which agent gets which share."""
     _require(inst, _TWO_CAKE)
-    alpha = Fraction(alpha)
+    require_exact(alpha, "alpha")
     if not 0 < alpha <= Fraction(1, 4):
         raise AlphaOutOfRange(f"alpha must satisfy 0 < alpha <= 1/4, got {alpha}")
     log = QueryLog()
@@ -1364,7 +1357,7 @@ PROTOCOLS: Mapping[str, ProtocolSpec] = {
         _floor(r.values[1], THIRD, "agent 2"),
     ]),
     "flex2": ProtocolSpec(
-        two_agent_flexible, _TWO_CAKE, _entitlement_bounds, params={"alpha": Param(Fraction)}
+        two_agent_flexible, _TWO_CAKE, _entitlement_bounds, params={"alpha": Param(exact_fraction)}
     ),
     "multi2": ProtocolSpec(multi_piece_two, _TWO_CAKE, lambda r, inst, p, res: [
         _floor(min(r.values), HALF - Fraction(1, 2 * 3 ** _piece_budget(p["k"])), "welfare"),

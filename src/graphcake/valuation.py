@@ -590,8 +590,8 @@ def _walk(v: Valuation, t: Trajectory, target: Fraction) -> tuple[int, Fraction,
 def cut_query(
     g: CakeGraph, v: Valuation, t: Trajectory, target: Fraction, log: Optional[QueryLog] = None
 ) -> Point:
-    """The cake point where ``cut_trajectory`` stops, positions 0 and 1 as
-    the edge's end vertices."""
+    """The cake point where ``cut_trajectory`` stops: the name of an end
+    vertex at positions 0 and 1, else an ``EdgePoint``."""
     cut = cut_trajectory(v, t, target, log)
     return canonical_point(g, t[cut.leg_index].edge, cut.position)
 

@@ -136,6 +136,18 @@ def test_fixture_errors():
     assert parsed.to_json() == exact.to_json()
 
 
+def test_rational_parameters_refuse_floats_and_bools():
+    # Fraction(0.01) would build densities over 2**59, and True would read as 1
+    for name, params in (
+        ("fig2", {"eps": 0.01}),
+        ("fig2", {"alpha": 0.25}),
+        ("fig2", {"alpha": True}),
+        ("frontier_edge", {"alpha": 0.5}),
+    ):
+        with pytest.raises(BadParameters, match="not a valid value"):
+            build_fixture(FixtureSpec(name, params))
+
+
 def test_random_instance_deterministic():
     a = random_instance(1, n=3, family="tree", edges=6)
     b = random_instance(1, n=3, family="tree", edges=6)

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from graphcake.oracle import (
     GridSearchConfig,
     _assignment_count,
     _assignments,
+    _assigns_first,
     _AtomModel,
     check_powers_of_three,
     grid_search_best,
@@ -147,6 +149,13 @@ def test_pair_feasibility_small():
     assert ok and witness is not None
     ok, _ = pair_feasible(inst, 4, F(1, 2), F(1, 2), first_strict=True)
     assert not ok
+
+
+def test_pair_search_refuses_an_inexact_threshold():
+    inst = uniform_instance(single_edge_graph(), 2)
+    for thresholds in ((0.25, F(1, 4)), (F(1, 4), 0.25), (True, F(1, 4))):
+        with pytest.raises(DomainError, match="not exact"):
+            pair_feasible(inst, 2, *thresholds)
 
 
 def test_pair_feasibility_flexible_order():
@@ -782,7 +791,7 @@ def test_assignment_count_is_the_number_of_ordered_assignments(inst, d, complete
     owners = range(n if complete else n + 1)
     ordered = [
         assignment
-        for assignment in itertools.product(owners, repeat=len(model.atoms))
+        for assignment in itertools.product(owners, repeat=len(model.adj))
         if _ref_in_order(assignment, twins)
     ]
     masks = {tuple(sum(1 << i for i, o in enumerate(a) if o == b) for b in range(n)) for a in ordered}
@@ -837,6 +846,33 @@ def test_component_count_is_the_number_of_components():
             model = _AtomModel(uniform_instance(g, 2), d)
             for mask in range(model.full_mask + 1):
                 assert model.component_count(mask) == len(model.components(mask))
+
+
+def test_adjacency_from_vertex_masks_matches_the_pairwise_reference():
+    # grid 1 is the case where an edge's first atom is also its last
+    for g in connected_multigraphs_up_to_iso(3):
+        for d in (1, 2, 3):
+            inst = uniform_instance(g, 2)
+            assert _AtomModel(inst, d).adj == _RefModel(inst, d).adj
+
+
+def test_mask_tie_break_orders_assignments_like_their_keys():
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        atoms, n = rng.randint(1, 8), rng.randint(1, 4)
+        model = types.SimpleNamespace(atoms=range(atoms))  # the key reads only its length
+
+        def masks_of(owners):  # owner n leaves the atom unallocated
+            return tuple(sum(1 << i for i, o in enumerate(owners) if o == a) for a in range(n))
+
+        owners = [rng.randint(0, n) for _ in range(atoms)]
+        other = list(owners)
+        for i in rng.sample(range(atoms), rng.randint(0, atoms)):  # an empty sample keeps them equal
+            other[i] = rng.randint(0, n)
+        masks, others = masks_of(owners), masks_of(other)
+        for a, b in ((masks, others), (others, masks)):
+            expected = _ref_assignment_key(model, a, n) < _ref_assignment_key(model, b, n)
+            assert _assigns_first(a, b) == expected
 
 
 def _fraction_atom_values(inst, d):
@@ -992,6 +1028,6 @@ def test_a_grid_over_the_atom_cap_is_refused_before_the_model_is_built():
     assert time.perf_counter() - start < 1
     # exactly at the cap the model is built
     four = build_fixture(FixtureSpec("four_edge_star", {}))
-    assert len(_AtomModel(four, MAX_ATOMS // 4).atoms) == MAX_ATOMS
+    assert len(_AtomModel(four, MAX_ATOMS // 4).adj) == MAX_ATOMS
     with pytest.raises(DomainError, match="atoms"):
         _AtomModel(four, MAX_ATOMS // 4 + 1)

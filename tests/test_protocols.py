@@ -41,7 +41,6 @@ from graphcake.graph_core import (
     Interval,
     OrientedLabeling,
     Piece,
-    VertexPoint,
     canonical_point,
     compute_contiguous_labeling,
     is_contiguous,
@@ -592,8 +591,7 @@ def reference_path_proportional(g, vals, traj, need, region, pieces, log):
         region = region.difference(pieces[winner])
         remaining.remove(winner)
         if len(remaining) > 1:
-            point = canonical_point(g, traj[cut.leg_index].edge, cut.position)
-            root = point.vertex if isinstance(point, VertexPoint) else point
+            root = canonical_point(g, traj[cut.leg_index].edge, cut.position)
             rt = _RootedTree(g, region.intervals, root)
     pieces[remaining[0]] = region
 
@@ -876,8 +874,8 @@ def test_prop2_sweeps_each_edge_from_its_tail(monkeypatch):
             assert swept == [tuple(
                 Leg(
                     e,
-                    g.edge(e).endpoint_position(labeling.tails[e]),
-                    g.edge(e).endpoint_position(labeling.head(g, e)),
+                    F(0) if labeling.tails[e] == g.edge(e).u else F(1),
+                    F(0) if labeling.head(g, e) == g.edge(e).u else F(1),
                 )
                 for e in labeling.order
             )]
@@ -1001,6 +999,17 @@ def test_flex2_alpha_range():
     for bad in (F(0), F(3, 10), F(1, 2), F(-1, 4)):
         with pytest.raises(AlphaOutOfRange):
             two_agent_flexible(inst, bad)
+
+
+def test_flex2_refuses_an_inexact_alpha():
+    # Fraction(0.2) is 3602879701896397/18014398509481984, not 1/5
+    inst = uniform_instance(single_edge_graph(), 2)
+    for bad in (0.2, True):
+        with pytest.raises(DomainError, match="not exact"):
+            two_agent_flexible(inst, bad)
+        with pytest.raises(BadParameters, match="not a valid value"):
+            run_protocol("flex2", inst, {"alpha": bad})
+    assert run_protocol("flex2", inst, {"alpha": "0.2"}) == two_agent_flexible(inst, F(1, 5))
 
 
 # -- several pieces ---------------------------------------------------------------

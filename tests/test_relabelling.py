@@ -8,6 +8,9 @@ allocation to one the verifier reports the same way, and keeps every
 applicable protocol's guarantee.  Six fixed instances check every relabelling;
 bounded hypothesis draws add grid optima on 3-4 edges and protocol runs on
 4-12 edges with up to four agents.
+
+Subdividing every edge at 1/2 gives an instance with the same cake: each
+allocation maps to one the verifier reports the same way.
 """
 
 import dataclasses
@@ -25,6 +28,7 @@ from graphcake.protocols import PROTOCOL_NAMES, applies, guarantee_violations, r
 from graphcake.valuation import Instance, Valuation
 
 F = Fraction
+HALF = F(1, 2)
 PARAMS = {"flex2": {"alpha": "1/4"}, "multi2": {"k": "2"}}
 
 
@@ -81,6 +85,59 @@ def relabel(inst, kind):
         ids = _reversed_names(e.id for e in inst.graph.edges).__getitem__
         return _rebuild(inst, edge=ids), lambda a: _map_pieces(a, edge=ids), same
     return _rebuild(inst, flip=True), lambda a: _map_pieces(a, flip=True), same
+
+
+def subdivide(inst):
+    """The instance with every edge ``e`` split at 1/2 into ``e.a`` and ``e.b``
+    through a new vertex ``e.m``, densities mapped onto the halves, and the
+    map of allocations."""
+    g = inst.graph
+    graph = CakeGraph(
+        [*g.vertices, *(f"{e.id}.m" for e in g.edges)],
+        [
+            half
+            for e in g.edges
+            for half in ((f"{e.id}.a", e.u, f"{e.id}.m"), (f"{e.id}.b", f"{e.id}.m", e.v))
+        ],
+    )
+
+    def halves(e, lo, hi):
+        """The parts of [lo, hi] on edge ``e``, each as (edge, lo, hi) on its half."""
+        if lo < HALF:
+            yield f"{e}.a", 2 * lo, 2 * min(hi, HALF)
+        if hi > HALF:
+            yield f"{e}.b", 2 * max(lo, HALF) - 1, 2 * hi - 1
+
+    def moved(val):
+        per_edge = {}
+        for e, segs in val.densities.items():
+            for s in segs:  # each half is twice as long, so its density halves
+                for half, lo, hi in halves(e, s.lo, s.hi):
+                    per_edge.setdefault(half, []).append((lo, hi, s.density / 2))
+        return Valuation.from_segments(per_edge)
+
+    def move_alloc(alloc):
+        return Allocation(tuple(
+            Piece.of(Interval(*part) for iv in p.intervals for part in halves(iv.edge, iv.lo, iv.hi))
+            for p in alloc.pieces
+        ))
+
+    return Instance(graph, tuple(map(moved, inst.agents)), inst.mode), move_alloc
+
+
+@pytest.mark.parametrize("family", ["tree", "cycle-augmented", "arbitrary"])
+def test_subdividing_every_edge_leaves_every_report_unchanged(family):
+    ran = 0
+    for seed in range(15):
+        for n, mode in ((2, "cake"), (3, "cake"), (2, "chore")):
+            inst = random_instance(seed, n=n, family=family, edges=6, mode=mode)
+            moved, move_alloc = subdivide(inst)
+            for name in PROTOCOL_NAMES:
+                if applies(name, inst):
+                    alloc = run_protocol(name, inst, PARAMS.get(name)).allocation
+                    assert verify_allocation(moved, move_alloc(alloc)) == verify_allocation(inst, alloc)
+                    ran += 1
+    assert ran >= 15 * 8
 
 
 KINDS = ["agents", "vertices", "edges", "flip"]

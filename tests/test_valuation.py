@@ -20,7 +20,6 @@ from graphcake.graph_core import (
     EdgePoint,
     Interval,
     Piece,
-    VertexPoint,
     canonical_point,
     format_fraction,
     induced_cake,
@@ -140,7 +139,7 @@ def test_cut_target_zero_is_trajectory_start():
     g = single_edge_graph()
     v = stepped_valuation()
     point = cut_query(g, v, (Leg("e0", F(0), F(1)),), F(0))
-    assert point == VertexPoint("a")
+    assert point == "a"
 
 
 def test_cut_reverse_direction():
