@@ -26,6 +26,11 @@ class Allocation:
 
     pieces: tuple[Piece, ...]
 
+    def __post_init__(self):
+        for i, p in enumerate(self.pieces):
+            if not isinstance(p, Piece):
+                raise TypeError(f"piece {i} must be a Piece, not {type(p).__name__}")
+
     def to_json(self) -> list:
         return [p.to_json() for p in self.pieces]
 

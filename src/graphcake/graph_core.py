@@ -456,9 +456,10 @@ def parse_fraction(text: str | int) -> Fraction:
 
 def exact_int(value: object) -> int:
     """``value`` as an int: an int, a string of digits, or an integral number
-    such as ``Fraction(4, 2)``.  A bool or a number with a fractional part
-    raises ValueError, where ``int`` would read it as 0 or 1 or truncate it."""
-    if isinstance(value, bool):
+    such as ``Fraction(4, 2)``.  A float (2.0 too, as ``exact_fraction``
+    refuses every float), a bool or a number with a fractional part raises
+    ValueError, where ``int`` would read True as 1 and truncate 2.5."""
+    if isinstance(value, (float, bool)):
         raise ValueError(f"{value!r} is not an integer")
     if isinstance(value, (int, str)):
         return int(value)

@@ -260,27 +260,22 @@ class _AtomModel:
                     loose -= 1
         return loose + reached.bit_count() - joins
 
-    def _component_of(self, seed: int, mask: int) -> int:
-        """The atoms of ``mask`` connected within ``mask`` to the atoms of ``seed``."""
-        adj = self.adj
-        comp = frontier = seed
-        while frontier:
-            grown = comp
-            m = frontier
-            while m:
-                low = m & -m
-                grown |= adj[low.bit_length() - 1] & mask
-                m ^= low
-            frontier = grown & ~comp
-            comp = grown
-        return comp
-
     def components(self, mask: int) -> list[int]:
-        """The components of ``mask``, lowest atom first."""
+        """The components of ``mask``, lowest atom first.  Each grows from the
+        lowest atom left: every atom taken into it is removed from ``mask`` and
+        queued, and each queued atom takes in its neighbours still in ``mask``."""
+        adj = self.adj
         out = []
         while mask:
-            comp = self._component_of(mask & -mask, mask)
-            mask &= ~comp
+            comp = todo = mask & -mask
+            mask ^= comp
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                grown = adj[low.bit_length() - 1] & mask
+                mask ^= grown
+                comp |= grown
+                todo |= grown
             out.append(comp)
         return out
 
@@ -327,11 +322,12 @@ def _connected_subsets(
     """The nonempty connected subsets of ``universe``, each with its value for
     ``agent`` and its rests.
 
-    Each subset appears exactly once: seeds are taken in increasing atom order
-    and extensions already branched on are banned for later branches.  A
-    subset's seed is its lowest atom, so ``seeds``, the atoms that may seed
-    (all of ``universe`` by default), keeps the subsets whose lowest atom is
-    among them, in the same order.
+    Each subset appears exactly once: seeds are taken in increasing atom order,
+    each the first extension of the empty subset, and extensions already
+    branched on are banned for later branches.  A subset's seed is its lowest
+    atom, so ``seeds``, the atoms that may seed (all of ``universe`` by
+    default), keeps the subsets whose lowest atom is among them, in the same
+    order.
 
     The rests are, for each agent after ``agent``, the value of ``universe``
     minus the subset.  ``cut(value, rests)`` sees a subset's value and rests.
@@ -355,24 +351,14 @@ def _connected_subsets(
     while atoms:
         seed = atoms & -atoms
         atoms ^= seed
-        bit = seed.bit_length() - 1
-        rests = whole
-        if cut is not None:
-            if track:
-                rests = tuple(map(operator.sub, rests, later[bit]))
-            if cut(vals[bit], rests):
-                continue
-        allowed = universe & ~(seed - 1) & ~seed
-        budget.spend()
-        yield seed, vals[bit], rests
-        if stop is not None and stop(vals[bit]):
-            continue
-        frontier = adj[bit] & ~seed
-        # Depth-first over the subsets grown from this seed.  A frame is a subset
-        # already yielded, its value and rests, its frontier, the extensions not
-        # yet branched on, and the ban its next child inherits: the extensions
-        # branched on before it.
-        stack = [(seed, vals[bit], rests, frontier, frontier & allowed, 0)]
+        allowed = universe & _above_lowest(seed)
+        # Depth-first over the subsets grown from this seed.  A frame is a subset,
+        # its value and rests, its frontier, the extensions not yet branched on,
+        # and the ban its next child inherits: the extensions branched on before
+        # it.  The root frame is the empty subset, with the universe's rests and
+        # the seed as its one extension, so the step below values, cuts, counts,
+        # yields and grows every subset, the seed included.
+        stack = [(0, 0, whole, 0, seed, 0)]
         while stack:
             current, value, rests, frontier, ext, ban = stack[-1]
             if not ext:

@@ -393,12 +393,16 @@ class Instance:
     mode: str = "cake"
 
     def __post_init__(self):
+        if not isinstance(self.graph, CakeGraph):
+            raise TypeError(f"the graph must be a CakeGraph, not {type(self.graph).__name__}")
         if self.mode not in ("cake", "chore"):
             raise MalformedInput(f"unknown mode {self.mode!r}")
         # agents may share one valuation object; each is checked once, under
         # the first agent that holds it
         checked: set[int] = set()
         for i, v in enumerate(self.agents):
+            if not isinstance(v, Valuation):
+                raise TypeError(f"agent {i} must be a Valuation, not {type(v).__name__}")
             if id(v) in checked:
                 continue
             checked.add(id(v))

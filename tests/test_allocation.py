@@ -12,6 +12,7 @@ from graphcake.fixtures import random_valuations
 from graphcake.graph_core import (
     ONE,
     ZERO,
+    CakeGraph,
     Interval,
     Piece,
     _UnionFind,
@@ -32,6 +33,22 @@ from conftest import (
 )
 
 F = Fraction
+
+
+def test_wrong_python_types_raise_type_error():
+    # documents end in a CakeError; an in-process call with a value of the
+    # wrong Python type raises TypeError when the object is built
+    inst = uniform_instance(single_edge_graph(), 1)
+    for build in (
+        lambda: Instance(inst.graph, [1], "cake"),
+        lambda: Instance(None, (), "cake"),
+        lambda: Allocation([1]),
+        lambda: CakeGraph(None, None),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert Instance(inst.graph, list(inst.agents)).n == 1
+    assert Allocation([inst.graph.whole_piece()]).pieces
 
 
 def test_even_split_single_edge():

@@ -670,3 +670,63 @@ def test_corrupted_documents_fail_as_under_the_fraction_reader(doc):
 def test_named_numbers_read_as_the_fraction_reader_reads_them(doc):
     # looked up at each call, so that the reference reader can stand in
     _assert_both_readers_agree(lambda d: Valuation.from_json(d), doc)
+
+
+# Runs each argv list given as JSON through ``main`` in this one process and
+# writes, for each, the argv, its exit code and everything it printed to stdout.
+_RUN_IN_PROCESS = """
+import contextlib, io, json, sys
+from graphcake.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    sys.stdout.write(f"{argv} exit {code}\\n{out.getvalue()}")
+"""
+
+
+def test_output_is_byte_identical_under_any_hash_seed(tmp_path):
+    # string hashing, and with it set and dict order over names, changes with
+    # the hash seed; no output may
+    docs = {
+        "star3": build_fixture(FixtureSpec("star_tight", {"n": 3})),
+        "star2": build_fixture(FixtureSpec("star_tight", {"n": 2})),
+        "cycle": random_instance(5, n=2, family="cycle-augmented", edges=8),
+        "mixed": random_instance(9, n=2, family="arbitrary", edges=9),
+        "tree": random_instance(3, n=2, family="star", edges=5),
+        "chore": random_instance(4, n=3, family="arbitrary", edges=7, mode="chore"),
+    }
+    path = {}
+    for name, inst in docs.items():
+        path[name] = str(tmp_path / f"{name}.json")
+        Path(path[name]).write_text(json.dumps(inst.to_json()))
+    solves = [
+        ("star3", "egal"), ("star3", "star"), ("cycle", "prop2"), ("mixed", "best2"),
+        ("mixed", "fixed2"), ("mixed", "flex2", "-p", "alpha=1/5"), ("mixed", "multi2", "-p", "k=2"),
+        ("tree", "height2"), ("cycle", "equit2"), ("chore", "chore3"), ("chore", "chore5"),
+    ]
+    commands = [
+        ["gen", "--seed", "7", "-p", "n=3", "-p", "family=cycle-augmented", "-p", "edges=6"],
+        ["gen", "--seed", "8", "-p", "family=arbitrary", "-p", "edges=9", "-p", "mode=chore"],
+        *(["classify", "--instance", path[name]] for name in ("cycle", "mixed", "tree")),
+        *(["label", "--instance", path[name]] for name in ("cycle", "mixed")),
+        *(["bipolar", "--instance", path[name]] for name in ("cycle", "mixed", "tree")),
+        *(
+            ["solve", "--instance", path[name], "--protocol", protocol, *params]
+            for name, protocol, *params in solves
+        ),
+        ["oracle", "--instance", path["star2"], "--grid", "3"],
+        ["oracle", "--instance", path["star2"], "--grid", "4", "--pair", "1/2,1/4"],
+        ["oracle", "--instance", path["chore"], "--grid", "1", "--objective", "cost"],
+    ]
+    env_path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _RUN_IN_PROCESS, json.dumps(commands)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": env_path, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0].count(b" exit 0\n") == len(commands)
+    assert outputs[0] == outputs[1]

@@ -123,9 +123,9 @@ def test_fixture_errors():
             build_fixture(FixtureSpec("frontier_edge", params))
     with pytest.raises(BadParameters, match="not a valid value"):
         build_fixture(FixtureSpec("star_tight", {"n": "two"}))
-    # n and k take no fractional part and no bool, where int() would truncate
-    # 5/2 to 2 and read True as 1
-    for n in (Fraction(5, 2), 2.5, True, float("nan")):
+    # n and k take no fractional part, no bool and no float, where int() would
+    # truncate 5/2 to 2 and read True as 1
+    for n in (Fraction(5, 2), 2.5, 2.0, True, float("nan")):
         with pytest.raises(BadParameters, match="not a valid value"):
             build_fixture(FixtureSpec("star_tight", {"n": n}))
     two = build_fixture(FixtureSpec("star_tight", {"n": 2})).to_json()

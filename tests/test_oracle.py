@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from graphcake.allocation import Allocation, verify_allocation
 from graphcake.errors import BudgetExceeded, DomainError
-from graphcake.fixtures import FixtureSpec, build_fixture
+from graphcake.fixtures import FixtureSpec, build_fixture, random_valuations
 from graphcake.graph_core import CakeGraph, Interval, Piece
 from graphcake.oracle import (
     MAX_ATOMS,
@@ -22,6 +22,8 @@ from graphcake.oracle import (
     _assignments,
     _assigns_first,
     _AtomModel,
+    _Budget,
+    _connected_subsets,
     check_powers_of_three,
     grid_search_best,
     pair_feasible,
@@ -843,9 +845,57 @@ def test_component_count_is_the_number_of_components():
     assert any(len({(e.u, e.v) for e in g.edges}) < g.m for g in graphs)
     for g in graphs:
         for d in (1, 2, 3):
-            model = _AtomModel(uniform_instance(g, 2), d)
+            inst = uniform_instance(g, 2)
+            model, ref = _AtomModel(inst, d), _RefModel(inst, d)
             for mask in range(model.full_mask + 1):
-                assert model.component_count(mask) == len(model.components(mask))
+                components = model.components(mask)
+                assert components == ref.components(mask)
+                assert model.component_count(mask) == len(components)
+
+
+def test_connected_subsets_walk_like_the_reference():
+    # every multigraph with at most three edges, grids 1-3, two and three agents
+    # with random valuations, and every choice of seeds, cut and stop: the same
+    # subsets and values in the same order, for the same states
+    rng = random.Random(20261021)
+    for g in connected_multigraphs_up_to_iso(3):
+        for d, n, whole in itertools.product((1, 2, 3), (2, 3), (True, False)):
+            inst = Instance(g, random_valuations(rng, g, n))
+            model, ref = _AtomModel(inst, d), _RefModel(inst, d)
+            scale = model.scale
+            universe = model.full_mask if whole else rng.randint(1, model.full_mask)
+            agent = rng.randrange(n)
+            later = range(agent + 1, n)
+            top, floor, enough = (F(rng.randint(1, 10), 10) for _ in range(3))
+            cuts = (
+                (None, True),
+                (lambda value, rests: value > top, False),
+                (lambda value, rests: value > top or any(r < floor for r in rests), True),
+            )
+            for seeds, (cut, reads_rests), stop in itertools.product(
+                (None, universe & rng.randint(0, model.full_mask)),
+                cuts,
+                (None, lambda value: value >= enough),
+            ):
+                budget, ref_budget = _Budget(10**6), _RefBudget(10**6)
+                walk = _connected_subsets(
+                    model,
+                    universe,
+                    agent,
+                    budget,
+                    cut and (lambda v, rests, cut=cut: cut(F(v, scale), [F(r, scale) for r in rests])),
+                    seeds,
+                    stop and (lambda v, stop=stop: stop(F(v, scale))),
+                    reads_rests,
+                )
+                got = list(walk)
+                want = list(_ref_connected_subsets(ref, universe, agent, ref_budget, cut, seeds, stop))
+                assert [(s, F(v, scale)) for s, v, _ in got] == want
+                assert budget.used == ref_budget.used
+                tracks = cut is not None and reads_rests
+                for s, _, rests in got:
+                    left = universe & ~s
+                    assert rests == (tuple(model.value(b, left) for b in later) if tracks else ())
 
 
 def test_adjacency_from_vertex_masks_matches_the_pairwise_reference():
