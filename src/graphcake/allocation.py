@@ -27,6 +27,8 @@ class Allocation:
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
+        # a list given would make the allocation mutable and unhashable
+        object.__setattr__(self, "pieces", tuple(self.pieces))
         for i, p in enumerate(self.pieces):
             if not isinstance(p, Piece):
                 raise TypeError(f"piece {i} must be a Piece, not {type(p).__name__}")

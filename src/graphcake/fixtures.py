@@ -40,15 +40,32 @@ def _uniform_star(k: int, n: int = 2, mode: str = "cake") -> Instance:
     return _identical(g, n, {e.id: F(1, k) for e in g.edges}, mode)
 
 
+# The most agents times edges a star fixture takes, as many as the largest
+# ``ternary_tree`` (2 agents, 9,841 edges): a star's document holds one
+# valuation of every edge per agent.  On one core (Python 3.11), build plus
+# ``to_json`` took 0.05-0.07 s at the cap, for star_tight at n = 99,
+# chore_star at n = 139 and ternary_tree at k = 8; star_tight at n = 1,000
+# took 5.7 s in ``to_json``.
+STAR_MAX_SIZE = 2 * 9841
+
+
+def _star_size(name: str, n: int, k: int) -> None:
+    """BadParameters when ``n`` agents on ``k`` edges exceed the cap."""
+    if n * k > STAR_MAX_SIZE:
+        raise BadParameters(f"{name} needs agents times edges at most {STAR_MAX_SIZE}, got {n} x {k}")
+
+
 def _star_tight(n: int) -> Instance:
     if n < 2:
         raise BadParameters("star_tight needs n >= 2")
+    _star_size("star_tight", n, 2 * n - 1)
     return _uniform_star(2 * n - 1, n)
 
 
 def _star_fnk_tight(n: int, k: int) -> Instance:
     if n < 2 or k < 3:
         raise BadParameters("star_fnk_tight needs n >= 2 and k >= 3")
+    _star_size("star_fnk_tight", n, k)
     g = _star(k)
     share = f_guarantee(n, k)
     if k >= 2 * n - 1:
@@ -160,6 +177,7 @@ def _ternary_tree(k: int) -> Instance:
 def _chore_star(n: int) -> Instance:
     if n < 1:
         raise BadParameters("chore_star needs n >= 1")
+    _star_size("chore_star", n, n + 1)
     return _uniform_star(n + 1, n, "chore")
 
 

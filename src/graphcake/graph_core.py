@@ -184,15 +184,23 @@ class CakeGraph:
         dashed = set(dashed_edges)
         lines = ["graph cake {"]
         for v in self.vertices:
-            lines.append(f'  "{v}";')
+            lines.append(f"  {_dot_quoted(v)};")
         for e in self.edges:
             style = ', style=dashed' if e.id in dashed else ""
-            lines.append(f'  "{e.u}" -- "{e.v}" [label="{e.id}"{style}];')
+            u, w, label = map(_dot_quoted, (e.u, e.v, e.id))
+            lines.append(f"  {u} -- {w} [label={label}{style}];")
         lines.append("}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CakeGraph({len(self.vertices)} vertices, {self.m} edges)"
+
+
+def _dot_quoted(name: str) -> str:
+    """``name`` as a DOT quoted string.  A quote inside is written ``\\"``, and
+    a backslash ``\\\\``, so that none, not even one at the end, escapes the
+    closing quote; a name with neither prints as it is, between quotes."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _distances(g: CakeGraph, source: str) -> dict[str, int]:
@@ -472,9 +480,13 @@ def exact_int(value: object) -> int:
 def exact_fraction(value: object) -> Fraction:
     """``value`` as a Fraction: an int, a Fraction, or a string such as
     ``"1/4"`` or ``"0.25"``.  A float or a bool raises ValueError, where
-    ``Fraction`` would read 0.2 as its binary approximation and True as 1."""
+    ``Fraction`` would read 0.2 as its binary approximation and True as 1.  So
+    does a string in exponent notation: ``Fraction("1e-10000000")`` spends
+    seconds building a 33-million-bit denominator."""
     if isinstance(value, (float, bool)):
         raise ValueError(f"{value!r} is not exact")
+    if isinstance(value, str) and "e" in value.lower():
+        raise ValueError(f"{value!r} is in exponent notation")
     return Fraction(value)
 
 

@@ -32,7 +32,8 @@ walk reads parents, children and each link's interval.  When several branches
 qualify, the one earliest in piece order (edge id as a string, then position)
 wins.  Walks over the whole graph that are not extractions (the height-two
 sweep and the chore protocol's first split) take branches in the graph's
-stored edge order.
+stored edge order.  Every descent to where a region is cut, the extraction's
+and the chore protocol's, goes through one method, ``_RootedTree.cut_site``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, compress, islice
+from operator import ge, gt
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
@@ -305,6 +307,29 @@ class _RootedTree:
             v = nxt
         return v
 
+    def cut_site(
+        self,
+        branch: Sequence[Sequence[int]],
+        subtree_crosses: Callable[[int], bool],
+        crosses: Callable[[list[int]], bool],
+    ) -> tuple[list[int], Optional[list[int]]]:
+        """Where a descent cuts this tree, given each agent's branch sums, a
+        test of the subtree below a node and a test of one value per agent (in
+        ``branch``'s order).  Below the ``lowest`` node whose subtree crosses:
+        its first child whose branch crosses, with None (a knife will cut that
+        leg), or else its fewest first children whose branch sums cross, with
+        those sums."""
+        kids = self.children[self.lowest(subtree_crosses)]
+        for w in kids:
+            if crosses([b[w] for b in branch]):
+                return [w], None
+        sums = [0] * len(branch)
+        for i, w in enumerate(kids, 1):
+            sums = [x + b[w] for x, b in zip(sums, branch)]
+            if crosses(sums):
+                return list(kids[:i]), sums
+        raise ProtocolInvariantError("branch accumulation never crossed")
+
     def branches_piece(self, tops: Iterable[int], *extra: Interval) -> Piece:
         """The branches of the given nodes, each one's link and the subtree
         below it, with the ``extra`` intervals."""
@@ -492,14 +517,12 @@ def _kept_tree(g: CakeGraph, root: Optional[str], stored: bool) -> _RootedTree:
     return kept.handle()
 
 
-def _region_tree(
-    g: CakeGraph, region: Piece, root: Optional[Point] = None, forest: bool = False
-) -> _RootedTree:
-    """``_RootedTree(g, region.intervals, root, forest)``; for the whole graph's
-    piece, a handle on the tree the graph keeps."""
+def _region_tree(g: CakeGraph, region: Piece, forest: bool = False) -> _RootedTree:
+    """``_RootedTree(g, region.intervals, forest=forest)``; for the whole
+    graph's piece, a handle on the tree the graph keeps."""
     if region is g.whole_piece():
-        return _kept_tree(g, root, stored=False)
-    return _RootedTree(g, region.intervals, root, forest)
+        return _kept_tree(g, None, stored=False)
+    return _RootedTree(g, region.intervals, forest=forest)
 
 
 def _knife_race(
@@ -565,11 +588,11 @@ def _split(
     one branch's leg, or None when she takes whole branches.  No branch is
     taken when some need is zero.
 
-    Route: walk down to the lowest node whose subtree still meets someone's
-    need, then either sweep a knife along one branch (stopping at the earliest
-    crossing) or accumulate whole branches until the first crossing.  Each
-    agent's value of the region is her root sum, one evaluation query each; it
-    is checked against her need before the region has to be connected.
+    ``rt.cut_site`` finds where: a knife sweeps the one branch it names from
+    the child end, earliest call winning, or the first agent whose sum meets
+    her need takes the branches it names.  Each agent's value of the region
+    is her root sum, one evaluation query each; it is checked against her need
+    before the region has to be connected.
     """
     eligible = sorted(need)
     stv, branch, scale, least = {}, {}, {}, {}
@@ -590,31 +613,18 @@ def _split(
         raise DisconnectedPiece("piece is not connected")
     log.eval_count += len(region.intervals) * len(eligible)
 
-    v = rt.lowest(lambda child: any(stv[a][child] >= least[a] for a in eligible))
-    w = next(
-        (child for child in rt.children[v] if any(branch[a][child] >= least[a] for a in eligible)),
-        None,
+    lows = [least[a] for a in eligible]
+    tops, sums = rt.cut_site(
+        [branch[a] for a in eligible],
+        lambda v: any(stv[a][v] >= least[a] for a in eligible),
+        lambda xs: any(map(ge, xs, lows)),
     )
-    if w is not None:
-        # Case 1: sweep a knife from the child end of the branch towards v.
-        targets = {
-            a: need[a] - Fraction(stv[a][w], scale[a])
-            for a in eligible
-            if branch[a][w] >= least[a]
-        }
-        winner, cut = _knife_race(vals, (rt.leg(w),), targets, log)
-        return winner, [w], cut.position
-    # Case 2: accumulate whole branches until some agent first reaches her need.
-    taken: list[int] = []
-    acc_vals = {a: 0 for a in eligible}
-    for child in rt.children[v]:
-        taken.append(child)
-        for a in eligible:
-            acc_vals[a] += branch[a][child]
-        crossers = [a for a in eligible if acc_vals[a] >= least[a]]
-        if crossers:
-            return crossers[0], taken, None
-    raise ProtocolInvariantError("branch accumulation never reached the threshold")
+    if sums is not None:
+        return next(compress(eligible, map(ge, sums, lows))), tops, None
+    (w,) = tops
+    targets = {a: need[a] - Fraction(stv[a][w], scale[a]) for a in eligible if branch[a][w] >= least[a]}
+    winner, cut = _knife_race(vals, (rt.leg(w),), targets, log)
+    return winner, tops, cut.position
 
 
 def extract_piece(
@@ -754,6 +764,12 @@ def _star_rec(
     pieces: list[Piece],
     log: QueryLog,
 ) -> None:
+    """Give each of k agents a connected part of a star region worth at least
+    f(k, m) of her value of it, m being its intervals.  A path (m <= 2) is cut
+    proportionally and m >= 2k-1 is left to ``_egalitarian``.  In between,
+    each interval is a spoke or the part of one at the center, so no tree is
+    built: a knife sweeps the first interval worth the first agent's need from
+    its outer end, and the others recurse on the rest."""
     k = len(agents)
     if k == 1:
         pieces[agents[0]] = region
@@ -768,23 +784,22 @@ def _star_rec(
     if m >= 2 * k - 1:
         _egalitarian(g, vals, agents, region, pieces, log)
         return
-    rt = _region_tree(g, region, center)
     share = f_guarantee(k, m)
-    need = {a: share * rt.value(vals[a]) for a in agents}
-    # Each spoke is a leaf of the center-rooted tree, so its branch entry is its
-    # value; it meets a need when it reaches the least integer that does.
-    # The first agent values every spoke, then every agent the chosen one.
+    need = {a: share * value_of_piece(vals[a], region) for a in agents}
+    # The first agent values every interval up to the chosen one, then every
+    # agent the chosen one.
     log.eval_count += m + k
 
-    def meets(a: int, w: int) -> bool:
-        _, branch, scale = rt.subtree_values(vals[a])
-        return branch[w] >= math.ceil(need[a] * scale)
+    def meets(a: int, iv: Interval) -> bool:
+        return vals[a].interval_value(iv.edge, iv.lo, iv.hi) >= need[a]
 
     first = agents[0]
-    w = next(w for w in rt.children[0] if meets(first, w))
-    targets = {a: need[a] for a in agents if meets(a, w)}
-    winner, cut = _knife_race(vals, (rt.leg(w),), targets, log)
-    piece = pieces[winner] = rt.taken_piece([w], cut.position)
+    iv = next(iv for iv in region.intervals if meets(first, iv))
+    targets = {a: need[a] for a in agents if meets(a, iv)}
+    inner = ZERO if g.edge(iv.edge).u == center else ONE  # the end at the center
+    leg = Leg(iv.edge, iv.hi, iv.lo) if iv.lo == inner else Leg(iv.edge, iv.lo, iv.hi)
+    winner, cut = _knife_race(vals, (leg,), targets, log)
+    piece = pieces[winner] = trajectory_prefix_piece((leg,), cut)
     rest = [a for a in agents if a != winner]
     _star_rec(g, vals, rest, region.difference(piece), center, pieces, log)
 
@@ -1097,11 +1112,8 @@ def chore_three(inst: Instance) -> ProtocolResult:
 
 
 def _cond1_thresholds(k: int) -> list[Fraction]:
+    """Condition one's bounds: the i-th least of k cost shares is at most the i-th."""
     return [Fraction(1, k + 1)] + [Fraction(i - 1, k + 1) for i in range(2, k + 1)]
-
-
-def _cond1_holds(sorted_costs: Sequence[Fraction], k: int) -> bool:
-    return all(c <= t for c, t in zip(sorted_costs, _cond1_thresholds(k)))
 
 
 def _cond2_holds(sorted_costs: Sequence[Fraction], k: int) -> bool:
@@ -1153,17 +1165,18 @@ def _chore_rec(
     rt: Optional[_RootedTree] = None,
 ) -> None:
     """Divide a chore region among agents; ``rt`` walks the region, by default
-    in piece order, which two agents' extraction needs."""
+    in piece order, which two agents' extraction needs.  ``rt.cut_site`` finds
+    where costs first break condition one; the piece is the branches it names,
+    or the one branch swept to its last point that keeps condition one.  The
+    agents, ranked by their cost of it, split into one group for the piece and
+    one for the rest."""
     k = len(agents)
     if k == 1:
         pieces[agents[0]] = region
         return
     if k == 2:
-        first_part, second_part = _fixed_pair(
-            g, vals[agents[0]], vals[agents[1]], region, log, rt
-        )
-        pieces[agents[0]] = second_part
-        pieces[agents[1]] = first_part
+        first_part, second_part = _fixed_pair(g, vals[agents[0]], vals[agents[1]], region, log, rt)
+        pieces[agents[0]], pieces[agents[1]] = second_part, first_part
         return
 
     thresholds = _cond1_thresholds(k)
@@ -1178,26 +1191,20 @@ def _chore_rec(
         """A cost of agent ``a`` as a share of her cost of the region, the root's value."""
         return Fraction(x, below[a][0])
 
-    def subtree_violates(node: int) -> bool:
-        costs = sorted(share(a, below[a][node]) for a in agents)
-        return not _cond1_holds(costs, k)
+    def violates(costs: Iterable[int]) -> bool:
+        """Whether one cost per agent breaks condition one."""
+        return any(map(gt, sorted(map(share, agents, costs)), thresholds))
 
-    if not subtree_violates(0):
+    if not violates([below[a][0] for a in agents]):
         raise ProtocolInvariantError("the whole chore meets condition one")
-    v = rt.lowest(subtree_violates)
-
-    w = next(
-        (
-            child
-            for child in rt.children[v]
-            if not _cond1_holds(sorted(share(a, branch[a][child]) for a in agents), k)
-        ),
-        None,
+    tops, sums = rt.cut_site(
+        [branch[a] for a in agents], lambda v: violates([below[a][v] for a in agents]), violates
     )
 
-    if w is not None:
+    if sums is None:
         # Case 1: sweep along the branch edge to the last point where the
         # first condition still holds; there some inequality is exactly tight.
+        (w,) = tops
         leg = rt.leg(w)
         leg_length = abs(leg.end - leg.start)
         direction = 1 if leg.end >= leg.start else -1
@@ -1214,50 +1221,30 @@ def _chore_rec(
         stop = min(sorted(row, reverse=True)[i] for i, row in enumerate(offsets))
         if not (ZERO <= stop < leg_length):
             raise ProtocolInvariantError("condition-one tightness point out of range")
-        piece = rt.taken_piece([w], leg.start + direction * stop)
+        piece = rt.taken_piece(tops, leg.start + direction * stop)
         ranked = sorted((value_of_piece(vals[a], piece, log) / total[a], a) for a in agents)
-        if not _cond1_holds([c for c, _ in ranked], k):
+        if any(map(gt, [c for c, _ in ranked], thresholds)):
             raise ProtocolInvariantError("condition one broken at the computed stop")
-        tight = [
-            i
-            for i in range(1, k + 1)
-            if ranked[i - 1][0] == thresholds[i - 1]
-        ]
+        tight = [i for i in range(1, k + 1) if ranked[i - 1][0] == thresholds[i - 1]]
         if not tight:
             raise ProtocolInvariantError("no condition-one inequality is tight at the stop")
         i_star = tight[0]
         group_a_size = max(1, i_star - 1)
     else:
-        # Case 2: accumulate branches until condition one first fails.  Each
-        # step's ranking and the final one cost one evaluation query per agent.
-        acc = {a: 0 for a in agents}
-        for i, child in enumerate(rt.children[v]):
-            for a in agents:
-                acc[a] += branch[a][child]
-            ranked = sorted((share(a, acc[a]), a) for a in agents)
-            plain = [c for c, _ in ranked]
-            if not _cond1_holds(plain, k):
-                break
-        else:
-            raise ProtocolInvariantError("branch accumulation never violated condition one")
-        log.eval_count += k * (i + 2)
-        piece = rt.branches_piece(rt.children[v][: i + 1])
+        # Case 2: the first branches, up to the first whose sum breaks
+        # condition one.  Each step's ranking and the final one cost one
+        # evaluation query per agent.
+        log.eval_count += k * (len(tops) + 1)
+        piece = rt.branches_piece(tops)
+        ranked = sorted((share(a, x), a) for a, x in zip(agents, sums))
+        plain = [c for c, _ in ranked]
         if _cond2_holds(plain, k):
             raise ProtocolInvariantError("accumulated piece unexpectedly meets condition two")
-        fail1 = next(
-            i for i in range(1, k + 1) if plain[i - 1] > thresholds[i - 1]
-        )
+        fail1 = next(i for i in range(1, k + 1) if plain[i - 1] > thresholds[i - 1])
         if fail1 >= 2:
             group_a_size = fail1 - 1
         else:
-            fail2 = next(
-                (
-                    j
-                    for j in range(1, k)
-                    if plain[j - 1] <= Fraction(j + 1, k + 1)
-                ),
-                None,
-            )
+            fail2 = next((j for j in range(1, k) if plain[j - 1] <= Fraction(j + 1, k + 1)), None)
             if fail2 is None:
                 raise ProtocolInvariantError("condition two fails only at the last index")
             group_a_size = fail2

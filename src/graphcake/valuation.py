@@ -393,6 +393,8 @@ class Instance:
     mode: str = "cake"
 
     def __post_init__(self):
+        # a list given would make the instance mutable and unhashable
+        object.__setattr__(self, "agents", tuple(self.agents))
         if not isinstance(self.graph, CakeGraph):
             raise TypeError(f"the graph must be a CakeGraph, not {type(self.graph).__name__}")
         if self.mode not in ("cake", "chore"):

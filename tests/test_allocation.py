@@ -51,6 +51,22 @@ def test_wrong_python_types_raise_type_error():
     assert Allocation([inst.graph.whole_piece()]).pieces
 
 
+def test_allocations_and_instances_given_lists_hold_tuples():
+    inst = uniform_instance(single_edge_graph(), 2)
+    whole = inst.graph.whole_piece()
+    alloc = Allocation([whole, Piece.empty()])
+    listed = Instance(inst.graph, list(inst.agents))
+    assert alloc.pieces == (whole, Piece.empty()) and listed.agents == inst.agents
+    for held in (alloc.pieces, listed.agents):
+        assert isinstance(held, tuple)
+        with pytest.raises(AttributeError):
+            held.append(held[0])
+    # equal whatever sequence built them, and hashable alike
+    assert alloc == Allocation((whole, Piece.empty()))
+    assert hash(alloc) == hash(Allocation((whole, Piece.empty())))
+    assert listed == Instance(inst.graph, inst.agents) and hash(listed) == hash(inst)
+
+
 def test_even_split_single_edge():
     inst = uniform_instance(single_edge_graph(), 2)
     alloc = Allocation(

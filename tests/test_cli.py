@@ -243,8 +243,12 @@ def test_gen_rejects_unknown_parameters(capsys):
             ["fixture", "build", "star_tight", "-p", "n=2.5"],
             "fixture 'star_tight' parameter n='2.5' is not a valid value",
         ),
+        (
+            ["fixture", "build", "frontier_edge", "-p", "alpha=6e-1"],
+            "fixture 'frontier_edge' parameter alpha='6e-1' is not a valid value",
+        ),
     ],
-    ids=["gen-fractional-n", "gen-boolean-edges", "fixture-fractional-n"],
+    ids=["gen-fractional-n", "gen-boolean-edges", "fixture-fractional-n", "fixture-exponent-alpha"],
 )
 def test_parameter_errors_name_the_parameter(capsys, argv, message):
     assert main(argv) == 1

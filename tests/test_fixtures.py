@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from graphcake import fixtures
 from graphcake.cli import main
 from graphcake.errors import BadParameters, UnknownFixture
 from graphcake.fixtures import (
     _CATALOG,
     FIXTURE_NAMES,
     RANDOM_PARAMS,
+    STAR_MAX_SIZE,
     TERNARY_MAX_K,
     FixtureSpec,
     build_fixture,
@@ -90,6 +92,44 @@ def test_ternary_tree_over_its_level_cap_fails_at_once(capsys):
     assert out == ""
     assert err == "error: ternary_tree needs 1 <= k <= 8: each level triples the edges\n"
     assert build_fixture(FixtureSpec("ternary_tree", {"k": TERNARY_MAX_K})).graph.m == 9841
+
+
+def test_star_fixtures_over_their_size_cap_fail_before_building(monkeypatch, capsys):
+    # a star's document grows as agents times edges; the cap is the largest
+    # ternary tree's, 2 agents times 9,841 edges
+    largest = build_fixture(FixtureSpec("ternary_tree", {"k": TERNARY_MAX_K}))
+    assert STAR_MAX_SIZE == largest.n * largest.graph.m
+    # the largest of each, and one past it in the list below
+    at_cap = [("star_tight", {"n": 99}), ("chore_star", {"n": 139}), ("star_fnk_tight", {"n": 2, "k": 9841})]
+    for name, params in at_cap:
+        inst = build_fixture(FixtureSpec(name, params))
+        assert inst.n * inst.graph.m <= STAR_MAX_SIZE
+    # every size the tests and the benchmark use stays accepted
+    for n in range(2, 6):
+        build_fixture(FixtureSpec("star_tight", {"n": n}))
+        build_fixture(FixtureSpec("chore_star", {"n": n}))
+        for k in range(3, 10):
+            build_fixture(FixtureSpec("star_fnk_tight", {"n": n, "k": k}))
+
+    def no_star(*args):
+        raise AssertionError("a star was built past the cap")
+
+    monkeypatch.setattr(fixtures, "_star", no_star)
+    over = [
+        ("star_tight", {"n": 100}),
+        ("star_tight", {"n": 10**100}),
+        ("chore_star", {"n": 140}),
+        ("star_fnk_tight", {"n": 2, "k": 9842}),
+        ("star_fnk_tight", {"n": 141, "k": 140}),
+        ("star_fnk_tight", {"n": 10**6, "k": 3}),
+    ]
+    for name, params in over:
+        with pytest.raises(BadParameters, match=f"{name} needs agents times edges at most {STAR_MAX_SIZE}"):
+            build_fixture(FixtureSpec(name, params))
+    assert main(["fixture", "build", "star_tight", "-p", "n=5000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: star_tight needs agents times edges at most {STAR_MAX_SIZE}, got 5000 x 9999\n"
 
 
 def test_chore_star_shape():

@@ -73,6 +73,32 @@ def test_graph_json_round_trip():
     assert CakeGraph.from_json(g.to_json()).to_json() == g.to_json()
 
 
+# a DOT quoted string: quotes around characters that are neither a quote nor
+# a backslash, or a backslash and the character it escapes
+_DOT_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
+
+
+def _dot_names(text):
+    """Every quoted string of a DOT text, read back, and the text left outside them."""
+    names = [re.sub(r"\\(.)", r"\1", body, flags=re.DOTALL) for body in _DOT_QUOTED.findall(text)]
+    return names, _DOT_QUOTED.sub("", text)
+
+
+def test_dot_output_quotes_every_name_so_it_reads_back():
+    odd = ['a"b', "c\\", "d\\e", 'f\\"g', '"', "\\", "h\\\\", "new\nline", "plain"]
+    g = CakeGraph(odd, [(f"e{i}{name}", name, odd[(i + 1) % len(odd)]) for i, name in enumerate(odd)])
+    names, outside = _dot_names(g.to_dot(dashed_edges=["e0" + odd[0]]))
+    assert names == odd + [x for e in g.edges for x in (e.u, e.v, e.id)]
+    # every quote belongs to a quoted string
+    assert '"' not in outside and outside.count("style=dashed") == 1
+    # a name with neither a quote nor a backslash prints as before
+    star = CakeGraph(["c", "l0", "l 1"], [("e0", "c", "l0"), ("e-1", "l 1", "c")])
+    assert star.to_dot(["e0"]) == (
+        'graph cake {\n  "c";\n  "l0";\n  "l 1";\n'
+        '  "c" -- "l0" [label="e0", style=dashed];\n  "l 1" -- "c" [label="e-1"];\n}'
+    )
+
+
 # -- pieces ------------------------------------------------------------------
 
 

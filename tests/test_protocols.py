@@ -1,5 +1,7 @@
 import functools
 import json
+import math
+import operator
 import random
 import re
 from collections import Counter
@@ -43,6 +45,7 @@ from graphcake.graph_core import (
     Piece,
     canonical_point,
     compute_contiguous_labeling,
+    exact_fraction,
     is_contiguous,
     is_whole,
     piece_is_connected,
@@ -423,6 +426,89 @@ def test_extract_refuses_a_float_need():
             )
 
 
+# -- one descent for extraction and chore division ---------------------------------
+
+
+def reference_cut_site(rt, agents, below, branch, crosses):
+    """The descent as extraction and chore division each wrote it before they
+    shared ``cut_site``: ``lowest`` on the subtree sums, then the first child
+    whose branch crosses, then whole branches accumulated until they cross
+    (test-only reference).  ``crosses`` takes one value per agent by agent."""
+    v = rt.lowest(lambda child: crosses({a: below[a][child] for a in agents}))
+    w = next((c for c in rt.children[v] if crosses({a: branch[a][c] for a in agents})), None)
+    if w is not None:
+        return [w], None
+    taken, acc = [], {a: 0 for a in agents}
+    for child in rt.children[v]:
+        taken.append(child)
+        for a in agents:
+            acc[a] += branch[a][child]
+        if crosses(acc):
+            return taken, [acc[a] for a in agents]
+    raise AssertionError("branch accumulation never crossed")
+
+
+def test_extraction_and_chore_division_descend_as_before(monkeypatch):
+    # what each caller of cut_site works on, innermost last
+    callers, seen = [], Counter()
+    real_split, real_chore_rec, real_cut_site = protocols._split, protocols._chore_rec, _RootedTree.cut_site
+
+    def split(g, vals, region, need, log, rt):
+        callers.append(("split", vals, need))
+        out = real_split(g, vals, region, need, log, rt)
+        callers.pop()
+        return out
+
+    def chore_rec(g, vals, agents, region, pieces, log, rt=None):
+        callers.append(("chore", vals, list(agents)))
+        real_chore_rec(g, vals, agents, region, pieces, log, rt)
+        callers.pop()
+
+    def cut_site(rt, branch, subtree_crosses, crosses):
+        kind, vals, context = callers[-1]
+        if kind == "split":
+            agents = sorted(context)
+            sums = {a: rt.subtree_values(vals[a]) for a in agents}
+            least = {a: math.ceil(context[a] * sums[a][2]) for a in agents}
+
+            def crossing(values):
+                return any(values[a] >= least[a] for a in agents)
+
+        else:
+            agents = context
+            sums = {a: rt.subtree_values(vals[a]) for a in agents}
+
+            def crossing(values):
+                shares = sorted(F(values[a], sums[a][0][0]) for a in agents)
+                return not all(map(operator.le, shares, protocols._cond1_thresholds(len(agents))))
+
+        below, branches = {a: sums[a][0] for a in agents}, {a: sums[a][1] for a in agents}
+        assert branch == [branches[a] for a in agents]
+        got = real_cut_site(rt, branch, subtree_crosses, crosses)
+        assert got == reference_cut_site(rt, agents, below, branches, crossing)
+        seen[kind, "knife" if got[1] is None else "branches"] += 1
+        return got
+
+    monkeypatch.setattr(protocols, "_split", split)
+    monkeypatch.setattr(protocols, "_chore_rec", chore_rec)
+    monkeypatch.setattr(_RootedTree, "cut_site", cut_site)
+    rng = random.Random(34)
+    for seed in range(24):
+        for build in (_random_tree, _random_cycle_augmented):
+            g = build(rng, rng.randint(3, 30))
+            n = 3 + seed % 3
+            runs = [("egal", Instance(g, random_valuations(rng, g, n)))]
+            runs.append(("fixed2", Instance(g, random_valuations(rng, g, 2))))
+            runs.append(("chore3", Instance(g, random_valuations(rng, g, 3), "chore")))
+            runs.append(("chore5", Instance(g, random_valuations(rng, g, n), "chore")))
+            for name, inst in runs:
+                res = run_protocol(name, inst)
+                rep = verify_allocation(inst, res.allocation)
+                assert guarantee_violations(name, inst, rep) == [], (name, seed)
+    assert callers == []
+    assert set(seen) == {(kind, case) for kind in ("split", "chore") for case in ("knife", "branches")}, seen
+
+
 # -- connected egalitarian --------------------------------------------------------
 
 
@@ -777,6 +863,43 @@ def test_star_protocol_rejects_non_star():
         star_egalitarian(uniform_instance(triangle(), 2))
 
 
+def test_narrow_star_levels_build_no_tree(monkeypatch):
+    # the levels of the recursion open now, innermost last, and every level
+    # and every tree build of one solve, each build with its level's kind:
+    # "narrow" for more than two but fewer than 2k-1 intervals
+    open_levels, levels, builds = [], [], []
+    real_init, real_star_rec = _RootedTree.__init__, protocols._star_rec
+
+    def build(rt, *args, **kwargs):
+        builds.append(open_levels[-1] if open_levels else None)
+        real_init(rt, *args, **kwargs)
+
+    def star_rec(g, vals, agents, region, center, pieces, log):
+        k, m = len(agents), len(region.intervals)
+        levels.append("narrow" if k > 1 and 2 < m < 2 * k - 1 else "other")
+        open_levels.append(levels[-1])
+        real_star_rec(g, vals, agents, region, center, pieces, log)
+        open_levels.pop()
+
+    monkeypatch.setattr(_RootedTree, "__init__", build)
+    monkeypatch.setattr(protocols, "_star_rec", star_rec)
+    rng = random.Random(34)
+    for n, k in ((3, 4), (4, 5), (4, 6), (5, 7), (6, 4), (6, 10)):
+        # the center sorts last, and spokes point either way
+        leaves = [f"a{i}" for i in range(k)]
+        g = CakeGraph(leaves + ["z"], [(f"e{i}", *rng.sample(["z", x], 2)) for i, x in enumerate(leaves)])
+        levels.clear()
+        builds.clear()
+        inst = Instance(g, random_valuations(rng, g, n))
+        res = star_egalitarian(inst)
+        assert levels[0] == "narrow", (n, k)
+        assert "narrow" not in builds, (n, k)
+        # no tree of the whole star rooted at its center is kept either
+        assert all(root != "z" for root, _ in g._kept_trees), (n, k)
+        rep = verify_allocation(inst, res.allocation)
+        assert guarantee_violations("star", inst, rep) == [], (n, k)
+
+
 # -- two agents, proportional on almost bridgeless ----------------------------------
 
 
@@ -1010,6 +1133,20 @@ def test_flex2_refuses_an_inexact_alpha():
         with pytest.raises(BadParameters, match="not a valid value"):
             run_protocol("flex2", inst, {"alpha": bad})
     assert run_protocol("flex2", inst, {"alpha": "0.2"}) == two_agent_flexible(inst, F(1, 5))
+
+
+def test_rational_parameters_refuse_exponent_notation():
+    # Fraction("1e-10000000") alone takes seconds, so exponents are refused
+    # before any Fraction is built; small ones are enough to show it
+    inst = uniform_instance(single_edge_graph(), 2)
+    for bad in ("1e-1", "2.5E-1", "1e0", " 2e-1 ", "+1.E-1"):
+        with pytest.raises(BadParameters, match="not a valid value"):
+            run_protocol("flex2", inst, {"alpha": bad})
+        with pytest.raises(BadParameters, match="not a valid value"):
+            build_fixture(FixtureSpec("fig2", {"eps": bad}))
+    for good, alpha in (("0.2", F(1, 5)), ("1/5", F(1, 5)), ("1/4", F(1, 4)), (" 0.125 ", F(1, 8)), ("-0", 0)):
+        assert exact_fraction(good) == alpha
+    assert run_protocol("flex2", inst, {"alpha": "1/8"}) == two_agent_flexible(inst, F(1, 8))
 
 
 # -- several pieces ---------------------------------------------------------------
