@@ -24,6 +24,7 @@ import heapq
 import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
 from types import MappingProxyType
@@ -482,9 +483,13 @@ def exact_fraction(value: object) -> Fraction:
     ``"1/4"`` or ``"0.25"``.  A float or a bool raises ValueError, where
     ``Fraction`` would read 0.2 as its binary approximation and True as 1.  So
     does a string in exponent notation: ``Fraction("1e-10000000")`` spends
-    seconds building a 33-million-bit denominator."""
+    seconds building a 33-million-bit denominator.  A ``Decimal`` is read as
+    its ``str()``, so one that prints in exponent notation (``1E-7``), a NaN
+    or an infinity is refused as that string is."""
     if isinstance(value, (float, bool)):
         raise ValueError(f"{value!r} is not exact")
+    if isinstance(value, Decimal):
+        value = str(value)
     if isinstance(value, str) and "e" in value.lower():
         raise ValueError(f"{value!r} is in exponent notation")
     return Fraction(value)

@@ -70,7 +70,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .allocation import Allocation
 from .errors import BudgetExceeded, DomainError, ProtocolInvariantError
-from .graph_core import Interval, Piece, _edge_ends
+from .graph_core import ONE, ZERO, Interval, Piece, _edge_ends
 from .valuation import Instance, require_exact
 
 # Each objective: the score of an allocation's per-agent values, and the strict
@@ -181,7 +181,8 @@ class _AtomModel:
                 f"{MAX_ATOMS}: its adjacency masks grow with the square of the atom count"
             )
         self.d = d
-        self._edges = g.edges
+        # each edge's field offset and id, edges by id: the order of a piece's intervals
+        self._fields_by_id = sorted(((k * d, e.id) for k, e in enumerate(g.edges)), key=lambda f: f[1])
         self._ends = tuple(_edge_ends(g).values())  # in edge order
         self._vertex_count = len(g.vertices)
         at_vertex = [0] * len(g.vertices)  # each vertex's mask of the atoms at it
@@ -209,11 +210,26 @@ class _AtomModel:
         self.full_mask = (1 << len(adj)) - 1
 
     def piece(self, mask: int) -> Piece:
+        """The piece ``mask`` covers: one interval per run of atoms in an
+        edge's field, edges by id, so the intervals come out canonical.  A
+        full field is the edge's shared ``[ZERO, ONE]``."""
         d = self.d
-        atoms = (divmod(i, d) for i in range(mask.bit_length()) if mask >> i & 1)
-        return Piece.of(
-            Interval(self._edges[k].id, Fraction(j, d), Fraction(j + 1, d)) for k, j in atoms
-        )
+        field = (1 << d) - 1
+        out = []
+        for shift, edge in self._fields_by_id:
+            f = mask >> shift & field
+            if f == field:
+                out.append(Interval(edge, ZERO, ONE))
+                continue
+            j = 0
+            while f:
+                gap = (f & -f).bit_length() - 1  # the clear atoms before the next run
+                f >>= gap
+                run = (f ^ (f + 1)).bit_length() - 1  # the set atoms in it
+                out.append(Interval(edge, Fraction(j + gap, d), Fraction(j + gap + run, d)))
+                f >>= run
+                j += gap + run
+        return Piece(tuple(out))
 
     def value(self, agent: int, mask: int) -> int:
         acc = 0

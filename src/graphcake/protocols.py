@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, compress, islice
-from operator import ge, gt
+from operator import ge, gt, not_
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
@@ -93,7 +93,6 @@ from .valuation import (
     cut_trajectory,
     latest_position_within,
     require_exact,
-    trajectory_prefix_piece,
     value_of_piece,
 )
 
@@ -187,12 +186,17 @@ class _RootedTree:
     ends; an interval that closes a cycle (see ``_cycle_breaks``) is cut loose
     and gets a leaf of its own at its upper end, and ``loose`` lists those
     leaves in order.  A link is kept once, at its child ``w``: ``parent[w]``,
-    the interval ``spans[w]`` and ``upper[w]``, whether the child sits at the
-    span's upper end; ``leg(w)`` sweeps the span towards the parent.  Children
-    follow the order of the intervals.  The build gives the nodes integer ids
-    in order of first appearance (``_numbered_ends``); the ids do not outlive
-    the build, and every order and tie-break goes by the ``Point``s.  The root
-    is a given ``Point``, by default the least node by ``_node_key``.
+    the interval ``spans[w]``, ``upper[w]``, whether the child sits at the
+    span's upper end, and ``position[w]``, the span's index in the canonical
+    interval order of the region the tree indexes (-1 for the root and for a
+    branch without a link); ``leg(w)`` sweeps the span towards the parent.
+    A span's position is its index among the intervals given, except in the
+    kept stored-order tree (``_kept_tree``), and ``split`` parts the region
+    by the positions.  Children follow the order of the intervals.  The
+    build gives the nodes integer ids in order of first appearance
+    (``_numbered_ends``); the ids do not outlive the build, and every order
+    and tie-break goes by the ``Point``s.  The root is a given ``Point``, by
+    default the least node by ``_node_key``.
 
     A region that is not connected raises ``DisconnectedPiece``, unless
     ``forest`` is set: then each further component, from its least node, hangs
@@ -218,15 +222,16 @@ class _RootedTree:
     ):
         ends, ids = _numbered_ends(g, intervals)
         # by node id: (far end, interval, whether the far end is the interval's
-        # upper end, cut loose)
-        links: list[list[tuple[int, Interval, bool, bool]]] = [[] for _ in ids]
-        for iv, (a, b), loose in zip(intervals, ends, _cycle_breaks(ends, len(ids))):
+        # upper end, cut loose, the interval's index)
+        links: list[list[tuple[int, Interval, bool, bool, int]]] = [[] for _ in ids]
+        breaks = _cycle_breaks(ends, len(ids))
+        for i, (iv, (a, b), loose) in enumerate(zip(intervals, ends, breaks)):
             if loose:
                 # a detached end no other interval reaches
                 b = ids[EdgePoint(iv.edge, iv.hi)] = len(ids)
                 links.append([])
-            links[a].append((b, iv, True, loose))
-            links[b].append((a, iv, False, loose))
+            links[a].append((b, iv, True, loose, i))
+            links[b].append((a, iv, False, loose, i))
         names = list(ids)
         if root is None:
             root = min(names, key=_node_key, default=None)
@@ -242,6 +247,7 @@ class _RootedTree:
         parent = [-1]
         spans: list[Optional[Interval]] = [None]  # the root has no link
         upper = [False]
+        position = [-1]
         children: list[list[int]] = [[]]
         self.loose: list[int] = []
         self.connected = True
@@ -251,13 +257,14 @@ class _RootedTree:
         self._values: dict[Valuation, tuple[list[int], list[int], int]] = {}
         for v, x in enumerate(order):
             kids = children[v]
-            for y, iv, at_hi, loose in links[x]:
+            for y, iv, at_hi, loose, i in links[x]:
                 if number[y] < 0:
                     child = number[y] = len(order)
                     order.append(y)
                     parent.append(v)
                     spans.append(iv)
                     upper.append(at_hi)
+                    position.append(i)
                     children.append([])
                     kids.append(child)
                     if loose:
@@ -274,14 +281,16 @@ class _RootedTree:
                 parent.append(0)
                 spans.append(None)
                 upper.append(False)
+                position.append(-1)
                 children.append([])
         self.parent, self.children, self.spans, self.upper = parent, children, spans, upper
+        self.position = position
 
     def freeze(self) -> _RootedTree:
         """Make this tree's links, and its split into whole and partial links,
         read-only tuples, and give it no sums; returns the tree."""
-        self.parent, self.spans, self.upper, self.loose = (
-            tuple(self.parent), tuple(self.spans), tuple(self.upper), tuple(self.loose)
+        self.parent, self.spans, self.upper, self.position, self.loose = map(
+            tuple, (self.parent, self.spans, self.upper, self.position, self.loose)
         )
         self.children = tuple(map(tuple, self.children))
         whole, partial = self._link_kinds()
@@ -330,26 +339,26 @@ class _RootedTree:
                 return list(kids[:i]), sums
         raise ProtocolInvariantError("branch accumulation never crossed")
 
-    def branches_piece(self, tops: Iterable[int], *extra: Interval) -> Piece:
-        """The branches of the given nodes, each one's link and the subtree
-        below it, with the ``extra`` intervals."""
-        spans = list(extra)
+    def split(
+        self, region: Piece, tops: Sequence[int], stop: Optional[Fraction]
+    ) -> tuple[Piece, Piece]:
+        """``region``, the region this tree indexes, parted into what an
+        extraction takes and the rest, both in region order.  The taken part
+        is the branches of ``tops``, or with ``stop`` the one top's subtree and
+        its leg swept from the child end to ``stop``."""
+        taken = bytearray(len(region.intervals))
+        cut = None
+        if stop is not None:
+            (w,) = tops
+            cut = self.position[w], self.leg(w), stop
+            tops = self.children[w]
+        position, children = self.position, self.children
         stack = list(tops)
         while stack:
             w = stack.pop()
-            spans.append(self.spans[w])
-            stack.extend(self.children[w])
-        return Piece.of(spans)
-
-    def taken_piece(self, tops: Sequence[int], stop: Optional[Fraction]) -> Piece:
-        """The branches of ``tops``, or with ``stop`` the one top's subtree and
-        its leg swept from the child end to ``stop``."""
-        if stop is None:
-            return self.branches_piece(tops)
-        (w,) = tops
-        leg = self.leg(w)
-        swept = Interval(leg.edge, min(leg.start, stop), max(leg.start, stop))
-        return self.branches_piece(self.children[w], swept)
+            taken[position[w]] = 1
+            stack.extend(children[w])
+        return _parted(region, taken, cut)
 
     def subtree_values(self, val: Valuation) -> tuple[list[int], list[int], int]:
         """Values computed bottom-up as integers over one returned scale: of the
@@ -417,18 +426,21 @@ class _RootedTree:
         rest: Piece,
         needed: Collection[Valuation],
     ) -> _RootedTree:
-        """The tree of ``rest``, the part of a connected region left when the
-        branches of ``tops``, children of one node, were taken, or with ``stop``
-        the part of the one top's branch that ``taken_piece`` gives.
+        """The tree of ``rest``, the part of a connected region that ``split``
+        leaves when it takes the branches of ``tops``, children of one node, or
+        with ``stop`` the one top's subtree and the part of its leg that the
+        knife swept.
 
         This tree, which must have its default root, is pruned in place and
         returned: the taken nodes are dropped, the leg cut at ``stop`` keeps its
-        part between ``stop`` and the parent, with a new leaf at ``stop``, and
-        the sums it holds for the ``needed`` valuations lose the taken value on
-        the path to the root; the others are dropped.  The shortened leg is the
-        only one integrated again.  The result has the links, loose leaves and
-        sums of ``_RootedTree(g, rest.intervals)``, the sums possibly over a
-        larger scale.  Where pruning cannot give that tree, a fresh build is
+        part between ``stop`` and the parent, with a new leaf at ``stop``, each
+        kept node's position becomes its rank among the kept positions, so the
+        tree indexes ``rest``, and the sums it holds for the ``needed``
+        valuations lose the taken value on the path to the root; the others
+        are dropped.  The shortened leg is the only one integrated again.  The
+        result has the links, positions, loose leaves and sums of
+        ``_RootedTree(g, rest.intervals)``, the sums possibly over a larger
+        scale.  Where pruning cannot give that tree, a fresh build is
         returned: when nothing is left, so the root left too, and when a loose
         link that stays would no longer be cut loose.
         """
@@ -466,6 +478,12 @@ class _RootedTree:
         ]
         self.spans = list(compress(self.spans, keep))
         self.upper = list(compress(self.upper, keep))
+        kept_at = list(islice(compress(self.position, keep), 1, None))
+        held = bytearray(len(keep))
+        for p in kept_at:
+            held[p] = 1
+        at = list(accumulate(held, initial=0))  # a kept position's new one
+        self.position = [-1] + [at[p] for p in kept_at]
         self.loose = [rank[x] for x in loose]
         self._kinds = None
         if stop is not None:
@@ -511,9 +529,12 @@ def _kept_tree(g: CakeGraph, root: Optional[str], stored: bool) -> _RootedTree:
     kept = g._kept_trees.get(key)
     if kept is None:
         whole = g.whole_piece().intervals
+        kept = _RootedTree(g, [Interval(e.id, ZERO, ONE) for e in g.edges] if stored else whole, root)
         if stored:
-            whole = [Interval(e.id, ZERO, ONE) for e in g.edges]
-        kept = g._kept_trees[key] = _RootedTree(g, whole, root).freeze()
+            # the tree indexes the whole piece, whose intervals go by edge id
+            at = {iv.edge: i for i, iv in enumerate(whole)}
+            kept.position = [-1] + [at[iv.edge] for iv in islice(kept.spans, 1, None)]
+        kept = g._kept_trees[key] = kept.freeze()
     return kept.handle()
 
 
@@ -523,6 +544,34 @@ def _region_tree(g: CakeGraph, region: Piece, forest: bool = False) -> _RootedTr
     if region is g.whole_piece():
         return _kept_tree(g, None, stored=False)
     return _RootedTree(g, region.intervals, forest=forest)
+
+
+def _parted(
+    region: Piece, taken: bytearray, cut: Optional[tuple[int, Leg, Fraction]] = None
+) -> tuple[Piece, Piece]:
+    """The region's intervals parted into a taken piece and the rest, both in
+    region order: ``taken`` flags each interval by index.  With ``cut``, an
+    unflagged interval's index, a leg that sweeps it and the knife's stop on
+    it, that interval's swept part is taken and its other part left.  A part
+    of zero length is dropped, and one that is the whole interval is the
+    interval itself."""
+    ivs = region.intervals
+    mine = list(compress(ivs, taken))
+    rest = list(compress(ivs, map(not_, taken)))
+    if cut is not None:
+        i, leg, stop = cut
+        iv = ivs[i]
+        low = iv if stop == iv.hi else None if stop == iv.lo else Interval(iv.edge, iv.lo, stop)
+        high = iv if stop == iv.lo else None if stop == iv.hi else Interval(iv.edge, stop, iv.hi)
+        swept, other = (low, high) if leg.start == iv.lo else (high, low)
+        before = taken.count(1, 0, i)  # taken intervals ahead of the cut one
+        if other is None:
+            del rest[i - before]
+        else:
+            rest[i - before] = other
+        if swept is not None:
+            mine.insert(before, swept)
+    return Piece(tuple(mine)), Piece(tuple(rest))
 
 
 def _knife_race(
@@ -571,8 +620,8 @@ def _extract(
     winner, tops, stop = _split(g, vals, region, need, log, rt)
     if not tops:
         return Piece.empty(), winner, region
-    piece = rt.taken_piece(tops, stop)
-    return piece, winner, region.difference(piece)
+    piece, rest = rt.split(region, tops, stop)
+    return piece, winner, rest
 
 
 def _split(
@@ -671,8 +720,7 @@ def _egalitarian(
         share = Fraction(1, 2 * len(agents) - 1)
         need = {a: share * rt.value(vals[a]) for a in agents}
         winner, tops, stop = _split(g, vals, region, need, log, rt)
-        pieces[winner] = rt.taken_piece(tops, stop)
-        region = region.difference(pieces[winner])
+        pieces[winner], region = rt.split(region, tops, stop)
         agents.remove(winner)
         if len(agents) > 1:
             rt = rt.remainder(g, tops, stop, region, {vals[a] for a in agents})
@@ -741,14 +789,25 @@ def _path_proportional(
     """Moving knife along a trajectory that sweeps the region: the agents in
     ``need`` race one knife to their needs, the winner takes the covered prefix,
     and the others race on from where it stopped.  The last agent takes the rest
-    of the region."""
+    of the region.  Each leg sweeps one interval of the region, found by edge
+    id: a region that holds two intervals of one edge, or none of a leg's
+    edge, raises ProtocolInvariantError."""
     remaining = list(need)
     while len(remaining) > 1:
         winner, cut = _knife_race(vals, traj, {a: need[a] for a in remaining}, log)
-        pieces[winner] = trajectory_prefix_piece(traj, cut)
-        region = region.difference(pieces[winner])
-        remaining.remove(winner)
+        at = {iv.edge: i for i, iv in enumerate(region.intervals)}
+        if len(at) != len(region.intervals):
+            raise ProtocolInvariantError("a swept region holds two intervals of one edge")
+        try:
+            swept = [at[leg.edge] for leg in traj[: cut.leg_index + 1]]
+        except KeyError:
+            raise ProtocolInvariantError("a leg sweeps an edge the region does not hold") from None
+        taken = bytearray(len(at))
+        for i in islice(swept, cut.leg_index):
+            taken[i] = 1
         leg = traj[cut.leg_index]
+        pieces[winner], region = _parted(region, taken, (swept[-1], leg, cut.position))
+        remaining.remove(winner)
         traj = traj[cut.leg_index + 1 :]
         if cut.position != leg.end:
             traj = (Leg(leg.edge, cut.position, leg.end), *traj)
@@ -794,14 +853,14 @@ def _star_rec(
         return vals[a].interval_value(iv.edge, iv.lo, iv.hi) >= need[a]
 
     first = agents[0]
-    iv = next(iv for iv in region.intervals if meets(first, iv))
+    i, iv = next((i, iv) for i, iv in enumerate(region.intervals) if meets(first, iv))
     targets = {a: need[a] for a in agents if meets(a, iv)}
     inner = ZERO if g.edge(iv.edge).u == center else ONE  # the end at the center
     leg = Leg(iv.edge, iv.hi, iv.lo) if iv.lo == inner else Leg(iv.edge, iv.lo, iv.hi)
     winner, cut = _knife_race(vals, (leg,), targets, log)
-    piece = pieces[winner] = trajectory_prefix_piece((leg,), cut)
+    pieces[winner], region = _parted(region, bytearray(m), (i, leg, cut.position))
     rest = [a for a in agents if a != winner]
-    _star_rec(g, vals, rest, region.difference(piece), center, pieces, log)
+    _star_rec(g, vals, rest, region, center, pieces, log)
 
 
 def _is_wide_star(g: CakeGraph) -> bool:
@@ -1221,7 +1280,7 @@ def _chore_rec(
         stop = min(sorted(row, reverse=True)[i] for i, row in enumerate(offsets))
         if not (ZERO <= stop < leg_length):
             raise ProtocolInvariantError("condition-one tightness point out of range")
-        piece = rt.taken_piece(tops, leg.start + direction * stop)
+        piece, rest = rt.split(region, tops, leg.start + direction * stop)
         ranked = sorted((value_of_piece(vals[a], piece, log) / total[a], a) for a in agents)
         if any(map(gt, [c for c, _ in ranked], thresholds)):
             raise ProtocolInvariantError("condition one broken at the computed stop")
@@ -1235,7 +1294,7 @@ def _chore_rec(
         # condition one.  Each step's ranking and the final one cost one
         # evaluation query per agent.
         log.eval_count += k * (len(tops) + 1)
-        piece = rt.branches_piece(tops)
+        piece, rest = rt.split(region, tops, None)
         ranked = sorted((share(a, x), a) for a, x in zip(agents, sums))
         plain = [c for c, _ in ranked]
         if _cond2_holds(plain, k):
@@ -1252,7 +1311,7 @@ def _chore_rec(
     group_a = [a for _, a in ranked[:group_a_size]]
     group_b = [a for _, a in ranked[group_a_size:]]
     _divide_group(g, vals, piece, sorted(group_a), pieces, log)
-    _divide_group(g, vals, region.difference(piece), sorted(group_b), pieces, log)
+    _divide_group(g, vals, rest, sorted(group_b), pieces, log)
 
 
 def chore_upto5(inst: Instance) -> ProtocolResult:

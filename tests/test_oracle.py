@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from graphcake.allocation import Allocation, verify_allocation
 from graphcake.errors import BudgetExceeded, DomainError
 from graphcake.fixtures import FixtureSpec, build_fixture, random_valuations
-from graphcake.graph_core import CakeGraph, Interval, Piece
+from graphcake.graph_core import ONE, ZERO, CakeGraph, Interval, Piece
 from graphcake.oracle import (
     MAX_ATOMS,
     OBJECTIVES,
@@ -31,7 +31,7 @@ from graphcake.oracle import (
 from graphcake.protocols import chore_two, connected_egalitarian, equitable_two
 from graphcake.valuation import Instance, Segment, Valuation
 
-from conftest import connected_multigraphs_up_to_iso, single_edge_graph, uniform_instance
+from conftest import connected_multigraphs_up_to_iso, path_graph, single_edge_graph, uniform_instance
 
 F = Fraction
 
@@ -837,6 +837,30 @@ def test_powers_of_three_matches_the_fraction_reference(t, a_lo, data):
     width = data.draw(st.integers(1, {1: 10, 2: 10, 3: 6, 4: 4}[t]))
     a_hi = a_lo + width - 1
     assert check_powers_of_three(t, a_lo, a_hi) == ref_check_powers_of_three(t, a_lo, a_hi)[:3]
+
+
+def test_atom_piece_matches_one_interval_per_atom():
+    # edges whose id order differs from their stored order (trunk before en.*,
+    # e10 before e2), grids 1-5, and fields that are full, empty, random, or a
+    # run from either end
+    rng = random.Random(36)
+    ternary = build_fixture(FixtureSpec("ternary_tree", {"k": 2})).graph
+    for g in (ternary, path_graph(12), single_edge_graph()):
+        for d in (1, 2, 3, 5):
+            model = _AtomModel(uniform_instance(g, 2), d)
+            field = (1 << d) - 1
+            for _ in range(40):
+                fields = []
+                for _ in g.edges:
+                    low, high = field >> rng.randrange(d), field << rng.randrange(d) & field
+                    fields.append(rng.choice((field, 0, rng.getrandbits(d), low, high)))
+                mask = sum(f << k * d for k, f in enumerate(fields))
+                atoms = (divmod(i, d) for i in range(g.m * d) if mask >> i & 1)
+                expected = Piece.of(Interval(g.edges[k].id, F(j, d), F(j + 1, d)) for k, j in atoms)
+                piece = model.piece(mask)
+                assert piece == expected and Piece.of(piece.intervals) == piece
+                full = {g.edges[k].id for k, f in enumerate(fields) if f == field}
+                assert all(iv.lo is ZERO and iv.hi is ONE for iv in piece.intervals if iv.edge in full)
 
 
 def test_component_count_is_the_number_of_components():

@@ -5,6 +5,7 @@ import operator
 import random
 import re
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -300,6 +301,17 @@ def reference_subtree_values(rt, val):
     return below, branch
 
 
+def reference_branches(rt, tops):
+    """The spans of the branches of ``tops``: each one's link and the subtree
+    below it (test-only walk)."""
+    spans, stack = [], list(tops)
+    while stack:
+        w = stack.pop()
+        spans.append(rt.spans[w])
+        stack.extend(rt.children[w])
+    return spans
+
+
 def reference_extract(g, vals, region, need, log):
     """The extraction in Fractions, with one tree pass per agent (test-only reference)."""
     eligible = sorted(need)
@@ -327,12 +339,13 @@ def reference_extract(g, vals, region, need, log):
             if best is None or cut.sweep_offset < best[1].sweep_offset:
                 best = (a, cut)
         winner, cut = best
-        piece = rt.branches_piece(rt.children[chosen]).union(trajectory_prefix_piece((leg,), cut))
+        below = Piece.of(reference_branches(rt, rt.children[chosen]))
+        piece = below.union(trajectory_prefix_piece((leg,), cut))
     else:
         piece, acc = Piece.empty(), {a: F(0) for a in eligible}
         crossers = []
         for child in rt.children[v]:
-            piece = piece.union(rt.branches_piece([child]))
+            piece = piece.union(Piece.of(reference_branches(rt, [child])))
             for a in eligible:
                 acc[a] += branch[a][child]
             crossers = [a for a in eligible if acc[a] >= need[a]]
@@ -366,6 +379,56 @@ def regions_with_cut_points(draw):
             break
         region = nxt
     return inst.graph, vals, region
+
+
+def reference_split(rt, region, tops, stop):
+    """The taken piece sorted and merged by ``Piece.of`` and the rest by
+    ``Piece.difference``, as extractions parted a region before
+    ``_RootedTree.split`` (test-only reference)."""
+    if stop is None:
+        taken = Piece.of(reference_branches(rt, tops))
+    else:
+        leg = rt.leg(tops[0])
+        swept = Interval(leg.edge, min(leg.start, stop), max(leg.start, stop))
+        taken = Piece.of(reference_branches(rt, rt.children[tops[0]]) + [swept])
+    return taken, region.difference(taken)
+
+
+def _draw_split(data, rt):
+    """Branches of one node to take: a few of its children, or one child with
+    a knife stop at either end of its leg or between."""
+    v = data.draw(st.sampled_from([u for u, kids in enumerate(rt.children) if kids]))
+    kids = rt.children[v]
+    if data.draw(st.booleans()):
+        tops = data.draw(st.lists(st.sampled_from(kids), min_size=1, unique=True))
+        return sorted(tops, key=kids.index), None
+    w = data.draw(st.sampled_from(kids))
+    leg = rt.leg(w)
+    step = F(data.draw(st.integers(0, 12)), 12)
+    return [w], leg.start + (leg.end - leg.start) * step
+
+
+@settings(max_examples=150, deadline=None)
+@given(regions_with_cut_points(), st.data())
+def test_split_matches_sorting_and_set_difference(drawn, data):
+    g, vals, region = drawn
+    # a region tree in piece order, and chore5's first-level tree of the whole
+    # graph in stored edge order, each followed through up to three prunings
+    trees = [(_RootedTree(g, region.intervals), region), (protocols._kept_tree(g, None, True), g.whole_piece())]
+    for rt, part in trees:
+        for _ in range(data.draw(st.integers(1, 3))):
+            assert [part.intervals[rt.position[w]] for w in range(1, len(rt.spans))] == list(rt.spans[1:])
+            tops, stop = _draw_split(data, rt)
+            taken, rest = rt.split(part, tops, stop)
+            expected = reference_split(rt, part, tops, stop)
+            assert (taken.intervals, rest.intervals) == (expected[0].intervals, expected[1].intervals)
+            for p in (taken, rest):
+                assert Piece.of(p.intervals).intervals == p.intervals
+            if not rest.intervals:
+                break
+            rt, part = rt.remainder(g, tops, stop, rest, set(vals)), rest
+            if not any(rt.children):
+                break
 
 
 def _outcome(extract, g, vals, region, need):
@@ -567,6 +630,7 @@ def _checking_remainder(monkeypatch):
         assert all(val in held for val in out._values)
         fresh = _RootedTree(g, rest.intervals)
         assert tree_fields(out, held) == tree_fields(fresh, held)
+        assert list(out.position) == list(fresh.position)
         for val in held:
             # a kept scale may be larger than a fresh build's least one
             assert out.subtree_values(val)[2] % fresh.subtree_values(val)[2] == 0
@@ -682,6 +746,24 @@ def reference_path_proportional(g, vals, traj, need, region, pieces, log):
     pieces[remaining[0]] = region
 
 
+def test_path_stage_refuses_legs_that_are_not_one_interval_each():
+    # the race runs as usual; parting the region by edge id then finds an edge
+    # held twice, or a leg's edge the region does not hold
+    g = path_graph(2)
+    vals = uniform_instance(g, 2).agents
+    cases = [
+        (
+            Piece.of([Interval("e0", ZERO, F(1, 4)), Interval("e0", F(1, 2), ONE)]),
+            (Leg("e0", ZERO, F(1, 4)), Leg("e0", F(1, 2), ONE)),
+            "two intervals of one edge",
+        ),
+        (edge_piece("e0"), (Leg("e1", ZERO, ONE), Leg("e0", ZERO, ONE)), "does not hold"),
+    ]
+    for region, traj, message in cases:
+        with pytest.raises(ProtocolInvariantError, match=message):
+            protocols._path_proportional(vals, traj, {0: F(1, 8), 1: F(1, 4)}, region, [None, None], QueryLog())
+
+
 def test_path_stage_matches_the_per_level_rebuild(monkeypatch):
     # star_fnk_tight at these (n, k) and the uniform 3-spoke star with 5 agents
     # reach the path stage with 3 to 5 agents, so later knives sweep on from a cut
@@ -747,6 +829,9 @@ def test_kept_trees_match_fresh_builds_after_every_protocol():
                 whole = [Interval(e.id, ZERO, ONE) for e in g.edges]
             fresh = _RootedTree(g, whole, root)
             assert tree_fields(kept) == tree_fields(fresh)
+            # positions index the whole piece, whose intervals go by edge id
+            at = [g.whole_piece().intervals.index(iv) for iv in kept.spans[1:]]
+            assert list(kept.position) == [-1] + at
             assert kept._kinds == tuple(tuple(kinds) for kinds in fresh._link_kinds())
             assert len(kept._values) == 0
 
@@ -769,7 +854,7 @@ def test_kept_tree_links_are_read_only():
     rt = protocols._kept_tree(g, None, stored=False)
     assert rt.parent is kept.parent and rt.value(inst.agents[0]) == 1
     tops = [w for w in range(1, len(rt.spans)) if rt.spans[w].edge == "e4"]
-    rest = g.whole_piece().difference(rt.branches_piece(tops))
+    rest = g.whole_piece().difference(Piece.of(reference_branches(rt, tops)))
     assert rt.remainder(g, tops, None, rest, set(inst.agents)) is rt
     assert rt.parent is not kept.parent and len(rt.parent) < len(kept.parent)
     assert tree_fields(kept) == tree_fields(_RootedTree(g, g.whole_piece().intervals))
@@ -1147,6 +1232,18 @@ def test_rational_parameters_refuse_exponent_notation():
     for good, alpha in (("0.2", F(1, 5)), ("1/5", F(1, 5)), ("1/4", F(1, 4)), (" 0.125 ", F(1, 8)), ("-0", 0)):
         assert exact_fraction(good) == alpha
     assert run_protocol("flex2", inst, {"alpha": "1/8"}) == two_agent_flexible(inst, F(1, 8))
+
+
+def test_a_decimal_parameter_is_read_as_its_string():
+    # Fraction(Decimal("1e-300000")) builds a 996,579-bit denominator
+    inst = uniform_instance(single_edge_graph(), 2)
+    assert exact_fraction(Decimal("0.25")) == F(1, 4)
+    assert run_protocol("flex2", inst, {"alpha": Decimal("0.125")}) == two_agent_flexible(inst, F(1, 8))
+    for bad in ("1e-300000", "1E+5", "0.0000001", "NaN", "-Infinity", "sNaN"):
+        with pytest.raises(ValueError):
+            exact_fraction(Decimal(bad))
+        with pytest.raises(BadParameters, match="not a valid value"):
+            run_protocol("flex2", inst, {"alpha": Decimal(bad)})
 
 
 # -- several pieces ---------------------------------------------------------------
