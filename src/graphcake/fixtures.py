@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import BadParameters, UnknownFixture
-from .graph_core import CakeGraph, ONE, ZERO, Param, exact_fraction, exact_int, read_params
+from .graph_core import CakeGraph, ONE, ZERO, Param, _shown, exact_fraction, exact_int, read_params
 from .protocols import f_guarantee
 from .valuation import Instance, Segment, Valuation, _segment
 
@@ -52,7 +52,9 @@ STAR_MAX_SIZE = 2 * 9841
 def _star_size(name: str, n: int, k: int) -> None:
     """BadParameters when ``n`` agents on ``k`` edges exceed the cap."""
     if n * k > STAR_MAX_SIZE:
-        raise BadParameters(f"{name} needs agents times edges at most {STAR_MAX_SIZE}, got {n} x {k}")
+        raise BadParameters(
+            f"{name} needs agents times edges at most {STAR_MAX_SIZE}, got {_shown(n)} x {_shown(k)}"
+        )
 
 
 def _star_tight(n: int) -> Instance:

@@ -250,10 +250,6 @@ class Interval:
     lo: Fraction
     hi: Fraction
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
 
 _EDGE_LO_HI = attrgetter("edge", "lo", "hi")
 
@@ -351,49 +347,6 @@ class Piece:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def by_edge(self) -> dict[str, list[Interval]]:
-        out: dict[str, list[Interval]] = defaultdict(list)
-        for iv in self.intervals:
-            out[iv.edge].append(iv)
-        return out
-
-    def measure(self) -> Fraction:
-        return sum((iv.length for iv in self.intervals), ZERO)
-
-    def union(self, other: "Piece") -> "Piece":
-        """The canonical piece covering both pieces."""
-        return Piece.of(self.intervals + other.intervals)
-
-    def difference(self, other: "Piece") -> "Piece":
-        """Set difference up to finitely many points (closed-interval convention).
-
-        The chunks come out canonical: each lies inside one interval of this
-        piece, in order, and two chunks of one interval are kept apart by an
-        interval of ``other``, which has positive length."""
-        theirs = other.by_edge()
-        out: list[Interval] = []
-        for iv in self.intervals:
-            if iv.edge not in theirs:
-                out.append(iv)
-                continue
-            chunks = [(iv.lo, iv.hi)]
-            for cut in theirs[iv.edge]:
-                if is_whole(cut.lo, cut.hi):
-                    chunks = []
-                    break
-                nxt: list[tuple[Fraction, Fraction]] = []
-                for lo, hi in chunks:
-                    if cut.hi <= lo or cut.lo >= hi:
-                        nxt.append((lo, hi))
-                        continue
-                    if cut.lo > lo:
-                        nxt.append((lo, cut.lo))
-                    if cut.hi < hi:
-                        nxt.append((cut.hi, hi))
-                chunks = nxt
-            out.extend(Interval(iv.edge, lo, hi) for lo, hi in chunks)
-        return Piece(tuple(out))
-
     def to_json(self) -> list:
         return [[iv.edge, format_fraction(iv.lo), format_fraction(iv.hi)] for iv in self.intervals]
 
@@ -431,6 +384,17 @@ def format_fraction(x: Fraction) -> str:
     return _format_ratio(x.numerator, x.denominator)
 
 
+def _shown(x: object, text: Callable[[object], str] = str) -> str:
+    """``text(x)`` for an error message; for a number too long to print (an
+    int past the interpreter's digit limit for ``str``, or a ratio of one), a
+    short stand-in that gives its type and size in bits."""
+    try:
+        return text(x)
+    except ValueError:
+        bits = max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+        return f"<{type(x).__name__} of {bits} bits>"
+
+
 def _read_ratio(text: str | int) -> tuple[int, int]:
     """An int, ``"p"`` or ``"p/q"`` as a reduced pair (numerator, positive
     denominator).  Each part is read by ``int``, so signs and surrounding
@@ -465,14 +429,16 @@ def parse_fraction(text: str | int) -> Fraction:
 
 def exact_int(value: object) -> int:
     """``value`` as an int: an int, a string of digits, or an integral number
-    such as ``Fraction(4, 2)``.  A float (2.0 too, as ``exact_fraction``
-    refuses every float), a bool or a number with a fractional part raises
-    ValueError, where ``int`` would read True as 1 and truncate 2.5."""
-    if isinstance(value, (float, bool)):
+    such as ``Fraction(4, 2)`` or ``Decimal("4.0")``, read by
+    ``exact_fraction``.  A float (2.0 too, as ``exact_fraction`` refuses every
+    float), a bool, a ``Decimal`` in exponent notation (``Decimal("1E+2")``)
+    or a number with a fractional part raises ValueError, where ``int`` would
+    read True as 1 and truncate 2.5."""
+    if isinstance(value, bool):
         raise ValueError(f"{value!r} is not an integer")
     if isinstance(value, (int, str)):
         return int(value)
-    number = Fraction(value)
+    number = exact_fraction(value)
     if number.denominator != 1:
         raise ValueError(f"{value!r} is not an integer")
     return number.numerator
@@ -519,7 +485,7 @@ def read_params(who: str, schema: Mapping[str, Param], params: Optional[Mapping]
         try:
             args[key] = schema[key].convert(value)
         except (TypeError, ValueError, ArithmeticError):
-            raise BadParameters(f"{who} parameter {key}={value!r} is not a valid value") from None
+            raise BadParameters(f"{who} parameter {key}={_shown(value, repr)} is not a valid value") from None
     return args
 
 

@@ -73,6 +73,7 @@ from .graph_core import (
     Point,
     _cycle_breaks,
     _distances,
+    _shown,
     canonical_point,
     classify_almost_bridgeless,
     compute_contiguous_labeling,
@@ -186,13 +187,13 @@ class _RootedTree:
     ends; an interval that closes a cycle (see ``_cycle_breaks``) is cut loose
     and gets a leaf of its own at its upper end, and ``loose`` lists those
     leaves in order.  A link is kept once, at its child ``w``: ``parent[w]``,
-    the interval ``spans[w]``, ``upper[w]``, whether the child sits at the
-    span's upper end, and ``position[w]``, the span's index in the canonical
-    interval order of the region the tree indexes (-1 for the root and for a
-    branch without a link); ``leg(w)`` sweeps the span towards the parent.
-    A span's position is its index among the intervals given, except in the
-    kept stored-order tree (``_kept_tree``), and ``split`` parts the region
-    by the positions.  Children follow the order of the intervals.  The
+    ``upper[w]``, whether the child sits at the upper end of its interval,
+    and ``position[w]``, the one record of the interval itself: its index in
+    ``intervals``, the region's intervals in canonical order (-1 for the root
+    and for a branch without a link).  ``leg(w)`` sweeps the interval towards
+    the parent, and ``split`` parts ``intervals`` by the positions.  Children
+    follow the order of the intervals the tree is built from, which are
+    ``intervals`` except in the kept stored-order tree (``_kept_tree``).  The
     build gives the nodes integer ids in order of first appearance
     (``_numbered_ends``); the ids do not outlive the build, and every order
     and tie-break goes by the ``Point``s.  The root is a given ``Point``, by
@@ -200,7 +201,7 @@ class _RootedTree:
 
     A region that is not connected raises ``DisconnectedPiece``, unless
     ``forest`` is set: then each further component, from its least node, hangs
-    off the root by a branch without a link (``spans`` None), so root sums
+    off the root by a branch without a link (position -1), so root sums
     still cover the whole region, and ``connected`` is False.  The empty
     region is a lone root.
 
@@ -245,7 +246,6 @@ class _RootedTree:
         number[ids[root]] = 0
         order = [ids[root]]  # node ids by number
         parent = [-1]
-        spans: list[Optional[Interval]] = [None]  # the root has no link
         upper = [False]
         position = [-1]
         children: list[list[int]] = [[]]
@@ -262,7 +262,6 @@ class _RootedTree:
                     child = number[y] = len(order)
                     order.append(y)
                     parent.append(v)
-                    spans.append(iv)
                     upper.append(at_hi)
                     position.append(i)
                     children.append([])
@@ -279,18 +278,17 @@ class _RootedTree:
                 number[top] = len(order)
                 order.append(top)
                 parent.append(0)
-                spans.append(None)
                 upper.append(False)
                 position.append(-1)
                 children.append([])
-        self.parent, self.children, self.spans, self.upper = parent, children, spans, upper
-        self.position = position
+        self.parent, self.children, self.upper, self.position = parent, children, upper, position
+        self.intervals = intervals
 
     def freeze(self) -> _RootedTree:
         """Make this tree's links, and its split into whole and partial links,
         read-only tuples, and give it no sums; returns the tree."""
-        self.parent, self.spans, self.upper, self.position, self.loose = map(
-            tuple, (self.parent, self.spans, self.upper, self.position, self.loose)
+        self.parent, self.upper, self.position, self.loose = map(
+            tuple, (self.parent, self.upper, self.position, self.loose)
         )
         self.children = tuple(map(tuple, self.children))
         whole, partial = self._link_kinds()
@@ -305,8 +303,8 @@ class _RootedTree:
         return rt
 
     def leg(self, w: int) -> Leg:
-        """Child ``w``'s span swept from the child's end towards its parent."""
-        iv = self.spans[w]
+        """Child ``w``'s interval swept from the child's end towards its parent."""
+        iv = self.intervals[self.position[w]]
         return Leg(iv.edge, iv.hi, iv.lo) if self.upper[w] else Leg(iv.edge, iv.lo, iv.hi)
 
     def lowest(self, crosses: Callable[[int], bool]) -> int:
@@ -339,14 +337,12 @@ class _RootedTree:
                 return list(kids[:i]), sums
         raise ProtocolInvariantError("branch accumulation never crossed")
 
-    def split(
-        self, region: Piece, tops: Sequence[int], stop: Optional[Fraction]
-    ) -> tuple[Piece, Piece]:
-        """``region``, the region this tree indexes, parted into what an
-        extraction takes and the rest, both in region order.  The taken part
-        is the branches of ``tops``, or with ``stop`` the one top's subtree and
-        its leg swept from the child end to ``stop``."""
-        taken = bytearray(len(region.intervals))
+    def split(self, tops: Sequence[int], stop: Optional[Fraction]) -> tuple[Piece, Piece]:
+        """The tree's ``intervals`` parted into what an extraction takes and
+        the rest, both in region order.  The taken part is the branches of
+        ``tops``, or with ``stop`` the one top's subtree and its leg swept from
+        the child end to ``stop``."""
+        taken = bytearray(len(self.intervals))
         cut = None
         if stop is not None:
             (w,) = tops
@@ -358,7 +354,7 @@ class _RootedTree:
             w = stack.pop()
             taken[position[w]] = 1
             stack.extend(children[w])
-        return _parted(region, taken, cut)
+        return _parted(self.intervals, taken, cut)
 
     def subtree_values(self, val: Valuation) -> tuple[list[int], list[int], int]:
         """Values computed bottom-up as integers over one returned scale: of the
@@ -378,11 +374,12 @@ class _RootedTree:
 
     def _link_kinds(self) -> tuple[Sequence[Optional[str]], Sequence[tuple[int, Interval]]]:
         """Each node's edge id when its leg is a whole edge, else None; and the
-        children with a partial leg, by span."""
+        children with a partial leg, by interval."""
         if self._kinds is None:
             whole: list[Optional[str]] = []
             partial = []
-            for w, iv in enumerate(self.spans):
+            for w, i in enumerate(self.position):
+                iv = self.intervals[i] if i >= 0 else None
                 if iv is not None and is_whole(iv.lo, iv.hi):
                     whole.append(iv.edge)
                 else:
@@ -400,7 +397,7 @@ class _RootedTree:
         scale = math.lcm(val.scale, *(x.denominator for _, x in parts))
         lift = scale // val.scale
         totals = val.int_totals
-        branch = [0] * len(self.spans)
+        branch = [0] * len(self.parent)
         for w, edge in enumerate(whole):
             if edge is not None:
                 branch[w] = totals.get(edge, 0) * lift
@@ -433,14 +430,15 @@ class _RootedTree:
 
         This tree, which must have its default root, is pruned in place and
         returned: the taken nodes are dropped, the leg cut at ``stop`` keeps its
-        part between ``stop`` and the parent, with a new leaf at ``stop``, each
-        kept node's position becomes its rank among the kept positions, so the
-        tree indexes ``rest``, and the sums it holds for the ``needed``
-        valuations lose the taken value on the path to the root; the others
-        are dropped.  The shortened leg is the only one integrated again.  The
-        result has the links, positions, loose leaves and sums of
-        ``_RootedTree(g, rest.intervals)``, the sums possibly over a larger
-        scale.  Where pruning cannot give that tree, a fresh build is
+        part between ``stop`` and the parent, with a new leaf at ``stop``, and
+        the sums it holds for the ``needed`` valuations lose the taken value on
+        the path to the root; the others are dropped.  The tree then indexes
+        ``rest``: ``intervals`` becomes ``rest.intervals``, which already holds
+        the kept part of the cut leg, and each kept node's position becomes its
+        rank among the kept positions.  The shortened leg is the only one
+        integrated again.  The result has the links, positions, loose leaves
+        and sums of ``_RootedTree(g, rest.intervals)``, the sums possibly over
+        a larger scale.  Where pruning cannot give that tree, a fresh build is
         returned: when nothing is left, so the root left too, and when a loose
         link that stays would no longer be cut loose.
         """
@@ -450,8 +448,7 @@ class _RootedTree:
             return _RootedTree(g, rest.intervals)
         w = tops[0]
         v = self.parent[w]
-        leg = self.leg(w)
-        if stop == leg.end:
+        if stop == self.leg(w).end:
             stop = None  # the knife took the whole leg
         keep = [True] * len(self.parent)
         stack = list(tops) if stop is None else list(self.children[w])
@@ -459,15 +456,18 @@ class _RootedTree:
             x = stack.pop()
             keep[x] = False
             stack.extend(self.children[x])
+        kept_at = list(islice(compress(self.position, keep), 1, None))
+        held = bytearray(len(self.intervals))
+        for p in kept_at:
+            held[p] = 1
+        at = list(accumulate(held, initial=0))  # a kept position's new one
         loose = [x for x in self.loose if keep[x] and (stop is None or x != w)]
         if loose:
             # taking links away can only let a loose link join the tree, so
             # the pruned tree is right iff every kept loose link stays loose
             ends, ids = _numbered_ends(g, rest.intervals)
             breaks = _cycle_breaks(ends, len(ids))
-            if {self.spans[x] for x in loose} != {
-                iv for iv, cut in zip(rest.intervals, breaks) if cut
-            }:
+            if {at[self.position[x]] for x in loose} != {i for i, cut in enumerate(breaks) if cut}:
                 return _RootedTree(g, rest.intervals)
 
         rank = list(accumulate(keep, initial=0))  # a kept node's new number
@@ -476,19 +476,13 @@ class _RootedTree:
         self.children = [
             [rank[c] for c in kids if keep[c]] for kids in compress(self.children, keep)
         ]
-        self.spans = list(compress(self.spans, keep))
         self.upper = list(compress(self.upper, keep))
-        kept_at = list(islice(compress(self.position, keep), 1, None))
-        held = bytearray(len(keep))
-        for p in kept_at:
-            held[p] = 1
-        at = list(accumulate(held, initial=0))  # a kept position's new one
         self.position = [-1] + [at[p] for p in kept_at]
+        self.intervals = rest.intervals
         self.loose = [rank[x] for x in loose]
         self._kinds = None
         if stop is not None:
-            # the child's end moves to ``stop``, on the same side of its span
-            self.spans[rank[w]] = span = Interval(leg.edge, min(stop, leg.end), max(stop, leg.end))
+            span = rest.intervals[self.position[rank[w]]]
         values, self._values = self._values, {}
         for val, (below, branch, scale) in values.items():
             if val not in needed:
@@ -533,7 +527,8 @@ def _kept_tree(g: CakeGraph, root: Optional[str], stored: bool) -> _RootedTree:
         if stored:
             # the tree indexes the whole piece, whose intervals go by edge id
             at = {iv.edge: i for i, iv in enumerate(whole)}
-            kept.position = [-1] + [at[iv.edge] for iv in islice(kept.spans, 1, None)]
+            kept.position = [-1] + [at[g.edges[i].id] for i in islice(kept.position, 1, None)]
+            kept.intervals = whole
         kept = g._kept_trees[key] = kept.freeze()
     return kept.handle()
 
@@ -547,15 +542,14 @@ def _region_tree(g: CakeGraph, region: Piece, forest: bool = False) -> _RootedTr
 
 
 def _parted(
-    region: Piece, taken: bytearray, cut: Optional[tuple[int, Leg, Fraction]] = None
+    ivs: Sequence[Interval], taken: bytearray, cut: Optional[tuple[int, Leg, Fraction]] = None
 ) -> tuple[Piece, Piece]:
-    """The region's intervals parted into a taken piece and the rest, both in
-    region order: ``taken`` flags each interval by index.  With ``cut``, an
-    unflagged interval's index, a leg that sweeps it and the knife's stop on
-    it, that interval's swept part is taken and its other part left.  A part
-    of zero length is dropped, and one that is the whole interval is the
-    interval itself."""
-    ivs = region.intervals
+    """``ivs``, a region's intervals, parted into a taken piece and the rest,
+    both in region order: ``taken`` flags each interval by index.  With
+    ``cut``, an unflagged interval's index, a leg that sweeps it and the
+    knife's stop on it, that interval's swept part is taken and its other
+    part left.  A part of zero length is dropped, and one that is the whole
+    interval is the interval itself."""
     mine = list(compress(ivs, taken))
     rest = list(compress(ivs, map(not_, taken)))
     if cut is not None:
@@ -617,17 +611,15 @@ def _extract(
         raise DomainError("extraction needs at least one eligible agent")
     if rt is None:
         rt = _region_tree(g, region, forest=True)
-    winner, tops, stop = _split(g, vals, region, need, log, rt)
+    winner, tops, stop = _split(vals, need, log, rt)
     if not tops:
         return Piece.empty(), winner, region
-    piece, rest = rt.split(region, tops, stop)
+    piece, rest = rt.split(tops, stop)
     return piece, winner, rest
 
 
 def _split(
-    g: CakeGraph,
     vals: Sequence[Valuation],
-    region: Piece,
     need: Mapping[int, Fraction],
     log: QueryLog,
     rt: _RootedTree,
@@ -648,19 +640,19 @@ def _split(
     for a in eligible:
         require_exact(need[a], "extraction threshold")
         if need[a] < 0:
-            raise DomainError(f"extraction threshold {need[a]} is negative")
+            raise DomainError(f"extraction threshold {_shown(need[a])} is negative")
         stv[a], branch[a], scale[a] = rt.subtree_values(vals[a])
         # an integer x meets the need when x >= need * scale, that is x >= least
         least[a] = math.ceil(need[a] * scale[a])
         log.eval_count += 1
         if stv[a][0] < least[a]:
-            raise InsufficientValue(f"agent {a} values the piece below {need[a]}")
+            raise InsufficientValue(f"agent {a} values the piece below {_shown(need[a])}")
     satisfied = [a for a in eligible if need[a] == 0]
     if satisfied:
         return satisfied[0], [], None
     if not rt.connected:
         raise DisconnectedPiece("piece is not connected")
-    log.eval_count += len(region.intervals) * len(eligible)
+    log.eval_count += len(rt.intervals) * len(eligible)
 
     lows = [least[a] for a in eligible]
     tops, sums = rt.cut_site(
@@ -719,8 +711,8 @@ def _egalitarian(
     while len(agents) > 1:
         share = Fraction(1, 2 * len(agents) - 1)
         need = {a: share * rt.value(vals[a]) for a in agents}
-        winner, tops, stop = _split(g, vals, region, need, log, rt)
-        pieces[winner], region = rt.split(region, tops, stop)
+        winner, tops, stop = _split(vals, need, log, rt)
+        pieces[winner], region = rt.split(tops, stop)
         agents.remove(winner)
         if len(agents) > 1:
             rt = rt.remainder(g, tops, stop, region, {vals[a] for a in agents})
@@ -752,7 +744,7 @@ def connected_egalitarian(inst: Instance) -> ProtocolResult:
 def f_guarantee(n: int, k: int) -> Fraction:
     """Optimal egalitarian guarantee for n agents on a star with k edges."""
     if n < 2 or k < 3:
-        raise DomainError(f"f(n, k) needs n >= 2 and k >= 3, got ({n}, {k})")
+        raise DomainError(f"f(n, k) needs n >= 2 and k >= 3, got ({_shown(n)}, {_shown(k)})")
     if k < 2 * n - 1:
         return Fraction(1, n + (k + 1) // 2 - 1)
     return Fraction(1, 2 * n - 1)
@@ -806,7 +798,7 @@ def _path_proportional(
         for i in islice(swept, cut.leg_index):
             taken[i] = 1
         leg = traj[cut.leg_index]
-        pieces[winner], region = _parted(region, taken, (swept[-1], leg, cut.position))
+        pieces[winner], region = _parted(region.intervals, taken, (swept[-1], leg, cut.position))
         remaining.remove(winner)
         traj = traj[cut.leg_index + 1 :]
         if cut.position != leg.end:
@@ -858,7 +850,7 @@ def _star_rec(
     inner = ZERO if g.edge(iv.edge).u == center else ONE  # the end at the center
     leg = Leg(iv.edge, iv.hi, iv.lo) if iv.lo == inner else Leg(iv.edge, iv.lo, iv.hi)
     winner, cut = _knife_race(vals, (leg,), targets, log)
-    pieces[winner], region = _parted(region, bytearray(m), (i, leg, cut.position))
+    pieces[winner], region = _parted(region.intervals, bytearray(m), (i, leg, cut.position))
     rest = [a for a in agents if a != winner]
     _star_rec(g, vals, rest, region, center, pieces, log)
 
@@ -979,7 +971,7 @@ def two_agent_flexible(inst: Instance, alpha: Fraction) -> EntitlementResult:
     _require(inst, _TWO_CAKE)
     require_exact(alpha, "alpha")
     if not 0 < alpha <= Fraction(1, 4):
-        raise AlphaOutOfRange(f"alpha must satisfy 0 < alpha <= 1/4, got {alpha}")
+        raise AlphaOutOfRange(f"alpha must satisfy 0 < alpha <= 1/4, got {_shown(alpha)}")
     log = QueryLog()
     piece, winner, rem = _extract(
         inst.graph, inst.agents, inst.graph.whole_piece(), {0: alpha, 1: alpha}, log
@@ -1007,7 +999,7 @@ def _piece_budget(k: int) -> int:
     """``k`` when 1 <= k <= MULTI2_MAX_K; DomainError otherwise, before any
     power of three is formed."""
     if k < 1:
-        raise DomainError(f"piece budget k must be >= 1, got {k}")
+        raise DomainError(f"piece budget k must be >= 1, got {_shown(k)}")
     if k > MULTI2_MAX_K:
         raise DomainError(
             f"piece budget k must be at most {MULTI2_MAX_K}: each extra piece triples the exact denominators"
@@ -1280,7 +1272,7 @@ def _chore_rec(
         stop = min(sorted(row, reverse=True)[i] for i, row in enumerate(offsets))
         if not (ZERO <= stop < leg_length):
             raise ProtocolInvariantError("condition-one tightness point out of range")
-        piece, rest = rt.split(region, tops, leg.start + direction * stop)
+        piece, rest = rt.split(tops, leg.start + direction * stop)
         ranked = sorted((value_of_piece(vals[a], piece, log) / total[a], a) for a in agents)
         if any(map(gt, [c for c, _ in ranked], thresholds)):
             raise ProtocolInvariantError("condition one broken at the computed stop")
@@ -1294,7 +1286,7 @@ def _chore_rec(
         # condition one.  Each step's ranking and the final one cost one
         # evaluation query per agent.
         log.eval_count += k * (len(tops) + 1)
-        piece, rest = rt.split(region, tops, None)
+        piece, rest = rt.split(tops, None)
         ranked = sorted((share(a, x), a) for a, x in zip(agents, sums))
         plain = [c for c, _ in ranked]
         if _cond2_holds(plain, k):

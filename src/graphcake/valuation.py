@@ -45,12 +45,12 @@ from .graph_core import (
     ONE,
     ZERO,
     CakeGraph,
-    Interval,
     Piece,
     Point,
     SubcakeMap,
     _format_ratio,
     _read_ratio,
+    _shown,
     canonical_point,
     is_whole,
 )
@@ -244,7 +244,7 @@ class Valuation:
         # would make negative densities, so it is refused.
         require_exact(factor, "scale factor")
         if factor < 0:
-            raise DomainError(f"scale factor {factor} is negative")
+            raise DomainError(f"scale factor {_shown(factor)} is negative")
         fp, fq = factor.as_integer_ratio()
         scaled = {}
         for segs in self.densities.values():
@@ -370,7 +370,7 @@ def combine_valuations(vals: Sequence[Valuation], weights: Sequence[Fraction]) -
     for w in weights:
         require_exact(w, "weight")
         if w < 0:
-            raise DomainError(f"weight {w} is negative")
+            raise DomainError(f"weight {_shown(w)} is negative")
     weights = [Fraction(w) for w in weights]
     den = math.lcm(*(w.denominator * v.scale for v, w in zip(vals, weights)))
     sums: dict[str, int] = {}
@@ -412,7 +412,7 @@ class Instance:
                 if not self.graph.has_edge(e):
                     raise UnknownEdge(f"agent {i} values unknown edge {e!r}")
             if not v.is_normalized():
-                raise MalformedInput(f"agent {i} valuation integrates to {v.total()}, not 1")
+                raise MalformedInput(f"agent {i} valuation integrates to {_shown(v.total())}, not 1")
 
     @property
     def n(self) -> int:
@@ -600,22 +600,6 @@ def cut_query(
     vertex at positions 0 and 1, else an ``EdgePoint``."""
     cut = cut_trajectory(v, t, target, log)
     return canonical_point(g, t[cut.leg_index].edge, cut.position)
-
-
-def trajectory_prefix_piece(t: Trajectory, cut: TrajectoryCut) -> Piece:
-    """The piece covered by the knife up to the given cut.  A whole leg, in
-    either direction, is the edge's shared ``[ZERO, ONE]``."""
-    intervals = []
-    for leg in t[: cut.leg_index]:
-        start, end = leg.start, leg.end
-        if is_whole(start, end) or is_whole(end, start):
-            intervals.append(Interval(leg.edge, ZERO, ONE))
-        else:
-            intervals.append(Interval(leg.edge, min(start, end), max(start, end)))
-    leg = t[cut.leg_index]
-    lo, hi = min(leg.start, cut.position), max(leg.start, cut.position)
-    intervals.append(Interval(leg.edge, lo, hi))
-    return Piece.of(intervals)
 
 
 def latest_position_within(

@@ -3,10 +3,11 @@ import itertools
 import random
 from fractions import Fraction
 
+from graphcake.errors import MalformedPiece
 from graphcake.fixtures import _random_tree, _star
 from graphcake.graph_core import CakeGraph, Interval, Piece
 from graphcake.protocols import _path_tree, _sweep
-from graphcake.valuation import Instance, Valuation
+from graphcake.valuation import Instance, Leg, Valuation
 
 F = Fraction
 
@@ -137,6 +138,73 @@ def connected_multigraphs_up_to_iso(max_edges):
     return tuple(graphs)
 
 
+# Reference copies of the piece operations as they were before the linear
+# merges: sort and merge on every call, union as canonicalization of the
+# concatenation, difference as the chunk loop followed by canonicalization.
+# Each returns the canonical intervals as a tuple.
+
+
+def reference_of(intervals):
+    by_edge, edge_order = {}, []
+    for item in intervals:
+        iv = item if isinstance(item, Interval) else Interval(item[0], F(item[1]), F(item[2]))
+        if not (F(0) <= iv.lo <= iv.hi <= F(1)):
+            raise MalformedPiece(f"interval [{iv.lo}, {iv.hi}] outside [0, 1] on edge {iv.edge!r}")
+        if iv.lo == iv.hi:
+            continue
+        if iv.edge not in by_edge:
+            edge_order.append(iv.edge)
+            by_edge[iv.edge] = []
+        by_edge[iv.edge].append((iv.lo, iv.hi))
+    out = []
+    for edge in sorted(edge_order):
+        merged = []
+        for lo, hi in sorted(by_edge[edge]):
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        out.extend(Interval(edge, lo, hi) for lo, hi in merged)
+    return tuple(out)
+
+
+def reference_union(a, b):
+    return reference_of(a.intervals + b.intervals)
+
+
+def reference_difference(a, b):
+    out = []
+    for iv in a.intervals:
+        chunks = [(iv.lo, iv.hi)]
+        for cut in b.intervals:
+            if cut.edge != iv.edge:
+                continue
+            nxt = []
+            for lo, hi in chunks:
+                if cut.hi <= lo or cut.lo >= hi:
+                    nxt.append((lo, hi))
+                    continue
+                if cut.lo > lo:
+                    nxt.append((lo, cut.lo))
+                if cut.hi < hi:
+                    nxt.append((cut.hi, hi))
+            chunks = nxt
+        out.extend(Interval(iv.edge, lo, hi) for lo, hi in chunks)
+    return reference_of(out)
+
+
+def measure(p):
+    """The total length of a piece's intervals (test-only reference)."""
+    return sum((iv.hi - iv.lo for iv in p.intervals), F(0))
+
+
+def prefix_piece(traj, cut):
+    """The piece a knife covers along ``traj`` up to ``cut`` (test-only reference)."""
+    last = traj[cut.leg_index]
+    legs = (*traj[: cut.leg_index], Leg(last.edge, last.start, cut.position))
+    return Piece.of(Interval(leg.edge, min(leg.start, leg.end), max(leg.start, leg.end)) for leg in legs)
+
+
 def trajectory_value(v, t):
     """The value of the intervals a trajectory sweeps, one interval value per
     leg (test-only reference)."""
@@ -155,7 +223,9 @@ def tree_fields(rt, held=()):
     """Everything a walk reads off a region tree: its links, each child's leg
     (None for a branch without a link), its loose leaves, whether it is
     connected, and each held valuation's sums as rationals.  Links are read
-    as lists, so a kept tree's tuples compare equal to a fresh build's lists."""
+    as lists, so a kept tree's tuples compare equal to a fresh build's lists,
+    and each link's interval is read through its position, so trees that index
+    their intervals in different orders compare equal."""
     sums = []
     for val in held:
         below, branch, scale = rt.subtree_values(val)
@@ -163,8 +233,8 @@ def tree_fields(rt, held=()):
     return {
         "parent": list(rt.parent),
         "children": [list(kids) for kids in rt.children],
-        "spans": list(rt.spans),
-        "legs": [None if rt.spans[w] is None else rt.leg(w) for w in range(1, len(rt.spans))],
+        "spans": [None if i < 0 else rt.intervals[i] for i in rt.position],
+        "legs": [None if rt.position[w] < 0 else rt.leg(w) for w in range(1, len(rt.parent))],
         "loose": list(rt.loose),
         "connected": rt.connected,
         "sums": sums,

@@ -118,6 +118,7 @@ def test_star_fixtures_over_their_size_cap_fail_before_building(monkeypatch, cap
     over = [
         ("star_tight", {"n": 100}),
         ("star_tight", {"n": 10**100}),
+        ("star_tight", {"n": 10**5000}),
         ("chore_star", {"n": 140}),
         ("star_fnk_tight", {"n": 2, "k": 9842}),
         ("star_fnk_tight", {"n": 141, "k": 140}),

@@ -20,6 +20,7 @@ from graphcake.errors import (
     DisconnectedPiece,
     DomainError,
     InsufficientValue,
+    MalformedInput,
     NotAStar,
     NotHeightTwoTree,
     LabelingNotContiguous,
@@ -83,8 +84,8 @@ from graphcake.valuation import (
     Leg,
     QueryLog,
     Valuation,
+    combine_valuations,
     cut_trajectory,
-    trajectory_prefix_piece,
     value_of_piece,
 )
 
@@ -92,8 +93,12 @@ from conftest import (
     cycle_graph,
     ear_graph,
     edge_piece,
+    measure,
     mixed_graph,
     path_graph,
+    prefix_piece,
+    reference_difference,
+    reference_union,
     single_edge_graph,
     star_graph,
     trajectory_value,
@@ -170,8 +175,8 @@ def _check_extraction(inst, region, alpha, piece, winner, rem):
     g = inst.graph
     assert piece_is_connected(g, piece)
     assert piece_is_connected(g, rem)
-    assert piece.union(rem).intervals == region.intervals
-    assert piece.measure() + rem.measure() == region.measure()
+    assert reference_union(piece, rem) == region.intervals
+    assert measure(piece) + measure(rem) == measure(region)
     assert value_of_piece(inst.agents[winner], piece) >= alpha
     for a, val in enumerate(inst.agents):
         if a != winner:
@@ -245,9 +250,9 @@ def test_egalitarian_sums_each_region_once_per_distinct_valuation(monkeypatch):
         sums.append((rt, val))
         return real_sum(rt, val)
 
-    def split_level(g, vals, region, need, log, rt):
+    def split_level(vals, need, log, rt):
         levels.append((rt, {vals[a] for a in need}))
-        return real_split(g, vals, region, need, log, rt)
+        return real_split(vals, need, log, rt)
 
     def build(rt, *args, **kwargs):
         built.append(rt)
@@ -293,8 +298,8 @@ def reference_value_of_piece(v, p, log=None):
 
 def reference_subtree_values(rt, val):
     """The bottom-up pass in Fractions, one trajectory value per leg (test-only reference)."""
-    below, branch = [F(0)] * len(rt.spans), [F(0)] * len(rt.spans)
-    for v in reversed(range(len(rt.spans))):
+    below, branch = [F(0)] * len(rt.parent), [F(0)] * len(rt.parent)
+    for v in reversed(range(len(rt.parent))):
         for w in rt.children[v]:
             branch[w] = trajectory_value(val, (rt.leg(w),)) + below[w]
         below[v] = sum((branch[w] for w in rt.children[v]), F(0))
@@ -302,14 +307,14 @@ def reference_subtree_values(rt, val):
 
 
 def reference_branches(rt, tops):
-    """The spans of the branches of ``tops``: each one's link and the subtree
-    below it (test-only walk)."""
-    spans, stack = [], list(tops)
+    """The intervals of the branches of ``tops``: each one's link and the
+    subtree below it (test-only walk)."""
+    intervals, stack = [], list(tops)
     while stack:
         w = stack.pop()
-        spans.append(rt.spans[w])
+        intervals.append(rt.intervals[rt.position[w]])
         stack.extend(rt.children[w])
-    return spans
+    return intervals
 
 
 def reference_extract(g, vals, region, need, log):
@@ -340,19 +345,19 @@ def reference_extract(g, vals, region, need, log):
                 best = (a, cut)
         winner, cut = best
         below = Piece.of(reference_branches(rt, rt.children[chosen]))
-        piece = below.union(trajectory_prefix_piece((leg,), cut))
+        piece = Piece(reference_union(below, prefix_piece((leg,), cut)))
     else:
         piece, acc = Piece.empty(), {a: F(0) for a in eligible}
         crossers = []
         for child in rt.children[v]:
-            piece = piece.union(Piece.of(reference_branches(rt, [child])))
+            piece = Piece(reference_union(piece, Piece.of(reference_branches(rt, [child]))))
             for a in eligible:
                 acc[a] += branch[a][child]
             crossers = [a for a in eligible if acc[a] >= need[a]]
             if crossers:
                 break
         winner = crossers[0]
-    return piece, winner, region.difference(piece)
+    return piece, winner, Piece(reference_difference(region, piece))
 
 
 @st.composite
@@ -382,8 +387,8 @@ def regions_with_cut_points(draw):
 
 
 def reference_split(rt, region, tops, stop):
-    """The taken piece sorted and merged by ``Piece.of`` and the rest by
-    ``Piece.difference``, as extractions parted a region before
+    """The taken piece sorted and merged by ``Piece.of`` and the rest by the
+    reference set difference, as extractions parted a region before
     ``_RootedTree.split`` (test-only reference)."""
     if stop is None:
         taken = Piece.of(reference_branches(rt, tops))
@@ -391,7 +396,7 @@ def reference_split(rt, region, tops, stop):
         leg = rt.leg(tops[0])
         swept = Interval(leg.edge, min(leg.start, stop), max(leg.start, stop))
         taken = Piece.of(reference_branches(rt, rt.children[tops[0]]) + [swept])
-    return taken, region.difference(taken)
+    return taken, Piece(reference_difference(region, taken))
 
 
 def _draw_split(data, rt):
@@ -417,9 +422,8 @@ def test_split_matches_sorting_and_set_difference(drawn, data):
     trees = [(_RootedTree(g, region.intervals), region), (protocols._kept_tree(g, None, True), g.whole_piece())]
     for rt, part in trees:
         for _ in range(data.draw(st.integers(1, 3))):
-            assert [part.intervals[rt.position[w]] for w in range(1, len(rt.spans))] == list(rt.spans[1:])
             tops, stop = _draw_split(data, rt)
-            taken, rest = rt.split(part, tops, stop)
+            taken, rest = rt.split(tops, stop)
             expected = reference_split(rt, part, tops, stop)
             assert (taken.intervals, rest.intervals) == (expected[0].intervals, expected[1].intervals)
             for p in (taken, rest):
@@ -516,9 +520,9 @@ def test_extraction_and_chore_division_descend_as_before(monkeypatch):
     callers, seen = [], Counter()
     real_split, real_chore_rec, real_cut_site = protocols._split, protocols._chore_rec, _RootedTree.cut_site
 
-    def split(g, vals, region, need, log, rt):
+    def split(vals, need, log, rt):
         callers.append(("split", vals, need))
-        out = real_split(g, vals, region, need, log, rt)
+        out = real_split(vals, need, log, rt)
         callers.pop()
         return out
 
@@ -629,6 +633,8 @@ def _checking_remainder(monkeypatch):
         out = real(rt, g, tops, stop, rest, needed)
         assert all(val in held for val in out._values)
         fresh = _RootedTree(g, rest.intervals)
+        assert out.intervals == rest.intervals
+        # tree_fields compares every node's leg, read through its position
         assert tree_fields(out, held) == tree_fields(fresh, held)
         assert list(out.position) == list(fresh.position)
         for val in held:
@@ -737,8 +743,8 @@ def reference_path_proportional(g, vals, traj, need, region, pieces, log):
     while len(remaining) > 1:
         traj = _sweep(rt)
         winner, cut = _knife_race(vals, traj, {a: need[a] for a in remaining}, log)
-        pieces[winner] = trajectory_prefix_piece(traj, cut)
-        region = region.difference(pieces[winner])
+        pieces[winner] = prefix_piece(traj, cut)
+        region = Piece(reference_difference(region, pieces[winner]))
         remaining.remove(winner)
         if len(remaining) > 1:
             root = canonical_point(g, traj[cut.leg_index].edge, cut.position)
@@ -830,8 +836,7 @@ def test_kept_trees_match_fresh_builds_after_every_protocol():
             fresh = _RootedTree(g, whole, root)
             assert tree_fields(kept) == tree_fields(fresh)
             # positions index the whole piece, whose intervals go by edge id
-            at = [g.whole_piece().intervals.index(iv) for iv in kept.spans[1:]]
-            assert list(kept.position) == [-1] + at
+            assert kept.intervals == g.whole_piece().intervals
             assert kept._kinds == tuple(tuple(kinds) for kinds in fresh._link_kinds())
             assert len(kept._values) == 0
 
@@ -845,7 +850,7 @@ def test_kept_tree_links_are_read_only():
     inst = uniform_instance(g, 2)
     two_agent_fixed(inst)
     (kept,) = g._kept_trees.values()
-    for links in (kept.parent, kept.children, kept.children[0], kept.spans, kept.upper, kept.loose):
+    for links in (kept.parent, kept.children, kept.children[0], kept.position, kept.upper, kept.loose):
         with pytest.raises(TypeError):
             links[0] = links[0]
     with pytest.raises(TypeError):
@@ -853,8 +858,8 @@ def test_kept_tree_links_are_read_only():
     # each handle sums on its own, and pruning one rebinds its links
     rt = protocols._kept_tree(g, None, stored=False)
     assert rt.parent is kept.parent and rt.value(inst.agents[0]) == 1
-    tops = [w for w in range(1, len(rt.spans)) if rt.spans[w].edge == "e4"]
-    rest = g.whole_piece().difference(Piece.of(reference_branches(rt, tops)))
+    tops = [w for w in range(1, len(rt.parent)) if rt.leg(w).edge == "e4"]
+    rest = Piece(reference_difference(g.whole_piece(), Piece.of(reference_branches(rt, tops))))
     assert rt.remainder(g, tops, None, rest, set(inst.agents)) is rt
     assert rt.parent is not kept.parent and len(rt.parent) < len(kept.parent)
     assert tree_fields(kept) == tree_fields(_RootedTree(g, g.whole_piece().intervals))
@@ -1003,7 +1008,7 @@ def test_prop2_cycle_uniform():
     rep = verify_allocation(inst, res.allocation)
     assert rep.complete and rep.all_connected
     assert rep.values == (F(1, 2), F(1, 2))
-    assert res.allocation.pieces[0].measure() == F(3, 2)
+    assert measure(res.allocation.pieces[0]) == F(3, 2)
 
 
 def test_prop2_concentrated_second_agent():
@@ -1235,15 +1240,51 @@ def test_rational_parameters_refuse_exponent_notation():
 
 
 def test_a_decimal_parameter_is_read_as_its_string():
-    # Fraction(Decimal("1e-300000")) builds a 996,579-bit denominator
+    # Fraction(Decimal("1e-300000")) builds a 996,579-bit denominator; a
+    # count is read through exact_fraction too, so it follows the same rule
     inst = uniform_instance(single_edge_graph(), 2)
     assert exact_fraction(Decimal("0.25")) == F(1, 4)
     assert run_protocol("flex2", inst, {"alpha": Decimal("0.125")}) == two_agent_flexible(inst, F(1, 8))
-    for bad in ("1e-300000", "1E+5", "0.0000001", "NaN", "-Infinity", "sNaN"):
+    assert run_protocol("multi2", inst, {"k": Decimal("2.0")}) == multi_piece_two(inst, 2)
+    for bad in ("1e-300000", "1E+5", "1E+2", "0.0000001", "NaN", "-Infinity", "sNaN"):
         with pytest.raises(ValueError):
             exact_fraction(Decimal(bad))
-        with pytest.raises(BadParameters, match="not a valid value"):
-            run_protocol("flex2", inst, {"alpha": Decimal(bad)})
+        for protocol, key in (("flex2", "alpha"), ("multi2", "k")):
+            with pytest.raises(BadParameters, match="not a valid value"):
+                run_protocol(protocol, inst, {key: Decimal(bad)})
+
+
+HUGE = 10**5000  # past the interpreter's 4,300-digit limit for str() of an int
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda inst: run_protocol("flex2", inst, {"alpha": F(HUGE)}), AlphaOutOfRange, "got <Fraction of 16610 bits>"),
+        (lambda inst: extract_piece(inst, inst.graph.whole_piece(), F(HUGE)), InsufficientValue,
+         "agent 0 values the piece below <Fraction of 16610 bits>"),
+        (lambda inst: extract_piece(inst, inst.graph.whole_piece(), -F(HUGE)), DomainError,
+         "extraction threshold <Fraction of 16610 bits> is negative"),
+        (lambda inst: run_protocol("multi2", inst, {"k": -HUGE}), DomainError, "got <int of 16610 bits>"),
+        (lambda inst: run_protocol("multi2", inst, {"k": F(HUGE, 3)}), BadParameters,
+         "k=<Fraction of 16610 bits> is not a valid value"),
+        (lambda inst: f_guarantee(-HUGE, 3), DomainError, "got (<int of 16610 bits>, 3)"),
+        (lambda inst: inst.agents[0].scaled(-F(HUGE)), DomainError,
+         "scale factor <Fraction of 16610 bits> is negative"),
+        (lambda inst: combine_valuations(inst.agents, [F(1), -F(HUGE)]), DomainError,
+         "weight <Fraction of 16610 bits> is negative"),
+        (lambda inst: Instance(inst.graph, (inst.agents[0].scaled(F(HUGE)),)), MalformedInput,
+         "integrates to <Fraction of 16610 bits>, not 1"),
+    ],
+    ids=[
+        "flex2-alpha", "extract-above-value", "extract-negative", "multi2-k", "multi2-k-not-integral",
+        "f_guarantee", "scale-factor", "weight", "instance-total",
+    ],
+)
+def test_numbers_too_long_to_print_show_as_their_size(call, error, message):
+    inst = uniform_instance(single_edge_graph(), 2)
+    with pytest.raises(error, match=re.escape(message)):
+        call(inst)
 
 
 # -- several pieces ---------------------------------------------------------------
@@ -1466,7 +1507,7 @@ def test_equit2_single_edge_trace():
     inst = uniform_instance(single_edge_graph(), 2)
     res = equitable_two(inst)
     rep = verify_allocation(inst, res.allocation)
-    assert res.allocation.pieces[0].measure() == F(1, 3)
+    assert measure(res.allocation.pieces[0]) == F(1, 3)
     assert rep.inequity == F(1, 3)
 
 

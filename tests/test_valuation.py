@@ -42,7 +42,7 @@ from graphcake.valuation import (
     value_of_piece,
 )
 
-from conftest import path_graph, single_edge_graph, star_graph, trajectory_value
+from conftest import path_graph, prefix_piece, single_edge_graph, star_graph, trajectory_value
 
 F = Fraction
 HALF = F(1, 2)
@@ -213,9 +213,7 @@ def test_cut_round_trip_multi_leg():
         if target > trajectory_value(v, traj):
             continue
         cut = cut_trajectory(v, traj, target)
-        from graphcake.valuation import trajectory_prefix_piece
-
-        assert value_of_piece(v, trajectory_prefix_piece(traj, cut)) == target
+        assert value_of_piece(v, prefix_piece(traj, cut)) == target
         point = canonical_point(g, traj[cut.leg_index].edge, cut.position)
         assert cut_query(g, v, traj, target) == point
 

@@ -27,10 +27,8 @@ from graphcake.protocols import _ends, _RootedTree
 from graphcake.valuation import (
     Instance,
     Leg,
-    TrajectoryCut,
     Valuation,
     cut_query,
-    trajectory_prefix_piece,
     value_of_piece,
 )
 
@@ -40,6 +38,7 @@ from conftest import (
     mixed_graph,
     path_graph,
     path_trajectory,
+    reference_difference,
     star_graph,
     tree_fields,
     tree_graph,
@@ -75,7 +74,7 @@ def test_a_whole_region_tree_makes_no_canonical_point_calls(monkeypatch, big_ear
     compares = _counter(monkeypatch, Fraction, "_richcmp")
     legs = _counter(monkeypatch, Leg, "__init__")
     rt = _RootedTree(big_ear, big_ear.whole_piece().intervals)
-    assert len(rt.spans) > big_ear.m // 2
+    assert len(rt.parent) > big_ear.m // 2
     assert points == [] and compares == []
     # no leg is built until a walk asks for one
     assert legs == []
@@ -220,20 +219,6 @@ def test_piece_of_stores_fractions_and_shared_whole_edge_bounds(form):
             assert piece.intervals[0] is given
 
 
-@pytest.mark.parametrize("form", sorted(BOUND_FORMS))
-def test_whole_legs_in_any_form_give_the_same_prefix_piece(form):
-    lo, hi = BOUND_FORMS[form]
-    for end, expected_last in ((hi, Interval("e2", ZERO, F(1, 3))), (lo, Interval("e2", F(1, 3), ONE))):
-        start = lo if end is hi else hi
-        cut = TrajectoryCut(2, F(1, 3), F(2))
-        legs = (Leg("e0", lo, hi), Leg("e1", hi, lo), Leg("e2", start, end), Leg("e3", lo, hi))
-        piece = trajectory_prefix_piece(legs, cut)
-        shared = (Leg("e0", ZERO, ONE), Leg("e1", ONE, ZERO), legs[2], legs[3])
-        assert piece == trajectory_prefix_piece(shared, cut)
-        assert piece.intervals == (Interval("e0", ZERO, ONE), Interval("e1", ZERO, ONE), expected_last)
-        assert all(iv.lo is ZERO and iv.hi is ONE for iv in piece.intervals[:2])
-
-
 # -- region trees keyed by vertex name ------------------------------------------------
 
 
@@ -283,15 +268,15 @@ def test_path_sweeps_from_cut_points_and_vertices():
 
 def test_a_star_region_rooted_at_its_center_keeps_piece_order():
     g = star_graph(12)  # spokes e0..e11 from c, piece order e0, e1, e10, e11, e2, ...
-    region = g.whole_piece().difference(Piece.of([Interval("e1", F(1, 2), ONE)]))
+    region = Piece(reference_difference(g.whole_piece(), Piece.of([Interval("e1", F(1, 2), ONE)])))
     order = ["e0", "e1", "e10", "e11", *(f"e{i}" for i in range(2, 10))]
     for root in ("c", None):
         rt = _RootedTree(g, region.intervals, root)
         assert rt.children[0] == list(range(1, 13))
-        assert [rt.spans[w].edge for w in rt.children[0]] == order
-        assert rt.spans[1:] == list(region.intervals)
+        assert [rt.leg(w).edge for w in rt.children[0]] == order
+        assert rt.intervals is region.intervals and rt.position[1:] == list(range(12))
         assert rt.leg(2) == Leg("e1", F(1, 2), ZERO)
-        assert all(rt.leg(w) == Leg(rt.spans[w].edge, ONE, ZERO) for w in rt.children[0] if w != 2)
+        assert all(rt.leg(w) == Leg(region.intervals[w - 1].edge, ONE, ZERO) for w in rt.children[0] if w != 2)
 
 
 # -- region tree builds against a reference -------------------------------------------
@@ -390,7 +375,7 @@ def _cut_region(rng, g, cuts):
         e = rng.choice(g.edges).id
         lo, hi = sorted(rng.sample([ZERO, F(1, 4), F(1, 3), F(1, 2), F(3, 4), ONE], 2))
         taken.append(Interval(e, lo, hi))
-    return g.whole_piece().difference(Piece.of(taken))
+    return Piece(reference_difference(g.whole_piece(), Piece.of(taken)))
 
 
 def test_tree_builds_of_whole_200_edge_graphs_match_the_reference():
