@@ -70,7 +70,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .allocation import Allocation
 from .errors import BudgetExceeded, DomainError, ProtocolInvariantError
-from .graph_core import ONE, ZERO, Interval, Piece, _edge_ends
+from .graph_core import ONE, ZERO, Interval, Piece, _edge_ends, _shown
 from .valuation import Instance, require_exact
 
 # Each objective: the score of an allocation's per-agent values, and the strict
@@ -112,8 +112,7 @@ class GridSearchConfig:
     state_budget: int = DEFAULT_STATE_BUDGET
 
     def __post_init__(self):
-        if self.denominator < 1:
-            raise DomainError("grid denominator must be at least 1")
+        _require_denominator(self.denominator)
         if self.objective not in OBJECTIVES:
             raise DomainError(f"unknown objective {self.objective!r}")
         if self.piece_budget is not None:
@@ -121,9 +120,22 @@ class GridSearchConfig:
         _require_nonnegative(self.state_budget, "state budget")
 
 
-def _require_nonnegative(value: int, what: str) -> None:
-    if value < 0:
-        raise DomainError(f"{what} must be nonnegative, got {value}")
+def _require_int(value: object, what: str) -> int:
+    """``value`` if it is an int; DomainError for a bool, a float or anything
+    else, which would be read as a number or fail further on."""
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an int, got {_shown(value, repr)}")
+    return value
+
+
+def _require_nonnegative(value: object, what: str) -> None:
+    if _require_int(value, what) < 0:
+        raise DomainError(f"{what} must be nonnegative, got {_shown(value)}")
+
+
+def _require_denominator(d: object) -> None:
+    if _require_int(d, "grid denominator") < 1:
+        raise DomainError("grid denominator must be at least 1")
 
 
 def _atom_values(segs: Sequence[tuple[int, int, int, int, int, int]], d: int) -> list[tuple[int, int]]:
@@ -172,8 +184,7 @@ class _AtomModel:
     """
 
     def __init__(self, inst: Instance, d: int):
-        if d < 1:
-            raise DomainError("grid denominator must be at least 1")
+        _require_denominator(d)
         g = inst.graph
         if g.m * d > MAX_ATOMS:
             raise DomainError(
@@ -721,8 +732,9 @@ def check_powers_of_three(
     When those assignments outnumber ``state_budget`` it raises
     ``BudgetExceeded`` before it enumerates any.
     """
-    if not 1 <= t <= 6:
+    if not 1 <= _require_int(t, "t") <= 6:
         raise DomainError("t must be between 1 and 6")
+    a_lo, a_hi = _require_int(a_lo, "window start"), _require_int(a_hi, "window end")
     width = a_hi - a_lo + 1
     if not 1 <= width <= 10:
         raise DomainError("exponent window must be nonempty and at most 10 wide")

@@ -3,11 +3,13 @@ import itertools
 import random
 from fractions import Fraction
 
-from graphcake.errors import MalformedPiece
+from graphcake.allocation import verify_allocation
 from graphcake.fixtures import _random_tree, _star
 from graphcake.graph_core import CakeGraph, Interval, Piece
 from graphcake.protocols import _path_tree, _sweep
 from graphcake.valuation import Instance, Leg, Valuation
+
+import independent
 
 F = Fraction
 
@@ -138,59 +140,30 @@ def connected_multigraphs_up_to_iso(max_edges):
     return tuple(graphs)
 
 
-# Reference copies of the piece operations as they were before the linear
-# merges: sort and merge on every call, union as canonicalization of the
-# concatenation, difference as the chunk loop followed by canonicalization.
-# Each returns the canonical intervals as a tuple.
+def checked(name, inst, result, params=None):
+    """What ``independent.check`` finds wrong with a result, printed as ``solve`` prints it."""
+    output = {
+        "protocol": name,
+        "allocation": result.allocation.to_json(),
+        "report": verify_allocation(inst, result.allocation).to_json(),
+    }
+    if hasattr(result, "alpha_agent"):
+        output.update(alpha_agent=result.alpha_agent, beta_agent=result.beta_agent)
+    return independent.check(inst.to_json(), output, params)
 
 
-def reference_of(intervals):
-    by_edge, edge_order = {}, []
-    for item in intervals:
-        iv = item if isinstance(item, Interval) else Interval(item[0], F(item[1]), F(item[2]))
-        if not (F(0) <= iv.lo <= iv.hi <= F(1)):
-            raise MalformedPiece(f"interval [{iv.lo}, {iv.hi}] outside [0, 1] on edge {iv.edge!r}")
-        if iv.lo == iv.hi:
-            continue
-        if iv.edge not in by_edge:
-            edge_order.append(iv.edge)
-            by_edge[iv.edge] = []
-        by_edge[iv.edge].append((iv.lo, iv.hi))
-    out = []
-    for edge in sorted(edge_order):
-        merged = []
-        for lo, hi in sorted(by_edge[edge]):
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        out.extend(Interval(edge, lo, hi) for lo, hi in merged)
-    return tuple(out)
+def triples(p):
+    """A piece's intervals as (edge, lo, hi) triples, as ``independent`` reads them."""
+    return [(iv.edge, iv.lo, iv.hi) for iv in p.intervals]
 
 
-def reference_union(a, b):
-    return reference_of(a.intervals + b.intervals)
-
-
-def reference_difference(a, b):
-    out = []
-    for iv in a.intervals:
-        chunks = [(iv.lo, iv.hi)]
-        for cut in b.intervals:
-            if cut.edge != iv.edge:
-                continue
-            nxt = []
-            for lo, hi in chunks:
-                if cut.hi <= lo or cut.lo >= hi:
-                    nxt.append((lo, hi))
-                    continue
-                if cut.lo > lo:
-                    nxt.append((lo, cut.lo))
-                if cut.hi < hi:
-                    nxt.append((cut.hi, hi))
-            chunks = nxt
-        out.extend(Interval(iv.edge, lo, hi) for lo, hi in chunks)
-    return reference_of(out)
+def assert_parted(region, *parts):
+    """The parts are canonical pieces that overlap nowhere and together make
+    up the region, by ``independent``'s canonical form and coverage sweep."""
+    held = [triples(p) for p in parts]
+    assert all(independent.canonical(p) == p for p in held)
+    assert independent.canonical([iv for p in held for iv in p]) == independent.canonical(triples(region))
+    assert independent.coverage({e for e, _, _ in triples(region)}, held)[0]
 
 
 def measure(p):

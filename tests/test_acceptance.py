@@ -8,8 +8,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from graphcake.allocation import verify_allocation
 from graphcake.fixtures import FixtureSpec, build_fixture, random_instance, random_valuations
 from graphcake.graph_core import (
@@ -44,7 +42,7 @@ from graphcake.protocols import (
 )
 from graphcake.valuation import Instance
 
-from conftest import connected_multigraphs_up_to_iso
+from conftest import checked, connected_multigraphs_up_to_iso
 
 F = Fraction
 
@@ -73,9 +71,7 @@ def test_criterion_01_egalitarian_bound():
         t0 = time.monotonic()
         res = connected_egalitarian(inst)
         elapsed = time.monotonic() - t0
-        rep = verify_allocation(inst, res.allocation)
-        assert rep.complete and rep.disjoint and rep.all_connected
-        assert rep.egalitarian >= F(1, 2 * inst.n - 1)
+        assert checked("egal", inst, res) == []
         assert elapsed < 1.0
     for n in (2, 3, 4):
         inst = build_fixture(FixtureSpec("star_tight", {"n": n}))
@@ -117,9 +113,7 @@ def test_criterion_02_star_guarantee_table():
 def test_criterion_03_star_protocol_tightness():
     for n, k in ((3, 3), (3, 5), (4, 7)):
         inst = build_fixture(FixtureSpec("star_fnk_tight", {"n": n, "k": k}))
-        rep = verify_allocation(inst, star_egalitarian(inst).allocation)
-        assert rep.complete and rep.disjoint and rep.all_connected
-        assert rep.egalitarian >= f_guarantee(n, k), (n, k)
+        assert checked("star", inst, star_egalitarian(inst)) == [], (n, k)
     inst23 = build_fixture(FixtureSpec("star_fnk_tight", {"n": 2, "k": 3}))
     optimum, _ = grid_search_best(inst23, GridSearchConfig(denominator=6))
     assert optimum == F(1, 3) == f_guarantee(2, 3)
@@ -152,14 +146,11 @@ def test_criterion_04_two_agent_dichotomy():
         )
         assert classify_almost_bridgeless(inst.graph).is_almost_bridgeless
         lab = compute_contiguous_labeling(inst.graph)
-        rep = verify_allocation(inst, proportional_two_connected(inst, lab).allocation)
-        assert rep.complete and rep.all_connected
-        assert min(rep.values) >= F(1, 2)
+        assert checked("prop2", inst, proportional_two_connected(inst, lab)) == []
     bridge = build_fixture(FixtureSpec("three_bridge"))
     optimum, _ = grid_search_best(bridge, GridSearchConfig(denominator=6))
     assert optimum == F(1, 3)
-    rep = verify_allocation(bridge, two_agent_best(bridge).allocation)
-    assert min(rep.values) >= F(1, 3) and rep.values[0] >= F(1, 2)
+    assert checked("best2", bridge, two_agent_best(bridge)) == []
     print("criterion 04 PASS: 1/2 on almost-bridgeless graphs, 1/3 cap certified")
 
 
@@ -230,16 +221,10 @@ def test_criterion_06_flower_graphs():
 
 def test_criterion_07_entitlement_frontiers():
     for inst in _random_mix(100, [2]):
-        rep = verify_allocation(inst, two_agent_fixed(inst).allocation)
-        assert rep.complete and rep.all_connected
-        assert rep.values[0] >= F(1, 2) and rep.values[1] >= F(1, 3)
+        assert checked("fixed2", inst, two_agent_fixed(inst)) == []
     for alpha in (F(1, 8), F(1, 5), F(1, 4)):
         for inst in _random_mix(30, [2]):
-            res = two_agent_flexible(inst, alpha)
-            rep = verify_allocation(inst, res.allocation)
-            assert rep.complete and rep.all_connected
-            assert rep.values[res.alpha_agent] >= alpha
-            assert rep.values[res.beta_agent] >= 1 - 2 * alpha
+            assert checked("flex2", inst, two_agent_flexible(inst, alpha), {"alpha": alpha}) == []
     star4 = build_fixture(FixtureSpec("four_edge_star"))
     feasible, _ = pair_feasible(
         star4, 8, F(1, 2), F(1, 4), first_strict=True, second_strict=True
@@ -256,11 +241,7 @@ def test_criterion_07_entitlement_frontiers():
 def test_criterion_08_multi_piece():
     for inst in _random_mix(50, [2]):
         for k in range(1, 5):
-            res = multi_piece_two(inst, k)
-            rep = verify_allocation(inst, res.allocation)
-            assert rep.complete and rep.disjoint
-            assert rep.total_pieces <= k + 1
-            assert min(rep.values) >= F(1, 2) - F(1, 2 * 3**k)
+            assert checked("multi2", inst, multi_piece_two(inst, k), {"k": k}) == []
     tern = build_fixture(FixtureSpec("ternary_tree", {"k": 1}))
     optimum, _ = grid_search_best(
         tern,
@@ -291,19 +272,13 @@ def test_criterion_09_height_two_trees():
     for _ in range(30):
         g = _random_height2_tree(rng)
         inst = Instance(g, random_valuations(rng, g, 2), "cake")
-        res = height2_two_piece_proportional(inst, "r")
-        rep = verify_allocation(inst, res.allocation)
-        assert rep.complete and rep.disjoint
-        assert min(rep.values) >= F(1, 2)
-        assert all(a.piece_count <= 2 for a in rep.agents)
+        assert checked("height2", inst, height2_two_piece_proportional(inst, "r")) == []
     print("criterion 09 PASS: proportional with at most two pieces per agent")
 
 
 def test_criterion_10_equitability():
     for inst in _random_mix(100, [2]):
-        rep = verify_allocation(inst, equitable_two(inst).allocation)
-        assert rep.complete and rep.disjoint and rep.all_connected
-        assert rep.inequity <= F(1, 3)
+        assert checked("equit2", inst, equitable_two(inst)) == []
     star = build_fixture(FixtureSpec("equit_star3"))
     optimum, _ = grid_search_best(
         star, GridSearchConfig(denominator=6, objective="inequity", require_complete=True)
@@ -314,18 +289,12 @@ def test_criterion_10_equitability():
 
 def test_criterion_11_chores():
     for inst in _random_mix(100, [2], mode="chore"):
-        rep = verify_allocation(inst, chore_two(inst).allocation)
-        assert rep.complete and rep.disjoint and rep.all_connected
-        assert rep.values[0] <= F(1, 2) and rep.values[1] <= F(2, 3)
+        assert checked("chore2", inst, chore_two(inst)) == []
     for inst in _random_mix(50, [3], mode="chore"):
-        rep = verify_allocation(inst, chore_three(inst).allocation)
-        assert rep.complete and rep.disjoint and rep.all_connected
-        assert rep.egalitarian <= F(1, 2)
+        assert checked("chore3", inst, chore_three(inst)) == []
     for n in (3, 4, 5):
         for inst in _random_mix(50, [n], mode="chore"):
-            rep = verify_allocation(inst, chore_upto5(inst).allocation)
-            assert rep.complete and rep.disjoint and rep.all_connected
-            assert rep.egalitarian <= F(2, n + 1)
+            assert checked("chore5", inst, chore_upto5(inst)) == []
     for n in (2, 3):
         inst = build_fixture(FixtureSpec("chore_star", {"n": n}))
         optimum, _ = grid_search_best(

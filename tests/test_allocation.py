@@ -1,5 +1,4 @@
 import random
-from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -15,13 +14,12 @@ from graphcake.graph_core import (
     CakeGraph,
     Interval,
     Piece,
-    _UnionFind,
-    is_whole,
     piece_component_count,
 )
 from graphcake.protocols import run_protocol
 from graphcake.valuation import Instance
 
+import independent
 from conftest import (
     connected_multigraphs_up_to_iso,
     ear_graph,
@@ -29,6 +27,7 @@ from conftest import (
     mixed_graph,
     single_edge_graph,
     star_graph,
+    triples,
     uniform_instance,
 )
 
@@ -186,43 +185,7 @@ def test_allocation_json_round_trip():
     assert Allocation.from_json(alloc.to_json()).to_json() == alloc.to_json()
 
 
-# -- the verifier against its earlier per-interval forms --------------------------
-
-
-def interval_union_find_count(g, p):
-    """Components of a canonical piece by a union-find over its intervals, each
-    joined to the first interval that reaches each of its vertices (test-only
-    copy of the count that numbered intervals instead of vertices)."""
-    ivs = p.intervals
-    uf = _UnionFind(len(ivs))
-    first = {}
-    joins = 0
-    for i, iv in enumerate(ivs):
-        e = g.edge(iv.edge)
-        whole = is_whole(iv.lo, iv.hi)
-        if whole or iv.lo == 0:
-            joins += uf.union(first.setdefault(e.u, i), i)
-        if whole or iv.hi == 1:
-            joins += uf.union(first.setdefault(e.v, i), i)
-    return len(ivs) - joins
-
-
-def per_edge_sort_coverage(g, pieces):
-    """(disjoint, complete) by sorting and sweeping the spans of every edge of
-    the graph (test-only copy of the coverage before whole edges were set apart)."""
-    spans = defaultdict(list)
-    for p in pieces:
-        for iv in p.intervals:
-            spans[iv.edge].append((iv.lo, iv.hi))
-    disjoint = complete = True
-    for edge in g.edges:
-        cursor = ZERO
-        for lo, hi in sorted(spans[edge.id]):
-            disjoint &= not lo < cursor
-            complete &= not lo > cursor
-            cursor = max(cursor, hi)
-        complete &= cursor == ONE
-    return disjoint, complete
+# -- the verifier against the independent checker --------------------------------
 
 
 QUARTERS = (F(1, 4), F(1, 2), F(3, 4))
@@ -250,13 +213,15 @@ def random_allocation(rng, g, n, exact):
     return [Piece.of(r) for r in raw]
 
 
-def assert_verifier_matches_its_earlier_forms(g, pieces):
+def assert_verifier_matches_the_independent_check(g, pieces):
+    edges = independent.graph(g.to_json())[1]
     for p in pieces:
-        assert piece_component_count(g, p) == interval_union_find_count(g, p)
-    assert _edge_coverage(g, pieces) == per_edge_sort_coverage(g, pieces)
+        assert piece_component_count(g, p) == independent.piece_count(edges, triples(p))
+    expected = independent.coverage(edges, [triples(p) for p in pieces])
+    assert _edge_coverage(g, pieces) == expected
     # whole edges held with fresh 0 and 1 bounds, not the shared ones, read the same
     fresh = [Piece(tuple(Interval(iv.edge, F(iv.lo), F(iv.hi)) for iv in p.intervals)) for p in pieces]
-    assert _edge_coverage(g, fresh) == per_edge_sort_coverage(g, pieces)
+    assert _edge_coverage(g, fresh) == expected
 
 
 @st.composite
@@ -271,18 +236,18 @@ def small_allocations(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(small_allocations())
-def test_verifier_matches_its_earlier_forms_on_small_multigraphs(case):
+def test_verifier_matches_the_independent_check_on_small_multigraphs(case):
     g, pieces, exact = case
-    assert_verifier_matches_its_earlier_forms(g, pieces)
+    assert_verifier_matches_the_independent_check(g, pieces)
     if exact:
         assert _edge_coverage(g, pieces) == (True, True)
 
 
-def test_verifier_matches_its_earlier_forms_on_200_edge_graphs():
+def test_verifier_matches_the_independent_check_on_200_edge_graphs():
     rng = random.Random(27)
     for g in (ear_graph(rng, 200), mixed_graph(rng, 200)):
         for n, exact in ((2, True), (3, True), (2, False), (3, False)):
-            assert_verifier_matches_its_earlier_forms(g, random_allocation(rng, g, n, exact))
+            assert_verifier_matches_the_independent_check(g, random_allocation(rng, g, n, exact))
         inst = Instance(g, random_valuations(rng, g, 2))
         for name in ("best2", "fixed2", "equit2"):
-            assert_verifier_matches_its_earlier_forms(g, run_protocol(name, inst).allocation.pieces)
+            assert_verifier_matches_the_independent_check(g, run_protocol(name, inst).allocation.pieces)

@@ -8,10 +8,11 @@ road-network benchmark keep the sha256 of their ``solve`` output
 
 ``solve`` must exit 0 exactly when the protocol applies to the instance (see
 ``graphcake.protocols.applies``) and 1 otherwise; only the outputs of the
-protocols that apply are in the file.  After a deliberate change of output,
-rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``, which
-also prints fresh network digests, and say in CHANGES.md which outputs changed
-and why.
+protocols that apply are in the file.  Every ``solve`` output, the network
+ones too, must pass ``independent.check``.  After a deliberate change of
+output, rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``,
+which also prints fresh network digests, and say in CHANGES.md which outputs
+changed and why.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ import random
 import sys
 from pathlib import Path
 
+import independent
 from conftest import cycle_graph, ear_graph, mixed_graph, tree_graph
 from graphcake.cli import main
 from graphcake.fixtures import FixtureSpec, build_fixture, random_instance, random_valuations
@@ -65,7 +67,7 @@ RANDOM = (
     (10, 5, "arbitrary", 10, "chore"),
 )
 
-PARAMS = {"flex2": ["-p", "alpha=1/4"], "multi2": ["-p", "k=2"]}
+PARAMS = {"flex2": {"alpha": "1/4"}, "multi2": {"k": "2"}}
 
 # (fixture, params, oracle arguments): the grid certificates and pair
 # searches of the test suite, plus a feasible pair search for its witness
@@ -98,7 +100,7 @@ CYCLE = 800
 NETWORK_GRAPHS = (("cycle-augmented", ear_graph), ("arbitrary", mixed_graph), ("tree", tree_graph))
 NETWORK_EDGES = 200
 TWO_AGENT = ("best2", "prop2", "fixed2", "flex2", "equit2", "multi2", "chore2")
-NETWORK_PARAMS = {"flex2": ["-p", "alpha=1/4"], "multi2": ["-p", "k=3"]}
+NETWORK_PARAMS = {"flex2": {"alpha": "1/4"}, "multi2": {"k": "3"}}
 
 # sha256 of each ``solve`` stdout on the network graphs
 NETWORK_DIGESTS = {
@@ -145,13 +147,24 @@ def _run(argv: list[str], document: str = "") -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _solve(document: dict, protocol: str, params: dict) -> tuple[int, str]:
+    """``solve``'s exit code and stdout; an output must pass ``independent.check``."""
+    argv = ["solve", "--instance", "-", "--protocol", protocol]
+    for key, value in params.items():
+        argv += ["-p", f"{key}={value}"]
+    code, stdout = _run(argv, json.dumps(document))
+    if code == 0:
+        assert independent.check(document, json.loads(stdout), params) == [], protocol
+    return code, stdout
+
+
 def solve_outputs() -> dict[str, str]:
     """``solve`` stdout for every (instance, protocol) pair where the protocol applies."""
     outputs = {}
     for label, inst in _instances():
-        document = json.dumps(inst.to_json())
+        document = inst.to_json()
         for protocol in PROTOCOL_NAMES:
-            code, stdout = _run(["solve", "--instance", "-", "--protocol", protocol, *PARAMS.get(protocol, [])], document)
+            code, stdout = _solve(document, protocol, PARAMS.get(protocol, {}))
             expected = 0 if applies(protocol, inst) else 1
             assert code == expected, f"{protocol} on {label} exited {code}, expected {expected}"
             if code == 0:
@@ -196,11 +209,10 @@ def network_solve_outputs() -> dict[str, str]:
         rng = random.Random(f"network/{family}/valuations")
         for mode in ("cake", "chore"):
             inst = Instance(g, random_valuations(rng, g, 2), mode)
-            document = json.dumps(inst.to_json())
+            document = inst.to_json()
             for protocol in TWO_AGENT:
                 if applies(protocol, inst):
-                    argv = ["solve", "--instance", "-", "--protocol", protocol, *NETWORK_PARAMS.get(protocol, [])]
-                    code, stdout = _run(argv, document)
+                    code, stdout = _solve(document, protocol, NETWORK_PARAMS.get(protocol, {}))
                     assert code == 0, f"{protocol} on {family} exited {code}"
                     outputs[f"{family} {protocol}"] = stdout
     return outputs

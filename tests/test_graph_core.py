@@ -34,6 +34,7 @@ from graphcake.graph_core import (
     split_cycles_to_tree,
 )
 
+import independent
 from conftest import (
     connected_multigraphs_up_to_iso,
     cycle_graph,
@@ -43,12 +44,11 @@ from conftest import (
     mixed_graph,
     path_graph,
     random_multigraph,
-    reference_difference,
-    reference_of,
     single_edge_graph,
     star_graph,
     tree_graph,
     triangle,
+    triples,
 )
 
 F = Fraction
@@ -154,24 +154,25 @@ def test_piece_of_matches_the_sort_and_merge_reference(raw):
     # in sorted order, touching and overlapping neighbours must still be merged
     in_order = sorted(item if isinstance(item, Interval) else Interval(*item) for item in items)
     for given_items in (items, in_order):
-        try:
-            expected = reference_of(given_items)
-        except MalformedPiece as exc:
-            with pytest.raises(MalformedPiece, match=re.escape(str(exc))):
+        given = [(x.edge, x.lo, x.hi) if isinstance(x, Interval) else x for x in given_items]
+        bad = [(e, lo, hi) for e, lo, hi in given if not 0 <= lo <= hi <= 1]
+        if bad:
+            # the first interval out of [0, 1] or with lo > hi is named
+            e, lo, hi = bad[0]
+            with pytest.raises(MalformedPiece, match=re.escape(f"interval [{lo}, {hi}] outside [0, 1] on edge {e!r}")):
                 Piece.of(given_items)
-        else:
-            merged = Piece.of(given_items).intervals
-            assert merged == expected
-            # an Interval that meets no other one of positive length on its
-            # edge is kept as the very object given
-            triples = [(x.edge, x.lo, x.hi) if isinstance(x, Interval) else x for x in given_items]
-            for iv in merged:
-                meets = [
-                    item for item, (e, lo, hi) in zip(given_items, triples)
-                    if e == iv.edge and lo < hi and lo <= iv.hi and iv.lo <= hi
-                ]
-                if len(meets) == 1 and isinstance(meets[0], Interval):
-                    assert iv is meets[0]
+            continue
+        piece = Piece.of(given_items)
+        assert triples(piece) == independent.canonical(given)
+        # an Interval that meets no other one of positive length on its
+        # edge is kept as the very object given
+        for iv in piece.intervals:
+            meets = [
+                item for item, (e, lo, hi) in zip(given_items, given)
+                if e == iv.edge and lo < hi and lo <= iv.hi and iv.lo <= hi
+            ]
+            if len(meets) == 1 and isinstance(meets[0], Interval):
+                assert iv is meets[0]
 
 
 def test_intervals_have_no_instance_dict():
@@ -217,35 +218,12 @@ def test_gap_on_one_edge_disconnected():
 
 def test_triangle_minus_interior_interval_connected():
     g = triangle()
-    p = Piece(reference_difference(g.whole_piece(), Piece.of([Interval("e1", F(1, 4), F(1, 2))])))
+    p = Piece.of([("e0", F(0), F(1)), ("e1", F(0), F(1, 4)), ("e1", F(1, 2), F(1)), ("e2", F(0), F(1))])
     assert piece_is_connected(g, p)
 
 
 def test_empty_piece_connected():
     assert piece_is_connected(single_edge_graph(), Piece.empty())
-
-
-def reference_component_count(g, p):
-    """Components of a canonical piece by a BFS over its intervals, two of
-    them joined when both reach one graph vertex (test-only reference)."""
-    reach = []
-    for iv in p.intervals:
-        e = g.edge(iv.edge)
-        reach.append({v for v, at_end in ((e.u, iv.lo == 0), (e.v, iv.hi == 1)) if at_end})
-    seen, count = set(), 0
-    for start in range(len(reach)):
-        if start in seen:
-            continue
-        count += 1
-        seen.add(start)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(len(reach)):
-                if j not in seen and reach[i] & reach[j]:
-                    seen.add(j)
-                    queue.append(j)
-    return count
 
 
 QUARTERS = st.integers(0, 4).map(lambda k: F(k, 4))
@@ -268,9 +246,9 @@ def multigraph_pieces(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(multigraph_pieces())
-def test_piece_component_count_matches_a_bfs_over_intervals(case):
+def test_piece_component_count_matches_the_independent_count(case):
     g, p = case
-    count = reference_component_count(g, p)
+    count = independent.piece_count(independent.graph(g.to_json())[1], triples(p))
     assert piece_component_count(g, p) == count
     assert piece_is_connected(g, p) == (count <= 1)
 
@@ -303,26 +281,13 @@ def test_flower_graph_is_bridgeless():
     assert find_bridges(inst.graph) == set()
 
 
-def _bridges_by_deletion(g: CakeGraph) -> set:
-    out = set()
-    for e in g.edges:
-        kept = [(x.id, x.u, x.v) for x in g.edges if x.id != e.id]
-        touched = {v for _, u, w in kept for v in (u, w)}
-        if len(touched) < len(g.vertices):
-            out.add(e.id)
-            continue
-        try:
-            CakeGraph(sorted(touched), kept)
-        except GraphConstructionError:
-            out.add(e.id)
-    return out
-
-
 def test_bridges_match_deletion_oracle_on_random_graphs():
     rng = random.Random(20240)
     for _ in range(120):
         g = random_multigraph(rng, max_edges=8)
-        assert find_bridges(g) == _bridges_by_deletion(g), g.to_json()
+        vertices, edges = independent.graph(g.to_json())
+        assert find_bridges(g) == independent.bridges(vertices, edges), g.to_json()
+        assert classify_almost_bridgeless(g).is_almost_bridgeless == independent.almost_bridgeless(vertices, edges)
 
 
 # -- almost-bridgeless classification ----------------------------------------

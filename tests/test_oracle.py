@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import time
 import types
 from fractions import Fraction
@@ -31,6 +32,7 @@ from graphcake.oracle import (
 from graphcake.protocols import chore_two, connected_egalitarian, equitable_two
 from graphcake.valuation import Instance, Segment, Valuation
 
+import independent
 from conftest import connected_multigraphs_up_to_iso, path_graph, single_edge_graph, uniform_instance
 
 F = Fraction
@@ -199,6 +201,37 @@ def test_config_validation():
         pair_feasible(inst, 2, F(1, 2), F(1, 2), state_budget=-1)
     with pytest.raises(DomainError, match="state budget must be nonnegative, got -1"):
         check_powers_of_three(1, -3, 1, state_budget=-1)
+
+
+HUGE = -(10**5000)  # past the interpreter's 4,300-digit limit for str
+TWO = uniform_instance(single_edge_graph(), 2)
+BITS = "<int of 16610 bits>"
+REFUSED = {
+    "state-huge": (lambda: GridSearchConfig(2, state_budget=HUGE), f"state budget must be nonnegative, got {BITS}"),
+    "piece-huge": (lambda: GridSearchConfig(2, piece_budget=HUGE), f"piece budget must be nonnegative, got {BITS}"),
+    "powers3-huge": (lambda: check_powers_of_three(2, 0, 2, HUGE), f"state budget must be nonnegative, got {BITS}"),
+    "grid-float": (lambda: GridSearchConfig(2.5), "grid denominator must be an int, got 2.5"),
+    "grid-bool": (lambda: GridSearchConfig(True), "grid denominator must be an int, got True"),
+    "piece-bool": (lambda: GridSearchConfig(2, piece_budget=True), "piece budget must be an int, got True"),
+    "state-float": (lambda: GridSearchConfig(2, state_budget=1.5), "state budget must be an int, got 1.5"),
+    "state-str": (lambda: GridSearchConfig(2, state_budget="10"), "state budget must be an int, got '10'"),
+    "pair-grid-float": (lambda: pair_feasible(TWO, 2.5, F(1, 2), F(1, 2)), "grid denominator must be an int, got 2.5"),
+    "pair-state-float": (lambda: pair_feasible(TWO, 2, 0, 0, state_budget=1.0), "state budget must be an int, got 1.0"),
+    "t-float": (lambda: check_powers_of_three(2.0, 0, 2), "t must be an int, got 2.0"),
+    "t-bool": (lambda: check_powers_of_three(True, 0, 2), "t must be an int, got True"),
+    "start-fraction": (lambda: check_powers_of_three(2, F(0), 2), "window start must be an int, got Fraction(0, 1)"),
+    "end-float": (lambda: check_powers_of_three(2, 0, 2.0), "window end must be an int, got 2.0"),
+    "powers3-bool": (lambda: check_powers_of_three(2, 0, 2, False), "state budget must be an int, got False"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_oracle_integers_refuse_other_types_and_print_huge_values_short(case):
+    # a bool, a float or a Fraction is refused, not read as a number; a value
+    # too long for str is shown by its size
+    call, message = REFUSED[case]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
 
 
 def test_powers_of_three_base_case():
@@ -949,21 +982,22 @@ def test_mask_tie_break_orders_assignments_like_their_keys():
             assert _assigns_first(a, b) == expected
 
 
-def _fraction_atom_values(inst, d):
-    """(values, scale) of the atom model built as one ``Fraction`` per atom."""
+def assert_atoms_match_the_checker(inst, d):
+    """Each atom's integer over the model's scale is its value by ``independent``,
+    and the scale is the least common multiple of those values' denominators."""
+    model = _AtomModel(inst, d)
     exact = [
-        [val.interval_value(e.id, F(j, d), F(j + 1, d)) for e in inst.graph.edges for j in range(d)]
-        for val in inst.agents
+        [independent.value(val, [(e.id, F(j, d), F(j + 1, d))]) for e in inst.graph.edges for j in range(d)]
+        for val in (independent.valuation(v) for v in inst.to_json()["agents"])
     ]
-    scale = math.lcm(*(v.denominator for row in exact for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in exact], scale
+    assert [[F(x, model.scale) for x in row] for row in model.values] == exact
+    assert model.scale == math.lcm(*(x.denominator for row in exact for x in row))
 
 
 @settings(max_examples=100, deadline=None)
 @given(grid_instances(), st.integers(1, 7))
 def test_atom_values_match_one_fraction_per_atom(inst, d):
-    model = _AtomModel(inst, d)
-    assert (model.values, model.scale) == _fraction_atom_values(inst, d)
+    assert_atoms_match_the_checker(inst, d)
 
 
 def test_atom_values_with_breakpoints_on_and_between_grid_points():
@@ -982,8 +1016,7 @@ def test_atom_values_with_breakpoints_on_and_between_grid_points():
     ]
     inst = Instance(g, tuple(v.scaled(1 / v.total()) for v in agents), "cake")
     for d in range(1, 8):
-        model = _AtomModel(inst, d)
-        assert (model.values, model.scale) == _fraction_atom_values(inst, d)
+        assert_atoms_match_the_checker(inst, d)
 
 
 def test_complete_searches_on_four_edges_match_the_fraction_reference():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcake.allocation import Allocation, verify_allocation
+from graphcake.allocation import verify_allocation
 from graphcake.errors import (
     AlphaOutOfRange,
     BadParameters,
@@ -89,7 +89,10 @@ from graphcake.valuation import (
     value_of_piece,
 )
 
+import independent
 from conftest import (
+    assert_parted,
+    checked,
     cycle_graph,
     ear_graph,
     edge_piece,
@@ -97,14 +100,13 @@ from conftest import (
     mixed_graph,
     path_graph,
     prefix_piece,
-    reference_difference,
-    reference_union,
     single_edge_graph,
     star_graph,
     trajectory_value,
     tree_fields,
     tree_graph,
     triangle,
+    triples,
     uniform_instance,
 )
 
@@ -175,8 +177,7 @@ def _check_extraction(inst, region, alpha, piece, winner, rem):
     g = inst.graph
     assert piece_is_connected(g, piece)
     assert piece_is_connected(g, rem)
-    assert reference_union(piece, rem) == region.intervals
-    assert measure(piece) + measure(rem) == measure(region)
+    assert_parted(region, piece, rem)
     assert value_of_piece(inst.agents[winner], piece) >= alpha
     for a, val in enumerate(inst.agents):
         if a != winner:
@@ -289,13 +290,6 @@ def test_internal_checks_raise_instead_of_asserting():
 # -- integer extraction against the Fraction reference ----------------------------
 
 
-def reference_value_of_piece(v, p, log=None):
-    """The Fraction sum over the piece's intervals (test-only reference)."""
-    if log is not None:
-        log.eval_count += 1
-    return sum((v.interval_value(iv.edge, iv.lo, iv.hi) for iv in p.intervals), F(0))
-
-
 def reference_subtree_values(rt, val):
     """The bottom-up pass in Fractions, one trajectory value per leg (test-only reference)."""
     below, branch = [F(0)] * len(rt.parent), [F(0)] * len(rt.parent)
@@ -318,14 +312,16 @@ def reference_branches(rt, tops):
 
 
 def reference_extract(g, vals, region, need, log):
-    """The extraction in Fractions, with one tree pass per agent (test-only reference)."""
+    """The extraction in Fractions, with one tree pass per agent (test-only
+    reference).  It gives no remainder: ``_outcome`` checks the extraction's
+    against the piece."""
     eligible = sorted(need)
     for a in eligible:
-        if reference_value_of_piece(vals[a], region, log) < need[a]:
+        if value_of_piece(vals[a], region, log) < need[a]:
             raise InsufficientValue(f"agent {a} values the piece below {need[a]}")
     satisfied = [a for a in eligible if need[a] == 0]
     if satisfied:
-        return Piece.empty(), satisfied[0], region
+        return Piece.empty(), satisfied[0], None
     rt = _RootedTree(g, region.intervals)
     stv, branch = {}, {}
     for a in eligible:
@@ -345,19 +341,19 @@ def reference_extract(g, vals, region, need, log):
                 best = (a, cut)
         winner, cut = best
         below = Piece.of(reference_branches(rt, rt.children[chosen]))
-        piece = Piece(reference_union(below, prefix_piece((leg,), cut)))
+        piece = Piece.of(below.intervals + prefix_piece((leg,), cut).intervals)
     else:
         piece, acc = Piece.empty(), {a: F(0) for a in eligible}
         crossers = []
         for child in rt.children[v]:
-            piece = Piece(reference_union(piece, Piece.of(reference_branches(rt, [child]))))
+            piece = Piece.of(piece.intervals + tuple(reference_branches(rt, [child])))
             for a in eligible:
                 acc[a] += branch[a][child]
             crossers = [a for a in eligible if acc[a] >= need[a]]
             if crossers:
                 break
         winner = crossers[0]
-    return piece, winner, Piece(reference_difference(region, piece))
+    return piece, winner, None
 
 
 @st.composite
@@ -386,17 +382,14 @@ def regions_with_cut_points(draw):
     return inst.graph, vals, region
 
 
-def reference_split(rt, region, tops, stop):
-    """The taken piece sorted and merged by ``Piece.of`` and the rest by the
-    reference set difference, as extractions parted a region before
-    ``_RootedTree.split`` (test-only reference)."""
+def reference_split(rt, tops, stop):
+    """The taken piece sorted and merged by ``Piece.of``, as extractions built
+    it before ``_RootedTree.split`` (test-only reference)."""
     if stop is None:
-        taken = Piece.of(reference_branches(rt, tops))
-    else:
-        leg = rt.leg(tops[0])
-        swept = Interval(leg.edge, min(leg.start, stop), max(leg.start, stop))
-        taken = Piece.of(reference_branches(rt, rt.children[tops[0]]) + [swept])
-    return taken, Piece(reference_difference(region, taken))
+        return Piece.of(reference_branches(rt, tops))
+    leg = rt.leg(tops[0])
+    swept = Interval(leg.edge, min(leg.start, stop), max(leg.start, stop))
+    return Piece.of(reference_branches(rt, rt.children[tops[0]]) + [swept])
 
 
 def _draw_split(data, rt):
@@ -424,10 +417,8 @@ def test_split_matches_sorting_and_set_difference(drawn, data):
         for _ in range(data.draw(st.integers(1, 3))):
             tops, stop = _draw_split(data, rt)
             taken, rest = rt.split(tops, stop)
-            expected = reference_split(rt, part, tops, stop)
-            assert (taken.intervals, rest.intervals) == (expected[0].intervals, expected[1].intervals)
-            for p in (taken, rest):
-                assert Piece.of(p.intervals).intervals == p.intervals
+            assert taken.intervals == reference_split(rt, tops, stop).intervals
+            assert_parted(part, taken, rest)
             if not rest.intervals:
                 break
             rt, part = rt.remainder(g, tops, stop, rest, set(vals)), rest
@@ -441,7 +432,9 @@ def _outcome(extract, g, vals, region, need):
         piece, winner, rem = extract(g, vals, region, need, log)
     except InsufficientValue as exc:
         return str(exc), log.to_json()
-    return piece, winner, rem, log.to_json()
+    if rem is not None:
+        assert_parted(region, piece, rem)
+    return piece, winner, log.to_json()
 
 
 @settings(max_examples=150, deadline=None)
@@ -451,7 +444,7 @@ def test_integer_extraction_matches_the_fraction_reference(drawn, data):
     rt = _RootedTree(g, region.intervals)
     ref = {}
     for v in vals:
-        assert value_of_piece(v, region) == reference_value_of_piece(v, region)
+        assert value_of_piece(v, region) == independent.value(independent.valuation(v.to_json()), triples(region))
         below, branch, scale = rt.subtree_values(v)
         ref[v] = reference_subtree_values(rt, v)
         assert scale % v.scale == 0
@@ -569,9 +562,7 @@ def test_extraction_and_chore_division_descend_as_before(monkeypatch):
             runs.append(("chore3", Instance(g, random_valuations(rng, g, 3), "chore")))
             runs.append(("chore5", Instance(g, random_valuations(rng, g, n), "chore")))
             for name, inst in runs:
-                res = run_protocol(name, inst)
-                rep = verify_allocation(inst, res.allocation)
-                assert guarantee_violations(name, inst, rep) == [], (name, seed)
+                assert checked(name, inst, run_protocol(name, inst)) == [], (name, seed)
     assert callers == []
     assert set(seen) == {(kind, case) for kind in ("split", "chore") for case in ("knife", "branches")}, seen
 
@@ -613,9 +604,7 @@ def test_egal_contract_on_random_instances():
         n = 2 + seed % 4
         inst = random_instance(seed, n=n, family=("tree", "arbitrary")[seed % 2], edges=6)
         res = connected_egalitarian(inst)
-        rep = verify_allocation(inst, res.allocation)
-        assert rep.complete and rep.disjoint and rep.all_connected
-        assert rep.egalitarian >= F(1, 2 * n - 1)
+        assert checked("egal", inst, res) == []
         assert res.queries.cut_count >= 0 and res.queries.eval_count > 0
 
 
@@ -706,8 +695,7 @@ def test_egalitarian_matches_the_per_level_rebuild(monkeypatch):
             res = run_protocol(name, inst)
             runs.append((json.dumps(res.allocation.to_json()), res.queries.to_json()))
         assert runs[0] == runs[1], (name, g.m, n)
-        rep = verify_allocation(inst, Allocation.from_json(json.loads(runs[0][0])))
-        assert guarantee_violations(name, inst, rep) == [], (name, g.m, n)
+        assert checked(name, inst, res) == [], (name, g.m, n)
 
 
 def test_egalitarian_leaves_shared_state_alone():
@@ -744,7 +732,10 @@ def reference_path_proportional(g, vals, traj, need, region, pieces, log):
         traj = _sweep(rt)
         winner, cut = _knife_race(vals, traj, {a: need[a] for a in remaining}, log)
         pieces[winner] = prefix_piece(traj, cut)
-        region = Piece(reference_difference(region, pieces[winner]))
+        # the knife's prefix leaves the rest of the sweep
+        last = traj[cut.leg_index]
+        rest = (Leg(last.edge, cut.position, last.end), *traj[cut.leg_index + 1 :])
+        region = Piece.of(Interval(leg.edge, min(leg.start, leg.end), max(leg.start, leg.end)) for leg in rest)
         remaining.remove(winner)
         if len(remaining) > 1:
             root = canonical_point(g, traj[cut.leg_index].edge, cut.position)
@@ -794,8 +785,7 @@ def test_path_stage_matches_the_per_level_rebuild(monkeypatch):
             runs.append((json.dumps(res.allocation.to_json()), res.queries.to_json()))
         assert runs[0] == runs[1], (inst.n, inst.graph.m)
         assert reached and 3 <= reached[0] <= 5, (inst.n, inst.graph.m, reached)
-        rep = verify_allocation(inst, Allocation.from_json(json.loads(runs[0][0])))
-        assert guarantee_violations("star", inst, rep) == [], (inst.n, inst.graph.m)
+        assert checked("star", inst, res) == [], (inst.n, inst.graph.m)
 
 
 # -- whole-graph trees kept on the graph ---------------------------------------------
@@ -859,7 +849,8 @@ def test_kept_tree_links_are_read_only():
     rt = protocols._kept_tree(g, None, stored=False)
     assert rt.parent is kept.parent and rt.value(inst.agents[0]) == 1
     tops = [w for w in range(1, len(rt.parent)) if rt.leg(w).edge == "e4"]
-    rest = Piece(reference_difference(g.whole_piece(), Piece.of(reference_branches(rt, tops))))
+    assert reference_branches(rt, tops) == [Interval("e4", ZERO, ONE)]
+    rest = edge_piece("e0", "e1", "e2", "e3")
     assert rt.remainder(g, tops, None, rest, set(inst.agents)) is rt
     assert rt.parent is not kept.parent and len(rt.parent) < len(kept.parent)
     assert tree_fields(kept) == tree_fields(_RootedTree(g, g.whole_piece().intervals))
@@ -942,10 +933,7 @@ def test_star_protocol_random_contract():
         n = 2 + seed % 3
         k = 3 + seed % 5
         inst = random_instance(seed, n=n, family="star", edges=k)
-        res = star_egalitarian(inst)
-        rep = verify_allocation(inst, res.allocation)
-        assert rep.complete and rep.disjoint and rep.all_connected
-        assert rep.egalitarian >= f_guarantee(n, inst.graph.m)
+        assert checked("star", inst, star_egalitarian(inst)) == []
 
 
 def test_star_protocol_rejects_non_star():
@@ -986,8 +974,7 @@ def test_narrow_star_levels_build_no_tree(monkeypatch):
         assert "narrow" not in builds, (n, k)
         # no tree of the whole star rooted at its center is kept either
         assert all(root != "z" for root, _ in g._kept_trees), (n, k)
-        rep = verify_allocation(inst, res.allocation)
-        assert guarantee_violations("star", inst, rep) == [], (n, k)
+        assert checked("star", inst, res) == [], (n, k)
 
 
 # -- two agents, proportional on almost bridgeless ----------------------------------
@@ -1017,10 +1004,7 @@ def test_prop2_concentrated_second_agent():
     v2 = Valuation.from_edge_values({"e2": F(1)})
     inst = Instance(g, (v1, v2), "cake")
     lab = compute_contiguous_labeling(g)
-    res = proportional_two_connected(inst, lab)
-    rep = verify_allocation(inst, res.allocation)
-    assert min(rep.values) >= F(1, 2)
-    assert rep.complete and rep.all_connected
+    assert checked("prop2", inst, proportional_two_connected(inst, lab)) == []
 
 
 def test_prop2_winner_gets_exactly_half():
@@ -1034,9 +1018,7 @@ def test_prop2_winner_gets_exactly_half():
 
 def test_star_protocol_ignores_zero_value_edges():
     inst = build_fixture(FixtureSpec("star_fnk_tight", {"n": 2, "k": 5}))
-    rep = verify_allocation(inst, star_egalitarian(inst).allocation)
-    assert rep.complete and rep.all_connected
-    assert rep.egalitarian >= F(1, 3)
+    assert checked("star", inst, star_egalitarian(inst)) == []
 
 
 def test_prop2_rejects_bad_labeling():
@@ -1095,13 +1077,9 @@ def test_prop2_sweeps_each_edge_from_its_tail(monkeypatch):
 
 
 def test_best2_dispatch():
-    cyc = uniform_instance(triangle(), 2)
-    rep = verify_allocation(cyc, two_agent_best(cyc).allocation)
-    assert min(rep.values) >= F(1, 2)
-    star = uniform_instance(star_graph(3), 2)
-    rep = verify_allocation(star, two_agent_best(star).allocation)
-    assert min(rep.values) >= F(1, 3)
-    assert rep.values[0] >= F(1, 2)
+    # 1/2 each on the triangle, 1/3 on the star, whose bridges form no path
+    for inst in (uniform_instance(triangle(), 2), uniform_instance(star_graph(3), 2)):
+        assert checked("best2", inst, two_agent_best(inst)) == []
     edge = uniform_instance(single_edge_graph(), 2)
     rep = verify_allocation(edge, two_agent_best(edge).allocation)
     assert rep.values == (F(1, 2), F(1, 2))
@@ -1176,35 +1154,22 @@ def test_fixed2_second_agent_guarded_against_any_first_agent():
             {f"e{i}": w / total for i, w in enumerate(weights)}
         )
         inst = Instance(g, (v1, v2), "cake")
-        rep = verify_allocation(inst, two_agent_fixed(inst).allocation)
-        assert rep.values[0] >= F(1, 2)
-        assert rep.values[1] >= F(1, 3)
-        assert rep.complete and rep.all_connected
+        assert checked("fixed2", inst, two_agent_fixed(inst)) == []
 
 
 def test_flex2_quarter_on_single_edge():
     inst = uniform_instance(single_edge_graph(), 2)
-    res = two_agent_flexible(inst, F(1, 4))
-    rep = verify_allocation(inst, res.allocation)
-    assert rep.values[res.alpha_agent] >= F(1, 4)
-    assert rep.values[res.beta_agent] >= F(1, 2)
+    assert checked("flex2", inst, two_agent_flexible(inst, F(1, 4)), {"alpha": F(1, 4)}) == []
 
 
 def test_flex2_on_fig2_gadget():
     inst = build_fixture(FixtureSpec("fig2", {}))
-    res = two_agent_flexible(inst, F(1, 4))
-    rep = verify_allocation(inst, res.allocation)
-    assert rep.values[res.alpha_agent] >= F(1, 4)
-    assert rep.values[res.beta_agent] >= F(1, 2)
-    assert rep.complete and rep.all_connected
+    assert checked("flex2", inst, two_agent_flexible(inst, F(1, 4)), {"alpha": F(1, 4)}) == []
 
 
 def test_flex2_fifth_on_star():
     inst = uniform_instance(star_graph(3), 2)
-    res = two_agent_flexible(inst, F(1, 5))
-    rep = verify_allocation(inst, res.allocation)
-    assert rep.values[res.alpha_agent] >= F(1, 5)
-    assert rep.values[res.beta_agent] >= F(3, 5)
+    assert checked("flex2", inst, two_agent_flexible(inst, F(1, 5)), {"alpha": F(1, 5)}) == []
 
 
 def test_flex2_alpha_range():
@@ -1324,11 +1289,7 @@ def test_multi2_contract_and_window_monotone():
         windows = []
         for k in range(1, 5):
             res = multi_piece_two(inst, k)
-            rep = verify_allocation(inst, res.allocation)
-            assert rep.complete and rep.disjoint
-            assert rep.total_pieces <= k + 1
-            bound = F(1, 2) - F(1, 2 * 3**k)
-            assert min(rep.values) >= bound
+            assert checked("multi2", inst, res, {"k": k}) == []
             windows.append(min(value_of_piece(f1, p) for p in res.allocation.pieces))
         # refinement never widens the first agent's window
         assert all(a <= b for a, b in zip(windows, windows[1:]))
@@ -1378,10 +1339,7 @@ def fig5_tree():
 
 def test_height2_star_case():
     inst = uniform_instance(star_graph(4), 2)
-    res = height2_two_piece_proportional(inst, "c")
-    rep = verify_allocation(inst, res.allocation)
-    assert rep.complete and min(rep.values) >= F(1, 2)
-    assert all(a.piece_count <= 2 for a in rep.agents)
+    assert checked("height2", inst, height2_two_piece_proportional(inst, "c")) == []
 
 
 def test_height2_single_edge():
@@ -1394,10 +1352,7 @@ def test_height2_single_edge():
 
 def test_height2_two_layer_tree():
     inst = uniform_instance(fig5_tree(), 2)
-    res = height2_two_piece_proportional(inst, "u")
-    rep = verify_allocation(inst, res.allocation)
-    assert rep.complete and min(rep.values) >= F(1, 2)
-    assert all(a.piece_count <= 2 for a in rep.agents)
+    assert checked("height2", inst, height2_two_piece_proportional(inst, "u")) == []
 
 
 def test_height2_reads_an_empty_root_as_a_vertex_name():
@@ -1532,9 +1487,7 @@ def test_equit2_disjoint_supports():
 def test_equit2_random_contract():
     for seed in range(40):
         inst = random_instance(seed, n=2, family=("tree", "arbitrary")[seed % 2], edges=5)
-        rep = verify_allocation(inst, equitable_two(inst).allocation)
-        assert rep.complete and rep.disjoint and rep.all_connected
-        assert rep.inequity <= F(1, 3)
+        assert checked("equit2", inst, equitable_two(inst)) == []
 
 
 # -- chores ------------------------------------------------------------------------
@@ -1558,12 +1511,10 @@ def test_chore2_is_swapped_cake_split():
     for seed in range(50):
         inst = random_instance(seed, n=2, family="arbitrary", edges=6, mode="chore")
         cake_twin = Instance(inst.graph, inst.agents, "cake")
-        swapped = chore_two(inst).allocation
+        swapped = chore_two(inst)
         fixed = two_agent_fixed(cake_twin).allocation
-        assert swapped.pieces == (fixed.pieces[1], fixed.pieces[0])
-        rep = verify_allocation(inst, swapped)
-        assert rep.complete and rep.all_connected
-        assert rep.values[0] <= F(1, 2) and rep.values[1] <= F(2, 3)
+        assert swapped.allocation.pieces == (fixed.pieces[1], fixed.pieces[0])
+        assert checked("chore2", inst, swapped) == []
 
 
 def test_chore3_single_edge_trace():
@@ -1595,9 +1546,7 @@ def test_chore3_zero_cost_middle_piece():
 def test_chore3_random_contract():
     for seed in range(50):
         inst = random_instance(seed, n=3, family=("tree", "arbitrary")[seed % 2], edges=6, mode="chore")
-        rep = verify_allocation(inst, chore_three(inst).allocation)
-        assert rep.complete and rep.disjoint and rep.all_connected
-        assert rep.egalitarian <= F(1, 2)
+        assert checked("chore3", inst, chore_three(inst)) == []
 
 
 def test_chore5_delegates_small_cases():
@@ -1621,9 +1570,7 @@ def test_chore5_random_contract():
     for seed in range(60):
         n = 3 + seed % 3
         inst = random_instance(seed, n=n, family=("tree", "arbitrary")[seed % 2], edges=6, mode="chore")
-        rep = verify_allocation(inst, chore_upto5(inst).allocation)
-        assert rep.complete and rep.disjoint and rep.all_connected
-        assert rep.egalitarian <= F(2, n + 1)
+        assert checked("chore5", inst, chore_upto5(inst)) == []
 
 
 def test_chore5_refuses_six_agents():

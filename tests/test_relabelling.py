@@ -11,6 +11,8 @@ bounded hypothesis draws add grid optima on 3-4 edges and protocol runs on
 
 Subdividing every edge at 1/2 gives an instance with the same cake: each
 allocation maps to one the verifier reports the same way.
+
+Every protocol output here also passes the independent checker.
 """
 
 import dataclasses
@@ -26,6 +28,8 @@ from graphcake.graph_core import CakeGraph, Interval, Piece
 from graphcake.oracle import OBJECTIVES, GridSearchConfig, grid_search_best, pair_feasible
 from graphcake.protocols import PROTOCOL_NAMES, applies, guarantee_violations, run_protocol
 from graphcake.valuation import Instance, Valuation
+
+from conftest import checked
 
 F = Fraction
 HALF = F(1, 2)
@@ -134,8 +138,10 @@ def test_subdividing_every_edge_leaves_every_report_unchanged(family):
             moved, move_alloc = subdivide(inst)
             for name in PROTOCOL_NAMES:
                 if applies(name, inst):
-                    alloc = run_protocol(name, inst, PARAMS.get(name)).allocation
+                    result = run_protocol(name, inst, PARAMS.get(name))
+                    alloc = result.allocation
                     assert verify_allocation(moved, move_alloc(alloc)) == verify_allocation(inst, alloc)
+                    assert checked(name, inst, result, PARAMS.get(name)) == []
                     ran += 1
     assert ran >= 15 * 8
 
@@ -225,7 +231,8 @@ def test_pair_answer_is_unchanged(kind):
 
 def _assert_protocols_agree(inst, kind):
     """Every applicable protocol's allocation maps to one the verifier reports
-    the same way, and each keeps its guarantee on the relabelled instance."""
+    the same way, and each keeps its guarantee on the relabelled instance; the
+    independent checker agrees on both instances."""
     moved, move_alloc, move_report = relabel(inst, kind)
     ran = 0
     for name in PROTOCOL_NAMES:
@@ -233,11 +240,13 @@ def _assert_protocols_agree(inst, kind):
         if not applies(name, inst):
             continue
         params = PARAMS.get(name)
-        alloc = run_protocol(name, inst, params).allocation
+        given = run_protocol(name, inst, params)
+        alloc = given.allocation
         assert verify_allocation(moved, move_alloc(alloc)) == move_report(verify_allocation(inst, alloc))
         result = run_protocol(name, moved, params)
         report = verify_allocation(moved, result.allocation)
         assert guarantee_violations(name, moved, report, params, result) == []
+        assert checked(name, inst, given, params) == checked(name, moved, result, params) == []
         ran += 1
     assert ran
 

@@ -42,6 +42,7 @@ from graphcake.valuation import (
     value_of_piece,
 )
 
+import independent
 from conftest import path_graph, prefix_piece, single_edge_graph, star_graph, trajectory_value
 
 F = Fraction
@@ -327,18 +328,10 @@ def test_instance_json_round_trip():
     assert back.agents[0].total() == 1
 
 
-# -- reference definitions -------------------------------------------------------
-# The segment-by-segment definitions that the stored edge totals, the whole-leg
-# skip and the one-pass merge replace; kept here to check that they agree.
-
-
-def reference_interval_value(v, edge_id, lo, hi):
-    acc = F(0)
-    for s in v.edge_segments(edge_id):
-        a, b = max(s.lo, lo), min(s.hi, hi)
-        if a < b:
-            acc += s.density * (b - a)
-    return acc
+# -- the integer walks against Fraction loops ------------------------------------
+# The Fraction forms of the whole-leg skip and the knife stop, and the eager
+# merge that the one-pass merge replaces; interval values are checked against
+# the independent checker.
 
 
 def _cut_and_point(g, i, pos, offset, edge):
@@ -348,39 +341,6 @@ def _cut_and_point(g, i, pos, offset, edge):
 def cut_with_point(g, v, t, target):
     """``cut_trajectory``'s cut and ``cut_query``'s point, as the references give them."""
     return cut_trajectory(v, t, target), cut_query(g, v, t, target)
-
-
-def reference_cut_trajectory(g, v, t, target):
-    if target < 0:
-        raise InsufficientValue(f"negative cut target {target}")
-    acc = F(0)
-    offset = F(0)
-    for i, leg in enumerate(t):
-        direction = 1 if leg.end >= leg.start else -1
-        lo, hi = min(leg.start, leg.end), max(leg.start, leg.end)
-        clipped = [
-            (max(s.lo, lo), min(s.hi, hi), s.density)
-            for s in v.edge_segments(leg.edge)
-            if max(s.lo, lo) < min(s.hi, hi)
-        ]
-        if leg.start > leg.end:
-            clipped.reverse()
-        pos = leg.start
-        for a, b, density in clipped:
-            length = b - a
-            if acc == target:
-                return _cut_and_point(g, i, pos, offset, leg.edge)
-            seg_value = density * length
-            if density > 0 and acc + seg_value >= target:
-                dist = (target - acc) / density
-                cut_pos = pos + direction * dist
-                return _cut_and_point(g, i, cut_pos, offset + dist, leg.edge)
-            acc += seg_value
-            pos += direction * length
-            offset += length
-        if acc == target:
-            return _cut_and_point(g, i, pos, offset, leg.edge)
-    raise InsufficientValue(f"trajectory is worth {acc}, less than the target {target}")
 
 
 def fraction_latest_position_within(v, leg, budget):
@@ -450,12 +410,13 @@ def fraction_skip_cut_trajectory(g, v, t, target):
 
 def reference_combine(vals, weights):
     densities = {}
+    parsed = [independent.valuation(v.to_json()) for v in vals]
     for e in sorted({e for v in vals for e in v.densities}):
         ends = {x for v in vals for s in v.edge_segments(e) for x in (s.lo, s.hi)}
         cuts = sorted({F(0), F(1), *ends})
         segs = []
         for lo, hi in zip(cuts, cuts[1:]):
-            value = sum(w * reference_interval_value(v, e, lo, hi) for v, w in zip(vals, weights))
+            value = sum(w * independent.value(v, [(e, lo, hi)]) for v, w in zip(parsed, weights))
             segs.append(Segment(lo, hi, value / (hi - lo)))
         densities[e] = tuple(segs)
     return densities
@@ -492,21 +453,9 @@ def legs(draw):
     return Leg(edge, end, start) if draw(st.booleans()) else Leg(edge, start, end)
 
 
-@settings(max_examples=200, deadline=None)
-@given(valuations(), st.lists(st.tuples(GRID, GRID), max_size=4))
-def test_interval_value_matches_segment_loop(v, spans):
-    queries = [(F(0), F(1)), (F(1, 3), F(1, 3))] + [(min(a, b), max(a, b)) for a, b in spans]
-    for edge in EDGES + ["absent"]:
-        for lo, hi in queries:
-            assert v.interval_value(edge, lo, hi) == reference_interval_value(v, edge, lo, hi)
-        assert v.edge_value(edge) == reference_interval_value(v, edge, F(0), F(1))
-        assert F(v.int_totals.get(edge, 0), v.scale) == v.edge_value(edge)
-    assert v.total() == sum(reference_interval_value(v, e, F(0), F(1)) for e in EDGES)
-    assert v.scale == math.lcm(*(v.edge_value(e).denominator for e in v.densities))
-
-
 def _prefix_values(v, t):
     """The covered value at every leg end and every segment breakpoint of the sweep."""
+    val = independent.valuation(v.to_json())
     values, acc = [F(0)], F(0)
     for leg in t:
         lo, hi = min(leg.start, leg.end), max(leg.start, leg.end)
@@ -515,29 +464,23 @@ def _prefix_values(v, t):
         if leg.start > leg.end:
             cuts.reverse()
         for a, b in zip(cuts, cuts[1:]):
-            values.append(acc + reference_interval_value(v, leg.edge, min(a, b), max(a, b)))
-        acc += reference_interval_value(v, leg.edge, lo, hi)
+            values.append(acc + independent.value(val, [(leg.edge, min(a, b), max(a, b))]))
+        acc += independent.value(val, [(leg.edge, lo, hi)])
         values.append(acc)
     return values
 
 
-def _cut_or_shortfall(cut, *args):
-    try:
-        return cut(*args)
-    except InsufficientValue as exc:
-        return str(exc)
-
-
-@settings(max_examples=200, deadline=None)
-@given(valuations(), st.lists(legs(), min_size=1, max_size=5), st.lists(GRID, max_size=3))
-def test_cut_trajectory_matches_the_full_sweep(v, t, extra):
-    t = tuple(t)
-    total = trajectory_value(v, t)
-    targets = _prefix_values(v, t) + [total * x for x in extra] + [total + F(1, 7), F(-1)]
-    for target in targets:
-        assert _cut_or_shortfall(cut_with_point, PATH, v, t, target) == _cut_or_shortfall(
-            reference_cut_trajectory, PATH, v, t, target
-        )
+@st.composite
+def walked_valuations(draw):
+    """A drawn valuation as it is, scaled, or combined with others."""
+    v = draw(valuations())
+    kind = draw(st.sampled_from(["plain", "scaled", "combined"]))
+    if kind == "scaled":
+        return v.scaled(F(draw(st.integers(1, 50)), draw(st.integers(1, 97))))
+    if kind == "combined":
+        vals = [v] + draw(st.lists(valuations(), min_size=1, max_size=2))
+        return combine_valuations(vals, [F(draw(st.integers(0, 5)), draw(st.integers(1, 4))) for _ in vals])
+    return v
 
 
 @st.composite
@@ -564,16 +507,17 @@ def _cut_outcome(cut, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(valuations(), st.integers(1, 97), sweeps(), st.data())
-def test_integer_whole_leg_skip_matches_the_fraction_one(v, den, t, data):
-    # scaled valuations widen v.scale past the twelfths of the drawn densities
-    v = v.scaled(F(data.draw(st.integers(1, 50)), den))
+@given(walked_valuations(), sweeps(), st.data())
+def test_integer_whole_leg_skip_matches_the_fraction_one(v, t, data):
+    # scaled and combined valuations widen v.scale past the twelfths of the
+    # drawn densities
     total = trajectory_value(v, t)
     # exact stops at leg ends and breakpoints (plateaus start there), points just
     # off them, shares of the whole, the whole and more, and ints
     stops = _prefix_values(v, t)
     targets = stops + [x + F(1, 10007) for x in stops] + [x - F(1, 10007) for x in stops]
     targets += [total * F(data.draw(st.integers(0, 12)), 12), total + F(1, 7), F(-1), 0, 1, -1]
+    targets += [total * x for x in data.draw(st.lists(GRID, max_size=3))]
     for target in targets:
         if not t:
             # an empty trajectory is refused, whatever the target
@@ -586,19 +530,6 @@ def test_integer_whole_leg_skip_matches_the_fraction_one(v, den, t, data):
     for target in (float(total) / 3, 0.1, 0.0, True):
         with pytest.raises(DomainError, match="is not exact"):
             cut_trajectory(v, t, target)
-
-
-@st.composite
-def walked_valuations(draw):
-    """A drawn valuation as it is, scaled, or combined with others."""
-    v = draw(valuations())
-    kind = draw(st.sampled_from(["plain", "scaled", "combined"]))
-    if kind == "scaled":
-        return v.scaled(F(draw(st.integers(1, 50)), draw(st.integers(1, 97))))
-    if kind == "combined":
-        vals = [v] + draw(st.lists(valuations(), min_size=1, max_size=2))
-        return combine_valuations(vals, [F(draw(st.integers(0, 5)), draw(st.integers(1, 4))) for _ in vals])
-    return v
 
 
 # breakpoints and the ends (the twelfths lie on the grid), and bounds off it
@@ -615,13 +546,18 @@ def test_integer_interval_walk_matches_the_fraction_loop(v, spans):
     # lo == hi, whole edges, and spans that start or end on breakpoints or between them
     queries = [(F(0), F(1)), (F(1, 3), F(1, 3)), (F(0), F(1, 2)), (F(7, 12), F(1))]
     queries += [(min(a, b), max(a, b)) for a, b in spans]
+    val = independent.valuation(v.to_json())
     for edge in EDGES + ["absent"]:
         for lo, hi in queries:
-            assert _typed(v.interval_value(edge, lo, hi)) == _typed(
-                reference_interval_value(v, edge, lo, hi)
-            )
+            expected = independent.value(val, [(edge, lo, hi)])
+            assert _typed(v.interval_value(edge, lo, hi)) == _typed(expected)
             legs = (Leg(edge, lo, hi), Leg(edge, hi, lo))
-            assert trajectory_value(v, legs) == 2 * reference_interval_value(v, edge, lo, hi)
+            assert trajectory_value(v, legs) == 2 * expected
+        # each edge's total, stored as an integer over the valuation's scale
+        assert v.edge_value(edge) == independent.value(val, [(edge, 0, 1)])
+        assert F(v.int_totals.get(edge, 0), v.scale) == v.edge_value(edge)
+    assert v.total() == independent.value(val, [(e, 0, 1) for e in EDGES])
+    assert v.scale == math.lcm(*(v.edge_value(e).denominator for e in v.densities))
 
 
 def _outcome(sweep, *args):
@@ -646,6 +582,7 @@ def test_integer_sweeps_match_the_fraction_loops(v, t, data):
     stops = _prefix_values(v, t)
     exact = stops + [x + F(1, 10007) for x in stops] + [x - F(1, 10007) for x in stops]
     exact += [total * F(data.draw(st.integers(0, 12)), 12), total + F(1, 7), F(-1), 0, 1, -1]
+    exact += [total * x for x in data.draw(st.lists(GRID, max_size=3))]
     floats = [float(x) for x in stops] + [float(total) / 3, 0.1, 0.0, -0.5, True]
     for target in exact:
         assert _outcome(cut_with_point, PATH, v, t, target) == _outcome(
@@ -794,7 +731,7 @@ def test_valuation_refuses_a_gap_between_segments():
 def test_scaled_totals_match_the_scaled_segments(v, num, den):
     scaled = v.scaled(F(num, den))
     for edge in EDGES + ["absent"]:
-        assert scaled.edge_value(edge) == reference_interval_value(scaled, edge, F(0), F(1))
+        assert scaled.edge_value(edge) == independent.value(independent.valuation(scaled.to_json()), [(edge, 0, 1)])
         assert F(scaled.int_totals.get(edge, 0), scaled.scale) == scaled.edge_value(edge)
     assert scaled.scale == math.lcm(*(scaled.edge_value(e).denominator for e in EDGES))
 

@@ -38,7 +38,6 @@ from conftest import (
     mixed_graph,
     path_graph,
     path_trajectory,
-    reference_difference,
     star_graph,
     tree_fields,
     tree_graph,
@@ -268,7 +267,7 @@ def test_path_sweeps_from_cut_points_and_vertices():
 
 def test_a_star_region_rooted_at_its_center_keeps_piece_order():
     g = star_graph(12)  # spokes e0..e11 from c, piece order e0, e1, e10, e11, e2, ...
-    region = Piece(reference_difference(g.whole_piece(), Piece.of([Interval("e1", F(1, 2), ONE)])))
+    region = Piece.of(Interval("e1", ZERO, F(1, 2)) if iv.edge == "e1" else iv for iv in g.whole_piece().intervals)
     order = ["e0", "e1", "e10", "e11", *(f"e{i}" for i in range(2, 10))]
     for root in ("c", None):
         rt = _RootedTree(g, region.intervals, root)
@@ -370,12 +369,17 @@ def _assert_builds_alike(g, intervals, root=None, forest=False):
 
 def _cut_region(rng, g, cuts):
     """The whole graph less ``cuts`` random partial intervals, some ending at a vertex."""
-    taken = []
+    taken = defaultdict(list)
     for _ in range(cuts):
         e = rng.choice(g.edges).id
-        lo, hi = sorted(rng.sample([ZERO, F(1, 4), F(1, 3), F(1, 2), F(3, 4), ONE], 2))
-        taken.append(Interval(e, lo, hi))
-    return Piece(reference_difference(g.whole_piece(), Piece.of(taken)))
+        taken[e].append(sorted(rng.sample([ZERO, F(1, 4), F(1, 3), F(1, 2), F(3, 4), ONE], 2)))
+    kept = []
+    for e in g.edges:
+        reach = ZERO  # each gap between the taken intervals is kept
+        for lo, hi in sorted(taken[e.id]) + [[ONE, ONE]]:
+            kept.append(Interval(e.id, reach, max(reach, lo)))
+            reach = max(reach, hi)
+    return Piece.of(kept)
 
 
 def test_tree_builds_of_whole_200_edge_graphs_match_the_reference():
