@@ -1,4 +1,9 @@
-"""Allocations and the independent verifier every protocol output is checked against."""
+"""Allocations and ``verify_allocation``, which checks every protocol output.
+
+The verifier reads pieces through the helpers the protocols use themselves
+(``Piece.of``, ``piece_component_count``, ``is_whole`` and ``value_of_piece``),
+so it shares their code.  The shared-nothing check is ``tests/independent.py``,
+which reads the same documents with the standard library only."""
 
 from __future__ import annotations
 

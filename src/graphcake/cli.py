@@ -310,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_STATE_BUDGET,
-        help="most search states to visit: pieces or, with --pieces, assignments, "
-        "counted after bounding and symmetry",
+        help="most search states to visit: pieces or, with --pieces, atom sets looked at "
+        "for one agent each, counted after bounding and symmetry",
     )
     p.add_argument("--pair", help="two thresholds 'a,b' for pair feasibility")
     p.add_argument("--strict-first", action="store_true")

@@ -14,7 +14,8 @@ class MalformedInput(CakeError):
 
 
 class MalformedPiece(CakeError):
-    """A piece references an unknown edge or an interval outside [0, 1]."""
+    """A piece references an unknown edge, or an interval outside [0, 1] or
+    with its bounds reversed."""
 
 
 class DisconnectedPiece(CakeError):

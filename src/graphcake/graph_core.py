@@ -33,6 +33,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequenc
 from .errors import (
     BadParameters,
     DisconnectedPiece,
+    DomainError,
     GraphConstructionError,
     MalformedInput,
     MalformedPiece,
@@ -313,7 +314,8 @@ class Piece:
                         lo, hi = ZERO, ONE
                 else:
                     if not (ZERO <= lo <= hi <= ONE):
-                        raise MalformedPiece(f"interval [{lo}, {hi}] outside [0, 1] on edge {_edge_of(item)!r}")
+                        wrong = "reversed" if ZERO <= hi < lo <= ONE else "outside [0, 1]"
+                        raise MalformedPiece(f"interval [{lo}, {hi}] {wrong} on edge {_edge_of(item)!r}")
                     if canonical and lo == hi:
                         canonical = False
             if iv is None:
@@ -442,6 +444,15 @@ def exact_int(value: object) -> int:
     if number.denominator != 1:
         raise ValueError(f"{value!r} is not an integer")
     return number.numerator
+
+
+def _require_int(value: object, what: str) -> int:
+    """``value`` if it is an int; DomainError for anything else, which would
+    be read as a number or fail further on: a bool, a float, and also the
+    strings and integral Fractions that ``exact_int`` reads from documents."""
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an int, got {_shown(value, repr)}")
+    return value
 
 
 def exact_fraction(value: object) -> Fraction:

@@ -20,11 +20,13 @@ themselves walk the atoms' adjacency masks, built from one mask per vertex
 of the atoms at it.  A search reads a piece's value, and the value of what it
 leaves to each later agent, from the sums it keeps while it grows the piece.
 
-The connected-piece searches are bounded by their incumbent: a piece, with
-every piece grown from it, or a prefix of pieces is dropped as soon as no
-allocation through it can score as well as the best one found so far.  Each
-such test is strict, so allocations that tie the optimum survive and the
-witness is the one the exhaustive search would return.
+Both grid searches, the connected-piece one and the one with a total piece
+budget, choose pieces agent by agent and are bounded by their incumbent: a
+prefix of pieces, or in the connected-piece searches a piece with every piece
+grown from it, is dropped as soon as no allocation through it can score as
+well as the best one found so far.  Each such test is strict, so allocations
+that tie the optimum survive and the witness is the one the exhaustive search
+would return.
 
 More rules skip states that cannot change the answer or the witness.  The
 witness is the least optimal assignment of atoms to owners.  Of two
@@ -36,14 +38,13 @@ raising it, can turn into a lesser one, and so keeps that witness.
 - Agent symmetry, in every search.  The agents from some index on may share
   one row of atom values; swapping two of their pieces keeps every
   objective's score, and the assignment is least when the lower-indexed
-  agent holds the lower atom.  So their pieces are searched in one order only.
-  In the connected-piece searches their nonempty pieces come in increasing
-  order of lowest atom, with the empty ones last; when the allocation must
-  be complete, each next piece holds the lowest atom still free.  The
-  piece-budget search keeps only assignments in which those agents first
-  appear in index order, with agents that never appear last.  A pair search
-  whose two agents share one row tries the thresholds in one order only,
-  since the swapped order is the same search with the roles exchanged.
+  agent holds the lower atom.  So their pieces are searched in one order only,
+  by one rule in both grid searches: their nonempty pieces come in
+  increasing order of lowest atom, with the empty ones last; when the
+  allocation must be complete, each next piece holds the lowest atom still
+  free.  A pair search whose two agents share one row tries the thresholds
+  in one order only, since the swapped order is the same search with the
+  roles exchanged.
 - Whole last piece.  In an egalitarian search without completeness the
   last agent's piece is a whole component of the atoms left, or empty only
   when none are left.  With n agents, growing the last piece to its
@@ -56,7 +57,9 @@ raising it, can turn into a lesser one, and so keeps that witness.
   fails, every piece grown from it fails too, and if it succeeds the search
   ends.
 
-State budgets count the states visited after bounding and these rules.
+State budgets count the states visited after bounding and these rules.  In
+the piece-budget search a state is one atom set looked at for one agent,
+whether or not the search goes on from it.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .allocation import Allocation
 from .errors import BudgetExceeded, DomainError, ProtocolInvariantError
-from .graph_core import ONE, ZERO, Interval, Piece, _edge_ends, _shown
+from .graph_core import ONE, ZERO, Interval, Piece, _edge_ends, _require_int, _shown
 from .valuation import Instance, require_exact
 
 # Each objective: the score of an allocation's per-agent values, and the strict
@@ -98,8 +101,9 @@ class GridSearchConfig:
     module docstring: pieces and prefixes dropped by the incumbent, orders
     of identical agents' pieces that are not searched, and egalitarian last
     pieces smaller than their component cost nothing.  With a piece budget
-    a state is one assignment of atoms to agents, and assignments that list
-    identical agents out of order cost nothing either.
+    a state is one atom set looked at for one agent, kept or not: the sets
+    after a dropped prefix, and those the order of identical agents' pieces
+    skips, are not looked at and cost nothing.
 
     ``inequity`` without ``require_complete`` always has optimum 0: the
     allocation that leaves every piece empty is allowed and has no inequity,
@@ -118,14 +122,6 @@ class GridSearchConfig:
         if self.piece_budget is not None:
             _require_nonnegative(self.piece_budget, "piece budget")
         _require_nonnegative(self.state_budget, "state budget")
-
-
-def _require_int(value: object, what: str) -> int:
-    """``value`` if it is an int; DomainError for a bool, a float or anything
-    else, which would be read as a number or fail further on."""
-    if type(value) is not int:
-        raise DomainError(f"{what} must be an int, got {_shown(value, repr)}")
-    return value
 
 
 def _require_nonnegative(value: object, what: str) -> None:
@@ -499,56 +495,60 @@ def _partitions(
     yield from rec(0, model.full_mask, (), ())
 
 
-def _assignments(model: _AtomModel, complete: bool) -> Iterator[tuple[int, ...]]:
-    """Every assignment of atoms to agents, as one atom set per agent,
-    covering all atoms when ``complete``.
+def _assignments(
+    model: _AtomModel,
+    cfg: GridSearchConfig,
+    budget: _Budget,
+    prune: Callable[[Sequence[int]], bool],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Tuples of pairwise-disjoint atom sets with their per-agent values, with
+    at most ``cfg.piece_budget`` components in all, covering all atoms when
+    ``cfg`` requires completeness; the piece-budget counterpart of
+    ``_partitions``.
 
-    The agents from ``symmetric`` on share one row of atom values, so only
-    the assignments in which they first appear in index order, with the
-    agents that never appear last, are listed: each of their sets lies above
-    the lowest atom of the set before, and after an empty one all are empty.
+    The sets are chosen agent by agent, each agent's in decreasing order of
+    mask, and every set looked at costs one state.  A prefix is not extended
+    once its sets have more components than the piece budget, or when
+    ``prune(values)`` drops it.  With completeness the last agent takes the
+    atoms left.
+
+    The agents from ``symmetric`` on share one row of atom values, so their
+    sets come in one order only, by the rule of ``_partitions``: with
+    completeness each holds the lowest atom still free; without it each lies
+    above the lowest atom of the set before, and after an empty one all are
+    empty.
     """
     n = len(model.values)
+    complete = cfg.require_complete
     symmetric = model.symmetric_from()
 
-    def rec(agent: int, remaining: int, masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        allowed = remaining
-        if agent > symmetric:
-            allowed &= _above_lowest(masks[-1])
+    def rec(
+        agent: int, remaining: int, masks: tuple[int, ...], values: tuple[int, ...], pieces: int
+    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        # each set is ``held`` plus a subset of ``free``
+        held, free = 0, remaining
         if complete and agent == n - 1:
-            if allowed == remaining:
-                yield masks + (remaining,)
-            return
-        subset = allowed
-        while True:  # every subset of allowed, the largest first
-            if agent == n - 1:
-                yield masks + (subset,)
-            else:
-                yield from rec(agent + 1, remaining & ~subset, masks + (subset,))
+            held, free = remaining, 0  # the atoms left
+        elif complete and agent >= symmetric:
+            held = remaining & -remaining  # the lowest free atom
+            free ^= held
+        elif agent > symmetric:
+            free &= _above_lowest(masks[-1])
+        subset = free
+        while True:
+            s = held | subset
+            budget.spend()
+            left = pieces - model.component_count(s)  # the pieces later agents may have
+            if left >= 0 and not prune(head := values + (model.value(agent, s),)):
+                if agent == n - 1:
+                    yield masks + (s,), head
+                else:
+                    yield from rec(agent + 1, remaining & ~s, masks + (s,), head, left)
             if not subset:
                 return
-            subset = (subset - 1) & allowed
+            subset = (subset - 1) & free
 
-    yield from rec(0, model.full_mask, ())
-
-
-def _assignment_count(model: _AtomModel, complete: bool) -> int:
-    """How many assignments ``_assignments`` lists, counted without listing them.
-
-    Each atom goes to an agent before the identical ones, to no one when
-    that is allowed, or to an identical agent.  With exactly the first j
-    identical agents appearing, the assignments onto those j, counted by
-    inclusion and exclusion, come j! to each order of first appearance.
-    Without identical agents this is ``choices ** atoms``.
-    """
-    atoms = len(model.adj)
-    symmetric = model.symmetric_from()
-    free = symmetric if complete else symmetric + 1
-    total = 0
-    for j in range(len(model.values) - symmetric + 1):
-        onto = sum((-1) ** i * math.comb(j, i) * (free + j - i) ** atoms for i in range(j + 1))
-        total += onto // math.factorial(j)
-    return total
+    yield from rec(0, model.full_mask, (), (), cfg.piece_budget)
 
 
 def _assigns_first(masks: Sequence[int], other: Sequence[int]) -> bool:
@@ -620,24 +620,12 @@ def grid_search_best(inst: Instance, cfg: GridSearchConfig) -> tuple[Fraction, A
         ):
             best = (score, masks)
 
-    if cfg.piece_budget is not None:
-        size = _assignment_count(model, cfg.require_complete)
-        if size > cfg.state_budget:
-            raise BudgetExceeded(
-                f"{size} grid assignments exceed the state budget of {cfg.state_budget}"
-            )
-        for masks in _assignments(model, cfg.require_complete):
-            budget.spend()
-            left = cfg.piece_budget
-            for m in masks:
-                left -= model.component_count(m)
-                if left < 0:
-                    break
-            else:
-                consider(masks, tuple(model.value(a, m) for a, m in enumerate(masks)))
+    if cfg.piece_budget is None:
+        search = _partitions(model, cfg, budget, prune, bound)
     else:
-        for masks, values in _partitions(model, cfg, budget, prune, bound):
-            consider(masks, values)
+        search = _assignments(model, cfg, budget, prune)
+    for masks, values in search:
+        consider(masks, values)
 
     if best is None:
         raise DomainError("search space is empty")

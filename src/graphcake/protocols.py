@@ -73,6 +73,7 @@ from .graph_core import (
     Point,
     _cycle_breaks,
     _distances,
+    _require_int,
     _shown,
     canonical_point,
     classify_almost_bridgeless,
@@ -742,7 +743,10 @@ def connected_egalitarian(inst: Instance) -> ProtocolResult:
 
 
 def f_guarantee(n: int, k: int) -> Fraction:
-    """Optimal egalitarian guarantee for n agents on a star with k edges."""
+    """Optimal egalitarian guarantee for n agents on a star with k edges.  Each
+    count must be an int: a bool, a float or a Fraction raises DomainError."""
+    _require_int(n, "n")
+    _require_int(k, "k")
     if n < 2 or k < 3:
         raise DomainError(f"f(n, k) needs n >= 2 and k >= 3, got ({_shown(n)}, {_shown(k)})")
     if k < 2 * n - 1:

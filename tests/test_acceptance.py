@@ -5,10 +5,14 @@ All comparisons are exact rational arithmetic; there are no tolerances anywhere.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 
+import pytest
+
 from graphcake.allocation import verify_allocation
+from graphcake.errors import DomainError
 from graphcake.fixtures import FixtureSpec, build_fixture, random_instance, random_valuations
 from graphcake.graph_core import (
     CakeGraph,
@@ -108,6 +112,22 @@ def test_criterion_02_star_guarantee_table():
             checked += 1
     assert checked == 81
     print("criterion 02 PASS: all 81 star guarantee table entries reproduced")
+
+
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        (2, 3.0, "k must be an int, got 3.0"),
+        (2.5, 3, "n must be an int, got 2.5"),
+        (True, 3, "n must be an int, got True"),
+        (2, False, "k must be an int, got False"),
+        (Fraction(3), 5, "n must be an int, got Fraction(3, 1)"),
+    ],
+)
+def test_star_guarantee_refuses_counts_that_are_not_ints(n, k, message):
+    # a float k would be read as a number and a float n would fail raw
+    with pytest.raises(DomainError, match=re.escape(message)):
+        f_guarantee(n, k)
 
 
 def test_criterion_03_star_protocol_tightness():

@@ -157,9 +157,11 @@ def test_piece_of_matches_the_sort_and_merge_reference(raw):
         given = [(x.edge, x.lo, x.hi) if isinstance(x, Interval) else x for x in given_items]
         bad = [(e, lo, hi) for e, lo, hi in given if not 0 <= lo <= hi <= 1]
         if bad:
-            # the first interval out of [0, 1] or with lo > hi is named
+            # the first interval out of [0, 1] or with lo > hi is named, and
+            # said to be reversed only when both its bounds lie in [0, 1]
             e, lo, hi = bad[0]
-            with pytest.raises(MalformedPiece, match=re.escape(f"interval [{lo}, {hi}] outside [0, 1] on edge {e!r}")):
+            wrong = "reversed" if 0 <= lo <= 1 and 0 <= hi <= 1 else "outside [0, 1]"
+            with pytest.raises(MalformedPiece, match=re.escape(f"interval [{lo}, {hi}] {wrong} on edge {e!r}")):
                 Piece.of(given_items)
             continue
         piece = Piece.of(given_items)

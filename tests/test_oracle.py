@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from graphcake.allocation import Allocation, verify_allocation
 from graphcake.errors import BudgetExceeded, DomainError
-from graphcake.fixtures import FixtureSpec, build_fixture, random_valuations
+from graphcake.fixtures import FixtureSpec, build_fixture, random_instance, random_valuations
 from graphcake.graph_core import ONE, ZERO, CakeGraph, Interval, Piece
 from graphcake.oracle import (
     MAX_ATOMS,
     OBJECTIVES,
     GridSearchConfig,
-    _assignment_count,
     _assignments,
     _assigns_first,
     _AtomModel,
@@ -145,6 +144,59 @@ def test_budget_exceeded():
             inst,
             GridSearchConfig(denominator=6, piece_budget=3, state_budget=1000),
         )
+
+
+# the optimum and least witness of each search with a budget of four pieces on
+# a five-edge chore instance, as listing every assignment found them
+_LEAST_CHORE = [[["e4", "0", "1/2"]], [], []]
+_BEST_LEAST = [
+    [["e0", "1/2", "1"], ["e3", "0", "1"]],
+    [["e1", "1/2", "1"], ["e2", "0", "1/2"], ["e4", "1/2", "1"]],
+    [["e0", "0", "1/2"], ["e1", "0", "1/2"], ["e2", "1/2", "1"], ["e4", "0", "1/2"]],
+]
+FIVE_EDGE_OPTIMA = {
+    ("cost", False): (F(0), _LEAST_CHORE),
+    ("cost", True): (
+        F(27, 107),
+        [
+            [["e0", "0", "1"], ["e1", "0", "1/2"], ["e4", "0", "1/2"]],
+            [["e2", "1/2", "1"], ["e3", "0", "1"]],
+            [["e1", "1/2", "1"], ["e2", "0", "1/2"], ["e4", "1/2", "1"]],
+        ],
+    ),
+    ("inequity", False): (F(0), _LEAST_CHORE),
+    ("inequity", True): (
+        F(145, 12626),
+        [
+            [["e1", "0", "1"], ["e3", "1/2", "1"]],
+            [["e0", "0", "1"], ["e3", "0", "1/2"]],
+            [["e2", "0", "1"], ["e4", "0", "1"]],
+        ],
+    ),
+    ("egal", False): (F(23, 59), _BEST_LEAST),
+    ("egal", True): (F(23, 59), _BEST_LEAST),
+}
+
+
+@pytest.mark.parametrize(
+    "objective, complete", FIVE_EDGE_OPTIMA, ids=[o + "-complete" * c for o, c in FIVE_EDGE_OPTIMA]
+)
+def test_piece_budget_search_on_five_edges_is_bounded(objective, complete):
+    # listing every assignment took 59,049 states with completeness and
+    # 1,048,576 without; the incumbent bound needs fewer than 100,000
+    inst = random_instance(4, n=3, family="arbitrary", edges=5, mode="chore")
+    cfg = GridSearchConfig(2, objective, piece_budget=4, require_complete=complete, state_budget=100_000)
+    assert _outcome(lambda: grid_search_best(inst, cfg)) == list(FIVE_EDGE_OPTIMA[objective, complete])
+
+
+def test_piece_budget_search_spends_a_state_on_every_set_it_looks_at():
+    # a piece budget of 0 keeps only the empty sets, but the first agent looks
+    # at all 2^16 sets of the 16 atoms first
+    inst = uniform_instance(path_graph(8), 2)
+    with pytest.raises(BudgetExceeded):
+        grid_search_best(inst, GridSearchConfig(2, piece_budget=0, state_budget=1_000))
+    optimum, witness = grid_search_best(inst, GridSearchConfig(2, piece_budget=0))
+    assert optimum == 0 and witness.pieces == (Piece.empty(), Piece.empty())
 
 
 def test_pair_feasibility_small():
@@ -277,8 +329,8 @@ def test_powers_of_three_budget_boundary():
 # rules as the integer search, each written from its statement:
 # - identical agents' pieces in one order: by lowest atom, the empty ones
 #   last, or holding the lowest free atom when the allocation must be
-#   complete; in the piece-budget search, identical agents first appear in
-#   index order, and the absent ones last;
+#   complete, as in the piece-budget search, whose identical agents without
+#   completeness take sets above the lowest atom of the set before;
 # - the last piece of an egalitarian search without completeness is a whole
 #   component of what is left, or empty when nothing is;
 # - the pair search tries one order of thresholds when both agents share one
@@ -475,19 +527,44 @@ def _ref_in_order(assignment, twins):
     return order == twins[: len(order)]
 
 
-def _ref_ordered_count(atoms, free, twins):
-    """How many assignments of ``atoms`` atoms to ``free`` owners and to
-    ``twins`` identical agents list the identical agents in order: the atoms
-    they get, split into at most ``twins`` nonempty blocks (Stirling numbers of
-    the second kind), one block per agent in order of lowest atom."""
-    stirling = [[1]]  # stirling[m][j]
-    for m in range(1, atoms + 1):
-        row = stirling[-1]
-        stirling.append([0] + [j * (row[j] if j < len(row) else 0) + row[j - 1] for j in range(1, m + 1)])
-    return sum(
-        math.comb(atoms, m) * free ** (atoms - m) * sum(stirling[m][: twins + 1])
-        for m in range(atoms + 1)
-    )
+def _ref_assignments(model, n, cfg, budget, prune, twins):
+    """Disjoint atom sets chosen agent by agent, with their values.  Each agent
+    looks at the sets its rule allows in decreasing order of mask, one state
+    each, and a prefix whose sets have more components in all than the piece
+    budget, or which ``prune`` drops, is not extended.  With completeness the
+    last agent looks only at the atoms left, and a twin's set holds the lowest
+    free atom; without it a set after a twin's lies above that set's lowest
+    atom, and after an empty one only the empty set is left."""
+
+    def subsets(pool):
+        bits = [1 << i for i in range(len(model.atoms)) if pool >> i & 1]
+        every = (sum(c) for r in range(len(bits) + 1) for c in itertools.combinations(bits, r))
+        return sorted(every, reverse=True)
+
+    def lowest(mask):
+        return min(i for i in range(len(model.atoms)) if mask >> i & 1)
+
+    def rec(agent, remaining, masks, values):
+        if cfg.require_complete and agent == n - 1:
+            options = [remaining]
+        elif cfg.require_complete and agent in twins and remaining:
+            options = [s for s in subsets(remaining) if s & remaining & -remaining]
+        elif agent - 1 in twins:
+            before = masks[-1]
+            options = [s for s in subsets(remaining) if not s or (before and lowest(s) > lowest(before))]
+        else:
+            options = subsets(remaining)
+        for s in options:
+            budget.spend()
+            head_masks, head = masks + (s,), values + (model.value(agent, s),)
+            if sum(map(model.component_count, head_masks)) > cfg.piece_budget or prune(head):
+                continue
+            if agent == n - 1:
+                yield head_masks, head
+            else:
+                yield from rec(agent + 1, remaining & ~s, head_masks, head)
+
+    yield from rec(0, model.full_mask, (), ())
 
 
 def _ref_assignment_key(model, masks, n):
@@ -553,22 +630,9 @@ def ref_grid_search_best(inst, cfg, bounded=True):
         return lambda value, rests: beaten(values + (value,), values + rests)
 
     if cfg.piece_budget is not None:
-        choices = n if cfg.require_complete else n + 1
         twins = _ref_twins(model, n) if bounded else []
-        size = _ref_ordered_count(len(model.atoms), choices - len(twins), len(twins))
-        if size > cfg.state_budget:
-            raise BudgetExceeded(f"{size} grid assignments exceed the state budget")
-        for assignment in itertools.product(range(choices), repeat=len(model.atoms)):
-            if not _ref_in_order(assignment, twins):
-                continue
-            budget.spend()
-            masks = [0] * n
-            for i, owner in enumerate(assignment):
-                if owner < n:
-                    masks[owner] |= 1 << i
-            if sum(model.component_count(m) for m in masks) > cfg.piece_budget:
-                continue
-            consider(tuple(masks), tuple(model.value(a, m) for a, m in enumerate(masks)))
+        for masks, values in _ref_assignments(model, n, cfg, budget, prune, twins):
+            consider(masks, values)
     else:
         whole_last = bounded and cfg.objective == "egal" and not cfg.require_complete
         partitions = _ref_partitions(
@@ -729,8 +793,10 @@ def test_piece_budget_search_matches_the_fraction_reference(inst, d, objective, 
     cfg = GridSearchConfig(
         d, objective, piece_budget=pieces, require_complete=complete, state_budget=REFERENCE_BUDGET
     )
-    expected = _outcome(lambda: ref_grid_search_best(inst, cfg)[:2])
-    assert _outcome(lambda: grid_search_best(inst, cfg)) == expected
+    _spends_like_the_reference(
+        _outcome(lambda: ref_grid_search_best(inst, cfg)),
+        lambda budget: grid_search_best(inst, dataclasses.replace(cfg, state_budget=budget)),
+    )
 
 
 def _pair_arguments(inst, d, data):
@@ -818,9 +884,14 @@ def test_piece_budget_search_of_identical_agents_matches_the_exhaustive_one(
 @settings(max_examples=60, deadline=None)
 @given(grid_instances(max_edges=2), st.integers(1, 3), st.booleans())
 def test_assignment_count_is_the_number_of_ordered_assignments(inst, d, complete):
+    # with no prune and no piece limit (no n sets of these atoms have more
+    # components than there are atoms), every in-order assignment once
     model = _AtomModel(inst, d)
-    listed = list(_assignments(model, complete))
-    assert len(set(listed)) == len(listed) == _assignment_count(model, complete)
+    cfg = GridSearchConfig(d, piece_budget=len(model.adj), require_complete=complete)
+    listed = []
+    for masks, values in _assignments(model, cfg, _Budget(10**6), lambda values: False):
+        assert values == tuple(model.value(a, m) for a, m in enumerate(masks))
+        listed.append(masks)
     n = inst.n
     twins = _ref_twins(_RefModel(inst, d), n)
     owners = range(n if complete else n + 1)
@@ -830,6 +901,7 @@ def test_assignment_count_is_the_number_of_ordered_assignments(inst, d, complete
         if _ref_in_order(assignment, twins)
     ]
     masks = {tuple(sum(1 << i for i, o in enumerate(a) if o == b) for b in range(n)) for a in ordered}
+    assert len(set(listed)) == len(listed) == len(ordered)
     assert masks == set(listed)
 
 

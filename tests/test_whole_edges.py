@@ -170,7 +170,9 @@ def test_two_agents_holding_one_whole_edge_are_not_disjoint(form):
 @pytest.mark.parametrize("form", sorted(BOUND_FORMS))
 def test_only_whole_edges_skip_the_bound_checks(form):
     lo, hi = BOUND_FORMS[form]
-    for bad in [(hi, lo), (lo, F(2)), (F(-1), hi), (F(-1), F(2))]:
+    with pytest.raises(MalformedPiece, match="reversed"):
+        Piece.of([("e0", hi, lo)])
+    for bad in [(lo, F(2)), (F(-1), hi), (F(-1), F(2))]:
         with pytest.raises(MalformedPiece, match="outside"):
             Piece.of([("e0", *bad)])
     # a bound is a Fraction or an int: a bool, a float or a string is refused,
